@@ -270,12 +270,15 @@ void IncrementalEngine::PushPending(const DynamicGraph& g, VertexId u,
                                     ReorderStats* stats) {
   pending_.Push(u, weight);
   ++stats->affected_vertices;
+  // Stamping u in both modes keeps IsUntouched's one-load answer sound:
+  // every pending vertex carries the current stamp.
+  VertexScratch& su = Scratch(u);
   if (options_.stored_delta_recovery) {
     // Defer the gray+credit pass: if u pops before the merge reads another
     // affected slot, neither the credits nor their matching debits are ever
     // observable, and u's only incident pass is the relax pass at emit. The
     // degree budget funds white-slot adjacency probes in the meantime.
-    Scratch(u).deferred = true;
+    su.deferred = true;
     uncredited_.emplace_back(u, old_pos);
     ++deferred_count_;
     credit_budget_ += static_cast<std::ptrdiff_t>(g.Degree(u));
@@ -331,7 +334,10 @@ void IncrementalEngine::EmitFromQueue(const DynamicGraph& g, PeelState* state,
   const double dmin = pending_.TopWeight();
   const VertexId umin = pending_.Pop();
   const std::size_t old_pos = state->PositionOf(umin);
-  WriteEntry(state, w, umin, dmin);
+  // A write at or ahead of the scan cursor lands on an unscanned slot:
+  // preserve its pre-update entry first.
+  if (w >= k) Preserve(*state, k, w + 1);
+  state->Assign(w, umin, dmin);
   MarkEmitted(umin);
 
   // Was umin's gray+credit pass ever flushed? If not, cancel it O(1) via
@@ -417,18 +423,35 @@ void IncrementalEngine::MergeLoop(const DynamicGraph& g, PeelState* state,
   std::size_t w = start;  // write cursor over the rewritten sequence
   std::size_t bi = 0;     // next unconsumed black position
 
+  // The open displacement run: case-2(b) slots [run_src, run_src + run_len)
+  // bound for [run_dst, run_dst + run_len). Every other event ends it, and
+  // it is written before that event touches the state (DESIGN.md §3.4).
+  // Until then its slots keep their pre-update entries and positions, which
+  // are exactly what the classification reads (below the scan cursor, or
+  // pre-update at or beyond it).
+  std::size_t run_src = 0;
+  std::size_t run_dst = 0;
+  std::size_t run_len = 0;
+  const auto end_run = [&] {
+    if (run_len == 0) return;
+    MoveRun(state, run_src, run_dst, run_len);
+    run_len = 0;
+  };
+
   while (true) {
     if (pending_.empty() && w == k) {
+      end_run();
       while (bi < blacks.size() && blacks[bi] < k) ++bi;
       if (bi == blacks.size()) break;
-      // Positions in [k, blacks[bi]) are untouched: jump over the gap and
-      // restart the preservation window there.
+      // Positions in [k, blacks[bi]) are untouched: jump over the gap. The
+      // preservation window ends at or before the old cursor, so every
+      // entry it holds is dead and the next Preserve restarts it.
       k = w = blacks[bi];
-      RebaseScratch(k);
       InvalidateLookahead();
     }
     if (k >= n) {
       // No more old entries: drain the pending queue.
+      end_run();
       while (!pending_.empty()) {
         EmitFromQueue(g, state, w++, k, stats);
         ++stats->rewritten_span;
@@ -445,6 +468,7 @@ void IncrementalEngine::MergeLoop(const DynamicGraph& g, PeelState* state,
 
     if (pending_.Contains(u_k) || IsEmitted(u_k)) {
       // The old slot of a vertex pulled into the queue out of schedule.
+      end_run();
       ++k;
       continue;
     }
@@ -453,6 +477,7 @@ void IncrementalEngine::MergeLoop(const DynamicGraph& g, PeelState* state,
         HeapKeyLess(pending_.TopWeight(), pending_.TopVertex(), d_k, u_k)) {
       // Case 1: the queue head peels before the incumbent. The stored d_k
       // never overstates u_k's true weight, so this is conservative.
+      end_run();
       EmitFromQueue(g, state, w++, k, stats);
       ++stats->rewritten_span;
       continue;
@@ -517,29 +542,51 @@ void IncrementalEngine::MergeLoop(const DynamicGraph& g, PeelState* state,
       // or edges into the queue; recover the exact value (O(1) from the
       // stored delta plus the accumulator, or straight from the adjacency
       // probe) and let the queue order it.
+      end_run();
       PushPending(g, u_k, k,
                   have_probe_weight
                       ? probe_weight
                       : RecoveredWeight(g, *state, u_k, d_k, k, stats),
                   stats);
       ++k;
-    } else {
-      // Case 2(b): untouched vertex with the smallest weight — copy through.
-      // No recovery bookkeeping is owed: a white vertex has no queue
-      // neighbors (pushes gray their whole neighborhood) and emits at
-      // exactly its old slot, so no unscanned neighbor's stored weight
-      // counted it wrongly. The emitted mark is needed only while the write
-      // cursor runs ahead of the scan cursor (deletion merges, where early
-      // emits of splice seeds can push w past k): a copy written at w <= k
-      // lands at or before the cursor, so every emitted-or-pending test
-      // already excludes it by position. Insertion merges always have
-      // w <= k, so the hot path never pays this random store — the
-      // dominant write of a long displacement run.
-      WriteEntry(state, w, u_k, d_k);
-      if (w > k) MarkEmitted(u_k);
-      ++w;
-      ++k;
-      ++stats->rewritten_span;
+      continue;
+    }
+    // Case 2(b): untouched vertex with the smallest weight — it keeps its
+    // relative order, so it joins the open displacement run. No recovery
+    // bookkeeping is owed: a white vertex has no queue neighbors (pushes
+    // gray their whole neighborhood) and lands exactly where the run's
+    // shift puts it, so no unscanned neighbor's stored weight counted it
+    // wrongly.
+    if (run_len == 0) {
+      run_src = k;
+      run_dst = w;
+    }
+    ++run_len;
+    ++w;
+    ++k;
+    ++stats->rewritten_span;
+    // Tight extension: with every deferred credit settled the next slot is
+    // classified by the case-1 comparison and IsUntouched alone, and while
+    // the write cursor trails the scan no slot at or beyond k has been
+    // overwritten, so the incumbents come straight from the live arrays.
+    // The first slot that fails either test goes back through the general
+    // path above, which classifies it exactly as before.
+    if (deferred_count_ == 0 && w < k) {
+      const bool has_top = !pending_.empty();
+      const double top_weight = has_top ? pending_.TopWeight() : 0.0;
+      const VertexId top_vertex = has_top ? pending_.TopVertex() : 0;
+      const auto seq = state->seq();
+      const auto delta = state->delta();
+      for (; k < n; ++k, ++w, ++run_len, ++stats->rewritten_span) {
+        if (k + kLookahead < n) {
+          SPADE_PREFETCH(scratch_vertex_.data() + seq[k + kLookahead]);
+        }
+        const VertexId u = seq[k];
+        if (has_top && HeapKeyLess(top_weight, top_vertex, delta[k], u)) {
+          break;
+        }
+        if (!IsUntouched(u)) break;
+      }
     }
   }
 }
@@ -549,10 +596,11 @@ void IncrementalEngine::FillLookahead(const PeelState& state, std::size_t k,
   // Every position in [k, n) still holds its pre-update entry in exactly
   // one of two places, split at a single boundary: the preservation window
   // covers [scratch_base_, scratch_end) — every slot the write cursor has
-  // passed — and the live state holds everything beyond. Copy each side
-  // with its own tight loop; no per-slot branch.
+  // overwritten at or ahead of the scan cursor — and the live state holds
+  // everything beyond. Copy each side with its own tight loop; no per-slot
+  // branch.
   const std::size_t count = std::min(kLookahead, n - k);
-  const std::size_t scratch_end = scratch_base_ + scratch_seq_.size();
+  const std::size_t scratch_end = ScratchEnd();
   std::size_t i = 0;
   for (; i < count && k + i < scratch_end; ++i) {
     lookahead_vertex_[i] = scratch_seq_[k + i - scratch_base_];
@@ -573,17 +621,41 @@ void IncrementalEngine::FillLookahead(const PeelState& state, std::size_t k,
   }
 }
 
-void IncrementalEngine::WriteEntry(PeelState* state, std::size_t w, VertexId v,
-                                   double delta) {
-  // Preserve the old entry before overwriting it, so later reads of
-  // positions the write cursor has passed still see the pre-update values.
-  const std::size_t end = scratch_base_ + scratch_seq_.size();
-  if (w >= end && w < state->size()) {
-    SPADE_DCHECK_EQ(w, end);
-    scratch_seq_.push_back(state->VertexAt(w));
-    scratch_delta_.push_back(state->DeltaAt(w));
+void IncrementalEngine::MoveRun(PeelState* state, std::size_t src,
+                                std::size_t dst, std::size_t len) {
+  if (dst < src) {
+    // Trailing: the window never reaches past the write cursor, so the
+    // whole source is live, and it shifts down in place.
+    SPADE_DCHECK(src >= ScratchEnd());
+    state->AssignRange(dst, state->seq().subspan(src, len),
+                       state->delta().subspan(src, len));
+  } else if (dst > src) {
+    // Leading: the destination covers unscanned slots whose pre-update
+    // entries later reads still need. The window already holds [src, dst),
+    // written while the cursor led; extending it over the destination
+    // makes it hold the whole source, which is copied from there.
+    SPADE_DCHECK(ScratchEnd() == dst);
+    Preserve(*state, src, dst + len);
+    const std::size_t off = src - scratch_base_;
+    state->AssignRange(
+        dst, std::span<const VertexId>(scratch_seq_.data() + off, len),
+        std::span<const double>(scratch_delta_.data() + off, len));
+    // Their new positions may lie at or beyond the scan cursor, where only
+    // the emitted mark tells them apart from unscanned vertices.
+    for (std::size_t i = 0; i < len; ++i) MarkEmitted(scratch_seq_[off + i]);
   }
-  state->Assign(w, v, delta);
+  // dst == src: every entry already sits where it goes.
+}
+
+void IncrementalEngine::Preserve(const PeelState& state, std::size_t lo,
+                                 std::size_t hi) {
+  if (ScratchEnd() <= lo) RebaseScratch(lo);
+  const std::size_t end = ScratchEnd();
+  if (end >= hi) return;
+  const auto seq = state.seq().subspan(end, hi - end);
+  const auto delta = state.delta().subspan(end, hi - end);
+  scratch_seq_.insert(scratch_seq_.end(), seq.begin(), seq.end());
+  scratch_delta_.insert(scratch_delta_.end(), delta.begin(), delta.end());
 }
 
 }  // namespace spade

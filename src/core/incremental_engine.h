@@ -27,6 +27,11 @@
 // weight would have counted). Each affected vertex then pays exactly one
 // incident pass per state transition (push, emit) — never one per
 // relaxation or per queue examination.
+//
+// Untouched slots move in displacement runs (DESIGN.md §3.4): consecutive
+// case-2(b) slots share one (source, destination, length) run that is
+// written with a single PeelState::AssignRange when the next non-2(b) event
+// ends it.
 
 #pragma once
 
@@ -175,6 +180,17 @@ class IncrementalEngine {
   }
   void MarkEmitted(VertexId v) { Scratch(v).emitted = true; }
 
+  /// White, not emitted and not pending: with no deferred credits
+  /// outstanding, exactly the case-2(b) test. Coloring, emission and
+  /// pushing all stamp the vertex, so an unstamped one answers with a
+  /// single load.
+  bool IsUntouched(VertexId v) const {
+    const VertexScratch& s = scratch_vertex_[v];
+    if (s.stamp != epoch_) return true;
+    return s.color == static_cast<std::uint8_t>(Color::kWhite) &&
+           !s.emitted && !pending_.Contains(v);
+  }
+
   /// Stored-delta recovery accumulator (DESIGN.md §3.1): the running
   /// correction between an unscanned vertex's stored peeling weight and its
   /// true pending weight. Epoch-stamped, so reset is free.
@@ -233,15 +249,15 @@ class IncrementalEngine {
   /// Refills the merge loop's read-ahead window with the pre-update entries
   /// at positions [k, min(k + kLookahead, n)). Pre-update values at
   /// positions at or beyond the scan cursor are immutable for the rest of
-  /// the merge (WriteEntry preserves an old entry into the scratch window
-  /// before overwriting it), so the fill resolves the scratch-vs-live split
-  /// ONCE per window instead of branching per slot, and the classification
-  /// that follows starts from an already-prefetched packed-scratch line for
-  /// every incumbent in the window.
+  /// the merge (every write at or ahead of the scan cursor first preserves
+  /// the old entry into the scratch window), so the fill resolves the
+  /// scratch-vs-live split ONCE per window instead of branching per slot,
+  /// and the classification that follows starts from an already-prefetched
+  /// packed-scratch line for every incumbent in the window.
   void FillLookahead(const PeelState& state, std::size_t k, std::size_t n);
 
-  /// Drops the read-ahead window (required whenever the scan cursor jumps —
-  /// gap skips rebase the scratch window underneath it).
+  /// Drops the read-ahead window (required whenever the scan cursor jumps
+  /// over a gap).
   void InvalidateLookahead() { lookahead_count_ = 0; }
 
   /// ForEachIncident with a software-prefetch hook: `prefetch(v)` fires for
@@ -264,12 +280,29 @@ class IncrementalEngine {
     walk(g.InNeighbors(u));
   }
 
-  /// Writes the new entry at position w, preserving the old entry in the
-  /// scratch window first.
-  void WriteEntry(PeelState* state, std::size_t w, VertexId v, double delta);
+  /// Writes a displacement run: the pre-update entries of positions
+  /// [src, src + len) land at [dst, dst + len) in one block move. A
+  /// trailing run (dst < src, every insertion merge) shifts the live
+  /// arrays down in place; a leading run (dst > src, deletion merges)
+  /// first preserves its destination into the window, copies from there
+  /// and marks its vertices emitted. An in-place run (dst == src) rewrites
+  /// nothing.
+  void MoveRun(PeelState* state, std::size_t src, std::size_t dst,
+               std::size_t len);
 
-  /// Drops the scratch window and restarts it at `base` (used when the merge
-  /// jumps over an untouched gap between black vertices).
+  /// Extends the scratch window so it holds the pre-update entries of
+  /// [lo, hi) before a write there, where lo is the scan cursor. Positions
+  /// below the scan cursor are never read again, so a window that ends at
+  /// or before lo restarts at lo.
+  void Preserve(const PeelState& state, std::size_t lo, std::size_t hi);
+
+  std::size_t ScratchEnd() const {
+    return scratch_base_ + scratch_seq_.size();
+  }
+
+  /// Drops the scratch window and restarts it at `base` (at the start of a
+  /// merge, and in Preserve once every held entry is behind the scan
+  /// cursor).
   void RebaseScratch(std::size_t base) {
     scratch_base_ = base;
     scratch_seq_.clear();
@@ -299,7 +332,8 @@ class IncrementalEngine {
   std::ptrdiff_t credit_budget_ = 0;
 
   // Sliding preservation window: old entries of positions the write cursor
-  // has already overwritten, so reads at the scan cursor stay pre-update.
+  // overwrote at or ahead of the scan cursor, so reads at the scan cursor
+  // stay pre-update. Trailing writes need no preservation.
   std::size_t scratch_base_ = 0;
   std::vector<VertexId> scratch_seq_;
   std::vector<double> scratch_delta_;

@@ -24,7 +24,8 @@
 //    Detect() walks blocks tail-to-head, accumulating the suffix sum T and
 //    binary-searching each clean hull for the best density (y + T) / x, so
 //    a detection after an update costs O(rewritten span + (n/B) log B)
-//    instead of O(n). Assign/BumpDelta dirty only the block they touch.
+//    instead of O(n). Assign/BumpDelta dirty only the block they touch,
+//    AssignRange only the blocks its run covers.
 //
 // SIMD & layout (DESIGN.md §8): the per-slot storage is fully SoA —
 // seq_/delta_/pos_ are parallel arrays, and the hull arena is split into
@@ -43,6 +44,7 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <span>
 #include <vector>
 
@@ -115,6 +117,28 @@ class PeelState {
     delta_[p] = delta;
     pos_[v] = p;
     MarkDirtySlot(p);
+    InvalidateBest();
+  }
+
+  /// Overwrites positions [i, i + v.size()) in one block move (the merge's
+  /// displacement runs, DESIGN.md §3.4): a memmove per array, one position
+  /// pass over the destination, one dirty mark per touched block. The
+  /// source may alias this state's own seq()/delta() storage, which is how
+  /// a run shifts in place.
+  void AssignRange(std::size_t i, std::span<const VertexId> v,
+                   std::span<const double> d) {
+    SPADE_DCHECK(v.size() == d.size());
+    SPADE_DCHECK(i + v.size() <= size());
+    if (v.empty()) return;
+    const std::size_t lo = base_ + i;
+    const std::size_t hi = lo + v.size();
+    std::memmove(seq_.data() + lo, v.data(), v.size() * sizeof(VertexId));
+    std::memmove(delta_.data() + lo, d.data(), d.size() * sizeof(double));
+    for (std::size_t p = lo; p < hi; ++p) pos_[seq_[p]] = p;
+    EnsureBlock((hi - 1) / kBlock);
+    for (std::size_t b = lo / kBlock; b <= (hi - 1) / kBlock; ++b) {
+      blocks_[b].dirty = true;
+    }
     InvalidateBest();
   }
 

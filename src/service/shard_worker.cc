@@ -106,6 +106,7 @@ ShardWorker::ShardWorker(std::vector<PartitionSeed> seeds,
     by_pid_[p->pid] = p.get();
     parts_.push_back(std::move(p));
   }
+  owned_partitions_.store(parts_.size(), std::memory_order_relaxed);
   PublishArgmaxLocked();  // pre-thread: no lock contention possible yet
   worker_ = std::thread([this] { WorkerLoop(); });
 #if defined(__linux__)
@@ -506,15 +507,6 @@ double ShardWorker::BusyFraction() const {
   return busy >= wall_ns ? 1.0 : busy / wall_ns;
 }
 
-std::vector<std::size_t> ShardWorker::OwnedPartitions() const {
-  std::lock_guard<std::mutex> lock(detector_mutex_);
-  std::vector<std::size_t> pids;
-  pids.reserve(parts_.size());
-  for (const auto& p : parts_) pids.push_back(p->pid);
-  std::sort(pids.begin(), pids.end());
-  return pids;
-}
-
 std::vector<std::pair<std::size_t, std::uint64_t>>
 ShardWorker::PartitionLoads() {
   std::lock_guard<std::mutex> lock(detector_mutex_);
@@ -568,6 +560,7 @@ std::unique_ptr<ShardWorker::Partition> ShardWorker::DetachPartition(
   }
   if (out == nullptr) return nullptr;
   by_pid_[pid] = nullptr;
+  owned_partitions_.fetch_sub(1, std::memory_order_relaxed);
   // Republish without the detached partition so a reader never sees a
   // community that two workers both claim (the new owner republishes it on
   // attach).
@@ -582,6 +575,7 @@ void ShardWorker::AttachPartition(std::unique_ptr<Partition> partition) {
   SPADE_CHECK(by_pid_[partition->pid] == nullptr);
   by_pid_[partition->pid] = partition.get();
   parts_.push_back(std::move(partition));
+  owned_partitions_.fetch_add(1, std::memory_order_relaxed);
   PublishArgmaxLocked();
 }
 

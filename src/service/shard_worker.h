@@ -399,8 +399,11 @@ class ShardWorker {
   /// edges / retires (busy), as opposed to parked or gathering. Relaxed.
   double BusyFraction() const;
 
-  /// Ascending pids of the partitions this worker currently owns.
-  std::vector<std::size_t> OwnedPartitions() const;
+  /// Number of partitions this worker currently owns (relaxed; lock-free,
+  /// so a stats poller never waits behind an apply).
+  std::size_t OwnedPartitionCount() const {
+    return owned_partitions_.load(std::memory_order_relaxed);
+  }
 
   /// Per-partition applied-edge counts since the previous call
   /// (exchange-reset under the detector mutex): the steal policy's load
@@ -749,6 +752,9 @@ class ShardWorker {
   std::atomic<std::uint64_t> detections_{0};
   std::atomic<std::uint64_t> retired_{0};
   std::atomic<std::uint64_t> retire_begins_{0};
+  /// Mirror of parts_.size(), kept by the constructor, AttachPartition and
+  /// DetachPartition for OwnedPartitionCount.
+  std::atomic<std::size_t> owned_partitions_{0};
   /// Nanoseconds the worker spent in apply/retire/backlog work (vs parked
   /// or gathering); BusyFraction divides by wall time since start_.
   std::atomic<std::uint64_t> busy_ns_{0};

@@ -1067,7 +1067,7 @@ ShardedServiceStats ShardedDetectionService::GetStats() const {
     stats.shard_queue_depth.push_back(w->QueueDepth());
     stats.shard_queue_hwm.push_back(w->QueueDepthHighWater());
     stats.shard_busy_fraction.push_back(w->BusyFraction());
-    stats.shard_partitions.push_back(w->OwnedPartitions().size());
+    stats.shard_partitions.push_back(w->OwnedPartitionCount());
   }
   stats.num_partitions = map_.num_partitions();
   stats.steals = steals_.load(std::memory_order_relaxed);
@@ -1461,7 +1461,8 @@ Status ShardedDetectionService::RestoreState(const std::string& dir,
   for (std::size_t pid = 0; pid < num_partitions; ++pid) {
     SPADE_RETURN_NOT_OK(LoadSnapshot(JoinPath(dir, manifest.files[pid]),
                                      &plans[pid].graph, &plans[pid].state,
-                                     &plans[pid].state_present));
+                                     &plans[pid].state_present,
+                                     &plans[pid].window));
   }
   BoundaryEdgeIndex::FileData boundary_base;
   const bool has_boundary = !manifest.boundary_file.empty();

@@ -310,6 +310,128 @@ TEST(IncrementalDeleteTest, MixedInsertDeleteEquivalence) {
   }
 }
 
+// Displacement runs (DESIGN.md §3.4): a graph whose merges move thousands
+// of untouched slots as one run, in each shape the merge distinguishes.
+// Ids [0, kIsolated) are isolated and peel first, in id order, at weight 0;
+// kPaths disjoint unit-weight paths a - b - c follow, with ids a < c < b so
+// each peels as a, c, b; a dense core peels last. Integer weights keep
+// every comparison with the static peel tie-exact. The parameter selects
+// stored-delta recovery (deferred credits) or the legacy eager mode.
+class DisplacementRunTest : public ::testing::TestWithParam<bool> {
+ protected:
+  static constexpr std::size_t kIsolated = 3000;
+  static constexpr std::size_t kPaths = 1000;
+  static constexpr std::size_t kCore = 24;
+  // Every shape below moves at least this many untouched slots per update.
+  static constexpr std::size_t kLongRun = 1000;
+
+  DisplacementRunTest()
+      : g_(kIsolated + 3 * kPaths + kCore),
+        engine_(IncrementalOptions{.stored_delta_recovery = GetParam()}) {
+    for (std::size_t i = 0; i < kPaths; ++i) {
+      EXPECT_TRUE(g_.AddEdge(PathA(i), PathB(i), 1.0).ok());
+      EXPECT_TRUE(g_.AddEdge(PathB(i), PathC(i), 1.0).ok());
+    }
+    for (std::size_t i = 0; i < kCore; ++i) {
+      for (std::size_t j = i + 1; j < kCore; ++j) {
+        EXPECT_TRUE(g_.AddEdge(CoreVertex(i), CoreVertex(j), 3.0).ok());
+      }
+    }
+    state_ = PeelStatic(g_);
+  }
+
+  static VertexId PathA(std::size_t i) {
+    return static_cast<VertexId>(kIsolated + 3 * i);
+  }
+  static VertexId PathC(std::size_t i) { return PathA(i) + 1; }
+  static VertexId PathB(std::size_t i) { return PathA(i) + 2; }
+  static VertexId CoreVertex(std::size_t i) {
+    return static_cast<VertexId>(kIsolated + 3 * kPaths + i);
+  }
+
+  std::size_t Insert(const Edge& e) {
+    ReorderStats stats;
+    EXPECT_TRUE(engine_.InsertEdge(&g_, &state_, e, nullptr, &stats).ok());
+    ExpectStateEquals(PeelStatic(g_), state_, 0.0);
+    return stats.rewritten_span;
+  }
+
+  std::size_t Delete(const Edge& e) {
+    ReorderStats stats;
+    EXPECT_TRUE(
+        engine_.DeleteEdge(&g_, &state_, e.src, e.dst, &stats, &e.weight)
+            .ok());
+    ExpectStateEquals(PeelStatic(g_), state_, 0.0);
+    return stats.rewritten_span;
+  }
+
+  DynamicGraph g_;
+  PeelState state_;
+  IncrementalEngine engine_;
+};
+
+// A path's first vertex a, early in the path region, gains a core edge: it
+// is pushed at its slot, the credit pass settles when the probe budget
+// runs out at b (a's neighbor, one untouched slot later), and the rest of
+// the path region shifts down behind it while the write cursor trails.
+TEST_P(DisplacementRunTest, InsertRunsWithCreditsSettled) {
+  Rng rng(71);
+  for (int step = 0; step < 30; ++step) {
+    const VertexId p = PathA(rng.NextBounded(kPaths / 2));
+    if (g_.Degree(p) > 1) continue;  // drawn before: already left the region
+    const VertexId c = CoreVertex(rng.NextBounded(kCore));
+    // Above 1, so p outweighs every path-region incumbent.
+    const auto w = static_cast<double>(2 + rng.NextBounded(3));
+    EXPECT_GE(Insert(Edge{p, c, w, 0}), kLongRun) << "step " << step;
+  }
+}
+
+// An isolated low-id vertex gains an edge to a core hub, and brand-new
+// vertices join at the head with an edge to a hub: either way a queue
+// member's credit pass stays deferred while the scan moves the isolated
+// region (degree-0 probes cost no budget) behind it.
+TEST_P(DisplacementRunTest, InsertRunsWithDeferredCreditsOutstanding) {
+  Rng rng(72);
+  for (int step = 0; step < 30; ++step) {
+    const VertexId hub = CoreVertex(rng.NextBounded(kCore));
+    const auto w = static_cast<double>(1 + rng.NextBounded(4));
+    VertexId x = static_cast<VertexId>(g_.NumVertices());  // a new vertex
+    if (step % 2 == 0) {
+      x = static_cast<VertexId>(rng.NextBounded(kIsolated / 2));
+      if (g_.Degree(x) > 0) continue;  // drawn before
+    }
+    EXPECT_GE(Insert(Edge{x, hub, w, 0}), kLongRun) << "step " << step;
+  }
+}
+
+// Deleting an isolated vertex's only edge splices it back across the
+// thousands of zero-weight vertices with larger ids: it emits at once,
+// and the write cursor then leads the scan for the whole run up to its old
+// slot. Deletions and re-insertions of path edges ride along.
+TEST_P(DisplacementRunTest, DeleteRunsLeadTheScan) {
+  Rng rng(73);
+  for (int step = 0; step < 30; ++step) {
+    const auto x = static_cast<VertexId>(rng.NextBounded(kIsolated / 2));
+    if (g_.Degree(x) > 0) continue;
+    const Edge e{x, CoreVertex(rng.NextBounded(kCore)),
+                 static_cast<double>(1 + rng.NextBounded(4)), 0};
+    Insert(e);
+    EXPECT_GE(Delete(e), kLongRun) << "step " << step;
+    if (step % 3 == 0) {
+      const std::size_t i = rng.NextBounded(kPaths);
+      const Edge path_edge{PathA(i), PathB(i), 1.0, 0};
+      Delete(path_edge);
+      Insert(path_edge);
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(RecoveryModes, DisplacementRunTest,
+                         ::testing::Bool(),
+                         [](const ::testing::TestParamInfo<bool>& info) {
+                           return info.param ? "StoredDelta" : "Legacy";
+                         });
+
 TEST(ReorderStatsTest, AffectedAreaIsBounded) {
   Rng rng(31);
   DynamicGraph g = RandomGraph(&rng, 200, 600, 4, 0);

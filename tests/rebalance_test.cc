@@ -9,6 +9,7 @@
 #include <atomic>
 #include <chrono>
 #include <filesystem>
+#include <future>
 #include <thread>
 #include <vector>
 
@@ -454,6 +455,43 @@ TEST(RebalanceTest, MoveValidation) {
   EXPECT_TRUE(fleet.RebalanceNow(2, 0).ok());
   EXPECT_EQ(fleet.PartitionShard(2), 0u);
   EXPECT_EQ(fleet.GetStats().partitions_moved, 1u);
+}
+
+// GetStats() is lock-free (ShardedServiceStats): a poller must not wait on
+// a worker's detector mutex, here held by an InspectPartition callback for
+// as long as the test likes. The per-shard partition counts still add up,
+// and follow a move.
+TEST(RebalanceTest, GetStatsDoesNotWaitOnAHeldDetector) {
+  ShardedDetectionService fleet(BuildPartitions(4, 4, {}), nullptr,
+                                RebalanceOptionsFor(2));
+  std::promise<void> holding;
+  std::promise<void> release;
+  std::shared_future<void> released = release.get_future().share();
+  std::thread inspector([&] {
+    EXPECT_TRUE(fleet
+                    .InspectPartition(0,
+                                      [&](const Spade&) {
+                                        holding.set_value();
+                                        released.wait();
+                                      })
+                    .ok());
+  });
+  holding.get_future().wait();
+  auto stats = std::async(std::launch::async, [&] { return fleet.GetStats(); });
+  const bool returned =
+      stats.wait_for(std::chrono::seconds(2)) == std::future_status::ready;
+  release.set_value();
+  inspector.join();
+  EXPECT_TRUE(returned) << "GetStats() waited on a held detector mutex";
+  const ShardedServiceStats got = stats.get();
+  ASSERT_EQ(got.shard_partitions.size(), fleet.num_shards());
+  EXPECT_EQ(got.shard_partitions[0], 2u);
+  EXPECT_EQ(got.shard_partitions[1], 2u);
+
+  ASSERT_TRUE(fleet.RebalanceNow(1, 0).ok());
+  const ShardedServiceStats moved = fleet.GetStats();
+  EXPECT_EQ(moved.shard_partitions[0], 3u);
+  EXPECT_EQ(moved.shard_partitions[1], 1u);
 }
 
 }  // namespace

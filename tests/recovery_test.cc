@@ -533,5 +533,49 @@ TEST_F(RecoveryTest, WindowedChainWithRetiresRestoresBitIdentical) {
                    victim->CurrentCommunity().density);
 }
 
+// A full save taken while the window log is non-empty must bring that log
+// back: the restored fleet equals the live one window for window, and once
+// every windowed edge expires on both fleets their graphs agree again (a
+// restore that dropped the log would keep the expired edges forever).
+TEST_F(RecoveryTest, FullSaveRestoresNonEmptyWindowLog) {
+  constexpr Timestamp kSpan = 2000;
+  Rng rng(919);
+  const std::vector<Edge> initial = RandomChunk(&rng, kInitialEdges);
+  auto service = BuildService(initial, /*restore_threads=*/0, kSpan);
+
+  std::vector<Edge> chunk = RandomChunk(&rng, kChunkEdges);
+  Timestamp now = 0;
+  for (Edge& edge : chunk) {
+    now += 10;
+    edge.ts = now;
+  }
+  ASSERT_TRUE(service->SubmitBatch(chunk).ok());
+  service->Drain();
+  ShardedDetectionService::SaveInfo info;
+  ASSERT_TRUE(service
+                  ->SaveState(dir_, ShardedDetectionService::SaveMode::kFull,
+                              &info)
+                  .ok());
+  ASSERT_FALSE(info.delta);
+
+  auto victim = BuildService(initial, /*restore_threads=*/0, kSpan);
+  ASSERT_TRUE(victim->RestoreState(dir_).ok());
+  for (std::size_t s = 0; s < kShards; ++s) {
+    ASSERT_FALSE(service->ShardWindow(s).empty()) << "shard " << s;
+    ExpectWindowsEqual(service->ShardWindow(s), victim->ShardWindow(s));
+  }
+
+  for (ShardedDetectionService* svc : {service.get(), victim.get()}) {
+    ASSERT_TRUE(svc->RetireOlderThan(now + 1).ok());
+    svc->Drain();
+  }
+  const auto live = CaptureShards(*service);
+  const auto restored = CaptureShards(*victim);
+  for (std::size_t s = 0; s < kShards; ++s) {
+    EXPECT_TRUE(service->ShardWindow(s).empty()) << "shard " << s;
+    testing::ExpectShardEqualsCapture(live[s], restored[s]);
+  }
+}
+
 }  // namespace
 }  // namespace spade

@@ -4,11 +4,11 @@
 // compaction / eviction, retire-delta triggers).
 //
 // The invariant under test is the publication contract: a stitched read
-// never OVERSTATES — the density it serves is the exact induced density of
-// a real member set no denser than the from-scratch merged peel of the
-// final window. Raciness is the point; the test runs in the `stress` ctest
-// label and in the TSan CI leg, where the queue hand-offs and the
-// retire-vs-stitch fences are checked for data races.
+// never OVERSTATES — the density it serves is at most the induced density
+// of its members in the merged graph of the final window. Raciness is the
+// point; the test runs in the `stress` ctest label and in the TSan CI leg,
+// where the queue hand-offs and the retire-vs-stitch fences are checked
+// for data races.
 
 #include <gtest/gtest.h>
 
@@ -19,8 +19,8 @@
 
 #include "common/rng.h"
 #include "metrics/semantics.h"
-#include "service/detection_service.h"
 #include "service/sharded_detection_service.h"
+#include "tests/test_util.h"
 
 namespace spade {
 namespace {
@@ -123,8 +123,11 @@ TEST(StitchStressTest, ConcurrentIngestRetireAndStitchNeverOverstate) {
   stitcher.join();
 
   // Quiesce: drain everything, then run one final pass with no concurrent
-  // mutation. Its density must not exceed the from-scratch merged peel of
-  // the shards' final windows (the ground truth for "no overstatement").
+  // mutation. Neither it nor the published read may be denser than the
+  // induced density of its own members in the merged graph of the shards'
+  // final windows (the ground truth for "no overstatement"; the greedy
+  // peel of that graph is no bound, as peeling is not monotone under
+  // adding edges).
   service.Drain();
   const GlobalCommunity final_pass = service.StitchNow();
 
@@ -133,21 +136,11 @@ TEST(StitchStressTest, ConcurrentIngestRetireAndStitchNeverOverstate) {
     const std::vector<Edge> shard_window = service.ShardWindow(s);
     window.insert(window.end(), shard_window.begin(), shard_window.end());
   }
-  DetectionService merged(
-      [&] {
-        Spade spade;
-        spade.SetSemantics(MakeDW());
-        EXPECT_TRUE(spade.BuildGraph(n, {}).ok());
-        return spade;
-      }(),
-      nullptr);
-  for (const Edge& e : window) ASSERT_TRUE(merged.Submit(e).ok());
-  merged.Drain();
-  const double truth = merged.CurrentCommunity().density;
-
-  EXPECT_LE(final_pass.density, truth + 1e-9);
+  EXPECT_LE(final_pass.density,
+            testing::InducedDensity(window, final_pass.members) + 1e-9);
   const GlobalCommunity read = service.CurrentGlobalCommunity();
-  EXPECT_LE(read.density, truth + 1e-9);
+  EXPECT_LE(read.density,
+            testing::InducedDensity(window, read.members) + 1e-9);
 
   const ShardedServiceStats stats = service.GetStats();
   EXPECT_GT(stats.edges_processed, 0u);

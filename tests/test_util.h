@@ -7,6 +7,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <span>
+#include <unordered_set>
 #include <vector>
 
 #include "common/rng.h"
@@ -100,6 +102,22 @@ inline void ValidateCanonicalSequence(const DynamicGraph& g,
       if (pending[v]) weight[v] -= w;
     });
   }
+}
+
+/// Induced density of `members` in the graph made of `edges`, for
+/// semantics without vertex priors (DG/DW): the summed weight of the edges
+/// with both endpoints in the set, over the set's size; 0 for no members.
+/// A published community can never be denser than this in the graph it was
+/// drawn from, so it is the upper bound the no-overstatement checks use.
+inline double InducedDensity(std::span<const Edge> edges,
+                             std::span<const VertexId> members) {
+  if (members.empty()) return 0.0;
+  const std::unordered_set<VertexId> in(members.begin(), members.end());
+  double weight = 0.0;
+  for (const Edge& e : edges) {
+    if (in.contains(e.src) && in.contains(e.dst)) weight += e.weight;
+  }
+  return weight / static_cast<double>(in.size());
 }
 
 /// Bit-level capture of one shard detector, taken through InspectShard.

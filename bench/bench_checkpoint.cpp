@@ -56,7 +56,7 @@ std::unique_ptr<ShardedDetectionService> BuildService(
   const Partitioner partitioner = HashOfSourcePartitioner();
   std::vector<std::vector<Edge>> parts(kShards);
   for (const Edge& e : initial) {
-    parts[partitioner.edge_key(e) % kShards].push_back(e);
+    parts[PartitionOf(partitioner, kShards, e)].push_back(e);
   }
   std::vector<Spade> shards;
   for (std::size_t s = 0; s < kShards; ++s) {

@@ -55,9 +55,7 @@ constexpr std::size_t kWhaleEdges = 100;
 constexpr double kWhaleWeight = 40.0;
 
 Partitioner ParityPartitioner() {
-  return Partitioner(
-      [](const Edge& e) -> std::size_t { return e.src % kShards; },
-      [](VertexId v) -> std::size_t { return v % kShards; });
+  return [](VertexId v) -> std::size_t { return v % kShards; };
 }
 
 std::unique_ptr<ShardedDetectionService> BuildService(

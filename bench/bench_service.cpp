@@ -260,7 +260,7 @@ StitchWorkload BuildStitchWorkload(const StitchConfig& cfg) {
   w.num_vertices = cfg.vertices;
   Rng rng(cfg.seed);
   const Partitioner hash = HashOfSourcePartitioner();
-  const auto residue = [&hash](VertexId v) { return hash.home(v) % 8; };
+  const auto residue = [&hash](VertexId v) { return hash(v) % 8; };
 
   // Bucket vertex ids by home residue; whales and the ring draw from them.
   std::vector<std::vector<VertexId>> pools(8);

@@ -3,22 +3,26 @@
 // thread; a background worker drains them through Spade (edge grouping on)
 // and notifies moderators whenever the detected community changes.
 //
-// Since the sharded refactor this is a thin façade over one ShardWorker
+// A thin façade over one ShardWorker that owns a single partition, pid 0
 // (see shard_worker.h for the lock-split pipeline and the
 // snapshot-publication protocol); ShardedDetectionService composes N of the
-// same workers behind a partitioner. The façade is kept because a huge
-// amount of calling code only ever needs one shard.
+// same workers behind a partitioner, through the same pid-addressed API.
+// The façade is kept because a huge amount of calling code only ever needs
+// one shard.
 
 #pragma once
 
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "common/status.h"
 #include "core/spade.h"
 #include "graph/types.h"
 #include "service/shard_worker.h"
+#include "storage/snapshot.h"
 
 namespace spade {
 
@@ -29,7 +33,9 @@ class DetectionService {
   /// installed). The worker starts immediately.
   DetectionService(Spade spade, FraudAlertFn on_alert,
                    DetectionServiceOptions options = {})
-      : worker_(std::move(spade), std::move(on_alert), options) {}
+      : worker_(OnePartition(std::move(spade)), /*total_partitions=*/1,
+                [](const Edge&) { return std::size_t{0}; },
+                /*forward=*/nullptr, std::move(on_alert), options) {}
 
   DetectionService(const DetectionService&) = delete;
   DetectionService& operator=(const DetectionService&) = delete;
@@ -76,15 +82,28 @@ class DetectionService {
   /// Alerts delivered so far (lock-free).
   std::uint64_t AlertsDelivered() const { return worker_.AlertsDelivered(); }
 
-  /// Persists / restores the detector state (drains first).
+  /// Persists / restores the detector state (drains first). The restored
+  /// community is republished and becomes the alert baseline.
   Status SaveState(const std::string& path) {
-    return worker_.SaveState(path);
+    return worker_.SavePartition(0, path);
   }
   Status RestoreState(const std::string& path) {
-    return worker_.RestoreState(path);
+    ShardWorker::RestorePlan plan;
+    SPADE_RETURN_NOT_OK(LoadSnapshot(path, &plan.graph, &plan.state,
+                                     &plan.state_present, &plan.window));
+    // A plan without segments: install the base, replay nothing. Delta
+    // tracking stays off — this façade never writes delta segments.
+    return worker_.RestorePartitionChain(0, std::move(plan),
+                                         /*track_deltas=*/false);
   }
 
  private:
+  static std::vector<ShardWorker::PartitionSeed> OnePartition(Spade spade) {
+    std::vector<ShardWorker::PartitionSeed> seeds;
+    seeds.push_back(ShardWorker::PartitionSeed{0, std::move(spade)});
+    return seeds;
+  }
+
   ShardWorker worker_;
 };
 

@@ -1,10 +1,11 @@
 // PartitionMap: the lock-free partition -> shard routing table behind
-// work-stealing rebalance (DESIGN.md §10).
+// work-stealing rebalance (DESIGN.md §10), plus the one routing function.
 //
-// The sharded service routes by a STABLE partition key (pid = routing key
-// mod num_partitions) and then indirects through this map to find the
-// worker that currently owns the partition. Each entry packs the owner
-// shard and a move epoch into one 64-bit word:
+// The sharded service routes every edge by a STABLE partition id — its
+// source vertex's home, PartitionOf(e) = partitioner(e.src) mod
+// num_partitions — and then indirects through this map to find the worker
+// that currently owns the partition. Each entry packs the owner shard and
+// a move epoch into one 64-bit word:
 //
 //   [ epoch : 32 | shard : 32 ]
 //
@@ -28,9 +29,26 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <vector>
 
+#include "graph/types.h"
+
 namespace spade {
+
+/// Maps a vertex to its home key: vertex v's home partition is
+/// partitioner(v) % num_partitions. The sharded service's one routing
+/// function — edge placement, boundary detection and stitch provenance
+/// all derive from it.
+using Partitioner = std::function<std::size_t(VertexId)>;
+
+/// The one edge -> partition rule: an edge belongs to its source's home
+/// partition. Per-edge Submit, the batched router, forwarding and every
+/// worker's ownership lookup all call it, so they agree by construction.
+inline std::size_t PartitionOf(const Partitioner& partitioner,
+                               std::size_t num_partitions, const Edge& e) {
+  return partitioner(e.src) % num_partitions;
+}
 
 /// Lock-free partition -> current-shard table (see file comment).
 class PartitionMap {

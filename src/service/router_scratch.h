@@ -3,11 +3,13 @@
 //
 // ShardedDetectionService::SubmitBatch used to allocate a fresh
 // vector<vector<Edge>> per call. RouterScratch replaces that with flat,
-// call-to-call reusable arenas and a single partitioner pass:
+// call-to-call reusable arenas and a single routing pass:
 //
-//   * one evaluation of the routing function per edge (the boundary
-//     decision no longer lives on the router — workers record boundary
-//     edges from their apply path, at the applied semantic weight);
+//   * one evaluation of the routing function per edge — the same
+//     PartitionOf (source home mod num_partitions, partition_map.h) that
+//     per-edge Submit, forwarding and the workers' ownership lookup use,
+//     followed by one acquire read of the partition's current owner, so
+//     batched and per-edge routing agree by construction;
 //   * a stable counting sort groups the chunk by destination shard
 //     directly into per-shard slab vectors (order within a shard equals
 //     chunk order, preserving the per-producer FIFO contract) — the slab
@@ -26,11 +28,9 @@
 
 #include "common/slab_pool.h"
 #include "graph/types.h"
+#include "service/partition_map.h"
 
 namespace spade {
-
-struct Partitioner;
-class PartitionMap;
 
 /// Reusable single-threaded partition scratch (see file comment).
 class RouterScratch {
@@ -40,18 +40,14 @@ class RouterScratch {
   RouterScratch(const RouterScratch&) = delete;
   RouterScratch& operator=(const RouterScratch&) = delete;
 
-  /// Partitions `edges` over `num_shards` shards with one partitioner pass.
-  /// Overwrites whatever the scratch held before; the spans returned by
-  /// Part() are valid until the next Partition call.
-  void Partition(const Partitioner& partitioner, std::size_t num_shards,
-                 std::span<const Edge> edges);
-
-  /// Rebalance-aware variant: routes by STABLE partition key (reduced
-  /// modulo map.num_partitions()) and indirects through `map` to the
-  /// partition's current owner shard — the reads that make partition moves
-  /// invisible to producers. `pool` (optional) refills slab storage that
-  /// TakePart handed away, so steady-state batched ingest recycles worker-
-  /// consumed slabs instead of allocating fresh ones.
+  /// Partitions `edges` over `num_shards` shards: each edge goes to
+  /// map.ShardOf(PartitionOf(partitioner, map.num_partitions(), e)), its
+  /// partition's current owner — the reads that make partition moves
+  /// invisible to producers. Overwrites whatever the scratch held before;
+  /// the spans returned by Part() are valid until the next Partition call.
+  /// `pool` (optional) refills slab storage that TakePart handed away, so
+  /// steady-state batched ingest recycles worker-consumed slabs instead of
+  /// allocating fresh ones.
   void Partition(const Partitioner& partitioner, const PartitionMap& map,
                  std::size_t num_shards, std::span<const Edge> edges,
                  SlabPool* pool = nullptr);

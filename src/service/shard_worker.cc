@@ -49,22 +49,7 @@ constexpr std::size_t kGatherCap = 4096;
 /// current owner accepts them.
 constexpr std::chrono::milliseconds kBacklogRetire{1};
 
-std::vector<ShardWorker::PartitionSeed> SoleSeed(Spade spade) {
-  std::vector<ShardWorker::PartitionSeed> seeds;
-  seeds.push_back(ShardWorker::PartitionSeed{0, std::move(spade)});
-  return seeds;
-}
-
 }  // namespace
-
-ShardWorker::ShardWorker(Spade spade, FraudAlertFn on_alert,
-                         DetectionServiceOptions options,
-                         RetireNotifyFn on_retire,
-                         BoundaryUpdateFn on_boundary)
-    : ShardWorker(SoleSeed(std::move(spade)), /*total_partitions=*/1,
-                  /*partition_of=*/nullptr, /*forward=*/nullptr,
-                  std::move(on_alert), options, std::move(on_retire),
-                  std::move(on_boundary), /*slab_pool=*/nullptr) {}
 
 ShardWorker::ShardWorker(std::vector<PartitionSeed> seeds,
                          std::size_t total_partitions,
@@ -85,9 +70,7 @@ ShardWorker::ShardWorker(std::vector<PartitionSeed> seeds,
       on_retire_(std::move(on_retire)),
       on_boundary_(std::move(on_boundary)),
       slab_pool_(std::move(slab_pool)) {
-  // Without a partition function every routed edge maps to "the" partition,
-  // which only makes sense when there is exactly one.
-  SPADE_CHECK(partition_of_ != nullptr || seeds.size() == 1);
+  SPADE_CHECK(partition_of_ != nullptr);
   for (std::size_t i = 0; i < ring_.size(); ++i) {
     ring_[i].seq.store(i, std::memory_order_relaxed);
   }
@@ -524,12 +507,7 @@ ShardWorker::PartitionLoads() {
 // Partition ownership.
 
 ShardWorker::Partition* ShardWorker::PartitionForLocked(const Edge& edge) {
-  if (!partition_of_) {
-    return parts_.empty() ? nullptr : parts_.front().get();
-  }
-  const std::size_t pid = partition_of_(edge);
-  if (pid >= by_pid_.size()) return nullptr;
-  return by_pid_[pid];
+  return FindPartitionLocked(partition_of_(edge));
 }
 
 ShardWorker::Partition* ShardWorker::FindPartitionLocked(std::size_t pid) {
@@ -541,10 +519,6 @@ const ShardWorker::Partition* ShardWorker::FindPartitionLocked(
     std::size_t pid) const {
   if (pid < by_pid_.size()) return by_pid_[pid];
   return nullptr;
-}
-
-ShardWorker::Partition* ShardWorker::SolePartitionLocked() {
-  return parts_.size() == 1 ? parts_.front().get() : nullptr;
 }
 
 std::unique_ptr<ShardWorker::Partition> ShardWorker::DetachPartition(
@@ -604,37 +578,6 @@ void ShardWorker::CollectInduced(std::span<const VertexId> vertices,
 // ---------------------------------------------------------------------------
 // Persistence.
 
-Status ShardWorker::SavePartitionLocked(Partition& p, const std::string& path,
-                                        bool start_delta_tracking) {
-  // A full save is a checkpoint: whatever history the log held is now
-  // covered by the base snapshot. (The flush below mirrors what
-  // Spade::SaveState did; replay of a later chain starts from that flushed
-  // state, which is why no marker needs to survive the reset.) The window
-  // log rides in the snapshot's v2 section — an empty window (every
-  // non-windowed partition) writes the same v1 bytes as before.
-  SPADE_RETURN_NOT_OK(p.spade.Flush());
-  const std::vector<Edge> window(p.window_log.begin(), p.window_log.end());
-  SPADE_RETURN_NOT_OK(
-      SaveSnapshot(path, p.spade.graph(), &p.spade.peel_state(), window));
-  p.delta_log.clear();
-  p.delta_overflow = false;
-  if (start_delta_tracking) p.delta_tracking = true;
-  return Status::OK();
-}
-
-Status ShardWorker::SaveState(const std::string& path,
-                              bool start_delta_tracking) {
-  Drain();
-  std::lock_guard<std::mutex> lock(detector_mutex_);
-  Partition* p = SolePartitionLocked();
-  if (p == nullptr) {
-    return Status::FailedPrecondition(
-        "ShardWorker::SaveState requires a sole-partition worker; use "
-        "SavePartition");
-  }
-  return SavePartitionLocked(*p, path, start_delta_tracking);
-}
-
 Status ShardWorker::SavePartition(std::size_t pid, const std::string& path,
                                   bool start_delta_tracking) {
   Drain();
@@ -644,57 +587,20 @@ Status ShardWorker::SavePartition(std::size_t pid, const std::string& path,
     return Status::NotFound(
         "ShardWorker::SavePartition: partition not owned by this worker");
   }
-  return SavePartitionLocked(*p, path, start_delta_tracking);
-}
-
-Status ShardWorker::SaveDeltaLocked(Partition& p, const std::string& path,
-                                    std::uint32_t shard,
-                                    std::uint64_t prev_epoch,
-                                    std::uint64_t epoch, DeltaSaveInfo* info) {
-  if (!p.delta_tracking) {
-    return Status::FailedPrecondition(
-        "ShardWorker::SaveDelta: no checkpoint baseline (run a full "
-        "SaveState first)");
-  }
-  if (p.delta_overflow) {
-    return Status::FailedPrecondition(
-        "ShardWorker::SaveDelta: delta log overflowed; a full SaveState is "
-        "required");
-  }
-  DeltaSegment segment;
-  segment.shard = shard;
-  segment.prev_epoch = prev_epoch;
-  segment.epoch = epoch;
-  segment.records = std::move(p.delta_log);
-  p.delta_log.clear();
-  std::uint64_t bytes = 0;
-  const Status s = WriteDeltaSegment(path, segment, &bytes);
-  if (!s.ok()) {
-    // The write failed but the history is still the truth — put it back so
-    // a retry (or a fallback full save) does not lose the chain.
-    p.delta_log = std::move(segment.records);
-    return s;
-  }
-  if (info != nullptr) {
-    info->bytes = bytes;
-    info->records = segment.records.size();
-    info->edges = segment.NumEdges();
-  }
+  // A full save is a checkpoint: whatever history the log held is now
+  // covered by the base snapshot. (The flush below mirrors what
+  // Spade::SaveState did; replay of a later chain starts from that flushed
+  // state, which is why no marker needs to survive the reset.) The window
+  // log rides in the snapshot's v2 section — an empty window (every
+  // non-windowed partition) writes the same v1 bytes as before.
+  SPADE_RETURN_NOT_OK(p->spade.Flush());
+  const std::vector<Edge> window(p->window_log.begin(), p->window_log.end());
+  SPADE_RETURN_NOT_OK(
+      SaveSnapshot(path, p->spade.graph(), &p->spade.peel_state(), window));
+  p->delta_log.clear();
+  p->delta_overflow = false;
+  if (start_delta_tracking) p->delta_tracking = true;
   return Status::OK();
-}
-
-Status ShardWorker::SaveDelta(const std::string& path, std::uint32_t shard,
-                              std::uint64_t prev_epoch, std::uint64_t epoch,
-                              DeltaSaveInfo* info) {
-  Drain();
-  std::lock_guard<std::mutex> lock(detector_mutex_);
-  Partition* p = SolePartitionLocked();
-  if (p == nullptr) {
-    return Status::FailedPrecondition(
-        "ShardWorker::SaveDelta requires a sole-partition worker; use "
-        "SavePartitionDelta");
-  }
-  return SaveDeltaLocked(*p, path, shard, prev_epoch, epoch, info);
 }
 
 Status ShardWorker::SavePartitionDelta(std::size_t pid,
@@ -711,14 +617,44 @@ Status ShardWorker::SavePartitionDelta(std::size_t pid,
         "ShardWorker::SavePartitionDelta: partition not owned by this "
         "worker");
   }
-  return SaveDeltaLocked(*p, path, shard, prev_epoch, epoch, info);
+  if (!p->delta_tracking) {
+    return Status::FailedPrecondition(
+        "ShardWorker::SavePartitionDelta: no checkpoint baseline (run a "
+        "full SavePartition first)");
+  }
+  if (p->delta_overflow) {
+    return Status::FailedPrecondition(
+        "ShardWorker::SavePartitionDelta: delta log overflowed; a full "
+        "SavePartition is required");
+  }
+  DeltaSegment segment;
+  segment.shard = shard;
+  segment.prev_epoch = prev_epoch;
+  segment.epoch = epoch;
+  segment.records = std::move(p->delta_log);
+  p->delta_log.clear();
+  std::uint64_t bytes = 0;
+  const Status s = WriteDeltaSegment(path, segment, &bytes);
+  if (!s.ok()) {
+    // The write failed but the history is still the truth — put it back so
+    // a retry (or a fallback full save) does not lose the chain.
+    p->delta_log = std::move(segment.records);
+    return s;
+  }
+  if (info != nullptr) {
+    info->bytes = bytes;
+    info->records = segment.records.size();
+    info->edges = segment.NumEdges();
+  }
+  return Status::OK();
 }
 
 void ShardWorker::AppendDeltaRecord(Partition& p, const DeltaRecord& record) {
   if (!p.delta_tracking || p.delta_overflow) return;
   if (p.delta_log.size() >= options_.max_delta_log) {
     // Unbounded history is worse than a forced full checkpoint: drop the
-    // log, remember the overflow, and let the next SaveDelta fail fast.
+    // log, remember the overflow, and let the next SavePartitionDelta fail
+    // fast.
     p.delta_log.clear();
     p.delta_log.shrink_to_fit();
     p.delta_overflow = true;
@@ -727,53 +663,27 @@ void ShardWorker::AppendDeltaRecord(Partition& p, const DeltaRecord& record) {
   p.delta_log.push_back(record);
 }
 
-void ShardWorker::RebaselineLocked(Partition& p, bool flush) {
+void ShardWorker::RebaselineLocked(Partition& p) {
   // Re-baseline the alert filter on the restored community and cache it so
   // readers switch over atomically (the caller republishes the argmax).
   // The non-flushing read preserves the replayed benign buffer (Lemma 4.4:
   // buffered edges cannot have improved the community, so the baseline is
   // the same either way).
-  Community restored =
-      flush ? p.spade.Detect() : p.spade.peel_state().DetectCommunity();
+  Community restored = p.spade.peel_state().DetectCommunity();
   p.last_reported = SortedMembers(restored);
   p.last_density = restored.density;
   p.since_detect = 0;
   p.current = std::make_shared<const Community>(std::move(restored));
 }
 
-Status ShardWorker::RestoreState(const std::string& path) {
-  Drain();
-  std::lock_guard<std::mutex> lock(detector_mutex_);
-  Partition* p = SolePartitionLocked();
-  if (p == nullptr) {
-    return Status::FailedPrecondition(
-        "ShardWorker::RestoreState requires a sole-partition worker");
-  }
-  DynamicGraph graph;
-  PeelState state;
-  bool state_present = false;
-  std::vector<Edge> window;
-  SPADE_RETURN_NOT_OK(
-      LoadSnapshot(path, &graph, &state, &state_present, &window));
-  p->spade.RestoreFromParts(std::move(graph), std::move(state),
-                            state_present);
-  p->window_log.assign(window.begin(), window.end());
-  p->delta_log.clear();
-  p->delta_overflow = false;
-  RebaselineLocked(*p, /*flush=*/true);
-  PublishArgmaxLocked();
-  return Status::OK();
-}
-
-Status ShardWorker::RestoreChainLocked(Partition& p, RestorePlan&& plan) {
-  p.spade.RestoreFromParts(std::move(plan.graph), std::move(plan.state),
-                           plan.state_present);
-  p.window_log.assign(plan.window.begin(), plan.window.end());
+Status ShardWorker::ReplayLocked(Partition& p,
+                                 std::span<const DeltaSegment> segments,
+                                 bool track_deltas) {
   // Replay the applied history through the same entry points the live
   // worker used. Every record passed CRC validation and came from a
   // successfully applied edge, so a failure here is a logic error — but
   // it still surfaces as a Status, not a partial silent state.
-  for (const DeltaSegment& segment : plan.segments) {
+  for (const DeltaSegment& segment : segments) {
     for (const DeltaRecord& record : segment.records) {
       if (record.flush) {
         SPADE_RETURN_NOT_OK(p.spade.Flush());
@@ -789,28 +699,21 @@ Status ShardWorker::RestoreChainLocked(Partition& p, RestorePlan&& plan) {
       }
     }
   }
+  // The replayed records came from a sealed checkpoint: the detector now
+  // matches that checkpoint, so the in-memory history restarts from it
+  // (after a segment replay the owner also invalidates its chain cache,
+  // making the next save a full base — see
+  // ShardedDetectionService::ApplyChainEpoch).
   p.delta_log.clear();
   p.delta_overflow = false;
-  p.delta_tracking = true;
-  RebaselineLocked(p, /*flush=*/false);
+  if (track_deltas) p.delta_tracking = true;
+  RebaselineLocked(p);
   PublishArgmaxLocked();
   return Status::OK();
 }
 
-Status ShardWorker::RestoreChain(RestorePlan&& plan) {
-  Drain();
-  std::lock_guard<std::mutex> lock(detector_mutex_);
-  Partition* p = SolePartitionLocked();
-  if (p == nullptr) {
-    return Status::FailedPrecondition(
-        "ShardWorker::RestoreChain requires a sole-partition worker; use "
-        "RestorePartitionChain");
-  }
-  return RestoreChainLocked(*p, std::move(plan));
-}
-
-Status ShardWorker::RestorePartitionChain(std::size_t pid,
-                                          RestorePlan&& plan) {
+Status ShardWorker::RestorePartitionChain(std::size_t pid, RestorePlan&& plan,
+                                          bool track_deltas) {
   Drain();
   std::lock_guard<std::mutex> lock(detector_mutex_);
   Partition* p = FindPartitionLocked(pid);
@@ -819,52 +722,10 @@ Status ShardWorker::RestorePartitionChain(std::size_t pid,
         "ShardWorker::RestorePartitionChain: partition not owned by this "
         "worker");
   }
-  return RestoreChainLocked(*p, std::move(plan));
-}
-
-Status ShardWorker::ReplaySegmentLocked(Partition& p,
-                                        const DeltaSegment& segment) {
-  for (const DeltaRecord& record : segment.records) {
-    if (record.flush) {
-      SPADE_RETURN_NOT_OK(p.spade.Flush());
-    } else if (record.retire) {
-      SPADE_RETURN_NOT_OK(ReplayRetireLocked(p, record.edge));
-    } else {
-      double applied = 0;
-      SPADE_RETURN_NOT_OK(p.spade.ApplyEdge(record.edge, &applied));
-      if (options_.track_window) {
-        p.window_log.push_back(Edge{record.edge.src, record.edge.dst,
-                                    applied, record.edge.ts});
-      }
-    }
-  }
-  // The replayed records came from a sealed checkpoint: the detector now
-  // matches that checkpoint, so the in-memory history restarts from it
-  // (the owner invalidates its chain cache, making the next save a full
-  // base — see ShardedDetectionService::ApplyChainEpoch).
-  p.delta_log.clear();
-  p.delta_overflow = false;
-  p.delta_tracking = true;
-  RebaselineLocked(p, /*flush=*/false);
-  PublishArgmaxLocked();
-  return Status::OK();
-}
-
-Status ShardWorker::ReplaySegment(const DeltaSegment& segment,
-                                  std::chrono::milliseconds drain_timeout) {
-  if (!DrainFor(drain_timeout)) {
-    return Status::FailedPrecondition(
-        "ReplaySegment: shard queue did not drain within " +
-        std::to_string(drain_timeout.count()) + "ms");
-  }
-  std::lock_guard<std::mutex> lock(detector_mutex_);
-  Partition* p = SolePartitionLocked();
-  if (p == nullptr) {
-    return Status::FailedPrecondition(
-        "ShardWorker::ReplaySegment requires a sole-partition worker; use "
-        "ReplayPartitionSegment");
-  }
-  return ReplaySegmentLocked(*p, segment);
+  p->spade.RestoreFromParts(std::move(plan.graph), std::move(plan.state),
+                            plan.state_present);
+  p->window_log.assign(plan.window.begin(), plan.window.end());
+  return ReplayLocked(*p, plan.segments, track_deltas);
 }
 
 Status ShardWorker::ReplayPartitionSegment(
@@ -882,7 +743,8 @@ Status ShardWorker::ReplayPartitionSegment(
         "ShardWorker::ReplayPartitionSegment: partition not owned by this "
         "worker");
   }
-  return ReplaySegmentLocked(*p, segment);
+  return ReplayLocked(*p, std::span<const DeltaSegment>(&segment, 1),
+                      /*track_deltas=*/true);
 }
 
 void ShardWorker::InspectDetector(
@@ -918,13 +780,6 @@ std::vector<Edge> ShardWorker::WindowEdges() const {
     out.insert(out.end(), p->window_log.begin(), p->window_log.end());
   }
   return out;
-}
-
-std::vector<Edge> ShardWorker::PartitionWindowEdges(std::size_t pid) const {
-  std::lock_guard<std::mutex> lock(detector_mutex_);
-  const Partition* p = FindPartitionLocked(pid);
-  if (p == nullptr) return {};
-  return std::vector<Edge>(p->window_log.begin(), p->window_log.end());
 }
 
 Status ShardWorker::ReplayRetireLocked(Partition& p, const Edge& record) {
@@ -1020,7 +875,7 @@ bool ShardWorker::ApplyOne(const Edge& edge) {
         p->window_log.push_back(Edge{edge.src, edge.dst, applied, edge.ts});
       }
       // Boundary push under the detector mutex: any state snapshot
-      // that contains this edge (SaveState locks after Drain) is
+      // that contains this edge (SavePartition locks after Drain) is
       // therefore saved after its boundary record exists, so a
       // restored fleet can always rediscover the seam. Keyed by
       // partition home, so the record survives a partition move.
@@ -1054,41 +909,29 @@ void ShardWorker::FlushForwardBacklog() {
   std::vector<Edge> came_home;
   {
     std::lock_guard<std::mutex> lock(detector_mutex_);
-    if (partition_of_) {
-      std::size_t keep = 0;
-      for (const Edge& e : forward_backlog_) {
-        const std::size_t pid = partition_of_(e);
-        Partition* p = pid < by_pid_.size() ? by_pid_[pid] : nullptr;
-        if (p != nullptr) {
-          came_home.push_back(e);
-        } else {
-          forward_backlog_[keep++] = e;
-        }
+    std::size_t keep = 0;
+    for (const Edge& e : forward_backlog_) {
+      if (PartitionForLocked(e) != nullptr) {
+        came_home.push_back(e);
+      } else {
+        forward_backlog_[keep++] = e;
       }
-      forward_backlog_.resize(keep);
     }
+    forward_backlog_.resize(keep);
   }
   for (const Edge& e : came_home) ApplyOne(e);
   if (!forward_backlog_.empty()) {
-    if (!forward_) {
-      // No forwarding wired but a partition moved away regardless — a
-      // misconfiguration; dropping (with accounting) beats wedging Drain.
-      SPADE_LOG_WARNING() << "ShardWorker: dropping "
-                          << forward_backlog_.size()
-                          << " edges for unowned partitions (no forward fn)";
+    // Only a worker whose partitions can move away is ever handed an edge
+    // it does not own, and such a worker always has somewhere to send it.
+    SPADE_CHECK(forward_ != nullptr);
+    const std::size_t accepted = forward_(std::span<const Edge>(
+        forward_backlog_.data(), forward_backlog_.size()));
+    if (accepted > 0) {
+      forward_backlog_.erase(forward_backlog_.begin(),
+                             forward_backlog_.begin() +
+                                 static_cast<std::ptrdiff_t>(accepted));
       std::lock_guard<std::mutex> lock(detector_mutex_);
-      consumed_ += forward_backlog_.size();
-      forward_backlog_.clear();
-    } else {
-      const std::size_t accepted = forward_(std::span<const Edge>(
-          forward_backlog_.data(), forward_backlog_.size()));
-      if (accepted > 0) {
-        forward_backlog_.erase(forward_backlog_.begin(),
-                               forward_backlog_.begin() +
-                                   static_cast<std::ptrdiff_t>(accepted));
-        std::lock_guard<std::mutex> lock(detector_mutex_);
-        consumed_ += accepted;
-      }
+      consumed_ += accepted;
     }
   }
   // Publish disposal progress so drain predicates see it without waiting

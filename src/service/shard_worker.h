@@ -1,14 +1,16 @@
 // ShardWorker: one worker thread draining a lock-light chunk-handoff queue
 // through a set of exclusively-owned detector partitions.
 //
-// Historically a worker WAS a detector. Work-stealing rebalance (DESIGN.md
-// §10) splits that fusion: a worker now owns a set of epoch-versioned
-// *partitions* — each a Spade detector plus its window log, delta log and
-// alert baseline — and a partition can be detached from a loaded worker
-// and attached to an idle one at a drain boundary, moving the detector by
-// pointer. With a single partition and no partition function (the default,
-// and everything DetectionService uses) the worker behaves exactly as
-// before.
+// Every worker is a partition owner (DESIGN.md §10): it owns a set of
+// epoch-versioned *partitions* — each a Spade detector plus its window log,
+// delta log and alert baseline, addressed by a stable partition id (pid) —
+// and a partition can be detached from a loaded worker and attached to an
+// idle one at a drain boundary, moving the detector by pointer. There is
+// one shape: the required partition function maps each popped edge to its
+// pid, the ownership table resolves the pid, and persistence is addressed
+// by pid. A ShardedDetectionService worker routes by source home
+// (PartitionOf, partition_map.h) whether or not its fleet rebalances;
+// DetectionService is the one-partition client (every edge is pid 0).
 //
 // The three client-visible paths are decoupled so none of them serializes
 // on an in-flight reorder:
@@ -125,16 +127,17 @@ using RetireNotifyFn = std::function<void(std::size_t)>;
 /// (the boundary index restores from its own files).
 using BoundaryUpdateFn = std::function<void(const Edge&, double, bool)>;
 
-/// Maps an edge to its stable partition id. Evaluated under the detector
-/// mutex for every applied edge, so keep it cheap. Null = the worker owns
-/// exactly one partition and every routed edge belongs to it.
+/// Maps an edge to its stable partition id. Required. Evaluated under the
+/// detector mutex for every applied edge, so keep it cheap.
 using PartitionOfFn = std::function<std::size_t(const Edge&)>;
 
 /// Re-submits edges that arrived at a worker which no longer owns their
 /// partition to the current owner. Must NOT block (it runs on the victim's
 /// worker thread; a blocking forward between two full workers deadlocks) —
 /// it returns the length of the accepted PREFIX, and the worker retries
-/// the remainder later. Called with no worker lock held.
+/// the remainder later. Called with no worker lock held. Null only for a
+/// worker whose partitions never move: an unowned edge reaching it is a
+/// SPADE_CHECK failure, never a silent drop.
 using ForwardFn = std::function<std::size_t(std::span<const Edge>)>;
 
 /// Per-shard service configuration (shared by DetectionService and every
@@ -204,31 +207,23 @@ class ShardWorker {
     std::uint64_t recent_load = 0;
   };
 
-  /// Initial partition assignment for the multi-partition constructor.
+  /// Initial partition assignment: a fully built detector (graph loaded,
+  /// semantics installed) and the pid it owns.
   struct PartitionSeed {
     std::size_t pid = 0;
     Spade spade;
   };
 
-  /// Single-partition worker (the pre-rebalance shape; DetectionService
-  /// and non-rebalancing fleets use this). Takes ownership of a fully
-  /// built detector (graph loaded, semantics installed). Edge grouping is
-  /// turned on; the worker starts immediately. `on_retire` (optional)
-  /// fires around every retire pass that removes at least one edge (see
+  /// Takes ownership of the seeded partitions; edge grouping is turned on
+  /// in each, and the worker starts immediately. `total_partitions` sizes
+  /// the pid lookup table (a detached partition's slot goes null;
+  /// AttachPartition refills it). `partition_of` (required) maps an edge
+  /// to its pid; `forward` re-submits edges for partitions this worker
+  /// does not own (see ForwardFn). `on_retire` (optional) fires around
+  /// every retire pass that removes at least one edge (see
   /// RetireNotifyFn); `on_boundary` (optional) fires per applied/retired
   /// edge inside the apply critical section (see BoundaryUpdateFn).
-  ShardWorker(Spade spade, FraudAlertFn on_alert,
-              DetectionServiceOptions options = {},
-              RetireNotifyFn on_retire = nullptr,
-              BoundaryUpdateFn on_boundary = nullptr);
-
-  /// Multi-partition worker. `total_partitions` sizes the pid lookup table
-  /// (a detached partition's slot goes null; AttachPartition refills it).
-  /// `partition_of` maps an edge to its pid (null = sole-partition mode:
-  /// requires exactly one seed); `forward` re-submits edges for partitions
-  /// this worker does not own (null = unowned edges are dropped with a
-  /// warning — only sound when partitions never move). `slab_pool`
-  /// (optional) receives consumed batch slabs for recycling.
+  /// `slab_pool` (optional) receives consumed batch slabs for recycling.
   ShardWorker(std::vector<PartitionSeed> seeds, std::size_t total_partitions,
               PartitionOfFn partition_of, ForwardFn forward,
               FraudAlertFn on_alert, DetectionServiceOptions options = {},
@@ -353,9 +348,6 @@ class ShardWorker {
   /// mutex; tests and diagnostics only.
   std::vector<Edge> WindowEdges() const;
 
-  /// Copy of one partition's window log (arrival order, applied weights).
-  std::vector<Edge> PartitionWindowEdges(std::size_t pid) const;
-
   /// Detections (Detect + snapshot publications) run so far (lock-free).
   std::uint64_t DetectionsRun() const {
     return detections_.load(std::memory_order_relaxed);
@@ -456,78 +448,59 @@ class ShardWorker {
     std::vector<Edge> window;  // base snapshot's window log (may be empty)
   };
 
-  // --- sole-partition persistence (DetectionService and single-partition
-  // fleets; fails kFailedPrecondition when the worker does not own exactly
-  // one partition) ----------------------------------------------------------
-
-  /// Drains, then persists the full detector state under the detector
-  /// lock. Safe to call while producers keep submitting; the snapshot is a
-  /// consistent prefix of the stream. A full save is a checkpoint: the
-  /// delta log is reset, and with `start_delta_tracking` the worker begins
-  /// (or continues) recording applied history for a future SaveDelta.
-  Status SaveState(const std::string& path,
-                   bool start_delta_tracking = false);
-
-  /// Incremental checkpoint: drains, then writes only the applied history
-  /// since the last checkpoint as a delta segment advancing `prev_epoch`
-  /// -> `epoch`, and clears the log. Cost is O(edges since last
-  /// checkpoint) — the detector state is not touched (no flush, no
-  /// reorder). Fails with kFailedPrecondition when no checkpoint baseline
-  /// exists (tracking never started) or the log overflowed
-  /// `max_delta_log`; the caller falls back to a full SaveState.
-  Status SaveDelta(const std::string& path, std::uint32_t shard,
-                   std::uint64_t prev_epoch, std::uint64_t epoch,
-                   DeltaSaveInfo* info = nullptr);
-
-  /// Drains, then replaces the detector state from a snapshot written by
-  /// SaveState. The detector's installed semantics are reused; the restored
-  /// community is republished and becomes the alert baseline.
-  Status RestoreState(const std::string& path);
-
-  /// Drains, installs the plan's base state, and replays its delta chain
-  /// through the normal ApplyEdge / Flush path — the restored detector
-  /// re-makes exactly the decisions the live one made (DESIGN.md §5), so
-  /// the result is bit-identical to the detector that wrote the chain.
-  /// Leaves delta tracking armed for the next incremental checkpoint.
-  Status RestoreChain(RestorePlan&& plan);
-
-  /// Replays one already-validated delta segment on top of the current
-  /// detector state — the warm-standby increment: a follower that restored
-  /// epoch E applies the segment E -> E+1 without reloading the base.
-  /// Replays through the same ApplyEdge / Flush path as RestoreChain, so
-  /// the result stays bit-identical to the primary that wrote the segment.
-  /// Fails with kFailedPrecondition when the queue cannot be drained
-  /// within `drain_timeout` (a promoted follower must not replay into a
-  /// detector with edges still in flight).
-  Status ReplaySegment(const DeltaSegment& segment,
-                       std::chrono::milliseconds drain_timeout);
-
-  /// Runs `fn` on the sole partition's detector under the detector mutex
-  /// (tests and diagnostics). Blocks this worker's apply path for the
-  /// duration; never touches the queue.
+  /// Runs `fn` on the first owned partition's detector under the detector
+  /// mutex (tests and diagnostics). Blocks this worker's apply path for
+  /// the duration; never touches the queue.
   void InspectDetector(const std::function<void(const Spade&)>& fn) const;
 
-  // --- per-partition persistence (the sharded service's checkpoint path;
-  // fail kNotFound when this worker does not own `pid`) ---------------------
+  // --- persistence, addressed by pid (each call fails kNotFound when this
+  // worker does not own `pid`) ----------------------------------------------
 
-  /// SaveState for one owned partition.
+  /// Drains, then persists one partition's full detector state (and window
+  /// log) under the detector lock. Safe to call while producers keep
+  /// submitting; the snapshot is a consistent prefix of the stream. A full
+  /// save is a checkpoint: the delta log is reset, and with
+  /// `start_delta_tracking` the partition begins (or continues) recording
+  /// applied history for a future SavePartitionDelta.
   Status SavePartition(std::size_t pid, const std::string& path,
                        bool start_delta_tracking = false);
 
-  /// SaveDelta for one owned partition (`shard` is the manifest's segment
-  /// tag — the sharded service passes the pid).
+  /// Incremental checkpoint: drains, then writes only the partition's
+  /// applied history since the last checkpoint as a delta segment
+  /// advancing `prev_epoch` -> `epoch` (`shard` is the segment tag — the
+  /// sharded service passes the pid), and clears the log. Cost is O(edges
+  /// since last checkpoint) — the detector state is not touched (no flush,
+  /// no reorder). Fails with kFailedPrecondition when no checkpoint
+  /// baseline exists (tracking never started) or the log overflowed
+  /// `max_delta_log`; the caller falls back to a full SavePartition.
   Status SavePartitionDelta(std::size_t pid, const std::string& path,
                             std::uint32_t shard, std::uint64_t prev_epoch,
                             std::uint64_t epoch,
                             DeltaSaveInfo* info = nullptr);
 
-  /// RestoreChain for one owned partition. Safe to run concurrently with
-  /// other workers' restores (each call only touches its own worker's
-  /// detector mutex), which is how the sharded service parallelizes
-  /// restore-side replay; two partitions on the same worker serialize.
-  Status RestorePartitionChain(std::size_t pid, RestorePlan&& plan);
+  /// Drains, installs the plan's base state, and replays its delta chain
+  /// (possibly empty) through the normal ApplyEdge / Flush path — the
+  /// restored detector re-makes exactly the decisions the live one made
+  /// (DESIGN.md §5), so the result is bit-identical to the detector that
+  /// wrote the chain. The detector's installed semantics are reused; the
+  /// restored community is republished and becomes the alert baseline.
+  /// `track_deltas` arms delta tracking for the next incremental
+  /// checkpoint, mirroring SavePartition's `start_delta_tracking`. Safe to
+  /// run concurrently with other workers' restores (each call only touches
+  /// its own worker's detector mutex), which is how the sharded service
+  /// parallelizes restore-side replay; two partitions on the same worker
+  /// serialize.
+  Status RestorePartitionChain(std::size_t pid, RestorePlan&& plan,
+                               bool track_deltas);
 
-  /// ReplaySegment for one owned partition.
+  /// Replays one already-validated delta segment on top of the partition's
+  /// current state — the warm-standby increment: a follower that restored
+  /// epoch E applies the segment E -> E+1 without reloading the base.
+  /// Replays through the same path as RestorePartitionChain, so the result
+  /// stays bit-identical to the primary that wrote the segment. Fails with
+  /// kFailedPrecondition when the queue cannot be drained within
+  /// `drain_timeout` (a promoted follower must not replay into a detector
+  /// with edges still in flight).
   Status ReplayPartitionSegment(std::size_t pid, const DeltaSegment& segment,
                                 std::chrono::milliseconds drain_timeout);
 
@@ -617,8 +590,8 @@ class ShardWorker {
   void MakeExact();
 
   /// Looks up the owned partition for an edge (detector mutex held):
-  /// partition_of_ -> pid -> ownership table, or the sole partition in
-  /// sole-partition mode. Null when this worker does not own the pid.
+  /// partition_of_ -> pid -> ownership table. Null when this worker does
+  /// not own the pid.
   Partition* PartitionForLocked(const Edge& edge);
 
   /// Finds an owned partition by pid (detector mutex held).
@@ -645,12 +618,18 @@ class ShardWorker {
   /// matching entry from the replayed window log.
   Status ReplayRetireLocked(Partition& p, const Edge& record);
 
+  /// Replays delta segments through the live apply/flush/retire entry
+  /// points, then restarts the partition's delta log at the replayed
+  /// checkpoint, re-baselines and republishes (detector mutex held). The
+  /// shared body of RestorePartitionChain and ReplayPartitionSegment.
+  Status ReplayLocked(Partition& p, std::span<const DeltaSegment> segments,
+                      bool track_deltas);
+
   /// Re-baselines a partition's alert filter on its current community and
   /// stores it as the partition's cached snapshot (detector mutex held).
-  /// `flushed` selects Detect() (full restore: buffer is empty anyway) vs
-  /// the non-flushing read (chain restore: the replayed benign buffer must
-  /// survive so the restored detector keeps matching the live one).
-  void RebaselineLocked(Partition& p, bool flush);
+  /// Reads without flushing: a replayed benign buffer must survive so the
+  /// restored detector keeps matching the live one.
+  void RebaselineLocked(Partition& p);
 
   /// Publishes the densest community across owned partitions (detector
   /// mutex held). An empty worker publishes an empty community.
@@ -665,20 +644,6 @@ class ShardWorker {
   std::vector<std::shared_ptr<const Community>> TakePendingAlertsLocked() {
     return std::move(pending_alerts_);
   }
-
-  /// Requires sole-partition mode; returns the partition or null (legacy
-  /// persistence entry points).
-  Partition* SolePartitionLocked();
-
-  /// Shared bodies for the sole-partition and per-partition persistence
-  /// entry points (detector mutex held).
-  Status SavePartitionLocked(Partition& p, const std::string& path,
-                             bool start_delta_tracking);
-  Status SaveDeltaLocked(Partition& p, const std::string& path,
-                         std::uint32_t shard, std::uint64_t prev_epoch,
-                         std::uint64_t epoch, DeltaSaveInfo* info);
-  Status RestoreChainLocked(Partition& p, RestorePlan&& plan);
-  Status ReplaySegmentLocked(Partition& p, const DeltaSegment& segment);
 
   DetectionServiceOptions options_;
   FraudAlertFn on_alert_;

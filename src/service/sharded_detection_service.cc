@@ -34,24 +34,14 @@ std::size_t SplitMix(std::uint64_t x) {
 }  // namespace
 
 Partitioner HashOfSourcePartitioner() {
-  Partitioner p(
-      [](const Edge& e) { return SplitMix(e.src); },
-      [](VertexId v) { return SplitMix(v); });
-  p.routes_by_src_home = true;  // edge_key(e) == home(e.src) by definition
-  return p;
+  return [](VertexId v) { return SplitMix(v); };
 }
 
 Partitioner TenantPartitioner(VertexId vertices_per_tenant) {
   SPADE_CHECK(vertices_per_tenant > 0);
-  Partitioner p(
-      [vertices_per_tenant](const Edge& e) -> std::size_t {
-        return e.src / vertices_per_tenant;
-      },
-      [vertices_per_tenant](VertexId v) -> std::size_t {
-        return v / vertices_per_tenant;
-      });
-  p.routes_by_src_home = true;  // edge_key(e) == home(e.src) by definition
-  return p;
+  return [vertices_per_tenant](VertexId v) -> std::size_t {
+    return v / vertices_per_tenant;
+  };
 }
 
 namespace {
@@ -106,19 +96,7 @@ ShardedDetectionService::ShardedDetectionService(
   SPADE_CHECK(shards.size() % pps == 0);
   const std::size_t num_partitions = shards.size();
   const std::size_t num_workers = num_partitions / pps;
-  // Without rebalance at one partition per shard, partition == shard and
-  // every path below degenerates to the fixed-placement fleet.
-  const bool multi = options_.rebalance.enabled || pps > 1;
   if (!options_.partitioner) options_.partitioner = HashOfSourcePartitioner();
-  if (!options_.partitioner.home) {
-    // A partitioner supplied as a bare edge function: derive vertex homes
-    // from the key of a synthetic self-edge, which matches the edge routing
-    // exactly whenever the key only reads the source vertex.
-    options_.partitioner.home =
-        [edge_key = options_.partitioner.edge_key](VertexId v) {
-          return edge_key(Edge{v, v, 1.0, 0});
-        };
-  }
   semantics_ = shards.front().semantics_name();
   bool has_override = false;
   for (const auto& o : options_.stitch.pair_trigger_overrides) {
@@ -160,12 +138,11 @@ ShardedDetectionService::ShardedDetectionService(
   }
   // Routing and forwarding closures read `this->map_` and
   // `this->options_.partitioner` — both fully built before any worker
-  // exists. Null in fixed-placement mode: the worker then runs the
-  // zero-overhead sole-partition path.
-  PartitionOfFn partition_of;
-  if (multi) {
-    partition_of = [this](const Edge& e) { return PartitionOf(e); };
-  }
+  // exists. Fixed fleets get the same closures as rebalancing ones: their
+  // partitions never move, so the forward path simply never runs.
+  const PartitionOfFn partition_of = [this](const Edge& e) {
+    return PartitionOf(e);
+  };
   workers_.reserve(num_workers);
   for (std::size_t i = 0; i < num_workers; ++i) {
     FraudAlertFn shard_alert;
@@ -182,12 +159,9 @@ ShardedDetectionService::ShardedDetectionService(
       worker_options.track_window = true;
       shard_retire = [this, i](std::size_t) { OnShardRetire(i); };
     }
-    ForwardFn forward;
-    if (multi) {
-      forward = [this, i](std::span<const Edge> edges) {
-        return RouteForward(i, edges);
-      };
-    }
+    ForwardFn forward = [this, i](std::span<const Edge> edges) {
+      return RouteForward(i, edges);
+    };
     // Initial placement: partition pid lives on worker pid % num_workers
     // (matching the PartitionMap's epoch-0 entries).
     std::vector<ShardWorker::PartitionSeed> seeds;
@@ -217,21 +191,18 @@ ShardedDetectionService::~ShardedDetectionService() { Stop(); }
 
 std::size_t ShardedDetectionService::PartitionOf(const Edge& raw_edge) const {
   // The STABLE routing key: a partition id never changes for an edge, only
-  // the partition's owner shard does (through map_). routes_by_src_home
-  // keys on the source home so per-partition order equals per-source order.
-  return (options_.partitioner.routes_by_src_home
-              ? options_.partitioner.home(raw_edge.src)
-              : options_.partitioner.edge_key(raw_edge)) %
-         map_.num_partitions();
+  // the partition's owner shard does (through map_). Keying on the source
+  // home makes per-partition order equal per-source order.
+  return spade::PartitionOf(options_.partitioner, map_.num_partitions(),
+                            raw_edge);
 }
 
 std::size_t ShardedDetectionService::ShardOf(const Edge& raw_edge) const {
-  return map_.ShardOf(options_.partitioner.edge_key(raw_edge) %
-                      map_.num_partitions());
+  return map_.ShardOf(PartitionOf(raw_edge));
 }
 
 std::size_t ShardedDetectionService::HomeShardOf(VertexId v) const {
-  return map_.ShardOf(options_.partitioner.home(v) % map_.num_partitions());
+  return map_.ShardOf(options_.partitioner(v) % map_.num_partitions());
 }
 
 void ShardedDetectionService::MaybeRecordBoundary(const Edge& raw_edge) {
@@ -239,8 +210,8 @@ void ShardedDetectionService::MaybeRecordBoundary(const Edge& raw_edge) {
   // be stable across partition moves or a rebalance would strand records.
   const std::size_t n = map_.num_partitions();
   if (n == 1) return;
-  const std::size_t src_home = options_.partitioner.home(raw_edge.src) % n;
-  const std::size_t dst_home = options_.partitioner.home(raw_edge.dst) % n;
+  const std::size_t src_home = options_.partitioner(raw_edge.src) % n;
+  const std::size_t dst_home = options_.partitioner(raw_edge.dst) % n;
   if (src_home != dst_home) boundary_.Record(src_home, dst_home, raw_edge);
 }
 
@@ -252,10 +223,8 @@ void ShardedDetectionService::SeedBoundaryIndex(
 void ShardedDetectionService::OnBoundaryUpdate(std::size_t num_partitions,
                                                const Edge& edge,
                                                double applied, bool retired) {
-  const std::size_t src_home =
-      options_.partitioner.home(edge.src) % num_partitions;
-  const std::size_t dst_home =
-      options_.partitioner.home(edge.dst) % num_partitions;
+  const std::size_t src_home = options_.partitioner(edge.src) % num_partitions;
+  const std::size_t dst_home = options_.partitioner(edge.dst) % num_partitions;
   if (src_home == dst_home) return;
   if (!retired) {
     // Record at the APPLIED semantic weight (what the detector actually
@@ -1558,7 +1527,7 @@ Status ShardedDetectionService::RestoreState(const std::string& dir,
     if (pool <= 1) {
       for (std::size_t pid = 0; pid < num_partitions; ++pid) {
         statuses[pid] = workers_[map_.ShardOf(pid)]->RestorePartitionChain(
-            pid, std::move(plans[pid]));
+            pid, std::move(plans[pid]), /*track_deltas=*/true);
       }
     } else {
       std::atomic<std::size_t> next{0};
@@ -1573,7 +1542,7 @@ Status ShardedDetectionService::RestoreState(const std::string& dir,
             if (pid >= num_partitions) break;
             statuses[pid] =
                 workers_[map_.ShardOf(pid)]->RestorePartitionChain(
-                    pid, std::move(plans[pid]));
+                    pid, std::move(plans[pid]), /*track_deltas=*/true);
           }
         });
       }

@@ -4,20 +4,19 @@
 // whose updates never interact, run each part's detector on its own core,
 // and combine answers at read time.
 //
-// Partitioner contract: a Partitioner carries two functions. `edge_key`
-// maps an edge to an arbitrary std::size_t routing key (reduced modulo the
-// shard count) and decides which shard applies the edge; `home` maps a
-// vertex to its home-shard key. For the built-in partitioners (hash-of-src,
-// tenant) routing IS home-of-source, so an edge whose endpoints share a
-// home is fully visible to its shard. When the endpoints' homes differ the
-// applying WORKER additionally pushes the edge (at its applied semantic
-// weight) into the BoundaryEdgeIndex's per-shard-pair queues from inside
-// its apply critical section — the edge still lands in exactly one shard's
-// detector, but the stitcher now knows the seam exists, and an edge
-// captured by a state snapshot always has its boundary record on disk
-// first. A bare PartitionFn still converts implicitly; its `home` defaults
-// to the key of a synthetic self-edge, which is exact for any partitioner
-// that only reads `src`.
+// Partitioner contract: a Partitioner is one function, vertex -> home key
+// (partition_map.h). A vertex's home partition is its key modulo the
+// partition count, and every edge belongs to its SOURCE's home partition
+// (PartitionOf) — Submit, SubmitBatch's router, forwarding and each
+// worker's ownership lookup all apply that one rule, so per-edge, batched
+// and forwarded routing agree by construction. An edge whose endpoints
+// share a home is fully visible to its partition. When the endpoints'
+// homes differ the applying WORKER additionally pushes the edge (at its
+// applied semantic weight) into the BoundaryEdgeIndex's per-partition-pair
+// queues from inside its apply critical section — the edge still lands in
+// exactly one detector, but the stitcher now knows the seam exists, and an
+// edge captured by a state snapshot always has its boundary record on disk
+// first.
 //
 // Cross-shard reads: CurrentCommunity() defaults to the densest community
 // over all shard snapshots (per-shard argmax). The stitch pass (StitchNow,
@@ -63,50 +62,18 @@
 
 namespace spade {
 
-/// Maps an edge to a routing key; the service takes it modulo num_shards.
-using PartitionFn = std::function<std::size_t(const Edge&)>;
-
-/// Maps a vertex to its home-shard key (modulo num_shards).
-using VertexHomeFn = std::function<std::size_t(VertexId)>;
-
-/// Edge routing plus vertex home assignment. `home` drives boundary-edge
-/// detection and the stitch pass's shard tagging; when null it is derived
-/// from `edge_key` on a synthetic self-edge (exact whenever the edge key
-/// only reads the source vertex — true for every built-in partitioner).
-struct Partitioner {
-  Partitioner() = default;
-  // NOLINTNEXTLINE(google-explicit-constructor): a bare edge-routing
-  // function is still a complete partitioner (see `home` above).
-  Partitioner(PartitionFn edge) : edge_key(std::move(edge)) {}
-  Partitioner(PartitionFn edge, VertexHomeFn home_fn)
-      : edge_key(std::move(edge)), home(std::move(home_fn)) {}
-
-  PartitionFn edge_key;
-  VertexHomeFn home;
-  /// Promise that edge_key(e) % n == home(e.src) % n for every edge and
-  /// every shard count n. When set, the batched router skips the edge_key
-  /// evaluation entirely and routes by the source home it already computed
-  /// for the boundary decision — one partitioner-function evaluation saved
-  /// per edge. Both built-in partitioners satisfy (and set) it; leave it
-  /// false for a custom edge_key unless the identity genuinely holds, or
-  /// batched and per-edge routing will disagree.
-  bool routes_by_src_home = false;
-
-  explicit operator bool() const { return static_cast<bool>(edge_key); }
-};
-
 /// Alert callback with the originating shard id. Invoked from that shard's
 /// worker thread; callbacks from different shards run concurrently.
 using ShardAlertFn = std::function<void(std::size_t shard, const Community&)>;
 
-/// Default partitioner: a mixed hash of the source vertex (home = the same
-/// hash of the vertex, so routing equals home-of-source).
+/// Default partitioner: a mixed hash of the vertex id, so adjacent ids land
+/// in unrelated partitions.
 Partitioner HashOfSourcePartitioner();
 
 /// Tenant routing for id spaces laid out as [tenant * vertices_per_tenant,
-/// (tenant+1) * vertices_per_tenant): home(v) = v / vertices_per_tenant and
+/// (tenant+1) * vertices_per_tenant): home(v) = v / vertices_per_tenant, so
 /// an edge routes to its source's tenant. A cross-tenant edge is applied in
-/// the source tenant's shard AND recorded in the boundary index, so a
+/// the source tenant's partition AND recorded in the boundary index, so a
 /// community spanning tenants is reachable by the stitch pass instead of
 /// silently invisible.
 Partitioner TenantPartitioner(VertexId vertices_per_tenant);
@@ -254,7 +221,8 @@ struct CheckpointPolicy {
 struct ShardedDetectionServiceOptions {
   /// Knobs applied to every shard worker.
   DetectionServiceOptions shard;
-  /// Edge routing + vertex homes; null selects HashOfSourcePartitioner().
+  /// Vertex homes (edges route by their source's home); null selects
+  /// HashOfSourcePartitioner().
   Partitioner partitioner;
   /// Cross-shard stitching knobs.
   StitchOptions stitch;
@@ -394,7 +362,8 @@ class ShardedDetectionService {
   /// The shard `raw_edge` would be routed to.
   std::size_t ShardOf(const Edge& raw_edge) const;
 
-  /// The home shard of a vertex (drives boundary-edge detection).
+  /// The shard currently owning a vertex's home partition (the stitch
+  /// pass's provenance tag).
   std::size_t HomeShardOf(VertexId v) const;
 
   /// Registers pre-existing cross-home edges (e.g. the initial graphs the
@@ -589,12 +558,13 @@ class ShardedDetectionService {
   /// CRC-checked and chain-validated (shard index, prev_epoch contiguity
   /// against `target_epoch - 1`) before any detector is touched, so a
   /// corrupt replicated epoch fails cleanly with the fleet intact.
-  /// Replays through ShardWorker::ReplaySegment (bit-identity preserved).
-  /// Requires a quiesced service (the follower takes no writes); a shard
-  /// that cannot drain within `drain_timeout` fails the call. Invalidates
-  /// the cached save chain: the next SaveState into any directory writes
-  /// a full base. `edges_replayed` (optional) reports the replayed edge
-  /// records — the tail-chain replay cost bench_replication measures.
+  /// Replays through ShardWorker::ReplayPartitionSegment (bit-identity
+  /// preserved). Requires a quiesced service (the follower takes no
+  /// writes); a shard that cannot drain within `drain_timeout` fails the
+  /// call. Invalidates the cached save chain: the next SaveState into any
+  /// directory writes a full base. `edges_replayed` (optional) reports the
+  /// replayed edge records — the tail-chain replay cost bench_replication
+  /// measures.
   Status ApplyChainEpoch(const std::string& dir, std::uint64_t target_epoch,
                          std::chrono::milliseconds drain_timeout,
                          std::uint64_t* edges_replayed = nullptr);
@@ -623,8 +593,8 @@ class ShardedDetectionService {
   void OnBoundaryUpdate(std::size_t num_partitions, const Edge& edge,
                         double applied, bool retired);
 
-  /// The stable partition id of an edge (edge_key or source home, modulo
-  /// num_partitions).
+  /// The stable partition id of an edge: spade::PartitionOf over this
+  /// service's partitioner and partition count.
   std::size_t PartitionOf(const Edge& raw_edge) const;
 
   /// ForwardFn body for worker `from`: re-submits edges whose partitions

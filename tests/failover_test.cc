@@ -51,9 +51,7 @@ constexpr std::size_t kVertices = 96;
 constexpr std::uint64_t kStreamId = 7;
 
 Partitioner ParityPartitioner() {
-  return Partitioner(
-      [](const Edge& e) -> std::size_t { return e.src % kShards; },
-      [](VertexId v) -> std::size_t { return v % kShards; });
+  return [](VertexId v) -> std::size_t { return v % kShards; };
 }
 
 std::unique_ptr<ShardedDetectionService> BuildService(

@@ -38,9 +38,7 @@ constexpr std::size_t kChunkEdges = 120;
 /// Parity routing: deterministic homes, ~half of all traffic cross-home,
 /// so every delta epoch also writes a non-trivial boundary tail.
 Partitioner ParityPartitioner() {
-  return Partitioner(
-      [](const Edge& e) -> std::size_t { return e.src % kShards; },
-      [](VertexId v) -> std::size_t { return v % kShards; });
+  return [](VertexId v) -> std::size_t { return v % kShards; };
 }
 
 std::vector<Edge> RandomChunk(Rng* rng, std::size_t n) {

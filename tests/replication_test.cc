@@ -37,9 +37,7 @@ constexpr std::size_t kShards = 2;
 constexpr std::size_t kVertices = 96;
 
 Partitioner ParityPartitioner() {
-  return Partitioner(
-      [](const Edge& e) -> std::size_t { return e.src % kShards; },
-      [](VertexId v) -> std::size_t { return v % kShards; });
+  return [](VertexId v) -> std::size_t { return v % kShards; };
 }
 
 std::unique_ptr<ShardedDetectionService> BuildService(

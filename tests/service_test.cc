@@ -288,7 +288,12 @@ TEST(ShardWorkerTest, BlockingStopReportsExactAcceptedPrefix) {
   DetectionServiceOptions options;
   options.max_queue = 2;
   options.block_when_full = true;
-  ShardWorker worker(MakeDetector(12, 30, 22), stall.Callback(), options);
+  std::vector<ShardWorker::PartitionSeed> seeds;
+  seeds.push_back({0, MakeDetector(12, 30, 22)});
+  ShardWorker worker(
+      std::move(seeds), /*total_partitions=*/1,
+      [](const Edge&) { return std::size_t{0}; }, /*forward=*/nullptr,
+      stall.Callback(), options);
   ASSERT_TRUE(worker.Submit({0, 1, 1e6, 0}).ok());
   stall.AwaitWorkerStalled();
   ASSERT_TRUE(worker.Submit({1, 2, 1.0, 0}).ok());  // queue: 1/2

@@ -196,12 +196,20 @@ TEST(ShardedDetectionServiceTest, SubmitBatchRoutesAcrossShards) {
 }
 
 // RouterScratch property: the batched partition must agree exactly with
-// per-edge routing — same shard per edge, chunk order preserved within a
-// shard. (Boundary recording moved off the router to the worker apply
-// path; RoutingPropertyTest in stitching_test.cc covers its exactness.)
+// per-edge routing — each edge lands on map.ShardOf(PartitionOf(e)), and
+// chunk order is preserved within a shard. Two partitions per shard, one
+// of them published to another shard, so the check covers the map
+// indirection and not just pid % shards. (Boundary recording happens on
+// the worker apply path; RoutingPropertyTest in stitching_test.cc covers
+// its exactness.)
 TEST(RouterScratchTest, MatchesPerEdgeRouting) {
   constexpr std::size_t kShards = 4;
+  constexpr std::size_t kPartitions = 2 * kShards;
   const Partitioner p = HashOfSourcePartitioner();
+  PartitionMap map(kPartitions, kShards);
+  // Partition 1 starts on shard 1; move it to shard 3.
+  ASSERT_EQ(map.ShardOf(1), 1u);
+  map.Publish(1, 3);
   Rng rng(41);
   std::vector<Edge> edges;
   for (int i = 0; i < 500; ++i) {
@@ -209,14 +217,16 @@ TEST(RouterScratchTest, MatchesPerEdgeRouting) {
   }
 
   RouterScratch scratch;
-  scratch.Partition(p, kShards, edges);
+  scratch.Partition(p, map, kShards, edges);
 
   std::vector<std::vector<Edge>> expected(kShards);
+  std::size_t moved = 0;
   for (const Edge& e : edges) {
-    const std::size_t shard = p.edge_key(e) % kShards;
-    EXPECT_EQ(shard, p.home(e.src) % kShards);  // routes_by_src_home holds
-    expected[shard].push_back(e);
+    const std::size_t pid = PartitionOf(p, kPartitions, e);
+    if (pid == 1) ++moved;
+    expected[map.ShardOf(pid)].push_back(e);
   }
+  EXPECT_GT(moved, 0u);  // the moved partition really carries traffic
   const auto edge_eq = [](const Edge& a, const Edge& b) {
     return a.src == b.src && a.dst == b.dst && a.weight == b.weight &&
            a.ts == b.ts;

@@ -7,10 +7,10 @@
 //    community's density must match the merged detector's within
 //    tie-exactness — including streams whose densest community is entirely
 //    cross-shard (every one of its edges is a boundary edge).
-//  * Routing property: for hash, tenant and an adversarial
-//    round-robin-by-edge partitioner, every submitted edge lands in exactly
-//    one shard's detector, plus the boundary index iff its endpoints' home
-//    shards differ (the double-count/drop seam).
+//  * Routing property: for the hash and tenant partitioners, every
+//    submitted edge lands in exactly one shard's detector, plus the
+//    boundary index iff its endpoints' home shards differ (the
+//    double-count/drop seam).
 //  * Tenant regression: a cross-tenant ring used to be silently routed into
 //    the source tenant's shard with no record; it must now be recorded and
 //    detected by the stitch pass, surviving save/restore.
@@ -21,12 +21,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <cmath>
 #include <cstddef>
 #include <filesystem>
-#include <memory>
 #include <mutex>
 #include <string_view>
 #include <thread>
@@ -272,18 +270,6 @@ std::vector<NamedPartitioner> PartitionersUnderTest() {
   std::vector<NamedPartitioner> out;
   out.push_back({"hash", HashOfSourcePartitioner()});
   out.push_back({"tenant", TenantPartitioner(16)});
-  // Adversarial round-robin-by-edge: routing ignores the endpoints
-  // entirely, so routed-shard and home-shard disagree almost always. Homes
-  // still come from a well-defined vertex function (required: boundary
-  // detection is a statement about homes, not about where an edge landed).
-  auto counter = std::make_shared<std::atomic<std::size_t>>(0);
-  out.push_back(
-      {"round-robin",
-       Partitioner(
-           [counter](const Edge&) {
-             return counter->fetch_add(1, std::memory_order_relaxed);
-           },
-           [](VertexId v) -> std::size_t { return v % 3; })});
   return out;
 }
 

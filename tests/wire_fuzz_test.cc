@@ -232,9 +232,7 @@ TEST(WireFormat, ServerResyncsAndAppliesExactlyOnce) {
     shards.push_back(std::move(spade));
   }
   ShardedDetectionServiceOptions options;
-  options.partitioner = Partitioner(
-      [](const Edge& e) -> std::size_t { return e.src % kShards; },
-      [](VertexId v) -> std::size_t { return v % kShards; });
+  options.partitioner = [](VertexId v) -> std::size_t { return v % kShards; };
   options.shard.detect_every = 16;
   ShardedDetectionService service(std::move(shards), nullptr,
                                   std::move(options));
@@ -305,9 +303,7 @@ TEST(WireFormat, ServerResyncsAndAppliesExactlyOnce) {
     ref_shards.push_back(std::move(spade));
   }
   ShardedDetectionServiceOptions ref_options;
-  ref_options.partitioner = Partitioner(
-      [](const Edge& e) -> std::size_t { return e.src % kShards; },
-      [](VertexId v) -> std::size_t { return v % kShards; });
+  ref_options.partitioner = [](VertexId v) -> std::size_t { return v % kShards; };
   ref_options.shard.detect_every = 16;
   ShardedDetectionService reference(std::move(ref_shards), nullptr,
                                     std::move(ref_options));

@@ -179,14 +179,16 @@ Status Spade::RetireEdge(VertexId src, VertexId dst, double applied_weight) {
 
 Status Spade::SaveState(const std::string& path) {
   SPADE_RETURN_NOT_OK(Flush());
-  return SaveSnapshot(path, graph_, &state_);
+  // A bare detector keeps no window log: the window section stays empty.
+  return SaveSnapshot(path, graph_, &state_, {});
 }
 
 Status Spade::RestoreState(const std::string& path) {
   DynamicGraph graph;
   PeelState state;
   bool state_present = false;
-  SPADE_RETURN_NOT_OK(LoadSnapshot(path, &graph, &state, &state_present));
+  SPADE_RETURN_NOT_OK(
+      LoadSnapshot(path, &graph, &state, &state_present, /*window=*/nullptr));
   RestoreFromParts(std::move(graph), std::move(state), state_present);
   return Status::OK();
 }

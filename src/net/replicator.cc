@@ -140,7 +140,7 @@ Status Replicator::ShipCurrentManifest(FollowerSession* session) {
   names.reserve(manifest.files.size() + manifest.deltas.size() +
                 manifest.boundary_tails.size() + 2);
   for (const std::string& f : manifest.files) names.push_back(f);
-  if (!manifest.boundary_file.empty()) names.push_back(manifest.boundary_file);
+  names.push_back(manifest.boundary_file);
   for (const DeltaSegmentRef& d : manifest.deltas) names.push_back(d.file);
   for (const BoundaryTailRef& t : manifest.boundary_tails) {
     names.push_back(t.file);

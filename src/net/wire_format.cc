@@ -281,16 +281,10 @@ Status ReadSeqMapFile(const std::string& path, std::uint64_t* epoch,
   if (!reader.ok()) {
     return Status::IOError("cannot open seqmap file " + path);
   }
-  std::uint64_t magic = 0;
-  std::uint32_t version = 0;
+  SPADE_RETURN_NOT_OK(
+      reader.ReadHeader(kSeqMapMagic, kSeqMapVersion, "seqmap"));
   std::uint64_t file_epoch = 0;
   std::uint64_t count = 0;
-  if (!reader.Read(&magic) || magic != kSeqMapMagic) {
-    return Status::IOError("bad seqmap magic in " + path);
-  }
-  if (!reader.Read(&version) || version != kSeqMapVersion) {
-    return Status::IOError("unsupported seqmap version in " + path);
-  }
   if (!reader.Read(&file_epoch) || !reader.Read(&count)) {
     return Status::IOError("truncated seqmap header in " + path);
   }

@@ -11,11 +11,7 @@ namespace spade {
 namespace {
 
 constexpr std::uint64_t kBoundaryMagic = 0x53504144455F4249ULL;  // "SPADE_BI"
-constexpr std::uint32_t kBoundaryVersion = 1;
-// v2 adds a per-bucket compacted-block section ahead of the raw edges; a
-// file with no blocks anywhere is written as v1, byte-identical to the
-// pre-compaction format.
-constexpr std::uint32_t kBoundaryVersionCompacted = 2;
+constexpr std::uint32_t kBoundaryVersion = 2;
 constexpr std::uint64_t kTailMagic = 0x53504144455F4254ULL;  // "SPADE_BT"
 constexpr std::uint32_t kTailVersion = 1;
 
@@ -35,90 +31,59 @@ bool ReadEdge(storage::ChecksummedFileReader* reader, Edge* e) {
          reader->Read(&e->weight) && reader->Read(&e->ts);
 }
 
-/// Shared payload reader for v1 base and tail files (they differ only in
-/// the header): per-bucket counts + edges for `num_buckets` buckets.
-Status ReadBuckets(storage::ChecksummedFileReader* reader,
-                   std::size_t num_buckets,
-                   std::vector<std::vector<Edge>>* buckets) {
-  buckets->assign(num_buckets, {});
-  for (std::size_t b = 0; b < num_buckets; ++b) {
-    std::uint64_t count = 0;
-    if (!reader->Read(&count)) {
-      return Status::IOError("truncated boundary file: " + reader->path());
-    }
-    // Pre-allocation plausibility gate (see checked_io.h): 24 payload
-    // bytes per edge record.
-    if (reader->CountExceedsFile(count, 24)) {
-      return Status::IOError("boundary bucket count exceeds the file size: " +
-                             reader->path());
-    }
-    (*buckets)[b].resize(count);
-    for (std::uint64_t i = 0; i < count; ++i) {
-      if (!ReadEdge(reader, &(*buckets)[b][i])) {
-        return Status::IOError("truncated boundary file: " + reader->path());
-      }
-    }
-  }
-  return reader->VerifyTrailer();
+Status Truncated(const storage::ChecksummedFileReader& reader) {
+  return Status::IOError("truncated boundary file: " + reader.path());
 }
 
-/// v2 payload: per bucket, a block section (count; per block max_ts,
-/// edge_count, entry count, sorted (vertex, weight) entries) then the raw
-/// edges, same record shape as v1.
-Status ReadBucketsCompacted(
-    storage::ChecksummedFileReader* reader, std::size_t num_buckets,
-    std::vector<std::vector<Edge>>* buckets,
-    std::vector<std::vector<BoundaryEdgeIndex::CompactedBlock>>* blocks) {
-  buckets->assign(num_buckets, {});
-  blocks->assign(num_buckets, {});
-  for (std::size_t b = 0; b < num_buckets; ++b) {
-    std::uint64_t block_count = 0;
-    if (!reader->Read(&block_count)) {
-      return Status::IOError("truncated boundary file: " + reader->path());
+/// One bucket's raw edges, in base and tail files alike: count + records.
+Status ReadBucketEdges(storage::ChecksummedFileReader* reader,
+                       std::vector<Edge>* edges) {
+  std::uint64_t count = 0;
+  if (!reader->Read(&count)) return Truncated(*reader);
+  // Pre-allocation plausibility gate (see checked_io.h): 24 payload bytes
+  // per edge record.
+  if (reader->CountExceedsFile(count, 24)) {
+    return Status::IOError("boundary bucket count exceeds the file size: " +
+                           reader->path());
+  }
+  edges->resize(count);
+  for (Edge& e : *edges) {
+    if (!ReadEdge(reader, &e)) return Truncated(*reader);
+  }
+  return Status::OK();
+}
+
+/// One bucket's block section, base files only: count; per block max_ts,
+/// edge_count, entry count, sorted (vertex, weight) entries.
+Status ReadBucketBlocks(
+    storage::ChecksummedFileReader* reader,
+    std::vector<BoundaryEdgeIndex::CompactedBlock>* blocks) {
+  std::uint64_t count = 0;
+  if (!reader->Read(&count)) return Truncated(*reader);
+  // A block is at least 24 header bytes on disk.
+  if (reader->CountExceedsFile(count, 24)) {
+    return Status::IOError("boundary block count exceeds the file size: " +
+                           reader->path());
+  }
+  blocks->resize(count);
+  for (auto& block : *blocks) {
+    std::uint64_t entries = 0;
+    if (!reader->Read(&block.max_ts) || !reader->Read(&block.edge_count) ||
+        !reader->Read(&entries)) {
+      return Truncated(*reader);
     }
-    // A block is at least 24 header bytes on disk.
-    if (reader->CountExceedsFile(block_count, 24)) {
-      return Status::IOError("boundary block count exceeds the file size: " +
-                             reader->path());
+    // 12 payload bytes per (vertex u32, weight f64) entry.
+    if (reader->CountExceedsFile(entries, 12)) {
+      return Status::IOError(
+          "boundary block entry count exceeds the file size: " +
+          reader->path());
     }
-    (*blocks)[b].resize(block_count);
-    for (std::uint64_t i = 0; i < block_count; ++i) {
-      auto& block = (*blocks)[b][i];
-      std::uint64_t entries = 0;
-      if (!reader->Read(&block.max_ts) || !reader->Read(&block.edge_count) ||
-          !reader->Read(&entries)) {
-        return Status::IOError("truncated boundary file: " + reader->path());
-      }
-      // 12 payload bytes per (vertex u32, weight f64) entry.
-      if (reader->CountExceedsFile(entries, 12)) {
-        return Status::IOError(
-            "boundary block entry count exceeds the file size: " +
-            reader->path());
-      }
-      block.weight.resize(entries);
-      for (std::uint64_t k = 0; k < entries; ++k) {
-        if (!reader->Read(&block.weight[k].first) ||
-            !reader->Read(&block.weight[k].second)) {
-          return Status::IOError("truncated boundary file: " + reader->path());
-        }
-      }
-    }
-    std::uint64_t count = 0;
-    if (!reader->Read(&count)) {
-      return Status::IOError("truncated boundary file: " + reader->path());
-    }
-    if (reader->CountExceedsFile(count, 24)) {
-      return Status::IOError("boundary bucket count exceeds the file size: " +
-                             reader->path());
-    }
-    (*buckets)[b].resize(count);
-    for (std::uint64_t i = 0; i < count; ++i) {
-      if (!ReadEdge(reader, &(*buckets)[b][i])) {
-        return Status::IOError("truncated boundary file: " + reader->path());
-      }
+    block.weight.resize(entries);
+    for (auto& [v, w] : block.weight) {
+      if (!reader->Read(&v) || !reader->Read(&w)) return Truncated(*reader);
     }
   }
-  return reader->VerifyTrailer();
+  return Status::OK();
 }
 
 std::size_t BlockEdgeTotal(
@@ -208,7 +173,7 @@ bool BoundaryEdgeIndex::FoldNewEdges(
     cursor->epoch.assign(buckets_.size(), 0);
     cursor->consumed.assign(buckets_.size(), 0);
   }
-  // Pass 1: a bumped epoch anywhere (Clear/Load) invalidates the whole
+  // Pass 1: a bumped epoch anywhere (AdoptBuckets) invalidates the whole
   // aggregate — per-bucket contributions are not tracked separately, so the
   // only sound recovery is a full rebuild.
   bool rebuilt = false;
@@ -394,45 +359,10 @@ std::vector<Edge> BoundaryEdgeIndex::SnapshotEdges() const {
   return out;
 }
 
-void BoundaryEdgeIndex::Clear(Cursor* sync) {
-  if (sync != nullptr && sync->epoch.size() != buckets_.size()) {
-    sync->epoch.assign(buckets_.size(), 0);
-    sync->consumed.assign(buckets_.size(), 0);
-  }
-  std::uint64_t dropped = 0;
-  std::uint64_t dropped_compacted = 0;
-  std::uint64_t dropped_entries = 0;
-  for (std::size_t b = 0; b < buckets_.size(); ++b) {
-    Bucket& bucket = buckets_[b];
-    std::lock_guard<std::mutex> lock(bucket.mutex);
-    dropped += bucket.edges.size() + BlockEdgeTotal(bucket.blocks);
-    dropped_compacted += BlockEdgeTotal(bucket.blocks);
-    dropped_entries += BlockEntryTotal(bucket.blocks);
-    bucket.edges.clear();
-    bucket.blocks.clear();
-    bucket.start = 0;
-    ++bucket.epoch;
-    // A synced clear keeps the chain anchored at the empty bucket (floor
-    // 0: nothing recorded after it is persisted yet); an unsynced one
-    // leaves no chain, so compaction is unrestricted again.
-    bucket.persist_floor =
-        sync != nullptr ? 0 : std::numeric_limits<std::size_t>::max();
-    if (sync != nullptr) {
-      sync->epoch[b] = bucket.epoch;
-      sync->consumed[b] = 0;
-    }
-  }
-  total_.fetch_sub(dropped, std::memory_order_relaxed);
-  compacted_edges_.fetch_sub(dropped_compacted, std::memory_order_relaxed);
-  block_entries_.fetch_sub(dropped_entries, std::memory_order_relaxed);
-}
-
-Status BoundaryEdgeIndex::Save(const std::string& path, Cursor* sync,
-                               std::uint32_t* format) const {
-  // Capture every bucket under its lock first: the file-level version
-  // decision (v1 iff no blocks anywhere) must see one consistent cut, and
-  // a concurrent CompactConsumed (stitch lock, not the save lock) may
-  // create a bucket's first block mid-save otherwise.
+Status BoundaryEdgeIndex::Save(const std::string& path, Cursor* sync) const {
+  // Capture every bucket under its lock first, so a bucket lock is held
+  // for a copy rather than for the file write: workers record into these
+  // buckets from their apply critical sections.
   struct Captured {
     std::vector<Edge> edges;
     std::vector<CompactedBlock> blocks;
@@ -440,7 +370,6 @@ Status BoundaryEdgeIndex::Save(const std::string& path, Cursor* sync,
     std::size_t end = 0;  // logical end = the staged cursor position
   };
   std::vector<Captured> captured(buckets_.size());
-  bool any_blocks = false;
   for (std::size_t b = 0; b < buckets_.size(); ++b) {
     const Bucket& bucket = buckets_[b];
     std::lock_guard<std::mutex> lock(bucket.mutex);
@@ -452,24 +381,21 @@ Status BoundaryEdgeIndex::Save(const std::string& path, Cursor* sync,
     // Logical position: the capture holds only resident edges, and the
     // cursor anchors past everything ever appended before it.
     captured[b].end = bucket.start + bucket.edges.size();
-    any_blocks = any_blocks || !bucket.blocks.empty();
   }
 
   storage::ChecksummedFileWriter writer(path);
   writer.Write(kBoundaryMagic);
-  writer.Write(any_blocks ? kBoundaryVersionCompacted : kBoundaryVersion);
+  writer.Write(kBoundaryVersion);
   writer.Write(static_cast<std::uint64_t>(num_shards_));
   for (const Captured& cap : captured) {
-    if (any_blocks) {
-      writer.Write(static_cast<std::uint64_t>(cap.blocks.size()));
-      for (const CompactedBlock& block : cap.blocks) {
-        writer.Write(block.max_ts);
-        writer.Write(block.edge_count);
-        writer.Write(static_cast<std::uint64_t>(block.weight.size()));
-        for (const auto& [v, w] : block.weight) {
-          writer.Write(v);
-          writer.Write(w);
-        }
+    writer.Write(static_cast<std::uint64_t>(cap.blocks.size()));
+    for (const CompactedBlock& block : cap.blocks) {
+      writer.Write(block.max_ts);
+      writer.Write(block.edge_count);
+      writer.Write(static_cast<std::uint64_t>(block.weight.size()));
+      for (const auto& [v, w] : block.weight) {
+        writer.Write(v);
+        writer.Write(w);
       }
     }
     writer.Write(static_cast<std::uint64_t>(cap.edges.size()));
@@ -492,9 +418,6 @@ Status BoundaryEdgeIndex::Save(const std::string& path, Cursor* sync,
       }
     }
   }
-  if (format != nullptr) {
-    *format = any_blocks ? kBoundaryVersionCompacted : kBoundaryVersion;
-  }
   return Status::OK();
 }
 
@@ -507,8 +430,9 @@ Status BoundaryEdgeIndex::SaveTail(const std::string& path,
     return Status::FailedPrecondition(
         "boundary tail cursor was never anchored by a full Save");
   }
-  // An epoch bump (Clear/Load) since the cursor's anchor means the prefix
-  // the cursor describes no longer exists; only a full Save is sound.
+  // An epoch bump (AdoptBuckets) since the cursor's anchor means the
+  // prefix the cursor describes no longer exists; only a full Save is
+  // sound.
   for (std::size_t b = 0; b < buckets_.size(); ++b) {
     std::lock_guard<std::mutex> lock(buckets_[b].mutex);
     if (cursor->epoch[b] != buckets_[b].epoch) {
@@ -529,8 +453,8 @@ Status BoundaryEdgeIndex::SaveTail(const std::string& path,
   for (std::size_t b = 0; b < buckets_.size(); ++b) {
     const Bucket& bucket = buckets_[b];
     std::lock_guard<std::mutex> lock(bucket.mutex);
-    // Re-check under the lock (a concurrent Clear between the validation
-    // pass and here would silently rewind the bucket).
+    // Re-check under the lock (a concurrent AdoptBuckets between the
+    // validation pass and here would silently rewind the bucket).
     if (cursor->epoch[b] != bucket.epoch) {
       return Status::FailedPrecondition(
           "boundary index epoch changed under the persist cursor");
@@ -578,30 +502,22 @@ Status BoundaryEdgeIndex::ReadFile(const std::string& path,
   storage::ChecksummedFileReader reader(path);
   if (!reader.ok()) return Status::NotFound("no boundary index at " + path);
 
-  std::uint64_t magic = 0;
-  std::uint32_t version = 0;
+  SPADE_RETURN_NOT_OK(
+      reader.ReadHeader(kBoundaryMagic, kBoundaryVersion, "boundary index"));
   std::uint64_t shards = 0;
-  if (!reader.Read(&magic) || magic != kBoundaryMagic) {
-    return Status::IOError("bad boundary index magic in " + path);
-  }
-  if (!reader.Read(&version) ||
-      (version != kBoundaryVersion && version != kBoundaryVersionCompacted)) {
-    return Status::IOError("unsupported boundary index version in " + path);
-  }
   if (!reader.Read(&shards) || shards != expected_shards) {
     return Status::FailedPrecondition(
         "boundary index in " + path + " has " + std::to_string(shards) +
         " shards but the service has " + std::to_string(expected_shards));
   }
   FileData parsed;
-  if (version == kBoundaryVersionCompacted) {
-    SPADE_RETURN_NOT_OK(ReadBucketsCompacted(&reader,
-                                             expected_shards * expected_shards,
-                                             &parsed.buckets, &parsed.blocks));
-  } else {
-    SPADE_RETURN_NOT_OK(ReadBuckets(
-        &reader, expected_shards * expected_shards, &parsed.buckets));
+  parsed.buckets.resize(expected_shards * expected_shards);
+  parsed.blocks.resize(expected_shards * expected_shards);
+  for (std::size_t b = 0; b < parsed.buckets.size(); ++b) {
+    SPADE_RETURN_NOT_OK(ReadBucketBlocks(&reader, &parsed.blocks[b]));
+    SPADE_RETURN_NOT_OK(ReadBucketEdges(&reader, &parsed.buckets[b]));
   }
+  SPADE_RETURN_NOT_OK(reader.VerifyTrailer());
   *out = std::move(parsed);
   return Status::OK();
 }
@@ -613,16 +529,10 @@ Status BoundaryEdgeIndex::ReadTailFile(const std::string& path,
   storage::ChecksummedFileReader reader(path);
   if (!reader.ok()) return Status::NotFound("no boundary tail at " + path);
 
-  std::uint64_t magic = 0;
-  std::uint32_t version = 0;
+  SPADE_RETURN_NOT_OK(
+      reader.ReadHeader(kTailMagic, kTailVersion, "boundary tail"));
   std::uint64_t shards = 0;
   FileData parsed;
-  if (!reader.Read(&magic) || magic != kTailMagic) {
-    return Status::IOError("bad boundary tail magic in " + path);
-  }
-  if (!reader.Read(&version) || version != kTailVersion) {
-    return Status::IOError("unsupported boundary tail version in " + path);
-  }
   if (!reader.Read(&shards) || shards != expected_shards) {
     return Status::FailedPrecondition(
         "boundary tail in " + path + " has " + std::to_string(shards) +
@@ -631,15 +541,18 @@ Status BoundaryEdgeIndex::ReadTailFile(const std::string& path,
   if (!reader.Read(&parsed.epoch) || parsed.epoch != expected_epoch) {
     return Status::IOError("boundary tail epoch mismatch in " + path);
   }
-  SPADE_RETURN_NOT_OK(
-      ReadBuckets(&reader, expected_shards * expected_shards, &parsed.buckets));
+  parsed.buckets.resize(expected_shards * expected_shards);
+  for (std::vector<Edge>& edges : parsed.buckets) {
+    SPADE_RETURN_NOT_OK(ReadBucketEdges(&reader, &edges));
+  }
+  SPADE_RETURN_NOT_OK(reader.VerifyTrailer());
   *out = std::move(parsed);
   return Status::OK();
 }
 
 void BoundaryEdgeIndex::AdoptBuckets(FileData&& data, Cursor* sync) {
   SPADE_CHECK(data.buckets.size() == buckets_.size());
-  SPADE_CHECK(data.blocks.empty() || data.blocks.size() == buckets_.size());
+  SPADE_CHECK(data.blocks.size() == buckets_.size());
   if (sync != nullptr && sync->epoch.size() != buckets_.size()) {
     sync->epoch.assign(buckets_.size(), 0);
     sync->consumed.assign(buckets_.size(), 0);
@@ -657,8 +570,7 @@ void BoundaryEdgeIndex::AdoptBuckets(FileData&& data, Cursor* sync) {
     previous_compacted += BlockEdgeTotal(bucket.blocks);
     previous_entries += BlockEntryTotal(bucket.blocks);
     bucket.edges = std::move(data.buckets[b]);
-    bucket.blocks = data.blocks.empty() ? std::vector<CompactedBlock>{}
-                                        : std::move(data.blocks[b]);
+    bucket.blocks = std::move(data.blocks[b]);
     // Restored blocks sit below the raw edges in logical order, exactly as
     // the save captured them.
     bucket.start = BlockEdgeTotal(bucket.blocks);
@@ -700,13 +612,6 @@ void BoundaryEdgeIndex::AppendBuckets(const FileData& data, Cursor* sync) {
     }
   }
   total_.fetch_add(appended, std::memory_order_relaxed);
-}
-
-Status BoundaryEdgeIndex::Load(const std::string& path, Cursor* sync) {
-  FileData data;
-  SPADE_RETURN_NOT_OK(ReadFile(path, num_shards_, &data));
-  AdoptBuckets(std::move(data), sync);
-  return Status::OK();
 }
 
 }  // namespace spade

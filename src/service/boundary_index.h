@@ -16,9 +16,10 @@
 // dst_home), each with its own mutex, so workers recording into different
 // pairs never contend. The buckets double as the stitcher's message
 // queues: a fold through a Cursor consumes exactly the suffix appended
-// since its last visit. Buckets are epoch-stamped: Clear()/Load() bump the
-// epoch, and a consumer folding through a Cursor detects the bump and
-// rebuilds from scratch instead of silently mixing generations.
+// since its last visit. Buckets are epoch-stamped: a restore's
+// AdoptBuckets() bumps the epoch, and a consumer folding through a Cursor
+// detects the bump and rebuilds from scratch instead of silently mixing
+// generations.
 //
 // Compaction: once the stitcher has consumed a bucket's prefix (and a
 // checkpoint chain, if one is active, has persisted it — see the persist
@@ -28,15 +29,16 @@
 // only for the unconsumed suffix (the live message-queue tail) and for
 // anything a checkpoint chain still needs verbatim. Blocks keep a
 // conservative max-timestamp so EvictOlderThan can still drop them whole
-// once the window passes them, and full saves persist them (format v2) so
-// save/restore stays exact.
+// once the window passes them, and full saves persist them so save/restore
+// stays exact.
 //
-// Persistence: Save/Load write a little-endian, CRC-64-protected binary
-// file (storage/checked_io.h trailer discipline) holding the shard count
-// and every bucket's blocks + edges; the sharded snapshot manifest
-// references it so a restored fleet resumes stitching without replaying
-// the stream. A bucket with no blocks writes format v1, byte-identical to
-// pre-compaction files.
+// Persistence: Save writes a little-endian, CRC-64-protected binary file
+// (storage/checked_io.h trailer discipline) holding the shard count and,
+// per bucket, a block section (count 0 when the bucket has no blocks) and
+// the raw edges; the sharded snapshot manifest references it so a restored
+// fleet resumes stitching without replaying the stream. Base files are
+// version 2 and tails version 1; each reader accepts its one version only
+// and names any other version it finds.
 //
 // Incremental persistence: because buckets are append-only within an
 // epoch, a checkpoint does not need to rewrite them — SaveTail persists
@@ -151,10 +153,10 @@ class BoundaryEdgeIndex {
   /// Folds every edge appended since `cursor` into `weight` (each endpoint
   /// accumulates the edge weight — the vertex's total cross-shard
   /// suspiciousness mass). If any bucket's epoch changed since the cursor
-  /// last visited (Clear/Load), the aggregate is cleared and rebuilt from
+  /// last visited (AdoptBuckets), the aggregate is cleared and rebuilt from
   /// the full index (compacted blocks contribute their stored sums);
   /// returns true in that case. Concurrent Record() calls are safe;
-  /// concurrent Clear()/Load()/CompactConsumed() must be serialized by the
+  /// concurrent AdoptBuckets()/CompactConsumed() must be serialized by the
   /// caller (the service's stitch lock does this). Compaction is driven by
   /// this same cursor, so a block never splits a fold: any block past the
   /// cursor is folded whole.
@@ -164,7 +166,7 @@ class BoundaryEdgeIndex {
   /// Collapses each bucket's fold-consumed, persist-covered raw prefix into
   /// a CompactedBlock (skipping runs shorter than `min_batch` — tiny blocks
   /// cost more than they save). Caller must pass the SAME cursor that
-  /// drives FoldNewEdges and serialize against Clear/Load (the stitch
+  /// drives FoldNewEdges and serialize against AdoptBuckets (the stitch
   /// lock). Logical positions, TotalEdges and all cursors are unaffected.
   /// Returns the number of raw edges compacted.
   std::size_t CompactConsumed(const Cursor& fold_cursor,
@@ -191,32 +193,18 @@ class BoundaryEdgeIndex {
   std::size_t EvictOlderThan(Timestamp horizon, const Cursor& fold_cursor,
                              std::unordered_map<VertexId, double>* weight);
 
-  /// Drops every edge and block and bumps every bucket epoch. When `sync`
-  /// is non-null it is positioned at the now-empty buckets, so a following
-  /// SaveTail persists exactly the edges recorded after the clear.
-  void Clear(Cursor* sync = nullptr);
-
   /// Atomically persists the index (temp file + rename, CRC-64 trailer).
-  /// Writes format v2 when any bucket holds compacted blocks, else the
-  /// pre-compaction v1 bytes exactly. When `sync` is non-null it is
-  /// advanced, bucket by bucket under the bucket lock, to exactly the
-  /// prefix this file contains — the anchor for subsequent SaveTail calls —
-  /// and each bucket's persist floor moves up to that prefix (committed
-  /// only after the file is durable). `format` (optional) reports the
-  /// version written, for the manifest's boundary-format line.
-  Status Save(const std::string& path, Cursor* sync = nullptr,
-              std::uint32_t* format = nullptr) const;
-
-  /// Replaces the contents from a file written by Save. The file's shard
-  /// count must match; every bucket epoch is bumped so fold cursors
-  /// rebuild. `sync` (optional) is positioned at the loaded prefix.
-  Status Load(const std::string& path, Cursor* sync = nullptr);
+  /// When `sync` is non-null it is advanced, bucket by bucket under the
+  /// bucket lock, to exactly the prefix this file contains — the anchor for
+  /// subsequent SaveTail calls — and each bucket's persist floor moves up
+  /// to that prefix (committed only after the file is durable).
+  Status Save(const std::string& path, Cursor* sync = nullptr) const;
 
   /// Parsed contents of a base or tail file: per bucket, compacted blocks
-  /// (base v2 only) plus raw edges.
+  /// (base files only) plus raw edges.
   struct FileData {
     std::vector<std::vector<Edge>> buckets;
-    std::vector<std::vector<CompactedBlock>> blocks;  // empty or per-bucket
+    std::vector<std::vector<CompactedBlock>> blocks;  // empty for tails
     std::uint64_t epoch = 0;  // tail files only: the checkpoint epoch
     std::size_t NumEdges() const {
       std::size_t n = 0;
@@ -232,16 +220,15 @@ class BoundaryEdgeIndex {
   /// since `cursor` and advances it (plus the persist floor, after the
   /// file is durable). Fails with kFailedPrecondition (writing nothing)
   /// when any bucket's epoch changed since the cursor last visited
-  /// (Clear/Load happened), or when the cursor's suffix was compacted away
-  /// (cannot happen through the service flow — the floor forbids it — but
-  /// a full Save is the sound fallback either way). `checkpoint_epoch` is
+  /// (AdoptBuckets happened), or when the cursor's suffix was compacted
+  /// away (cannot happen through the service flow — the floor forbids it —
+  /// but a full Save is the sound fallback either way). `checkpoint_epoch` is
   /// stamped into the file for chain validation.
   Status SaveTail(const std::string& path, std::uint64_t checkpoint_epoch,
                   Cursor* cursor, std::uint64_t* bytes_written = nullptr) const;
 
   /// Reads + validates a base file without touching the index (the
   /// two-phase restore validates every file before any side effect).
-  /// Accepts v1 (raw only) and v2 (blocks + raw).
   static Status ReadFile(const std::string& path, std::size_t expected_shards,
                          FileData* out);
 
@@ -250,12 +237,12 @@ class BoundaryEdgeIndex {
                              std::size_t expected_shards,
                              std::uint64_t expected_epoch, FileData* out);
 
-  /// Replaces the contents with `data` (epoch-bumping every bucket, like
-  /// Load). Restored blocks sit below the raw edges: each bucket's logical
-  /// start becomes the sum of its block counts. `sync` (optional) is
-  /// positioned at the adopted prefix (blocks included), and the persist
-  /// floor anchors there — the adopted content is durable in the file the
-  /// restore chain resumes from.
+  /// Replaces the contents with a base file's `data`, epoch-bumping every
+  /// bucket so fold cursors rebuild. Restored blocks sit below the raw
+  /// edges: each bucket's logical start becomes the sum of its block
+  /// counts. `sync` (optional) is positioned at the adopted prefix (blocks
+  /// included), and the persist floor anchors there — the adopted content
+  /// is durable in the file the restore chain resumes from.
   void AdoptBuckets(FileData&& data, Cursor* sync = nullptr);
 
   /// Appends a validated tail to the buckets — no epoch bump, so fold

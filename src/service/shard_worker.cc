@@ -591,8 +591,8 @@ Status ShardWorker::SavePartition(std::size_t pid, const std::string& path,
   // covered by the base snapshot. (The flush below mirrors what
   // Spade::SaveState did; replay of a later chain starts from that flushed
   // state, which is why no marker needs to survive the reset.) The window
-  // log rides in the snapshot's v2 section — an empty window (every
-  // non-windowed partition) writes the same v1 bytes as before.
+  // log rides in the snapshot's window section, empty for a non-windowed
+  // partition.
   SPADE_RETURN_NOT_OK(p->spade.Flush());
   const std::vector<Edge> window(p->window_log.begin(), p->window_log.end());
   SPADE_RETURN_NOT_OK(

@@ -1098,10 +1098,9 @@ bool ParseEpochSuffix(std::string_view s, std::uint64_t* epoch) {
 /// Strict parser for epoch-stamped checkpoint artifact names: matches
 /// exactly `shard-<digits>.snapshot-<digits>`, `shard-<digits>.delta-
 /// <digits>`, `boundary.tail-<digits>` and `boundary.index-<digits>`,
-/// yielding the epoch. Legacy unstamped names (shard-<i>.snapshot,
-/// boundary.index) and every foreign file — client spill buffers, ingest
-/// seqmaps, editor droppings — never match, so sharing the directory with
-/// non-checkpoint files neither perturbs epoch numbering nor gets them
+/// yielding the epoch. Every foreign file — client spill buffers, ingest
+/// seqmaps, editor droppings — never matches, so sharing the directory
+/// with non-checkpoint files neither perturbs epoch numbering nor gets them
 /// garbage-collected. The single classifier serves both the GC and the
 /// epoch scanner: if they ever disagreed, NextEpochForDir could hand out
 /// an epoch whose crashed files survived GC — the stale-bytes collision
@@ -1184,9 +1183,7 @@ Status ShardedDetectionService::SaveFull(const std::string& dir,
   const std::size_t num_partitions = map_.num_partitions();
   ShardManifest manifest;
   // Checkpoint files are per PARTITION (the stable unit); `num_shards` in
-  // the manifest is the partition count, which equals the worker count for
-  // every fleet built before rebalancing existed — old directories restore
-  // unchanged.
+  // the manifest is the partition count.
   manifest.num_shards = static_cast<std::uint32_t>(num_partitions);
   manifest.semantics = semantics_;
   manifest.epoch = epoch;
@@ -1209,8 +1206,7 @@ Status ShardedDetectionService::SaveFull(const std::string& dir,
     manifest.files.push_back(name);
   }
   // Sparse placement rows: only partitions living away from their default
-  // worker (pid % num_workers) are recorded, so a never-rebalanced fleet
-  // writes a byte-identical manifest to the pre-rebalance format.
+  // worker (pid % num_workers) are recorded.
   for (std::size_t pid = 0; pid < num_partitions; ++pid) {
     const std::size_t shard = map_.ShardOf(pid);
     if (shard != pid % workers_.size()) {
@@ -1221,13 +1217,8 @@ Status ShardedDetectionService::SaveFull(const std::string& dir,
   manifest.boundary_file = BoundaryIndexFileName(epoch);
   const std::string boundary_path = JoinPath(dir, manifest.boundary_file);
   // Save() anchors the persist cursor at exactly the prefix the file
-  // holds, so the first tail continues seamlessly. The format out-param
-  // lands in the manifest: a v2 (compacted) base announces itself so a
-  // reader rejects it up front instead of mid-parse.
-  std::uint32_t boundary_format = 1;
-  SPADE_RETURN_NOT_OK(boundary_.Save(boundary_path, &boundary_persist_cursor_,
-                                     &boundary_format));
-  manifest.boundary_format = boundary_format;
+  // holds, so the first tail continues seamlessly.
+  SPADE_RETURN_NOT_OK(boundary_.Save(boundary_path, &boundary_persist_cursor_));
   bytes += FileSizeOrZero(boundary_path);
   // Manifest last and atomically: a crash anywhere above leaves either no
   // manifest (kNotFound) or the previous epoch's manifest (clean restore
@@ -1317,9 +1308,8 @@ void ShardedDetectionService::RemoveStaleChainFiles(
   std::error_code ec;
   for (const auto& entry : std::filesystem::directory_iterator(dir, ec)) {
     const std::string name = entry.path().filename().string();
-    // Only epoch-stamped artifacts are ever collected, so legacy
-    // unstamped files — and foreign files sharing the directory — survive
-    // untouched.
+    // Only epoch-stamped artifacts are ever collected, so foreign files
+    // sharing the directory survive untouched.
     std::uint64_t epoch = 0;
     if (ParseEpochStampedArtifact(name, &epoch) &&
         referenced.count(name) == 0) {
@@ -1434,12 +1424,9 @@ Status ShardedDetectionService::RestoreState(const std::string& dir,
                                      &plans[pid].window));
   }
   BoundaryEdgeIndex::FileData boundary_base;
-  const bool has_boundary = !manifest.boundary_file.empty();
-  if (has_boundary) {
-    SPADE_RETURN_NOT_OK(
-        BoundaryEdgeIndex::ReadFile(JoinPath(dir, manifest.boundary_file),
-                                    num_partitions, &boundary_base));
-  }
+  SPADE_RETURN_NOT_OK(
+      BoundaryEdgeIndex::ReadFile(JoinPath(dir, manifest.boundary_file),
+                                  num_partitions, &boundary_base));
   // Chain epochs, oldest first: stop at the first epoch with any torn or
   // corrupt file. Everything before it is durable by construction (those
   // files were fully written before the later manifest was published), so
@@ -1461,7 +1448,7 @@ Status ShardedDetectionService::RestoreState(const std::string& dir,
       if (epoch_ok) epoch_segments[pid] = std::move(segment);
     }
     BoundaryEdgeIndex::FileData tail;
-    if (epoch_ok && has_boundary) {
+    if (epoch_ok) {
       const BoundaryTailRef& ref =
           manifest.boundary_tails[e - manifest.base_epoch - 1];
       epoch_ok = BoundaryEdgeIndex::ReadTailFile(JoinPath(dir, ref.file),
@@ -1477,7 +1464,7 @@ Status ShardedDetectionService::RestoreState(const std::string& dir,
       delta_edges += epoch_segments[pid].NumEdges();
       plans[pid].segments.push_back(std::move(epoch_segments[pid]));
     }
-    if (has_boundary) tails.push_back(std::move(tail));
+    tails.push_back(std::move(tail));
     restored_epoch = e;
   }
 
@@ -1552,55 +1539,41 @@ Status ShardedDetectionService::RestoreState(const std::string& dir,
   }
   {
     std::lock_guard<std::mutex> stitch_lock(stitch_mutex_);
-    if (!has_boundary) {
-      // Pre-stitching snapshot: no boundary record survives; stitching
-      // resumes as cross-shard traffic arrives.
-      boundary_.Clear(&boundary_persist_cursor_);
-    } else {
-      // The epoch bump inside AdoptBuckets forces the next stitch pass to
-      // rebuild its per-vertex aggregate; tails append under the same
-      // cursor so the next SaveTail persists only post-restore records.
-      boundary_.AdoptBuckets(std::move(boundary_base),
-                             &boundary_persist_cursor_);
-      for (BoundaryEdgeIndex::FileData& tail : tails) {
-        boundary_.AppendBuckets(tail, &boundary_persist_cursor_);
-      }
+    // The epoch bump inside AdoptBuckets forces the next stitch pass to
+    // rebuild its per-vertex aggregate; tails append under the same cursor
+    // so the next SaveTail persists only post-restore records.
+    boundary_.AdoptBuckets(std::move(boundary_base),
+                           &boundary_persist_cursor_);
+    for (BoundaryEdgeIndex::FileData& tail : tails) {
+      boundary_.AppendBuckets(tail, &boundary_persist_cursor_);
     }
   }
 
-  // Resume the chain in this directory when it has an epoch history (v3);
-  // legacy v1/v2 directories restart with a full save.
-  if (manifest.epoch >= 1) {
-    chain_dir_ = dir;
-    chain_ = std::move(manifest);
-    if (restored_epoch < chain_.epoch) {
-      // Truncate the cached chain to the durable prefix; the dropped
-      // epochs' files are dead and will be overwritten or GC'd.
-      chain_.epoch = restored_epoch;
-      chain_.deltas.resize((restored_epoch - chain_.base_epoch) *
-                           num_partitions);
-      if (has_boundary) {
-        chain_.boundary_tails.resize(restored_epoch - chain_.base_epoch);
-      }
-    }
-    chain_base_bytes_ = 0;
-    for (const std::string& f : chain_.files) {
-      chain_base_bytes_ += FileSizeOrZero(JoinPath(dir, f));
-    }
-    chain_delta_bytes_ = 0;
-    for (const DeltaSegmentRef& ref : chain_.deltas) {
-      chain_delta_bytes_ += FileSizeOrZero(JoinPath(dir, ref.file));
-    }
-    if (restored_epoch < manifest_epoch) {
-      // Collect the torn epochs' files now (best effort): leaving them
-      // would let a later save reuse their epoch numbers while the
-      // on-disk manifest still references the old bytes — a crash in
-      // that window would splice two timelines into one restorable (and
-      // wrong) chain.
-      RemoveStaleChainFiles(dir);
-    }
-  } else {
-    chain_dir_.clear();
+  // Resume the chain in this directory: the next SaveState extends it.
+  chain_dir_ = dir;
+  chain_ = std::move(manifest);
+  if (restored_epoch < chain_.epoch) {
+    // Truncate the cached chain to the durable prefix; the dropped epochs'
+    // files are dead and will be overwritten or GC'd.
+    chain_.epoch = restored_epoch;
+    chain_.deltas.resize((restored_epoch - chain_.base_epoch) *
+                         num_partitions);
+    chain_.boundary_tails.resize(restored_epoch - chain_.base_epoch);
+  }
+  chain_base_bytes_ = 0;
+  for (const std::string& f : chain_.files) {
+    chain_base_bytes_ += FileSizeOrZero(JoinPath(dir, f));
+  }
+  chain_delta_bytes_ = 0;
+  for (const DeltaSegmentRef& ref : chain_.deltas) {
+    chain_delta_bytes_ += FileSizeOrZero(JoinPath(dir, ref.file));
+  }
+  if (restored_epoch < manifest_epoch) {
+    // Collect the torn epochs' files now (best effort): leaving them would
+    // let a later save reuse their epoch numbers while the on-disk
+    // manifest still references the old bytes — a crash in that window
+    // would splice two timelines into one restorable (and wrong) chain.
+    RemoveStaleChainFiles(dir);
   }
   if (info != nullptr) {
     info->manifest_epoch = manifest_epoch;
@@ -1656,13 +1629,10 @@ Status ShardedDetectionService::ApplyChainEpoch(
     }
     segments[pid] = std::move(segment);
   }
-  const bool has_boundary = !manifest.boundary_file.empty();
   BoundaryEdgeIndex::FileData tail;
-  if (has_boundary) {
-    const BoundaryTailRef& ref = manifest.boundary_tails[epoch_row];
-    SPADE_RETURN_NOT_OK(BoundaryEdgeIndex::ReadTailFile(
-        JoinPath(dir, ref.file), num_partitions, target_epoch, &tail));
-  }
+  SPADE_RETURN_NOT_OK(BoundaryEdgeIndex::ReadTailFile(
+      JoinPath(dir, manifest.boundary_tails[epoch_row].file), num_partitions,
+      target_epoch, &tail));
 
   // ---- Phase 2: replay. Everything below passed validation. -------------
   std::uint64_t replayed = 0;
@@ -1679,9 +1649,7 @@ Status ShardedDetectionService::ApplyChainEpoch(
   }
   {
     std::lock_guard<std::mutex> stitch_lock(stitch_mutex_);
-    if (has_boundary) {
-      boundary_.AppendBuckets(tail, &boundary_persist_cursor_);
-    }
+    boundary_.AppendBuckets(tail, &boundary_persist_cursor_);
   }
   // The cached save chain no longer matches the workers' (now replayed-
   // ahead) delta logs; drop it so the next SaveState writes a fresh full

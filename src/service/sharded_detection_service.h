@@ -542,11 +542,12 @@ class ShardedDetectionService {
   /// default (each chain replays only into its own detector, so the result
   /// is bit-identical to a serial restore; `restore_threads` caps or
   /// serializes the pool). Detectors keep their installed semantics. The
-  /// boundary index
-  /// is restored too (snapshots from before the index existed restore it
-  /// empty), and the stitched snapshot *and* the stitch/boundary counters
-  /// are reset — stats() afterwards describes the restored run, not the
-  /// one that wrote the snapshot.
+  /// boundary index is restored too, and the stitched snapshot *and* the
+  /// stitch/boundary counters are reset — stats() afterwards describes the
+  /// restored run, not the one that wrote the snapshot. The directory's
+  /// chain is resumed: the next SaveState into it appends a delta epoch.
+  /// Only the one on-disk layout this build writes is accepted (manifest
+  /// version 4); any other version fails with kIOError naming it.
   Status RestoreState(const std::string& dir, RestoreInfo* info = nullptr);
 
   /// Warm-standby increment: applies exactly checkpoint epoch

@@ -123,6 +123,26 @@ bool ChecksummedFileReader::ReadBytes(void* data, std::size_t size) {
   return true;
 }
 
+Status ChecksummedFileReader::ReadHeader(std::uint64_t magic,
+                                         std::uint32_t version,
+                                         std::string_view what) {
+  std::uint64_t found_magic = 0;
+  std::uint32_t found_version = 0;
+  if (!Read(&found_magic) || found_magic != magic) {
+    return Status::IOError(path_ + ": not a Spade " + std::string(what));
+  }
+  if (!Read(&found_version)) {
+    return Status::IOError(path_ + ": truncated " + std::string(what) +
+                           " header");
+  }
+  if (found_version != version) {
+    return Status::IOError(path_ + ": unsupported " + std::string(what) +
+                           " version " + std::to_string(found_version) +
+                           " (expected " + std::to_string(version) + ")");
+  }
+  return Status::OK();
+}
+
 Status ChecksummedFileReader::VerifyTrailer() {
   const std::uint64_t computed = crc_;
   std::uint64_t stored = 0;

@@ -117,6 +117,13 @@ class ChecksummedFileReader {
     return ReadBytes(value, sizeof(*value));
   }
 
+  /// Reads the [magic u64][version u32] header every binary format opens
+  /// with. Each format has exactly one on-disk version: a foreign magic or
+  /// any other version fails with kIOError, and the message names the
+  /// version found. `what` names the format in the message.
+  Status ReadHeader(std::uint64_t magic, std::uint32_t version,
+                    std::string_view what);
+
   /// Reads the 8-byte trailer and compares it with the accumulated CRC.
   /// Fails on truncation (missing trailer) and on any payload mutation.
   Status VerifyTrailer();

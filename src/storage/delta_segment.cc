@@ -7,10 +7,7 @@ namespace spade {
 namespace {
 
 constexpr std::uint64_t kDeltaMagic = 0x53504144455F4453ULL;  // "SPADE_DS"
-constexpr std::uint32_t kDeltaVersion = 1;
-// Version 2 adds the retire record kind (tag 2). Only emitted when a
-// segment actually contains one, so insert-only chains stay byte-stable.
-constexpr std::uint32_t kDeltaVersionRetire = 2;
+constexpr std::uint32_t kDeltaVersion = 2;
 constexpr std::uint8_t kTagEdge = 0;
 constexpr std::uint8_t kTagFlush = 1;
 constexpr std::uint8_t kTagRetire = 2;
@@ -19,16 +16,9 @@ constexpr std::uint8_t kTagRetire = 2;
 
 Status WriteDeltaSegment(const std::string& path, const DeltaSegment& segment,
                          std::uint64_t* bytes_written) {
-  bool has_retire = false;
-  for (const DeltaRecord& r : segment.records) {
-    if (r.retire) {
-      has_retire = true;
-      break;
-    }
-  }
   storage::ChecksummedFileWriter writer(path);
   writer.Write(kDeltaMagic);
-  writer.Write(has_retire ? kDeltaVersionRetire : kDeltaVersion);
+  writer.Write(kDeltaVersion);
   writer.Write(segment.shard);
   writer.Write(segment.prev_epoch);
   writer.Write(segment.epoch);
@@ -54,15 +44,8 @@ Status ReadDeltaSegment(const std::string& path, DeltaSegment* segment) {
   storage::ChecksummedFileReader reader(path);
   if (!reader.ok()) return Status::IOError("cannot open " + path);
 
-  std::uint64_t magic = 0;
-  std::uint32_t version = 0;
-  if (!reader.Read(&magic) || magic != kDeltaMagic) {
-    return Status::IOError(path + ": not a Spade delta segment");
-  }
-  if (!reader.Read(&version) ||
-      (version != kDeltaVersion && version != kDeltaVersionRetire)) {
-    return Status::IOError(path + ": unsupported delta segment version");
-  }
+  SPADE_RETURN_NOT_OK(
+      reader.ReadHeader(kDeltaMagic, kDeltaVersion, "delta segment"));
   DeltaSegment parsed;
   std::uint64_t num_records = 0;
   if (!reader.Read(&parsed.shard) || !reader.Read(&parsed.prev_epoch) ||

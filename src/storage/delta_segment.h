@@ -24,7 +24,7 @@
 // CRC-64 trailer discipline (storage/checked_io.h): any torn or mutated
 // segment is detected before a single record is replayed.
 //
-// Format (little-endian):
+// Format (little-endian, version 2):
 //   [magic u64 "SPADE_DS"][version u32]
 //   [shard u32][prev_epoch u64][epoch u64]
 //   [num_records u64]
@@ -33,12 +33,12 @@
 //          | [tag u8 = 2][src u32][dst u32][weight f64][ts i64]  (retire)
 //   [crc64 trailer]
 //
-// Retire records (tag 2, version 2) carry the *applied* weight the edge
-// entered the graph with — the deletion path must subtract exactly what the
-// insertion added — plus the event timestamp, so replay reproduces a
-// windowed detector's insert-then-retire history bit-for-bit. Writers emit
-// version 1 when a segment has no retire records, keeping insert-only
-// chains byte-identical to pre-window builds.
+// Retire records (tag 2) carry the *applied* weight the edge entered the
+// graph with — the deletion path must subtract exactly what the insertion
+// added — plus the event timestamp, so replay reproduces a windowed
+// detector's insert-then-retire history bit-for-bit. Every segment is
+// version 2, whatever records it holds; the reader accepts version 2 only
+// and names any other version it finds.
 
 #pragma once
 

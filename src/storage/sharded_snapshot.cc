@@ -15,8 +15,7 @@ namespace spade {
 namespace {
 
 constexpr char kMagic[] = "spade-shard-manifest";
-constexpr int kVersion = 3;       // written
-constexpr int kMinVersion = 1;    // still readable (no chain, no crc line)
+constexpr int kVersion = 4;
 constexpr char kManifestName[] = "manifest.spade";
 
 Status Malformed(const std::string& path, const std::string& what) {
@@ -44,8 +43,7 @@ Status ValidateChain(const ShardManifest& m, const std::string& path) {
       }
     }
   }
-  const std::size_t expected_tails = m.boundary_file.empty() ? 0 : chain;
-  if (m.boundary_tails.size() != expected_tails) {
+  if (m.boundary_tails.size() != chain) {
     return Malformed(path, "boundary tail count mismatch");
   }
   for (std::uint64_t i = 0; i < m.boundary_tails.size(); ++i) {
@@ -58,12 +56,6 @@ Status ValidateChain(const ShardManifest& m, const std::string& path) {
 }
 
 }  // namespace
-
-std::string ShardSnapshotFileName(std::size_t shard) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "shard-%zu.snapshot", shard);
-  return buf;
-}
 
 std::string ShardSnapshotFileName(std::size_t shard, std::uint64_t epoch) {
   char buf[64];
@@ -104,8 +96,8 @@ Status WriteShardManifest(const std::string& dir,
     return Status::InvalidArgument("ShardManifest: base_epoch must be >= 1");
   }
   if (manifest.boundary_file.empty()) {
-    // Version 3 readers require the boundary line (an index that never saw
-    // a cross-shard edge still serializes, as empty buckets).
+    // An index that never saw a cross-shard edge still serializes, as
+    // empty buckets, so every manifest names one.
     return Status::InvalidArgument("ShardManifest: boundary_file is required");
   }
   {
@@ -144,18 +136,12 @@ Status WriteShardManifest(const std::string& dir,
     out << "delta " << ref.epoch << ' ' << ref.shard << ' ' << ref.file
         << '\n';
   }
-  if (!manifest.boundary_file.empty()) {
-    out << "boundary " << manifest.boundary_file << '\n';
-    for (const BoundaryTailRef& ref : manifest.boundary_tails) {
-      out << "boundary-delta " << ref.epoch << ' ' << ref.file << '\n';
-    }
-    // Optional line: format 1 stays byte-identical to older manifests.
-    if (manifest.boundary_format != 1) {
-      out << "boundary-format " << manifest.boundary_format << '\n';
-    }
+  out << "boundary " << manifest.boundary_file << '\n';
+  for (const BoundaryTailRef& ref : manifest.boundary_tails) {
+    out << "boundary-delta " << ref.epoch << ' ' << ref.file << '\n';
   }
   // Sparse placement rows (rebalanced fleets only): a default placement
-  // emits nothing, keeping the manifest byte-identical to older writers.
+  // emits nothing.
   for (const auto& [pid, shard] : manifest.placement) {
     out << "placement " << pid << ' ' << shard << '\n';
   }
@@ -184,8 +170,10 @@ Status ReadShardManifest(const std::string& dir, ShardManifest* manifest) {
   if (!(in >> magic >> version) || magic != kMagic) {
     return Malformed(path, "has bad magic");
   }
-  if (version < kMinVersion || version > kVersion) {
-    return Malformed(path, "has unsupported version");
+  if (version != kVersion) {
+    return Malformed(path, "has unsupported version " +
+                               std::to_string(version) + " (expected " +
+                               std::to_string(kVersion) + ")");
   }
   std::string key;
   ShardManifest m;
@@ -202,24 +190,21 @@ Status ReadShardManifest(const std::string& dir, ShardManifest* manifest) {
   if (!(in >> key >> m.semantics) || key != "semantics") {
     return Malformed(path, "missing semantics");
   }
-  if (version >= 3) {
-    if (!(in >> key >> m.epoch) || key != "epoch") {
-      return Malformed(path, "missing epoch");
-    }
-    if (!(in >> key >> m.base_epoch) || key != "base-epoch") {
-      return Malformed(path, "missing base-epoch");
-    }
-    if (m.base_epoch < 1 || m.epoch < m.base_epoch) {
-      return Malformed(path, "has an invalid epoch range");
-    }
-    // Same gate for the chain: every delta epoch costs at least one
-    // "delta ..." line per shard (divide rather than multiply, so a
-    // crafted epoch cannot overflow the product).
-    const std::uint64_t max_chain =
-        content.size() / std::max<std::uint32_t>(1, m.num_shards);
-    if (m.epoch - m.base_epoch > max_chain) {
-      return Malformed(path, "chain length exceeds the manifest size");
-    }
+  if (!(in >> key >> m.epoch) || key != "epoch") {
+    return Malformed(path, "missing epoch");
+  }
+  if (!(in >> key >> m.base_epoch) || key != "base-epoch") {
+    return Malformed(path, "missing base-epoch");
+  }
+  if (m.base_epoch < 1 || m.epoch < m.base_epoch) {
+    return Malformed(path, "has an invalid epoch range");
+  }
+  // Same gate for the chain: every delta epoch costs at least one
+  // "delta ..." line per shard (divide rather than multiply, so a crafted
+  // epoch cannot overflow the product).
+  const std::uint64_t chain = m.epoch - m.base_epoch;
+  if (chain > content.size() / std::max<std::uint32_t>(1, m.num_shards)) {
+    return Malformed(path, "chain length exceeds the manifest size");
   }
   m.files.assign(m.num_shards, "");
   for (std::uint32_t i = 0; i < m.num_shards; ++i) {
@@ -232,95 +217,72 @@ Status ReadShardManifest(const std::string& dir, ShardManifest* manifest) {
     }
     m.files[i] = name;
   }
-  if (version >= 3) {
-    const std::uint64_t chain = m.epoch - m.base_epoch;
-    m.deltas.reserve(chain * m.num_shards);
-    for (std::uint64_t e = m.base_epoch + 1; e <= m.epoch; ++e) {
-      for (std::uint32_t s = 0; s < m.num_shards; ++s) {
-        DeltaSegmentRef ref;
-        if (!(in >> key >> ref.epoch >> ref.shard >> ref.file) ||
-            key != "delta" || ref.epoch != e || ref.shard != s ||
-            ref.file.empty()) {
-          return Malformed(path, "delta entry malformed");
-        }
-        m.deltas.push_back(std::move(ref));
+  m.deltas.reserve(chain * m.num_shards);
+  for (std::uint64_t e = m.base_epoch + 1; e <= m.epoch; ++e) {
+    for (std::uint32_t s = 0; s < m.num_shards; ++s) {
+      DeltaSegmentRef ref;
+      if (!(in >> key >> ref.epoch >> ref.shard >> ref.file) ||
+          key != "delta" || ref.epoch != e || ref.shard != s ||
+          ref.file.empty()) {
+        return Malformed(path, "delta entry malformed");
       }
+      m.deltas.push_back(std::move(ref));
     }
-    if (!(in >> key >> m.boundary_file) || key != "boundary" ||
-        m.boundary_file.empty()) {
-      return Malformed(path, "missing boundary entry");
+  }
+  if (!(in >> key >> m.boundary_file) || key != "boundary" ||
+      m.boundary_file.empty()) {
+    return Malformed(path, "missing boundary entry");
+  }
+  m.boundary_tails.reserve(chain);
+  for (std::uint64_t e = m.base_epoch + 1; e <= m.epoch; ++e) {
+    BoundaryTailRef ref;
+    if (!(in >> key >> ref.epoch >> ref.file) || key != "boundary-delta" ||
+        ref.epoch != e || ref.file.empty()) {
+      return Malformed(path, "boundary-delta entry malformed");
     }
-    m.boundary_tails.reserve(chain);
-    for (std::uint64_t e = m.base_epoch + 1; e <= m.epoch; ++e) {
-      BoundaryTailRef ref;
-      if (!(in >> key >> ref.epoch >> ref.file) || key != "boundary-delta" ||
-          ref.epoch != e || ref.file.empty()) {
-        return Malformed(path, "boundary-delta entry malformed");
-      }
-      m.boundary_tails.push_back(std::move(ref));
+    m.boundary_tails.push_back(std::move(ref));
+  }
+  if (!(in >> key)) return Malformed(path, "missing crc line");
+  // Sparse placement rows (zero or more), strictly ascending pid. The
+  // pid bound doubles as the row-count bound, so no allocation gate is
+  // needed beyond num_shards' own.
+  while (key == "placement") {
+    std::uint32_t pid = 0;
+    std::uint32_t shard = 0;
+    if (!(in >> pid >> shard) || pid >= m.num_shards ||
+        shard >= m.num_shards ||
+        (!m.placement.empty() && pid <= m.placement.back().first)) {
+      return Malformed(path, "placement entry malformed");
     }
+    m.placement.push_back({pid, shard});
     if (!(in >> key)) return Malformed(path, "missing crc line");
-    if (key == "boundary-format") {
-      if (!(in >> m.boundary_format)) {
-        return Malformed(path, "boundary-format entry malformed");
-      }
-      // 1 never appears on the wire (the writer omits it); 2 = compacted.
-      if (m.boundary_format != 2) {
-        return Malformed(path, "has an unsupported boundary-format");
-      }
-      if (!(in >> key)) return Malformed(path, "missing crc line");
-    }
-    // Sparse placement rows (zero or more), strictly ascending pid. The
-    // pid bound doubles as the row-count bound, so no allocation gate is
-    // needed beyond num_shards' own.
-    while (key == "placement") {
-      std::uint32_t pid = 0;
-      std::uint32_t shard = 0;
-      if (!(in >> pid >> shard) || pid >= m.num_shards ||
-          shard >= m.num_shards ||
-          (!m.placement.empty() && pid <= m.placement.back().first)) {
-        return Malformed(path, "placement entry malformed");
-      }
-      m.placement.push_back({pid, shard});
-      if (!(in >> key)) return Malformed(path, "missing crc line");
-    }
-    // The crc line covers every byte above it — locate it in the raw
-    // content (the last line) and recompute.
-    std::uint64_t stored = 0;
-    if (key != "crc" || !(in >> std::hex >> stored)) {
-      return Malformed(path, "missing crc line");
-    }
-    const std::size_t crc_pos = content.rfind("crc ");
-    if (crc_pos == std::string::npos || crc_pos == 0 ||
-        content[crc_pos - 1] != '\n') {
-      return Malformed(path, "crc line misplaced");
-    }
-    // The crc line must be byte-exactly `crc <16 hex>\n` and the file's
-    // final bytes. Raw-byte validation, not stream tokens: token parsing
-    // skips whitespace, silently accepting e.g. the final newline flipped
-    // to a space — and bytes inside this line are the only ones the CRC
-    // itself cannot vouch for.
-    const std::string_view crc_line(content.data() + crc_pos,
-                                    content.size() - crc_pos);
-    constexpr std::size_t kCrcLineLen = 4 + 16 + 1;  // "crc " + hex + '\n'
-    if (crc_line.size() != kCrcLineLen || crc_line.back() != '\n' ||
-        crc_line.substr(4, 16).find_first_not_of("0123456789abcdef") !=
-            std::string_view::npos) {
-      return Malformed(path, "has a malformed or non-final crc line");
-    }
-    if (Crc64(content.data(), crc_pos) != stored) {
-      return Malformed(path, "failed its crc check (corrupt or torn)");
-    }
-  } else if (version >= 2) {
-    // The boundary line is optional even in v2 (a fleet that never saw a
-    // cross-shard edge may omit it).
-    std::string name;
-    if (in >> key) {
-      if (key != "boundary" || !(in >> name) || name.empty()) {
-        return Malformed(path, "boundary entry malformed");
-      }
-      m.boundary_file = name;
-    }
+  }
+  // The crc line covers every byte above it — locate it in the raw
+  // content (the last line) and recompute.
+  std::uint64_t stored = 0;
+  if (key != "crc" || !(in >> std::hex >> stored)) {
+    return Malformed(path, "missing crc line");
+  }
+  const std::size_t crc_pos = content.rfind("crc ");
+  if (crc_pos == std::string::npos || crc_pos == 0 ||
+      content[crc_pos - 1] != '\n') {
+    return Malformed(path, "crc line misplaced");
+  }
+  // The crc line must be byte-exactly `crc <16 hex>\n` and the file's
+  // final bytes. Raw-byte validation, not stream tokens: token parsing
+  // skips whitespace, silently accepting e.g. the final newline flipped
+  // to a space — and bytes inside this line are the only ones the CRC
+  // itself cannot vouch for.
+  const std::string_view crc_line(content.data() + crc_pos,
+                                  content.size() - crc_pos);
+  constexpr std::size_t kCrcLineLen = 4 + 16 + 1;  // "crc " + hex + '\n'
+  if (crc_line.size() != kCrcLineLen || crc_line.back() != '\n' ||
+      crc_line.substr(4, 16).find_first_not_of("0123456789abcdef") !=
+          std::string_view::npos) {
+    return Malformed(path, "has a malformed or non-final crc line");
+  }
+  if (Crc64(content.data(), crc_pos) != stored) {
+    return Malformed(path, "failed its crc check (corrupt or torn)");
   }
   *manifest = std::move(m);
   return Status::OK();

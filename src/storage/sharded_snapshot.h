@@ -1,7 +1,7 @@
 // Sharded snapshot persistence: a manifest plus one binary base-snapshot
-// file per shard (snapshot.h format) and, since manifest version 3, a
-// chain of per-shard delta segments (delta_segment.h) and boundary-index
-// tails — all inside one directory.
+// file per shard (snapshot.h format), a chain of per-shard delta segments
+// (delta_segment.h), a boundary-index base and its per-epoch tails — all
+// inside one directory.
 //
 // The manifest is deliberately a small line-oriented text file — it holds
 // only topology (shard count, per-shard file names, the checkpoint-epoch
@@ -10,8 +10,8 @@
 // matches the restoring service before touching any shard, so a 4-shard
 // snapshot cannot be half-loaded into an 8-shard service.
 //
-// Format (manifest.spade, version 3 — lines in exactly this order):
-//   spade-shard-manifest 3
+// Format (manifest.spade, version 4 — lines in exactly this order):
+//   spade-shard-manifest 4
 //   shards <N>
 //   semantics <name>
 //   epoch <E>                                   (checkpoint epoch restored to)
@@ -21,34 +21,27 @@
 //                                               (N lines per epoch B+1..E)
 //   boundary <relative-file-name>               (base boundary index)
 //   boundary-delta <epoch> <relative-file-name> (one line per epoch B+1..E)
-//   boundary-format <F>                         (optional; omitted when F=1)
 //   placement <pid> <shard>                     (sparse, ascending pid;
 //                                                only non-default owners)
 //   crc <16 hex digits>                         (CRC-64 of all bytes above)
 //
-// `boundary-format` announces the base boundary-index file format (2 =
-// compacted blocks + raw edges) so a reader can reject an unsupported
-// base up front instead of failing mid-parse. Its absence means format 1
-// (raw edges only) — which keeps every manifest written before compaction
-// existed byte-identical, still version 3.
+// Every artifact the manifest references has exactly one on-disk version
+// too (base snapshot 2, delta segment 2, boundary base 2, boundary tail 1),
+// so the manifest needs no per-file format line. The reader accepts
+// version 4 only and names any other version it finds: a directory written
+// by an older build fails here, at its manifest, not deep inside one of
+// its binary files.
 //
 // `placement` rows record where each partition lived when the checkpoint
 // was taken, for fleets whose work-stealing rebalancer moved partitions
 // off their default worker (pid % num_workers). They are sparse — a
-// partition on its default worker writes no row — so a never-rebalanced
-// fleet's manifest stays byte-identical to the pre-rebalance format.
-// Restore uses them to re-create the exact live placement; a reader that
-// predates them would fail the CRC, which is the right outcome (it cannot
-// honor the placement).
+// partition on its default worker writes no row. Restore uses them to
+// re-create the exact live placement.
 //
 // The trailing `crc` line closes the one hole binary trailers cannot
 // cover: a single flipped byte anywhere in the manifest — including in an
 // "informational" field — fails the check instead of silently steering the
 // restore.
-//
-// Back-compat: version 1 (no boundary line, no chain) and version 2
-// (optional boundary line, no chain, no crc) directories still load; they
-// restore with an empty chain at epoch 0. The writer always emits v3.
 
 #pragma once
 
@@ -81,17 +74,10 @@ struct ShardManifest {
   std::string semantics;
   /// Per-shard base snapshot file names, relative to the directory.
   std::vector<std::string> files;
-  /// Serialized boundary index, relative to the directory; empty when the
-  /// snapshot predates cross-shard stitching (manifest version 1).
+  /// Serialized boundary index (base), relative to the directory.
   std::string boundary_file;
-  /// Base boundary-index file format: 1 = raw edges only, 2 = compacted
-  /// blocks + raw edges (BoundaryEdgeIndex::Save reports which one it
-  /// wrote). Serialized only when != 1, so format-1 manifests are
-  /// byte-identical to pre-compaction ones.
-  std::uint32_t boundary_format = 1;
 
-  /// Checkpoint epoch this directory restores to (0 = legacy v1/v2
-  /// directory with no epoch chain).
+  /// Checkpoint epoch this directory restores to.
   std::uint64_t epoch = 0;
   /// Epoch of the base snapshots; deltas cover (base_epoch, epoch].
   std::uint64_t base_epoch = 0;
@@ -99,22 +85,17 @@ struct ShardManifest {
   /// num_shards entries per epoch in (base_epoch, epoch].
   std::vector<DeltaSegmentRef> deltas;
   /// Boundary-index tails, ascending epoch — one per epoch in
-  /// (base_epoch, epoch] whenever `boundary_file` is set.
+  /// (base_epoch, epoch].
   std::vector<BoundaryTailRef> boundary_tails;
   /// Sparse partition placement at checkpoint time: (pid, owner shard)
   /// pairs, ascending pid, only for partitions NOT on their default owner.
-  /// Empty for never-rebalanced fleets (and every pre-rebalance manifest).
+  /// Empty for never-rebalanced fleets.
   std::vector<std::pair<std::uint32_t, std::uint32_t>> placement;
 
   std::size_t ChainLength() const {
     return static_cast<std::size_t>(epoch - base_epoch);
   }
 };
-
-/// Canonical per-shard base snapshot file name ("shard-<i>.snapshot",
-/// as written by pre-chain versions; chain-era writers use the
-/// epoch-stamped variant below).
-std::string ShardSnapshotFileName(std::size_t shard);
 
 /// Epoch-stamped base snapshot name ("shard-<i>.snapshot-<epoch>"). Base
 /// files are never reused across epochs: a full save whose crash leaves
@@ -131,10 +112,6 @@ std::string ShardDeltaFileName(std::size_t shard, std::uint64_t epoch);
 /// Canonical boundary tail file name ("boundary.tail-<epoch>").
 std::string BoundaryTailFileName(std::uint64_t epoch);
 
-/// Canonical boundary index file name inside a snapshot directory (legacy
-/// unstamped name; chain-era writers use the stamped variant).
-inline constexpr char kBoundaryIndexFileName[] = "boundary.index";
-
 /// Epoch-stamped boundary index name ("boundary.index-<epoch>"); same
 /// no-reuse rationale as the base snapshots.
 std::string BoundaryIndexFileName(std::uint64_t epoch);
@@ -144,13 +121,14 @@ std::string ShardManifestPath(const std::string& dir);
 
 /// Creates `dir` if needed and writes the manifest (atomically: temp file +
 /// rename). Validates the chain structure: `manifest.files` must have
-/// exactly `num_shards` entries, `epoch >= base_epoch >= 1`, and the
-/// delta / boundary-tail lists must cover (base_epoch, epoch] densely.
+/// exactly `num_shards` entries, `boundary_file` must be set,
+/// `epoch >= base_epoch >= 1`, and the delta / boundary-tail lists must
+/// cover (base_epoch, epoch] densely.
 Status WriteShardManifest(const std::string& dir,
                           const ShardManifest& manifest);
 
 /// Parses the manifest in `dir`; fails with kNotFound when absent and
-/// kIOError on any structural mismatch or (v3) CRC failure.
+/// kIOError on any other version, structural mismatch or CRC failure.
 Status ReadShardManifest(const std::string& dir, ShardManifest* manifest);
 
 }  // namespace spade

@@ -9,17 +9,9 @@ namespace spade {
 namespace {
 
 constexpr std::uint64_t kMagic = 0x53504144455F5631ULL;  // "SPADE_V1"
-constexpr std::uint32_t kVersion = 1;
-// Version 2 appends the window-log section (see snapshot.h). Only emitted
-// when the window is non-empty so insert-only snapshots stay byte-stable.
-constexpr std::uint32_t kVersionWindow = 2;
+constexpr std::uint32_t kVersion = 2;
 
 }  // namespace
-
-Status SaveSnapshot(const std::string& path, const DynamicGraph& g,
-                    const PeelState* state) {
-  return SaveSnapshot(path, g, state, std::span<const Edge>());
-}
 
 Status SaveSnapshot(const std::string& path, const DynamicGraph& g,
                     const PeelState* state, std::span<const Edge> window) {
@@ -30,7 +22,7 @@ Status SaveSnapshot(const std::string& path, const DynamicGraph& g,
   storage::ChecksummedFileWriter writer(path);
 
   writer.Write(kMagic);
-  writer.Write(window.empty() ? kVersion : kVersionWindow);
+  writer.Write(kVersion);
   writer.Write(static_cast<std::uint64_t>(g.NumVertices()));
   writer.Write(static_cast<std::uint64_t>(g.NumEdges()));
   for (std::size_t v = 0; v < g.NumVertices(); ++v) {
@@ -51,21 +43,14 @@ Status SaveSnapshot(const std::string& path, const DynamicGraph& g,
       writer.Write(state->DeltaAt(i));
     }
   }
-  if (!window.empty()) {
-    writer.Write(static_cast<std::uint64_t>(window.size()));
-    for (const Edge& e : window) {
-      writer.Write(static_cast<std::uint32_t>(e.src));
-      writer.Write(static_cast<std::uint32_t>(e.dst));
-      writer.Write(e.weight);
-      writer.Write(static_cast<std::int64_t>(e.ts));
-    }
+  writer.Write(static_cast<std::uint64_t>(window.size()));
+  for (const Edge& e : window) {
+    writer.Write(static_cast<std::uint32_t>(e.src));
+    writer.Write(static_cast<std::uint32_t>(e.dst));
+    writer.Write(e.weight);
+    writer.Write(static_cast<std::int64_t>(e.ts));
   }
   return writer.Finish();
-}
-
-Status LoadSnapshot(const std::string& path, DynamicGraph* g,
-                    PeelState* state, bool* state_present) {
-  return LoadSnapshot(path, g, state, state_present, nullptr);
 }
 
 Status LoadSnapshot(const std::string& path, DynamicGraph* g,
@@ -74,15 +59,7 @@ Status LoadSnapshot(const std::string& path, DynamicGraph* g,
   storage::ChecksummedFileReader reader(path);
   if (!reader.ok()) return Status::IOError("cannot open " + path);
 
-  std::uint64_t magic = 0;
-  std::uint32_t version = 0;
-  if (!reader.Read(&magic) || magic != kMagic) {
-    return Status::IOError(path + ": not a Spade snapshot");
-  }
-  if (!reader.Read(&version) ||
-      (version != kVersion && version != kVersionWindow)) {
-    return Status::IOError(path + ": unsupported snapshot version");
-  }
+  SPADE_RETURN_NOT_OK(reader.ReadHeader(kMagic, kVersion, "snapshot"));
   std::uint64_t num_vertices = 0, num_edges = 0;
   if (!reader.Read(&num_vertices) || !reader.Read(&num_edges)) {
     return Status::IOError(path + ": truncated header");
@@ -130,31 +107,29 @@ Status LoadSnapshot(const std::string& path, DynamicGraph* g,
     }
   }
 
+  std::uint64_t num_window = 0;
+  if (!reader.Read(&num_window)) {
+    return Status::IOError(path + ": truncated window count");
+  }
+  if (reader.CountExceedsFile(num_window, 24)) {
+    return Status::IOError(path + ": window count exceeds the file size");
+  }
   std::vector<Edge> loaded_window;
-  if (version >= kVersionWindow) {
-    std::uint64_t num_window = 0;
-    if (!reader.Read(&num_window)) {
-      return Status::IOError(path + ": truncated window count");
+  loaded_window.reserve(num_window);
+  for (std::uint64_t i = 0; i < num_window; ++i) {
+    std::uint32_t src = 0, dst = 0;
+    double w = 0;
+    std::int64_t ts = 0;
+    if (!reader.Read(&src) || !reader.Read(&dst) || !reader.Read(&w) ||
+        !reader.Read(&ts)) {
+      return Status::IOError(path + ": truncated window log");
     }
-    if (reader.CountExceedsFile(num_window, 24)) {
-      return Status::IOError(path + ": window count exceeds the file size");
+    if (src >= num_vertices || dst >= num_vertices) {
+      return Status::IOError(path + ": window edge endpoint out of range");
     }
-    loaded_window.reserve(num_window);
-    for (std::uint64_t i = 0; i < num_window; ++i) {
-      std::uint32_t src = 0, dst = 0;
-      double w = 0;
-      std::int64_t ts = 0;
-      if (!reader.Read(&src) || !reader.Read(&dst) || !reader.Read(&w) ||
-          !reader.Read(&ts)) {
-        return Status::IOError(path + ": truncated window log");
-      }
-      if (src >= num_vertices || dst >= num_vertices) {
-        return Status::IOError(path + ": window edge endpoint out of range");
-      }
-      loaded_window.push_back(
-          Edge{static_cast<VertexId>(src), static_cast<VertexId>(dst), w,
-               static_cast<Timestamp>(ts)});
-    }
+    loaded_window.push_back(Edge{static_cast<VertexId>(src),
+                                 static_cast<VertexId>(dst), w,
+                                 static_cast<Timestamp>(ts)});
   }
 
   SPADE_RETURN_NOT_OK(reader.VerifyTrailer());

@@ -6,23 +6,22 @@
 // weighted graph plus the peeling sequence/weights; restoring yields a
 // detector that resumes incremental updates immediately.
 //
-// Format (little-endian, versioned, CRC-protected):
+// Format (little-endian, version 2, CRC-protected):
 //   [magic u64][version u32]
 //   [num_vertices u64][num_edges u64]
 //   vertex weights: num_vertices x f64
 //   edges: num_edges x { src u32, dst u32, weight f64 }
 //   [has_state u8]
 //   state: num_vertices x { vertex u32, delta f64 }   (peeling order)
-//   version >= 2 only:
-//     [num_window u64]
-//     window: num_window x { src u32, dst u32, weight f64, ts i64 }
+//   [num_window u64]
+//   window: num_window x { src u32, dst u32, weight f64, ts i64 }
 //   [crc64 of everything above]
 //
-// Version 2 exists for windowed detectors: the window log (applied weight +
-// event timestamp per live edge, oldest first) must survive a restart or
-// the restored detector cannot retire what the live one would. Writers emit
-// version 1 whenever the window is empty, so every pre-window snapshot —
-// and every insert-only deployment — stays byte-identical.
+// The window section holds a windowed detector's window log (applied
+// weight + event timestamp per live edge, oldest first): it must survive a
+// restart or the restored detector cannot retire what the live one would.
+// It is always present; an insert-only detector writes a count of 0. A
+// reader accepts version 2 only and names any other version it finds.
 
 #pragma once
 
@@ -38,26 +37,18 @@
 
 namespace spade {
 
-/// Writes graph (+ optional peel state) to `path` atomically (temp file +
-/// rename). When `state` is non-null it must cover exactly the graph's
-/// vertices.
-Status SaveSnapshot(const std::string& path, const DynamicGraph& g,
-                    const PeelState* state);
-
-/// As above, plus a window log (live in-window edges, oldest first, each
-/// carrying its applied weight and event timestamp). An empty window writes
-/// a version-1 file, byte-identical to the overload above.
+/// Writes graph (+ optional peel state) and the window log (live in-window
+/// edges, oldest first, each carrying its applied weight and event
+/// timestamp; empty for insert-only detectors) to `path` atomically (temp
+/// file + rename). When `state` is non-null it must cover exactly the
+/// graph's vertices.
 Status SaveSnapshot(const std::string& path, const DynamicGraph& g,
                     const PeelState* state, std::span<const Edge> window);
 
 /// Reads a snapshot back. `state` may be null to restore only the graph;
 /// if the snapshot carries no state, `*state_present` is false and `state`
-/// is left untouched.
-Status LoadSnapshot(const std::string& path, DynamicGraph* g,
-                    PeelState* state, bool* state_present);
-
-/// As above, plus the window log. `window` may be null (the section is
-/// validated and skipped); a version-1 file yields an empty window.
+/// is left untouched. `window` may be null (the section is validated and
+/// skipped).
 Status LoadSnapshot(const std::string& path, DynamicGraph* g,
                     PeelState* state, bool* state_present,
                     std::vector<Edge>* window);

@@ -213,7 +213,9 @@ ServiceReplayReport ReplayThroughService(std::vector<Spade> shards,
   // whenever the fleet has applied another `checkpoint_every_edges` edges.
   // Polling (rather than producer-triggered saves) keeps the submit path
   // free of any checkpoint coupling; SaveState itself drains, so each save
-  // is a consistent per-shard prefix of the stream.
+  // is a consistent per-shard prefix of the stream. A save that is due
+  // when ingest ends is still taken before the thread exits, so the count
+  // of periodic saves does not depend on where the last poll fell.
   std::thread checkpointer;
   std::atomic<bool> checkpointing_done{false};
   std::mutex checkpoint_mutex;  // guards the report fields below
@@ -240,11 +242,16 @@ ServiceReplayReport ReplayThroughService(std::vector<Spade> shards,
   if (options.checkpoint_every_edges > 0) {
     checkpointer = std::thread([&] {
       std::uint64_t next_target = options.checkpoint_every_edges;
-      while (!checkpointing_done.load(std::memory_order_relaxed)) {
+      for (;;) {
+        // Flag before count: once the flag reads true the fleet has
+        // drained, so the count below is final and a due save is taken.
+        const bool done = checkpointing_done.load(std::memory_order_acquire);
         if (service.EdgesProcessed() >= next_target) {
           take_checkpoint();
           next_target =
               service.EdgesProcessed() + options.checkpoint_every_edges;
+        } else if (done) {
+          break;
         } else {
           std::this_thread::sleep_for(std::chrono::milliseconds(2));
         }
@@ -337,7 +344,7 @@ ServiceReplayReport ReplayThroughService(std::vector<Spade> shards,
   report.wall_seconds = now_micros() * 1e-6;
 
   if (options.checkpoint_every_edges > 0) {
-    checkpointing_done.store(true, std::memory_order_relaxed);
+    checkpointing_done.store(true, std::memory_order_release);
     if (checkpointer.joinable()) checkpointer.join();
     // Final checkpoint so the directory covers the whole stream.
     take_checkpoint();

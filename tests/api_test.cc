@@ -81,7 +81,7 @@ TEST(ApiTest, RestoreFromGraphOnlySnapshotRepeels) {
   Rng rng(204);
   const std::string path = ::testing::TempDir() + "/spade_api_graphonly.bin";
   DynamicGraph g = testing::RandomGraph(&rng, 12, 30, 4, 1);
-  ASSERT_TRUE(SaveSnapshot(path, g, nullptr).ok());
+  ASSERT_TRUE(SaveSnapshot(path, g, nullptr, {}).ok());
 
   Spade spade;
   ASSERT_TRUE(spade.RestoreState(path).ok());

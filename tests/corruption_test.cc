@@ -2,19 +2,22 @@
 // label `stress`; the stress CI leg runs it under ASan).
 //
 // Property under test: a random single-byte flip anywhere in a snapshot
-// directory — manifest v1/v2/v3, base snapshots, boundary index + tails,
-// delta segments — is never silently accepted and never crashes. Binary
-// files carry a CRC-64 trailer (which detects every single-byte error), so
-// a flip there must make restore either fail cleanly or fall back to the
-// durable prefix that excludes the flipped epoch. The v3 manifest carries
-// an in-band crc line covering every byte, so any flip there must be
-// rejected outright. Legacy v1/v2 manifests have no checksum; for those
-// the property is weaker but still absolute: parse never crashes, and a
-// restore that succeeds anyway (a flip in an informational field) must be
-// byte-for-byte equal to the pristine restore.
+// directory — manifest, base snapshots, boundary index + tails, delta
+// segments — is never silently accepted and never crashes. Binary files
+// carry a CRC-64 trailer (which detects every single-byte error), so a
+// flip there must make restore either fail cleanly or fall back to the
+// durable prefix that excludes the flipped epoch. The manifest carries an
+// in-band crc line covering every byte, so any flip there must be rejected
+// outright.
+//
+// The fixture's fleet is windowed and stitched, so the fuzzed files carry
+// every section that ships: base snapshots with non-empty window logs, a
+// boundary base with compacted blocks, and delta segments with retire
+// records. SetUp asserts all three.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
@@ -24,8 +27,11 @@
 
 #include "common/rng.h"
 #include "metrics/semantics.h"
+#include "service/boundary_index.h"
 #include "service/sharded_detection_service.h"
+#include "storage/delta_segment.h"
 #include "storage/sharded_snapshot.h"
+#include "storage/snapshot.h"
 #include "tests/test_util.h"
 
 namespace spade {
@@ -33,6 +39,7 @@ namespace {
 
 constexpr std::size_t kShards = 2;
 constexpr std::size_t kVertices = 96;
+constexpr Timestamp kSpan = 1000;
 
 Partitioner ParityPartitioner() {
   return [](VertexId v) -> std::size_t { return v % kShards; };
@@ -54,6 +61,7 @@ std::unique_ptr<ShardedDetectionService> BuildService(
   options.shard.detect_every = 16;
   options.checkpoint.max_chain_length = 1000;
   options.checkpoint.max_delta_base_ratio = 1e9;
+  options.window.span = kSpan;
   auto service = std::make_unique<ShardedDetectionService>(
       std::move(shards), nullptr, std::move(options));
   service->SeedBoundaryIndex(initial);
@@ -95,27 +103,65 @@ class CorruptionFuzzTest : public ::testing::Test {
     std::filesystem::remove_all(dir_);
     std::filesystem::remove_all(work_);
 
-    // Build a 2-epoch chain: full base (epoch 1), traffic, delta (epoch 2).
+    // Build a 2-epoch chain: windowed traffic, a stitch pass that compacts
+    // the boundary index, the full base (epoch 1), more traffic and a
+    // retire pass, then a delta (epoch 2).
     Rng rng(11);
     for (int i = 0; i < 250; ++i) {
       initial_.push_back(testing::RandomEdge(&rng, kVertices));
     }
     auto service = BuildService(initial_);
-    EXPECT_TRUE(service->SaveState(dir_).ok());
+    Timestamp now = 0;
+    const auto submit_chunk = [&](int edges) {
+      std::vector<Edge> chunk;
+      for (int i = 0; i < edges; ++i) {
+        chunk.push_back(testing::RandomEdge(&rng, kVertices));
+        now += 5;
+        chunk.back().ts = now;
+      }
+      ASSERT_TRUE(service->SubmitBatch(chunk).ok());
+      service->Drain();
+    };
+    submit_chunk(150);  // ends inside the first window: nothing expires
+    service->StitchNow();
+    ASSERT_TRUE(service->SaveState(dir_).ok());
     captures_.push_back(CaptureShards(*service));  // epoch 1
-    std::vector<Edge> chunk;
-    for (int i = 0; i < 90; ++i) {
-      chunk.push_back(testing::RandomEdge(&rng, kVertices));
-    }
-    EXPECT_TRUE(service->SubmitBatch(chunk).ok());
+    submit_chunk(90);
+    ASSERT_TRUE(service->RetireOlderThan(now - kSpan).ok());
     service->Drain();
     ShardedDetectionService::SaveInfo info;
-    EXPECT_TRUE(service
+    ASSERT_TRUE(service
                     ->SaveState(dir_, ShardedDetectionService::SaveMode::kAuto,
                                 &info)
                     .ok());
-    EXPECT_TRUE(info.delta);
+    ASSERT_TRUE(info.delta);
     captures_.push_back(CaptureShards(*service));  // epoch 2
+
+    // The fuzz must cover the sections that ship, not just their headers.
+    const std::filesystem::path dir(dir_);
+    for (std::size_t s = 0; s < kShards; ++s) {
+      DynamicGraph graph;
+      std::vector<Edge> window;
+      ASSERT_TRUE(LoadSnapshot((dir / ShardSnapshotFileName(s, 1)).string(),
+                               &graph, nullptr, nullptr, &window)
+                      .ok());
+      EXPECT_FALSE(window.empty()) << "shard " << s << " base window log";
+      DeltaSegment segment;
+      ASSERT_TRUE(
+          ReadDeltaSegment((dir / ShardDeltaFileName(s, 2)).string(), &segment)
+              .ok());
+      EXPECT_TRUE(std::any_of(segment.records.begin(), segment.records.end(),
+                              [](const DeltaRecord& r) { return r.retire; }))
+          << "shard " << s << " epoch-2 segment has no retire record";
+    }
+    BoundaryEdgeIndex::FileData boundary;
+    ASSERT_TRUE(BoundaryEdgeIndex::ReadFile(
+                    (dir / BoundaryIndexFileName(1)).string(), kShards,
+                    &boundary)
+                    .ok());
+    EXPECT_TRUE(std::any_of(boundary.blocks.begin(), boundary.blocks.end(),
+                            [](const auto& blocks) { return !blocks.empty(); }))
+        << "boundary base holds no compacted block";
   }
   void TearDown() override {
     std::filesystem::remove_all(dir_);
@@ -197,10 +243,10 @@ TEST_F(CorruptionFuzzTest, BinaryFilesNeverAcceptAFlip) {
   }
 }
 
-// The v3 manifest's in-band crc line makes every single-byte flip a parse
+// The manifest's in-band crc line makes every single-byte flip a parse
 // failure — including flips in fields no structural check covers (the
 // semantics name, a digit of a file name).
-TEST_F(CorruptionFuzzTest, ManifestV3RejectsEveryFlip) {
+TEST_F(CorruptionFuzzTest, ManifestRejectsEveryFlip) {
   const auto path = std::filesystem::path(dir_) / "manifest.spade";
   const std::string pristine = ReadFileBytes(path);
   ASSERT_FALSE(pristine.empty());
@@ -222,69 +268,6 @@ TEST_F(CorruptionFuzzTest, ManifestV3RejectsEveryFlip) {
     }
   }
   WriteFileBytes(path, pristine);
-}
-
-// Legacy v1/v2 manifests predate the crc line. The absolute part of the
-// property still holds: no flip crashes, and any flip that still parses
-// and restores must restore the same state as the pristine directory.
-TEST_F(CorruptionFuzzTest, LegacyManifestFlipsNeverCrashNorCorrupt) {
-  // Rewrite the directory as a legacy v2 snapshot: the epoch-1 base files
-  // copied to their pre-chain unstamped names, a hand-written v2
-  // manifest, chain files ignored.
-  for (std::size_t s = 0; s < kShards; ++s) {
-    std::filesystem::copy_file(
-        std::filesystem::path(dir_) / ShardSnapshotFileName(s, 1),
-        std::filesystem::path(dir_) / ShardSnapshotFileName(s),
-        std::filesystem::copy_options::overwrite_existing);
-  }
-  std::filesystem::copy_file(
-      std::filesystem::path(dir_) / BoundaryIndexFileName(1),
-      std::filesystem::path(dir_) / kBoundaryIndexFileName,
-      std::filesystem::copy_options::overwrite_existing);
-  const auto path = std::filesystem::path(dir_) / "manifest.spade";
-  std::ostringstream v2;
-  v2 << "spade-shard-manifest 2\n"
-     << "shards " << kShards << "\n"
-     << "semantics DW\n";
-  for (std::size_t s = 0; s < kShards; ++s) {
-    v2 << "file " << s << ' ' << ShardSnapshotFileName(s) << "\n";
-  }
-  v2 << "boundary " << kBoundaryIndexFileName << "\n";
-  const std::string pristine = v2.str();
-  WriteFileBytes(path, pristine);
-
-  // Pristine v2 restore = epoch-1 state (the base snapshots ARE epoch 1).
-  std::vector<testing::ShardCapture> reference;
-  {
-    auto victim = BuildService(initial_);
-    ShardedDetectionService::RestoreInfo info;
-    ASSERT_TRUE(victim->RestoreState(dir_, &info).ok());
-    EXPECT_EQ(info.restored_epoch, 0u);  // legacy: no epoch chain
-    reference = CaptureShards(*victim);
-    for (std::size_t sh = 0; sh < kShards; ++sh) {
-      testing::ExpectShardEqualsCapture(captures_[0][sh], reference[sh]);
-    }
-  }
-
-  Rng rng(41);
-  for (std::size_t pos = 0; pos < pristine.size(); ++pos) {
-    std::string flipped = pristine;
-    flipped[pos] = static_cast<char>(
-        flipped[pos] ^ static_cast<char>(1 + rng.NextBounded(255)));
-    WriteFileBytes(path, flipped);
-    auto victim = BuildService(initial_);
-    const Status s = victim->RestoreState(dir_);
-    if (s.ok()) {
-      const auto restored = CaptureShards(*victim);
-      for (std::size_t sh = 0; sh < kShards; ++sh) {
-        testing::ExpectShardEqualsCapture(reference[sh], restored[sh]);
-      }
-      if (::testing::Test::HasFailure()) {
-        FAIL() << "flip at v2 manifest byte " << pos
-               << " restored a different state";
-      }
-    }
-  }
 }
 
 }  // namespace

@@ -36,6 +36,7 @@
 #include "metrics/semantics.h"
 #include "service/detection_service.h"
 #include "service/sharded_detection_service.h"
+#include "tests/test_util.h"
 
 namespace spade {
 namespace {
@@ -751,10 +752,17 @@ TEST(MessageDrivenStitchingTest, PairOverrideArmsOnlyItsPair) {
     }
     EXPECT_TRUE(g.stitched);
     EXPECT_GE(service.GetStats().stitch_triggers, 1u);
+    // A trigger pass may begin before the last submit, and the weight left
+    // after its gather can stay under the pair threshold, so the read it
+    // published may trail the merged detector. It never overstates: DW
+    // applies raw weights, so the stream is the merged graph.
+    EXPECT_LE(g.density, testing::InducedDensity(stream, g.members) + 1e-9);
+    // A pass that begins after the last submit is exact.
+    const GlobalCommunity after_drain = service.StitchNow();
     DetectionService merged(BuildMergedDetector(n), nullptr);
     for (const Edge& e : stream) ASSERT_TRUE(merged.Submit(e).ok());
     merged.Drain();
-    EXPECT_NEAR(g.density, merged.CurrentCommunity().density, 1e-9);
+    EXPECT_NEAR(after_drain.density, merged.CurrentCommunity().density, 1e-9);
     service.Stop();
   }
   {

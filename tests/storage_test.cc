@@ -5,12 +5,14 @@
 
 #include <gtest/gtest.h>
 
+#include <cinttypes>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
 
+#include "service/boundary_index.h"
 #include "storage/delta_segment.h"
 #include "storage/sharded_snapshot.h"
 
@@ -34,11 +36,12 @@ class SnapshotTest : public ::testing::Test {
 TEST_F(SnapshotTest, GraphRoundTrip) {
   Rng rng(5);
   DynamicGraph g = testing::RandomGraph(&rng, 30, 90, 6, 3);
-  ASSERT_TRUE(SaveSnapshot(path_, g, nullptr).ok());
+  ASSERT_TRUE(SaveSnapshot(path_, g, nullptr, {}).ok());
 
   DynamicGraph restored;
   bool state_present = true;
-  ASSERT_TRUE(LoadSnapshot(path_, &restored, nullptr, &state_present).ok());
+  ASSERT_TRUE(
+      LoadSnapshot(path_, &restored, nullptr, &state_present, nullptr).ok());
   EXPECT_FALSE(state_present);
   ASSERT_EQ(restored.NumVertices(), g.NumVertices());
   ASSERT_EQ(restored.NumEdges(), g.NumEdges());
@@ -54,14 +57,14 @@ TEST_F(SnapshotTest, StateRoundTrip) {
   Rng rng(6);
   DynamicGraph g = testing::RandomGraph(&rng, 25, 60, 5, 2);
   PeelState state = PeelStatic(g);
-  ASSERT_TRUE(SaveSnapshot(path_, g, &state).ok());
+  ASSERT_TRUE(SaveSnapshot(path_, g, &state, {}).ok());
 
   DynamicGraph restored_graph;
   PeelState restored_state;
   bool state_present = false;
-  ASSERT_TRUE(
-      LoadSnapshot(path_, &restored_graph, &restored_state, &state_present)
-          .ok());
+  ASSERT_TRUE(LoadSnapshot(path_, &restored_graph, &restored_state,
+                           &state_present, nullptr)
+                  .ok());
   EXPECT_TRUE(state_present);
   testing::ExpectStateEquals(state, restored_state, 0.0);
   EXPECT_DOUBLE_EQ(restored_state.BestDensity(), state.BestDensity());
@@ -72,14 +75,14 @@ TEST_F(SnapshotTest, RejectsMismatchedState) {
   PeelState state(2);
   state.Append(0, 0.0);
   state.Append(1, 0.0);
-  EXPECT_FALSE(SaveSnapshot(path_, g, &state).ok());
+  EXPECT_FALSE(SaveSnapshot(path_, g, &state, {}).ok());
 }
 
 TEST_F(SnapshotTest, DetectsCorruption) {
   Rng rng(7);
   DynamicGraph g = testing::RandomGraph(&rng, 10, 20, 4, 0);
   PeelState state = PeelStatic(g);
-  ASSERT_TRUE(SaveSnapshot(path_, g, &state).ok());
+  ASSERT_TRUE(SaveSnapshot(path_, g, &state, {}).ok());
 
   // Flip one byte in the middle of the file.
   {
@@ -94,7 +97,8 @@ TEST_F(SnapshotTest, DetectsCorruption) {
   DynamicGraph restored;
   PeelState restored_state;
   bool present = false;
-  const Status s = LoadSnapshot(path_, &restored, &restored_state, &present);
+  const Status s =
+      LoadSnapshot(path_, &restored, &restored_state, &present, nullptr);
   ASSERT_FALSE(s.ok());
   EXPECT_EQ(s.code(), StatusCode::kIOError);
 }
@@ -105,12 +109,13 @@ TEST_F(SnapshotTest, RejectsGarbageFile) {
     f << "this is not a snapshot";
   }
   DynamicGraph g;
-  EXPECT_FALSE(LoadSnapshot(path_, &g, nullptr, nullptr).ok());
+  EXPECT_FALSE(LoadSnapshot(path_, &g, nullptr, nullptr, nullptr).ok());
 }
 
 TEST_F(SnapshotTest, MissingFileIsIOError) {
   DynamicGraph g;
-  const Status s = LoadSnapshot("/nonexistent/snap.bin", &g, nullptr, nullptr);
+  const Status s =
+      LoadSnapshot("/nonexistent/snap.bin", &g, nullptr, nullptr, nullptr);
   ASSERT_FALSE(s.ok());
   EXPECT_EQ(s.code(), StatusCode::kIOError);
 }
@@ -174,9 +179,9 @@ ShardManifest MakeManifest(std::uint32_t shards) {
   manifest.semantics = "DW";
   manifest.epoch = 1;
   manifest.base_epoch = 1;
-  manifest.boundary_file = kBoundaryIndexFileName;
+  manifest.boundary_file = BoundaryIndexFileName(1);
   for (std::size_t i = 0; i < shards; ++i) {
-    manifest.files.push_back(ShardSnapshotFileName(i));
+    manifest.files.push_back(ShardSnapshotFileName(i, 1));
   }
   return manifest;
 }
@@ -290,7 +295,7 @@ TEST_F(ShardManifestTest, RejectsImplausibleCounts) {
   std::filesystem::create_directories(dir_);
   {
     std::ofstream out(ShardManifestPath(dir_), std::ios::trunc);
-    out << "spade-shard-manifest 3\n"
+    out << "spade-shard-manifest 4\n"
         << "shards 2\n"
         << "semantics DW\n"
         << "epoch 1000000000000000000\n"
@@ -303,7 +308,7 @@ TEST_F(ShardManifestTest, RejectsImplausibleCounts) {
 
   {
     std::ofstream out(ShardManifestPath(dir_), std::ios::trunc);
-    out << "spade-shard-manifest 3\n"
+    out << "spade-shard-manifest 4\n"
         << "shards 4000000000\n"
         << "semantics DW\n"
         << "epoch 1\n"
@@ -314,38 +319,81 @@ TEST_F(ShardManifestTest, RejectsImplausibleCounts) {
   EXPECT_EQ(s.code(), StatusCode::kIOError);
 }
 
-// Directories written before the chain format existed (manifest v1/v2)
-// must still parse — with an empty chain at epoch 0.
-TEST_F(ShardManifestTest, ReadsLegacyV1AndV2) {
+// Every artifact has exactly one on-disk version. Each reader fails any
+// other version — here the older ones earlier builds wrote — with an
+// IOError whose message names the version it found.
+TEST_F(ShardManifestTest, EveryReaderRejectsOlderVersions) {
+  const auto expect_version_error = [](const Status& s, int version) {
+    ASSERT_FALSE(s.ok()) << "version " << version << " was accepted";
+    EXPECT_EQ(s.code(), StatusCode::kIOError);
+    EXPECT_NE(s.message().find("version " + std::to_string(version)),
+              std::string::npos)
+        << s.ToString();
+  };
   std::filesystem::create_directories(dir_);
-  {
+  const auto write_manifest = [&](const std::string& content) {
     std::ofstream out(ShardManifestPath(dir_), std::ios::trunc);
-    out << "spade-shard-manifest 1\n"
-        << "shards 2\n"
-        << "semantics DG\n"
-        << "file 0 shard-0.snapshot\n"
-        << "file 1 shard-1.snapshot\n";
-  }
-  ShardManifest v1;
-  ASSERT_TRUE(ReadShardManifest(dir_, &v1).ok());
-  EXPECT_EQ(v1.num_shards, 2u);
-  EXPECT_EQ(v1.epoch, 0u);
-  EXPECT_TRUE(v1.boundary_file.empty());
-  EXPECT_TRUE(v1.deltas.empty());
+    out << content;
+  };
 
+  // Manifest 1: no chain, no boundary line. Manifest 2: an optional
+  // boundary line. Manifest 3: today's lines, CRC-closed.
+  const std::string v1_v2_files =
+      "shards 2\nsemantics DG\n"
+      "file 0 shard-0.snapshot\nfile 1 shard-1.snapshot\n";
+  write_manifest("spade-shard-manifest 1\n" + v1_v2_files);
+  ShardManifest read;
+  expect_version_error(ReadShardManifest(dir_, &read), 1);
+  write_manifest("spade-shard-manifest 2\n" + v1_v2_files +
+                 "boundary boundary.index\n");
+  expect_version_error(ReadShardManifest(dir_, &read), 2);
+  std::string v3 =
+      "spade-shard-manifest 3\nshards 2\nsemantics DW\nepoch 1\n"
+      "base-epoch 1\nfile 0 shard-0.snapshot-1\n"
+      "file 1 shard-1.snapshot-1\nboundary boundary.index-1\n";
+  char crc_line[32];
+  std::snprintf(crc_line, sizeof(crc_line), "crc %016" PRIx64 "\n",
+                Crc64(v3.data(), v3.size()));
+  write_manifest(v3 + crc_line);
+  expect_version_error(ReadShardManifest(dir_, &read), 3);
+
+  // Version-1 binary files, CRC-framed as the writers framed them: an
+  // empty snapshot without the window section, an empty delta segment
+  // and a one-bucket boundary base without the block section.
+  const std::string bin = dir_ + "/v1.bin";
   {
-    std::ofstream out(ShardManifestPath(dir_), std::ios::trunc);
-    out << "spade-shard-manifest 2\n"
-        << "shards 2\n"
-        << "semantics DG\n"
-        << "file 0 shard-0.snapshot\n"
-        << "file 1 shard-1.snapshot\n"
-        << "boundary boundary.index\n";
+    storage::ChecksummedFileWriter w(bin);
+    w.Write(std::uint64_t{0x53504144455F5631ULL});  // "SPADE_V1"
+    w.Write(std::uint32_t{1});
+    w.Write(std::uint64_t{0});  // vertices
+    w.Write(std::uint64_t{0});  // edges
+    w.Write(std::uint8_t{0});   // no peel state
+    ASSERT_TRUE(w.Finish().ok());
   }
-  ShardManifest v2;
-  ASSERT_TRUE(ReadShardManifest(dir_, &v2).ok());
-  EXPECT_EQ(v2.boundary_file, "boundary.index");
-  EXPECT_EQ(v2.epoch, 0u);
+  DynamicGraph g;
+  expect_version_error(LoadSnapshot(bin, &g, nullptr, nullptr, nullptr), 1);
+  {
+    storage::ChecksummedFileWriter w(bin);
+    w.Write(std::uint64_t{0x53504144455F4453ULL});  // "SPADE_DS"
+    w.Write(std::uint32_t{1});
+    w.Write(std::uint32_t{0});  // shard
+    w.Write(std::uint64_t{0});  // prev_epoch
+    w.Write(std::uint64_t{1});  // epoch
+    w.Write(std::uint64_t{0});  // records
+    ASSERT_TRUE(w.Finish().ok());
+  }
+  DeltaSegment segment;
+  expect_version_error(ReadDeltaSegment(bin, &segment), 1);
+  {
+    storage::ChecksummedFileWriter w(bin);
+    w.Write(std::uint64_t{0x53504144455F4249ULL});  // "SPADE_BI"
+    w.Write(std::uint32_t{1});
+    w.Write(std::uint64_t{1});  // shards
+    w.Write(std::uint64_t{0});  // the one bucket's raw edge count
+    ASSERT_TRUE(w.Finish().ok());
+  }
+  BoundaryEdgeIndex::FileData boundary;
+  expect_version_error(BoundaryEdgeIndex::ReadFile(bin, 1, &boundary), 1);
 }
 
 TEST_F(ShardManifestTest, MissingDirectoryIsNotFound) {
@@ -406,6 +454,7 @@ DeltaSegment MakeSegment() {
   segment.records.push_back(DeltaRecord::Insert({7, 1, 0.25, 11}));
   segment.records.push_back(DeltaRecord::Flush());
   segment.records.push_back(DeltaRecord::Insert({2, 9, 1.0, 12}));
+  segment.records.push_back(DeltaRecord::Retire({7, 1, 0.25, 11}));
   return segment;
 }
 
@@ -420,11 +469,14 @@ TEST_F(DeltaSegmentTest, RoundTrip) {
   EXPECT_EQ(read.shard, 2u);
   EXPECT_EQ(read.prev_epoch, 4u);
   EXPECT_EQ(read.epoch, 5u);
-  ASSERT_EQ(read.records.size(), 4u);
+  ASSERT_EQ(read.records.size(), 5u);
   EXPECT_FALSE(read.records[0].flush);
+  EXPECT_FALSE(read.records[0].retire);
   EXPECT_EQ(read.records[0].edge, (Edge{1, 2, 3.5, 10}));
   EXPECT_TRUE(read.records[2].flush);
-  EXPECT_EQ(read.NumEdges(), 3u);
+  EXPECT_TRUE(read.records[4].retire);
+  EXPECT_EQ(read.records[4].edge, (Edge{7, 1, 0.25, 11}));
+  EXPECT_EQ(read.NumEdges(), 4u);
 }
 
 TEST_F(DeltaSegmentTest, EveryTruncationIsDetected) {

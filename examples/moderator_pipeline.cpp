@@ -1,8 +1,8 @@
 // Moderator pipeline: the paper's Figure 1 deployment loop end to end —
-// multiple transaction producers submit concurrently to a DetectionService;
-// the service incrementally maintains the fraudulent community and alerts a
-// moderator callback, which classifies each alert's fraud pattern and
-// "bans" the accounts.
+// multiple transaction producers submit concurrently to a one-shard
+// ShardedDetectionService; the service incrementally maintains the
+// fraudulent community and alerts a moderator callback, which classifies
+// each alert's fraud pattern and "bans" the accounts.
 
 #include <atomic>
 #include <cstdio>
@@ -12,7 +12,7 @@
 
 #include "analysis/pattern_classifier.h"
 #include "datagen/workload.h"
-#include "service/detection_service.h"
+#include "service/sharded_detection_service.h"
 
 int main() {
   spade::FraudMix mix;
@@ -31,9 +31,11 @@ int main() {
   std::mutex print_mutex;
   std::atomic<int> banned{0};
   const spade::VertexId merchant_base = w.merchant_base;
-  spade::DetectionService service(
-      std::move(detector),
-      [&](const spade::Community& community) {
+  std::vector<spade::Spade> shards;
+  shards.push_back(std::move(detector));
+  spade::ShardedDetectionService service(
+      std::move(shards),
+      [&](std::size_t /*shard*/, const spade::Community& community) {
         const std::lock_guard<std::mutex> lock(print_mutex);
         ++banned;
         std::printf("[moderator] alert: %zu accounts, density %.2f\n",

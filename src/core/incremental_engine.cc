@@ -105,11 +105,9 @@ Status IncrementalEngine::InsertBatch(DynamicGraph* g, PeelState* state,
         black_positions_.push_back(state->PositionOf(v));
       }
     }
-    if (options_.stored_delta_recovery) {
-      const bool src_earlier =
-          state->PositionOf(e.src) < state->PositionOf(e.dst);
-      AddRecov(src_earlier ? e.src : e.dst, e.weight);
-    }
+    const bool src_earlier =
+        state->PositionOf(e.src) < state->PositionOf(e.dst);
+    AddRecov(src_earlier ? e.src : e.dst, e.weight);
   }
   std::sort(black_positions_.begin(), black_positions_.end());
 
@@ -248,19 +246,13 @@ double IncrementalEngine::ExactPendingWeight(const DynamicGraph& g,
   return w;
 }
 
-double IncrementalEngine::RecoveredWeight(const DynamicGraph& g,
-                                          const PeelState& state, VertexId u,
-                                          double stored_delta, std::size_t k,
+double IncrementalEngine::RecoveredWeight(VertexId u, double stored_delta,
                                           ReorderStats* stats) const {
-  if (!options_.stored_delta_recovery) {
-    return ExactPendingWeight(g, u, k, state, stats);
-  }
   // Algorithm 2's gray recovery (DESIGN.md §3.1): u is being read at its own
   // pre-merge slot k, so the stored peeling weight counts exactly u's vertex
   // weight plus its edges into the pre-merge suffix [k, n); the accumulator
   // carries the net correction from every neighbor that entered or left T
   // and every inserted edge. O(1) instead of an incident-list rescan.
-  (void)g;
   ++stats->recovery_lookups;
   return stored_delta + RecovOf(u);
 }
@@ -270,24 +262,16 @@ void IncrementalEngine::PushPending(const DynamicGraph& g, VertexId u,
                                     ReorderStats* stats) {
   pending_.Push(u, weight);
   ++stats->affected_vertices;
-  // Stamping u in both modes keeps IsUntouched's one-load answer sound:
-  // every pending vertex carries the current stamp.
-  VertexScratch& su = Scratch(u);
-  if (options_.stored_delta_recovery) {
-    // Defer the gray+credit pass: if u pops before the merge reads another
-    // affected slot, neither the credits nor their matching debits are ever
-    // observable, and u's only incident pass is the relax pass at emit. The
-    // degree budget funds white-slot adjacency probes in the meantime.
-    su.deferred = true;
-    uncredited_.emplace_back(u, old_pos);
-    ++deferred_count_;
-    credit_budget_ += static_cast<std::ptrdiff_t>(g.Degree(u));
-  } else {
-    g.ForEachIncident(u, [&](VertexId v, double) {
-      if (ColorOf(v) == Color::kWhite) SetColor(v, Color::kGray);
-    });
-    stats->touched_edges += g.Degree(u);
-  }
+  // Defer the gray+credit pass: if u pops before the merge reads another
+  // affected slot, neither the credits nor their matching debits are ever
+  // observable, and u's only incident pass is the relax pass at emit. The
+  // degree budget funds white-slot adjacency probes in the meantime.
+  // Stamping u keeps IsUntouched's one-load answer sound: every pending
+  // vertex carries the current stamp.
+  Scratch(u).deferred = true;
+  uncredited_.emplace_back(u, old_pos);
+  ++deferred_count_;
+  credit_budget_ += static_cast<std::ptrdiff_t>(g.Degree(u));
 }
 
 void IncrementalEngine::FlushCredits(const DynamicGraph& g,
@@ -343,15 +327,12 @@ void IncrementalEngine::EmitFromQueue(const DynamicGraph& g, PeelState* state,
   // Was umin's gray+credit pass ever flushed? If not, cancel it O(1) via
   // the scratch flag (its list entry goes stale; the flush skips those):
   // no credits were written, so no cancelling debits are owed.
-  bool credited = true;
-  if (options_.stored_delta_recovery) {
-    VertexScratch& su = Scratch(umin);
-    if (su.deferred) {
-      su.deferred = false;
-      --deferred_count_;
-      credit_budget_ -= static_cast<std::ptrdiff_t>(g.Degree(umin));
-      credited = false;
-    }
+  VertexScratch& su = Scratch(umin);
+  const bool credited = !su.deferred;
+  if (!credited) {
+    su.deferred = false;
+    --deferred_count_;
+    credit_budget_ -= static_cast<std::ptrdiff_t>(g.Degree(umin));
   }
 
   // Phase 1: peeling umin releases its edges from every neighbor that was
@@ -375,7 +356,7 @@ void IncrementalEngine::EmitFromQueue(const DynamicGraph& g, PeelState* state,
         [&](VertexId v, double c) {
           if (pending_.Contains(v)) {
             pending_.Decrease(v, -c);
-          } else if (options_.stored_delta_recovery) {
+          } else {
             AddRecov(v, -c);
           }
         });
@@ -495,7 +476,7 @@ void IncrementalEngine::MergeLoop(const DynamicGraph& g, PeelState* state,
     bool affected = ColorOf(u_k) != Color::kWhite;
     bool have_probe_weight = false;
     double probe_weight = 0.0;
-    if (options_.stored_delta_recovery && deferred_count_ > 0) {
+    if (deferred_count_ > 0) {
       if (affected) {
         // Gray or black with deferred credits outstanding: the accumulator
         // is behind by exactly those credits — settle them.
@@ -546,7 +527,7 @@ void IncrementalEngine::MergeLoop(const DynamicGraph& g, PeelState* state,
       PushPending(g, u_k, k,
                   have_probe_weight
                       ? probe_weight
-                      : RecoveredWeight(g, *state, u_k, d_k, k, stats),
+                      : RecoveredWeight(u_k, d_k, stats),
                   stats);
       ++k;
       continue;

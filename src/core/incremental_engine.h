@@ -26,7 +26,8 @@
 // neighbor), and as inserted edges arrive (+c mirroring what the stored
 // weight would have counted). Each affected vertex then pays exactly one
 // incident pass per state transition (push, emit) — never one per
-// relaxation or per queue examination.
+// relaxation or per queue examination. It is the engine's one recovery
+// mode; tests check the engine against a from-scratch PeelStatic.
 //
 // Untouched slots move in displacement runs (DESIGN.md §3.4): consecutive
 // case-2(b) slots share one (source, destination, length) run that is
@@ -61,7 +62,7 @@ struct ReorderStats {
   /// Width of the rewritten window of the peeling sequence.
   std::size_t rewritten_span = 0;
   /// Pending weights served O(1) from the stored-delta recovery accumulator
-  /// (each one an incident-list rescan the legacy path would have paid).
+  /// (each one an incident-list rescan a from-graph recount would pay).
   std::size_t recovery_lookups = 0;
 
   void Reset() { *this = ReorderStats(); }
@@ -73,22 +74,9 @@ struct ReorderStats {
   }
 };
 
-/// Tuning knobs for the incremental engine.
-struct IncrementalOptions {
-  /// When true (default), pending weights come from the paper's Algorithm 2
-  /// stored-delta gray recovery in O(1) per push. When false, every push
-  /// recomputes the weight from the graph in O(deg) — the pre-optimization
-  /// behavior, kept as a differential baseline for tests and benchmarks.
-  bool stored_delta_recovery = true;
-};
-
 /// Stateful incremental reorderer bound to one (graph, peel state) pair.
 class IncrementalEngine {
  public:
-  IncrementalEngine() = default;
-  explicit IncrementalEngine(IncrementalOptions options)
-      : options_(options) {}
-
   /// Inserts a batch of weighted edges (weight = final suspiciousness c_ij)
   /// into `g` and reorders `state` so it equals a from-scratch peel of the
   /// updated graph. Unknown endpoints are created as new vertices whose
@@ -213,11 +201,11 @@ class IncrementalEngine {
                      std::size_t k, ReorderStats* stats);
 
   /// Pushes u — whose pre-merge position is `old_pos` — into the pending
-  /// queue at `weight`. In recovery mode the graying/crediting incident
-  /// pass is deferred: colors and accumulators are only consulted when the
-  /// merge classifies a slot (case 2), so a vertex that pops back out of T
-  /// before the next classification never pays its incident pass at all —
-  /// FlushCredits() settles the books lazily. Legacy mode grays eagerly.
+  /// queue at `weight`. The graying/crediting incident pass is deferred:
+  /// colors and accumulators are only consulted when the merge classifies a
+  /// slot (case 2), so a vertex that pops back out of T before the next
+  /// classification never pays its incident pass at all — FlushCredits()
+  /// settles the books lazily.
   void PushPending(const DynamicGraph& g, VertexId u, std::size_t old_pos,
                    double weight, ReorderStats* stats);
 
@@ -231,19 +219,17 @@ class IncrementalEngine {
 
   /// Exact current peeling weight of u over the true pending set (queue
   /// members plus unscanned vertices), recomputed from the graph in
-  /// O(deg(u)). Used by the legacy (non-recovery) mode and by the deletion
-  /// path's splice seeding, where the weight is taken at an arbitrary
-  /// cursor rather than at u's own slot.
+  /// O(deg(u)). Used by the deletion path's splice seeding and early-emit
+  /// sweep, where the weight is taken at an arbitrary cursor rather than at
+  /// u's own slot.
   double ExactPendingWeight(const DynamicGraph& g, VertexId u, std::size_t k,
                             const PeelState& state,
                             ReorderStats* stats) const;
 
   /// Pending weight of the unscanned vertex u read at its own pre-merge
-  /// slot `k` (the only place the stored-delta identity holds): the stored
-  /// peeling weight plus the recovery accumulator, O(1). Falls back to the
-  /// from-graph recomputation when stored-delta recovery is disabled.
-  double RecoveredWeight(const DynamicGraph& g, const PeelState& state,
-                         VertexId u, double stored_delta, std::size_t k,
+  /// slot (the only place the stored-delta identity holds): the stored
+  /// peeling weight plus the recovery accumulator, O(1).
+  double RecoveredWeight(VertexId u, double stored_delta,
                          ReorderStats* stats) const;
 
   /// Refills the merge loop's read-ahead window with the pre-update entries
@@ -308,8 +294,6 @@ class IncrementalEngine {
     scratch_seq_.clear();
     scratch_delta_.clear();
   }
-
-  IncrementalOptions options_;
 
   IndexedMinHeap pending_;  // the paper's T
   std::vector<VertexScratch> scratch_vertex_;

@@ -1,12 +1,21 @@
 #include "core/spade.h"
 
 #include <algorithm>
+#include <cmath>
 
 #include "graph/graph_io.h"
 #include "peel/static_peeler.h"
 #include "storage/snapshot.h"
 
 namespace spade {
+namespace {
+
+/// Admission test on a post-ESusp weight: finite and positive.
+bool IsAdmissibleWeight(double weight) {
+  return std::isfinite(weight) && weight > 0.0;
+}
+
+}  // namespace
 
 Spade::Spade(SpadeOptions options) : options_(options) {
   const FraudSemantics dg = MakeDG();
@@ -112,6 +121,12 @@ Status Spade::ApplyEdge(const Edge& raw_edge, double* applied_weight) {
   }
   EnsureEndpoints(raw_edge);
   const Edge weighted = Weight(raw_edge);
+  // Reject before buffering: a buffered bad edge would fail the whole batch
+  // at the next flush, taking the valid edges grouped with it down too.
+  if (!IsAdmissibleWeight(weighted.weight)) {
+    return Status::InvalidArgument(
+        "ApplyEdge: weight must be finite and > 0");
+  }
   // The weight is fixed here, at admission — a benign-buffered edge still
   // enters the graph with this value when the buffer flushes, so it is the
   // weight a later RetireEdge must subtract.
@@ -149,6 +164,10 @@ Status Spade::ApplyBatchEdges(std::span<const Edge> raw_edges) {
   for (const Edge& raw : raw_edges) {
     EnsureEndpoints(raw);
     weighted.push_back(Weight(raw));
+    if (!IsAdmissibleWeight(weighted.back().weight)) {
+      return Status::InvalidArgument(
+          "ApplyBatchEdges: weight must be finite and > 0");
+    }
   }
   return InsertWeightedBatch(weighted);
 }

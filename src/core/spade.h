@@ -94,7 +94,9 @@ class Spade {
   /// high-throughput ingestion applies edges and detects per flush).
   /// `applied_weight` (optional) receives the post-ESusp weight the edge
   /// entered (or will enter, if benign-buffered) the graph with — the
-  /// weight a later RetireEdge must subtract.
+  /// weight a later RetireEdge must subtract. An edge whose post-ESusp
+  /// weight is not finite and positive fails with kInvalidArgument before
+  /// anything is buffered (ApplyBatchEdges then applies none of the batch).
   Status ApplyEdge(const Edge& raw_edge, double* applied_weight = nullptr);
   Status ApplyBatchEdges(std::span<const Edge> raw_edges);
 

@@ -578,8 +578,7 @@ void ShardWorker::CollectInduced(std::span<const VertexId> vertices,
 // ---------------------------------------------------------------------------
 // Persistence.
 
-Status ShardWorker::SavePartition(std::size_t pid, const std::string& path,
-                                  bool start_delta_tracking) {
+Status ShardWorker::SavePartition(std::size_t pid, const std::string& path) {
   Drain();
   std::lock_guard<std::mutex> lock(detector_mutex_);
   Partition* p = FindPartitionLocked(pid);
@@ -599,7 +598,7 @@ Status ShardWorker::SavePartition(std::size_t pid, const std::string& path,
       SaveSnapshot(path, p->spade.graph(), &p->spade.peel_state(), window));
   p->delta_log.clear();
   p->delta_overflow = false;
-  if (start_delta_tracking) p->delta_tracking = true;
+  p->delta_tracking = true;
   return Status::OK();
 }
 
@@ -651,7 +650,7 @@ Status ShardWorker::SavePartitionDelta(std::size_t pid,
 
 void ShardWorker::AppendDeltaRecord(Partition& p, const DeltaRecord& record) {
   if (!p.delta_tracking || p.delta_overflow) return;
-  if (p.delta_log.size() >= options_.max_delta_log) {
+  if (p.delta_log.size() >= kMaxDeltaLog) {
     // Unbounded history is worse than a forced full checkpoint: drop the
     // log, remember the overflow, and let the next SavePartitionDelta fail
     // fast.
@@ -677,8 +676,7 @@ void ShardWorker::RebaselineLocked(Partition& p) {
 }
 
 Status ShardWorker::ReplayLocked(Partition& p,
-                                 std::span<const DeltaSegment> segments,
-                                 bool track_deltas) {
+                                 std::span<const DeltaSegment> segments) {
   // Replay the applied history through the same entry points the live
   // worker used. Every record passed CRC validation and came from a
   // successfully applied edge, so a failure here is a logic error — but
@@ -706,14 +704,14 @@ Status ShardWorker::ReplayLocked(Partition& p,
   // ShardedDetectionService::ApplyChainEpoch).
   p.delta_log.clear();
   p.delta_overflow = false;
-  if (track_deltas) p.delta_tracking = true;
+  p.delta_tracking = true;
   RebaselineLocked(p);
   PublishArgmaxLocked();
   return Status::OK();
 }
 
-Status ShardWorker::RestorePartitionChain(std::size_t pid, RestorePlan&& plan,
-                                          bool track_deltas) {
+Status ShardWorker::RestorePartitionChain(std::size_t pid,
+                                          RestorePlan&& plan) {
   Drain();
   std::lock_guard<std::mutex> lock(detector_mutex_);
   Partition* p = FindPartitionLocked(pid);
@@ -725,7 +723,7 @@ Status ShardWorker::RestorePartitionChain(std::size_t pid, RestorePlan&& plan,
   p->spade.RestoreFromParts(std::move(plan.graph), std::move(plan.state),
                             plan.state_present);
   p->window_log.assign(plan.window.begin(), plan.window.end());
-  return ReplayLocked(*p, plan.segments, track_deltas);
+  return ReplayLocked(*p, plan.segments);
 }
 
 Status ShardWorker::ReplayPartitionSegment(
@@ -743,8 +741,7 @@ Status ShardWorker::ReplayPartitionSegment(
         "ShardWorker::ReplayPartitionSegment: partition not owned by this "
         "worker");
   }
-  return ReplayLocked(*p, std::span<const DeltaSegment>(&segment, 1),
-                      /*track_deltas=*/true);
+  return ReplayLocked(*p, std::span<const DeltaSegment>(&segment, 1));
 }
 
 void ShardWorker::InspectDetector(
@@ -1108,13 +1105,11 @@ void ShardWorker::WorkerLoop() {
                  p->window_log.front().ts < retire_horizon) {
             const Edge old = p->window_log.front();
             p->window_log.pop_front();
+            // Admission keeps every window-log edge in the detector's
+            // graph at its logged weight, so a failed retire is a bug.
             const Status s =
                 p->spade.RetireEdge(old.src, old.dst, old.weight);
-            if (!s.ok()) {
-              SPADE_LOG_WARNING()
-                  << "ShardWorker retire failed: " << s.ToString();
-              continue;
-            }
+            SPADE_CHECK(s.ok());
             AppendDeltaRecord(*p, DeltaRecord::Retire(old));
             // Retire deltas feed the stitch trigger accumulators (seam
             // mass changed), never the boundary record log — index

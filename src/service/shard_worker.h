@@ -8,9 +8,9 @@
 // idle one at a drain boundary, moving the detector by pointer. There is
 // one shape: the required partition function maps each popped edge to its
 // pid, the ownership table resolves the pid, and persistence is addressed
-// by pid. A ShardedDetectionService worker routes by source home
-// (PartitionOf, partition_map.h) whether or not its fleet rebalances;
-// DetectionService is the one-partition client (every edge is pid 0).
+// by pid. ShardedDetectionService is the one client: its workers route by
+// source home (PartitionOf, partition_map.h) whether or not the fleet
+// rebalances, and a one-shard fleet is one worker owning partition 0.
 //
 // The three client-visible paths are decoupled so none of them serializes
 // on an in-flight reorder:
@@ -140,8 +140,8 @@ using PartitionOfFn = std::function<std::size_t(const Edge&)>;
 /// SPADE_CHECK failure, never a silent drop.
 using ForwardFn = std::function<std::size_t(std::span<const Edge>)>;
 
-/// Per-shard service configuration (shared by DetectionService and every
-/// shard of a ShardedDetectionService).
+/// Per-worker configuration: ShardedDetectionServiceOptions::shard, applied
+/// to every worker of the fleet.
 struct DetectionServiceOptions {
   /// Detect (and possibly alert) after at most this many applied edges even
   /// if no urgent edge forced a flush.
@@ -157,11 +157,6 @@ struct DetectionServiceOptions {
   /// true = Submit blocks until the worker frees space (backpressure
   /// propagates to producers instead of dropping transactions).
   bool block_when_full = false;
-  /// Cap on the in-memory delta log (applied-history records kept for the
-  /// next incremental checkpoint), per partition. A worker whose owner
-  /// stops checkpointing must not grow without bound: at the cap the log
-  /// is dropped and the next checkpoint falls back to a full snapshot.
-  std::size_t max_delta_log = 1 << 20;
   /// CPU to pin the worker thread to (-1 = unpinned). Linux-only
   /// (pthread_setaffinity_np); elsewhere, and for CPUs that do not exist,
   /// the worker logs a warning and runs unpinned.
@@ -459,11 +454,10 @@ class ShardWorker {
   /// Drains, then persists one partition's full detector state (and window
   /// log) under the detector lock. Safe to call while producers keep
   /// submitting; the snapshot is a consistent prefix of the stream. A full
-  /// save is a checkpoint: the delta log is reset, and with
-  /// `start_delta_tracking` the partition begins (or continues) recording
-  /// applied history for a future SavePartitionDelta.
-  Status SavePartition(std::size_t pid, const std::string& path,
-                       bool start_delta_tracking = false);
+  /// save is a checkpoint: the delta log is reset and the partition begins
+  /// (or continues) recording applied history for a future
+  /// SavePartitionDelta.
+  Status SavePartition(std::size_t pid, const std::string& path);
 
   /// Incremental checkpoint: drains, then writes only the partition's
   /// applied history since the last checkpoint as a delta segment
@@ -472,7 +466,7 @@ class ShardWorker {
   /// since last checkpoint) — the detector state is not touched (no flush,
   /// no reorder). Fails with kFailedPrecondition when no checkpoint
   /// baseline exists (tracking never started) or the log overflowed
-  /// `max_delta_log`; the caller falls back to a full SavePartition.
+  /// kMaxDeltaLog; the caller falls back to a full SavePartition.
   Status SavePartitionDelta(std::size_t pid, const std::string& path,
                             std::uint32_t shard, std::uint64_t prev_epoch,
                             std::uint64_t epoch,
@@ -483,15 +477,13 @@ class ShardWorker {
   /// restored detector re-makes exactly the decisions the live one made
   /// (DESIGN.md §5), so the result is bit-identical to the detector that
   /// wrote the chain. The detector's installed semantics are reused; the
-  /// restored community is republished and becomes the alert baseline.
-  /// `track_deltas` arms delta tracking for the next incremental
-  /// checkpoint, mirroring SavePartition's `start_delta_tracking`. Safe to
-  /// run concurrently with other workers' restores (each call only touches
-  /// its own worker's detector mutex), which is how the sharded service
-  /// parallelizes restore-side replay; two partitions on the same worker
-  /// serialize.
-  Status RestorePartitionChain(std::size_t pid, RestorePlan&& plan,
-                               bool track_deltas);
+  /// restored community is republished and becomes the alert baseline,
+  /// and delta tracking is armed for the next incremental checkpoint, as
+  /// after SavePartition. Safe to run concurrently with other workers'
+  /// restores (each call only touches its own worker's detector mutex),
+  /// which is how the sharded service parallelizes restore-side replay;
+  /// two partitions on the same worker serialize.
+  Status RestorePartitionChain(std::size_t pid, RestorePlan&& plan);
 
   /// Replays one already-validated delta segment on top of the partition's
   /// current state — the warm-standby increment: a follower that restored
@@ -608,6 +600,12 @@ class ShardWorker {
   /// never blocking), and counts accepted edges as consumed.
   void FlushForwardBacklog();
 
+  /// Cap on a partition's in-memory delta log (applied-history records
+  /// kept for the next incremental checkpoint). A worker whose owner stops
+  /// checkpointing must not grow without bound: at the cap the log is
+  /// dropped and the next checkpoint falls back to a full snapshot.
+  static constexpr std::size_t kMaxDeltaLog = std::size_t{1} << 20;
+
   /// Appends one applied-history record to a partition's delta log
   /// (detector mutex held). Drops the whole log and marks overflow at the
   /// cap.
@@ -622,8 +620,7 @@ class ShardWorker {
   /// points, then restarts the partition's delta log at the replayed
   /// checkpoint, re-baselines and republishes (detector mutex held). The
   /// shared body of RestorePartitionChain and ReplayPartitionSegment.
-  Status ReplayLocked(Partition& p, std::span<const DeltaSegment> segments,
-                      bool track_deltas);
+  Status ReplayLocked(Partition& p, std::span<const DeltaSegment> segments);
 
   /// Re-baselines a partition's alert filter on its current community and
   /// stores it as the partition's cached snapshot (detector mutex held).

@@ -98,31 +98,13 @@ ShardedDetectionService::ShardedDetectionService(
   const std::size_t num_workers = num_partitions / pps;
   if (!options_.partitioner) options_.partitioner = HashOfSourcePartitioner();
   semantics_ = shards.front().semantics_name();
-  bool has_override = false;
-  for (const auto& o : options_.stitch.pair_trigger_overrides) {
-    has_override |= o.weight > 0.0;
-  }
   const bool trigger_armed =
-      (options_.stitch.trigger_weight > 0.0 || has_override) &&
-      num_partitions > 1;
+      options_.stitch.trigger_weight > 0.0 && num_partitions > 1;
   if (trigger_armed) {
     const std::size_t pairs = num_partitions * num_partitions;
     pair_weight_ = std::make_unique<std::atomic<double>[]>(pairs);
-    pair_threshold_ = std::make_unique<double[]>(pairs);
     for (std::size_t i = 0; i < pairs; ++i) {
       pair_weight_[i].store(0.0, std::memory_order_relaxed);
-      pair_threshold_[i] = options_.stitch.trigger_weight;
-    }
-    // Overrides apply symmetrically (the accumulators are ordered pairs,
-    // the policy is not); later entries win on duplicates.
-    for (const auto& o : options_.stitch.pair_trigger_overrides) {
-      if (o.a >= num_partitions || o.b >= num_partitions || o.a == o.b) {
-        SPADE_LOG_WARNING() << "ignoring pair_trigger_override {" << o.a
-                            << ", " << o.b << "}: not a partition pair";
-        continue;
-      }
-      pair_threshold_[o.a * num_partitions + o.b] = o.weight;
-      pair_threshold_[o.b * num_partitions + o.a] = o.weight;
     }
   }
   // Workers start their threads inside the ShardWorker constructor, so the
@@ -177,8 +159,8 @@ ShardedDetectionService::ShardedDetectionService(
   }
   // The interval path runs for a single shard too: a stitch pass there is
   // just "publish the one shard's snapshot with provenance", which is what
-  // makes CurrentGlobalCommunity(kStitched) well-defined (stitch_passes
-  // advances, shards == {0}) instead of silently never stitching.
+  // makes CurrentGlobalCommunity() well-defined (stitch_passes advances,
+  // shards == {0}) instead of silently never stitching.
   if (options_.stitch.interval_ms > 0 || trigger_armed) {
     stitcher_ = std::thread([this] { StitcherLoop(); });
   }
@@ -245,12 +227,7 @@ void ShardedDetectionService::OnBoundaryUpdate(std::size_t num_partitions,
   std::atomic<double>& slot =
       pair_weight_[src_home * num_partitions + dst_home];
   const double before = AtomicAddDouble(slot, std::abs(applied));
-  // Per-pair override, else the fleet default (<= 0 disarms this pair:
-  // weight still accumulates for the next pass's fold, but never wakes
-  // the stitcher on its own).
-  const double threshold =
-      pair_threshold_[src_home * num_partitions + dst_home];
-  if (threshold <= 0.0) return;
+  const double threshold = options_.stitch.trigger_weight;
   if (before < threshold && before + std::abs(applied) >= threshold) {
     stitch_triggers_.fetch_add(1, std::memory_order_relaxed);
     {
@@ -697,11 +674,7 @@ void ShardedDetectionService::StoreStitched(
 #endif
 }
 
-Community ShardedDetectionService::CurrentCommunity(
-    GlobalReadMode mode) const {
-  if (mode == GlobalReadMode::kStitched) {
-    return CurrentGlobalCommunity();
-  }
+Community ShardedDetectionService::CurrentCommunity() const {
   const auto [shard, snap] = ArgmaxSnapshot();
   return snap ? *snap : Community{};
 }
@@ -1200,8 +1173,7 @@ Status ShardedDetectionService::SaveFull(const std::string& dir,
     const std::string path = JoinPath(dir, name);
     // A full save is the checkpoint baseline: it arms per-partition delta
     // tracking so the next save can be incremental.
-    SPADE_RETURN_NOT_OK(workers_[map_.ShardOf(pid)]->SavePartition(
-        pid, path, /*start_delta_tracking=*/true));
+    SPADE_RETURN_NOT_OK(workers_[map_.ShardOf(pid)]->SavePartition(pid, path));
     bytes += FileSizeOrZero(path);
     manifest.files.push_back(name);
   }
@@ -1484,10 +1456,10 @@ Status ShardedDetectionService::RestoreState(const std::string& dir,
   }
   // Chain replay is the dominant restore cost (it re-applies every delta
   // edge through the full reorder path), and each partition's plan touches
-  // only its owner's detector — so replay partition chains in parallel.
-  // Two partitions on the same worker serialize on its detector mutex; the
-  // result is bit-identical to a serial replay (restore_threads = 1)
-  // because nothing else is shared between the replays.
+  // only its owner's detector — so replay partition chains in parallel,
+  // one thread per worker. Two partitions on the same worker serialize on
+  // its detector mutex; nothing else is shared between the replays, so
+  // the result does not depend on their interleaving.
   {
     // Placement install + replay run under one rebalance hold: a steal
     // landing between "move pid to its checkpoint shard" and "replay pid
@@ -1506,35 +1478,22 @@ Status ShardedDetectionService::RestoreState(const std::string& dir,
       workers_[target_shard[pid]]->AttachPartition(std::move(part));
       map_.Publish(pid, target_shard[pid]);
     }
-    const std::size_t pool =
-        options_.restore_threads == 0
-            ? std::min(workers_.size(), num_partitions)
-            : std::min(options_.restore_threads, num_partitions);
+    const std::size_t pool = std::min(workers_.size(), num_partitions);
     std::vector<Status> statuses(num_partitions, Status::OK());
-    if (pool <= 1) {
-      for (std::size_t pid = 0; pid < num_partitions; ++pid) {
-        statuses[pid] = workers_[map_.ShardOf(pid)]->RestorePartitionChain(
-            pid, std::move(plans[pid]), /*track_deltas=*/true);
-      }
-    } else {
-      std::atomic<std::size_t> next{0};
-      std::vector<std::thread> threads;
-      threads.reserve(pool);
-      for (std::size_t t = 0; t < pool; ++t) {
-        threads.emplace_back([this, num_partitions, &next, &plans,
-                              &statuses] {
-          for (;;) {
-            const std::size_t pid =
-                next.fetch_add(1, std::memory_order_relaxed);
-            if (pid >= num_partitions) break;
-            statuses[pid] =
-                workers_[map_.ShardOf(pid)]->RestorePartitionChain(
-                    pid, std::move(plans[pid]), /*track_deltas=*/true);
-          }
-        });
-      }
-      for (std::thread& t : threads) t.join();
+    std::atomic<std::size_t> next{0};
+    std::vector<std::thread> threads;
+    threads.reserve(pool);
+    for (std::size_t t = 0; t < pool; ++t) {
+      threads.emplace_back([this, num_partitions, &next, &plans, &statuses] {
+        for (;;) {
+          const std::size_t pid = next.fetch_add(1, std::memory_order_relaxed);
+          if (pid >= num_partitions) break;
+          statuses[pid] = workers_[map_.ShardOf(pid)]->RestorePartitionChain(
+              pid, std::move(plans[pid]));
+        }
+      });
     }
+    for (std::thread& t : threads) t.join();
     for (const Status& s : statuses) SPADE_RETURN_NOT_OK(s);
   }
   {

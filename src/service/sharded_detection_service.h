@@ -2,7 +2,9 @@
 // pluggable partitioner — the service-layer analogue of κ-Join's
 // vertex-cover decomposition (PAPERS.md): split the workload into parts
 // whose updates never interact, run each part's detector on its own core,
-// and combine answers at read time.
+// and combine answers at read time. A one-shard fleet is the
+// single-detector service: one worker owning partition 0, every chunk
+// handed straight to it, and no boundary records.
 //
 // Partitioner contract: a Partitioner is one function, vertex -> home key
 // (partition_map.h). A vertex's home partition is its key modulo the
@@ -18,8 +20,8 @@
 // edge captured by a state snapshot always has its boundary record on disk
 // first.
 //
-// Cross-shard reads: CurrentCommunity() defaults to the densest community
-// over all shard snapshots (per-shard argmax). The stitch pass (StitchNow,
+// Cross-shard reads: CurrentCommunity() is the densest community over all
+// shard snapshots (per-shard argmax). The stitch pass (StitchNow,
 // or a background stitcher when StitchOptions::interval_ms > 0 runs it on
 // a timer and/or StitchOptions::trigger_weight > 0 wakes it the moment a
 // shard pair's accumulated unstitched weight crosses the threshold) closes
@@ -30,8 +32,9 @@
 // exactly one shard, so the union is the exact global induced subgraph),
 // peels it with the static peeler, and publishes the result as an
 // atomically-swapped GlobalCommunity snapshot — same non-blocking read
-// protocol as the shard snapshots. Reads in stitched mode return the
-// denser of the stitched snapshot and the live argmax. Consumed queue
+// protocol as the shard snapshots. The stitched read,
+// CurrentGlobalCommunity(), returns the denser of the stitched snapshot and
+// the live argmax. Consumed queue
 // history is compacted to per-vertex weight blocks (resident boundary
 // memory O(boundary vertices)). DESIGN.md §4.4 has the exactness,
 // freshness and staleness statements.
@@ -120,7 +123,7 @@ struct StitchOptions {
   std::uint32_t interval_ms = 0;
   /// Event-driven stitching: when > 0, every applied (or retired)
   /// cross-shard edge adds its absolute applied weight to a per-shard-pair
-  /// accumulator, and the pair crossing this threshold wakes the
+  /// accumulator, and any pair crossing this threshold wakes the
   /// background stitcher immediately — freshness becomes "bounded edges
   /// behind the threshold crossing" instead of "interval_ms behind".
   /// Works alone (interval_ms == 0: the stitcher only wakes on triggers)
@@ -132,20 +135,6 @@ struct StitchOptions {
   /// keeping resident boundary memory O(boundary vertices). On by
   /// default; the bench A/Bs it off to measure the saving.
   bool compact_boundary = true;
-  /// Per-pair trigger threshold override: the unordered partition pair
-  /// {a, b} wakes the stitcher at `weight` instead of the fleet-wide
-  /// trigger_weight. A hot pair (e.g. one the rebalancer keeps moving)
-  /// can stitch more eagerly than the fleet default without lowering the
-  /// threshold everywhere. `weight` <= 0 disables triggering for the pair.
-  struct PairTriggerOverride {
-    std::size_t a = 0;
-    std::size_t b = 0;
-    double weight = 0.0;
-  };
-  /// Overrides applied on top of trigger_weight (later entries win on
-  /// duplicate pairs). Any override > 0 arms the event-driven stitcher
-  /// even when trigger_weight == 0.
-  std::vector<PairTriggerOverride> pair_trigger_overrides;
   /// Stitched-detection alerts (see StitchAlertFn).
   StitchAlertFn on_stitch_alert;
 };
@@ -236,11 +225,6 @@ struct ShardedDetectionServiceOptions {
   /// shard.cpu, default unpinned). Linux-only; nonexistent CPUs degrade to
   /// a logged warning, never an error — see DetectionServiceOptions::cpu.
   std::vector<int> shard_cpus;
-  /// Threads used by RestoreState's chain replay: 0 = one per shard (the
-  /// default — each shard's chain replays only into its own detector, so
-  /// the replays are independent and bit-identical to a serial restore),
-  /// 1 = serial, n = capped worker pool.
-  std::size_t restore_threads = 0;
   /// Work-stealing rebalance (partition granularity, steal policy).
   RebalanceOptions rebalance;
 };
@@ -300,14 +284,6 @@ struct ShardedServiceStats {
 /// Partition-parallel streaming front-end over N Spade detectors.
 class ShardedDetectionService {
  public:
-  /// How CurrentCommunity() combines the shard views.
-  enum class GlobalReadMode {
-    /// Densest single-shard snapshot (never sees cross-shard communities).
-    kArgmax,
-    /// Denser of the latest stitched snapshot and the live argmax.
-    kStitched,
-  };
-
   /// Takes ownership of one fully built detector per PARTITION (all built
   /// with the same semantics; each should hold its partition's initial
   /// graph). With the default RebalanceOptions a partition is a shard and
@@ -387,22 +363,21 @@ class ShardedDetectionService {
   /// Idempotent.
   void Stop();
 
-  /// Global community read. kArgmax: densest community over all shard
-  /// snapshots (ties break toward the lower shard id; never blocks on any
-  /// apply path). kStitched: the denser of the latest stitched snapshot and
-  /// the live argmax — still lock-free, but only as fresh as the last
-  /// stitch pass. While no retire pass has touched a contributing shard, a
-  /// stitched snapshot's density is a valid lower bound of its member set's
-  /// current density (inserts only grow a fixed set's induced density).
-  /// Window expiry breaks that bound — deletions can make a stale stitched
-  /// density OVERSTATE the live one — so every retire pass that removes
-  /// edges from a contributing shard drops the published stitched snapshot,
-  /// and stitched reads fall back to the live argmax until the next pass.
-  Community CurrentCommunity(
-      GlobalReadMode mode = GlobalReadMode::kArgmax) const;
+  /// Argmax read: the densest community over all shard snapshots (ties
+  /// break toward the lower shard id; never blocks on any apply path).
+  /// Never sees a community that spans shards.
+  Community CurrentCommunity() const;
 
   /// Stitched read with provenance: the denser of the latest stitched
-  /// snapshot and the live argmax, tagged with contributing shards.
+  /// snapshot and the live argmax, tagged with contributing shards — still
+  /// lock-free, but only as fresh as the last stitch pass. While no retire
+  /// pass has touched a contributing shard, a stitched snapshot's density
+  /// is a valid lower bound of its member set's current density (inserts
+  /// only grow a fixed set's induced density). Window expiry breaks that
+  /// bound — deletions can make a stale stitched density OVERSTATE the
+  /// live one — so every retire pass that removes edges from a
+  /// contributing shard drops the published stitched snapshot, and
+  /// stitched reads fall back to the live argmax until the next pass.
   GlobalCommunity CurrentGlobalCommunity() const;
 
   /// Runs a stitch pass now: (drain,) fold the boundary index, gather the
@@ -512,7 +487,7 @@ class ShardedDetectionService {
     /// durable epoch (restored_epoch < manifest_epoch).
     bool truncated_chain = false;
     /// Wall-clock duration of the whole restore (validation + parallel
-    /// chain replay; see ShardedDetectionServiceOptions::restore_threads).
+    /// chain replay).
     double restore_millis = 0.0;
   };
 
@@ -538,10 +513,10 @@ class ShardedDetectionService {
   /// to the last epoch whose files are all intact; a torn base or manifest
   /// fails cleanly. Delta chains replay through the normal ApplyEdge path,
   /// so restored detectors are bit-identical to the ones that wrote the
-  /// chain. Delta chains replay in parallel, one thread per shard by
-  /// default (each chain replays only into its own detector, so the result
-  /// is bit-identical to a serial restore; `restore_threads` caps or
-  /// serializes the pool). Detectors keep their installed semantics. The
+  /// chain. Delta chains replay in parallel on min(shards, partitions)
+  /// threads (each chain replays only into its own detector, so the result
+  /// does not depend on the interleaving). Detectors keep their installed
+  /// semantics. The
   /// boundary index is restored too, and the stitched snapshot *and* the
   /// stitch/boundary counters are reset — stats() afterwards describes the
   /// restored run, not the one that wrote the snapshot. The directory's
@@ -717,14 +692,9 @@ class ShardedDetectionService {
 
   // --- trigger accumulators (written from worker apply paths; one atomic
   // double per ordered PARTITION pair, CAS-add — allocated only when the
-  // trigger is armed: fleet-wide trigger_weight > 0 or any per-pair
-  // override > 0, and the fleet has > 1 partition) ------------------------
+  // trigger is armed: trigger_weight > 0 and the fleet has > 1
+  // partition) -------------------------------------------------------------
   std::unique_ptr<std::atomic<double>[]> pair_weight_;
-  /// Per-ordered-pair wake threshold: trigger_weight with
-  /// pair_trigger_overrides applied symmetrically (<= 0 = pair never
-  /// triggers). Immutable after construction; same allocation condition as
-  /// pair_weight_.
-  std::unique_ptr<double[]> pair_threshold_;
 
   // --- background stitcher (started when stitch.interval_ms > 0 or the
   // trigger is armed) -----------------------------------------------------

@@ -2,10 +2,10 @@
 //
 //  * mixed InsertEdge / InsertBatchEdges / DeleteEdge streams (with
 //    new-vertex edges and parallel edges) driven through the Spade facade
-//    under all three built-in semantics, asserting the reordered PeelState
+//    under all three built-in semantics, on small graphs and on graphs
+//    spanning several 512-slot blocks, asserting the reordered PeelState
 //    equals a from-scratch PeelStatic of the final weighted graph exactly,
-//  * the O(1) stored-delta gray recovery against the legacy from-graph
-//    recomputation it replaced (both must produce identical states),
+//  * the O(1) stored-delta gray recovery serving insertion merges,
 //  * PeelState's blocked suffix-sum / hull detection against the naive
 //    linear suffix scan, under Assign/BumpDelta churn and head insertions,
 //  * epoch wrap-around in the engine's stamp arrays.
@@ -14,6 +14,7 @@
 
 #include <cstddef>
 #include <cstring>
+#include <ostream>
 #include <vector>
 
 #include "common/rng.h"
@@ -35,16 +36,31 @@ using testing::ValidateCanonicalSequence;
 // Mixed update streams through the Spade facade, all three semantics.
 // ------------------------------------------------------------------------
 
-class MixedStreamTest : public ::testing::TestWithParam<const char*> {};
+// One input class: a semantics, the initial vertex-count range
+// [min_n, min_n + n_span), the trial count and a seed offset.
+struct MixedStreamCase {
+  const char* algo;
+  std::size_t min_n;
+  std::size_t n_span;
+  int trials;
+  std::uint64_t seed_offset;
+};
+
+void PrintTo(const MixedStreamCase& c, std::ostream* os) {
+  *os << c.algo << " n=[" << c.min_n << ", " << c.min_n + c.n_span << ")";
+}
+
+class MixedStreamTest : public ::testing::TestWithParam<MixedStreamCase> {};
 
 TEST_P(MixedStreamTest, IncrementalMatchesStaticAfterEveryUpdate) {
-  const std::string algo = GetParam();
+  const MixedStreamCase param = GetParam();
+  const std::string algo = param.algo;
   // Seed off the name's content, not its length, so each semantics replays
   // a distinct stream shape.
   Rng rng(990 + static_cast<std::uint64_t>(algo[0]) * 31 +
-          static_cast<std::uint64_t>(algo[1]));
-  for (int trial = 0; trial < 8; ++trial) {
-    std::size_t n = 4 + rng.NextBounded(16);
+          static_cast<std::uint64_t>(algo[1]) + param.seed_offset);
+  for (int trial = 0; trial < param.trials; ++trial) {
+    std::size_t n = param.min_n + rng.NextBounded(param.n_span);
     Spade spade;
     spade.SetSemantics(MakeSemanticsByName(algo));
 
@@ -131,50 +147,24 @@ TEST_P(MixedStreamTest, IncrementalMatchesStaticAfterEveryUpdate) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(AllSemantics, MixedStreamTest,
-                         ::testing::Values("DG", "DW", "FD"));
+INSTANTIATE_TEST_SUITE_P(
+    AllSemantics, MixedStreamTest,
+    ::testing::Values(MixedStreamCase{"DG", 4, 16, 8, 0},
+                      MixedStreamCase{"DW", 4, 16, 8, 0},
+                      MixedStreamCase{"FD", 4, 16, 8, 0}));
+
+// 1,536-3,000 vertices: the sequence spans three to six 512-slot blocks, so
+// merges, displacement runs and Detect's hulls cross block boundaries. FD
+// runs one trial: its O(n^2) canonical validation per step dominates.
+INSTANTIATE_TEST_SUITE_P(
+    MultiBlock, MixedStreamTest,
+    ::testing::Values(MixedStreamCase{"DG", 1536, 1465, 2, 1},
+                      MixedStreamCase{"DW", 1536, 1465, 2, 1},
+                      MixedStreamCase{"FD", 1536, 1465, 1, 1}));
 
 // ------------------------------------------------------------------------
-// Stored-delta recovery vs the legacy from-graph recomputation.
+// Stored-delta recovery.
 // ------------------------------------------------------------------------
-
-TEST(RecoveryModeTest, StoredDeltaMatchesLegacyOnMixedStreams) {
-  Rng rng(4242);
-  for (int trial = 0; trial < 10; ++trial) {
-    const std::size_t n = 4 + rng.NextBounded(24);
-    DynamicGraph g1 = RandomGraph(&rng, n, 2 * n, 6, 2);
-    DynamicGraph g2(n);
-    for (std::size_t v = 0; v < n; ++v) {
-      g2.SetVertexWeight(static_cast<VertexId>(v),
-                         g1.VertexWeight(static_cast<VertexId>(v)));
-    }
-    for (std::size_t u = 0; u < n; ++u) {
-      for (const auto& e : g1.OutNeighbors(static_cast<VertexId>(u))) {
-        ASSERT_TRUE(
-            g2.AddEdge(static_cast<VertexId>(u), e.vertex, e.weight).ok());
-      }
-    }
-    PeelState s1 = PeelStatic(g1);
-    PeelState s2 = PeelStatic(g2);
-    IncrementalEngine recovery;  // default: stored-delta recovery on
-    IncrementalEngine legacy(IncrementalOptions{.stored_delta_recovery =
-                                                    false});
-    for (int step = 0; step < 30; ++step) {
-      const Edge e = testing::RandomEdge(&rng, n);
-      if (rng.NextBool(0.3) && g1.NumEdges() > 0) {
-        const Status d1 = recovery.DeleteEdge(&g1, &s1, e.src, e.dst,
-                                              nullptr, nullptr);
-        const Status d2 =
-            legacy.DeleteEdge(&g2, &s2, e.src, e.dst, nullptr, nullptr);
-        ASSERT_EQ(d1.ok(), d2.ok());
-      } else {
-        ASSERT_TRUE(recovery.InsertEdge(&g1, &s1, e, nullptr, nullptr).ok());
-        ASSERT_TRUE(legacy.InsertEdge(&g2, &s2, e, nullptr, nullptr).ok());
-      }
-      ExpectStateEquals(s2, s1);
-    }
-  }
-}
 
 TEST(RecoveryModeTest, InsertionsUseO1RecoveryNotRescans) {
   Rng rng(7);
@@ -189,7 +179,7 @@ TEST(RecoveryModeTest, InsertionsUseO1RecoveryNotRescans) {
                     .ok());
   }
   // Every affected vertex beyond the two endpoints enters the queue through
-  // the O(1) recovery; the legacy path would report zero.
+  // the O(1) recovery, not an incident-list rescan.
   EXPECT_GT(stats.recovery_lookups, 0u);
 }
 

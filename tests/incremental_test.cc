@@ -315,9 +315,8 @@ TEST(IncrementalDeleteTest, MixedInsertDeleteEquivalence) {
 // Ids [0, kIsolated) are isolated and peel first, in id order, at weight 0;
 // kPaths disjoint unit-weight paths a - b - c follow, with ids a < c < b so
 // each peels as a, c, b; a dense core peels last. Integer weights keep
-// every comparison with the static peel tie-exact. The parameter selects
-// stored-delta recovery (deferred credits) or the legacy eager mode.
-class DisplacementRunTest : public ::testing::TestWithParam<bool> {
+// every comparison with the static peel tie-exact.
+class DisplacementRunTest : public ::testing::Test {
  protected:
   static constexpr std::size_t kIsolated = 3000;
   static constexpr std::size_t kPaths = 1000;
@@ -325,9 +324,7 @@ class DisplacementRunTest : public ::testing::TestWithParam<bool> {
   // Every shape below moves at least this many untouched slots per update.
   static constexpr std::size_t kLongRun = 1000;
 
-  DisplacementRunTest()
-      : g_(kIsolated + 3 * kPaths + kCore),
-        engine_(IncrementalOptions{.stored_delta_recovery = GetParam()}) {
+  DisplacementRunTest() : g_(kIsolated + 3 * kPaths + kCore) {
     for (std::size_t i = 0; i < kPaths; ++i) {
       EXPECT_TRUE(g_.AddEdge(PathA(i), PathB(i), 1.0).ok());
       EXPECT_TRUE(g_.AddEdge(PathB(i), PathC(i), 1.0).ok());
@@ -374,7 +371,7 @@ class DisplacementRunTest : public ::testing::TestWithParam<bool> {
 // is pushed at its slot, the credit pass settles when the probe budget
 // runs out at b (a's neighbor, one untouched slot later), and the rest of
 // the path region shifts down behind it while the write cursor trails.
-TEST_P(DisplacementRunTest, InsertRunsWithCreditsSettled) {
+TEST_F(DisplacementRunTest, InsertRunsWithCreditsSettled) {
   Rng rng(71);
   for (int step = 0; step < 30; ++step) {
     const VertexId p = PathA(rng.NextBounded(kPaths / 2));
@@ -390,7 +387,7 @@ TEST_P(DisplacementRunTest, InsertRunsWithCreditsSettled) {
 // vertices join at the head with an edge to a hub: either way a queue
 // member's credit pass stays deferred while the scan moves the isolated
 // region (degree-0 probes cost no budget) behind it.
-TEST_P(DisplacementRunTest, InsertRunsWithDeferredCreditsOutstanding) {
+TEST_F(DisplacementRunTest, InsertRunsWithDeferredCreditsOutstanding) {
   Rng rng(72);
   for (int step = 0; step < 30; ++step) {
     const VertexId hub = CoreVertex(rng.NextBounded(kCore));
@@ -408,7 +405,7 @@ TEST_P(DisplacementRunTest, InsertRunsWithDeferredCreditsOutstanding) {
 // thousands of zero-weight vertices with larger ids: it emits at once,
 // and the write cursor then leads the scan for the whole run up to its old
 // slot. Deletions and re-insertions of path edges ride along.
-TEST_P(DisplacementRunTest, DeleteRunsLeadTheScan) {
+TEST_F(DisplacementRunTest, DeleteRunsLeadTheScan) {
   Rng rng(73);
   for (int step = 0; step < 30; ++step) {
     const auto x = static_cast<VertexId>(rng.NextBounded(kIsolated / 2));
@@ -425,12 +422,6 @@ TEST_P(DisplacementRunTest, DeleteRunsLeadTheScan) {
     }
   }
 }
-
-INSTANTIATE_TEST_SUITE_P(RecoveryModes, DisplacementRunTest,
-                         ::testing::Bool(),
-                         [](const ::testing::TestParamInfo<bool>& info) {
-                           return info.param ? "StoredDelta" : "Legacy";
-                         });
 
 TEST(ReorderStatsTest, AffectedAreaIsBounded) {
   Rng rng(31);

@@ -23,7 +23,6 @@
 #include "net/ingest_server.h"
 #include "net/replicator.h"
 #include "net/wire_format.h"
-#include "service/detection_service.h"
 #include "service/sharded_detection_service.h"
 #include "storage/sharded_snapshot.h"
 #include "tests/test_util.h"
@@ -141,7 +140,9 @@ TEST(DrainFor, SingleShardServiceBoundedWait) {
   Spade spade;
   spade.SetSemantics(MakeDW());
   ASSERT_TRUE(spade.BuildGraph(kVertices, {}).ok());
-  DetectionService service(std::move(spade), nullptr);
+  std::vector<Spade> one_shard;
+  one_shard.push_back(std::move(spade));
+  ShardedDetectionService service(std::move(one_shard), nullptr);
   EXPECT_TRUE(service.DrainFor(std::chrono::milliseconds(500)));
   for (const Edge& e : MakeEdges(256, 3)) {
     ASSERT_TRUE(service.Submit(e).ok());

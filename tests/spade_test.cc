@@ -233,6 +233,44 @@ TEST(EdgeGroupingTest, BufferCapForcesFlush) {
   EXPECT_EQ(spade.PendingBenignEdges(), 0u);
 }
 
+// Admission: an edge whose post-ESusp weight is not finite and positive
+// fails on its own, before it is buffered. Buffered, it would fail the next
+// flush's whole batch and take the valid edges grouped with it down too.
+TEST(EdgeGroupingTest, BadWeightFailsAloneBeforeBuffering) {
+  Spade spade;
+  spade.SetSemantics(MakeDW());
+  spade.TurnOnEdgeGrouping();
+  ASSERT_TRUE(spade.BuildGraph(7, DenseRingLog()).ok());
+  EXPECT_EQ(spade.ApplyEdge({3, 6, -5.0, 20}).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(spade.PendingBenignEdges(), 0u);
+  ASSERT_TRUE(spade.ApplyEdge({4, 6, 0.5, 21}).ok());  // benign: buffered
+  EXPECT_EQ(spade.PendingBenignEdges(), 1u);
+  ASSERT_TRUE(spade.ApplyEdge({3, 5, 50.0, 22}).ok());  // urgent: flushes
+  EXPECT_EQ(spade.PendingBenignEdges(), 0u);
+  EXPECT_EQ(spade.graph().NumEdges(), 8u);
+  testing::ExpectStateEquals(PeelStatic(spade.graph()), spade.peel_state(),
+                             0.0);
+}
+
+TEST(EdgeGroupingTest, NonFiniteWeightsAreRejected) {
+  Spade spade;
+  spade.SetSemantics(MakeDW());
+  spade.TurnOnEdgeGrouping();
+  ASSERT_TRUE(spade.BuildGraph(7, DenseRingLog()).ok());
+  for (double w : {std::nan(""), HUGE_VAL, 0.0}) {
+    EXPECT_EQ(spade.ApplyEdge({3, 6, w, 20}).code(),
+              StatusCode::kInvalidArgument);
+    const std::vector<Edge> batch = {{4, 6, 0.5, 21}, {3, 5, w, 22}};
+    EXPECT_EQ(spade.ApplyBatchEdges(batch).code(),
+              StatusCode::kInvalidArgument);
+  }
+  EXPECT_EQ(spade.PendingBenignEdges(), 0u);
+  EXPECT_EQ(spade.graph().NumEdges(), 6u);
+  testing::ExpectStateEquals(PeelStatic(spade.graph()), spade.peel_state(),
+                             0.0);
+}
+
 TEST(EdgeGroupingTest, IsBenignMatchesDefinition41) {
   Spade spade;
   spade.SetSemantics(MakeDW());

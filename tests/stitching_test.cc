@@ -3,7 +3,7 @@
 //  * Differential: seeded randomized streams (same generator shape as
 //    differential_test.cc, insert-only since the service has no delete
 //    path) driven into a stitched ShardedDetectionService at 2/4/8 shards
-//    AND into one single-shard DetectionService; the stitched global
+//    AND into a one-shard ShardedDetectionService; the stitched global
 //    community's density must match the merged detector's within
 //    tie-exactness — including streams whose densest community is entirely
 //    cross-shard (every one of its edges is a boundary edge).
@@ -34,7 +34,6 @@
 #include "graph/dynamic_graph.h"
 #include "metrics/density.h"
 #include "metrics/semantics.h"
-#include "service/detection_service.h"
 #include "service/sharded_detection_service.h"
 #include "tests/test_util.h"
 
@@ -79,13 +78,6 @@ std::vector<Spade> BuildEmptyShards(std::size_t num_shards, std::size_t n) {
     shards.push_back(std::move(spade));
   }
   return shards;
-}
-
-Spade BuildMergedDetector(std::size_t n) {
-  Spade spade;
-  spade.SetSemantics(MakeDW());
-  EXPECT_TRUE(spade.BuildGraph(n, {}).ok());
-  return spade;
 }
 
 /// Drives the stream into the service with a mix of per-edge and batched
@@ -153,8 +145,8 @@ TEST_P(StitchDifferentialTest, StitchedDensityMatchesMergedDetector) {
     service.Drain();
     const GlobalCommunity stitched = service.StitchNow();
 
-    // Merged reference: the same stream through one single-shard service.
-    DetectionService merged_service(BuildMergedDetector(n), nullptr);
+    // Merged reference: the same stream through a one-shard fleet.
+    ShardedDetectionService merged_service(BuildEmptyShards(1, n), nullptr);
     for (const Edge& e : stream) ASSERT_TRUE(merged_service.Submit(e).ok());
     merged_service.Drain();
     const Community merged = merged_service.CurrentCommunity();
@@ -169,11 +161,9 @@ TEST_P(StitchDifferentialTest, StitchedDensityMatchesMergedDetector) {
                 stitched.members.end());
     }
 
-    // The stitched read mode serves the same answer, lock-free.
-    const Community read =
-        service.CurrentCommunity(
-            ShardedDetectionService::GlobalReadMode::kStitched);
-    EXPECT_NEAR(read.density, merged.density, 1e-9);
+    // The stitched read serves the same answer, lock-free.
+    EXPECT_NEAR(service.CurrentGlobalCommunity().density, merged.density,
+                1e-9);
 
     // Exactness from definition: the stitched density equals g(S) of the
     // stitched member set on a merged graph of the whole stream (DW edge
@@ -250,7 +240,7 @@ TEST_P(StitchDifferentialTest, EntirelyCrossShardCommunityIsStitched) {
   }
 
   // Merged reference agrees exactly.
-  DetectionService merged_service(BuildMergedDetector(n), nullptr);
+  ShardedDetectionService merged_service(BuildEmptyShards(1, n), nullptr);
   for (const Edge& e : stream) ASSERT_TRUE(merged_service.Submit(e).ok());
   merged_service.Drain();
   const Community merged = merged_service.CurrentCommunity();
@@ -401,7 +391,7 @@ TEST(TenantStitchingTest, CrossTenantRingIsRecordedAndDetected) {
 
   // Merged reference: the ring's density is exactly what one detector over
   // everything reports.
-  DetectionService merged_service(BuildMergedDetector(n), nullptr);
+  ShardedDetectionService merged_service(BuildEmptyShards(1, n), nullptr);
   for (const Edge& e : stream) ASSERT_TRUE(merged_service.Submit(e).ok());
   merged_service.Drain();
   EXPECT_NEAR(stitched.density, merged_service.CurrentCommunity().density,
@@ -528,7 +518,7 @@ TEST(MessageDrivenStitchingTest, TriggerWakesStitcherWithoutTimer) {
   EXPECT_GE(stats.stitch_passes, 1u);
   EXPECT_EQ(g.shards, (std::vector<std::size_t>{0, 1}));
   // The differential anchor: the triggered pass is exact, not heuristic.
-  DetectionService merged(BuildMergedDetector(n), nullptr);
+  ShardedDetectionService merged(BuildEmptyShards(1, n), nullptr);
   for (const Edge& e : stream) ASSERT_TRUE(merged.Submit(e).ok());
   merged.Drain();
   EXPECT_NEAR(g.density, merged.CurrentCommunity().density, 1e-9);
@@ -581,7 +571,7 @@ TEST(MessageDrivenStitchingTest, SeamTruncationIsReportedAndEscalated) {
                                     options);
     SubmitAll(&service, stream);
     service.Drain();
-    DetectionService merged(BuildMergedDetector(n), nullptr);
+    ShardedDetectionService merged(BuildEmptyShards(1, n), nullptr);
     for (const Edge& e : stream) ASSERT_TRUE(merged.Submit(e).ok());
     merged.Drain();
     const double want = merged.CurrentCommunity().density;
@@ -639,8 +629,7 @@ TEST(MessageDrivenStitchingTest, RetiredSeamIsNotServedStale) {
   service.Drain();
 
   const GlobalCommunity after = service.CurrentGlobalCommunity();
-  const Community argmax = service.CurrentCommunity(
-      ShardedDetectionService::GlobalReadMode::kArgmax);
+  const Community argmax = service.CurrentCommunity();
   EXPECT_LT(after.density, before.density);
   EXPECT_NEAR(after.density, argmax.density, 1e-12);
   EXPECT_FALSE(after.stitched);
@@ -709,122 +698,6 @@ TEST(MessageDrivenStitchingTest, CompactedBoundarySaveRestoreExact) {
   EXPECT_NEAR(restitched.density, stitched.density, 1e-9);
   EXPECT_EQ(Sorted(restitched.members), Sorted(stitched.members));
   std::filesystem::remove_all(dir);
-}
-
-// Per-pair trigger overrides: with the fleet-wide trigger_weight unset, an
-// override on pair {0, 1} arms the stitcher for that seam alone. The same
-// ring traffic on the non-overridden pair {0, 2} must accumulate weight
-// silently and never wake anything.
-TEST(MessageDrivenStitchingTest, PairOverrideArmsOnlyItsPair) {
-  constexpr std::size_t kShards = 3;
-  const std::size_t n = kShards * kVerticesPerTenant;
-
-  auto build = [&] {
-    ShardedDetectionServiceOptions options;
-    options.partitioner = TenantPartitioner(kVerticesPerTenant);
-    options.stitch.interval_ms = 0;     // no timer
-    options.stitch.trigger_weight = 0;  // fleet-wide trigger unset...
-    options.stitch.pair_trigger_overrides.push_back({0, 1, 50.0});  // ...
-    return options;                     // but {0, 1} armed on its own
-  };
-  auto ring_across = [&](std::size_t other_tenant) {
-    Rng rng(611);
-    std::vector<Edge> stream;
-    const std::vector<VertexId> ring = {
-        5, static_cast<VertexId>(other_tenant * kVerticesPerTenant + 5),
-        6, static_cast<VertexId>(other_tenant * kVerticesPerTenant + 6)};
-    InjectRing(&stream, 0, ring, 80, 30.0, &rng);
-    return stream;
-  };
-
-  {
-    // Ring across the overridden pair: the trigger fires with no timer.
-    ShardedDetectionService service(BuildEmptyShards(kShards, n), nullptr,
-                                    build());
-    const std::vector<Edge> stream = ring_across(1);
-    SubmitAll(&service, stream);
-    service.Drain();
-    GlobalCommunity g;
-    for (int i = 0; i < 500; ++i) {
-      g = service.CurrentGlobalCommunity();
-      if (g.stitched) break;
-      std::this_thread::sleep_for(std::chrono::milliseconds(2));
-    }
-    EXPECT_TRUE(g.stitched);
-    EXPECT_GE(service.GetStats().stitch_triggers, 1u);
-    // A trigger pass may begin before the last submit, and the weight left
-    // after its gather can stay under the pair threshold, so the read it
-    // published may trail the merged detector. It never overstates: DW
-    // applies raw weights, so the stream is the merged graph.
-    EXPECT_LE(g.density, testing::InducedDensity(stream, g.members) + 1e-9);
-    // A pass that begins after the last submit is exact.
-    const GlobalCommunity after_drain = service.StitchNow();
-    DetectionService merged(BuildMergedDetector(n), nullptr);
-    for (const Edge& e : stream) ASSERT_TRUE(merged.Submit(e).ok());
-    merged.Drain();
-    EXPECT_NEAR(after_drain.density, merged.CurrentCommunity().density, 1e-9);
-    service.Stop();
-  }
-  {
-    // Same ring weight across {0, 2}: no override, fleet trigger unset —
-    // the boundary index records the seam but the stitcher never wakes.
-    ShardedDetectionService service(BuildEmptyShards(kShards, n), nullptr,
-                                    build());
-    SubmitAll(&service, ring_across(2));
-    service.Drain();
-    std::this_thread::sleep_for(std::chrono::milliseconds(100));
-    const ShardedServiceStats stats = service.GetStats();
-    EXPECT_EQ(stats.stitch_triggers, 0u);
-    EXPECT_EQ(stats.stitch_passes, 0u);
-    EXPECT_GT(stats.boundary_edges, 0u);  // the seam IS recorded
-    service.Stop();
-  }
-}
-
-// A weight <= 0 override DISARMS one pair under a fleet-wide trigger: the
-// muted seam accumulates weight without waking the stitcher, while any
-// other pair still fires at the fleet threshold.
-TEST(MessageDrivenStitchingTest, PairOverrideCanMuteOnePair) {
-  constexpr std::size_t kShards = 3;
-  const std::size_t n = kShards * kVerticesPerTenant;
-  Rng rng(613);
-
-  ShardedDetectionServiceOptions options;
-  options.partitioner = TenantPartitioner(kVerticesPerTenant);
-  options.stitch.interval_ms = 0;
-  options.stitch.trigger_weight = 50.0;
-  options.stitch.pair_trigger_overrides.push_back({0, 1, 0.0});  // muted
-  ShardedDetectionService service(BuildEmptyShards(kShards, n), nullptr,
-                                  options);
-
-  // Heavy traffic on the muted pair first: must not trigger.
-  std::vector<Edge> muted;
-  const std::vector<VertexId> muted_ring = {
-      5, static_cast<VertexId>(kVerticesPerTenant + 5),
-      6, static_cast<VertexId>(kVerticesPerTenant + 6)};
-  InjectRing(&muted, 0, muted_ring, 80, 30.0, &rng);
-  SubmitAll(&service, muted);
-  service.Drain();
-  std::this_thread::sleep_for(std::chrono::milliseconds(100));
-  EXPECT_EQ(service.GetStats().stitch_triggers, 0u);
-
-  // The non-overridden pair {0, 2} still fires at the fleet threshold.
-  std::vector<Edge> live;
-  const std::vector<VertexId> live_ring = {
-      7, static_cast<VertexId>(2 * kVerticesPerTenant + 7),
-      8, static_cast<VertexId>(2 * kVerticesPerTenant + 8)};
-  InjectRing(&live, 0, live_ring, 80, 30.0, &rng);
-  SubmitAll(&service, live);
-  service.Drain();
-  GlobalCommunity g;
-  for (int i = 0; i < 500; ++i) {
-    g = service.CurrentGlobalCommunity();
-    if (g.stitched) break;
-    std::this_thread::sleep_for(std::chrono::milliseconds(2));
-  }
-  EXPECT_TRUE(g.stitched);
-  EXPECT_GE(service.GetStats().stitch_triggers, 1u);
-  service.Stop();
 }
 
 }  // namespace

@@ -3,27 +3,18 @@
 #include <algorithm>
 
 #include "common/logging.h"
-#include "peel/static_peeler.h"
 
 namespace spade {
 
 PeriodDetector::PeriodDetector(std::size_t num_vertices, std::vector<Edge> log,
-                               FraudSemantics semantics)
-    : log_(std::move(log)),
-      semantics_(std::move(semantics)),
-      graph_(num_vertices),
-      applied_weight_(log_.size(), 0.0) {
+                               const FraudSemantics& semantics)
+    : log_(std::move(log)), applied_weight_(log_.size(), 0.0) {
   SPADE_CHECK(std::is_sorted(
       log_.begin(), log_.end(),
       [](const Edge& a, const Edge& b) { return a.ts < b.ts; }));
-  if (semantics_.vsusp) {
-    for (std::size_t v = 0; v < num_vertices; ++v) {
-      graph_.SetVertexWeight(
-          static_cast<VertexId>(v),
-          semantics_.vsusp(static_cast<VertexId>(v), graph_));
-    }
-  }
-  state_ = PeelStatic(graph_);
+  spade_.SetSemantics(semantics);
+  // No edges: only the vertex priors and the trivial peel.
+  SPADE_CHECK(spade_.BuildGraph(num_vertices, {}).ok());
 }
 
 std::size_t PeriodDetector::LowerBound(Timestamp t) const {
@@ -34,22 +25,15 @@ std::size_t PeriodDetector::LowerBound(Timestamp t) const {
 }
 
 Status PeriodDetector::ApplyInsert(std::size_t i) {
-  Edge weighted = log_[i];
-  if (weighted.src >= graph_.NumVertices() ||
-      weighted.dst >= graph_.NumVertices()) {
+  const Edge& raw = log_[i];
+  if (raw.src >= graph().NumVertices() || raw.dst >= graph().NumVertices()) {
     return Status::InvalidArgument("PeriodDetector: endpoint out of range");
   }
-  if (semantics_.esusp) {
-    weighted.weight = semantics_.esusp(log_[i], graph_);
-  }
-  applied_weight_[i] = weighted.weight;
-  return engine_.InsertEdge(&graph_, &state_, weighted, semantics_.vsusp,
-                            nullptr);
+  return spade_.ApplyEdge(raw, &applied_weight_[i]);
 }
 
 Status PeriodDetector::ApplyDelete(std::size_t i) {
-  return engine_.DeleteEdge(&graph_, &state_, log_[i].src, log_[i].dst,
-                            nullptr, &applied_weight_[i]);
+  return spade_.RetireEdge(log_[i].src, log_[i].dst, applied_weight_[i]);
 }
 
 Status PeriodDetector::SetPeriod(Timestamp begin, Timestamp end) {

@@ -6,6 +6,10 @@
 // deleting the edges that leave — covering all five overlap cases of the
 // paper's Figure 17 (disjoint, containment either way, and both partial
 // overlaps) with one uniform diff computation.
+//
+// A thin adapter over one Spade (without a window log: a period moves both
+// ends) adding the period diffing; leaving edges go through RetireEdge at
+// their recorded applied weight.
 
 #pragma once
 
@@ -13,7 +17,7 @@
 #include <vector>
 
 #include "common/status.h"
-#include "core/incremental_engine.h"
+#include "core/spade.h"
 #include "graph/dynamic_graph.h"
 #include "graph/types.h"
 #include "metrics/semantics.h"
@@ -27,7 +31,7 @@ class PeriodDetector {
   /// `log` must be sorted by timestamp ascending; all endpoints must be
   /// below `num_vertices`. The detector starts with an empty period.
   PeriodDetector(std::size_t num_vertices, std::vector<Edge> log,
-                 FraudSemantics semantics);
+                 const FraudSemantics& semantics);
 
   /// Moves the materialized period to [begin, end] (inclusive bounds).
   /// Cost is proportional to the symmetric difference between the old and
@@ -35,12 +39,12 @@ class PeriodDetector {
   Status SetPeriod(Timestamp begin, Timestamp end);
 
   /// Community of the current period's graph.
-  Community Detect() const { return state_.DetectCommunity(); }
+  Community Detect() const { return spade_.peel_state().DetectCommunity(); }
 
   std::pair<Timestamp, Timestamp> period() const { return {begin_, end_}; }
   std::size_t EdgesInPeriod() const { return hi_ - lo_; }
-  const DynamicGraph& graph() const { return graph_; }
-  const PeelState& peel_state() const { return state_; }
+  const DynamicGraph& graph() const { return spade_.graph(); }
+  const PeelState& peel_state() const { return spade_.peel_state(); }
 
  private:
   /// First log index with ts >= t.
@@ -52,10 +56,7 @@ class PeriodDetector {
   Status ApplyDelete(std::size_t i);
 
   std::vector<Edge> log_;
-  FraudSemantics semantics_;
-  DynamicGraph graph_;
-  PeelState state_;
-  IncrementalEngine engine_;
+  Spade spade_;
 
   // Materialized half-open log range [lo_, hi_) and its period bounds.
   std::size_t lo_ = 0;

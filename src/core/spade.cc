@@ -53,6 +53,7 @@ Status Spade::BuildGraph(std::size_t num_vertices,
   graph_ = DynamicGraph(num_vertices);
   benign_buffer_.clear();
   pending_wdeg_.clear();
+  window_.clear();
   stats_.Reset();
 
   // Vertex priors first (FD reads them back through VSusp side info), then
@@ -129,8 +130,14 @@ Status Spade::ApplyEdge(const Edge& raw_edge, double* applied_weight) {
   }
   // The weight is fixed here, at admission — a benign-buffered edge still
   // enters the graph with this value when the buffer flushes, so it is the
-  // weight a later RetireEdge must subtract.
+  // weight the window log records and a later deletion must subtract.
   if (applied_weight != nullptr) *applied_weight = weighted.weight;
+  SPADE_RETURN_NOT_OK(Admit(weighted));
+  if (window_on_) window_.push_back(weighted);
+  return Status::OK();
+}
+
+Status Spade::Admit(const Edge& weighted) {
   if (options_.enable_edge_grouping) {
     if (IsBenign(weighted) &&
         benign_buffer_.size() < options_.max_benign_buffer) {
@@ -169,7 +176,11 @@ Status Spade::ApplyBatchEdges(std::span<const Edge> raw_edges) {
           "ApplyBatchEdges: weight must be finite and > 0");
     }
   }
-  return InsertWeightedBatch(weighted);
+  SPADE_RETURN_NOT_OK(InsertWeightedBatch(weighted));
+  if (window_on_) {
+    window_.insert(window_.end(), weighted.begin(), weighted.end());
+  }
+  return Status::OK();
 }
 
 Result<Community> Spade::InsertEdge(const Edge& raw_edge) {
@@ -183,42 +194,64 @@ Result<Community> Spade::InsertBatchEdges(std::span<const Edge> raw_edges) {
 }
 
 Status Spade::DeleteEdge(VertexId src, VertexId dst) {
+  if (window_on_) {
+    return Status::FailedPrecondition("DeleteEdge: the window log is on");
+  }
   SPADE_RETURN_NOT_OK(Flush());
   return engine_.DeleteEdge(&graph_, &state_, src, dst, &stats_);
 }
 
 Status Spade::RetireEdge(VertexId src, VertexId dst, double applied_weight) {
-  // The flush is part of the replayable history: RetireEdge at position k
-  // of the stream always flushes the same buffered prefix, live or during
-  // chain replay, so no explicit flush marker precedes retire records.
+  if (window_on_) {
+    return Status::FailedPrecondition("RetireEdge: the window log is on");
+  }
   SPADE_RETURN_NOT_OK(Flush());
   return engine_.DeleteEdge(&graph_, &state_, src, dst, &stats_,
                             &applied_weight);
 }
 
+Result<std::vector<Edge>> Spade::RetireOlderThan(Timestamp horizon) {
+  std::vector<Edge> retired;
+  if (window_.empty() || window_.front().ts >= horizon) return retired;
+  // Only a pass that retires anything flushes, so a replayed pass record
+  // flushes the same buffered prefix and needs no flush marker before it.
+  SPADE_RETURN_NOT_OK(Flush());
+  while (!window_.empty() && window_.front().ts < horizon) {
+    const Edge& old = window_.front();
+    // The logged weight: FD's degree term has moved on since admission.
+    SPADE_RETURN_NOT_OK(engine_.DeleteEdge(&graph_, &state_, old.src,
+                                           old.dst, &stats_, &old.weight));
+    retired.push_back(old);
+    window_.pop_front();
+  }
+  return retired;
+}
+
 Status Spade::SaveState(const std::string& path) {
   SPADE_RETURN_NOT_OK(Flush());
-  // A bare detector keeps no window log: the window section stays empty.
-  return SaveSnapshot(path, graph_, &state_, {});
+  const std::vector<Edge> window(window_.begin(), window_.end());
+  return SaveSnapshot(path, graph_, &state_, window);
 }
 
 Status Spade::RestoreState(const std::string& path) {
-  DynamicGraph graph;
-  PeelState state;
-  bool state_present = false;
-  SPADE_RETURN_NOT_OK(
-      LoadSnapshot(path, &graph, &state, &state_present, /*window=*/nullptr));
-  RestoreFromParts(std::move(graph), std::move(state), state_present);
-  return Status::OK();
+  Parts parts;
+  SPADE_RETURN_NOT_OK(LoadSnapshot(path, &parts.graph, &parts.state,
+                                   &parts.state_present, &parts.window));
+  return RestoreFromParts(std::move(parts));
 }
 
-void Spade::RestoreFromParts(DynamicGraph graph, PeelState state,
-                             bool state_present) {
-  graph_ = std::move(graph);
-  state_ = state_present ? std::move(state) : PeelStatic(graph_);
+Status Spade::RestoreFromParts(Parts parts) {
+  if (!window_on_ && !parts.window.empty()) {
+    return Status::FailedPrecondition(
+        "RestoreFromParts: snapshot has a window log, this detector none");
+  }
+  graph_ = std::move(parts.graph);
+  state_ = parts.state_present ? std::move(parts.state) : PeelStatic(graph_);
+  window_.assign(parts.window.begin(), parts.window.end());
   benign_buffer_.clear();
   pending_wdeg_.clear();
   stats_.Reset();
+  return Status::OK();
 }
 
 }  // namespace spade

@@ -8,10 +8,15 @@
 // Edge grouping (Algorithm 3) is optional: when enabled, provably benign
 // edges (Definition 4.1) are buffered and folded in lazily by the batch
 // reorderer, while urgent edges flush the buffer and reorder immediately.
+//
+// Time-window detection (Appendix C.3) rides on an optional window log:
+// admitted edges are logged in arrival order, and RetireOlderThan expires
+// the old prefix — the one expiry mechanism of the codebase.
 
 #pragma once
 
 #include <cstddef>
+#include <deque>
 #include <span>
 #include <string>
 #include <unordered_map>
@@ -68,6 +73,11 @@ class Spade {
   void TurnOnEdgeGrouping() { options_.enable_edge_grouping = true; }
   void TurnOffEdgeGrouping() { options_.enable_edge_grouping = false; }
 
+  /// Logs every edge admitted from now on (initial-graph edges never
+  /// expire). One-way: while the log is on, edges leave only through
+  /// RetireOlderThan, and DeleteEdge / RetireEdge refuse.
+  void TurnOnWindowLog() { window_on_ = true; }
+
   /// Loads an edge-list file as the initial graph and runs the static
   /// peeling once. Raw edge weights pass through ESusp.
   Status LoadGraph(const std::string& path);
@@ -97,19 +107,27 @@ class Spade {
   /// weight a later RetireEdge must subtract. An edge whose post-ESusp
   /// weight is not finite and positive fails with kInvalidArgument before
   /// anything is buffered (ApplyBatchEdges then applies none of the batch).
+  /// With the window log on, each admitted edge is logged at that weight.
   Status ApplyEdge(const Edge& raw_edge, double* applied_weight = nullptr);
   Status ApplyBatchEdges(std::span<const Edge> raw_edges);
 
   /// Deletes one (src, dst) edge (Appendix C.1 extension). Buffered benign
-  /// edges are flushed first so deletion sees a consistent state.
+  /// edges are flushed first so deletion sees a consistent state. Fails
+  /// with kFailedPrecondition while the window log is on.
   Status DeleteEdge(VertexId src, VertexId dst);
 
-  /// Window expiry: removes one (src, dst) edge carrying exactly
-  /// `applied_weight` (the value ApplyEdge reported when it entered).
-  /// Flushes first — deterministically, so replaying the same
-  /// insert/retire history reproduces the same flush points and the
-  /// restore bit-identity invariant extends to windowed detectors.
+  /// DeleteEdge of the copy carrying exactly `applied_weight` (the value
+  /// ApplyEdge reported) — PeriodDetector's delete path. Same flush and
+  /// refusal as DeleteEdge.
   Status RetireEdge(VertexId src, VertexId dst, double applied_weight);
+
+  /// Window expiry: pops the window log's arrival-ordered prefix with
+  /// ts < `horizon`, deleting each edge at its logged applied weight, and
+  /// returns those edges oldest first (a late arrival shields the entries
+  /// behind it: conservative, never over-retires). A pass that retires
+  /// anything flushes the benign buffer first, so replaying the same
+  /// admissions and horizons reproduces it bit for bit.
+  Result<std::vector<Edge>> RetireOlderThan(Timestamp horizon);
 
   /// Definition 4.1 on an already-weighted edge: true iff neither endpoint
   /// can reach the current community density even with this edge added.
@@ -119,21 +137,30 @@ class Spade {
   /// Forces a batch reorder of all buffered benign edges.
   Status Flush();
 
-  /// Persists the weighted graph and peeling state so a restarted detector
-  /// resumes incremental updates without a from-scratch peel. Flushes the
-  /// benign buffer first.
+  /// Persists the weighted graph, peeling state and window log so a
+  /// restarted detector resumes incremental updates (and expiry) without a
+  /// from-scratch peel. Flushes the benign buffer first.
   Status SaveState(const std::string& path);
 
-  /// Restores a detector persisted by SaveState. The installed semantics
-  /// are NOT serialized — install the same VSusp/ESusp before restoring.
+  /// Restores a detector persisted by SaveState. Semantics and the window
+  /// log switch are NOT serialized — install the same VSusp/ESusp (and
+  /// TurnOnWindowLog, for a windowed detector) before restoring.
   Status RestoreState(const std::string& path);
 
+  /// A parsed snapshot: what SaveState writes and RestoreFromParts adopts.
+  struct Parts {
+    DynamicGraph graph;
+    PeelState state;
+    bool state_present = false;  // false: recompute the state by a peel
+    std::vector<Edge> window;    // window log, oldest first
+  };
+
   /// In-memory counterpart of RestoreState: adopts an already-validated
-  /// graph + peel state (recomputing the state when `state_present` is
-  /// false). Used by the two-phase chain restore, which must parse and
-  /// CRC-check every file before mutating any detector.
-  void RestoreFromParts(DynamicGraph graph, PeelState state,
-                        bool state_present);
+  /// snapshot. Used by the two-phase chain restore, which must parse and
+  /// CRC-check every file before mutating any detector. Fails with
+  /// kFailedPrecondition, touching nothing, when `parts` carries a window
+  /// log and this detector's window log is off.
+  Status RestoreFromParts(Parts parts);
 
   /// Number of buffered (grouped) benign edges awaiting a flush.
   std::size_t PendingBenignEdges() const { return benign_buffer_.size(); }
@@ -141,6 +168,8 @@ class Spade {
   /// Read-only views for analysis and tests.
   const DynamicGraph& graph() const { return graph_; }
   const PeelState& peel_state() const { return state_; }
+  /// Window log: logged, not yet retired edges (applied weight, event ts).
+  const std::deque<Edge>& window() const { return window_; }
 
   /// Accumulated affected-area accounting across all reorders.
   const ReorderStats& cumulative_stats() const { return stats_; }
@@ -154,6 +183,9 @@ class Spade {
   void EnsureEndpoints(const Edge& raw);
 
   Status InsertWeightedBatch(std::span<const Edge> weighted);
+
+  /// ApplyEdge after validation: buffer a benign edge or reorder.
+  Status Admit(const Edge& weighted);
 
   SpadeOptions options_;
   VertexSuspFn vsusp_;
@@ -170,6 +202,10 @@ class Spade {
   // not-yet-applied edges).
   std::vector<Edge> benign_buffer_;
   std::unordered_map<VertexId, double> pending_wdeg_;
+
+  // Window log (TurnOnWindowLog): see window().
+  bool window_on_ = false;
+  std::deque<Edge> window_;
 };
 
 }  // namespace spade

@@ -1,58 +1,51 @@
 #include "core/time_window.h"
 
-#include "peel/static_peeler.h"
+#include <cmath>
+
+#include "common/logging.h"
 
 namespace spade {
 
 TimeWindowDetector::TimeWindowDetector(std::size_t num_vertices,
                                        Timestamp window_span,
-                                       FraudSemantics semantics)
-    : window_span_(window_span),
-      semantics_(std::move(semantics)),
-      graph_(num_vertices) {
-  if (semantics_.vsusp) {
-    for (std::size_t v = 0; v < num_vertices; ++v) {
-      graph_.SetVertexWeight(static_cast<VertexId>(v),
-                             semantics_.vsusp(static_cast<VertexId>(v), graph_));
-    }
-  }
-  state_ = PeelStatic(graph_);
+                                       const FraudSemantics& semantics)
+    : window_span_(window_span) {
+  spade_.SetSemantics(semantics);
+  spade_.TurnOnWindowLog();
+  // No edges: only the vertex priors and the trivial peel.
+  SPADE_CHECK(spade_.BuildGraph(num_vertices, {}).ok());
 }
 
 Status TimeWindowDetector::AdvanceTo(Timestamp now) {
   if (now > high_water_ts_) high_water_ts_ = now;
-  const Timestamp horizon = now - window_span_;
-  while (!window_.empty() && window_.front().ts < horizon) {
-    const Edge& old = window_.front();
-    SPADE_RETURN_NOT_OK(engine_.DeleteEdge(&graph_, &state_, old.src, old.dst,
-                                           nullptr, &old.weight));
-    window_.pop_front();
-  }
-  return Status::OK();
+  return spade_.RetireOlderThan(now - window_span_).status();
 }
 
 Status TimeWindowDetector::Offer(const Edge& raw_edge) {
-  // Validate everything BEFORE advancing time: a rejected Offer must leave
-  // the detector untouched (no expiry side effects), and monotonicity is
-  // checked against the persistent high-water mark so an empty window does
-  // not reopen the past.
+  // Validate everything that does not depend on the post-expiry graph
+  // BEFORE advancing time: a rejected Offer must leave the detector
+  // untouched (no expiry side effects), and monotonicity is checked against
+  // the persistent high-water mark so an empty window does not reopen the
+  // past. Only the post-ESusp weight check, inside ApplyEdge, runs after
+  // expiry — that weight is computed against the expired graph.
   if (raw_edge.ts < high_water_ts_) {
     return Status::InvalidArgument(
         "TimeWindowDetector: edges must arrive in timestamp order");
   }
-  if (raw_edge.src >= graph_.NumVertices() ||
-      raw_edge.dst >= graph_.NumVertices()) {
+  if (raw_edge.src >= graph().NumVertices() ||
+      raw_edge.dst >= graph().NumVertices()) {
     return Status::InvalidArgument("TimeWindowDetector: unknown endpoint");
   }
-  SPADE_RETURN_NOT_OK(AdvanceTo(raw_edge.ts));
-  Edge weighted = raw_edge;
-  if (semantics_.esusp) {
-    weighted.weight = semantics_.esusp(raw_edge, graph_);
+  if (raw_edge.src == raw_edge.dst) {
+    return Status::InvalidArgument(
+        "TimeWindowDetector: self-loops not supported");
   }
-  SPADE_RETURN_NOT_OK(engine_.InsertEdge(&graph_, &state_, weighted,
-                                         semantics_.vsusp, nullptr));
-  window_.push_back(weighted);
-  return Status::OK();
+  if (!std::isfinite(raw_edge.weight) || raw_edge.weight <= 0.0) {
+    return Status::InvalidArgument(
+        "TimeWindowDetector: weight must be finite and > 0");
+  }
+  SPADE_RETURN_NOT_OK(AdvanceTo(raw_edge.ts));
+  return spade_.ApplyEdge(raw_edge);
 }
 
 }  // namespace spade

@@ -2,16 +2,17 @@
 // peeling sequence of the graph induced by transactions inside a moving
 // window [now - span, now], combining the batch insertion path (new edges
 // entering the window) with the deletion path (outdated edges leaving it).
+//
+// A thin adapter over one Spade with its window log on — the expiry
+// mechanism a windowed service partition runs — adding a fixed vertex set
+// and nondecreasing timestamps, both validated before time advances.
 
 #pragma once
 
-#include <deque>
 #include <limits>
-#include <span>
-#include <vector>
 
 #include "common/status.h"
-#include "core/incremental_engine.h"
+#include "core/spade.h"
 #include "graph/dynamic_graph.h"
 #include "graph/types.h"
 #include "metrics/semantics.h"
@@ -28,32 +29,30 @@ class TimeWindowDetector {
  public:
   /// `window_span` is in the same microsecond unit as Edge::ts.
   TimeWindowDetector(std::size_t num_vertices, Timestamp window_span,
-                     FraudSemantics semantics);
+                     const FraudSemantics& semantics);
 
   /// Feeds one timestamped raw edge; expires everything older than
-  /// ts - window_span, then applies the new edge incrementally.
+  /// ts - window_span, then applies the new edge incrementally. An edge
+  /// rejected for its own sake (out of order, unknown endpoint, self-loop,
+  /// raw weight not finite and > 0) leaves the detector untouched.
   Status Offer(const Edge& raw_edge);
 
   /// Advances time without inserting (expires old edges only).
   Status AdvanceTo(Timestamp now);
 
   /// Community of the current window.
-  Community Detect() const { return state_.DetectCommunity(); }
+  Community Detect() const { return spade_.peel_state().DetectCommunity(); }
 
-  std::size_t WindowEdgeCount() const { return window_.size(); }
-  const DynamicGraph& graph() const { return graph_; }
-  const PeelState& peel_state() const { return state_; }
+  std::size_t WindowEdgeCount() const { return spade_.window().size(); }
+  const DynamicGraph& graph() const { return spade_.graph(); }
+  const PeelState& peel_state() const { return spade_.peel_state(); }
 
  private:
   Timestamp window_span_;
-  FraudSemantics semantics_;
-  DynamicGraph graph_;
-  PeelState state_;
-  IncrementalEngine engine_;
-  std::deque<Edge> window_;  // weighted edges currently inside the window
+  Spade spade_;
   // Highest timestamp ever observed (Offer or AdvanceTo). Monotonicity is
-  // enforced against this, not window_.back().ts, so draining the window
-  // empty cannot let time silently run backwards.
+  // enforced against this, not the newest logged edge, so draining the
+  // window empty cannot let time silently run backwards.
   Timestamp high_water_ts_ = std::numeric_limits<Timestamp>::min();
 };
 

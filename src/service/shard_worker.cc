@@ -9,7 +9,6 @@
 #endif
 
 #include "common/logging.h"
-#include "storage/snapshot.h"
 
 namespace spade {
 
@@ -259,10 +258,6 @@ std::size_t ShardWorker::OfferBatch(std::span<const Edge> edges) {
 }
 
 Status ShardWorker::SubmitRetire(Timestamp horizon) {
-  if (!options_.track_window) {
-    return Status::FailedPrecondition(
-        "ShardWorker::SubmitRetire: worker was built without track_window");
-  }
   if (stopping_flag_.load(std::memory_order_acquire)) {
     return Status::FailedPrecondition("ShardWorker is stopped");
   }
@@ -587,15 +582,10 @@ Status ShardWorker::SavePartition(std::size_t pid, const std::string& path) {
         "ShardWorker::SavePartition: partition not owned by this worker");
   }
   // A full save is a checkpoint: whatever history the log held is now
-  // covered by the base snapshot. (The flush below mirrors what
-  // Spade::SaveState did; replay of a later chain starts from that flushed
-  // state, which is why no marker needs to survive the reset.) The window
-  // log rides in the snapshot's window section, empty for a non-windowed
-  // partition.
-  SPADE_RETURN_NOT_OK(p->spade.Flush());
-  const std::vector<Edge> window(p->window_log.begin(), p->window_log.end());
-  SPADE_RETURN_NOT_OK(
-      SaveSnapshot(path, p->spade.graph(), &p->spade.peel_state(), window));
+  // covered by the base snapshot, window log included. (SaveState flushes
+  // first; a later chain replays from that flushed state, so no marker
+  // needs to survive the reset.)
+  SPADE_RETURN_NOT_OK(p->spade.SaveState(path));
   p->delta_log.clear();
   p->delta_overflow = false;
   p->delta_tracking = true;
@@ -678,22 +668,26 @@ void ShardWorker::RebaselineLocked(Partition& p) {
 Status ShardWorker::ReplayLocked(Partition& p,
                                  std::span<const DeltaSegment> segments) {
   // Replay the applied history through the same entry points the live
-  // worker used. Every record passed CRC validation and came from a
-  // successfully applied edge, so a failure here is a logic error — but
-  // it still surfaces as a Status, not a partial silent state.
+  // worker used. Every record passed CRC validation, so a failure here
+  // means the chain does not match the detector it replays into — and it
+  // surfaces as a Status, not a partial silent state.
   for (const DeltaSegment& segment : segments) {
     for (const DeltaRecord& record : segment.records) {
       if (record.flush) {
         SPADE_RETURN_NOT_OK(p.spade.Flush());
       } else if (record.retire) {
-        SPADE_RETURN_NOT_OK(ReplayRetireLocked(p, record.edge));
-      } else {
-        double applied = 0;
-        SPADE_RETURN_NOT_OK(p.spade.ApplyEdge(record.edge, &applied));
-        if (options_.track_window) {
-          p.window_log.push_back(Edge{record.edge.src, record.edge.dst,
-                                      applied, record.edge.ts});
+        const auto retired = p.spade.RetireOlderThan(record.horizon);
+        if (!retired.ok()) return retired.status();
+        if (retired.value().size() != record.retired) {
+          return Status::Internal(
+              "replay of partition " + std::to_string(p.pid) + " epoch " +
+              std::to_string(segment.epoch) + ": retire pass retired " +
+              std::to_string(retired.value().size()) + " edges, recorded " +
+              std::to_string(record.retired));
         }
+        retired_.fetch_add(record.retired, std::memory_order_relaxed);
+      } else {
+        SPADE_RETURN_NOT_OK(p.spade.ApplyEdge(record.edge));
       }
     }
   }
@@ -720,9 +714,7 @@ Status ShardWorker::RestorePartitionChain(std::size_t pid,
         "ShardWorker::RestorePartitionChain: partition not owned by this "
         "worker");
   }
-  p->spade.RestoreFromParts(std::move(plan.graph), std::move(plan.state),
-                            plan.state_present);
-  p->window_log.assign(plan.window.begin(), plan.window.end());
+  SPADE_RETURN_NOT_OK(p->spade.RestoreFromParts(std::move(plan.base)));
   return ReplayLocked(*p, plan.segments);
 }
 
@@ -765,45 +757,12 @@ Status ShardWorker::InspectPartition(
 
 std::vector<Edge> ShardWorker::WindowEdges() const {
   std::lock_guard<std::mutex> lock(detector_mutex_);
-  std::vector<const Partition*> ordered;
-  ordered.reserve(parts_.size());
-  for (const auto& p : parts_) ordered.push_back(p.get());
-  std::sort(ordered.begin(), ordered.end(),
-            [](const Partition* a, const Partition* b) {
-              return a->pid < b->pid;
-            });
   std::vector<Edge> out;
-  for (const Partition* p : ordered) {
-    out.insert(out.end(), p->window_log.begin(), p->window_log.end());
+  for (const Partition* p : by_pid_) {  // ascending pid; null = not owned
+    if (p == nullptr) continue;
+    out.insert(out.end(), p->spade.window().begin(), p->spade.window().end());
   }
   return out;
-}
-
-Status ShardWorker::ReplayRetireLocked(Partition& p, const Edge& record) {
-  SPADE_RETURN_NOT_OK(
-      p.spade.RetireEdge(record.src, record.dst, record.weight));
-  retired_.fetch_add(1, std::memory_order_relaxed);
-  // The live pass popped this entry off its window log; mirror it. The
-  // record is almost always the log front (oldest-first expiry); the
-  // fallback search only runs in the degenerate case where a live retire
-  // failed and its entry was dropped without a record.
-  const auto matches = [&record](const Edge& e) {
-    return e.src == record.src && e.dst == record.dst &&
-           e.weight == record.weight && e.ts == record.ts;
-  };
-  if (!p.window_log.empty() && matches(p.window_log.front())) {
-    p.window_log.pop_front();
-    return Status::OK();
-  }
-  const auto it =
-      std::find_if(p.window_log.begin(), p.window_log.end(), matches);
-  if (it != p.window_log.end()) {
-    p.window_log.erase(it);
-  } else if (options_.track_window) {
-    SPADE_LOG_WARNING()
-        << "ShardWorker replay: retire record not found in window log";
-  }
-  return Status::OK();
 }
 
 // ---------------------------------------------------------------------------
@@ -868,9 +827,6 @@ bool ShardWorker::ApplyOne(const Edge& edge) {
     const Status s = p->spade.ApplyEdge(edge, &applied);
     if (s.ok()) {
       AppendDeltaRecord(*p, DeltaRecord::Insert(edge));
-      if (options_.track_window) {
-        p->window_log.push_back(Edge{edge.src, edge.dst, applied, edge.ts});
-      }
       // Boundary push under the detector mutex: any state snapshot
       // that contains this edge (SavePartition locks after Drain) is
       // therefore saved after its boundary record exists, so a
@@ -1077,13 +1033,11 @@ void ShardWorker::WorkerLoop() {
       bool will_retire = false;
       {
         std::lock_guard<std::mutex> peek_lock(detector_mutex_);
-        for (const auto& p : parts_) {
-          if (!p->window_log.empty() &&
-              p->window_log.front().ts < retire_horizon) {
-            will_retire = true;
-            break;
-          }
-        }
+        will_retire = std::any_of(
+            parts_.begin(), parts_.end(), [retire_horizon](const auto& p) {
+              const auto& window = p->spade.window();
+              return !window.empty() && window.front().ts < retire_horizon;
+            });
       }
       if (will_retire) {
         retire_begins_.fetch_add(1, std::memory_order_seq_cst);
@@ -1095,35 +1049,27 @@ void ShardWorker::WorkerLoop() {
         std::lock_guard<std::mutex> apply_lock(detector_mutex_);
         ++consumed_;  // the marker's one unit of queue budget
         for (auto& p : parts_) {
-          // Pop the expired prefix oldest-first. The log is
-          // arrival-ordered, so an out-of-timestamp-order edge shields the
-          // entries behind it until the horizon passes it too —
-          // conservative (never retires a live edge), and deterministic:
-          // replay retires exactly the recorded set.
-          std::size_t part_retired = 0;
-          while (!p->window_log.empty() &&
-                 p->window_log.front().ts < retire_horizon) {
-            const Edge old = p->window_log.front();
-            p->window_log.pop_front();
-            // Admission keeps every window-log edge in the detector's
-            // graph at its logged weight, so a failed retire is a bug.
-            const Status s =
-                p->spade.RetireEdge(old.src, old.dst, old.weight);
-            SPADE_CHECK(s.ok());
-            AppendDeltaRecord(*p, DeltaRecord::Retire(old));
-            // Retire deltas feed the stitch trigger accumulators (seam
-            // mass changed), never the boundary record log — index
-            // eviction is horizon-driven (EvictOlderThan).
-            if (on_boundary_) on_boundary_(old, old.weight, /*retired=*/true);
-            ++part_retired;
+          // Admission keeps every logged edge in the graph at its logged
+          // weight, so a failed retire is a bug.
+          const auto retired = p->spade.RetireOlderThan(retire_horizon);
+          SPADE_CHECK(retired.ok());
+          if (retired.value().empty()) continue;
+          // Replay re-runs the same call and checks the recorded count.
+          AppendDeltaRecord(
+              *p, DeltaRecord::RetirePass(retire_horizon,
+                                          retired.value().size()));
+          // Retire deltas feed the stitch trigger accumulators (seam mass
+          // changed), never the boundary record log — index eviction is
+          // horizon-driven (EvictOlderThan).
+          if (on_boundary_) {
+            for (const Edge& old : retired.value()) {
+              on_boundary_(old, old.weight, /*retired=*/true);
+            }
           }
-          if (part_retired > 0) {
-            retired_now += part_retired;
-            // Deletion can shrink the community or its density —
-            // republish (and alert) right away rather than waiting out
-            // detect_every.
-            DetectAndPublish(*p);
-          }
+          retired_now += retired.value().size();
+          // Deletion can shrink the community or its density — republish
+          // (and alert) right away rather than waiting out detect_every.
+          DetectAndPublish(*p);
         }
         if (retired_now > 0) {
           retired_.fetch_add(retired_now, std::memory_order_relaxed);

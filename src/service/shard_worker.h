@@ -2,10 +2,11 @@
 // through a set of exclusively-owned detector partitions.
 //
 // Every worker is a partition owner (DESIGN.md §10): it owns a set of
-// epoch-versioned *partitions* — each a Spade detector plus its window log,
-// delta log and alert baseline, addressed by a stable partition id (pid) —
-// and a partition can be detached from a loaded worker and attached to an
-// idle one at a drain boundary, moving the detector by pointer. There is
+// epoch-versioned *partitions* — each a Spade detector (window log
+// included) plus its delta log and alert baseline, addressed by a stable
+// partition id (pid) — and a partition can be detached from a loaded
+// worker and attached to an idle one at a drain boundary, moving the
+// detector by pointer. There is
 // one shape: the required partition function maps each popped edge to its
 // pid, the ownership table resolves the pid, and persistence is addressed
 // by pid. ShardedDetectionService is the one client: its workers route by
@@ -49,6 +50,11 @@
 // (the snapshot is taken first), so a slow moderator callback can delay the
 // next detection but never blocks producers or readers.
 //
+// Window expiry (DESIGN.md §9.2): a retire marker rides the ring like a
+// chunk; its pass runs Spade::RetireOlderThan on every owned partition and
+// logs one retire-pass record per partition that retired anything, and
+// chain replay runs the same call on that record.
+//
 // Snapshot-publication protocol (DESIGN.md §4.2): the worker republishes on
 // every detection (urgent flush or detect_every cadence). Exactness is
 // produced on demand: a Drain() waiter registers itself and wakes the
@@ -67,7 +73,6 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory>
 #include <mutex>
@@ -161,19 +166,15 @@ struct DetectionServiceOptions {
   /// (pthread_setaffinity_np); elsewhere, and for CPUs that do not exist,
   /// the worker logs a warning and runs unpinned.
   int cpu = -1;
-  /// Keep a per-edge window log (applied weight + event timestamp, arrival
-  /// order) so SubmitRetire can expire edges. Off by default: an
-  /// insert-only worker pays nothing for the window machinery.
-  bool track_window = false;
 };
 
 /// One worker: a background thread draining a chunk-handoff ring through a
 /// set of exclusively-owned Spade detector partitions.
 class ShardWorker {
  public:
-  /// One movable unit of detector state: the Spade instance plus every
-  /// piece of per-detector bookkeeping that must travel with it in a
-  /// steal — window log, delta log, alert baseline, cached community.
+  /// One movable unit of detector state: the Spade instance (window log
+  /// included) plus the bookkeeping that travels with it in a steal —
+  /// delta log, alert baseline, cached community.
   /// Owned by exactly one worker at a time (or by the service, briefly,
   /// between Detach and Attach); all fields are guarded by the owning
   /// worker's detector mutex.
@@ -191,9 +192,6 @@ class ShardWorker {
     bool delta_tracking = false;
     bool delta_overflow = false;
     std::vector<DeltaRecord> delta_log;
-    /// Window log (track_window only): applied edges in arrival order with
-    /// applied weight + event timestamp.
-    std::deque<Edge> window_log;
     /// Latest detected community for this partition (feeds the worker's
     /// published argmax snapshot).
     std::shared_ptr<const Community> current;
@@ -273,16 +271,12 @@ class ShardWorker {
   /// backpressure wait.
   std::size_t OfferBatch(std::span<const Edge> edges);
 
-  /// Enqueues a retire marker: when the worker reaches it, every window-log
-  /// edge with ts < `horizon` (in every owned partition) is retired
-  /// (deleted with its recorded applied weight) and logged as a retire
-  /// record for the delta chain. The marker rides the same ring as edge
-  /// chunks — it costs one unit of queue budget and obeys the same
-  /// drain/exactness protocol, so Drain() after a successful SubmitRetire
-  /// implies the retire pass has fully applied. Requires `track_window`;
-  /// each window log is popped oldest-first, so an out-of-timestamp-order
-  /// arrival delays expiry of the edges queued behind it until the horizon
-  /// passes it too (conservative, never over-retires). Same full-queue
+  /// Enqueues a retire marker: when the worker reaches it, every owned
+  /// partition runs Spade::RetireOlderThan(`horizon`), and one that retired
+  /// anything logs a retire-pass record for the delta chain. The marker
+  /// rides the same ring as edge chunks — one unit of queue budget, the
+  /// same drain/exactness protocol — so Drain() after a successful
+  /// SubmitRetire implies the pass has fully applied. Same full-queue
   /// behavior as Submit.
   Status SubmitRetire(Timestamp horizon);
 
@@ -338,9 +332,9 @@ class ShardWorker {
     return retire_begins_.load(std::memory_order_seq_cst);
   }
 
-  /// Copy of the current window log(s), partitions in ascending-pid order,
-  /// arrival order within each (applied weights). Takes the detector
-  /// mutex; tests and diagnostics only.
+  /// Copy of the owned detectors' window logs, partitions in ascending-pid
+  /// order, arrival order within each (applied weights). Takes the
+  /// detector mutex; tests and diagnostics only.
   std::vector<Edge> WindowEdges() const;
 
   /// Detections (Detect + snapshot publications) run so far (lock-free).
@@ -427,8 +421,8 @@ class ShardWorker {
   /// Result of one incremental checkpoint of a partition.
   struct DeltaSaveInfo {
     std::uint64_t bytes = 0;   // segment file size incl. trailer
-    std::size_t edges = 0;     // edge records written
-    std::size_t records = 0;   // edge + flush-marker records written
+    std::size_t edges = 0;     // edges inserted or retired (NumEdges)
+    std::size_t records = 0;   // records of every kind written
   };
 
   /// Everything needed to rebuild one partition to a checkpoint epoch: the
@@ -436,11 +430,8 @@ class ShardWorker {
   /// caller (two-phase restore) parses and CRC-checks every file before
   /// constructing a plan, so applying one cannot half-fail on bad input.
   struct RestorePlan {
-    DynamicGraph graph;
-    PeelState state;
-    bool state_present = false;
+    Spade::Parts base;
     std::vector<DeltaSegment> segments;  // ascending, contiguous epochs
-    std::vector<Edge> window;  // base snapshot's window log (may be empty)
   };
 
   /// Runs `fn` on the first owned partition's detector under the detector
@@ -473,7 +464,8 @@ class ShardWorker {
                             DeltaSaveInfo* info = nullptr);
 
   /// Drains, installs the plan's base state, and replays its delta chain
-  /// (possibly empty) through the normal ApplyEdge / Flush path — the
+  /// (possibly empty) through the normal ApplyEdge / Flush /
+  /// RetireOlderThan path — the
   /// restored detector re-makes exactly the decisions the live one made
   /// (DESIGN.md §5), so the result is bit-identical to the detector that
   /// wrote the chain. The detector's installed semantics are reused; the
@@ -611,15 +603,12 @@ class ShardWorker {
   /// cap.
   void AppendDeltaRecord(Partition& p, const DeltaRecord& record);
 
-  /// Chain-replay counterpart of one retire record (detector mutex held):
-  /// re-runs the deletion with the recorded applied weight and removes the
-  /// matching entry from the replayed window log.
-  Status ReplayRetireLocked(Partition& p, const Edge& record);
-
   /// Replays delta segments through the live apply/flush/retire entry
   /// points, then restarts the partition's delta log at the replayed
-  /// checkpoint, re-baselines and republishes (detector mutex held). The
-  /// shared body of RestorePartitionChain and ReplayPartitionSegment.
+  /// checkpoint, re-baselines and republishes (detector mutex held). A
+  /// retire pass that retires a different count than recorded fails,
+  /// naming the partition and epoch. The shared body of
+  /// RestorePartitionChain and ReplayPartitionSegment.
   Status ReplayLocked(Partition& p, std::span<const DeltaSegment> segments);
 
   /// Re-baselines a partition's alert filter on its current community and

@@ -138,7 +138,6 @@ ShardedDetectionService::ShardedDetectionService(
     }
     RetireNotifyFn shard_retire;
     if (options_.window.span > 0) {
-      worker_options.track_window = true;
       shard_retire = [this, i](std::size_t) { OnShardRetire(i); };
     }
     ForwardFn forward = [this, i](std::span<const Edge> edges) {
@@ -149,6 +148,8 @@ ShardedDetectionService::ShardedDetectionService(
     std::vector<ShardWorker::PartitionSeed> seeds;
     seeds.reserve(pps);
     for (std::size_t pid = i; pid < num_partitions; pid += num_workers) {
+      // A windowed fleet expires through each detector's own window log.
+      if (options_.window.span > 0) shards[pid].TurnOnWindowLog();
       seeds.push_back(
           ShardWorker::PartitionSeed{pid, std::move(shards[pid])});
     }
@@ -1390,10 +1391,17 @@ Status ShardedDetectionService::RestoreState(const std::string& dir,
   // running fleet untouched).
   std::vector<ShardWorker::RestorePlan> plans(num_partitions);
   for (std::size_t pid = 0; pid < num_partitions; ++pid) {
+    Spade::Parts& base = plans[pid].base;
     SPADE_RETURN_NOT_OK(LoadSnapshot(JoinPath(dir, manifest.files[pid]),
-                                     &plans[pid].graph, &plans[pid].state,
-                                     &plans[pid].state_present,
-                                     &plans[pid].window));
+                                     &base.graph, &base.state,
+                                     &base.state_present, &base.window));
+    // Refused here: RestoreFromParts refusing in phase 2 would leave the
+    // fleet half restored.
+    if (options_.window.span <= 0 && !base.window.empty()) {
+      return Status::FailedPrecondition(
+          "sharded snapshot partition " + std::to_string(pid) +
+          " carries a window log but this service has window expiry off");
+    }
   }
   BoundaryEdgeIndex::FileData boundary_base;
   SPADE_RETURN_NOT_OK(

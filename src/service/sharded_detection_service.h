@@ -174,8 +174,8 @@ struct RebalanceOptions {
   std::uint32_t quiesce_timeout_ms = 5;
 };
 
-/// Sliding-window expiry policy. With `span > 0` every shard keeps a
-/// window log (applied weight + event timestamp per edge), the router
+/// Sliding-window expiry policy. With `span > 0` every partition's detector
+/// keeps its window log (Spade::TurnOnWindowLog), the router
 /// tracks a high-water event-time watermark over submitted edges, and
 /// whenever the watermark advances a stride past the last expiry horizon
 /// the service enqueues a retire marker on every shard: edges older than
@@ -475,7 +475,7 @@ class ShardedDetectionService {
     std::uint64_t epoch = 0;   // checkpoint epoch this save produced
     std::uint64_t bytes_written = 0;  // all files incl. manifest
     std::size_t chain_length = 0;     // delta epochs now in the manifest
-    std::size_t delta_edges = 0;      // edge records across all segments
+    std::size_t delta_edges = 0;      // NumEdges across all segments
   };
 
   /// What one RestoreState actually recovered.

@@ -7,7 +7,7 @@ namespace spade {
 namespace {
 
 constexpr std::uint64_t kDeltaMagic = 0x53504144455F4453ULL;  // "SPADE_DS"
-constexpr std::uint32_t kDeltaVersion = 2;
+constexpr std::uint32_t kDeltaVersion = 3;
 constexpr std::uint8_t kTagEdge = 0;
 constexpr std::uint8_t kTagFlush = 1;
 constexpr std::uint8_t kTagRetire = 2;
@@ -28,7 +28,13 @@ Status WriteDeltaSegment(const std::string& path, const DeltaSegment& segment,
       writer.Write(kTagFlush);
       continue;
     }
-    writer.Write(r.retire ? kTagRetire : kTagEdge);
+    if (r.retire) {
+      writer.Write(kTagRetire);
+      writer.Write(r.horizon);
+      writer.Write(r.retired);
+      continue;
+    }
+    writer.Write(kTagEdge);
     writer.Write(static_cast<std::uint32_t>(r.edge.src));
     writer.Write(static_cast<std::uint32_t>(r.edge.dst));
     writer.Write(r.edge.weight);
@@ -70,7 +76,15 @@ Status ReadDeltaSegment(const std::string& path, DeltaSegment* segment) {
       parsed.records.push_back(DeltaRecord::Flush());
       continue;
     }
-    if (tag != kTagEdge && tag != kTagRetire) {
+    if (tag == kTagRetire) {
+      DeltaRecord pass = DeltaRecord::RetirePass(0, 0);
+      if (!reader.Read(&pass.horizon) || !reader.Read(&pass.retired)) {
+        return Status::IOError(path + ": truncated delta retire record");
+      }
+      parsed.records.push_back(pass);
+      continue;
+    }
+    if (tag != kTagEdge) {
       return Status::IOError(path + ": unknown delta record tag");
     }
     std::uint32_t src = 0, dst = 0;
@@ -84,8 +98,7 @@ Status ReadDeltaSegment(const std::string& path, DeltaSegment* segment) {
     if (e.src == e.dst) {
       return Status::IOError(path + ": delta record is a self-loop");
     }
-    parsed.records.push_back(tag == kTagRetire ? DeltaRecord::Retire(e)
-                                               : DeltaRecord::Insert(e));
+    parsed.records.push_back(DeltaRecord::Insert(e));
   }
   SPADE_RETURN_NOT_OK(reader.VerifyTrailer());
   *segment = std::move(parsed);

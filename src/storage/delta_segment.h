@@ -9,8 +9,9 @@
 // A segment records the shard's *applied history* since the previous
 // checkpoint epoch: the raw edges in application order, interleaved with
 // flush markers at every point where the live detector flushed its benign
-// buffer. Restoring replays that history through the normal
-// Spade::ApplyEdge / Flush path, so the restored detector makes byte-for-
+// buffer and retire records at every window-expiry pass. Restoring replays
+// that history through the normal Spade::ApplyEdge / Flush /
+// RetireOlderThan path, so the restored detector makes byte-for-
 // byte the same decisions (benign classification, batch boundaries,
 // state-dependent edge weights) the live one made — replay(base + chain)
 // is bit-identical to the detector that never restarted. Markers are what
@@ -24,21 +25,21 @@
 // CRC-64 trailer discipline (storage/checked_io.h): any torn or mutated
 // segment is detected before a single record is replayed.
 //
-// Format (little-endian, version 2):
+// Format (little-endian, version 3):
 //   [magic u64 "SPADE_DS"][version u32]
 //   [shard u32][prev_epoch u64][epoch u64]
 //   [num_records u64]
 //   records: [tag u8 = 0][src u32][dst u32][weight f64][ts i64]  (edge)
 //          | [tag u8 = 1]                                        (flush)
-//          | [tag u8 = 2][src u32][dst u32][weight f64][ts i64]  (retire)
+//          | [tag u8 = 2][horizon i64][retired u64]              (retire)
 //   [crc64 trailer]
 //
-// Retire records (tag 2) carry the *applied* weight the edge entered the
-// graph with — the deletion path must subtract exactly what the insertion
-// added — plus the event timestamp, so replay reproduces a windowed
-// detector's insert-then-retire history bit-for-bit. Every segment is
-// version 2, whatever records it holds; the reader accepts version 2 only
-// and names any other version it finds.
+// A retire record (tag 2) marks one window-expiry pass: the detector ran
+// Spade::RetireOlderThan(horizon) here and it retired `retired` edges.
+// Replay re-runs that call on the window log the replay itself rebuilt,
+// and fails if it retires a different count. Every segment is version 3;
+// the reader accepts version 3 only and names any other version it finds
+// (version 2 used tag 2 for a per-edge layout).
 
 #pragma once
 
@@ -52,28 +53,18 @@
 namespace spade {
 
 /// One entry of a shard's applied history: an edge insertion, a benign-
-/// buffer flush boundary, or a window-expiry retirement (edge.weight is the
-/// applied weight being subtracted, edge.ts the original event time).
+/// buffer flush boundary, or a window-expiry pass.
 struct DeltaRecord {
-  Edge edge;            // valid when !flush
-  bool flush = false;   // true: the detector flushed here; `edge` is unused
-  bool retire = false;  // true: the detector retired `edge` here
+  Edge edge;                  // valid for an insertion
+  bool flush = false;         // true: the detector flushed here
+  bool retire = false;        // true: the detector ran a retire pass here
+  Timestamp horizon = 0;      // retire: the pass's expiry horizon
+  std::uint64_t retired = 0;  // retire: edges the pass removed
 
-  static DeltaRecord Flush() {
-    DeltaRecord r;
-    r.flush = true;
-    return r;
-  }
-  static DeltaRecord Insert(const Edge& e) {
-    DeltaRecord r;
-    r.edge = e;
-    return r;
-  }
-  static DeltaRecord Retire(const Edge& e) {
-    DeltaRecord r;
-    r.edge = e;
-    r.retire = true;
-    return r;
+  static DeltaRecord Flush() { return {.edge = {}, .flush = true}; }
+  static DeltaRecord Insert(const Edge& e) { return {.edge = e}; }
+  static DeltaRecord RetirePass(Timestamp horizon, std::uint64_t retired) {
+    return {.edge = {}, .retire = true, .horizon = horizon, .retired = retired};
   }
 };
 
@@ -84,9 +75,12 @@ struct DeltaSegment {
   std::uint64_t epoch = 0;       // checkpoint epoch it advances to
   std::vector<DeltaRecord> records;
 
+  /// Edges the segment inserts or retires (flush markers count 0).
   std::size_t NumEdges() const {
     std::size_t n = 0;
-    for (const DeltaRecord& r : records) n += r.flush ? 0 : 1;
+    for (const DeltaRecord& r : records) {
+      n += r.retire ? r.retired : (r.flush ? 0 : 1);
+    }
     return n;
   }
 };

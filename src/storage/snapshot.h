@@ -17,10 +17,10 @@
 //   window: num_window x { src u32, dst u32, weight f64, ts i64 }
 //   [crc64 of everything above]
 //
-// The window section holds a windowed detector's window log (applied
-// weight + event timestamp per live edge, oldest first): it must survive a
-// restart or the restored detector cannot retire what the live one would.
-// It is always present; an insert-only detector writes a count of 0. A
+// The window section holds the detector's window log (Spade::window():
+// applied weight + event time per live edge, oldest first): it must survive
+// a restart or the restored detector cannot retire what the live one
+// would. It is always present; with the log off it holds a count of 0. A
 // reader accepts version 2 only and names any other version it finds.
 
 #pragma once

@@ -14,6 +14,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <filesystem>
 #include <string>
@@ -51,13 +52,14 @@ std::vector<Edge> RandomChunk(Rng* rng, std::size_t n) {
 }
 
 std::unique_ptr<ShardedDetectionService> BuildService(
-    const std::vector<Edge>& initial, Timestamp window_span = 0) {
+    const std::vector<Edge>& initial, Timestamp window_span = 0,
+    const FraudSemantics& semantics = MakeDW()) {
   std::vector<std::vector<Edge>> parts(kShards);
   for (const Edge& e : initial) parts[e.src % kShards].push_back(e);
   std::vector<Spade> shards;
   for (std::size_t s = 0; s < kShards; ++s) {
     Spade spade;
-    spade.SetSemantics(MakeDW());
+    spade.SetSemantics(semantics);
     EXPECT_TRUE(spade.BuildGraph(kVertices, parts[s]).ok());
     shards.push_back(std::move(spade));
   }
@@ -446,10 +448,11 @@ void ExpectWindowsEqual(const std::vector<Edge>& expected,
 // Retire records in the delta chain: a windowed fleet that expired edges
 // between checkpoints must restore bit-identically — graph, peel state AND
 // window log — and must keep converging with the live fleet under further
-// traffic and expiry. This pins the replay argument end to end: retire
-// records re-run the deletion with the recorded applied weight, and the
-// flush inside RetireEdge is deterministic, so no flush marker precedes a
-// retire record yet the replayed flush points match the live ones.
+// traffic and expiry. This pins the replay argument end to end: a retire
+// record re-runs the pass's RetireOlderThan on the replayed window log,
+// which deletes at the logged applied weights, and the pass's flush is
+// deterministic, so no flush marker precedes a retire record yet the
+// replayed flush points match the live ones.
 TEST_F(RecoveryTest, WindowedChainWithRetiresRestoresBitIdentical) {
   constexpr Timestamp kSpan = 2000;
   constexpr std::uint64_t kEpochs = 4;
@@ -520,6 +523,122 @@ TEST_F(RecoveryTest, WindowedChainWithRetiresRestoresBitIdentical) {
   }
   EXPECT_DOUBLE_EQ(service->CurrentCommunity().density,
                    victim->CurrentCommunity().density);
+}
+
+// A retire record whose pass retires a different number of edges on replay
+// than it recorded fails the restore, naming the partition and epoch. The
+// segment is rewritten through the segment writer, so its CRC stays valid
+// and only the record's count disagrees with the window log it replays
+// against.
+TEST_F(RecoveryTest, MismatchedRetirePassFailsRestore) {
+  constexpr Timestamp kSpan = 500;
+  Rng rng(929);
+  const std::vector<Edge> initial = RandomChunk(&rng, kInitialEdges);
+  auto service = BuildService(initial, kSpan);
+  ASSERT_TRUE(service->SaveState(dir_).ok());  // epoch 1: the base
+
+  std::vector<Edge> chunk = RandomChunk(&rng, kChunkEdges);
+  Timestamp now = 0;
+  for (Edge& edge : chunk) {
+    now += 10;
+    edge.ts = now;
+  }
+  ASSERT_TRUE(service->SubmitBatch(chunk).ok());
+  service->Drain();
+  ASSERT_TRUE(service->RetireOlderThan(now - kSpan).ok());
+  service->Drain();
+  ASSERT_GT(service->EdgesRetired(), 0u);
+  ShardedDetectionService::SaveInfo info;
+  ASSERT_TRUE(service
+                  ->SaveState(dir_, ShardedDetectionService::SaveMode::kAuto,
+                              &info)
+                  .ok());
+  ASSERT_TRUE(info.delta);
+  ASSERT_EQ(info.epoch, 2u);
+
+  // The untouched chain restores: the failure below is the record's.
+  CopyDir(dir_, work_);
+  ASSERT_TRUE(BuildService(initial, kSpan)->RestoreState(work_).ok());
+
+  const std::string path =
+      (std::filesystem::path(dir_) / ShardDeltaFileName(0, 2)).string();
+  DeltaSegment segment;
+  ASSERT_TRUE(ReadDeltaSegment(path, &segment).ok());
+  const auto pass =
+      std::find_if(segment.records.begin(), segment.records.end(),
+                   [](const DeltaRecord& r) { return r.retire; });
+  ASSERT_NE(pass, segment.records.end())
+      << "partition 0's epoch-2 segment has no retire record";
+  ++pass->retired;
+  ASSERT_TRUE(WriteDeltaSegment(path, segment).ok());
+
+  auto victim = BuildService(initial, kSpan);
+  const Status s = victim->RestoreState(dir_);
+  ASSERT_FALSE(s.ok());
+  EXPECT_NE(s.message().find("partition 0"), std::string::npos)
+      << s.ToString();
+  EXPECT_NE(s.message().find("epoch 2"), std::string::npos) << s.ToString();
+  EXPECT_NE(s.message().find("retire pass"), std::string::npos)
+      << s.ToString();
+}
+
+// Retire passes that land mid-stream — behind benign-buffered edges, and in
+// a partition with nothing old enough to expire — must replay bit for bit
+// under FD, whose edge weights depend on the graph at application time and
+// so on exactly where each flush fell. Only a pass that retires something
+// flushes, and its record replays the same call, so no flush marker is
+// needed; a pass that flushed without retiring would diverge here. The
+// base is the empty graph: no weighted-degree residue to re-sum
+// (DESIGN.md §5.3), so the comparison can be exact.
+TEST_F(RecoveryTest, MidStreamRetirePassesReplayBitIdenticalUnderFd) {
+  constexpr Timestamp kSpan = 400;
+  Rng rng(939);
+  auto service = BuildService({}, kSpan, MakeFD());
+  ASSERT_TRUE(service->SaveState(dir_).ok());  // epoch 1: the empty base
+
+  Timestamp now = 0;
+  for (int round = 0; round < 12; ++round) {
+    std::vector<Edge> chunk;
+    while (chunk.size() < 40) {
+      // Half the edges inside an 8-vertex core, half in the sparse rest:
+      // the core sets a high density, so periphery edges group as benign.
+      const bool core = chunk.size() % 2 == 0;
+      Edge edge = testing::RandomEdge(&rng, core ? 8 : kVertices - 8);
+      if (!core) {
+        edge.src += 8;
+        edge.dst += 8;
+      }
+      // The first rounds feed partition 0 only, so partition 1 later holds
+      // young edges (and a benign buffer) while partition 0 expires.
+      if (round < 3 && edge.src % kShards != 0) continue;
+      now += 10;
+      edge.ts = now;
+      chunk.push_back(edge);
+    }
+    // No drain in between: the stride trigger and the explicit horizon
+    // both queue retire markers behind whatever the worker has buffered.
+    ASSERT_TRUE(service->SubmitBatch(chunk).ok());
+    if (now > kSpan) {
+      ASSERT_TRUE(service->RetireOlderThan(now - kSpan).ok());
+    }
+  }
+  service->Drain();
+  ASSERT_GT(service->EdgesRetired(), 0u);
+  ShardedDetectionService::SaveInfo info;
+  ASSERT_TRUE(service
+                  ->SaveState(dir_, ShardedDetectionService::SaveMode::kAuto,
+                              &info)
+                  .ok());
+  ASSERT_TRUE(info.delta);
+  const auto live = CaptureShards(*service);
+
+  auto victim = BuildService({}, kSpan, MakeFD());
+  ASSERT_TRUE(victim->RestoreState(dir_).ok());
+  const auto restored = CaptureShards(*victim);
+  for (std::size_t s = 0; s < kShards; ++s) {
+    testing::ExpectShardEqualsCapture(live[s], restored[s]);
+    ExpectWindowsEqual(service->ShardWindow(s), victim->ShardWindow(s));
+  }
 }
 
 // A full save taken while the window log is non-empty must bring that log

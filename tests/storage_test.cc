@@ -384,6 +384,25 @@ TEST_F(ShardManifestTest, EveryReaderRejectsOlderVersions) {
   }
   DeltaSegment segment;
   expect_version_error(ReadDeltaSegment(bin, &segment), 1);
+  // Delta segment 2 used tag 2 for a per-edge retire record; the same tag
+  // now opens a retire-pass record, so version 2 must fail by name rather
+  // than be misread.
+  {
+    storage::ChecksummedFileWriter w(bin);
+    w.Write(std::uint64_t{0x53504144455F4453ULL});  // "SPADE_DS"
+    w.Write(std::uint32_t{2});
+    w.Write(std::uint32_t{0});  // shard
+    w.Write(std::uint64_t{0});  // prev_epoch
+    w.Write(std::uint64_t{1});  // epoch
+    w.Write(std::uint64_t{1});  // records
+    w.Write(std::uint8_t{2});   // per-edge retire
+    w.Write(std::uint32_t{7});  // src
+    w.Write(std::uint32_t{1});  // dst
+    w.Write(0.25);              // applied weight
+    w.Write(std::int64_t{11});  // ts
+    ASSERT_TRUE(w.Finish().ok());
+  }
+  expect_version_error(ReadDeltaSegment(bin, &segment), 2);
   {
     storage::ChecksummedFileWriter w(bin);
     w.Write(std::uint64_t{0x53504144455F4249ULL});  // "SPADE_BI"
@@ -454,7 +473,8 @@ DeltaSegment MakeSegment() {
   segment.records.push_back(DeltaRecord::Insert({7, 1, 0.25, 11}));
   segment.records.push_back(DeltaRecord::Flush());
   segment.records.push_back(DeltaRecord::Insert({2, 9, 1.0, 12}));
-  segment.records.push_back(DeltaRecord::Retire({7, 1, 0.25, 11}));
+  // A pass at horizon 12 expires the two edges stamped before it.
+  segment.records.push_back(DeltaRecord::RetirePass(12, 2));
   return segment;
 }
 
@@ -475,8 +495,11 @@ TEST_F(DeltaSegmentTest, RoundTrip) {
   EXPECT_EQ(read.records[0].edge, (Edge{1, 2, 3.5, 10}));
   EXPECT_TRUE(read.records[2].flush);
   EXPECT_TRUE(read.records[4].retire);
-  EXPECT_EQ(read.records[4].edge, (Edge{7, 1, 0.25, 11}));
-  EXPECT_EQ(read.NumEdges(), 4u);
+  EXPECT_FALSE(read.records[4].flush);
+  EXPECT_EQ(read.records[4].horizon, 12);
+  EXPECT_EQ(read.records[4].retired, 2u);
+  // Three inserted edges plus the two the pass retired.
+  EXPECT_EQ(read.NumEdges(), 5u);
 }
 
 TEST_F(DeltaSegmentTest, EveryTruncationIsDetected) {

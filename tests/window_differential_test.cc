@@ -4,16 +4,23 @@
 // the insert path, the expiry/delete path and their interleavings must all
 // agree with the definition. Also pins the two window-detector seam fixes:
 // a rejected Offer leaves the detector untouched (no expiry side effects),
-// and monotonicity survives the window draining empty.
+// and monotonicity survives the window draining empty. The core-level
+// differential drives the window log itself — one Spade configured the way
+// a windowed service partition runs it — with late arrivals, random
+// horizons and a mid-stream save/restore.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
 #include <deque>
+#include <string>
+#include <tuple>
 #include <vector>
 
 #include "common/rng.h"
 #include "core/period_detector.h"
+#include "core/spade.h"
 #include "core/time_window.h"
 #include "graph/dynamic_graph.h"
 #include "metrics/semantics.h"
@@ -56,6 +63,15 @@ TEST(TimeWindowSeamTest, RejectedOfferLeavesDetectorUntouched) {
 
   // Out-of-order timestamp: same guarantee.
   EXPECT_FALSE(detector.Offer({0, 2, 1.0, 5}).ok());
+  EXPECT_EQ(detector.WindowEdgeCount(), 3u);
+  EXPECT_EQ(detector.graph().NumEdges(), edges_before);
+
+  // A self-loop and a non-positive raw weight are wrong whatever the
+  // window holds, so they too must be rejected before time advances.
+  EXPECT_FALSE(detector.Offer({4, 4, 1.0, 1000}).ok());
+  EXPECT_EQ(detector.WindowEdgeCount(), 3u);
+  EXPECT_EQ(detector.graph().NumEdges(), edges_before);
+  EXPECT_FALSE(detector.Offer({2, 3, -1.0, 1000}).ok());
   EXPECT_EQ(detector.WindowEdgeCount(), 3u);
   EXPECT_EQ(detector.graph().NumEdges(), edges_before);
 }
@@ -139,6 +155,218 @@ TEST(PeriodDifferentialTest, RandomizedRetargetsMatchRebuild) {
       testing::ExpectStateEquals(want, detector.peel_state());
     }
   }
+}
+
+/// (src, dst, weight) triples, sorted: a multiset of weighted edges.
+using EdgeBag = std::vector<std::tuple<VertexId, VertexId, double>>;
+
+EdgeBag GraphBag(const DynamicGraph& g) {
+  EdgeBag bag;
+  for (std::size_t v = 0; v < g.NumVertices(); ++v) {
+    for (const NeighborEntry& e : g.OutNeighbors(static_cast<VertexId>(v))) {
+      bag.emplace_back(static_cast<VertexId>(v), e.vertex, e.weight);
+    }
+  }
+  std::sort(bag.begin(), bag.end());
+  return bag;
+}
+
+Spade MakeWindowedSpade(const std::string& algo, std::size_t n) {
+  Spade spade;
+  spade.SetSemantics(MakeSemanticsByName(algo));
+  spade.TurnOnEdgeGrouping();
+  spade.TurnOnWindowLog();
+  EXPECT_TRUE(spade.BuildGraph(n, {}).ok());
+  return spade;
+}
+
+/// The window-log invariants after one step: the log holds exactly the
+/// reference's admitted-not-retired edges in arrival order; the graph holds
+/// the log minus its benign-buffered tail (a retire pass or urgent edge
+/// flushes the whole buffer, so buffered edges are always the newest log
+/// entries), at the logged applied weights; and the peel state equals a
+/// static peel of the graph.
+void ExpectWindowInvariants(const std::string& algo, const Spade& spade,
+                            const std::deque<Edge>& reference) {
+  const std::deque<Edge>& window = spade.window();
+  ASSERT_EQ(window.size(), reference.size());
+  for (std::size_t i = 0; i < window.size(); ++i) {
+    ASSERT_EQ(window[i].src, reference[i].src) << "log entry " << i;
+    ASSERT_EQ(window[i].dst, reference[i].dst) << "log entry " << i;
+    ASSERT_EQ(window[i].ts, reference[i].ts) << "log entry " << i;
+  }
+  const std::size_t pending = spade.PendingBenignEdges();
+  ASSERT_LE(pending, window.size());
+  EdgeBag logged;
+  for (std::size_t i = 0; i + pending < window.size(); ++i) {
+    logged.emplace_back(window[i].src, window[i].dst, window[i].weight);
+  }
+  std::sort(logged.begin(), logged.end());
+  ASSERT_EQ(GraphBag(spade.graph()), logged);
+
+  // DG/DW weights are integers, so the static peel matches tie for tie.
+  // FD weights are continuous: validate canonicality without the
+  // tie-break, as MixedStreamTest does. FD's edges into one destination
+  // share a weight, so its ties are structural; once incremental and
+  // static sums split such a tie by an ulp the two greedy orders may keep
+  // different densest prefixes, so FD densities are not compared.
+  if (algo == "FD") {
+    testing::ValidateCanonicalSequence(spade.graph(), spade.peel_state(),
+                                       1e-9, /*check_tie_break=*/false);
+  } else {
+    const PeelState reference_state = PeelStatic(spade.graph());
+    testing::ExpectStateEquals(reference_state, spade.peel_state());
+    EXPECT_EQ(reference_state.BestStart(), spade.peel_state().BestStart());
+  }
+}
+
+/// Bit-level equality of two detectors that were fed the same history.
+void ExpectSameDetector(const Spade& expected, const Spade& actual) {
+  testing::ExpectStateEquals(expected.peel_state(), actual.peel_state(), 0.0);
+  EXPECT_EQ(GraphBag(expected.graph()), GraphBag(actual.graph()));
+  EXPECT_EQ(expected.PendingBenignEdges(), actual.PendingBenignEdges());
+  ASSERT_EQ(expected.window().size(), actual.window().size());
+  for (std::size_t i = 0; i < expected.window().size(); ++i) {
+    EXPECT_EQ(expected.window()[i], actual.window()[i]) << "log entry " << i;
+  }
+}
+
+class WindowedSpadeDifferentialTest
+    : public ::testing::TestWithParam<const char*> {};
+
+// One Spade with the window log and edge grouping on — how the service
+// runs every windowed partition — fed a random stream with ~10% late
+// arrivals, single and batched admissions, and random RetireOlderThan
+// horizons (monotone or not). Halfway, a SaveState/RestoreState copy joins
+// and is fed the same history. It starts bit-identical with the live
+// detector under every semantics, and under DG/DW stays so to the end.
+// Under FD it only keeps every invariant on its own: the live graph's
+// weighted degrees carry add-then-subtract residue (an emptied vertex can
+// hold 1e-16) that the snapshot does not store, so the restored sums can
+// split one of FD's structural ties the other way.
+TEST_P(WindowedSpadeDifferentialTest, LogGraphAndPeelAgreeAfterEveryStep) {
+  const std::string algo = GetParam();
+  constexpr std::size_t kMaxVertices = 64;
+  constexpr Timestamp kSpan = 150;
+  constexpr int kSteps = 400;
+  const std::string path = ::testing::TempDir() +
+                           "/spade_window_differential_" + algo + ".bin";
+  for (int trial = 0; trial < 6; ++trial) {
+    Rng rng(4242 + static_cast<std::uint64_t>(algo[0]) * 7 +
+            static_cast<std::uint64_t>(algo[1]) + 1000 * trial);
+    std::vector<Spade> detectors;
+    detectors.push_back(MakeWindowedSpade(algo, 8));
+    std::deque<Edge> reference;  // arrival order; weights unused
+    Timestamp now = 0;
+    const auto next_edge = [&] {
+      Edge e = testing::RandomEdge(&rng, kMaxVertices);
+      now += static_cast<Timestamp>(rng.NextBounded(12));
+      e.ts = now;
+      if (rng.NextBounded(10) == 0) {
+        e.ts -= static_cast<Timestamp>(1 + rng.NextBounded(2 * kSpan));
+      }
+      return e;
+    };
+    for (int step = 0; step < kSteps; ++step) {
+      if (step == kSteps / 2) {
+        ASSERT_TRUE(detectors[0].SaveState(path).ok());
+        Spade copy = MakeWindowedSpade(algo, 0);
+        ASSERT_TRUE(copy.RestoreState(path).ok());
+        std::remove(path.c_str());
+        detectors.push_back(std::move(copy));
+        ExpectSameDetector(detectors[0], detectors[1]);
+      }
+      const std::uint64_t dice = rng.NextBounded(10);
+      if (dice < 5) {
+        const std::size_t count = 1 + rng.NextBounded(4);
+        for (std::size_t i = 0; i < count; ++i) {
+          const Edge e = next_edge();
+          for (Spade& spade : detectors) {
+            ASSERT_TRUE(spade.ApplyEdge(e).ok());
+          }
+          reference.push_back(e);
+        }
+      } else if (dice < 7) {
+        std::vector<Edge> batch(1 + rng.NextBounded(6));
+        for (Edge& e : batch) e = next_edge();
+        for (Spade& spade : detectors) {
+          ASSERT_TRUE(spade.ApplyBatchEdges(batch).ok());
+        }
+        reference.insert(reference.end(), batch.begin(), batch.end());
+      } else {
+        const Timestamp horizon =
+            now - static_cast<Timestamp>(rng.NextBounded(2 * kSpan));
+        std::size_t expected = 0;
+        while (expected < reference.size() &&
+               reference[expected].ts < horizon) {
+          ++expected;
+        }
+        for (Spade& spade : detectors) {
+          const auto retired = spade.RetireOlderThan(horizon);
+          ASSERT_TRUE(retired.ok()) << retired.status().ToString();
+          ASSERT_EQ(retired.value().size(), expected);
+          for (std::size_t i = 0; i < expected; ++i) {
+            EXPECT_EQ(retired.value()[i].src, reference[i].src);
+            EXPECT_EQ(retired.value()[i].dst, reference[i].dst);
+            EXPECT_EQ(retired.value()[i].ts, reference[i].ts);
+          }
+        }
+        reference.erase(reference.begin(),
+                        reference.begin() +
+                            static_cast<std::ptrdiff_t>(expected));
+      }
+      for (const Spade& spade : detectors) {
+        ExpectWindowInvariants(algo, spade, reference);
+        if (::testing::Test::HasFatalFailure()) return;
+      }
+      if (detectors.size() == 2 && algo != "FD") {
+        ExpectSameDetector(detectors[0], detectors[1]);
+        if (::testing::Test::HasFailure()) return;
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(AllSemantics, WindowedSpadeDifferentialTest,
+                         ::testing::Values("DG", "DW", "FD"));
+
+// While the window log is on, expiry is the only way a logged edge leaves:
+// the two unlogged delete paths refuse and change nothing.
+TEST(WindowedSpadeTest, UnloggedDeletesRefuseWhileTheLogIsOn) {
+  Spade spade = MakeWindowedSpade("DW", 4);
+  ASSERT_TRUE(spade.ApplyEdge({0, 1, 2.0, 10}).ok());
+  const Status del = spade.DeleteEdge(0, 1);
+  EXPECT_EQ(del.code(), StatusCode::kFailedPrecondition) << del.ToString();
+  const Status retire = spade.RetireEdge(0, 1, 2.0);
+  EXPECT_EQ(retire.code(), StatusCode::kFailedPrecondition)
+      << retire.ToString();
+  EXPECT_EQ(spade.graph().NumEdges() + spade.PendingBenignEdges(), 1u);
+  EXPECT_EQ(spade.window().size(), 1u);
+}
+
+// Only a pass that retires something flushes the benign buffer: an
+// unrecorded flush would move the flush points a replayed chain reproduces.
+TEST(WindowedSpadeTest, OnlyAPassThatRetiresFlushes) {
+  Spade spade = MakeWindowedSpade("DW", 6);
+  // A heavy triangle sets the density at 100, so a light edge is benign.
+  for (const Edge& e : std::vector<Edge>{
+           {0, 1, 100.0, 10}, {1, 2, 100.0, 11}, {2, 0, 100.0, 12}}) {
+    ASSERT_TRUE(spade.ApplyEdge(e).ok());
+  }
+  ASSERT_TRUE(spade.ApplyEdge({3, 4, 1.0, 50}).ok());
+  ASSERT_EQ(spade.PendingBenignEdges(), 1u);
+
+  const auto none = spade.RetireOlderThan(10);
+  ASSERT_TRUE(none.ok());
+  EXPECT_TRUE(none.value().empty());
+  EXPECT_EQ(spade.PendingBenignEdges(), 1u);
+
+  const auto one = spade.RetireOlderThan(11);
+  ASSERT_TRUE(one.ok());
+  ASSERT_EQ(one.value().size(), 1u);
+  EXPECT_EQ(one.value()[0], (Edge{0, 1, 100.0, 10}));
+  EXPECT_EQ(spade.PendingBenignEdges(), 0u);
+  EXPECT_EQ(spade.graph().NumEdges(), 3u);
 }
 
 }  // namespace

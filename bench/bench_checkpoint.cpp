@@ -3,9 +3,8 @@
 //
 // Full checkpointing rewrites every shard's snapshot, so its cost is
 // O(graph) — it grows with the age of the deployment even when traffic is
-// flat. Delta checkpointing (per-shard applied-history segments + a
-// boundary tail + a tiny manifest) costs O(edges since the last
-// checkpoint). The sweep holds per-checkpoint traffic constant and scales
+// flat. Delta checkpointing (per-shard applied-history segments + a tiny
+// manifest) costs O(edges since the last checkpoint). The sweep holds per-checkpoint traffic constant and scales
 // the resident graph: full save time/bytes climb with graph size while
 // delta save time/bytes stay flat, so the ratio — the number the JSON is
 // really for — grows without bound. The acceptance bar is >= 5x on the
@@ -75,7 +74,6 @@ std::unique_ptr<ShardedDetectionService> BuildService(
   options.checkpoint.max_delta_base_ratio = 1e18;
   auto service = std::make_unique<ShardedDetectionService>(
       std::move(shards), nullptr, std::move(options));
-  service->SeedBoundaryIndex(initial);
   return service;
 }
 

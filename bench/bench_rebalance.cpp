@@ -150,7 +150,6 @@ ShardedDetectionServiceOptions BaseOptions(const RebalanceConfig& cfg,
   options.shard.detect_every = cfg.detect_every;
   options.shard.block_when_full = true;
   options.rebalance.partitions_per_shard = cfg.partitions / cfg.shards;
-  options.rebalance.enabled = rebalance_on;
   if (rebalance_on) {
     options.rebalance.interval_ms = 5;
     options.rebalance.skew_ratio = 2.0;

@@ -20,7 +20,7 @@
 // Second workload: the cross-shard ring. Hash-of-source routing splits a
 // fraud ring's edges across every shard (each consecutive member pair has
 // different home shards), so no per-shard view ever contains the ring at
-// its real density — the blind spot the boundary-edge index + stitch pass
+// its real density — the blind spot the boundary weights + stitch pass
 // close. The sweep reports argmax vs stitched recall/density against the
 // 1-shard merged detector, plus the retained aggregate throughput, and
 // emits BENCH_stitching.json.
@@ -242,7 +242,7 @@ struct StitchConfig {
   double whale_weight = 40.0;
   /// Fraud ring whose 8 members cover all 8 home residues: every
   /// consecutive pair crosses shards at 2, 4 and 8 shards, so the ring is
-  /// invisible to any per-shard argmax and fully boundary-indexed.
+  /// invisible to any per-shard argmax and fully in the boundary weights.
   std::size_t ring_size = 8;
   std::size_t ring_edges = 160;
   double ring_weight = 60.0;
@@ -385,13 +385,13 @@ StitchEntry RunStitchConfig(const StitchWorkload& w, std::size_t num_shards) {
 }
 
 // ------------------------------------------------------------------------
-// Message-driven stitching: freshness sweep + boundary residency A/B.
+// Message-driven stitching: freshness sweep + boundary residency.
 // ------------------------------------------------------------------------
 
 /// One event-driven configuration of the cross-shard ring workload: how
 /// long until the ring is visible through CurrentGlobalCommunity with NO
-/// explicit StitchNow call, and how many recorded boundary edges the
-/// stitcher still had not folded once ingest drained (the stitched read's
+/// explicit StitchNow call, and how many applied cross-home edges no
+/// stitch pass had merged yet once ingest drained (the stitched read's
 /// staleness in edges).
 struct FreshnessEntry {
   double trigger_weight = 0.0;
@@ -453,19 +453,20 @@ FreshnessEntry RunFreshnessConfig(const StitchWorkload& w,
   return e;
 }
 
-/// Boundary-index residency under a windowed, repeat-heavy stream holding
-/// 4 windows of history: with compaction the consumed queue prefix
-/// collapses to per-pair per-vertex weight sums, so resident bytes track
-/// the (small) hot vertex set instead of the window's edge count.
+/// Boundary-weight residency under a windowed, repeat-heavy stream holding
+/// 4 windows of history: the weights keep one entry per boundary vertex
+/// per partition, so resident bytes track the (small) hot vertex set
+/// instead of the window's cross-home edge count. `raw_edge_bytes` is what
+/// one copy of those edges would cost.
 struct ResidencyResult {
   std::size_t window_edges = 0;
-  std::size_t resident_compacted = 0;
-  std::size_t resident_raw = 0;
-  std::uint64_t compacted_edges = 0;
+  std::uint64_t boundary_edges = 0;
+  std::size_t resident_bytes = 0;
+  std::size_t raw_edge_bytes = 0;
   double ratio = 1.0;
 };
 
-ResidencyResult RunResidencyAB(std::size_t num_shards) {
+ResidencyResult RunResidency(std::size_t num_shards) {
   constexpr std::size_t kVertices = 1024;
   constexpr std::size_t kHotPool = 256;   // repeat-heavy: edges recur
   constexpr std::size_t kEdges = 65536;
@@ -482,47 +483,42 @@ ResidencyResult RunResidencyAB(std::size_t num_shards) {
                          static_cast<Timestamp>(i)});
   }
 
+  ShardedDetectionServiceOptions options;
+  options.partitioner = HashOfSourcePartitioner();
+  options.shard.block_when_full = true;
+  options.shard.detect_every = 64;
+  options.window.span = kSpan;
+
+  std::vector<Spade> shards;
+  for (std::size_t s = 0; s < num_shards; ++s) {
+    Spade spade;
+    spade.SetSemantics(MakeDW());
+    if (!spade.BuildGraph(kVertices, {}).ok()) std::exit(1);
+    shards.push_back(std::move(spade));
+  }
+  ShardedDetectionService service(std::move(shards), nullptr, options);
+
+  // Stitch passes interleave with ingest (16 per stream), as in a live
+  // deployment.
+  constexpr std::size_t kSlice = kEdges / 16;
+  for (std::size_t i = 0; i < kEdges; i += kSlice) {
+    (void)service.SubmitBatch(std::span<const Edge>(
+        edges.data() + i, std::min(kSlice, kEdges - i)));
+    service.Drain();
+    (void)service.StitchNow();
+  }
+  const ShardedServiceStats stats = service.GetStats();
+  service.Stop();
+
   ResidencyResult r;
   r.window_edges = static_cast<std::size_t>(kSpan);
-  for (const bool compact : {true, false}) {
-    ShardedDetectionServiceOptions options;
-    options.partitioner = HashOfSourcePartitioner();
-    options.shard.block_when_full = true;
-    options.shard.detect_every = 64;
-    options.window.span = kSpan;
-    options.stitch.compact_boundary = compact;
-
-    std::vector<Spade> shards;
-    for (std::size_t s = 0; s < num_shards; ++s) {
-      Spade spade;
-      spade.SetSemantics(MakeDW());
-      if (!spade.BuildGraph(kVertices, {}).ok()) std::exit(1);
-      shards.push_back(std::move(spade));
-    }
-    ShardedDetectionService service(std::move(shards), nullptr, options);
-
-    // Stitch passes interleave with ingest (16 per stream) — each fold
-    // consumes the queues, and with compaction on, collapses them.
-    constexpr std::size_t kSlice = kEdges / 16;
-    for (std::size_t i = 0; i < kEdges; i += kSlice) {
-      (void)service.SubmitBatch(
-          std::span<const Edge>(edges.data() + i,
-                                std::min(kSlice, kEdges - i)));
-      service.Drain();
-      (void)service.StitchNow();
-    }
-    const ShardedServiceStats stats = service.GetStats();
-    if (compact) {
-      r.resident_compacted = stats.boundary_resident_bytes;
-      r.compacted_edges = stats.boundary_compacted_edges;
-    } else {
-      r.resident_raw = stats.boundary_resident_bytes;
-    }
-    service.Stop();
-  }
-  if (r.resident_raw > 0) {
-    r.ratio = static_cast<double>(r.resident_compacted) /
-              static_cast<double>(r.resident_raw);
+  r.boundary_edges = stats.boundary_edges;
+  r.resident_bytes = stats.boundary_resident_bytes;
+  r.raw_edge_bytes =
+      static_cast<std::size_t>(stats.boundary_edges) * sizeof(Edge);
+  if (r.raw_edge_bytes > 0) {
+    r.ratio = static_cast<double>(r.resident_bytes) /
+              static_cast<double>(r.raw_edge_bytes);
   }
   return r;
 }
@@ -647,14 +643,14 @@ int main(int argc, char** argv) {
     fentries.push_back(e);
   }
 
-  // ---- boundary residency A/B: compaction on vs off, windowed stream
-  // holding 4 windows of repeat-heavy history ----
-  const ResidencyResult rr = RunResidencyAB(4);
+  // ---- boundary residency: windowed stream holding 4 windows of
+  // repeat-heavy history ----
+  const ResidencyResult rr = RunResidency(4);
   std::printf("\n# boundary residency (4 shards, windowed 4x history): "
-              "compacted %zu B vs raw %zu B (ratio %.3f, %llu edges in "
-              "blocks)\n",
-              rr.resident_compacted, rr.resident_raw, rr.ratio,
-              static_cast<unsigned long long>(rr.compacted_edges));
+              "weights %zu B vs %zu B for one copy of the %llu cross-home "
+              "edges (ratio %.3f)\n",
+              rr.resident_bytes, rr.raw_edge_bytes,
+              static_cast<unsigned long long>(rr.boundary_edges), rr.ratio);
 
   const std::string spath = out_dir + "/BENCH_stitching.json";
   std::FILE* sf = std::fopen(spath.c_str(), "w");
@@ -716,11 +712,12 @@ int main(int argc, char** argv) {
   std::fprintf(sf, "  ],\n");
   std::fprintf(sf,
                "  \"residency\": {\"shards\": 4, \"window_edges\": %zu, "
-               "\"resident_bytes_compacted\": %zu, \"resident_bytes_raw\": "
-               "%zu, \"compacted_over_raw_ratio\": %.4f, "
-               "\"compacted_edges\": %llu}\n",
-               rr.window_edges, rr.resident_compacted, rr.resident_raw,
-               rr.ratio, static_cast<unsigned long long>(rr.compacted_edges));
+               "\"boundary_edges\": %llu, \"resident_bytes\": %zu, "
+               "\"raw_edge_bytes\": %zu, \"resident_over_raw_ratio\": "
+               "%.4f}\n",
+               rr.window_edges,
+               static_cast<unsigned long long>(rr.boundary_edges),
+               rr.resident_bytes, rr.raw_edge_bytes, rr.ratio);
   std::fprintf(sf, "}\n");
   std::fclose(sf);
   std::printf("\nwrote %s\n", spath.c_str());

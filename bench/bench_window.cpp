@@ -4,7 +4,7 @@
 //
 //   1. Steady-state memory is O(window), not O(history): a windowed
 //      sharded service streaming k windows' worth of traffic holds a flat
-//      resident edge set (shard graphs + window logs + boundary index)
+//      resident edge set (shard graphs + window logs + boundary edges)
 //      while cumulative history grows k-fold. The gate is resident at 4x
 //      history <= 1.5x resident at 1x history.
 //
@@ -77,8 +77,8 @@ std::size_t ResidentEdges(const ShardedDetectionService& service,
     });
     *window_edges += service.ShardWindow(s).size();
   }
-  *boundary_edges = static_cast<std::size_t>(
-      service.boundary_index().TotalEdges());
+  *boundary_edges =
+      static_cast<std::size_t>(service.GetStats().boundary_edges);
   return *graph_edges + *window_edges + *boundary_edges;
 }
 
@@ -119,7 +119,7 @@ std::vector<MemoryRow> RunMemorySweep() {
     }
     service->Drain();
     // Catch the expiry up to the final horizon (covers the tail the stride
-    // trigger has not reached yet) and evict the boundary index.
+    // trigger has not reached yet).
     Status st = service->RetireOlderThan(now - kSpan);
     if (!st.ok()) {
       std::fprintf(stderr, "retire failed: %s\n", st.ToString().c_str());

@@ -7,11 +7,12 @@
 //
 // The demo streams normal traffic into all tenants, injects a fraud ring
 // into tenant 2, shows the shard-tagged alert, then grows a CROSS-tenant
-// collusion ring (accounts in tenants 0 and 3): each of its edges is
-// recorded in the boundary index as it is routed, and a stitch pass
+// collusion ring (accounts in tenants 0 and 3): each of its edges adds
+// boundary weight to its endpoints as it is applied, and a stitch pass
 // detects the ring at its exact global density — invisible to any single
-// shard's view. Finally the whole fleet (boundary index included) is saved
-// into one snapshot directory and restored into a fresh service.
+// shard's view. Finally the whole fleet is saved into one snapshot
+// directory and restored into a fresh service, which recounts the boundary
+// weights from its restored detectors.
 
 #include <algorithm>
 #include <atomic>
@@ -81,7 +82,6 @@ int main() {
   // Work-stealing rebalance on: a tenant whose traffic spikes can have its
   // partition stolen by an idle worker (the demo's traffic is too tame to
   // trigger a steal, but the stats below show the counters wired up).
-  options.rebalance.enabled = true;
   options.rebalance.interval_ms = 20;
   // Pin shard workers round-robin onto the machine's cores (a no-op hint
   // on a single-core host, and on non-Linux platforms).
@@ -142,8 +142,8 @@ int main() {
 
   // A cross-tenant collusion ring: accounts in tenants 0 and 3 trade
   // heavily with each other. Every edge is cross-tenant, so each lands in
-  // its source tenant's shard AND in the boundary index — no single shard
-  // ever sees the ring whole.
+  // its source tenant's shard and weighs on the boundary weights — no
+  // single shard ever sees the ring whole.
   std::printf("\n== cross-tenant collusion (tenants 0 and 3) ==\n");
   const auto t0 = static_cast<spade::VertexId>(0 * kVerticesPerTenant);
   const auto t3 = static_cast<spade::VertexId>(3 * kVerticesPerTenant);
@@ -171,7 +171,7 @@ int main() {
               stitched.seam_vertices, stitched.seam_edges);
 
   const spade::ShardedServiceStats stats = service.GetStats();
-  std::printf("boundary index: %llu cross-shard edges, %llu stitch passes\n",
+  std::printf("boundary: %llu cross-shard edges, %llu stitch passes\n",
               static_cast<unsigned long long>(stats.boundary_edges),
               static_cast<unsigned long long>(stats.stitch_passes));
   std::printf("rebalance: %llu steals, %llu partitions moved, %llu edges "
@@ -209,8 +209,9 @@ int main() {
   std::printf("\nrestored from %s: top community has %zu accounts, "
               "density %.1f\n", dir.c_str(), back.members.size(),
               back.density);
-  // The boundary index travels with the snapshot: the restored fleet
-  // re-detects the cross-tenant ring without replaying a single edge.
+  // The restored fleet recounts its boundary weights from the restored
+  // detectors and re-detects the cross-tenant ring without replaying a
+  // single edge.
   const spade::GlobalCommunity restitched = restored.StitchNow();
   std::printf("restored stitch pass: density %.1f (same cross-tenant ring: "
               "%s)\n", restitched.density,

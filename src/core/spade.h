@@ -164,6 +164,9 @@ class Spade {
 
   /// Number of buffered (grouped) benign edges awaiting a flush.
   std::size_t PendingBenignEdges() const { return benign_buffer_.size(); }
+  /// The buffered benign edges themselves, at their applied weights: edges
+  /// admitted but not yet in graph().
+  std::span<const Edge> benign_buffer() const { return benign_buffer_; }
 
   /// Read-only views for analysis and tests.
   const DynamicGraph& graph() const { return graph_; }

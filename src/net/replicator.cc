@@ -137,14 +137,9 @@ Status Replicator::ShipCurrentManifest(FollowerSession* session) {
   SPADE_RETURN_NOT_OK(read);
 
   std::vector<std::string> names;
-  names.reserve(manifest.files.size() + manifest.deltas.size() +
-                manifest.boundary_tails.size() + 2);
+  names.reserve(manifest.files.size() + manifest.deltas.size() + 1);
   for (const std::string& f : manifest.files) names.push_back(f);
-  names.push_back(manifest.boundary_file);
   for (const DeltaSegmentRef& d : manifest.deltas) names.push_back(d.file);
-  for (const BoundaryTailRef& t : manifest.boundary_tails) {
-    names.push_back(t.file);
-  }
   // The seal's seqmap rides with its epoch; absent when ingest runs
   // without a wire front end.
   const std::string seqmap = SeqMapFileName(manifest.epoch);

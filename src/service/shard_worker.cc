@@ -827,11 +827,8 @@ bool ShardWorker::ApplyOne(const Edge& edge) {
     const Status s = p->spade.ApplyEdge(edge, &applied);
     if (s.ok()) {
       AppendDeltaRecord(*p, DeltaRecord::Insert(edge));
-      // Boundary push under the detector mutex: any state snapshot
-      // that contains this edge (SavePartition locks after Drain) is
-      // therefore saved after its boundary record exists, so a
-      // restored fleet can always rediscover the seam. Keyed by
-      // partition home, so the record survives a partition move.
+      // Under the detector mutex, like the apply itself: the boundary
+      // weights change together with the detector.
       if (on_boundary_) on_boundary_(edge, applied, /*retired=*/false);
       processed_.fetch_add(1, std::memory_order_relaxed);
       ++p->since_detect;
@@ -845,6 +842,7 @@ bool ShardWorker::ApplyOne(const Edge& edge) {
         alerts = TakePendingAlertsLocked();
       }
     } else {
+      rejected_.fetch_add(1, std::memory_order_relaxed);
       SPADE_LOG_WARNING() << "ShardWorker dropped edge: " << s.ToString();
     }
   }
@@ -1058,9 +1056,8 @@ void ShardWorker::WorkerLoop() {
           AppendDeltaRecord(
               *p, DeltaRecord::RetirePass(retire_horizon,
                                           retired.value().size()));
-          // Retire deltas feed the stitch trigger accumulators (seam mass
-          // changed), never the boundary record log — index eviction is
-          // horizon-driven (EvictOlderThan).
+          // Retired cross-home edges leave the boundary weights (and feed
+          // the stitch trigger) in the same critical section.
           if (on_boundary_) {
             for (const Edge& old : retired.value()) {
               on_boundary_(old, old.weight, /*retired=*/true);
@@ -1123,6 +1120,7 @@ void ShardWorker::WorkerLoop() {
       SPADE_LOG_WARNING() << "ShardWorker exiting with "
                           << forward_backlog_.size()
                           << " unforwardable edges (dropped)";
+      dropped_.fetch_add(forward_backlog_.size(), std::memory_order_relaxed);
       std::lock_guard<std::mutex> lock(detector_mutex_);
       consumed_ += forward_backlog_.size();
       forward_backlog_.clear();

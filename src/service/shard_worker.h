@@ -124,12 +124,11 @@ using RetireNotifyFn = std::function<void(std::size_t)>;
 /// every applied edge (`retired` false, `applied` the semantic weight
 /// ApplyEdge charged) and every window-expired edge (`retired` true,
 /// `applied` the weight it was deleted at). The sharded service uses it to
-/// push boundary-vertex weight updates into the per-partition-pair stitch
-/// queues at apply time — running under the detector mutex is what
-/// guarantees an edge visible in a state snapshot has already been pushed.
-/// Keyed by partition home, so the record survives a partition move. Keep
-/// it cheap; it is on the apply hot path. Not fired during restore/replay
-/// (the boundary index restores from its own files).
+/// add cross-home edges to, and subtract them from, its per-partition
+/// boundary weights — running under the detector mutex is what keeps those
+/// weights equal to the edges in the detector whenever the mutex is free.
+/// Keep it cheap; it is on the apply hot path. Not fired during
+/// restore/replay: the service recounts a replayed partition instead.
 using BoundaryUpdateFn = std::function<void(const Edge&, double, bool)>;
 
 /// Maps an edge to its stable partition id. Required. Evaluated under the
@@ -315,6 +314,18 @@ class ShardWorker {
   /// Alerts delivered so far (relaxed; never takes a lock).
   std::uint64_t AlertsDelivered() const {
     return alerts_.load(std::memory_order_relaxed);
+  }
+
+  /// Edges the detector refused at apply so far (Spade::ApplyEdge failed;
+  /// relaxed, never takes a lock).
+  std::uint64_t EdgesRejected() const {
+    return rejected_.load(std::memory_order_relaxed);
+  }
+
+  /// Edges a stopping worker could neither apply nor forward (relaxed;
+  /// never takes a lock).
+  std::uint64_t EdgesDropped() const {
+    return dropped_.load(std::memory_order_relaxed);
   }
 
   /// Edges retired by window expiry so far (relaxed; never takes a lock).
@@ -703,6 +714,8 @@ class ShardWorker {
   std::atomic<std::uint64_t> detections_{0};
   std::atomic<std::uint64_t> retired_{0};
   std::atomic<std::uint64_t> retire_begins_{0};
+  std::atomic<std::uint64_t> rejected_{0};
+  std::atomic<std::uint64_t> dropped_{0};
   /// Mirror of parts_.size(), kept by the constructor, AttachPartition and
   /// DetachPartition for OwnedPartitionCount.
   std::atomic<std::size_t> owned_partitions_{0};

@@ -89,7 +89,7 @@ ShardedDetectionService::ShardedDetectionService(
            WorkerCountFor(shards.size(),
                           options_.rebalance.partitions_per_shard)),
       slab_pool_(std::make_shared<SlabPool>()),
-      boundary_(std::max<std::size_t>(1, shards.size())) {
+      boundary_(shards.size()) {
   SPADE_CHECK(!shards.empty());
   const std::size_t pps =
       std::max<std::size_t>(1, options_.rebalance.partitions_per_shard);
@@ -106,6 +106,11 @@ ShardedDetectionService::ShardedDetectionService(
     for (std::size_t i = 0; i < pairs; ++i) {
       pair_weight_[i].store(0.0, std::memory_order_relaxed);
     }
+  }
+  // Count the initial graphs' cross-home edges before any worker exists;
+  // from here on the workers' hooks keep the counts current.
+  for (std::size_t pid = 0; pid < num_partitions; ++pid) {
+    RecountBoundary(pid, shards[pid]);
   }
   // Workers start their threads inside the ShardWorker constructor, so the
   // boundary hook may fire while this loop is still building later shards.
@@ -165,7 +170,7 @@ ShardedDetectionService::ShardedDetectionService(
   if (options_.stitch.interval_ms > 0 || trigger_armed) {
     stitcher_ = std::thread([this] { StitcherLoop(); });
   }
-  if (options_.rebalance.enabled && options_.rebalance.interval_ms > 0) {
+  if (options_.rebalance.interval_ms > 0) {
     rebalancer_ = std::thread([this] { RebalancerLoop(); });
   }
 }
@@ -188,20 +193,32 @@ std::size_t ShardedDetectionService::HomeShardOf(VertexId v) const {
   return map_.ShardOf(options_.partitioner(v) % map_.num_partitions());
 }
 
-void ShardedDetectionService::MaybeRecordBoundary(const Edge& raw_edge) {
-  // Boundary buckets are keyed by PARTITION home, not worker: the key must
-  // be stable across partition moves or a rebalance would strand records.
-  const std::size_t n = map_.num_partitions();
-  if (n == 1) return;
-  const std::size_t src_home = options_.partitioner(raw_edge.src) % n;
-  const std::size_t dst_home = options_.partitioner(raw_edge.dst) % n;
-  if (src_home != dst_home) boundary_.Record(src_home, dst_home, raw_edge);
+void ShardedDetectionService::SeedBoundaryIndex(std::span<const Edge>) {}
+
+namespace {
+
+/// Adds one cross-home edge's endpoints to a boundary weight map, or (for
+/// `retired`) subtracts them; a vertex leaves the map when its count
+/// reaches 0.
+void ApplyBoundaryEdge(std::unordered_map<VertexId, BoundaryWeight>* weight,
+                       const Edge& edge, double applied, bool retired) {
+  for (const VertexId v : {edge.src, edge.dst}) {
+    if (!retired) {
+      BoundaryWeight& w = (*weight)[v];
+      w.weight += applied;
+      ++w.count;
+      continue;
+    }
+    const auto it = weight->find(v);
+    // A retire can miss only in the instant between a restore's replay and
+    // its recount, which rebuilds the map anyway.
+    if (it == weight->end()) continue;
+    it->second.weight -= applied;
+    if (--it->second.count == 0) weight->erase(it);
+  }
 }
 
-void ShardedDetectionService::SeedBoundaryIndex(
-    std::span<const Edge> raw_edges) {
-  for (const Edge& e : raw_edges) MaybeRecordBoundary(e);
-}
+}  // namespace
 
 void ShardedDetectionService::OnBoundaryUpdate(std::size_t num_partitions,
                                                const Edge& edge,
@@ -209,18 +226,23 @@ void ShardedDetectionService::OnBoundaryUpdate(std::size_t num_partitions,
   const std::size_t src_home = options_.partitioner(edge.src) % num_partitions;
   const std::size_t dst_home = options_.partitioner(edge.dst) % num_partitions;
   if (src_home == dst_home) return;
-  if (!retired) {
-    // Record at the APPLIED semantic weight (what the detector actually
-    // credited), not the raw wire weight: the seam peel sums these, so the
-    // index must agree with the detectors. Fired inside the worker's apply
-    // critical section, strictly before the post-apply snapshot publish —
-    // so a SaveState that captures the edge also captures its record.
-    // Partition-home keys make the record placement-independent: a
-    // rebalance moves detectors between workers but never renames a
-    // partition, so the bucket an edge lands in is the same before and
-    // after any number of moves.
-    boundary_.Record(src_home, dst_home,
-                     Edge{edge.src, edge.dst, applied, edge.ts});
+  {
+    // At the APPLIED semantic weight (what the detector credited), inside
+    // the worker's apply critical section, so the weights always describe
+    // exactly the edges in the detectors. Keyed by the storing partition
+    // (the source's home): a rebalance moves detectors between workers but
+    // never renames a partition.
+    PartitionBoundary& b = boundary_[src_home];
+    std::lock_guard<std::mutex> lock(b.mutex);
+    ApplyBoundaryEdge(&b.weight, edge, applied, retired);
+    b.entries.store(b.weight.size(), std::memory_order_relaxed);
+    if (!retired) {
+      b.edges.fetch_add(1, std::memory_order_relaxed);
+      boundary_recorded_.fetch_add(1, std::memory_order_relaxed);
+    } else if (b.edges.load(std::memory_order_relaxed) > 0) {
+      // Zero only in the same restore instant ApplyBoundaryEdge tolerates.
+      b.edges.fetch_sub(1, std::memory_order_relaxed);
+    }
   }
   if (!pair_weight_) return;
   // Insert AND retire deltas both count toward the trigger: either one
@@ -237,6 +259,60 @@ void ShardedDetectionService::OnBoundaryUpdate(std::size_t num_partitions,
     }
     stitcher_cv_.notify_all();
   }
+}
+
+void ShardedDetectionService::RecountBoundary(std::size_t pid,
+                                              const Spade& detector) {
+  const std::size_t n = boundary_.size();
+  if (n == 1) return;  // one partition: every edge is same-home
+  const auto home = [&](VertexId v) { return options_.partitioner(v) % n; };
+  std::unordered_map<VertexId, BoundaryWeight> weight;
+  std::uint64_t edges = 0;
+  const auto count = [&](VertexId src, std::size_t src_home, VertexId dst,
+                         double w) {
+    if (home(dst) == src_home) return;
+    ApplyBoundaryEdge(&weight, Edge{src, dst, w, 0}, w, /*retired=*/false);
+    ++edges;
+  };
+  const DynamicGraph& g = detector.graph();
+  for (std::size_t u = 0; u < g.NumVertices(); ++u) {
+    const auto src = static_cast<VertexId>(u);
+    const std::vector<NeighborEntry>& out = g.OutNeighbors(src);
+    if (out.empty()) continue;
+    const std::size_t src_home = home(src);
+    for (const NeighborEntry& e : out) count(src, src_home, e.vertex, e.weight);
+  }
+  // Buffered benign edges are in the detector too, just not yet in its
+  // graph; the hook counted them when they were applied.
+  for (const Edge& e : detector.benign_buffer()) {
+    count(e.src, home(e.src), e.dst, e.weight);
+  }
+  PartitionBoundary& b = boundary_[pid];
+  std::lock_guard<std::mutex> lock(b.mutex);
+  b.weight = std::move(weight);
+  b.edges.store(edges, std::memory_order_relaxed);
+  b.entries.store(b.weight.size(), std::memory_order_relaxed);
+}
+
+Status ShardedDetectionService::RecountOwnedBoundary(std::size_t pid) {
+  return workers_[map_.ShardOf(pid)]->InspectPartition(
+      pid, [this, pid](const Spade& detector) {
+        RecountBoundary(pid, detector);
+      });
+}
+
+std::unordered_map<VertexId, BoundaryWeight>
+ShardedDetectionService::BoundaryWeights() const {
+  std::unordered_map<VertexId, BoundaryWeight> merged;
+  for (const PartitionBoundary& b : boundary_) {
+    std::lock_guard<std::mutex> lock(b.mutex);
+    for (const auto& [v, w] : b.weight) {
+      BoundaryWeight& m = merged[v];
+      m.weight += w.weight;
+      m.count += w.count;
+    }
+  }
+  return merged;
 }
 
 void ShardedDetectionService::ObserveTimestamp(Timestamp ts) {
@@ -264,10 +340,6 @@ void ShardedDetectionService::ObserveTimestamp(Timestamp ts) {
       break;
     }
   }
-  Timestamp evict = pending_evict_horizon_.load(std::memory_order_relaxed);
-  while (horizon > evict && !pending_evict_horizon_.compare_exchange_weak(
-                                evict, horizon, std::memory_order_relaxed)) {
-  }
   for (auto& w : workers_) {
     // A full queue in fail-fast mode can reject the marker. Dropping it is
     // safe: a retire pass expires everything older than its horizon, so
@@ -291,21 +363,10 @@ Status ShardedDetectionService::RetireOlderThan(Timestamp horizon) {
     return Status::FailedPrecondition(
         "RetireOlderThan: window expiry is off (WindowOptions::span == 0)");
   }
-  Timestamp evict = pending_evict_horizon_.load(std::memory_order_relaxed);
-  while (horizon > evict && !pending_evict_horizon_.compare_exchange_weak(
-                                evict, horizon, std::memory_order_relaxed)) {
-  }
   Status first_error = Status::OK();
   for (auto& w : workers_) {
     const Status s = w->SubmitRetire(horizon);
     if (!s.ok() && first_error.ok()) first_error = s;
-  }
-  // Boundary eviction runs here (and at stitch-pass start), never on the
-  // submit hot path: the explicit call is the "I want O(window) resident
-  // now" knob, so it does not wait for the next stitch.
-  {
-    std::lock_guard<std::mutex> stitch_lock(stitch_mutex_);
-    boundary_.EvictOlderThan(horizon, stitch_cursor_, &boundary_weight_);
   }
   return first_error;
 }
@@ -342,12 +403,9 @@ Status ShardedDetectionService::Submit(const Edge& raw_edge) {
   if (options_.window.span > 0) ObserveTimestamp(raw_edge.ts);
   const std::size_t n = workers_.size();
   if (n == 1) return workers_[0]->Submit(raw_edge);
-  // The router only routes now. Boundary recording moved to the worker's
-  // apply path (OnBoundaryUpdate): the worker records the edge at its
-  // APPLIED weight inside the detector critical section, which both fixes
-  // the raw-vs-applied weight mismatch for FD semantics and restores the
-  // save invariant for free — an edge inside a SaveState snapshot has its
-  // record written before the snapshot could have been taken.
+  // The router only routes: the worker counts a cross-home edge into the
+  // boundary weights at its APPLIED weight as it applies it
+  // (OnBoundaryUpdate), so FD's state-dependent weights agree too.
   //
   // Routing is two loads: the stable partition key, then one acquire read
   // through the lock-free partition map to the current owner. A racing
@@ -373,7 +431,7 @@ Status ShardedDetectionService::SubmitBatch(std::span<const Edge> raw_edges,
   RouterScratch& scratch = TlsRouterScratch();
   scratch.Partition(options_.partitioner, map_, workers_.size(), raw_edges,
                     slab_pool_.get());
-  // Boundary recording happens on the worker apply path (see Submit); the
+  // Boundary counting happens on the worker apply path (see Submit); the
   // batched router's only job is splitting the chunk into per-shard slabs.
   Status first_error = Status::OK();
   for (std::size_t s = 0; s < workers_.size(); ++s) {
@@ -477,10 +535,6 @@ Status ShardedDetectionService::InspectPartition(
 Status ShardedDetectionService::MovePartition(std::size_t pid,
                                               std::size_t to_shard,
                                               bool stolen) {
-  if (!options_.rebalance.enabled) {
-    return Status::FailedPrecondition(
-        "MovePartition: rebalance is off (RebalanceOptions::enabled)");
-  }
   if (pid >= map_.num_partitions()) {
     return Status::InvalidArgument("MovePartition: partition " +
                                    std::to_string(pid) + " out of range");
@@ -719,9 +773,9 @@ GlobalCommunity ShardedDetectionService::StitchPass(bool unbounded_seam) {
     result.stitch_pass = pass;
 
     // Zero the trigger accumulators FIRST: weight applied between this
-    // point and the fold below is counted twice (folded by this pass and
+    // point and the merge below is counted twice (merged by this pass and
     // still credited toward the next trigger), which costs at worst one
-    // spurious wakeup — the safe side of the race. Zeroing after the fold
+    // spurious wakeup — the safe side of the race. Zeroing after the merge
     // would lose that weight and could leave a crossed threshold unseen.
     if (pair_weight_) {
       const std::size_t pairs =
@@ -752,17 +806,6 @@ GlobalCommunity ShardedDetectionService::StitchPass(bool unbounded_seam) {
       return false;
     };
 
-    // Evict the boundary index's expired prefix before folding: the seam
-    // aggregate must describe the live window, and doing it here (never on
-    // the submit path) is what keeps the index O(window) — each stitch
-    // pass catches up to the highest horizon any retire pass was asked
-    // to expire.
-    const Timestamp evict_to =
-        pending_evict_horizon_.load(std::memory_order_relaxed);
-    if (evict_to > 0 && map_.num_partitions() > 1) {
-      boundary_.EvictOlderThan(evict_to, stitch_cursor_, &boundary_weight_);
-    }
-
     // One snapshot load per shard, reused for both the seam candidates and
     // the argmax fallback so the pass compares against a consistent view.
     std::vector<std::shared_ptr<const Community>> snaps(workers_.size());
@@ -785,30 +828,28 @@ GlobalCommunity ShardedDetectionService::StitchPass(bool unbounded_seam) {
       seam_set.insert(snap->members.begin(), snap->members.end());
     }
     if (map_.num_partitions() > 1) {
-      boundary_.FoldNewEdges(&stitch_cursor_, &boundary_weight_);
-      // Freshness bookmark: everything recorded up to here is now inside
-      // the seam aggregate; the live counter minus this snapshot is how
-      // many edges behind a stitched read can be (GetStats, lock-free).
-      folded_recorded_.store(boundary_.RecordedEdges(),
-                             std::memory_order_relaxed);
-      // Folded buckets are consumed messages: collapse them to per-pair
-      // per-vertex weight sums so the resident index is O(boundary
-      // vertices), not O(cross-shard edges). SaveTail anchoring caps how
-      // far this can reach (persist floor) — never past unsynced edges.
-      if (options_.stitch.compact_boundary) {
-        boundary_.CompactConsumed(stitch_cursor_);
-      }
+      // Freshness bookmark, read BEFORE the merge: every edge counted up to
+      // here is inside the merged weights (the hook bumps the counter under
+      // the same partition mutex the merge takes next), so the live counter
+      // minus this snapshot bounds how many edges behind a stitched read
+      // can be (GetStats, lock-free).
+      merged_recorded_.store(
+          boundary_recorded_.load(std::memory_order_relaxed),
+          std::memory_order_relaxed);
+      // The merge takes the per-partition boundary mutexes, never a
+      // detector mutex, so it never waits on an apply.
+      const auto boundary_weight = BoundaryWeights();
       const std::size_t budget =
           unbounded_seam
               ? std::numeric_limits<std::size_t>::max()
               : std::max(options_.stitch.max_seam_vertices, seam_set.size());
-      if (seam_set.size() + boundary_weight_.size() <= budget) {
-        for (const auto& [v, w] : boundary_weight_) seam_set.insert(v);
+      if (seam_set.size() + boundary_weight.size() <= budget) {
+        for (const auto& [v, w] : boundary_weight) seam_set.insert(v);
       } else {
         std::vector<std::pair<double, VertexId>> heaviest;
-        heaviest.reserve(boundary_weight_.size());
-        for (const auto& [v, w] : boundary_weight_) {
-          if (seam_set.count(v) == 0) heaviest.push_back({w, v});
+        heaviest.reserve(boundary_weight.size());
+        for (const auto& [v, w] : boundary_weight) {
+          if (seam_set.count(v) == 0) heaviest.push_back({w.weight, v});
         }
         const std::size_t take =
             std::min(heaviest.size(), budget - seam_set.size());
@@ -1002,6 +1043,8 @@ ShardedServiceStats ShardedDetectionService::GetStats() const {
     const std::uint64_t retired = w->EdgesRetired();
     stats.edges_processed += edges;
     stats.alerts_delivered += alerts;
+    stats.rejected_edges += w->EdgesRejected();
+    stats.dropped_edges += w->EdgesDropped();
     stats.retired_edges += retired;
     stats.shard_edges.push_back(edges);
     stats.shard_alerts.push_back(alerts);
@@ -1016,19 +1059,23 @@ ShardedServiceStats ShardedDetectionService::GetStats() const {
   stats.steals = steals_.load(std::memory_order_relaxed);
   stats.partitions_moved = partitions_moved_.load(std::memory_order_relaxed);
   stats.forwarded_edges = forwarded_edges_.load(std::memory_order_relaxed);
-  stats.boundary_edges = boundary_.TotalEdges();
+  for (const PartitionBoundary& b : boundary_) {
+    stats.boundary_edges += b.edges.load(std::memory_order_relaxed);
+    stats.boundary_resident_bytes +=
+        b.entries.load(std::memory_order_relaxed) *
+        sizeof(std::pair<VertexId, BoundaryWeight>);
+  }
   stats.stitch_passes = stitch_passes_.load(std::memory_order_relaxed);
   stats.stitched_alerts = stitched_alerts_.load(std::memory_order_relaxed);
   stats.seam_truncated = seam_truncated_.load(std::memory_order_relaxed);
   stats.stitch_triggers = stitch_triggers_.load(std::memory_order_relaxed);
-  // Freshness in edges: records the stitcher has not folded yet. Both
-  // counters are monotone under live traffic, but a restore resets the
-  // recorded counter, so clamp rather than trusting the subtraction.
-  const std::uint64_t recorded = boundary_.RecordedEdges();
-  const std::uint64_t folded = folded_recorded_.load(std::memory_order_relaxed);
-  stats.boundary_unconsumed_edges = recorded > folded ? recorded - folded : 0;
-  stats.boundary_compacted_edges = boundary_.CompactedEdges();
-  stats.boundary_resident_bytes = boundary_.ResidentBytes();
+  // Freshness in edges: cross-home edges applied since the last merge.
+  // The two loads are not one snapshot, so clamp rather than trusting the
+  // subtraction.
+  const std::uint64_t recorded =
+      boundary_recorded_.load(std::memory_order_relaxed);
+  const std::uint64_t merged = merged_recorded_.load(std::memory_order_relaxed);
+  stats.boundary_unconsumed_edges = recorded > merged ? recorded - merged : 0;
   return stats;
 }
 
@@ -1070,39 +1117,29 @@ bool ParseEpochSuffix(std::string_view s, std::uint64_t* epoch) {
 }
 
 /// Strict parser for epoch-stamped checkpoint artifact names: matches
-/// exactly `shard-<digits>.snapshot-<digits>`, `shard-<digits>.delta-
-/// <digits>`, `boundary.tail-<digits>` and `boundary.index-<digits>`,
-/// yielding the epoch. Every foreign file — client spill buffers, ingest
-/// seqmaps, editor droppings — never matches, so sharing the directory
-/// with non-checkpoint files neither perturbs epoch numbering nor gets them
-/// garbage-collected. The single classifier serves both the GC and the
-/// epoch scanner: if they ever disagreed, NextEpochForDir could hand out
-/// an epoch whose crashed files survived GC — the stale-bytes collision
-/// the stamping exists to prevent.
+/// exactly `shard-<digits>.snapshot-<digits>` and
+/// `shard-<digits>.delta-<digits>`, yielding the epoch. Every foreign file —
+/// client spill buffers, ingest seqmaps, editor droppings — never matches,
+/// so sharing the directory with non-checkpoint files neither perturbs
+/// epoch numbering nor gets them garbage-collected. The single classifier
+/// serves both the GC and the epoch scanner: if they ever disagreed,
+/// NextEpochForDir could hand out an epoch whose crashed files survived GC
+/// — the stale-bytes collision the stamping exists to prevent.
 bool ParseEpochStampedArtifact(const std::string& name,
                                std::uint64_t* epoch) {
   std::string_view v(name);
-  constexpr std::string_view kTail = "boundary.tail-";
-  constexpr std::string_view kIndex = "boundary.index-";
   constexpr std::string_view kShard = "shard-";
-  if (v.substr(0, kTail.size()) == kTail) {
-    return ParseEpochSuffix(v.substr(kTail.size()), epoch);
+  if (v.substr(0, kShard.size()) != kShard) return false;
+  v.remove_prefix(kShard.size());
+  const std::size_t dot = v.find('.');
+  if (dot == std::string_view::npos || !AllDigits(v.substr(0, dot))) {
+    return false;
   }
-  if (v.substr(0, kIndex.size()) == kIndex) {
-    return ParseEpochSuffix(v.substr(kIndex.size()), epoch);
-  }
-  if (v.substr(0, kShard.size()) == kShard) {
-    v.remove_prefix(kShard.size());
-    const std::size_t dot = v.find('.');
-    if (dot == std::string_view::npos || !AllDigits(v.substr(0, dot))) {
-      return false;
-    }
-    v.remove_prefix(dot + 1);
-    for (const std::string_view kind : {std::string_view("snapshot-"),
-                                        std::string_view("delta-")}) {
-      if (v.substr(0, kind.size()) == kind) {
-        return ParseEpochSuffix(v.substr(kind.size()), epoch);
-      }
+  v.remove_prefix(dot + 1);
+  for (const std::string_view kind :
+       {std::string_view("snapshot-"), std::string_view("delta-")}) {
+    if (v.substr(0, kind.size()) == kind) {
+      return ParseEpochSuffix(v.substr(kind.size()), epoch);
     }
   }
   return false;
@@ -1187,12 +1224,6 @@ Status ShardedDetectionService::SaveFull(const std::string& dir,
                                     static_cast<std::uint32_t>(shard)});
     }
   }
-  manifest.boundary_file = BoundaryIndexFileName(epoch);
-  const std::string boundary_path = JoinPath(dir, manifest.boundary_file);
-  // Save() anchors the persist cursor at exactly the prefix the file
-  // holds, so the first tail continues seamlessly.
-  SPADE_RETURN_NOT_OK(boundary_.Save(boundary_path, &boundary_persist_cursor_));
-  bytes += FileSizeOrZero(boundary_path);
   // Manifest last and atomically: a crash anywhere above leaves either no
   // manifest (kNotFound) or the previous epoch's manifest (clean restore
   // to the previous checkpoint) — never a torn directory in charge.
@@ -1246,13 +1277,6 @@ Status ShardedDetectionService::SaveDeltaEpoch(const std::string& dir,
                                     static_cast<std::uint32_t>(shard)});
     }
   }
-  const std::string tail_name = BoundaryTailFileName(epoch);
-  std::uint64_t tail_bytes = 0;
-  SPADE_RETURN_NOT_OK(boundary_.SaveTail(JoinPath(dir, tail_name), epoch,
-                                         &boundary_persist_cursor_,
-                                         &tail_bytes));
-  bytes += tail_bytes;
-  manifest.boundary_tails.push_back({epoch, tail_name});
   manifest.epoch = epoch;
   SPADE_RETURN_NOT_OK(WriteShardManifest(dir, manifest));
   bytes += FileSizeOrZero(ShardManifestPath(dir));
@@ -1273,11 +1297,7 @@ void ShardedDetectionService::RemoveStaleChainFiles(
     const std::string& dir) const {
   std::unordered_set<std::string> referenced(chain_.files.begin(),
                                              chain_.files.end());
-  referenced.insert(chain_.boundary_file);
   for (const DeltaSegmentRef& ref : chain_.deltas) referenced.insert(ref.file);
-  for (const BoundaryTailRef& ref : chain_.boundary_tails) {
-    referenced.insert(ref.file);
-  }
   std::error_code ec;
   for (const auto& entry : std::filesystem::directory_iterator(dir, ec)) {
     const std::string name = entry.path().filename().string();
@@ -1329,9 +1349,9 @@ Status ShardedDetectionService::SaveState(const std::string& dir,
     // after that would silently lose their records. Invalidate it — the
     // only safe continuation is a fresh base.
     chain_dir_.clear();
-    // A worker whose delta log overflowed (or whose boundary cursor was
-    // invalidated) reports kFailedPrecondition; in auto mode the right
-    // response is the fallback the caller would have to do anyway.
+    // A worker whose delta log overflowed reports kFailedPrecondition; in
+    // auto mode the right response is the fallback the caller would have
+    // to do anyway.
     if (mode == SaveMode::kDelta ||
         s.code() != StatusCode::kFailedPrecondition) {
       return s;
@@ -1357,8 +1377,8 @@ Status ShardedDetectionService::RestoreState(const std::string& dir,
         std::to_string(num_partitions));
   }
   // Resolve the checkpoint's placement: default home unless a sparse
-  // placement row overrides it. A placement that the fixed fleet cannot
-  // hold is rejected up front (Phase 1 has no side effects yet).
+  // placement row overrides it. A placement naming a worker this fleet
+  // does not have is rejected up front (Phase 1 has no side effects yet).
   std::vector<std::size_t> target_shard(num_partitions);
   for (std::size_t pid = 0; pid < num_partitions; ++pid) {
     target_shard[pid] = pid % workers_.size();
@@ -1371,17 +1391,6 @@ Status ShardedDetectionService::RestoreState(const std::string& dir,
           ", outside this service's fleet");
     }
     target_shard[pid] = shard;
-  }
-  if (!options_.rebalance.enabled) {
-    for (std::size_t pid = 0; pid < num_partitions; ++pid) {
-      if (target_shard[pid] != pid % workers_.size()) {
-        return Status::FailedPrecondition(
-            "snapshot was taken mid-rebalance (partition " +
-            std::to_string(pid) + " on shard " +
-            std::to_string(target_shard[pid]) +
-            ") but this service has rebalancing off");
-      }
-    }
   }
 
   const std::uint64_t manifest_epoch = manifest.epoch;
@@ -1403,15 +1412,10 @@ Status ShardedDetectionService::RestoreState(const std::string& dir,
           " carries a window log but this service has window expiry off");
     }
   }
-  BoundaryEdgeIndex::FileData boundary_base;
-  SPADE_RETURN_NOT_OK(
-      BoundaryEdgeIndex::ReadFile(JoinPath(dir, manifest.boundary_file),
-                                  num_partitions, &boundary_base));
   // Chain epochs, oldest first: stop at the first epoch with any torn or
   // corrupt file. Everything before it is durable by construction (those
   // files were fully written before the later manifest was published), so
   // the longest valid prefix IS the last durable checkpoint.
-  std::vector<BoundaryEdgeIndex::FileData> tails;
   std::uint64_t restored_epoch = manifest.base_epoch;
   std::size_t delta_edges = 0;
   for (std::uint64_t e = manifest.base_epoch + 1; e <= manifest.epoch; ++e) {
@@ -1427,14 +1431,6 @@ Status ShardedDetectionService::RestoreState(const std::string& dir,
                  segment.prev_epoch == e - 1;
       if (epoch_ok) epoch_segments[pid] = std::move(segment);
     }
-    BoundaryEdgeIndex::FileData tail;
-    if (epoch_ok) {
-      const BoundaryTailRef& ref =
-          manifest.boundary_tails[e - manifest.base_epoch - 1];
-      epoch_ok = BoundaryEdgeIndex::ReadTailFile(JoinPath(dir, ref.file),
-                                                 num_partitions, e, &tail)
-                     .ok();
-    }
     if (!epoch_ok) {
       SPADE_LOG_WARNING() << "RestoreState: chain torn at epoch " << e
                           << "; recovering to durable epoch " << (e - 1);
@@ -1444,7 +1440,6 @@ Status ShardedDetectionService::RestoreState(const std::string& dir,
       delta_edges += epoch_segments[pid].NumEdges();
       plans[pid].segments.push_back(std::move(epoch_segments[pid]));
     }
-    tails.push_back(std::move(tail));
     restored_epoch = e;
   }
 
@@ -1452,8 +1447,8 @@ Status ShardedDetectionService::RestoreState(const std::string& dir,
   // Drop the stitched snapshot BEFORE touching any detector: it described
   // the pre-restore fleet, and it must not survive the swap (a stale
   // stitched read over replaced detectors would be the one overclaim the
-  // insert-only staleness argument cannot excuse). The stitch/boundary
-  // counters reset with it — stats() must describe the restored run.
+  // insert-only staleness argument cannot excuse). The stitch counters
+  // reset with it — stats() must describe the restored run.
   {
     std::lock_guard<std::mutex> stitch_lock(stitch_mutex_);
     last_stitched_members_.clear();
@@ -1467,7 +1462,9 @@ Status ShardedDetectionService::RestoreState(const std::string& dir,
   // only its owner's detector — so replay partition chains in parallel,
   // one thread per worker. Two partitions on the same worker serialize on
   // its detector mutex; nothing else is shared between the replays, so
-  // the result does not depend on their interleaving.
+  // the result does not depend on their interleaving. Replay fires no
+  // boundary hook, so each thread recounts its partition's boundary
+  // weights right after the replay.
   {
     // Placement install + replay run under one rebalance hold: a steal
     // landing between "move pid to its checkpoint shard" and "replay pid
@@ -1498,22 +1495,13 @@ Status ShardedDetectionService::RestoreState(const std::string& dir,
           if (pid >= num_partitions) break;
           statuses[pid] = workers_[map_.ShardOf(pid)]->RestorePartitionChain(
               pid, std::move(plans[pid]));
+          const Status recount = RecountOwnedBoundary(pid);
+          if (statuses[pid].ok()) statuses[pid] = recount;
         }
       });
     }
     for (std::thread& t : threads) t.join();
     for (const Status& s : statuses) SPADE_RETURN_NOT_OK(s);
-  }
-  {
-    std::lock_guard<std::mutex> stitch_lock(stitch_mutex_);
-    // The epoch bump inside AdoptBuckets forces the next stitch pass to
-    // rebuild its per-vertex aggregate; tails append under the same cursor
-    // so the next SaveTail persists only post-restore records.
-    boundary_.AdoptBuckets(std::move(boundary_base),
-                           &boundary_persist_cursor_);
-    for (BoundaryEdgeIndex::FileData& tail : tails) {
-      boundary_.AppendBuckets(tail, &boundary_persist_cursor_);
-    }
   }
 
   // Resume the chain in this directory: the next SaveState extends it.
@@ -1525,7 +1513,6 @@ Status ShardedDetectionService::RestoreState(const std::string& dir,
     chain_.epoch = restored_epoch;
     chain_.deltas.resize((restored_epoch - chain_.base_epoch) *
                          num_partitions);
-    chain_.boundary_tails.resize(restored_epoch - chain_.base_epoch);
   }
   chain_base_bytes_ = 0;
   for (const std::string& f : chain_.files) {
@@ -1596,10 +1583,6 @@ Status ShardedDetectionService::ApplyChainEpoch(
     }
     segments[pid] = std::move(segment);
   }
-  BoundaryEdgeIndex::FileData tail;
-  SPADE_RETURN_NOT_OK(BoundaryEdgeIndex::ReadTailFile(
-      JoinPath(dir, manifest.boundary_tails[epoch_row].file), num_partitions,
-      target_epoch, &tail));
 
   // ---- Phase 2: replay. Everything below passed validation. -------------
   std::uint64_t replayed = 0;
@@ -1612,11 +1595,9 @@ Status ShardedDetectionService::ApplyChainEpoch(
       SPADE_RETURN_NOT_OK(
           workers_[map_.ShardOf(pid)]->ReplayPartitionSegment(
               pid, segments[pid], drain_timeout));
+      // Replay fires no boundary hook; recount what it changed.
+      SPADE_RETURN_NOT_OK(RecountOwnedBoundary(pid));
     }
-  }
-  {
-    std::lock_guard<std::mutex> stitch_lock(stitch_mutex_);
-    boundary_.AppendBuckets(tail, &boundary_persist_cursor_);
   }
   // The cached save chain no longer matches the workers' (now replayed-
   // ahead) delta logs; drop it so the next SaveState writes a fresh full

@@ -4,7 +4,7 @@
 // whose updates never interact, run each part's detector on its own core,
 // and combine answers at read time. A one-shard fleet is the
 // single-detector service: one worker owning partition 0, every chunk
-// handed straight to it, and no boundary records.
+// handed straight to it, and no boundary weights.
 //
 // Partitioner contract: a Partitioner is one function, vertex -> home key
 // (partition_map.h). A vertex's home partition is its key modulo the
@@ -12,32 +12,32 @@
 // (PartitionOf) — Submit, SubmitBatch's router, forwarding and each
 // worker's ownership lookup all apply that one rule, so per-edge, batched
 // and forwarded routing agree by construction. An edge whose endpoints
-// share a home is fully visible to its partition. When the endpoints'
-// homes differ the applying WORKER additionally pushes the edge (at its
-// applied semantic weight) into the BoundaryEdgeIndex's per-partition-pair
-// queues from inside its apply critical section — the edge still lands in
-// exactly one detector, but the stitcher now knows the seam exists, and an
-// edge captured by a state snapshot always has its boundary record on disk
-// first.
+// share a home is fully visible to its partition. An edge whose endpoints'
+// homes differ (a cross-home edge) still lands in exactly one detector;
+// the service keeps no second copy of it, only boundary weights counted
+// beside the detectors: one map per partition, vertex -> {weight, count}
+// summed over the cross-home edges stored in that partition's detector
+// (graph plus benign buffer). The applying worker adds or subtracts each
+// cross-home edge at its applied weight from inside its apply critical
+// section, the constructor counts the initial graphs, and a restore or
+// chain replay recounts the replayed partitions from their detectors.
 //
 // Cross-shard reads: CurrentCommunity() is the densest community over all
 // shard snapshots (per-shard argmax). The stitch pass (StitchNow,
 // or a background stitcher when StitchOptions::interval_ms > 0 runs it on
 // a timer and/or StitchOptions::trigger_weight > 0 wakes it the moment a
 // shard pair's accumulated unstitched weight crosses the threshold) closes
-// the argmax's blind spot: it consumes the boundary queues into a
-// per-vertex seam aggregate, builds a seam graph over the boundary-
-// adjacent vertices plus every shard's snapshot members, gathers that
-// vertex set's induced edges from the shard detectors (each edge lives in
-// exactly one shard, so the union is the exact global induced subgraph),
-// peels it with the static peeler, and publishes the result as an
-// atomically-swapped GlobalCommunity snapshot — same non-blocking read
-// protocol as the shard snapshots. The stitched read,
-// CurrentGlobalCommunity(), returns the denser of the stitched snapshot and
-// the live argmax. Consumed queue
-// history is compacted to per-vertex weight blocks (resident boundary
-// memory O(boundary vertices)). DESIGN.md §4.4 has the exactness,
-// freshness and staleness statements.
+// the argmax's blind spot: it merges the boundary weights into its seam
+// candidates, builds a seam graph over the heaviest boundary vertices plus
+// every shard's snapshot members, gathers that vertex set's induced edges
+// from the shard detectors (each edge lives in exactly one shard, so the
+// union is the exact global induced subgraph), peels it with the static
+// peeler, and publishes the result as an atomically-swapped GlobalCommunity
+// snapshot — same non-blocking read protocol as the shard snapshots. The
+// stitched read, CurrentGlobalCommunity(), returns the denser of the
+// stitched snapshot and the live argmax. Resident boundary memory is
+// O(boundary vertices). DESIGN.md §4.4 has the exactness, freshness and
+// staleness statements.
 
 #pragma once
 
@@ -48,6 +48,7 @@
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <string>
 #include <thread>
 #include <unordered_map>
@@ -58,7 +59,6 @@
 #include "common/status.h"
 #include "core/spade.h"
 #include "graph/types.h"
-#include "service/boundary_index.h"
 #include "service/partition_map.h"
 #include "service/shard_worker.h"
 #include "storage/sharded_snapshot.h"
@@ -76,7 +76,7 @@ Partitioner HashOfSourcePartitioner();
 /// Tenant routing for id spaces laid out as [tenant * vertices_per_tenant,
 /// (tenant+1) * vertices_per_tenant): home(v) = v / vertices_per_tenant, so
 /// an edge routes to its source's tenant. A cross-tenant edge is applied in
-/// the source tenant's partition AND recorded in the boundary index, so a
+/// the source tenant's partition and counted in its boundary weights, so a
 /// community spanning tenants is reachable by the stitch pass instead of
 /// silently invisible.
 Partitioner TenantPartitioner(VertexId vertices_per_tenant);
@@ -111,8 +111,8 @@ using StitchAlertFn = std::function<void(const GlobalCommunity&)>;
 /// Stitch-pass configuration.
 struct StitchOptions {
   /// Cap on the seam-graph vertex count. Shard snapshot members are always
-  /// included; boundary-adjacent vertices fill the remainder in decreasing
-  /// order of accumulated cross-shard edge weight.
+  /// included; boundary vertices fill the remainder in decreasing order of
+  /// boundary weight.
   std::size_t max_seam_vertices = 4096;
   /// Drain every shard before gathering, so the seam graph reflects every
   /// edge submitted before the pass (the exactness the differential suite
@@ -130,18 +130,14 @@ struct StitchOptions {
   /// or combined (triggers cut the wait short). Accumulators reset at
   /// every pass. 0 = timer-only stitching.
   double trigger_weight = 0.0;
-  /// Collapse fold-consumed boundary-index history into per-vertex weight
-  /// blocks at each stitch pass (BoundaryEdgeIndex::CompactConsumed),
-  /// keeping resident boundary memory O(boundary vertices). On by
-  /// default; the bench A/Bs it off to measure the saving.
-  bool compact_boundary = true;
   /// Stitched-detection alerts (see StitchAlertFn).
   StitchAlertFn on_stitch_alert;
 };
 
-/// Work-stealing rebalance policy (DESIGN.md §10). Off by default: with
-/// `enabled` false and `partitions_per_shard` 1 the service behaves (and
-/// persists) exactly as a fixed-placement fleet.
+/// Work-stealing rebalance policy (DESIGN.md §10). Every fleet runs the
+/// partition-move protocol, so RebalanceNow works on any fleet; background
+/// steals need `interval_ms > 0`. With the defaults (`partitions_per_shard`
+/// 1, `interval_ms` 0) partitions move only when RebalanceNow asks.
 struct RebalanceOptions {
   /// Detector partitions per worker. The constructor's `shards` vector has
   /// one detector per PARTITION; the worker count is
@@ -149,10 +145,6 @@ struct RebalanceOptions {
   /// partitions per shard = finer-grained steals, at the cost of one
   /// routing-table entry and one detector per partition.
   std::size_t partitions_per_shard = 1;
-  /// Master switch for partition moves (the rebalancer thread AND manual
-  /// RebalanceNow). When false partitions never move, so no edge is ever
-  /// forwarded.
-  bool enabled = false;
   /// Rebalancer scan period; 0 = no background rebalancer (manual
   /// RebalanceNow only).
   std::uint32_t interval_ms = 0;
@@ -181,11 +173,10 @@ struct RebalanceOptions {
 /// the service enqueues a retire marker on every shard: edges older than
 /// `watermark - span` are deleted from the detectors with their recorded
 /// applied weights, through the same ring and drain protocol as inserts.
-/// Boundary-index eviction to the same horizon happens at the start of
-/// each stitch pass (and in explicit RetireOlderThan calls), so resident
-/// state is O(window), not O(history), as long as stitching or explicit
-/// retires run periodically. `span == 0` (default) disables everything:
-/// the service is insert-only and pays nothing.
+/// Each retired cross-home edge leaves the boundary weights in the same
+/// critical section that deletes it, so resident state is O(window), not
+/// O(history), with no eviction of its own. `span == 0` (default)
+/// disables everything: the service is insert-only and pays nothing.
 struct WindowOptions {
   /// Window span in event-time units (same clock as Edge::ts); 0 = off.
   Timestamp span = 0;
@@ -229,11 +220,26 @@ struct ShardedDetectionServiceOptions {
   RebalanceOptions rebalance;
 };
 
+/// Accumulated boundary weight of one vertex: the summed applied weight and
+/// the number of the cross-home edges incident to it.
+struct BoundaryWeight {
+  double weight = 0.0;
+  std::uint64_t count = 0;
+};
+
 /// Merged + per-shard service counters. All reads are lock-free (queue
 /// depths come from a relaxed mirror, not the queue mutex).
 struct ShardedServiceStats {
   std::uint64_t edges_processed = 0;
   std::uint64_t alerts_delivered = 0;
+  /// Edges a detector refused at apply (Spade::ApplyEdge failed: self-loop,
+  /// non-finite or non-positive weight). Each also logs once.
+  std::uint64_t rejected_edges = 0;
+  /// Edges a stopping worker could neither apply nor forward to their
+  /// partition's current owner. Each batch also logs once.
+  std::uint64_t dropped_edges = 0;
+  /// Cross-home edges currently stored in the detectors (graphs plus
+  /// benign buffers).
   std::uint64_t boundary_edges = 0;
   std::uint64_t stitch_passes = 0;
   std::uint64_t stitched_alerts = 0;
@@ -244,14 +250,12 @@ struct ShardedServiceStats {
   std::uint64_t seam_truncated = 0;
   /// Event-driven stitcher wakeups (trigger_weight crossings observed).
   std::uint64_t stitch_triggers = 0;
-  /// Stitched-read freshness in edges: boundary edges recorded since the
-  /// last stitch fold consumed the queues (0 = seam aggregate fully
-  /// caught up).
+  /// Stitched-read freshness in edges: cross-home edges applied since the
+  /// last stitch pass merged the boundary weights (0 = seam candidates
+  /// fully caught up).
   std::uint64_t boundary_unconsumed_edges = 0;
-  /// Boundary-index edges currently residing in compacted per-vertex
-  /// blocks rather than raw form.
-  std::uint64_t boundary_compacted_edges = 0;
-  /// Approximate resident payload bytes of the boundary index.
+  /// Approximate resident payload bytes of the boundary weights (one
+  /// vertex entry per partition map it appears in).
   std::size_t boundary_resident_bytes = 0;
   /// Edges removed by window expiry across all shards (0 when window off).
   std::uint64_t retired_edges = 0;
@@ -313,19 +317,16 @@ class ShardedDetectionService {
 
   /// Routes the edge to its shard and enqueues it; callable from any
   /// thread. Per-shard FIFO order is preserved per producer thread. An
-  /// edge whose endpoint homes differ is recorded in the boundary index by
-  /// the OWNING WORKER as it applies the edge (at the applied semantic
-  /// weight, inside the detector critical section, strictly before the
-  /// post-apply snapshot publish) — so a SaveState snapshot can never
-  /// contain an unrecorded seam edge, and a rejected edge is never
-  /// recorded at all.
+  /// edge whose endpoint homes differ enters the boundary weights when the
+  /// OWNING WORKER applies it (at the applied semantic weight, inside the
+  /// detector critical section), so a rejected edge is never counted.
   Status Submit(const Edge& raw_edge);
 
   /// Bulk submit, the multi-producer throughput path: a thread-local
   /// RouterScratch partitions the chunk with one routing pass (flat
   /// reusable arenas, no per-call vector-of-vectors) and each shard
   /// receives its contiguous part through the lock-free chunk handoff.
-  /// Boundary recording happens worker-side, exactly as in Submit. Order
+  /// Boundary counting happens worker-side, exactly as in Submit. Order
   /// within the chunk is preserved per shard. Best-effort across shards:
   /// every shard's part is attempted and the first failure is returned.
   /// With `enqueued` non-null, `*enqueued` is the exact number of edges
@@ -342,10 +343,9 @@ class ShardedDetectionService {
   /// pass's provenance tag).
   std::size_t HomeShardOf(VertexId v) const;
 
-  /// Registers pre-existing cross-home edges (e.g. the initial graphs the
-  /// shard detectors were built with, which never passed through Submit) in
-  /// the boundary index so the stitch pass can discover their seams.
-  /// Same-home edges are ignored.
+  /// Does nothing: the constructor already counts the initial graphs'
+  /// cross-home edges into the boundary weights. Kept only because the
+  /// perfbench harness still calls it; new code should not.
   void SeedBoundaryIndex(std::span<const Edge> raw_edges);
 
   /// Blocks until every shard has applied and republished everything
@@ -380,9 +380,9 @@ class ShardedDetectionService {
   /// stitched reads fall back to the live argmax until the next pass.
   GlobalCommunity CurrentGlobalCommunity() const;
 
-  /// Runs a stitch pass now: (drain,) fold the boundary index, gather the
-  /// seam graph from the shard detectors, peel it, publish and return the
-  /// winner. Concurrent calls serialize. See class comment.
+  /// Runs a stitch pass now: (drain,) merge the boundary weights, gather
+  /// the seam graph from the shard detectors, peel it, publish and return
+  /// the winner. Concurrent calls serialize. See class comment.
   GlobalCommunity StitchNow();
 
   /// Shard id whose snapshot wins the density argmax. Advisory under
@@ -412,19 +412,22 @@ class ShardedDetectionService {
   /// current owner is (best-effort) quiesced, the partition detaches,
   /// attaches to the target, and the routing entry republishes with a
   /// bumped epoch. Edges routed under the old entry are forwarded by the
-  /// old owner — none lost, none double-applied. Fails with
-  /// kFailedPrecondition unless RebalanceOptions::enabled; concurrent moves
+  /// old owner — none lost, none double-applied. Concurrent moves
   /// serialize. A no-op (OK) when `pid` already lives on `to_shard`.
   Status RebalanceNow(std::size_t pid, std::size_t to_shard);
 
-  /// The workers' cross-shard edge record (tests and diagnostics).
-  const BoundaryEdgeIndex& boundary_index() const { return boundary_; }
+  /// The boundary weights merged over every partition: each vertex of a
+  /// cross-home edge stored in some detector, with the summed applied
+  /// weight and count of those edges — the stitch pass's seam candidates,
+  /// also read by tests and diagnostics. Takes each partition's boundary
+  /// mutex in turn, never a detector mutex.
+  std::unordered_map<VertexId, BoundaryWeight> BoundaryWeights() const;
 
   /// Explicit window expiry: enqueues a retire marker on every shard
   /// (edges with ts < `horizon` are deleted with their recorded applied
-  /// weights — same ring and drain protocol as inserts, so Drain() after
-  /// this call implies the expiry has fully applied) and evicts the
-  /// boundary index's expired prefix immediately. Requires
+  /// weights, and cross-home ones leave the boundary weights with them —
+  /// same ring and drain protocol as inserts, so Drain() after this call
+  /// implies the expiry has fully applied). Requires
   /// WindowOptions::span > 0. The first shard enqueue error is returned;
   /// shards that accepted the marker still retire.
   Status RetireOlderThan(Timestamp horizon);
@@ -494,9 +497,9 @@ class ShardedDetectionService {
   /// Checkpoints all shards into `dir` (created if needed). The first save
   /// into a directory writes full base snapshots; subsequent saves into
   /// the same directory append one delta epoch — per-shard segments
-  /// holding only the edges applied since the previous checkpoint, an
-  /// incremental boundary-index tail, and a rewritten (tiny) manifest —
-  /// so checkpoint cost tracks traffic, not graph size. The
+  /// holding only the edges applied since the previous checkpoint and a
+  /// rewritten (tiny) manifest — so checkpoint cost tracks traffic, not
+  /// graph size. The
   /// CheckpointPolicy folds the chain back into a fresh base when it grows
   /// past its bounds. Drains each shard first. Crash-safe at every point:
   /// the manifest is written last and atomically, and every bulk file
@@ -516,13 +519,14 @@ class ShardedDetectionService {
   /// chain. Delta chains replay in parallel on min(shards, partitions)
   /// threads (each chain replays only into its own detector, so the result
   /// does not depend on the interleaving). Detectors keep their installed
-  /// semantics. The
-  /// boundary index is restored too, and the stitched snapshot *and* the
-  /// stitch/boundary counters are reset — stats() afterwards describes the
-  /// restored run, not the one that wrote the snapshot. The directory's
-  /// chain is resumed: the next SaveState into it appends a delta epoch.
-  /// Only the one on-disk layout this build writes is accepted (manifest
-  /// version 4); any other version fails with kIOError naming it.
+  /// semantics, and the checkpoint's placement is restored. Each replayed
+  /// partition's boundary weights are recounted from its detector, and the
+  /// stitched snapshot *and* the stitch counters are reset — stats()
+  /// afterwards describes the restored run, not the one that wrote the
+  /// snapshot. The directory's chain is resumed: the next SaveState into
+  /// it appends a delta epoch. Only the one on-disk layout this build
+  /// writes is accepted (manifest version 5); any other version fails with
+  /// kIOError naming it.
   Status RestoreState(const std::string& dir, RestoreInfo* info = nullptr);
 
   /// Warm-standby increment: applies exactly checkpoint epoch
@@ -530,12 +534,13 @@ class ShardedDetectionService {
   /// the follower that already restored (or replayed up to) epoch E calls
   /// this with E+1 as each replicated epoch commits, instead of re-running
   /// a full RestoreState over the whole chain. Two-phase like
-  /// RestoreState: every segment and the boundary tail are parsed,
-  /// CRC-checked and chain-validated (shard index, prev_epoch contiguity
-  /// against `target_epoch - 1`) before any detector is touched, so a
-  /// corrupt replicated epoch fails cleanly with the fleet intact.
-  /// Replays through ShardWorker::ReplayPartitionSegment (bit-identity
-  /// preserved). Requires a quiesced service (the follower takes no
+  /// RestoreState: every segment is parsed, CRC-checked and
+  /// chain-validated (shard index, prev_epoch contiguity against
+  /// `target_epoch - 1`) before any detector is touched, so a corrupt
+  /// replicated epoch fails cleanly with the fleet intact. Replays through
+  /// ShardWorker::ReplayPartitionSegment (bit-identity preserved), then
+  /// recounts each partition's boundary weights. Requires a quiesced
+  /// service (the follower takes no
   /// writes); a shard that cannot drain within `drain_timeout` fails the
   /// call. Invalidates the cached save chain: the next SaveState into any
   /// directory writes a full base. `edges_replayed` (optional) reports the
@@ -550,7 +555,6 @@ class ShardedDetectionService {
   std::pair<std::size_t, std::shared_ptr<const Community>> ArgmaxSnapshot()
       const;
 
-  void MaybeRecordBoundary(const Edge& raw_edge);
   std::shared_ptr<const GlobalCommunity> LoadStitched() const;
   void StoreStitched(std::shared_ptr<const GlobalCommunity> snap);
   void StitcherLoop();
@@ -559,15 +563,25 @@ class ShardedDetectionService {
   /// stitcher's escalation retry with an unbounded seam).
   GlobalCommunity StitchPass(bool unbounded_seam);
 
-  /// Worker-side boundary hook body (BoundaryUpdateFn): records applied
-  /// cross-home edges into the index at their applied weight and feeds the
-  /// trigger accumulators. Keyed by partition home (pid), NOT by current
-  /// owner shard, so boundary records survive partition moves.
+  /// Worker-side boundary hook body (BoundaryUpdateFn): adds an applied
+  /// cross-home edge to (or subtracts a retired one from) its partition's
+  /// boundary weights at its applied weight, and feeds the trigger
+  /// accumulators. Keyed by partition (the source's home), NOT by current
+  /// owner shard, so the weights survive partition moves.
   /// `num_partitions` is captured, not read from members — workers start
   /// (and may call this) while the constructor is still building later
   /// shards.
   void OnBoundaryUpdate(std::size_t num_partitions, const Edge& edge,
                         double applied, bool retired);
+
+  /// Replaces partition `pid`'s boundary weights with a from-scratch count
+  /// of the cross-home edges in `detector`'s graph and benign buffer. The
+  /// caller keeps the detector still meanwhile: before its worker exists,
+  /// or under its worker's detector mutex (RecountOwnedBoundary).
+  void RecountBoundary(std::size_t pid, const Spade& detector);
+  /// RecountBoundary through the owning worker's InspectPartition, so no
+  /// apply interleaves with the count. Caller holds rebalance_mutex_.
+  Status RecountOwnedBoundary(std::size_t pid);
 
   /// The stable partition id of an edge: spade::PartitionOf over this
   /// service's partitioner and partition count.
@@ -583,8 +597,7 @@ class ShardedDetectionService {
   /// rebalance_mutex_). `stolen` tags the steals counter.
   Status MovePartition(std::size_t pid, std::size_t to_shard, bool stolen);
 
-  /// Background steal loop (started when rebalance.enabled and
-  /// rebalance.interval_ms > 0).
+  /// Background steal loop (started when rebalance.interval_ms > 0).
   void RebalancerLoop();
 
   /// Sum of every worker's accepted-edge counter; stable across two reads
@@ -604,14 +617,14 @@ class ShardedDetectionService {
   /// density can overstate under expiry — see CurrentCommunity).
   void OnShardRetire(std::size_t shard);
 
-  /// Full checkpoint: base snapshots + boundary index + chainless
-  /// manifest at `epoch`. Caller holds save_mutex_.
+  /// Full checkpoint: base snapshots + chainless manifest at `epoch`.
+  /// Caller holds save_mutex_.
   Status SaveFull(const std::string& dir, std::uint64_t epoch,
                   SaveInfo* info);
   /// Incremental checkpoint appending epoch `chain_.epoch + 1`. Caller
   /// holds save_mutex_.
   Status SaveDeltaEpoch(const std::string& dir, SaveInfo* info);
-  /// Deletes delta/tail files in `dir` that the just-written manifest no
+  /// Deletes base/delta files in `dir` that the just-written manifest no
   /// longer references (best effort; orphans are harmless but untidy).
   void RemoveStaleChainFiles(const std::string& dir) const;
 
@@ -623,8 +636,27 @@ class ShardedDetectionService {
   PartitionMap map_;
   /// Recycles consumed batch slabs back to the batched router.
   std::shared_ptr<SlabPool> slab_pool_;
+
+  // --- boundary weights (declared before workers_: their hooks write it) --
+  /// One partition's boundary weights: vertex -> {weight, count} over the
+  /// cross-home edges stored in that partition's detector. `mutex` guards
+  /// `weight`; the two atomics mirror it for lock-free stats. Lock order:
+  /// a worker's detector mutex, then this one.
+  struct PartitionBoundary {
+    mutable std::mutex mutex;
+    std::unordered_map<VertexId, BoundaryWeight> weight;
+    std::atomic<std::uint64_t> edges{0};
+    std::atomic<std::size_t> entries{0};
+  };
+  /// One per partition, fixed at construction (PartitionBoundary is
+  /// immovable; never resized).
+  std::vector<PartitionBoundary> boundary_;
+  /// Cross-home edges the hook has added since construction (monotone;
+  /// recounts excluded). The stitched read's freshness is this minus
+  /// merged_recorded_.
+  std::atomic<std::uint64_t> boundary_recorded_{0};
+
   std::vector<std::unique_ptr<ShardWorker>> workers_;
-  BoundaryEdgeIndex boundary_;
 
   // --- rebalance state ---------------------------------------------------
   /// Serializes partition moves (and excludes them from checkpoints and
@@ -650,9 +682,6 @@ class ShardedDetectionService {
   /// Byte accounting driving CheckpointPolicy::max_delta_base_ratio.
   std::uint64_t chain_base_bytes_ = 0;
   std::uint64_t chain_delta_bytes_ = 0;
-  /// Position in the boundary index already covered by the chain's base +
-  /// tails; SaveTail persists only edges recorded past it.
-  BoundaryEdgeIndex::Cursor boundary_persist_cursor_;
 
   // --- window expiry state (lock-free; submit hot path touches only the
   // watermark CAS-max when the window is on) ------------------------------
@@ -661,15 +690,9 @@ class ShardedDetectionService {
   /// Horizon of the last automatically triggered retire pass; the next
   /// trigger fires when watermark - span >= last_horizon_ + stride.
   std::atomic<Timestamp> last_horizon_{0};
-  /// Highest horizon any retire pass (automatic or explicit) has been
-  /// asked to expire; the next stitch pass evicts the boundary index to it
-  /// (boundary eviction never runs on the submit hot path).
-  std::atomic<Timestamp> pending_evict_horizon_{0};
 
   // --- stitch state (all guarded by stitch_mutex_; passes serialize) -----
   mutable std::mutex stitch_mutex_;
-  BoundaryEdgeIndex::Cursor stitch_cursor_;
-  std::unordered_map<VertexId, double> boundary_weight_;
   std::vector<VertexId> last_stitched_members_;  // sorted
   double last_stitched_density_ = -1.0;
 
@@ -685,10 +708,10 @@ class ShardedDetectionService {
   std::atomic<std::uint64_t> stitched_alerts_{0};
   std::atomic<std::uint64_t> seam_truncated_{0};
   std::atomic<std::uint64_t> stitch_triggers_{0};
-  /// RecordedEdges() snapshot taken right after each stitch fold; the
-  /// difference against the live counter is the stitched read's freshness
-  /// in edges (GetStats, lock-free).
-  std::atomic<std::uint64_t> folded_recorded_{0};
+  /// boundary_recorded_ as read just before each stitch pass merged the
+  /// boundary weights; the difference against the live counter is the
+  /// stitched read's freshness in edges (GetStats, lock-free).
+  std::atomic<std::uint64_t> merged_recorded_{0};
 
   // --- trigger accumulators (written from worker apply paths; one atomic
   // double per ordered PARTITION pair, CAS-add — allocated only when the

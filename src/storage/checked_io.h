@@ -1,5 +1,5 @@
 // Shared CRC-64-framed file I/O for every persistence format (snapshots,
-// delta segments, the boundary index and its tails, the manifest).
+// delta segments, ingest seqmaps, the manifest).
 //
 // Every binary file in the snapshot directory follows one discipline:
 // little-endian fixed-width fields, a CRC-64/XZ accumulated over every

@@ -15,7 +15,7 @@ namespace spade {
 namespace {
 
 constexpr char kMagic[] = "spade-shard-manifest";
-constexpr int kVersion = 4;
+constexpr int kVersion = 5;
 constexpr char kManifestName[] = "manifest.spade";
 
 Status Malformed(const std::string& path, const std::string& what) {
@@ -24,8 +24,7 @@ Status Malformed(const std::string& path, const std::string& what) {
 
 /// Structural chain validation shared by the writer (programming-error
 /// guard) and the reader (corruption guard): deltas must be exactly one
-/// segment per shard per epoch in (base_epoch, epoch], ascending, and
-/// boundary tails one per epoch.
+/// segment per shard per epoch in (base_epoch, epoch], ascending.
 Status ValidateChain(const ShardManifest& m, const std::string& path) {
   if (m.epoch < m.base_epoch) {
     return Malformed(path, "epoch precedes base-epoch");
@@ -43,15 +42,6 @@ Status ValidateChain(const ShardManifest& m, const std::string& path) {
       }
     }
   }
-  if (m.boundary_tails.size() != chain) {
-    return Malformed(path, "boundary tail count mismatch");
-  }
-  for (std::uint64_t i = 0; i < m.boundary_tails.size(); ++i) {
-    if (m.boundary_tails[i].epoch != m.base_epoch + 1 + i ||
-        m.boundary_tails[i].file.empty()) {
-      return Malformed(path, "boundary tail entry out of order");
-    }
-  }
   return Status::OK();
 }
 
@@ -64,21 +54,9 @@ std::string ShardSnapshotFileName(std::size_t shard, std::uint64_t epoch) {
   return buf;
 }
 
-std::string BoundaryIndexFileName(std::uint64_t epoch) {
-  char buf[48];
-  std::snprintf(buf, sizeof(buf), "boundary.index-%" PRIu64, epoch);
-  return buf;
-}
-
 std::string ShardDeltaFileName(std::size_t shard, std::uint64_t epoch) {
   char buf[48];
   std::snprintf(buf, sizeof(buf), "shard-%zu.delta-%" PRIu64, shard, epoch);
-  return buf;
-}
-
-std::string BoundaryTailFileName(std::uint64_t epoch) {
-  char buf[48];
-  std::snprintf(buf, sizeof(buf), "boundary.tail-%" PRIu64, epoch);
   return buf;
 }
 
@@ -94,11 +72,6 @@ Status WriteShardManifest(const std::string& dir,
   }
   if (manifest.base_epoch < 1) {
     return Status::InvalidArgument("ShardManifest: base_epoch must be >= 1");
-  }
-  if (manifest.boundary_file.empty()) {
-    // An index that never saw a cross-shard edge still serializes, as
-    // empty buckets, so every manifest names one.
-    return Status::InvalidArgument("ShardManifest: boundary_file is required");
   }
   {
     const Status chain = ValidateChain(manifest, "(in memory)");
@@ -135,10 +108,6 @@ Status WriteShardManifest(const std::string& dir,
   for (const DeltaSegmentRef& ref : manifest.deltas) {
     out << "delta " << ref.epoch << ' ' << ref.shard << ' ' << ref.file
         << '\n';
-  }
-  out << "boundary " << manifest.boundary_file << '\n';
-  for (const BoundaryTailRef& ref : manifest.boundary_tails) {
-    out << "boundary-delta " << ref.epoch << ' ' << ref.file << '\n';
   }
   // Sparse placement rows (rebalanced fleets only): a default placement
   // emits nothing.
@@ -228,19 +197,6 @@ Status ReadShardManifest(const std::string& dir, ShardManifest* manifest) {
       }
       m.deltas.push_back(std::move(ref));
     }
-  }
-  if (!(in >> key >> m.boundary_file) || key != "boundary" ||
-      m.boundary_file.empty()) {
-    return Malformed(path, "missing boundary entry");
-  }
-  m.boundary_tails.reserve(chain);
-  for (std::uint64_t e = m.base_epoch + 1; e <= m.epoch; ++e) {
-    BoundaryTailRef ref;
-    if (!(in >> key >> ref.epoch >> ref.file) || key != "boundary-delta" ||
-        ref.epoch != e || ref.file.empty()) {
-      return Malformed(path, "boundary-delta entry malformed");
-    }
-    m.boundary_tails.push_back(std::move(ref));
   }
   if (!(in >> key)) return Malformed(path, "missing crc line");
   // Sparse placement rows (zero or more), strictly ascending pid. The

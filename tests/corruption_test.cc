@@ -2,18 +2,16 @@
 // label `stress`; the stress CI leg runs it under ASan).
 //
 // Property under test: a random single-byte flip anywhere in a snapshot
-// directory — manifest, base snapshots, boundary index + tails, delta
-// segments — is never silently accepted and never crashes. Binary files
-// carry a CRC-64 trailer (which detects every single-byte error), so a
-// flip there must make restore either fail cleanly or fall back to the
-// durable prefix that excludes the flipped epoch. The manifest carries an
-// in-band crc line covering every byte, so any flip there must be rejected
-// outright.
+// directory — manifest, base snapshots, delta segments — is never silently
+// accepted and never crashes. Binary files carry a CRC-64 trailer (which
+// detects every single-byte error), so a flip there must make restore
+// either fail cleanly or fall back to the durable prefix that excludes the
+// flipped epoch. The manifest carries an in-band crc line covering every
+// byte, so any flip there must be rejected outright.
 //
 // The fixture's fleet is windowed and stitched, so the fuzzed files carry
-// every section that ships: base snapshots with non-empty window logs, a
-// boundary base with compacted blocks, and delta segments with retire
-// records. SetUp asserts all three.
+// every section that ships: base snapshots with non-empty window logs and
+// delta segments with retire records. SetUp asserts both.
 
 #include <gtest/gtest.h>
 
@@ -27,7 +25,6 @@
 
 #include "common/rng.h"
 #include "metrics/semantics.h"
-#include "service/boundary_index.h"
 #include "service/sharded_detection_service.h"
 #include "storage/delta_segment.h"
 #include "storage/sharded_snapshot.h"
@@ -64,7 +61,6 @@ std::unique_ptr<ShardedDetectionService> BuildService(
   options.window.span = kSpan;
   auto service = std::make_unique<ShardedDetectionService>(
       std::move(shards), nullptr, std::move(options));
-  service->SeedBoundaryIndex(initial);
   return service;
 }
 
@@ -103,9 +99,8 @@ class CorruptionFuzzTest : public ::testing::Test {
     std::filesystem::remove_all(dir_);
     std::filesystem::remove_all(work_);
 
-    // Build a 2-epoch chain: windowed traffic, a stitch pass that compacts
-    // the boundary index, the full base (epoch 1), more traffic and a
-    // retire pass, then a delta (epoch 2).
+    // Build a 2-epoch chain: windowed traffic, a stitch pass, the full base
+    // (epoch 1), more traffic and a retire pass, then a delta (epoch 2).
     Rng rng(11);
     for (int i = 0; i < 250; ++i) {
       initial_.push_back(testing::RandomEdge(&rng, kVertices));
@@ -154,14 +149,11 @@ class CorruptionFuzzTest : public ::testing::Test {
                               [](const DeltaRecord& r) { return r.retire; }))
           << "shard " << s << " epoch-2 segment has no retire record";
     }
-    BoundaryEdgeIndex::FileData boundary;
-    ASSERT_TRUE(BoundaryEdgeIndex::ReadFile(
-                    (dir / BoundaryIndexFileName(1)).string(), kShards,
-                    &boundary)
-                    .ok());
-    EXPECT_TRUE(std::any_of(boundary.blocks.begin(), boundary.blocks.end(),
-                            [](const auto& blocks) { return !blocks.empty(); }))
-        << "boundary base holds no compacted block";
+    // Boundary weights are recounted, never persisted.
+    for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+      EXPECT_NE(entry.path().filename().string().rfind("boundary", 0), 0u)
+          << entry.path();
+    }
   }
   void TearDown() override {
     std::filesystem::remove_all(dir_);
@@ -184,9 +176,9 @@ class CorruptionFuzzTest : public ::testing::Test {
 };
 
 // Every single-byte flip in a CRC-framed binary file is detected: flips in
-// epoch-2 chain files force recovery to epoch 1; flips in base files (or
-// in the whole-index boundary base) fail the restore outright. Nothing is
-// ever silently accepted as a different graph.
+// epoch-2 chain files force recovery to epoch 1; flips in base files fail
+// the restore outright. Nothing is ever silently accepted as a different
+// graph.
 TEST_F(CorruptionFuzzTest, BinaryFilesNeverAcceptAFlip) {
   struct Target {
     std::string file;
@@ -197,8 +189,6 @@ TEST_F(CorruptionFuzzTest, BinaryFilesNeverAcceptAFlip) {
     targets.push_back({ShardSnapshotFileName(s, 1), true});
     targets.push_back({ShardDeltaFileName(s, 2), false});
   }
-  targets.push_back({BoundaryIndexFileName(1), true});
-  targets.push_back({BoundaryTailFileName(2), false});
 
   Rng rng(23);
   for (const Target& target : targets) {

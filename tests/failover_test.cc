@@ -72,7 +72,6 @@ std::unique_ptr<ShardedDetectionService> BuildService(
   options.checkpoint.max_delta_base_ratio = 1e9;
   auto service = std::make_unique<ShardedDetectionService>(
       std::move(shards), nullptr, std::move(options));
-  service->SeedBoundaryIndex(initial);
   return service;
 }
 

@@ -2,7 +2,7 @@
 // multi-partition fleet while a mover thread relocates partitions as fast
 // as the quiesce protocol allows, a checkpointer saves delta epochs, an
 // expirer retires the window behind the event clock, and a trigger-armed
-// stitcher folds boundary messages — all racing Drain calls.
+// stitcher merges boundary weights — all racing Drain calls.
 //
 // The invariants under test are order-independent: no edge is lost or
 // double-applied across a move (fleet-wide processed == accepted), a
@@ -52,7 +52,6 @@ TEST(RebalanceStressTest, MovesRaceIngestRetireCheckpointAndStitch) {
 
   ShardedDetectionServiceOptions options;
   options.partitioner = TenantPartitioner(kVerticesPerTenant);
-  options.rebalance.enabled = true;
   options.rebalance.partitions_per_shard = kPartitionsPerShard;
   options.rebalance.quiesce_timeout_ms = 2;
   options.window.span = 1'500;
@@ -98,7 +97,7 @@ TEST(RebalanceStressTest, MovesRaceIngestRetireCheckpointAndStitch) {
           auto s = static_cast<VertexId>(tenant * kVerticesPerTenant +
                                          rng.NextBounded(kVerticesPerTenant));
           VertexId d;
-          if (i % 4 == 0) {  // cross-tenant: boundary messages stay hot
+          if (i % 4 == 0) {  // cross-tenant: boundary weights stay hot
             const auto other =
                 (tenant + 1 + rng.NextBounded(kPartitions - 1)) % kPartitions;
             d = static_cast<VertexId>(other * kVerticesPerTenant +

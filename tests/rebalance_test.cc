@@ -60,7 +60,6 @@ ShardedDetectionServiceOptions RebalanceOptionsFor(
     std::size_t partitions_per_shard) {
   ShardedDetectionServiceOptions options;
   options.partitioner = TenantPartitioner(kVerticesPerTenant);
-  options.rebalance.enabled = true;
   options.rebalance.partitions_per_shard = partitions_per_shard;
   return options;
 }
@@ -359,7 +358,6 @@ TEST(RebalanceTest, MidRebalanceCheckpointRestoresBitIdentical) {
   ShardedDetectionService live(
       BuildPartitions(kPartitions, kPartitions, initial), nullptr,
       RebalanceOptionsFor(/*partitions_per_shard=*/2));
-  live.SeedBoundaryIndex(initial);
   for (int i = 0; i < 500; ++i) {
     ASSERT_TRUE(live.Submit(TenantEdge(&rng, rng.NextBounded(kPartitions))).ok());
   }
@@ -424,27 +422,46 @@ TEST(RebalanceTest, MidRebalanceCheckpointRestoresBitIdentical) {
     testing::ExpectShardEqualsCapture(want[pid], got);
   }
 
-  // A fleet with rebalancing OFF cannot honor the moved placement and must
-  // say so instead of silently restoring it to the wrong workers.
+  // A fleet without a background rebalancer (one partition per worker
+  // here) still runs the move protocol: it restores the moved placement
+  // bit-identically too.
   ShardedDetectionServiceOptions off;
   off.partitioner = TenantPartitioner(kVerticesPerTenant);
   ShardedDetectionService fixed(
       BuildPartitions(kPartitions, kPartitions, {}), nullptr, std::move(off));
-  const Status s = fixed.RestoreState(dir);
-  EXPECT_EQ(s.code(), StatusCode::kFailedPrecondition);
+  ASSERT_TRUE(fixed.RestoreState(dir).ok());
+  EXPECT_EQ(fixed.PartitionShard(1), 3u);
+  EXPECT_EQ(fixed.PartitionShard(4), 2u);
+  for (std::size_t pid = 0; pid < kPartitions; ++pid) {
+    testing::ShardCapture got;
+    ASSERT_TRUE(fixed
+                    .InspectPartition(pid,
+                                      [&](const Spade& s) {
+                                        got.state = s.peel_state();
+                                        got.num_edges = s.graph().NumEdges();
+                                        got.total_weight =
+                                            s.graph().TotalWeight();
+                                        got.pending_benign =
+                                            s.PendingBenignEdges();
+                                      })
+                    .ok());
+    testing::ExpectShardEqualsCapture(want[pid], got);
+  }
 
   live.Stop();
   std::filesystem::remove_all(dir);
 }
 
-// Moves on a rebalance-disabled fleet are refused, out-of-range arguments
-// are rejected, and a same-shard move is a no-op success.
+// A fleet without a background rebalancer still moves partitions on
+// request, out-of-range arguments are rejected, and a same-shard move is a
+// no-op success.
 TEST(RebalanceTest, MoveValidation) {
   ShardedDetectionServiceOptions off;
   off.partitioner = TenantPartitioner(kVerticesPerTenant);
   ShardedDetectionService fixed(BuildPartitions(4, 4, {}), nullptr,
                                 std::move(off));
-  EXPECT_EQ(fixed.RebalanceNow(0, 1).code(), StatusCode::kFailedPrecondition);
+  EXPECT_TRUE(fixed.RebalanceNow(0, 1).ok());
+  EXPECT_EQ(fixed.PartitionShard(0), 1u);
 
   ShardedDetectionService fleet(BuildPartitions(4, 4, {}), nullptr,
                                 RebalanceOptionsFor(1));

@@ -37,7 +37,7 @@ constexpr std::size_t kInitialEdges = 400;
 constexpr std::size_t kChunkEdges = 120;
 
 /// Parity routing: deterministic homes, ~half of all traffic cross-home,
-/// so every delta epoch also writes a non-trivial boundary tail.
+/// so every restore also recounts non-trivial boundary weights.
 Partitioner ParityPartitioner() {
   return [](VertexId v) -> std::size_t { return v % kShards; };
 }
@@ -74,7 +74,6 @@ std::unique_ptr<ShardedDetectionService> BuildService(
   options.window.span = window_span;
   auto service = std::make_unique<ShardedDetectionService>(
       std::move(shards), nullptr, std::move(options));
-  service->SeedBoundaryIndex(initial);
   return service;
 }
 
@@ -219,9 +218,9 @@ TEST_F(RecoveryTest, TruncatingWriterSeamFallsBackToDurableEpoch) {
 }
 
 // Exhaustive torn-tail sweep: every framing boundary and a mid-record cut
-// of every record of the last epoch's segments (and a byte sweep of the
-// boundary tail) must restore to the last durable epoch — never a partial
-// graph, never an error, and bit-identical to the live fleet's capture.
+// of every record of the last epoch's segments must restore to the last
+// durable epoch — never a partial graph, never an error, and bit-identical
+// to the live fleet's capture.
 TEST_F(RecoveryTest, TruncationSweepRestoresToDurableEpoch) {
   constexpr std::size_t kEpochs = 3;
   LiveRun run = RunAndCheckpoint(dir_, kEpochs, /*seed=*/303);
@@ -254,16 +253,6 @@ TEST_F(RecoveryTest, TruncationSweepRestoresToDurableEpoch) {
       t.cuts.push_back(offset);  // framing boundary after the record
     }
     t.cuts.push_back(offset + 4);  // inside the CRC trailer
-    targets.push_back(std::move(t));
-  }
-  {
-    // Boundary tail: sweep every few bytes (format-agnostic), which covers
-    // header, record and trailer cuts at its small size.
-    Target t;
-    t.file = BoundaryTailFileName(kEpochs);
-    const auto size = std::filesystem::file_size(
-        std::filesystem::path(dir_) / t.file);
-    for (std::uint64_t cut = 0; cut < size; cut += 3) t.cuts.push_back(cut);
     targets.push_back(std::move(t));
   }
 
@@ -375,8 +364,6 @@ TEST_F(RecoveryTest, CrashedCompactionLeavesPreviousCheckpointRestorable) {
         std::filesystem::path(dir_) / ShardSnapshotFileName(s, 3),
         std::filesystem::path(work_) / ShardSnapshotFileName(s, 3));
   }
-  std::filesystem::copy_file(std::filesystem::path(dir_) / BoundaryIndexFileName(3),
-                             std::filesystem::path(work_) / BoundaryIndexFileName(3));
 
   auto victim = BuildService(run.initial);
   ShardedDetectionService::RestoreInfo rinfo;
@@ -396,15 +383,13 @@ TEST_F(RecoveryTest, RecoveredFleetConvergesWithUninterruptedFleet) {
   constexpr std::size_t kEpochs = 3;
   LiveRun run = RunAndCheckpoint(dir_, kEpochs, /*seed=*/606);
 
-  // Tear the whole last epoch (both shard segments + the boundary tail):
-  // a crash that lost every data page of the final save.
+  // Tear the whole last epoch (both shard segments): a crash that lost
+  // every data page of the final save.
   CopyDir(dir_, work_);
   for (std::size_t s = 0; s < kShards; ++s) {
     std::filesystem::resize_file(
         std::filesystem::path(work_) / ShardDeltaFileName(s, kEpochs), 16);
   }
-  std::filesystem::resize_file(
-      std::filesystem::path(work_) / BoundaryTailFileName(kEpochs), 5);
 
   auto recovered = BuildService(run.initial);
   ShardedDetectionService::RestoreInfo info;

@@ -9,9 +9,11 @@
 #include <algorithm>
 #include <atomic>
 #include <filesystem>
+#include <limits>
 #include <mutex>
 #include <set>
 #include <thread>
+#include <unordered_map>
 #include <vector>
 
 #include "common/rng.h"
@@ -180,6 +182,54 @@ TEST(ShardedDetectionServiceTest, StatsMergeAcrossShards) {
   EXPECT_EQ(stats.alerts_delivered, service.AlertsDelivered());
 }
 
+// Edges a detector refuses are counted, not silently lost: a self-loop and
+// two edges with non-admissible weights among ten valid ones. Nothing
+// refused reaches a detector or the boundary weights.
+TEST(ShardedDetectionServiceTest, RejectedEdgesAreCounted) {
+  ShardedDetectionService service(BuildShards(2, 2, {}), nullptr,
+                                  TenantOptions());
+  const VertexId t1 = kVerticesPerTenant;  // first vertex of tenant 1
+  std::vector<Edge> valid;
+  for (VertexId i = 0; i < 10; ++i) {
+    // Every other edge crosses from tenant 0 into tenant 1.
+    valid.push_back(i % 2 == 0 ? Edge{i, t1 + i, 1.0 + i, 0}
+                               : Edge{i, i + 1, 1.0 + i, 0});
+  }
+  const std::vector<Edge> invalid = {
+      {5, 5, 2.0, 0},                                       // self-loop
+      {3, t1 + 7, -5.0, 0},                                 // negative
+      {4, t1 + 9, std::numeric_limits<double>::quiet_NaN(), 0},  // NaN
+  };
+  for (std::size_t i = 0; i < valid.size(); ++i) {
+    ASSERT_TRUE(service.Submit(valid[i]).ok());
+    if (i % 4 == 1) {
+      ASSERT_TRUE(service.Submit(invalid[i / 4]).ok());
+    }
+  }
+  service.Drain();
+
+  const ShardedServiceStats stats = service.GetStats();
+  EXPECT_EQ(stats.rejected_edges, 3u);
+  EXPECT_EQ(stats.edges_processed, 10u);
+  EXPECT_EQ(stats.dropped_edges, 0u);
+  EXPECT_EQ(stats.boundary_edges, 5u);
+  std::unordered_map<VertexId, BoundaryWeight> want;
+  for (const Edge& e : valid) {
+    if (e.dst < t1) continue;
+    for (const VertexId v : {e.src, e.dst}) {
+      want[v].weight += e.weight;
+      ++want[v].count;
+    }
+  }
+  const auto got = service.BoundaryWeights();
+  ASSERT_EQ(got.size(), want.size());
+  for (const auto& [v, w] : want) {
+    ASSERT_EQ(got.count(v), 1u) << "vertex " << v;
+    EXPECT_EQ(got.at(v).weight, w.weight) << "vertex " << v;
+    EXPECT_EQ(got.at(v).count, w.count) << "vertex " << v;
+  }
+}
+
 TEST(ShardedDetectionServiceTest, SubmitBatchRoutesAcrossShards) {
   ShardedDetectionService service(BuildShards(4, 4, {}), nullptr,
                                   TenantOptions());
@@ -199,7 +249,7 @@ TEST(ShardedDetectionServiceTest, SubmitBatchRoutesAcrossShards) {
 // per-edge routing — each edge lands on map.ShardOf(PartitionOf(e)), and
 // chunk order is preserved within a shard. Two partitions per shard, one
 // of them published to another shard, so the check covers the map
-// indirection and not just pid % shards. (Boundary recording happens on
+// indirection and not just pid % shards. (Boundary counting happens on
 // the worker apply path; RoutingPropertyTest in stitching_test.cc covers
 // its exactness.)
 TEST(RouterScratchTest, MatchesPerEdgeRouting) {

@@ -1,7 +1,7 @@
 // Concurrency stress for message-driven stitching: producers hammer the
 // router while window expiry and stitch passes run against the same
-// boundary-index message queues (worker-side Record, stitcher-side fold /
-// compaction / eviction, retire-delta triggers).
+// boundary weights (worker-side add and retire under the detector mutex,
+// stitcher-side merge, retire-delta triggers).
 //
 // The invariant under test is the publication contract: a stitched read
 // never OVERSTATES — the density it serves is at most the induced density
@@ -95,7 +95,7 @@ TEST(StitchStressTest, ConcurrentIngestRetireAndStitchNeverOverstate) {
     });
   }
 
-  // Expirer: explicit RetireOlderThan racing the stitcher's own eviction.
+  // Expirer: explicit RetireOlderThan racing the stitcher's merges.
   std::thread expirer([&] {
     while (!producers_done.load(std::memory_order_acquire)) {
       const Timestamp now = clock.load(std::memory_order_relaxed);
@@ -106,7 +106,8 @@ TEST(StitchStressTest, ConcurrentIngestRetireAndStitchNeverOverstate) {
 
   // Explicit StitchNow callers race the trigger-driven background
   // stitcher (trigger_weight > 0 armed it) on the same stitch mutex and
-  // cursor, while reads check the published snapshot stays well-formed.
+  // boundary weights, while reads check the published snapshot stays
+  // well-formed.
   std::thread stitcher([&] {
     while (!producers_done.load(std::memory_order_acquire)) {
       const GlobalCommunity g = service.StitchNow();
@@ -146,7 +147,7 @@ TEST(StitchStressTest, ConcurrentIngestRetireAndStitchNeverOverstate) {
   EXPECT_GT(stats.edges_processed, 0u);
   EXPECT_GT(stats.retired_edges, 0u);
   // Monotone counters prove the message path flowed, regardless of how
-  // much of the boundary index the final horizon evicted.
+  // many boundary weights the final horizon retired.
   EXPECT_GE(stats.stitch_triggers, 1u);
   EXPECT_GE(stats.stitch_passes, 1u);
   service.Stop();

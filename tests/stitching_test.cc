@@ -8,12 +8,15 @@
 //    tie-exactness — including streams whose densest community is entirely
 //    cross-shard (every one of its edges is a boundary edge).
 //  * Routing property: for the hash and tenant partitioners, every
-//    submitted edge lands in exactly one shard's detector, plus the
-//    boundary index iff its endpoints' home shards differ (the
+//    submitted edge lands in exactly one shard's detector, and its
+//    endpoints carry boundary weight iff their home shards differ (the
 //    double-count/drop seam).
 //  * Tenant regression: a cross-tenant ring used to be silently routed into
-//    the source tenant's shard with no record; it must now be recorded and
+//    the source tenant's shard with no record; it must now be counted and
 //    detected by the stitch pass, surviving save/restore.
+//  * Boundary weights: the merged per-vertex weights always equal a
+//    from-scratch count of the cross-home edges in the detectors — under
+//    late arrivals, retires, partition moves, restore and chain replay.
 //
 // The randomized differentials are labeled `stress` in ctest and run in a
 // dedicated CI matrix leg under ASan and TSan.
@@ -26,8 +29,10 @@
 #include <cstddef>
 #include <filesystem>
 #include <mutex>
+#include <string>
 #include <string_view>
 #include <thread>
+#include <unordered_map>
 #include <vector>
 
 #include "common/rng.h"
@@ -119,7 +124,7 @@ TEST_P(StitchDifferentialTest, StitchedDensityMatchesMergedDetector) {
     const std::size_t n = 64 + rng.NextBounded(64);
 
     // Hash-routed service over empty detectors; the whole stream goes
-    // through the router so the boundary index sees every cross-home edge.
+    // through the router so the boundary weights see every cross-home edge.
     ShardedDetectionServiceOptions options;
     options.partitioner = HashOfSourcePartitioner();
     ShardedDetectionService service(BuildEmptyShards(num_shards, n), nullptr,
@@ -249,7 +254,7 @@ TEST_P(StitchDifferentialTest, EntirelyCrossShardCommunityIsStitched) {
 }
 
 // ------------------------------------------------------------------------
-// Routing property: exactly one detector, boundary index iff cross-home.
+// Routing property: exactly one detector, boundary weight iff cross-home.
 // ------------------------------------------------------------------------
 
 struct NamedPartitioner {
@@ -295,16 +300,23 @@ TEST(RoutingPropertyTest, ExactlyOneDetectorAndBoundaryIffCrossHome) {
     }
     // Exactly once in a detector...
     EXPECT_EQ(landed, stream.size()) << name;
-    // ...plus the boundary index iff the endpoints' homes differ.
+    // ...and counted as a boundary edge iff the endpoints' homes differ.
     EXPECT_EQ(stats.boundary_edges, expected_boundary) << name;
     EXPECT_GT(expected_boundary, 0u) << name;
 
-    // The indexed edges are exactly the cross-home subset (multiset).
-    std::vector<Edge> indexed = service.boundary_index().SnapshotEdges();
-    EXPECT_EQ(indexed.size(), expected_boundary) << name;
-    for (const Edge& e : indexed) {
-      EXPECT_NE(service.HomeShardOf(e.src), service.HomeShardOf(e.dst))
-          << name;
+    // The weighted vertices are exactly the cross-home edges' endpoints.
+    std::unordered_map<VertexId, std::uint64_t> expected_count;
+    for (const Edge& e : stream) {
+      if (service.HomeShardOf(e.src) == service.HomeShardOf(e.dst)) continue;
+      ++expected_count[e.src];
+      ++expected_count[e.dst];
+    }
+    const auto weights = service.BoundaryWeights();
+    EXPECT_EQ(weights.size(), expected_count.size()) << name;
+    for (const auto& [v, count] : expected_count) {
+      const auto it = weights.find(v);
+      ASSERT_NE(it, weights.end()) << name << " vertex " << v;
+      EXPECT_EQ(it->second.count, count) << name << " vertex " << v;
     }
     service.Stop();
   }
@@ -397,8 +409,9 @@ TEST(TenantStitchingTest, CrossTenantRingIsRecordedAndDetected) {
   EXPECT_NEAR(stitched.density, merged_service.CurrentCommunity().density,
               1e-9);
 
-  // Save/restore round-trips the boundary index; the restored fleet
-  // re-stitches the same ring without replaying the stream.
+  // Save/restore recounts the boundary weights from the restored
+  // detectors; the restored fleet re-stitches the same ring without
+  // replaying the stream.
   const std::string dir = ::testing::TempDir() + "/stitching_snapshot";
   std::filesystem::remove_all(dir);
   ASSERT_TRUE(service.SaveState(dir).ok());
@@ -636,68 +649,229 @@ TEST(MessageDrivenStitchingTest, RetiredSeamIsNotServedStale) {
   EXPECT_GE(service.GetStats().retired_edges, 60u);
 }
 
-// Compaction: after a stitch pass folds the queues, consumed raw edges
-// collapse into per-vertex weight blocks — totals, save/restore and
-// re-stitching stay exact, and the resident footprint drops well below
-// the uncompacted build of the same history.
-TEST(MessageDrivenStitchingTest, CompactedBoundarySaveRestoreExact) {
-  constexpr std::size_t kShards = 2;
-  const std::size_t n = kShards * kVerticesPerTenant;
-  Rng rng(505);
+// ------------------------------------------------------------------------
+// Boundary weights: counted beside the detectors, never a second copy.
+// ------------------------------------------------------------------------
 
-  std::vector<Edge> stream;
-  const std::vector<VertexId> ring = {
-      10, static_cast<VertexId>(kVerticesPerTenant + 10),
-      11, static_cast<VertexId>(kVerticesPerTenant + 11),
-      12, static_cast<VertexId>(kVerticesPerTenant + 12)};
-  InjectRing(&stream, 0, ring, 300, 20.0, &rng);
+using WeightMap = std::unordered_map<VertexId, BoundaryWeight>;
 
-  const auto build = [&](bool compact) {
-    ShardedDetectionServiceOptions options;
-    options.partitioner = TenantPartitioner(kVerticesPerTenant);
-    options.stitch.compact_boundary = compact;
-    return options;
+/// From-scratch boundary weights of a fleet: every cross-home edge in every
+/// partition's detector (graph plus benign buffer), read through
+/// InspectPartition.
+WeightMap CountBoundaryFromScratch(const ShardedDetectionService& service,
+                                   const Partitioner& partitioner,
+                                   std::uint64_t* edges) {
+  const std::size_t n = service.num_partitions();
+  WeightMap want;
+  *edges = 0;
+  const auto add = [&](const Edge& e) {
+    if (partitioner(e.src) % n == partitioner(e.dst) % n) return;
+    ++*edges;
+    for (const VertexId v : {e.src, e.dst}) {
+      want[v].weight += e.weight;
+      ++want[v].count;
+    }
   };
+  for (std::size_t pid = 0; pid < n; ++pid) {
+    EXPECT_TRUE(service
+                    .InspectPartition(pid,
+                                      [&](const Spade& detector) {
+                                        const DynamicGraph& g =
+                                            detector.graph();
+                                        for (std::size_t u = 0;
+                                             u < g.NumVertices(); ++u) {
+                                          const auto src =
+                                              static_cast<VertexId>(u);
+                                          for (const NeighborEntry& e :
+                                               g.OutNeighbors(src)) {
+                                            add({src, e.vertex, e.weight, 0});
+                                          }
+                                        }
+                                        for (const Edge& e :
+                                             detector.benign_buffer()) {
+                                          add(e);
+                                        }
+                                      })
+                    .ok());
+  }
+  return want;
+}
 
-  ShardedDetectionService service(BuildEmptyShards(kShards, n), nullptr,
-                                  build(true));
-  SubmitAll(&service, stream);
+/// The merged weights equal a from-scratch count: same vertex set, exact
+/// counts, weights within 1e-9 relative; boundary_edges counts the edges.
+void ExpectBoundaryMatchesDetectors(const ShardedDetectionService& service,
+                                    const Partitioner& partitioner,
+                                    const std::string& where) {
+  std::uint64_t edges = 0;
+  const WeightMap want = CountBoundaryFromScratch(service, partitioner, &edges);
+  const WeightMap got = service.BoundaryWeights();
+  EXPECT_EQ(service.GetStats().boundary_edges, edges) << where;
+  EXPECT_EQ(got.size(), want.size()) << where;
+  for (const auto& [v, w] : want) {
+    const auto it = got.find(v);
+    ASSERT_NE(it, got.end()) << where << ": vertex " << v << " missing";
+    EXPECT_EQ(it->second.count, w.count) << where << ": vertex " << v;
+    EXPECT_NEAR(it->second.weight, w.weight, 1e-9 * w.weight)
+        << where << ": vertex " << v;
+  }
+}
+
+// Regression: a late cross-home edge sits behind a newer edge in its
+// partition's window log, so a retire pass below the newer edge's ts keeps
+// it in the detector. Its boundary weight must stay too, and leave only
+// when the detector retires the edge (count 0, not a weight epsilon).
+TEST(BoundaryWeightsTest, LateCrossHomeEdgeStaysUntilItsDetectorRetiresIt) {
+  ShardedDetectionServiceOptions options;
+  options.partitioner = TenantPartitioner(100);
+  options.window.span = 10'000;  // only the explicit retires expire
+  ShardedDetectionService service(BuildEmptyShards(2, 200), nullptr,
+                                  options);
+  ASSERT_TRUE(service.Submit(Edge{1, 2, 5.0, 500}).ok());
+  ASSERT_TRUE(service.Submit(Edge{3, 150, 7.0, 10}).ok());
+  service.Drain();  // both edges applied before the retire is asked for
+  ASSERT_TRUE(service.RetireOlderThan(400).ok());
   service.Drain();
-  const GlobalCommunity stitched = service.StitchNow();
-  ASSERT_TRUE(stitched.stitched);
 
-  const ShardedServiceStats stats = service.GetStats();
-  EXPECT_EQ(stats.boundary_edges, 300u);  // totals survive compaction
-  EXPECT_GE(stats.boundary_compacted_edges, 200u);
-  EXPECT_EQ(stats.boundary_unconsumed_edges, 0u);
+  EXPECT_EQ(service.GetStats().retired_edges, 0u);
+  EXPECT_EQ(service.GetStats().boundary_edges, 1u);
+  WeightMap weights = service.BoundaryWeights();
+  ASSERT_EQ(weights.size(), 2u);
+  for (const VertexId v : {VertexId{3}, VertexId{150}}) {
+    ASSERT_EQ(weights.count(v), 1u) << "vertex " << v;
+    EXPECT_EQ(weights.at(v).weight, 7.0) << "vertex " << v;
+    EXPECT_EQ(weights.at(v).count, 1u) << "vertex " << v;
+  }
 
-  // A/B the resident footprint against the same history uncompacted.
-  ShardedDetectionService raw_service(BuildEmptyShards(kShards, n), nullptr,
-                                      build(false));
-  SubmitAll(&raw_service, stream);
-  raw_service.Drain();
-  (void)raw_service.StitchNow();
-  const ShardedServiceStats raw_stats = raw_service.GetStats();
-  EXPECT_EQ(raw_stats.boundary_compacted_edges, 0u);
-  EXPECT_LE(stats.boundary_resident_bytes,
-            raw_stats.boundary_resident_bytes / 2);
+  ASSERT_TRUE(service.RetireOlderThan(600).ok());
+  service.Drain();
+  EXPECT_EQ(service.GetStats().retired_edges, 2u);
+  EXPECT_EQ(service.GetStats().boundary_edges, 0u);
+  EXPECT_TRUE(service.BoundaryWeights().empty());
+}
 
-  // Save after compaction (a format-2 base), restore, and re-stitch: the
-  // compacted index must reproduce the exact stitched answer.
-  const std::string dir = ::testing::TempDir() + "/compacted_boundary";
-  std::filesystem::remove_all(dir);
-  ASSERT_TRUE(service.SaveState(dir).ok());
-  service.Stop();
+// Randomized invariant: after every Drain the merged boundary weights equal
+// a from-scratch count over the detectors — with ~10% late edges, random
+// retire horizons, partition moves, a save/restore into a fresh fleet and a
+// follower applying the chain epoch by epoch.
+TEST(BoundaryWeightsTest, MergedWeightsEqualAFromScratchCount) {
+  struct Config {
+    const char* name;
+    std::size_t partitions;
+    bool tenant;
+    bool fd;
+  };
+  constexpr std::size_t kVertices = 64;
+  constexpr Timestamp kSpan = 400;
+  constexpr std::size_t kChunks = 12;
+  constexpr std::size_t kChunkEdges = 50;
+  const std::chrono::milliseconds kDrainTimeout(10'000);
+  for (const Config& cfg : {Config{"2p-hash-DW", 2, false, false},
+                            Config{"2p-tenant-FD", 2, true, true},
+                            Config{"4p-hash-FD", 4, false, true},
+                            Config{"4p-tenant-DW", 4, true, false}}) {
+    const Partitioner partitioner = cfg.tenant ? TenantPartitioner(16)
+                                               : HashOfSourcePartitioner();
+    const auto build = [&] {
+      std::vector<Spade> shards;
+      for (std::size_t p = 0; p < cfg.partitions; ++p) {
+        Spade spade;
+        spade.SetSemantics(cfg.fd ? MakeFD() : MakeDW());
+        EXPECT_TRUE(spade.BuildGraph(kVertices, {}).ok());
+        shards.push_back(std::move(spade));
+      }
+      ShardedDetectionServiceOptions options;
+      options.partitioner = partitioner;
+      options.window.span = kSpan;
+      options.shard.detect_every = 16;
+      options.rebalance.partitions_per_shard = cfg.partitions / 2;
+      options.checkpoint.max_chain_length = 1000;
+      options.checkpoint.max_delta_base_ratio = 1e9;
+      return std::make_unique<ShardedDetectionService>(std::move(shards),
+                                                       nullptr, options);
+    };
+    const std::string dir =
+        ::testing::TempDir() + "/boundary_weights_" + cfg.name;
+    std::filesystem::remove_all(dir);
 
-  ShardedDetectionService restored(BuildEmptyShards(kShards, n), nullptr,
-                                   build(true));
-  ASSERT_TRUE(restored.RestoreState(dir).ok());
-  EXPECT_EQ(restored.GetStats().boundary_edges, 300u);
-  const GlobalCommunity restitched = restored.StitchNow();
-  EXPECT_TRUE(restitched.stitched);
-  EXPECT_NEAR(restitched.density, stitched.density, 1e-9);
-  EXPECT_EQ(Sorted(restitched.members), Sorted(stitched.members));
-  std::filesystem::remove_all(dir);
+    auto live = build();
+    std::unique_ptr<ShardedDetectionService> follower;
+    Rng rng(4242 + cfg.partitions * 2 + (cfg.tenant ? 1 : 0));
+    Timestamp now = 0;
+    std::uint64_t epoch = 0;
+    for (std::size_t chunk = 0; chunk < kChunks; ++chunk) {
+      std::vector<Edge> edges;
+      for (std::size_t i = 0; i < kChunkEdges; ++i) {
+        Edge e = BackgroundEdge(&rng, kVertices);
+        now += 3;
+        // ~10% late arrivals land behind newer edges in the window logs.
+        e.ts = rng.NextBounded(10) == 0
+                   ? std::max<Timestamp>(
+                         0, now - static_cast<Timestamp>(rng.NextBounded(300)))
+                   : now;
+        edges.push_back(e);
+      }
+      SubmitAll(live.get(), edges);
+      if (rng.NextBounded(2) == 0) {
+        const auto back = static_cast<Timestamp>(rng.NextBounded(kSpan));
+        ASSERT_TRUE(live->RetireOlderThan(std::max<Timestamp>(0, now - back))
+                        .ok());
+      }
+      if (chunk % 4 == 1) {
+        const std::size_t pid = rng.NextBounded(cfg.partitions);
+        ASSERT_TRUE(
+            live->RebalanceNow(pid, (live->PartitionShard(pid) + 1) % 2)
+                .ok());
+      }
+      live->Drain();
+      const std::string where =
+          std::string(cfg.name) + " chunk " + std::to_string(chunk);
+      ExpectBoundaryMatchesDetectors(*live, partitioner, "live " + where);
+
+      // Checkpoint from the fourth chunk on: a full base, then one delta
+      // epoch per chunk that the follower applies as it commits.
+      if (chunk < 3) continue;
+      ShardedDetectionService::SaveInfo info;
+      ASSERT_TRUE(live->SaveState(dir, ShardedDetectionService::SaveMode::kAuto,
+                                  &info)
+                      .ok());
+      epoch = info.epoch;
+      if (follower == nullptr) {
+        follower = build();
+        ASSERT_TRUE(follower->RestoreState(dir).ok());
+      } else {
+        ASSERT_TRUE(follower->ApplyChainEpoch(dir, epoch, kDrainTimeout).ok());
+      }
+      follower->Drain();
+      ExpectBoundaryMatchesDetectors(*follower, partitioner,
+                                     "follower " + where);
+      if (::testing::Test::HasFailure()) return;
+    }
+
+    auto restored = build();
+    ASSERT_TRUE(restored->RestoreState(dir).ok());
+    restored->Drain();
+    ExpectBoundaryMatchesDetectors(*restored, partitioner,
+                                   std::string(cfg.name) + " restored");
+    EXPECT_EQ(restored->GetStats().boundary_edges,
+              live->GetStats().boundary_edges)
+        << cfg.name;
+    // The restored fleet keeps counting live traffic, retires included.
+    std::vector<Edge> more;
+    for (std::size_t i = 0; i < kChunkEdges; ++i) {
+      Edge e = BackgroundEdge(&rng, kVertices);
+      now += 3;
+      e.ts = now;
+      more.push_back(e);
+    }
+    SubmitAll(restored.get(), more);
+    ASSERT_TRUE(restored->RetireOlderThan(now - kSpan / 2).ok());
+    restored->Drain();
+    ExpectBoundaryMatchesDetectors(*restored, partitioner,
+                                   std::string(cfg.name) + " after restore");
+    EXPECT_GT(live->GetStats().retired_edges, 0u) << cfg.name;
+    EXPECT_GE(epoch, 2u) << cfg.name;
+    std::filesystem::remove_all(dir);
+  }
 }
 
 }  // namespace

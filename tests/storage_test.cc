@@ -12,7 +12,6 @@
 #include <sstream>
 #include <string>
 
-#include "service/boundary_index.h"
 #include "storage/delta_segment.h"
 #include "storage/sharded_snapshot.h"
 
@@ -179,7 +178,6 @@ ShardManifest MakeManifest(std::uint32_t shards) {
   manifest.semantics = "DW";
   manifest.epoch = 1;
   manifest.base_epoch = 1;
-  manifest.boundary_file = BoundaryIndexFileName(1);
   for (std::size_t i = 0; i < shards; ++i) {
     manifest.files.push_back(ShardSnapshotFileName(i, 1));
   }
@@ -198,7 +196,6 @@ TEST_F(ShardManifestTest, RoundTrip) {
   EXPECT_EQ(read.epoch, 1u);
   EXPECT_EQ(read.base_epoch, 1u);
   EXPECT_TRUE(read.deltas.empty());
-  EXPECT_TRUE(read.boundary_tails.empty());
 }
 
 TEST_F(ShardManifestTest, ChainRoundTrip) {
@@ -208,7 +205,6 @@ TEST_F(ShardManifestTest, ChainRoundTrip) {
     for (std::uint32_t s = 0; s < 2; ++s) {
       manifest.deltas.push_back({e, s, ShardDeltaFileName(s, e)});
     }
-    manifest.boundary_tails.push_back({e, BoundaryTailFileName(e)});
   }
   ASSERT_TRUE(WriteShardManifest(dir_, manifest).ok());
 
@@ -219,8 +215,6 @@ TEST_F(ShardManifestTest, ChainRoundTrip) {
   EXPECT_EQ(read.ChainLength(), 2u);
   ASSERT_EQ(read.deltas.size(), 4u);
   EXPECT_EQ(read.deltas[3].file, ShardDeltaFileName(1, 3));
-  ASSERT_EQ(read.boundary_tails.size(), 2u);
-  EXPECT_EQ(read.boundary_tails[1].epoch, 3u);
 }
 
 TEST_F(ShardManifestTest, RejectsOutOfOrderChain) {
@@ -228,7 +222,6 @@ TEST_F(ShardManifestTest, RejectsOutOfOrderChain) {
   manifest.epoch = 2;
   manifest.deltas.push_back({2, 1, ShardDeltaFileName(1, 2)});
   manifest.deltas.push_back({2, 0, ShardDeltaFileName(0, 2)});
-  manifest.boundary_tails.push_back({2, BoundaryTailFileName(2)});
   const Status s = WriteShardManifest(dir_, manifest);
   ASSERT_FALSE(s.ok());
   EXPECT_EQ(s.code(), StatusCode::kInvalidArgument);
@@ -337,7 +330,9 @@ TEST_F(ShardManifestTest, EveryReaderRejectsOlderVersions) {
   };
 
   // Manifest 1: no chain, no boundary line. Manifest 2: an optional
-  // boundary line. Manifest 3: today's lines, CRC-closed.
+  // boundary line. Manifest 3: CRC-closed. Manifest 4: manifest 3 plus
+  // boundary-delta lines, CRC-closed — a directory that persisted the
+  // boundary index beside the detectors.
   const std::string v1_v2_files =
       "shards 2\nsemantics DG\n"
       "file 0 shard-0.snapshot\nfile 1 shard-1.snapshot\n";
@@ -356,10 +351,19 @@ TEST_F(ShardManifestTest, EveryReaderRejectsOlderVersions) {
                 Crc64(v3.data(), v3.size()));
   write_manifest(v3 + crc_line);
   expect_version_error(ReadShardManifest(dir_, &read), 3);
+  std::string v4 =
+      "spade-shard-manifest 4\nshards 2\nsemantics DW\nepoch 2\n"
+      "base-epoch 1\nfile 0 shard-0.snapshot-1\n"
+      "file 1 shard-1.snapshot-1\ndelta 2 0 shard-0.delta-2\n"
+      "delta 2 1 shard-1.delta-2\nboundary boundary.index-1\n"
+      "boundary-delta 2 boundary.tail-2\n";
+  std::snprintf(crc_line, sizeof(crc_line), "crc %016" PRIx64 "\n",
+                Crc64(v4.data(), v4.size()));
+  write_manifest(v4 + crc_line);
+  expect_version_error(ReadShardManifest(dir_, &read), 4);
 
   // Version-1 binary files, CRC-framed as the writers framed them: an
-  // empty snapshot without the window section, an empty delta segment
-  // and a one-bucket boundary base without the block section.
+  // empty snapshot without the window section and an empty delta segment.
   const std::string bin = dir_ + "/v1.bin";
   {
     storage::ChecksummedFileWriter w(bin);
@@ -403,16 +407,6 @@ TEST_F(ShardManifestTest, EveryReaderRejectsOlderVersions) {
     ASSERT_TRUE(w.Finish().ok());
   }
   expect_version_error(ReadDeltaSegment(bin, &segment), 2);
-  {
-    storage::ChecksummedFileWriter w(bin);
-    w.Write(std::uint64_t{0x53504144455F4249ULL});  // "SPADE_BI"
-    w.Write(std::uint32_t{1});
-    w.Write(std::uint64_t{1});  // shards
-    w.Write(std::uint64_t{0});  // the one bucket's raw edge count
-    ASSERT_TRUE(w.Finish().ok());
-  }
-  BoundaryEdgeIndex::FileData boundary;
-  expect_version_error(BoundaryEdgeIndex::ReadFile(bin, 1, &boundary), 1);
 }
 
 TEST_F(ShardManifestTest, MissingDirectoryIsNotFound) {

@@ -8,10 +8,10 @@
 //      while cumulative history grows k-fold. The gate is resident at 4x
 //      history <= 1.5x resident at 1x history.
 //
-//   2. Retire keeps up with ingest: expiring E edges through the retire
-//      pass (window-log pop + recorded-weight deletion + detection) runs
-//      within 2x of inserting those same E edges through the full
-//      admission path (ratio >= 0.5).
+//   2. Retire is batched: expiring E edges through the retire pass
+//      (window-log pop + one recorded-weight DeleteBatch + detection) runs
+//      at least 20x faster than inserting those same E edges through the
+//      full admission path (ratio >= 20; per-edge deletion ran at ~1x).
 //
 // Emits BENCH_window.json (path = argv[1], default ./). The repo commits
 // a reference copy; CI uploads a fresh one per run.

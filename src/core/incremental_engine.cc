@@ -1,10 +1,22 @@
 #include "core/incremental_engine.h"
 
 #include <algorithm>
+#include <sstream>
+#include <string>
+#include <tuple>
 
 #include "common/logging.h"
 
 namespace spade {
+namespace {
+
+std::string DescribeEdge(const Edge& e) {
+  std::ostringstream os;
+  os << e.src << "->" << e.dst << " (weight " << e.weight << ")";
+  return os.str();
+}
+
+}  // namespace
 
 Status IncrementalEngine::InsertEdge(DynamicGraph* g, PeelState* state,
                                      const Edge& edge,
@@ -134,90 +146,161 @@ Status IncrementalEngine::DeleteEdge(DynamicGraph* g, PeelState* state,
                                      VertexId src, VertexId dst,
                                      ReorderStats* stats,
                                      const double* weight_filter) {
-  if (src >= g->NumVertices() || dst >= g->NumVertices()) {
-    return Status::InvalidArgument("DeleteEdge: endpoint out of range");
+  Edge edge{src, dst, 0.0, 0};
+  if (weight_filter != nullptr) {
+    edge.weight = *weight_filter;
+  } else if (src < g->NumVertices() && dst < g->NumVertices()) {
+    // The most recent copy: the last (src, dst) entry of src's out-list.
+    const auto& out = g->OutNeighbors(src);
+    const auto it =
+        std::find_if(out.rbegin(), out.rend(),
+                     [&](const NeighborEntry& n) { return n.vertex == dst; });
+    if (it == out.rend()) {
+      return Status::NotFound("DeleteEdge: no edge " + std::to_string(src) +
+                              "->" + std::to_string(dst));
+    }
+    edge.weight = it->weight;
   }
-  auto removed = g->RemoveEdge(src, dst, weight_filter);
-  if (!removed.ok()) return removed.status();
+  return DeleteBatch(g, state, std::span<const Edge>(&edge, 1), stats);
+}
 
-  // Both endpoints lose weight at some steps of the sequence: the earlier-
-  // peeled endpoint x counted the edge in its stored delta; the later one y
-  // did not, but its weight at every step *before* x's position shrank, so
-  // either endpoint may deserve an earlier slot (DESIGN.md §2.6).
-  const std::size_t ps = state->PositionOf(src);
-  const std::size_t pd = state->PositionOf(dst);
-  const VertexId x = ps <= pd ? src : dst;
-  const VertexId y = ps <= pd ? dst : src;
-  const std::size_t px = std::min(ps, pd);
-  const std::size_t py = std::max(ps, pd);
+Status IncrementalEngine::CheckDeleteBatch(const DynamicGraph& g,
+                                           std::span<const Edge> edges) {
+  for (const Edge& e : edges) {
+    if (e.src >= g.NumVertices() || e.dst >= g.NumVertices()) {
+      return Status::InvalidArgument("DeleteBatch: edge " + DescribeEdge(e) +
+                                     " has an endpoint out of range");
+    }
+    // No stored copy weighs <= 0 or NaN (AddEdge refuses them), and NaN
+    // would break the sort below.
+    if (!(e.weight > 0.0)) {
+      return Status::NotFound("DeleteBatch: edge " + DescribeEdge(e) +
+                              " not present");
+    }
+  }
+  // Presence by multiplicity: each run of equal (src, dst, weight) requests
+  // needs as many stored copies.
+  delete_keys_.assign(edges.begin(), edges.end());
+  const auto key = [](const Edge& e) {
+    return std::tuple(e.src, e.dst, e.weight);
+  };
+  std::sort(delete_keys_.begin(), delete_keys_.end(),
+            [&](const Edge& a, const Edge& b) { return key(a) < key(b); });
+  for (std::size_t i = 0; i < delete_keys_.size();) {
+    const Edge& e = delete_keys_[i];
+    std::size_t requested = 0;
+    for (; i < delete_keys_.size() && key(delete_keys_[i]) == key(e); ++i) {
+      ++requested;
+    }
+    std::size_t stored = 0;
+    for (const NeighborEntry& n : g.OutNeighbors(e.src)) {
+      stored += n.vertex == e.dst && n.weight == e.weight ? 1 : 0;
+    }
+    if (stored < requested) {
+      return Status::NotFound(
+          "DeleteBatch: edge " + DescribeEdge(e) + " requested " +
+          std::to_string(requested) + "x, " + std::to_string(stored) +
+          " stored");
+    }
+  }
+  return Status::OK();
+}
+
+Status IncrementalEngine::DeleteBatch(DynamicGraph* g, PeelState* state,
+                                      std::span<const Edge> edges,
+                                      ReorderStats* stats) {
+  if (edges.empty()) return Status::OK();
+  SPADE_RETURN_NOT_OK(CheckDeleteBatch(*g, edges));
+  batch_endpoints_.clear();
+  for (const Edge& e : edges) {
+    const auto removed = g->RemoveEdge(e.src, e.dst, &e.weight);
+    SPADE_CHECK(removed.ok());
+    batch_endpoints_.push_back(e.src);
+    batch_endpoints_.push_back(e.dst);
+  }
+  std::sort(batch_endpoints_.begin(), batch_endpoints_.end());
+  batch_endpoints_.erase(
+      std::unique(batch_endpoints_.begin(), batch_endpoints_.end()),
+      batch_endpoints_.end());
 
   BumpEpoch();
   pending_.EnsureCapacity(g->NumVertices());
   EnsureScratch(static_cast<VertexId>(g->NumVertices() - 1));
   ReorderStats local;
 
-  // Backward walk (Appendix C.1): the earliest step where the endpoint's
-  // current peeling weight undercuts the incumbent. w_u(S_k) starts at the
-  // post-deletion whole-graph weight and loses each incident edge whose
-  // other end peels before step k. Returns the endpoint's old position when
-  // it keeps its slot.
-  const auto walk_splice = [&](VertexId u, std::size_t pu,
-                               double* weight_at_splice) {
-    double cur = g->WeightedDegree(u);
-    local.touched_edges += g->Degree(u);
-    neighbor_weight_by_pos_.clear();
-    g->ForEachIncident(u, [&](VertexId v, double w) {
-      if (v != u) {
-        neighbor_weight_by_pos_.emplace_back(state->PositionOf(v), w);
-      }
-    });
-    std::sort(neighbor_weight_by_pos_.begin(), neighbor_weight_by_pos_.end());
-    std::size_t ni = 0;
-    for (std::size_t k = 0; k < pu; ++k) {
-      if (HeapKeyLess(cur, u, state->DeltaAt(k), state->VertexAt(k))) {
-        *weight_at_splice = cur;
-        return k;
-      }
-      while (ni < neighbor_weight_by_pos_.size() &&
-             neighbor_weight_by_pos_[ni].first == k) {
-        cur -= neighbor_weight_by_pos_[ni].second;
-        ++ni;
-      }
-    }
-    *weight_at_splice = cur;
-    return pu;
-  };
-
-  double wx = 0.0, wy = 0.0;
-  const std::size_t splice_x = walk_splice(x, px, &wx);
-  const std::size_t splice_y = walk_splice(y, py, &wy);
-
-  // x's stored delta counted the deleted edge, so it shrinks by the edge
-  // weight even when x keeps its slot; wx at k == px is exactly that value.
-  if (splice_x == px && splice_y == py) {
-    state->Assign(px, x, wx);
-    state->InvalidateBest();
-    if (stats != nullptr) stats->Accumulate(local);
-    return Status::OK();
-  }
-
-  // Either endpoint moves: seed the queue with both at their exact weights
-  // from the merged splice point. The weight is taken at the splice cursor
+  // Every endpoint may deserve an earlier slot (DESIGN.md §2.6): seed them
+  // all into T at their exact weights from the earliest splice point and
+  // let one merge order them. The weight is taken at the splice cursor
   // rather than at the endpoint's own slot, so the O(1) recovery identity
-  // does not apply — recompute from the graph (two scans per deletion, the
-  // same order as walk_splice itself). Their dips can cascade through
-  // neighbors; the merge's early-pop sweep handles that transitively.
-  const std::size_t splice = std::min(splice_x, splice_y);
-  for (VertexId u : {x, y}) {
+  // does not apply — recompute from the graph, O(deg) per endpoint like the
+  // walk itself. Their dips can cascade through neighbors; the merge's
+  // early-pop sweep handles that transitively.
+  const std::size_t splice = FindSplice(*g, *state, &local);
+  for (VertexId u : batch_endpoints_) {
     PushPending(*g, u, state->PositionOf(u),
                 ExactPendingWeight(*g, u, splice, *state, &local), &local);
   }
-
   black_positions_.clear();
   MergeLoop(*g, state, black_positions_, splice, &local);
   state->InvalidateBest();
   if (stats != nullptr) stats->Accumulate(local);
   return Status::OK();
+}
+
+std::size_t IncrementalEngine::FindSplice(const DynamicGraph& g,
+                                          const PeelState& state,
+                                          ReorderStats* stats) {
+  // The splice walk (Appendix C.1), all endpoints at once. Each endpoint's
+  // weight w_u(S_k) starts at its post-deletion whole-graph weight and loses
+  // each incident edge whose other end peels before step k; a min-heap
+  // keeps the lightest. Slots before the earliest endpoint hold
+  // non-endpoints, whose weights the batch did not change, so the prefix
+  // stays canonical up to the first slot where an endpoint undercuts the
+  // incumbent. An endpoint's stored delta can only overstate its new
+  // weight, so the walk stops at the earliest endpoint slot regardless.
+  SPADE_DCHECK(pending_.empty());
+  std::size_t first = state.size();
+  for (VertexId u : batch_endpoints_) {
+    first = std::min(first, state.PositionOf(u));
+  }
+  splice_events_.clear();
+  for (VertexId u : batch_endpoints_) {
+    pending_.Push(u, g.WeightedDegree(u));
+    g.ForEachIncident(u, [&](VertexId v, double c) {
+      const std::size_t pv = state.PositionOf(v);
+      if (pv < first) splice_events_.push_back({pv, u, c});
+    });
+    stats->touched_edges += g.Degree(u);
+  }
+  std::sort(splice_events_.begin(), splice_events_.end(),
+            [](const SpliceEvent& a, const SpliceEvent& b) {
+              return std::tie(a.pos, a.endpoint, a.weight) <
+                     std::tie(b.pos, b.endpoint, b.weight);
+            });
+
+  // Slot k is checked before its events apply. Between two event slots the
+  // lightest key is fixed, so the incumbents in between are scanned with
+  // one comparison each.
+  const auto seq = state.seq();
+  const auto delta = state.delta();
+  const SpliceEvent* ev = splice_events_.data();
+  const SpliceEvent* const end = ev + splice_events_.size();
+  std::size_t k = 0;
+  while (true) {
+    const std::size_t last = ev == end ? first : ev->pos + 1;
+    const double top_weight = pending_.TopWeight();
+    const VertexId top_vertex = pending_.TopVertex();
+    while (k < last &&
+           !HeapKeyLess(top_weight, top_vertex, delta[k], seq[k])) {
+      ++k;
+    }
+    if (k < last || k == first) break;
+    for (const std::size_t pos = ev->pos; ev != end && ev->pos == pos; ++ev) {
+      pending_.Decrease(ev->endpoint, -ev->weight);
+    }
+  }
+  while (!pending_.empty()) pending_.Pop();
+  return k;
 }
 
 double IncrementalEngine::ExactPendingWeight(const DynamicGraph& g,

@@ -4,7 +4,9 @@
 //   * single edge insertion (§4.1) — a batch of size one,
 //   * peeling sequence reordering in batch (Algorithm 2, §4.2) with the
 //     black/gray/white affected-vertex coloring,
-//   * edge deletion (Appendix C.1) via backward splice + forward merge.
+//   * edge deletion (Appendix C.1), batched like Algorithm 3's edge
+//     grouping: one splice walk over every endpoint of the batch, then one
+//     forward merge (DESIGN.md §2.6). A single deletion is a batch of one.
 //
 // The engine rewrites the affected slice of the PeelState in place; the
 // unaffected prefix (Lemma 4.1) and the suffix beyond the affected area are
@@ -92,9 +94,18 @@ class IncrementalEngine {
   Status InsertEdge(DynamicGraph* g, PeelState* state, const Edge& edge,
                     const VertexSuspFn& vsusp, ReorderStats* stats);
 
-  /// Removes one (src, dst) edge from `g` and restores `state` to a valid
-  /// canonical peeling of the shrunken graph (Appendix C.1 extension).
-  /// `weight_filter`, when non-null, selects which parallel copy to remove.
+  /// Removes a batch of edges from `g` and restores `state` to the
+  /// canonical peeling of the shrunken graph (Appendix C.1 extension). Each
+  /// edge removes one stored (src, dst) copy carrying exactly its weight.
+  /// The batch is atomic: every edge is checked first — endpoints in range,
+  /// and enough stored copies counted by multiplicity, so two requests for
+  /// one copy fail — and on failure the call returns kInvalidArgument or
+  /// kNotFound naming the edge, leaving `g` and `state` untouched.
+  Status DeleteBatch(DynamicGraph* g, PeelState* state,
+                     std::span<const Edge> edges, ReorderStats* stats);
+
+  /// Single-edge DeleteBatch. `weight_filter`, when non-null, selects which
+  /// parallel copy to remove; otherwise the most recently inserted one goes.
   Status DeleteEdge(DynamicGraph* g, PeelState* state, VertexId src,
                     VertexId dst, ReorderStats* stats,
                     const double* weight_filter = nullptr);
@@ -187,6 +198,15 @@ class IncrementalEngine {
     return s.stamp == epoch_ ? s.recov : 0.0;
   }
   void AddRecov(VertexId v, double amount) { Scratch(v).recov += amount; }
+
+  /// Checks a DeleteBatch request against `g` without changing anything.
+  Status CheckDeleteBatch(const DynamicGraph& g, std::span<const Edge> edges);
+
+  /// The deletion splice walk: the earliest slot where some endpoint in
+  /// `batch_endpoints_` undercuts the incumbent, or the earliest endpoint
+  /// slot, over the already-shrunken graph. Leaves `pending_` empty.
+  std::size_t FindSplice(const DynamicGraph& g, const PeelState& state,
+                         ReorderStats* stats);
 
   /// Runs the three-case merge loop from `start`. `black_positions` must be
   /// sorted ascending; the queue may be pre-seeded (deletion path).
@@ -301,8 +321,16 @@ class IncrementalEngine {
 
   std::vector<std::size_t> black_positions_;
   std::vector<VertexId> new_vertices_;
-  std::vector<VertexId> batch_endpoints_;  // sorted, for gap-fill exclusion
-  std::vector<std::pair<std::size_t, double>> neighbor_weight_by_pos_;
+  std::vector<VertexId> batch_endpoints_;  // sorted (deduplicated on delete)
+  std::vector<Edge> delete_keys_;          // CheckDeleteBatch scratch
+
+  // A splice-walk event: at slot `pos` the endpoint loses `weight`.
+  struct SpliceEvent {
+    std::size_t pos;
+    VertexId endpoint;
+    double weight;
+  };
+  std::vector<SpliceEvent> splice_events_;
 
   // Queue members whose gray+credit incident pass is still deferred
   // (vertex, pre-merge position). Settled by FlushCredits or cancelled

@@ -32,10 +32,6 @@ Status PeriodDetector::ApplyInsert(std::size_t i) {
   return spade_.ApplyEdge(raw, &applied_weight_[i]);
 }
 
-Status PeriodDetector::ApplyDelete(std::size_t i) {
-  return spade_.RetireEdge(log_[i].src, log_[i].dst, applied_weight_[i]);
-}
-
 Status PeriodDetector::SetPeriod(Timestamp begin, Timestamp end) {
   if (begin > end) {
     return Status::InvalidArgument("SetPeriod: begin > end");
@@ -47,13 +43,17 @@ Status PeriodDetector::SetPeriod(Timestamp begin, Timestamp end) {
 
   // Figure 17's five cases reduce to two interval differences:
   // delete [lo_, hi_) \ [new_lo, new_hi), insert [new_lo, new_hi) \ [lo_, hi_).
-  // Deletions run first so degree-dependent semantics weigh entering edges
-  // against the closest approximation of the target period's graph.
+  // Deletions run first, as one batch at the recorded applied weights, so
+  // degree-dependent semantics weigh entering edges against the closest
+  // approximation of the target period's graph.
+  std::vector<Edge> leaving;
   for (std::size_t i = lo_; i < hi_; ++i) {
     if (i < new_lo || i >= new_hi) {
-      SPADE_RETURN_NOT_OK(ApplyDelete(i));
+      leaving.push_back(log_[i]);
+      leaving.back().weight = applied_weight_[i];
     }
   }
+  SPADE_RETURN_NOT_OK(spade_.RetireEdges(leaving));
   for (std::size_t i = new_lo; i < new_hi; ++i) {
     if (i < lo_ || i >= hi_) {
       SPADE_RETURN_NOT_OK(ApplyInsert(i));

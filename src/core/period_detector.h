@@ -8,8 +8,8 @@
 // overlaps) with one uniform diff computation.
 //
 // A thin adapter over one Spade (without a window log: a period moves both
-// ends) adding the period diffing; leaving edges go through RetireEdge at
-// their recorded applied weight.
+// ends) adding the period diffing; a retarget's leaving edges go through
+// one RetireEdges batch at their recorded applied weights.
 
 #pragma once
 
@@ -52,8 +52,6 @@ class PeriodDetector {
 
   /// Inserts log[i] into the graph/state, recording its applied weight.
   Status ApplyInsert(std::size_t i);
-  /// Removes log[i] using the weight recorded at insertion.
-  Status ApplyDelete(std::size_t i);
 
   std::vector<Edge> log_;
   Spade spade_;

@@ -201,13 +201,12 @@ Status Spade::DeleteEdge(VertexId src, VertexId dst) {
   return engine_.DeleteEdge(&graph_, &state_, src, dst, &stats_);
 }
 
-Status Spade::RetireEdge(VertexId src, VertexId dst, double applied_weight) {
+Status Spade::RetireEdges(std::span<const Edge> edges) {
   if (window_on_) {
-    return Status::FailedPrecondition("RetireEdge: the window log is on");
+    return Status::FailedPrecondition("RetireEdges: the window log is on");
   }
   SPADE_RETURN_NOT_OK(Flush());
-  return engine_.DeleteEdge(&graph_, &state_, src, dst, &stats_,
-                            &applied_weight);
+  return engine_.DeleteBatch(&graph_, &state_, edges, &stats_);
 }
 
 Result<std::vector<Edge>> Spade::RetireOlderThan(Timestamp horizon) {
@@ -216,14 +215,15 @@ Result<std::vector<Edge>> Spade::RetireOlderThan(Timestamp horizon) {
   // Only a pass that retires anything flushes, so a replayed pass record
   // flushes the same buffered prefix and needs no flush marker before it.
   SPADE_RETURN_NOT_OK(Flush());
-  while (!window_.empty() && window_.front().ts < horizon) {
-    const Edge& old = window_.front();
-    // The logged weight: FD's degree term has moved on since admission.
-    SPADE_RETURN_NOT_OK(engine_.DeleteEdge(&graph_, &state_, old.src,
-                                           old.dst, &stats_, &old.weight));
-    retired.push_back(old);
-    window_.pop_front();
-  }
+  const auto expired = std::find_if(
+      window_.begin(), window_.end(),
+      [&](const Edge& e) { return e.ts >= horizon; });
+  // One batch at the logged weights (FD's degree term has moved on since
+  // admission); the log keeps its prefix unless the whole batch applies.
+  retired.assign(window_.begin(), expired);
+  SPADE_RETURN_NOT_OK(
+      engine_.DeleteBatch(&graph_, &state_, retired, &stats_));
+  window_.erase(window_.begin(), expired);
   return retired;
 }
 

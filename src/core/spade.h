@@ -11,7 +11,9 @@
 //
 // Time-window detection (Appendix C.3) rides on an optional window log:
 // admitted edges are logged in arrival order, and RetireOlderThan expires
-// the old prefix — the one expiry mechanism of the codebase.
+// the old prefix — the one expiry mechanism of the codebase. Deletion is
+// batched the way edge grouping batches insertion: every delete, from one
+// DeleteEdge to a whole retire pass, is one IncrementalEngine::DeleteBatch.
 
 #pragma once
 
@@ -75,7 +77,7 @@ class Spade {
 
   /// Logs every edge admitted from now on (initial-graph edges never
   /// expire). One-way: while the log is on, edges leave only through
-  /// RetireOlderThan, and DeleteEdge / RetireEdge refuse.
+  /// RetireOlderThan, and DeleteEdge / RetireEdges refuse.
   void TurnOnWindowLog() { window_on_ = true; }
 
   /// Loads an edge-list file as the initial graph and runs the static
@@ -104,7 +106,7 @@ class Spade {
   /// high-throughput ingestion applies edges and detects per flush).
   /// `applied_weight` (optional) receives the post-ESusp weight the edge
   /// entered (or will enter, if benign-buffered) the graph with — the
-  /// weight a later RetireEdge must subtract. An edge whose post-ESusp
+  /// weight a later RetireEdges must subtract. An edge whose post-ESusp
   /// weight is not finite and positive fails with kInvalidArgument before
   /// anything is buffered (ApplyBatchEdges then applies none of the batch).
   /// With the window log on, each admitted edge is logged at that weight.
@@ -116,17 +118,19 @@ class Spade {
   /// with kFailedPrecondition while the window log is on.
   Status DeleteEdge(VertexId src, VertexId dst);
 
-  /// DeleteEdge of the copy carrying exactly `applied_weight` (the value
-  /// ApplyEdge reported) — PeriodDetector's delete path. Same flush and
-  /// refusal as DeleteEdge.
-  Status RetireEdge(VertexId src, VertexId dst, double applied_weight);
+  /// Deletes `edges` as one batch, each the copy carrying exactly its
+  /// `weight` (the applied weight ApplyEdge reported) — PeriodDetector's
+  /// delete path. Same flush and refusal as DeleteEdge. Atomic: when any
+  /// edge has no stored copy left, nothing is deleted.
+  Status RetireEdges(std::span<const Edge> edges);
 
   /// Window expiry: pops the window log's arrival-ordered prefix with
-  /// ts < `horizon`, deleting each edge at its logged applied weight, and
-  /// returns those edges oldest first (a late arrival shields the entries
-  /// behind it: conservative, never over-retires). A pass that retires
-  /// anything flushes the benign buffer first, so replaying the same
-  /// admissions and horizons reproduces it bit for bit.
+  /// ts < `horizon`, deleting it as one batch at the logged applied
+  /// weights, and returns those edges oldest first (a late arrival shields
+  /// the entries behind it: conservative, never over-retires). A pass that
+  /// retires anything flushes the benign buffer first, so replaying the
+  /// same admissions and horizons reproduces it bit for bit; the log keeps
+  /// its prefix when the batch fails.
   Result<std::vector<Edge>> RetireOlderThan(Timestamp horizon);
 
   /// Definition 4.1 on an already-weighted edge: true iff neither endpoint

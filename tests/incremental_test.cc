@@ -1,14 +1,17 @@
 // Tests for the incremental reordering engine: single edge insertion
-// (§4.1), batch reordering (Algorithm 2) and edge deletion (Appendix C.1),
-// all verified for exact equivalence against the static peeler.
+// (§4.1), batch reordering (Algorithm 2) and batched edge deletion
+// (Appendix C.1), all verified for exact equivalence against the static
+// peeler.
 
 #include "core/incremental_engine.h"
 
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
 #include "common/rng.h"
+#include "metrics/semantics.h"
 #include "peel/static_peeler.h"
 #include "tests/test_util.h"
 
@@ -308,6 +311,154 @@ TEST(IncrementalDeleteTest, MixedInsertDeleteEquivalence) {
       ExpectStateEquals(PeelStatic(g), state);
     }
   }
+}
+
+// Batched deletion (DESIGN.md §2.6): one splice walk over every endpoint of
+// a batch, then one merge. Random batches of 1 to 4,096 stored copies,
+// interleaved with insert batches, on graphs spanning many 512-slot blocks.
+// Parallel copies of equal weight make requests that differ only in which
+// copy they name.
+class BatchDeleteTest : public ::testing::Test {
+ protected:
+  static constexpr std::size_t kBatchSizes[] = {1, 2, 7, 64, 500, 4096};
+
+  // Every stored copy of g, one entry per copy.
+  static std::vector<Edge> StoredCopies(const DynamicGraph& g) {
+    std::vector<Edge> copies;
+    for (VertexId u = 0; u < g.NumVertices(); ++u) {
+      for (const NeighborEntry& e : g.OutNeighbors(u)) {
+        copies.push_back({u, e.vertex, e.weight, 0});
+      }
+    }
+    return copies;
+  }
+
+  // Removes min(size, live->size()) random copies from `live`.
+  static std::vector<Edge> DrawBatch(Rng* rng, std::vector<Edge>* live,
+                                     std::size_t size) {
+    std::vector<Edge> batch;
+    while (batch.size() < size && !live->empty()) {
+      const std::size_t pick = rng->NextBounded(live->size());
+      batch.push_back((*live)[pick]);
+      (*live)[pick] = live->back();
+      live->pop_back();
+    }
+    return batch;
+  }
+};
+
+TEST_F(BatchDeleteTest, MatchesStaticPeelTieExact) {
+  Rng rng(2026);
+  for (int trial = 0; trial < 6; ++trial) {
+    const std::size_t n = 1500 + rng.NextBounded(4501);
+    // Odd trials carry vertex priors.
+    DynamicGraph g = RandomGraph(&rng, n, 2 * n, 6, trial % 2 == 1 ? 3 : 0);
+    std::vector<Edge> live = StoredCopies(g);
+    for (std::size_t i = 0; i < n / 4; ++i) {
+      const Edge twin = live[rng.NextBounded(live.size())];
+      ASSERT_TRUE(g.AddEdge(twin.src, twin.dst, twin.weight).ok());
+      live.push_back(twin);
+    }
+    PeelState state = PeelStatic(g);
+    IncrementalEngine engine;
+    const auto expect_static = [&](const char* step, std::size_t size) {
+      const PeelState expected = PeelStatic(g);
+      SCOPED_TRACE(::testing::Message() << "trial " << trial << " n " << n
+                                        << " " << step << " " << size);
+      ExpectStateEquals(expected, state, 0.0);
+      EXPECT_EQ(expected.BestStart(), state.BestStart());
+    };
+    for (std::size_t size : kBatchSizes) {
+      const std::vector<Edge> batch = DrawBatch(&rng, &live, size);
+      ASSERT_TRUE(engine.DeleteBatch(&g, &state, batch, nullptr).ok());
+      expect_static("delete", size);
+      if (::testing::Test::HasFatalFailure()) return;
+
+      std::vector<Edge> inserted;
+      for (std::size_t i = 0; i < 1 + size / 4; ++i) {
+        inserted.push_back(RandomEdge(&rng, n, 6));
+      }
+      ASSERT_TRUE(
+          engine.InsertBatch(&g, &state, inserted, nullptr, nullptr).ok());
+      live.insert(live.end(), inserted.begin(), inserted.end());
+      expect_static("insert", size);
+      if (::testing::Test::HasFatalFailure()) return;
+    }
+  }
+}
+
+// FD weights are continuous (1/log terms of the destination's degree at
+// insertion), so structurally tied vertices may swap within an ulp: the
+// state is checked canonical without the tie-break.
+TEST_F(BatchDeleteTest, FdWeightedStaysCanonical) {
+  const FraudSemantics fd = MakeFD();
+  Rng rng(2027);
+  const std::size_t n = 1500;
+  DynamicGraph g(n);
+  for (std::size_t i = 0; i < 2 * n; ++i) {
+    Edge e = RandomEdge(&rng, n);
+    e.weight = fd.esusp(e, g);
+    ASSERT_TRUE(g.AddEdge(e.src, e.dst, e.weight).ok());
+  }
+  std::vector<Edge> live = StoredCopies(g);
+  PeelState state = PeelStatic(g);
+  IncrementalEngine engine;
+  for (std::size_t size : {std::size_t{1}, std::size_t{7}, std::size_t{500},
+                           std::size_t{2048}}) {
+    SCOPED_TRACE(::testing::Message() << "batch " << size);
+    const std::vector<Edge> batch = DrawBatch(&rng, &live, size);
+    ASSERT_TRUE(engine.DeleteBatch(&g, &state, batch, nullptr).ok());
+    ValidateCanonicalSequence(g, state, 1e-9, /*check_tie_break=*/false);
+    if (::testing::Test::HasFatalFailure()) return;
+
+    std::vector<Edge> inserted;
+    for (std::size_t i = 0; i < 1 + size / 4; ++i) {
+      inserted.push_back(RandomEdge(&rng, n));
+      inserted.back().weight = fd.esusp(inserted.back(), g);
+    }
+    ASSERT_TRUE(
+        engine.InsertBatch(&g, &state, inserted, nullptr, nullptr).ok());
+    live.insert(live.end(), inserted.begin(), inserted.end());
+    ValidateCanonicalSequence(g, state, 1e-9, /*check_tie_break=*/false);
+    if (::testing::Test::HasFatalFailure()) return;
+  }
+}
+
+// A batch is checked whole before any edge is removed: a failing request
+// leaves the graph and the state exactly as they were.
+TEST_F(BatchDeleteTest, FailedBatchChangesNothing) {
+  Rng rng(2028);
+  DynamicGraph g = RandomGraph(&rng, 40, 120, 5, 0);
+  ASSERT_TRUE(g.AddEdge(3, 7, 9.0).ok());  // the only 3 -> 7 copy of weight 9
+  PeelState state = PeelStatic(g);
+  IncrementalEngine engine;
+  const std::size_t edges_before = g.NumEdges();
+  const PeelState state_before = state;
+  const std::vector<Edge> present = StoredCopies(g);
+
+  const auto expect_refused = [&](const std::vector<Edge>& batch,
+                                  StatusCode code, const std::string& names) {
+    const Status s = engine.DeleteBatch(&g, &state, batch, nullptr);
+    EXPECT_EQ(s.code(), code) << s.ToString();
+    EXPECT_NE(s.ToString().find(names), std::string::npos) << s.ToString();
+    EXPECT_EQ(g.NumEdges(), edges_before);
+    ExpectStateEquals(state_before, state, 0.0);
+  };
+  // Three present edges, then one that was never inserted.
+  expect_refused({present[0], present[1], present[2], {3, 7, 2.5, 0}},
+                 StatusCode::kNotFound, "3->7 (weight 2.5)");
+  // Two requests for the single stored copy.
+  expect_refused({{3, 7, 9.0, 0}, present[5], {3, 7, 9.0, 0}},
+                 StatusCode::kNotFound, "3->7 (weight 9)");
+  // An endpoint beyond the graph.
+  expect_refused({present[0], {3, 40, 1.0, 0}}, StatusCode::kInvalidArgument,
+                 "3->40");
+
+  // The same copies, each requested once, apply.
+  const std::vector<Edge> single{{3, 7, 9.0, 0}};
+  ASSERT_TRUE(engine.DeleteBatch(&g, &state, single, nullptr).ok());
+  EXPECT_EQ(g.NumEdges(), edges_before - 1);
+  ExpectStateEquals(PeelStatic(g), state, 0.0);
 }
 
 // Displacement runs (DESIGN.md §3.4): a graph whose merges move thousands

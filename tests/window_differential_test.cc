@@ -14,6 +14,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <deque>
+#include <span>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -337,7 +338,8 @@ TEST(WindowedSpadeTest, UnloggedDeletesRefuseWhileTheLogIsOn) {
   ASSERT_TRUE(spade.ApplyEdge({0, 1, 2.0, 10}).ok());
   const Status del = spade.DeleteEdge(0, 1);
   EXPECT_EQ(del.code(), StatusCode::kFailedPrecondition) << del.ToString();
-  const Status retire = spade.RetireEdge(0, 1, 2.0);
+  const Edge logged{0, 1, 2.0, 10};
+  const Status retire = spade.RetireEdges(std::span<const Edge>(&logged, 1));
   EXPECT_EQ(retire.code(), StatusCode::kFailedPrecondition)
       << retire.ToString();
   EXPECT_EQ(spade.graph().NumEdges() + spade.PendingBenignEdges(), 1u);

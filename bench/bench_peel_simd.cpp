@@ -11,14 +11,20 @@
 //  3. detect_after_edge — end to end: single-edge insert through the
 //     incremental engine plus one blocked Detect, per dispatch target via
 //     the override seam. CI gates regressions on this entry.
+//  4. detect_after_heavy_edge — the same state and endpoints with edges of
+//     weight 20-60, which rewrite ~14k slots and dirty ~30 blocks per
+//     update; only the Detect after each insert is timed, and the entry
+//     reports hull rebuilds per Detect (host-independent: CI gates it).
 //
 // Emits BENCH_peel.json (path = argv[1], default ./): one entry per
-// experiment with {name, n, scalar_us, simd_us, speedup, target}. scalar_us
-// always comes from the always-built scalar reference; simd_us from the
-// compile-time dispatch target (equal when the build is scalar-only).
+// experiment with {name, n, scalar_us, simd_us, speedup, target}, plus any
+// counts the experiment reports. scalar_us always comes from the
+// always-built scalar reference; simd_us from the compile-time dispatch
+// target (equal when the build is scalar-only).
 
 #include <cstdio>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bench/bench_meta.h"
@@ -39,6 +45,8 @@ struct Entry {
   double simd_us = 0.0;
   std::string target;
   std::string note;
+  // Host-independent counts, written after the timing fields.
+  std::vector<std::pair<std::string, double>> counts;
   double speedup() const { return scalar_us / simd_us; }
 };
 
@@ -162,43 +170,80 @@ Entry BenchBlockSumRefresh(const simd::SimdTarget& scalar,
   return e;
 }
 
-/// End to end: one single-edge insert through the incremental engine plus
-/// one blocked Detect, per dispatch target. Mirrors bench_incremental's
-/// detect_after_edge workload shape so the two JSONs stay comparable.
-Entry BenchDetectAfterEdge(const simd::SimdTarget& scalar,
-                           const simd::SimdTarget& vec) {
-  constexpr std::size_t kN = std::size_t{1} << 16;
-  constexpr std::size_t kUpdates = 256;
+constexpr std::size_t kDetectN = std::size_t{1} << 16;
+constexpr std::size_t kUpdates = 256;
+
+/// The 64Ki-vertex Zipf graph both detect entries update, and its peel.
+struct ZipfBase {
+  DynamicGraph graph;
+  PeelState state;
+};
+
+ZipfBase BuildZipfBase() {
   Rng graph_rng(17);
-  DynamicGraph g0(kN);
-  for (std::size_t i = 0; i < 4 * kN; ++i) {
-    auto s = static_cast<VertexId>(graph_rng.NextZipf(kN, 0.9));
-    auto d = static_cast<VertexId>(graph_rng.NextZipf(kN, 0.9));
-    while (d == s) d = static_cast<VertexId>(graph_rng.NextZipf(kN, 0.9));
+  DynamicGraph g0(kDetectN);
+  for (std::size_t i = 0; i < 4 * kDetectN; ++i) {
+    auto s = static_cast<VertexId>(graph_rng.NextZipf(kDetectN, 0.9));
+    auto d = static_cast<VertexId>(graph_rng.NextZipf(kDetectN, 0.9));
+    while (d == s) {
+      d = static_cast<VertexId>(graph_rng.NextZipf(kDetectN, 0.9));
+    }
     (void)g0.AddEdge(s, d, 1.0 + 9.0 * graph_rng.NextDouble());
   }
-  const PeelState s0 = PeelStatic(g0);
+  PeelState s0 = PeelStatic(g0);
+  return {std::move(g0), std::move(s0)};
+}
+
+/// kUpdates edges between Zipf endpoints with weights in [lo, lo + span).
+/// Both detect entries draw the same endpoints.
+std::vector<Edge> ZipfStream(double lo, double span) {
   Rng rng(19);
   std::vector<Edge> stream;
   for (std::size_t i = 0; i < kUpdates; ++i) {
     Edge e;
-    e.src = static_cast<VertexId>(rng.NextZipf(kN, 0.9));
-    e.dst = static_cast<VertexId>(rng.NextZipf(kN, 0.9));
+    e.src = static_cast<VertexId>(rng.NextZipf(kDetectN, 0.9));
+    e.dst = static_cast<VertexId>(rng.NextZipf(kDetectN, 0.9));
     while (e.dst == e.src) {
-      e.dst = static_cast<VertexId>(rng.NextZipf(kN, 0.9));
+      e.dst = static_cast<VertexId>(rng.NextZipf(kDetectN, 0.9));
     }
-    e.weight = 0.01 + 0.04 * rng.NextDouble();
+    e.weight = lo + span * rng.NextDouble();
     stream.push_back(e);
   }
+  return stream;
+}
 
-  // One timed replay under `t`, seconds. The scalar and vector passes are
-  // interleaved rep by rep below so slow host-wide drift (frequency, noisy
-  // co-tenants on a 1-core runner) hits both targets alike instead of
-  // whichever was measured second.
+/// Best-of-kReps seconds of `replay(target)` per target. The scalar and
+/// vector passes are interleaved rep by rep so slow host-wide drift
+/// (frequency, noisy co-tenants on a 1-core runner) hits both targets alike
+/// instead of whichever was measured second.
+template <typename Replay>
+std::pair<double, double> BestOfInterleaved(Replay&& replay,
+                                            const simd::SimdTarget& scalar,
+                                            const simd::SimdTarget& vec) {
+  double best_scalar_s = 0.0, best_vec_s = 0.0;
+  constexpr int kReps = 7;
+  for (int rep = 0; rep <= kReps; ++rep) {
+    const double s = replay(scalar);
+    const double v = replay(vec);
+    if (rep == 0) continue;  // warmup
+    if (best_scalar_s == 0.0 || s < best_scalar_s) best_scalar_s = s;
+    if (best_vec_s == 0.0 || v < best_vec_s) best_vec_s = v;
+  }
+  return {best_scalar_s, best_vec_s};
+}
+
+/// End to end: one single-edge insert through the incremental engine plus
+/// one blocked Detect, per dispatch target. Mirrors bench_incremental's
+/// detect_after_edge workload shape so the two JSONs stay comparable.
+Entry BenchDetectAfterEdge(const ZipfBase& base,
+                           const simd::SimdTarget& scalar,
+                           const simd::SimdTarget& vec) {
+  const std::vector<Edge> stream = ZipfStream(0.01, 0.04);
+  // One timed replay under `t`, seconds.
   const auto replay = [&](const simd::SimdTarget& t) {
     simd::SetSimdTargetForTesting(&t);
-    DynamicGraph g = g0;
-    PeelState state = s0;
+    DynamicGraph g = base.graph;
+    PeelState state = base.state;
     IncrementalEngine engine;
     volatile double guard = 0.0;
     Timer timer;
@@ -211,22 +256,61 @@ Entry BenchDetectAfterEdge(const simd::SimdTarget& scalar,
     simd::SetSimdTargetForTesting(nullptr);
     return elapsed;
   };
-  double best_scalar_s = 0.0, best_vec_s = 0.0;
-  constexpr int kReps = 7;
-  for (int rep = 0; rep <= kReps; ++rep) {
-    const double s = replay(scalar);
-    const double v = replay(vec);
-    if (rep == 0) continue;  // warmup
-    if (best_scalar_s == 0.0 || s < best_scalar_s) best_scalar_s = s;
-    if (best_vec_s == 0.0 || v < best_vec_s) best_vec_s = v;
-  }
+  const auto [scalar_s, vec_s] = BestOfInterleaved(replay, scalar, vec);
   Entry e;
   e.name = "detect_after_edge";
-  e.n = kN;
+  e.n = kDetectN;
   e.note = "single-edge insert + blocked Detect, us per update";
-  e.scalar_us = best_scalar_s / static_cast<double>(kUpdates) * 1e6;
-  e.simd_us = best_vec_s / static_cast<double>(kUpdates) * 1e6;
+  e.scalar_us = scalar_s / static_cast<double>(kUpdates) * 1e6;
+  e.simd_us = vec_s / static_cast<double>(kUpdates) * 1e6;
   e.target = vec.name;
+  return e;
+}
+
+/// Heavy edges rewrite a long span of the sequence, so most blocks a Detect
+/// walks are dirty: this times the Detect after each insert alone, and
+/// counts the hull rebuilds the walk's bound could not prune.
+Entry BenchDetectAfterHeavyEdge(const ZipfBase& base,
+                                const simd::SimdTarget& scalar,
+                                const simd::SimdTarget& vec) {
+  const std::vector<Edge> stream = ZipfStream(20.0, 40.0);
+  std::uint64_t rebuilds = 0;
+  std::size_t rewritten = 0;
+  // Seconds spent in the Detects of one replay under `t`.
+  const auto replay = [&](const simd::SimdTarget& t) {
+    simd::SetSimdTargetForTesting(&t);
+    DynamicGraph g = base.graph;
+    PeelState state = base.state;
+    IncrementalEngine engine;
+    ReorderStats stats;
+    volatile double guard = state.BestDensity();  // first walk, untimed
+    const std::uint64_t rebuilds_before = state.HullRebuilds();
+    double detect_s = 0.0;
+    for (const Edge& e : stream) {
+      (void)engine.InsertEdge(&g, &state, e, nullptr, &stats);
+      Timer timer;
+      guard = state.BestDensity();
+      detect_s += timer.ElapsedSeconds();
+    }
+    (void)guard;
+    rebuilds = state.HullRebuilds() - rebuilds_before;
+    rewritten = stats.rewritten_span;
+    simd::SetSimdTargetForTesting(nullptr);
+    return detect_s;
+  };
+  const auto [scalar_s, vec_s] = BestOfInterleaved(replay, scalar, vec);
+  Entry e;
+  e.name = "detect_after_heavy_edge";
+  e.n = kDetectN;
+  e.note = "weight 20-60 single-edge insert, then blocked Detect alone, "
+           "us per Detect";
+  e.scalar_us = scalar_s / static_cast<double>(kUpdates) * 1e6;
+  e.simd_us = vec_s / static_cast<double>(kUpdates) * 1e6;
+  e.target = vec.name;
+  e.counts = {{"hull_rebuilds_per_detect",
+               static_cast<double>(rebuilds) / kUpdates},
+              {"rewritten_span_per_update",
+               static_cast<double>(rewritten) / kUpdates}};
   return e;
 }
 
@@ -251,11 +335,16 @@ int main(int argc, char** argv) {
   entries.push_back(BenchSuffixScan(scalar, vec));
   entries.push_back(BenchIota(scalar, vec));
   entries.push_back(BenchBlockSumRefresh(scalar, vec));
-  entries.push_back(BenchDetectAfterEdge(scalar, vec));
+  const ZipfBase base = BuildZipfBase();
+  entries.push_back(BenchDetectAfterEdge(base, scalar, vec));
+  entries.push_back(BenchDetectAfterHeavyEdge(base, scalar, vec));
 
   for (const Entry& e : entries) {
     std::printf("%-22s %10zu %12.4f %12.4f %8.2fx  %s\n", e.name.c_str(),
                 e.n, e.scalar_us, e.simd_us, e.speedup(), e.note.c_str());
+    for (const auto& [key, value] : e.counts) {
+      std::printf("%-22s %s = %.2f\n", "", key.c_str(), value);
+    }
   }
 
   const std::string path = out_dir + "/BENCH_peel.json";
@@ -274,10 +363,13 @@ int main(int argc, char** argv) {
         f,
         "    {\"name\": \"%s\", \"n\": %zu, \"scalar_us\": %.4f, "
         "\"simd_us\": %.4f, \"speedup\": %.2f, \"target\": \"%s\", "
-        "\"note\": \"%s\"}%s\n",
+        "\"note\": \"%s\"",
         e.name.c_str(), e.n, e.scalar_us, e.simd_us, e.speedup(),
-        e.target.c_str(), e.note.c_str(),
-        i + 1 == entries.size() ? "" : ",");
+        e.target.c_str(), e.note.c_str());
+    for (const auto& [key, value] : e.counts) {
+      std::fprintf(f, ", \"%s\": %.4f", key.c_str(), value);
+    }
+    std::fprintf(f, "}%s\n", i + 1 == entries.size() ? "" : ",");
   }
   std::fprintf(f, "  ]\n}\n");
   std::fclose(f);

@@ -115,16 +115,18 @@ Status Spade::InsertWeightedBatch(std::span<const Edge> weighted) {
 }
 
 Status Spade::ApplyEdge(const Edge& raw_edge, double* applied_weight) {
-  // Reject before growing the graph: a failed insert must not leave
-  // vertices the peel state does not cover.
+  // A failed insert must not leave vertices the peel state does not cover:
+  // a self-loop fails before the graph grows, a bad weight shrinks it back.
   if (raw_edge.src == raw_edge.dst) {
     return Status::InvalidArgument("ApplyEdge: self-loops not supported");
   }
+  const std::size_t num_vertices = graph_.NumVertices();
   EnsureEndpoints(raw_edge);
   const Edge weighted = Weight(raw_edge);
   // Reject before buffering: a buffered bad edge would fail the whole batch
   // at the next flush, taking the valid edges grouped with it down too.
   if (!IsAdmissibleWeight(weighted.weight)) {
+    graph_.TruncateVertices(num_vertices);
     return Status::InvalidArgument(
         "ApplyEdge: weight must be finite and > 0");
   }
@@ -159,19 +161,22 @@ Status Spade::Admit(const Edge& weighted) {
 Status Spade::ApplyBatchEdges(std::span<const Edge> raw_edges) {
   SPADE_RETURN_NOT_OK(Flush());
   for (const Edge& raw : raw_edges) {
-    // Reject before growing the graph: a failed insert must not leave
-    // vertices the peel state does not cover.
+    // A failed insert must not leave vertices the peel state does not
+    // cover: self-loops fail before the graph grows, a bad weight shrinks
+    // it back (no edge of the batch has entered it yet).
     if (raw.src == raw.dst) {
       return Status::InvalidArgument(
           "ApplyBatchEdges: self-loops not supported");
     }
   }
+  const std::size_t num_vertices = graph_.NumVertices();
   std::vector<Edge> weighted;
   weighted.reserve(raw_edges.size());
   for (const Edge& raw : raw_edges) {
     EnsureEndpoints(raw);
     weighted.push_back(Weight(raw));
     if (!IsAdmissibleWeight(weighted.back().weight)) {
+      graph_.TruncateVertices(num_vertices);
       return Status::InvalidArgument(
           "ApplyBatchEdges: weight must be finite and > 0");
     }

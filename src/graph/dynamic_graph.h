@@ -49,6 +49,20 @@ class DynamicGraph {
     // needs no fixup.
   }
 
+  /// Drops ids [n, NumVertices()): undoes an EnsureVertices whose edge was
+  /// then refused. The dropped vertices must hold no edges and no weight.
+  void TruncateVertices(std::size_t n) {
+    if (n >= NumVertices()) return;
+    for (std::size_t v = n; v < NumVertices(); ++v) {
+      SPADE_DCHECK(out_[v].empty() && in_[v].empty() &&
+                   vertex_weight_[v] == 0.0);
+    }
+    vertex_weight_.resize(n);
+    weighted_degree_.resize(n);
+    out_.resize(n);
+    in_.resize(n);
+  }
+
   /// Adds a fresh vertex with prior suspiciousness `weight`; returns its id.
   VertexId AddVertex(double weight = 0.0) {
     const auto id = static_cast<VertexId>(NumVertices());

@@ -18,14 +18,17 @@
 //    the storage reallocated (amortized O(1) per insertion).
 //
 //  * Blocked detection index (§3.2). `delta_` is carved into fixed blocks;
-//    each block caches its sum and the upper convex hull of the points
-//    (x, y) = (end - slot, within-block suffix sum). Because x is measured
-//    from the physical end, head insertions invalidate only the head block.
-//    Detect() walks blocks tail-to-head, accumulating the suffix sum T and
-//    binary-searching each clean hull for the best density (y + T) / x, so
-//    a detection after an update costs O(rewritten span + (n/B) log B)
-//    instead of O(n). Assign/BumpDelta dirty only the block they touch,
-//    AssignRange only the blocks its run covers.
+//    each block caches its sum, its largest within-block suffix sum (the
+//    bound) and the upper convex hull of the points (x, y) = (end - slot,
+//    within-block suffix sum). Because x is measured from the physical end,
+//    head insertions invalidate only the head block. Detect() walks blocks
+//    tail-to-head, accumulating the suffix sum T; a block whose bound
+//    cannot reach the incumbent density is skipped, and only the others
+//    have their hull rebuilt and binary-searched for the best (y + T) / x.
+//    A detection after an update costs O(n/B) block checks, plus an O(B)
+//    scan per dirty block, plus an O(B) hull only for a block whose bound
+//    reaches the incumbent. Assign/BumpDelta dirty only the block they
+//    touch, AssignRange only the blocks its run covers.
 //
 // SIMD & layout (DESIGN.md §8): the per-slot storage is fully SoA —
 // seq_/delta_/pos_ are parallel arrays, and the hull arena is split into
@@ -214,6 +217,10 @@ class PeelState {
     return sum;
   }
 
+  /// Hull rebuilds Detect has made on this state so far: what the bound
+  /// prunes shows up here (bench_peel_simd reports it per Detect).
+  std::uint64_t HullRebuilds() const { return hull_rebuilds_; }
+
   /// Prefetches the position-index line of v (engine probe loops issue this
   /// a few neighbors ahead of the PositionOf read).
   void PrefetchPosition(VertexId v) const {
@@ -252,13 +259,21 @@ class PeelState {
 
   struct Block {
     double sum = 0.0;
+    // Largest within-block suffix sum, read from the same SuffixScanBlock
+    // output the hull's y values come from, so no hull point exceeds it.
+    double max_suffix = 0.0;
     std::uint32_t hull_size = 0;
-    // Freshness is two-tier: `dirty` marks content changes inside the
+    // Freshness is tiered: `dirty` marks content changes inside the
     // block; the built counters are compared against the global versions,
     // which bump when a structural change invalidates every block's sums
-    // (physical shift) or hulls (x = end - slot shift). Zero never matches
-    // a version, so fresh blocks start fully stale.
+    // and bounds (physical shift) or hulls (x = end - slot shift). The
+    // bound depends on content only, so it is fresh while !dirty and
+    // bound_built == sum_version_; every path that clears `dirty` without
+    // scanning leaves bound_built stale. A hull is fresh while its bound is
+    // and hull_built == hull_version_. Zero never matches a version, so
+    // fresh blocks start fully stale.
     std::uint64_t sum_built = 0;
+    std::uint64_t bound_built = 0;
     std::uint64_t hull_built = 0;
     bool dirty = true;
   };
@@ -309,9 +324,9 @@ class PeelState {
     ++hull_version_;
   }
 
-  /// Recomputes a block's sum only (no hull) if the sum is stale — the
-  /// cheap path SuffixWeight needs. Leaves the hull marked stale when the
-  /// content changed.
+  /// Recomputes a block's sum only (no bound, no hull) if the sum is stale
+  /// — the cheap path SuffixWeight needs. Leaves the bound, and with it
+  /// the hull, stale.
   void RefreshBlockSum(std::size_t b) const {
     EnsureBlock(b);
     Block& blk = blocks_[b];
@@ -319,79 +334,109 @@ class PeelState {
     const std::size_t end = seq_.size();
     const std::size_t lo = std::max(b * kBlock, base_);
     const std::size_t hi = std::min((b + 1) * kBlock, end);
-    // Same fixed-order kernel as the full rebuild, so the cached sum is
+    // Same fixed-order kernel as the walk's refresh, so the cached sum is
     // bit-identical regardless of which refresh path ran last — and
     // identical across every SIMD dispatch target.
     blk.sum = lo < hi ? simd::FixedOrderSum(delta_.data() + lo, hi - lo) : 0.0;
     blk.sum_built = sum_version_;
-    if (blk.dirty) {
-      blk.dirty = false;
-      blk.hull_built = hull_version_ - 1;  // content changed: hull stale
-    }
+    blk.dirty = false;
+    blk.bound_built = 0;  // no scan ran: the content may have changed
   }
 
-  /// Recomputes a block's sum and upper hull if stale. The within-block
-  /// suffix sums come from a vectorized scan pre-pass into scan_scratch_;
-  /// the monotone stack then runs scalar over precomputed (x, y) pairs —
-  /// its pops are data-dependent and branchy, but it no longer carries the
-  /// accumulation chain. Hull points land in the SoA arenas at stride
-  /// kBlock — no per-block allocations, no pointer chasing on the walk.
+  /// Readies block b for the Detect walk, given the suffix sum `tail`
+  /// beyond it and the incumbent best_num / best_den, and returns whether
+  /// its hull must be queried. A stale bound costs one SuffixScanBlock
+  /// pre-pass (plus the FixedOrderSum for blk.sum); the hull is rebuilt
+  /// from that same scan only when the bound says some suffix starting in
+  /// b can reach the incumbent (DESIGN.md §3.2). The monotone stack runs
+  /// scalar over the precomputed (x, y) pairs — its pops are branchy, but
+  /// it carries no accumulation chain — and lands hull points in the SoA
+  /// arenas at stride kBlock: no per-block allocations on the walk.
   ///
   /// Note blk.sum is refreshed with FixedOrderSum, NOT with the scan total:
   /// the two kernels associate differently (ulp-level), and the sum cache
-  /// must stay bit-identical with RefreshBlockSum's. The hull y values are
-  /// internally consistent with each other, which is all the monotone
-  /// stack and the density query need.
-  void RefreshBlock(std::size_t b) const {
+  /// must stay bit-identical with RefreshBlockSum's. The hull y values and
+  /// the bound are internally consistent with each other, which is all the
+  /// monotone stack, the skip test and the density query need.
+  bool RefreshBlock(std::size_t b, double tail, double best_num,
+                    double best_den) const {
     EnsureBlock(b);
     Block& blk = blocks_[b];
-    if (!blk.dirty && blk.sum_built == sum_version_ &&
-        blk.hull_built == hull_version_) {
-      return;
-    }
     const std::size_t end = seq_.size();
     const std::size_t lo = std::max(b * kBlock, base_);
     const std::size_t hi = std::min((b + 1) * kBlock, end);
+    SPADE_DCHECK(lo < hi);
+    scan_scratch_.resize(kBlock);
+    // suf[j] = within-block suffix sum from slot lo + j.
+    double* suf = scan_scratch_.data();
+    const bool scanned = blk.dirty || blk.bound_built != sum_version_;
+    if (scanned) {
+      blk.sum = simd::FixedOrderSum(delta_.data() + lo, hi - lo);
+      simd::SuffixScanBlock(delta_.data() + lo, hi - lo, suf);
+      blk.max_suffix = MaxOf(suf, hi - lo);
+      blk.dirty = false;
+      blk.sum_built = sum_version_;
+      blk.bound_built = sum_version_;
+      blk.hull_built = 0;
+    }
+    // Every hull point has y <= max_suffix and x >= the last slot's x, and
+    // rounding is monotone, so when even (max_suffix + T) / x_min falls
+    // strictly below the incumbent, no point passes the walk's ">=" test.
+    const auto x_min = static_cast<double>(end - (hi - 1));
+    if ((blk.max_suffix + tail) * best_den < best_num * x_min) return false;
+    if (blk.hull_built == hull_version_) return true;
+    if (!scanned) simd::SuffixScanBlock(delta_.data() + lo, hi - lo, suf);
     double* hy = hull_y_.data() + b * kBlock;
     std::uint32_t* hx = hull_x_.data() + b * kBlock;
     std::uint32_t* hs = hull_slot_.data() + b * kBlock;
     std::uint32_t hn = 0;
-    blk.sum = 0.0;
-    if (lo < hi) {
-      blk.sum = simd::FixedOrderSum(delta_.data() + lo, hi - lo);
-      // Pre-pass: suf[j] = within-block suffix sum from slot lo + j.
-      scan_scratch_.resize(kBlock);
-      double* suf = scan_scratch_.data();
-      simd::SuffixScanBlock(delta_.data() + lo, hi - lo, suf);
-      // Scan slots tail-to-head: x = end - p ascends, y reads the
-      // precomputed suffix. Keep the upper hull (slopes strictly
-      // decreasing); collinear middle points are dropped — the larger-x
-      // endpoint of their edge always ties or beats them, and wins the
-      // smallest-start tie rule anyway.
-      for (std::size_t p = hi; p-- > lo;) {
-        const double py = suf[p - lo];
-        const auto px = static_cast<std::uint32_t>(end - p);
-        while (hn >= 2) {
-          const double ay = hy[hn - 2], my = hy[hn - 1];
-          const std::uint32_t ax = hx[hn - 2], mx = hx[hn - 1];
-          // Pop m when slope(a, m) <= slope(m, pt): m is under the chord.
-          if ((my - ay) * static_cast<double>(px - mx) <=
-              (py - my) * static_cast<double>(mx - ax)) {
-            --hn;
-          } else {
-            break;
-          }
+    // Scan slots tail-to-head: x = end - p ascends, y reads the precomputed
+    // suffix. Keep the upper hull (slopes strictly decreasing); collinear
+    // middle points are dropped — the larger-x endpoint of their edge
+    // always ties or beats them, and wins the smallest-start tie rule
+    // anyway.
+    for (std::size_t p = hi; p-- > lo;) {
+      const double py = suf[p - lo];
+      const auto px = static_cast<std::uint32_t>(end - p);
+      while (hn >= 2) {
+        const double ay = hy[hn - 2], my = hy[hn - 1];
+        const std::uint32_t ax = hx[hn - 2], mx = hx[hn - 1];
+        // Pop m when slope(a, m) <= slope(m, pt): m is under the chord.
+        if ((my - ay) * static_cast<double>(px - mx) <=
+            (py - my) * static_cast<double>(mx - ax)) {
+          --hn;
+        } else {
+          break;
         }
-        hy[hn] = py;
-        hx[hn] = px;
-        hs[hn] = static_cast<std::uint32_t>(p);
-        ++hn;
       }
+      hy[hn] = py;
+      hx[hn] = px;
+      hs[hn] = static_cast<std::uint32_t>(p);
+      ++hn;
     }
     blk.hull_size = hn;
-    blk.dirty = false;
-    blk.sum_built = sum_version_;
     blk.hull_built = hull_version_;
+    ++hull_rebuilds_;
+    return true;
+  }
+
+  /// Largest of v[0, n), n > 0, as independent compare-select chains, one
+  /// per lane. Max never rounds, so the lane order cannot change the value
+  /// (up to the sign of a zero, which the skip test reads the same way).
+  /// On bench_peel_simd's detect_after_heavy_edge, a std::max_element here
+  /// made Detect cost 34-36 us against 18-19 us with this loop.
+  static double MaxOf(const double* v, std::size_t n) {
+    constexpr std::size_t kLanes = 8;
+    double m[kLanes];
+    std::fill(m, m + kLanes, v[0]);
+    std::size_t j = 0;
+    for (; j + kLanes <= n; j += kLanes) {
+      for (std::size_t k = 0; k < kLanes; ++k) {
+        m[k] = v[j + k] > m[k] ? v[j + k] : m[k];
+      }
+    }
+    for (; j < n; ++j) m[0] = v[j] > m[0] ? v[j] : m[0];
+    return *std::max_element(m, m + kLanes);
   }
 
   /// Best density within a block given tail sum T beyond the block, and the
@@ -402,10 +447,10 @@ class PeelState {
   /// no divisions; the caller divides once at the very end. The search
   /// reads only the y/x arenas; the slot arena is touched once, at the
   /// winner.
-  static bool QueryHull(const double* hy, const std::uint32_t* hx,
+  static void QueryHull(const double* hy, const std::uint32_t* hx,
                         const std::uint32_t* hs, std::uint32_t size, double T,
                         double* num, double* den, std::size_t* slot) {
-    if (size == 0) return false;
+    SPADE_DCHECK(size > 0);
     std::size_t lo = 0, hi = size - 1;
     while (lo < hi) {
       const std::size_t mid = (lo + hi) / 2;
@@ -419,7 +464,6 @@ class PeelState {
     *num = hy[lo] + T;
     *den = static_cast<double>(hx[lo]);
     *slot = hs[lo];
-    return true;
   }
 
   void EnsureBest() const {
@@ -429,7 +473,8 @@ class PeelState {
     double tail = 0.0;
     // Best density tracked as a (numerator, denominator) pair: density
     // comparisons cross-multiply, and the single division happens once the
-    // walk is done.
+    // walk is done. best_num >= 0 and best_den > 0 throughout, which the
+    // skip test in RefreshBlock relies on.
     double best_num = 0.0;
     double best_den = 1.0;
     std::size_t best_start = n;
@@ -439,26 +484,25 @@ class PeelState {
       // density ties, matching the linear reference scan.
       const std::size_t first_block = base_ / kBlock;
       for (std::size_t b = (end - 1) / kBlock + 1; b-- > first_block;) {
-        RefreshBlock(b);
+        const bool query = RefreshBlock(b, tail, best_num, best_den);
         if (b > first_block) {
-          // Pull the next (head-ward) block's metadata and arena heads in
-          // while this block's query runs; a clean walk is otherwise one
-          // demand miss per block on large states.
+          // Pull the next (head-ward) block's metadata and deltas in while
+          // this block is checked; a clean walk is otherwise one demand
+          // miss per block on large states.
           SPADE_PREFETCH(blocks_.data() + (b - 1));
-          SPADE_PREFETCH(hull_y_.data() + (b - 1) * kBlock);
-          SPADE_PREFETCH(hull_x_.data() + (b - 1) * kBlock);
           SPADE_PREFETCH(delta_.data() + (b - 1) * kBlock);
         }
-        double num = 0.0, den = 1.0;
-        std::size_t slot = 0;
-        if (QueryHull(hull_y_.data() + b * kBlock,
-                      hull_x_.data() + b * kBlock,
-                      hull_slot_.data() + b * kBlock, blocks_[b].hull_size,
-                      tail, &num, &den, &slot) &&
-            num * best_den >= best_num * den) {
-          best_num = num;
-          best_den = den;
-          best_start = slot - base_;
+        if (query) {
+          double num = 0.0, den = 1.0;
+          std::size_t slot = 0;
+          QueryHull(hull_y_.data() + b * kBlock, hull_x_.data() + b * kBlock,
+                    hull_slot_.data() + b * kBlock, blocks_[b].hull_size,
+                    tail, &num, &den, &slot);
+          if (num * best_den >= best_num * den) {
+            best_num = num;
+            best_den = den;
+            best_start = slot - base_;
+          }
         }
         tail += blocks_[b].sum;
       }
@@ -485,6 +529,7 @@ class PeelState {
   mutable std::vector<std::uint32_t> hull_x_;
   mutable std::vector<std::uint32_t> hull_slot_;
   mutable std::vector<double> scan_scratch_;
+  mutable std::uint64_t hull_rebuilds_ = 0;
   std::uint64_t sum_version_ = 1;
   std::uint64_t hull_version_ = 1;
 

@@ -1,5 +1,6 @@
 #include "storage/snapshot.h"
 
+#include <cmath>
 #include <cstdint>
 
 #include "storage/checked_io.h"
@@ -77,6 +78,10 @@ Status LoadSnapshot(const std::string& path, DynamicGraph* g,
   for (std::uint64_t v = 0; v < num_vertices; ++v) {
     double w = 0;
     if (!reader.Read(&w)) return Status::IOError(path + ": truncated weights");
+    if (!std::isfinite(w)) {
+      return Status::IOError(path + ": non-finite weight of vertex " +
+                             std::to_string(v));
+    }
     graph.SetVertexWeight(static_cast<VertexId>(v), w);
   }
   for (std::uint64_t i = 0; i < num_edges; ++i) {
@@ -102,6 +107,16 @@ Status LoadSnapshot(const std::string& path, DynamicGraph* g,
       }
       if (v >= num_vertices) {
         return Status::IOError(path + ": peel state vertex out of range");
+      }
+      // num_vertices distinct in-range entries make a permutation: a
+      // repeat would leave another vertex out of the peeling sequence.
+      if (loaded_state.ContainsVertex(v)) {
+        return Status::IOError(path + ": peel state repeats vertex " +
+                               std::to_string(v));
+      }
+      if (!std::isfinite(delta)) {
+        return Status::IOError(path + ": non-finite peel state delta of "
+                               "vertex " + std::to_string(v));
       }
       loaded_state.Append(static_cast<VertexId>(v), delta);
     }

@@ -8,10 +8,13 @@
 //  * the O(1) stored-delta gray recovery serving insertion merges,
 //  * PeelState's blocked suffix-sum / hull detection against the naive
 //    linear suffix scan, under Assign/BumpDelta churn and head insertions,
+//    and its bound-pruned walk on states of up to 80 blocks, planted
+//    corner cases and a DG replay,
 //  * epoch wrap-around in the engine's stamp arrays.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstddef>
 #include <cstring>
 #include <ostream>
@@ -21,6 +24,7 @@
 #include "common/simd.h"
 #include "core/incremental_engine.h"
 #include "core/spade.h"
+#include "datagen/workload.h"
 #include "metrics/semantics.h"
 #include "peel/static_peeler.h"
 #include "tests/test_util.h"
@@ -354,6 +358,228 @@ TEST(BlockedDetectTest, DetectBitIdenticalAcrossDispatchTargets) {
     }
   }
   simd::SetSimdTargetForTesting(nullptr);
+}
+
+// ------------------------------------------------------------------------
+// Bound-pruned Detect. The walk skips a block whose largest within-block
+// suffix sum cannot reach the incumbent, keeping its stale hull; the answer
+// must still equal the linear scan's bit for bit. Integer deltas make every
+// tie exact, and every case runs on each compiled dispatch target.
+// ------------------------------------------------------------------------
+
+constexpr std::size_t kBlock = 512;  // PeelState's block width
+
+/// A state holding `deltas` in order, vertex i at position i.
+PeelState StateOf(const std::vector<double>& deltas) {
+  PeelState state(deltas.size());
+  for (std::size_t i = 0; i < deltas.size(); ++i) {
+    state.Append(static_cast<VertexId>(i), deltas[i]);
+  }
+  return state;
+}
+
+/// Asserts the blocked walk's answer equals the linear scan's exactly.
+void ExpectNaive(const PeelState& state) {
+  const NaiveBest expect = NaiveScan(state);
+  ASSERT_EQ(expect.start, state.BestStart());
+  ASSERT_EQ(expect.density, state.BestDensity());
+}
+
+/// Runs `body` once under each compiled dispatch target.
+template <typename Body>
+void ForEachTarget(Body&& body) {
+  for (const auto& target : simd::CompiledSimdTargets()) {
+    SCOPED_TRACE(target.name);
+    simd::SetSimdTargetForTesting(&target);
+    body();
+    simd::SetSimdTargetForTesting(nullptr);
+    if (::testing::Test::HasFatalFailure()) return;
+  }
+}
+
+/// Deltas of an n-slot state: zeros before `start`, the `peak` values from
+/// `start` on, and `rest` for every later slot.
+std::vector<double> Planted(std::size_t n, std::size_t start,
+                            const std::vector<double>& peak, double rest) {
+  std::vector<double> deltas(n, 0.0);
+  std::copy(peak.begin(), peak.end(),
+            deltas.begin() + static_cast<std::ptrdiff_t>(start));
+  std::fill(deltas.begin() + static_cast<std::ptrdiff_t>(start + peak.size()),
+            deltas.end(), rest);
+  return deltas;
+}
+
+// 24-80 blocks of a dense core over a sparse background, so the winner
+// starts anywhere from the head block to the tail block, under the churn
+// the engine produces: swaps, displacement runs over several blocks,
+// bumps of either sign, head insertions and SuffixWeight reads between a
+// content change and the next Detect.
+TEST(BlockedDetectTest, PrunedWalkMatchesNaiveOnLargeStatesUnderChurn) {
+  ForEachTarget([] {
+    Rng rng(4242);
+    for (int trial = 0; trial < 4; ++trial) {
+      const std::size_t n = 12000 + rng.NextBounded(28001);
+      const std::size_t len = n / 8 + rng.NextBounded(3 * n / 8);
+      const std::size_t core = rng.NextBounded(n - len + 1);
+      std::vector<double> deltas(n);
+      for (std::size_t i = 0; i < n; ++i) {
+        const bool in_core = i >= core && i < core + len;
+        deltas[i] = static_cast<double>(in_core ? 3 + rng.NextBounded(3)
+                                                : rng.NextBounded(3));
+      }
+      PeelState state = StateOf(deltas);
+      auto next = static_cast<VertexId>(n);
+      std::vector<VertexId> run_v;
+      std::vector<double> run_d;
+      for (int step = 0; step < 40; ++step) {
+        ASSERT_NO_FATAL_FAILURE(ExpectNaive(state));
+        const std::size_t size = state.size();
+        const std::size_t i = rng.NextBounded(size);
+        switch (rng.NextBounded(5)) {
+          case 0: {  // swap two slots
+            const std::size_t j = rng.NextBounded(size);
+            const VertexId vi = state.VertexAt(i), vj = state.VertexAt(j);
+            const double di = state.DeltaAt(i), dj = state.DeltaAt(j);
+            state.Assign(i, vj, dj);
+            state.Assign(j, vi, di);
+            break;
+          }
+          case 1: {  // a displacement run: rotate [i, i + m) right by one
+            const std::size_t m =
+                1 + rng.NextBounded(std::min(size - i, 4 * kBlock));
+            const auto seq = state.seq().subspan(i, m);
+            const auto del = state.delta().subspan(i, m);
+            run_v.assign(seq.begin(), seq.end());
+            run_d.assign(del.begin(), del.end());
+            std::rotate(run_v.begin(), run_v.end() - 1, run_v.end());
+            std::rotate(run_d.begin(), run_d.end() - 1, run_d.end());
+            state.AssignRange(i, run_v, run_d);
+            break;
+          }
+          case 2:
+            state.BumpDelta(i, static_cast<double>(rng.NextBounded(6)) - 2.0);
+            break;
+          case 3:
+            state.InsertVertexAtHead(next++,
+                                     static_cast<double>(rng.NextBounded(6)));
+            break;
+          default: {
+            state.BumpDelta(i, static_cast<double>(rng.NextBounded(40)));
+            const std::size_t k = rng.NextBounded(size + 1);
+            double suffix = 0.0;
+            for (std::size_t p = k; p < size; ++p) suffix += state.DeltaAt(p);
+            ASSERT_EQ(suffix, state.SuffixWeight(k));
+            break;
+          }
+        }
+      }
+    }
+  });
+}
+
+// Each planted case defeats one way of getting the skip test wrong.
+TEST(BlockedDetectTest, PrunedWalkKeepsPlantedWinners) {
+  ForEachTarget([] {
+    // The only winning suffix starts at slot 1020, four slots before the
+    // end of block 1. The bound must pair the block's largest suffix with
+    // the x of its LAST slot: measured from its first slot, the bound
+    // falls below the incumbent and the block is skipped.
+    {
+      const std::size_t n = 32 * kBlock;
+      const PeelState state = StateOf(Planted(n, 1020, {26, 26, 26, 26}, 1));
+      ASSERT_NO_FATAL_FAILURE(ExpectNaive(state));
+      ASSERT_EQ(state.BestStart(), 1020u);
+    }
+    // Block 1 is zeros but for a 2 in its last slot, before an all-2s
+    // tail: its bound equals the incumbent exactly, and the tying longer
+    // suffix from slot 1023 must win, so the skip test must be strict.
+    {
+      const std::size_t n = 24 * kBlock;
+      const PeelState state = StateOf(Planted(n, 1023, {2}, 2));
+      ASSERT_NO_FATAL_FAILURE(ExpectNaive(state));
+      ASSERT_EQ(state.BestStart(), 1023u);
+    }
+    // A negative delta heads block 1, so the block's largest suffix (from
+    // slot 513) exceeds its sum: a bound built from the sum skips the
+    // winner.
+    {
+      const std::size_t n = 24 * kBlock;
+      std::vector<double> peak(kBlock, 2.0);
+      peak[0] = -2000.0;
+      const PeelState state = StateOf(Planted(n, kBlock, peak, 1));
+      ASSERT_NO_FATAL_FAILURE(ExpectNaive(state));
+      ASSERT_EQ(state.BestStart(), kBlock + 1);
+    }
+    // base_ mid-block: the first head insertion regrows the front and
+    // leaves base_ at 9,999, inside block 19. The winner sits at the end
+    // of that block, and head insertions walk base_ down into block 18.
+    {
+      PeelState state = StateOf(Planted(10000, 236, {26, 26, 26, 26}, 1));
+      for (int k = 1; k <= 300; ++k) {
+        state.InsertVertexAtHead(static_cast<VertexId>(10000 + k), 0.0);
+        ASSERT_NO_FATAL_FAILURE(ExpectNaive(state));
+        ASSERT_EQ(state.BestStart(), 236u + static_cast<unsigned>(k));
+      }
+    }
+    // A SuffixWeight read between a content change and the next Detect
+    // refreshes the changed block's sum and clears its dirty flag; the
+    // bound it leaves must still count as stale. Block 1 is all zeros, so
+    // its bound first skips it; then a bump makes it hold the winner.
+    {
+      const std::size_t n = 24 * kBlock;
+      std::vector<double> deltas(n, 1.0);
+      std::fill(deltas.begin() + kBlock, deltas.begin() + 2 * kBlock, 0.0);
+      PeelState state = StateOf(deltas);
+      ASSERT_NO_FATAL_FAILURE(ExpectNaive(state));
+      state.BumpDelta(2 * kBlock - 1, 600.0);
+      ASSERT_EQ(state.SuffixWeight(0),
+                static_cast<double>(n - kBlock + 600));
+      ASSERT_NO_FATAL_FAILURE(ExpectNaive(state));
+      ASSERT_EQ(state.BestStart(), 2 * kBlock - 1);
+    }
+  });
+}
+
+// The paper's loop on a 20k-vertex DG graph (about 39 blocks) with edge
+// grouping: every urgent update leaves a state whose Detect equals the
+// linear scan's. DG weights every edge 1, so the comparison is exact.
+TEST(BlockedDetectTest, PrunedWalkMatchesNaiveOnGroupedDgReplay) {
+  const Workload w = BuildWorkload("Grab1", 0.005, 23);
+  ForEachTarget([&] {
+    Spade spade;
+    spade.TurnOnEdgeGrouping();
+    ASSERT_TRUE(spade.BuildGraph(w.num_vertices, w.initial).ok());
+    ASSERT_GE(spade.peel_state().size(), 30 * kBlock);
+    const std::size_t edges = std::min<std::size_t>(w.stream.size(), 1500);
+    std::size_t urgent = 0;
+    for (std::size_t i = 0; i < edges; ++i) {
+      ASSERT_TRUE(spade.ApplyEdge(w.stream.edges[i]).ok());
+      if (spade.PendingBenignEdges() != 0) continue;
+      ++urgent;
+      ASSERT_NO_FATAL_FAILURE(ExpectNaive(spade.peel_state()));
+    }
+    EXPECT_GT(urgent, 100u);
+  });
+}
+
+// What the bound saves: with every block of a 64-block state dirtied and
+// the best suffix in the tail block, one Detect rebuilds at most two hulls
+// (the tail block's and its neighbour's, whose bound pairs a whole-block
+// suffix with its last slot's x) instead of all 64.
+TEST(BlockedDetectTest, PrunedWalkRebuildsOnlyHullsThatCanWin) {
+  ForEachTarget([] {
+    const std::size_t n = 64 * kBlock;
+    std::vector<double> deltas(n, 1.0);
+    std::fill(deltas.end() - kBlock, deltas.end(), 4.0);
+    PeelState state = StateOf(deltas);
+    ASSERT_NO_FATAL_FAILURE(ExpectNaive(state));
+    for (std::size_t p = 0; p < n; p += kBlock) state.BumpDelta(p, 0.0);
+    const std::uint64_t before = state.HullRebuilds();
+    EXPECT_EQ(state.BestDensity(), 4.0);
+    EXPECT_LE(state.HullRebuilds() - before, 2u);
+    ASSERT_NO_FATAL_FAILURE(ExpectNaive(state));
+    ASSERT_EQ(state.BestStart(), n - kBlock);
+  });
 }
 
 // ------------------------------------------------------------------------

@@ -230,6 +230,52 @@ TEST(ShardedDetectionServiceTest, RejectedEdgesAreCounted) {
   }
 }
 
+// A refused edge whose endpoints lie beyond its shard's graph leaves that
+// graph as it was: the fleet still checkpoints, and restores to itself.
+TEST(ShardedDetectionServiceTest, RejectedEdgeKeepsCheckpointsWorking) {
+  const std::string dir = ::testing::TempDir() + "/sharded_rejected_edge";
+  std::filesystem::remove_all(dir);
+  Rng rng(41);
+  std::vector<Edge> initial;
+  for (int i = 0; i < 100; ++i) {
+    initial.push_back(TenantEdge(&rng, rng.NextBounded(2)));
+  }
+  ShardedDetectionService service(BuildShards(2, 2, initial), nullptr,
+                                  TenantOptions());
+  // Tenant 3 routes to shard 1, whose graph holds tenants 0 and 1 only.
+  const VertexId t3 = 3 * kVerticesPerTenant;
+  ASSERT_TRUE(service.Submit(Edge{t3 + 1, t3 + 2, -1.0, 0}).ok());
+  for (int i = 0; i < 20; ++i) {
+    ASSERT_TRUE(service.Submit(TenantEdge(&rng, rng.NextBounded(2))).ok());
+  }
+  service.Drain();
+  EXPECT_EQ(service.GetStats().rejected_edges, 1u);
+  ASSERT_TRUE(service.SaveState(dir).ok());
+
+  const auto capture = [](const ShardedDetectionService& fleet) {
+    std::vector<testing::ShardCapture> captures(fleet.num_shards());
+    for (std::size_t s = 0; s < fleet.num_shards(); ++s) {
+      fleet.InspectShard(s, [&](const Spade& spade) {
+        captures[s].state = spade.peel_state();
+        captures[s].num_edges = spade.graph().NumEdges();
+        captures[s].total_weight = spade.graph().TotalWeight();
+        captures[s].pending_benign = spade.PendingBenignEdges();
+      });
+    }
+    return captures;
+  };
+  ShardedDetectionService restored(BuildShards(2, 2, {}), nullptr,
+                                   TenantOptions());
+  ASSERT_TRUE(restored.RestoreState(dir).ok());
+  const auto live = capture(service);
+  const auto back = capture(restored);
+  for (std::size_t s = 0; s < live.size(); ++s) {
+    SCOPED_TRACE("shard " + std::to_string(s));
+    testing::ExpectShardEqualsCapture(live[s], back[s]);
+  }
+  std::filesystem::remove_all(dir);
+}
+
 TEST(ShardedDetectionServiceTest, SubmitBatchRoutesAcrossShards) {
   ShardedDetectionService service(BuildShards(4, 4, {}), nullptr,
                                   TenantOptions());

@@ -170,6 +170,31 @@ TEST(SpadeTest, RejectsOutOfRangeInitialEdge) {
   EXPECT_FALSE(spade.BuildGraph(3, edges).ok());
 }
 
+// A refused edge leaves the graph as it was. Growing the graph to an
+// unseen endpoint and then refusing the weight used to leave vertices the
+// peel state does not cover, and SaveState refused every later checkpoint.
+TEST(SpadeTest, RejectedEdgeLeavesTheGraphAsItWas) {
+  const std::string path = ::testing::TempDir() + "/spade_rejected_edge.bin";
+  Spade spade;
+  spade.SetSemantics(MakeDW());
+  ASSERT_TRUE(spade.BuildGraph(7, DenseRingLog()).ok());
+  EXPECT_EQ(spade.ApplyEdge({3, 11, -1.0, 20}).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(spade.graph().NumVertices(), 7u);
+  EXPECT_TRUE(spade.SaveState(path).ok());
+
+  // Grouping is off: the batch fails as a whole, the valid edge included.
+  const std::vector<Edge> batch = {{8, 9, 2.0, 21}, {10, 12, -1.0, 22}};
+  EXPECT_EQ(spade.ApplyBatchEdges(batch).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(spade.graph().NumVertices(), 7u);
+  EXPECT_EQ(spade.graph().NumEdges(), 6u);
+  EXPECT_TRUE(spade.SaveState(path).ok());
+  testing::ExpectStateEquals(PeelStatic(spade.graph()), spade.peel_state(),
+                             0.0);
+  std::remove(path.c_str());
+}
+
 // --- Edge grouping (Algorithm 3) ---
 
 TEST(EdgeGroupingTest, BenignEdgesAreBuffered) {

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cinttypes>
+#include <cmath>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -117,6 +118,66 @@ TEST_F(SnapshotTest, MissingFileIsIOError) {
       LoadSnapshot("/nonexistent/snap.bin", &g, nullptr, nullptr, nullptr);
   ASSERT_FALSE(s.ok());
   EXPECT_EQ(s.code(), StatusCode::kIOError);
+}
+
+// A CRC-valid snapshot whose peel state is not a permutation of the
+// graph's vertices, or holds a non-finite number, is refused with an
+// IOError. Restored, a repeated vertex made Detect return a wrong
+// community without any report.
+TEST_F(SnapshotTest, RejectsStateThatIsNotAPermutation) {
+  // The path 0-1-2-3 with unit edges, written field by field as
+  // SaveSnapshot writes version 2, with the given weights and state.
+  const auto write = [&](const std::vector<double>& vertex_weights,
+                         const std::vector<std::pair<std::uint32_t, double>>&
+                             state) {
+    storage::ChecksummedFileWriter w(path_);
+    w.Write(std::uint64_t{0x53504144455F5631ULL});  // "SPADE_V1"
+    w.Write(std::uint32_t{2});
+    w.Write(std::uint64_t{4});  // vertices
+    w.Write(std::uint64_t{3});  // edges
+    for (const double weight : vertex_weights) w.Write(weight);
+    for (std::uint32_t v = 0; v < 3; ++v) {
+      w.Write(v);
+      w.Write(v + 1);
+      w.Write(1.0);
+    }
+    w.Write(std::uint8_t{1});  // peel state present
+    for (const auto& [v, delta] : state) {
+      w.Write(v);
+      w.Write(delta);
+    }
+    w.Write(std::uint64_t{0});  // window
+    ASSERT_TRUE(w.Finish().ok());
+  };
+  const auto load = [&] {
+    DynamicGraph g;
+    PeelState state;
+    bool present = false;
+    return LoadSnapshot(path_, &g, &state, &present, nullptr);
+  };
+  const std::vector<double> no_priors(4, 0.0);
+
+  // The path's own peel loads, so each refusal below is its check's doing.
+  write(no_priors, {{0, 1.0}, {1, 1.0}, {2, 1.0}, {3, 0.0}});
+  ASSERT_TRUE(load().ok());
+
+  write(no_priors, {{0, 1.0}, {1, 1.0}, {2, 1.0}, {1, 0.0}});
+  Status s = load();
+  EXPECT_EQ(s.code(), StatusCode::kIOError);
+  EXPECT_NE(s.message().find("repeats vertex 1"), std::string::npos)
+      << s.ToString();
+
+  write(no_priors, {{0, 1.0}, {1, std::nan("")}, {2, 1.0}, {3, 0.0}});
+  s = load();
+  EXPECT_EQ(s.code(), StatusCode::kIOError);
+  EXPECT_NE(s.message().find("delta of vertex 1"), std::string::npos)
+      << s.ToString();
+
+  write({0.0, 0.0, HUGE_VAL, 0.0}, {{0, 1.0}, {1, 1.0}, {2, 1.0}, {3, 0.0}});
+  s = load();
+  EXPECT_EQ(s.code(), StatusCode::kIOError);
+  EXPECT_NE(s.message().find("weight of vertex 2"), std::string::npos)
+      << s.ToString();
 }
 
 TEST(Crc64Test, KnownProperties) {

@@ -12,10 +12,14 @@
 //   * failover sweep — a primary seals 1 full + T delta epochs into a
 //     Standby running with eager_replay=false, so the whole delta tail is
 //     staged on disk; Promote() then pays exactly the tail replay. The
-//     sweep over T shows failover time ~= tail-chain replay cost (ISSUE:
-//     the quantity a deployment tunes with its seal cadence). An eager
-//     control run (same tail, eager_replay=true) shows the warm standby
-//     promoting in ~constant time with nothing left to replay.
+//     sweep over T shows failover time ~= tail-chain replay cost (the
+//     quantity a deployment tunes with its seal cadence). Each entry
+//     splits promote time into its stages: stopping the receiver,
+//     validating the staged segments and the parallel replay, of which
+//     the boundary recounts take "recount" (thread time, summed over
+//     partitions). An eager control run (same tail,
+//     eager_replay=true) shows the warm standby promoting in ~constant
+//     time with nothing left to replay.
 //
 // Emits BENCH_replication.json (path = argv[1], default "."). The repo
 // commits a reference copy; CI re-runs the bench and fails when the
@@ -188,6 +192,10 @@ struct FailoverEntry {
   bool full_restore = false;
   double promote_ms = 0.0;
   double ms_per_kedge = 0.0;
+  double stop_ms = 0.0;
+  double validate_ms = 0.0;
+  double replay_ms = 0.0;
+  double recount_ms = 0.0;
 };
 
 FailoverEntry RunFailover(std::size_t staged_epochs, bool eager) {
@@ -253,6 +261,10 @@ FailoverEntry RunFailover(std::size_t staged_epochs, bool eager) {
   entry.replayed_edges = promote.replayed_edges;
   entry.full_restore = promote.full_restore;
   entry.promote_ms = promote.promote_millis;
+  entry.stop_ms = promote.stop_millis;
+  entry.validate_ms = promote.validate_millis;
+  entry.replay_ms = promote.replay_millis;
+  entry.recount_ms = promote.recount_millis;
   entry.ms_per_kedge =
       promote.replayed_edges > 0
           ? promote.promote_millis * 1000.0 /
@@ -279,8 +291,9 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(wire.batches),
               static_cast<unsigned long long>(wire.resent));
 
-  std::printf("%8s %6s %9s %10s %12s %12s\n", "staged", "eager", "replayed",
-              "edges", "promote-ms", "ms/1k-edge");
+  std::printf("%8s %6s %9s %10s %12s %12s %8s %9s %9s %9s\n", "staged",
+              "eager", "replayed", "edges", "promote-ms", "ms/1k-edge",
+              "stop", "validate", "replay", "(recount)");
   (void)RunFailover(1, false);  // warm-up (allocator, page cache)
 
   std::vector<FailoverEntry> entries;
@@ -289,11 +302,13 @@ int main(int argc, char** argv) {
   }
   entries.push_back(RunFailover(8, /*eager=*/true));  // warm-standby control
   for (const FailoverEntry& e : entries) {
-    std::printf("%8zu %6s %9llu %10llu %12.2f %12.3f\n", e.staged_epochs,
-                e.eager ? "yes" : "no",
+    std::printf("%8zu %6s %9llu %10llu %12.2f %12.3f %8.2f %9.2f %9.2f "
+                "%9.2f\n",
+                e.staged_epochs, e.eager ? "yes" : "no",
                 static_cast<unsigned long long>(e.replayed_epochs),
                 static_cast<unsigned long long>(e.replayed_edges),
-                e.promote_ms, e.ms_per_kedge);
+                e.promote_ms, e.ms_per_kedge, e.stop_ms, e.validate_ms,
+                e.replay_ms, e.recount_ms);
   }
 
   const std::string path = out_dir + "/BENCH_replication.json";
@@ -327,12 +342,15 @@ int main(int argc, char** argv) {
                  "    {\"staged_epochs\": %zu, \"eager\": %s, "
                  "\"replayed_epochs\": %llu, \"replayed_edges\": %llu, "
                  "\"full_restore\": %s, \"promote_ms\": %.2f, "
-                 "\"ms_per_1k_edges\": %.3f}%s\n",
+                 "\"ms_per_1k_edges\": %.3f, \"stages_ms\": {\"stop\": "
+                 "%.2f, \"validate\": %.2f, \"replay\": %.2f}, "
+                 "\"recount_in_replay_ms\": %.2f}%s\n",
                  e.staged_epochs, e.eager ? "true" : "false",
                  static_cast<unsigned long long>(e.replayed_epochs),
                  static_cast<unsigned long long>(e.replayed_edges),
                  e.full_restore ? "true" : "false", e.promote_ms,
-                 e.ms_per_kedge, i + 1 == entries.size() ? "" : ",");
+                 e.ms_per_kedge, e.stop_ms, e.validate_ms, e.replay_ms,
+                 e.recount_ms, i + 1 == entries.size() ? "" : ",");
   }
   std::fprintf(f, "  ]\n}\n");
   std::fclose(f);

@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "common/logging.h"
+#include "common/timer.h"
 #include "storage/checked_io.h"
 #include "storage/sharded_snapshot.h"
 
@@ -315,6 +316,13 @@ Status Standby::Start() {
 
 void Standby::Stop() {
   if (!running_.exchange(false)) return;
+  {
+    // Wakes the receiver wherever it waits. The flag is already clear, so a
+    // receiver taking the lock after this sees it.
+    std::lock_guard<std::mutex> lock(conn_mutex_);
+    if (live_conn_ != nullptr) live_conn_->Close();
+  }
+  stop_cv_.notify_all();
   if (receiver_.joinable()) receiver_.join();
 }
 
@@ -324,28 +332,30 @@ void Standby::ReceiveLoop() {
     std::unique_ptr<TcpConnection> conn =
         TcpConnect(options_.primary_port, options_.poll_ms);
     if (!conn) {
-      std::this_thread::sleep_for(
-          std::chrono::milliseconds(options_.connect_backoff_ms));
+      std::unique_lock<std::mutex> lock(conn_mutex_);
+      stop_cv_.wait_for(lock,
+                        std::chrono::milliseconds(options_.connect_backoff_ms),
+                        [this] { return !running_.load(); });
       continue;
+    }
+    {
+      std::lock_guard<std::mutex> lock(conn_mutex_);
+      if (!running_.load()) break;
+      live_conn_ = conn.get();
     }
     if (ever_connected) {
       std::lock_guard<std::mutex> lock(stats_mutex_);
       ++stats_.reconnects;
     }
     ever_connected = true;
-    {
-      const std::string hello =
-          EncodeFrame(FrameType::kReplicaHello, 0,
-                      EncodeU64Payload(applied_epoch()));
-      if (!conn->SendAll(hello.data(), hello.size()).ok()) {
-        conn->Close();
-        continue;
-      }
-    }
+    const std::string hello =
+        EncodeFrame(FrameType::kReplicaHello, 0,
+                    EncodeU64Payload(applied_epoch()));
+    const bool greeted = conn->SendAll(hello.data(), hello.size()).ok();
     FrameReader reader;
     std::uint64_t corrupt_seen = 0;
     char buf[64 * 1024];
-    while (running_.load()) {
+    while (greeted && running_.load()) {
       std::size_t received = 0;
       const IoResult rc =
           conn->Recv(buf, sizeof(buf), &received, options_.poll_ms);
@@ -393,6 +403,8 @@ void Standby::ReceiveLoop() {
         corrupt_seen = reader.corrupt_frames();
       }
     }
+    std::lock_guard<std::mutex> lock(conn_mutex_);
+    live_conn_ = nullptr;
     conn->Close();
   }
 }
@@ -435,12 +447,9 @@ void Standby::HandleCommit(const EpochCommitPayload& commit) {
   // The first commit is always applied so the standby starts warm; after
   // that, eager_replay decides whether the receiver tracks the primary
   // epoch by epoch or stages the tail for Promote().
-  if (!ever_restored_ || options_.eager_replay) {
-    std::uint64_t edges = 0;
-    std::uint64_t epochs = 0;
-    bool full = false;
-    const Status s =
-        ApplyThroughLocked(committed_epoch_, &edges, &epochs, &full);
+  if (applied_epoch_ == 0 || options_.eager_replay) {
+    PromoteInfo applied;
+    const Status s = ApplyThroughLocked(committed_epoch_, &applied);
     if (!s.ok()) {
       SPADE_LOG_WARNING() << "Standby: eager apply of epoch " << commit.epoch
                           << " failed (will full-restore on promote): "
@@ -449,45 +458,49 @@ void Standby::HandleCommit(const EpochCommitPayload& commit) {
       return;
     }
     std::lock_guard<std::mutex> slock(stats_mutex_);
-    stats_.epochs_applied += epochs;
+    stats_.epochs_applied += applied.replayed_epochs;
   }
 }
 
-Status Standby::ApplyThroughLocked(std::uint64_t target, std::uint64_t* edges,
-                                   std::uint64_t* epochs,
-                                   bool* full_restore) {
+Status Standby::ApplyThroughLocked(std::uint64_t target, PromoteInfo* info) {
   if (target <= applied_epoch_) return Status::OK();
+  const Timer read;
   ShardManifest manifest;
   SPADE_RETURN_NOT_OK(ReadShardManifest(dir_, &manifest));
-  bool incremental = ever_restored_ && !needs_full_restore_ &&
-                     manifest.base_epoch == applied_base_epoch_ &&
-                     applied_epoch_ >= manifest.base_epoch;
-  if (incremental) {
-    for (std::uint64_t e = applied_epoch_ + 1; e <= manifest.epoch; ++e) {
-      std::uint64_t replayed = 0;
-      const Status s = service_->ApplyChainEpoch(
-          dir_, e, std::chrono::milliseconds(options_.drain_timeout_ms),
-          &replayed);
-      if (!s.ok()) {
-        SPADE_LOG_WARNING() << "Standby: incremental apply of epoch " << e
-                            << " failed, falling back to full restore: "
-                            << s.ToString();
-        incremental = false;
-        break;
-      }
-      *edges += replayed;
-      ++*epochs;
-      applied_epoch_ = e;
+  info->validate_millis += read.ElapsedMillis();
+  // Epochs start at 1: an applied epoch at or past the base is a restore.
+  const bool extends = !needs_full_restore_ &&
+                       manifest.base_epoch == applied_base_epoch_ &&
+                       applied_epoch_ >= manifest.base_epoch;
+  ShardedDetectionService::RestoreInfo rinfo;
+  const auto add_stage_times = [&rinfo, info] {
+    info->validate_millis += rinfo.validate_millis;
+    info->replay_millis += rinfo.replay_millis;
+    info->recount_millis += rinfo.recount_millis;
+  };
+  bool applied = false;
+  if (extends) {
+    const Status s = service_->ApplyChainRange(
+        dir_, applied_epoch_ + 1, manifest.epoch,
+        std::chrono::milliseconds(options_.drain_timeout_ms), &rinfo);
+    add_stage_times();
+    applied = s.ok();
+    if (!applied) {
+      SPADE_LOG_WARNING() << "Standby: applying epochs "
+                          << (applied_epoch_ + 1) << ".." << manifest.epoch
+                          << " failed, falling back to full restore: "
+                          << s.ToString();
     }
   }
-  if (!incremental && applied_epoch_ < manifest.epoch) {
-    ShardedDetectionService::RestoreInfo rinfo;
-    SPADE_RETURN_NOT_OK(service_->RestoreState(dir_, &rinfo));
-    if (full_restore != nullptr) *full_restore = true;
-    *edges += rinfo.delta_edges_replayed;
-    applied_epoch_ = rinfo.restored_epoch;
+  if (!applied) {
+    const Status s = service_->RestoreState(dir_, &rinfo);
+    add_stage_times();
+    SPADE_RETURN_NOT_OK(s);
+    info->full_restore = true;
   }
-  ever_restored_ = true;
+  info->replayed_epochs = rinfo.replayed_epochs;
+  info->replayed_edges = rinfo.delta_edges_replayed;
+  applied_epoch_ = rinfo.restored_epoch;
   needs_full_restore_ = false;
   applied_base_epoch_ = manifest.base_epoch;
   return Status::OK();
@@ -504,17 +517,16 @@ bool Standby::WaitPrimaryLost(int timeout_ms) {
 }
 
 Status Standby::Promote(PromoteInfo* info) {
-  const auto start = Clock::now();
+  const Timer total;
   Stop();
-  std::lock_guard<std::mutex> lock(apply_mutex_);
   PromoteInfo local;
-  SPADE_RETURN_NOT_OK(ApplyThroughLocked(committed_epoch_,
-                                         &local.replayed_edges,
-                                         &local.replayed_epochs,
-                                         &local.full_restore));
+  local.stop_millis = total.ElapsedMillis();
+  std::lock_guard<std::mutex> lock(apply_mutex_);
+  SPADE_RETURN_NOT_OK(ApplyThroughLocked(committed_epoch_, &local));
   local.epoch = applied_epoch_;
   // Newest replicated seqmap at or below the promoted epoch seeds the new
-  // primary's dedup watermarks.
+  // primary's dedup watermarks. Reading it counts as validation.
+  const Timer seqmap_read;
   std::uint64_t best_epoch = 0;
   std::string best_path;
   std::error_code ec;
@@ -531,8 +543,8 @@ Status Standby::Promote(PromoteInfo* info) {
     std::uint64_t file_epoch = 0;
     SPADE_RETURN_NOT_OK(ReadSeqMapFile(best_path, &file_epoch, &local.seqmap));
   }
-  local.promote_millis =
-      std::chrono::duration<double, std::milli>(Clock::now() - start).count();
+  local.validate_millis += seqmap_read.ElapsedMillis();
+  local.promote_millis = total.ElapsedMillis();
   if (info != nullptr) *info = local;
   return Status::OK();
 }

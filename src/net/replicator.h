@@ -23,17 +23,20 @@
 //     CRC trailers are re-validated by the restore path on replay);
 //   - on EPOCH_COMMIT, installs the manifest atomically and acks. The
 //     first committed epoch is always applied immediately (full
-//     RestoreState) so the standby is warm; later epochs are applied
-//     eagerly via ShardedDetectionService::ApplyChainEpoch when
-//     `eager_replay` is set, or staged on disk and replayed by Promote()
-//     otherwise (so failover time == tail-chain replay cost, measurable);
+//     RestoreState) so the standby is warm; later epochs are applied as
+//     they commit when `eager_replay` is set, or staged on disk and
+//     replayed by Promote() otherwise (so failover time == tail-chain
+//     replay cost, measurable). Either way it is one
+//     ShardedDetectionService::ApplyChainRange over every committed but
+//     unapplied epoch, replayed in parallel on RestoreState's pool;
 //   - a lease monitor timestamps every received frame; WaitPrimaryLost()
 //     reports when the primary has been silent for a full lease interval;
-//   - Promote() stops replication, replays every committed-but-unapplied
-//     epoch (falling back to a full RestoreState when the incremental path
-//     is not applicable), loads the newest replicated seqmap, and reports
-//     what it did. The caller then seeds its own IngestServer with the
-//     seqmap and starts accepting writes (DESIGN.md §7).
+//   - Promote() stops replication at once, applies the staged tail
+//     (falling back to a full RestoreState when the ranged apply is not
+//     applicable or fails), loads the newest replicated seqmap, and
+//     reports what it did, stage by stage. The caller then seeds its own
+//     IngestServer with the seqmap and starts accepting writes
+//     (DESIGN.md §7).
 
 #pragma once
 
@@ -167,15 +170,24 @@ struct StandbyOptions {
 };
 
 struct PromoteInfo {
-  /// Epoch the service ended at (== the last committed epoch).
+  /// Epoch the service ended at: the last committed epoch, or the last
+  /// durable one when a full restore found the staged chain torn.
   std::uint64_t epoch = 0;
-  /// Epochs replayed by Promote itself (the staged tail).
+  /// Epochs and delta edges replayed by the call that produced the final
+  /// state (after a fallback, by the full RestoreState itself).
   std::uint64_t replayed_epochs = 0;
-  /// Delta edges replayed by Promote itself.
   std::uint64_t replayed_edges = 0;
   /// True when Promote had to fall back to a full RestoreState.
   bool full_restore = false;
   double promote_millis = 0.0;
+  /// Stage split of promote_millis: stopping the receiver, then the
+  /// RestoreInfo stages summed over the apply calls made (validate also
+  /// holds the standby's own manifest and seqmap reads). recount_millis is
+  /// the part of replay_millis spent recounting boundary weights.
+  double stop_millis = 0.0;
+  double validate_millis = 0.0;
+  double replay_millis = 0.0;
+  double recount_millis = 0.0;
   /// Stream watermarks from the newest replicated seqmap; seed the new
   /// primary's IngestServer with these before accepting writes.
   SeqMap seqmap;
@@ -224,16 +236,21 @@ class Standby {
   void ReceiveLoop();
   void HandleFile(const EpochFilePayload& file);
   void HandleCommit(const EpochCommitPayload& commit);
-  /// Applies committed epochs up to `target` (incrementally when
-  /// possible, full restore otherwise). Caller holds apply_mutex_.
-  Status ApplyThroughLocked(std::uint64_t target, std::uint64_t* edges,
-                            std::uint64_t* epochs, bool* full_restore);
+  /// When `target` is past the applied epoch, applies every committed
+  /// epoch: one ApplyChainRange when they extend the applied state, a full
+  /// RestoreState when they do not or that call fails. Fills `info`'s
+  /// counts, full_restore and stage times. Caller holds apply_mutex_.
+  Status ApplyThroughLocked(std::uint64_t target, PromoteInfo* info);
 
   ShardedDetectionService* service_;
   std::string dir_;
   StandbyOptions options_;
   std::atomic<bool> running_{false};
   std::thread receiver_;
+  /// Stop() closes the live connection and ends the backoff wait.
+  std::mutex conn_mutex_;
+  std::condition_variable stop_cv_;
+  Connection* live_conn_ = nullptr;  // guarded by conn_mutex_
 
   /// Milliseconds-since-steady-epoch of the last frame from the primary.
   std::atomic<std::int64_t> last_frame_ms_{0};
@@ -242,7 +259,6 @@ class Standby {
   std::uint64_t committed_epoch_ = 0;
   std::uint64_t applied_epoch_ = 0;
   std::uint64_t applied_base_epoch_ = 0;
-  bool ever_restored_ = false;
   bool needs_full_restore_ = false;
 
   std::mutex stats_mutex_;

@@ -652,88 +652,55 @@ void ShardWorker::AppendDeltaRecord(Partition& p, const DeltaRecord& record) {
   p.delta_log.push_back(record);
 }
 
-void ShardWorker::RebaselineLocked(Partition& p) {
-  // Re-baseline the alert filter on the restored community and cache it so
-  // readers switch over atomically (the caller republishes the argmax).
-  // The non-flushing read preserves the replayed benign buffer (Lemma 4.4:
-  // buffered edges cannot have improved the community, so the baseline is
-  // the same either way).
-  Community restored = p.spade.peel_state().DetectCommunity();
-  p.last_reported = SortedMembers(restored);
-  p.last_density = restored.density;
-  p.since_detect = 0;
-  p.current = std::make_shared<const Community>(std::move(restored));
-}
-
-Status ShardWorker::ReplayLocked(Partition& p,
-                                 std::span<const DeltaSegment> segments) {
-  // Replay the applied history through the same entry points the live
-  // worker used. Every record passed CRC validation, so a failure here
-  // means the chain does not match the detector it replays into — and it
-  // surfaces as a Status, not a partial silent state.
-  for (const DeltaSegment& segment : segments) {
+Status ShardWorker::ReplayPartition(std::size_t pid, RestorePlan plan) {
+  std::lock_guard<std::mutex> lock(detector_mutex_);
+  Partition* p = FindPartitionLocked(pid);
+  if (p == nullptr) {
+    return Status::NotFound(
+        "ShardWorker::ReplayPartition: partition not owned by this worker");
+  }
+  if (plan.base.has_value()) {
+    SPADE_RETURN_NOT_OK(p->spade.RestoreFromParts(std::move(*plan.base)));
+  }
+  // Replay the applied history through the live worker's entry points.
+  // Every record passed CRC validation, so a failure here means the chain
+  // does not match the detector, and it surfaces as a Status.
+  for (const DeltaSegment& segment : plan.segments) {
     for (const DeltaRecord& record : segment.records) {
       if (record.flush) {
-        SPADE_RETURN_NOT_OK(p.spade.Flush());
+        SPADE_RETURN_NOT_OK(p->spade.Flush());
       } else if (record.retire) {
-        const auto retired = p.spade.RetireOlderThan(record.horizon);
+        const auto retired = p->spade.RetireOlderThan(record.horizon);
         if (!retired.ok()) return retired.status();
         if (retired.value().size() != record.retired) {
           return Status::Internal(
-              "replay of partition " + std::to_string(p.pid) + " epoch " +
+              "replay of partition " + std::to_string(pid) + " epoch " +
               std::to_string(segment.epoch) + ": retire pass retired " +
               std::to_string(retired.value().size()) + " edges, recorded " +
               std::to_string(record.retired));
         }
         retired_.fetch_add(record.retired, std::memory_order_relaxed);
       } else {
-        SPADE_RETURN_NOT_OK(p.spade.ApplyEdge(record.edge));
+        SPADE_RETURN_NOT_OK(p->spade.ApplyEdge(record.edge));
       }
     }
   }
-  // The replayed records came from a sealed checkpoint: the detector now
-  // matches that checkpoint, so the in-memory history restarts from it
-  // (after a segment replay the owner also invalidates its chain cache,
-  // making the next save a full base — see
-  // ShardedDetectionService::ApplyChainEpoch).
-  p.delta_log.clear();
-  p.delta_overflow = false;
-  p.delta_tracking = true;
-  RebaselineLocked(p);
+  // The detector now matches a sealed checkpoint, so the in-memory history
+  // restarts from it (after a base-less replay the owner also drops its
+  // chain cache, so the next save is a full base).
+  p->delta_log.clear();
+  p->delta_overflow = false;
+  p->delta_tracking = true;
+  // Re-baseline the alert filter on the replayed community and publish it,
+  // reading without a flush to keep the replayed benign buffer (Lemma 4.4:
+  // buffered edges cannot have improved the community).
+  Community replayed = p->spade.peel_state().DetectCommunity();
+  p->last_reported = SortedMembers(replayed);
+  p->last_density = replayed.density;
+  p->since_detect = 0;
+  p->current = std::make_shared<const Community>(std::move(replayed));
   PublishArgmaxLocked();
   return Status::OK();
-}
-
-Status ShardWorker::RestorePartitionChain(std::size_t pid,
-                                          RestorePlan&& plan) {
-  Drain();
-  std::lock_guard<std::mutex> lock(detector_mutex_);
-  Partition* p = FindPartitionLocked(pid);
-  if (p == nullptr) {
-    return Status::NotFound(
-        "ShardWorker::RestorePartitionChain: partition not owned by this "
-        "worker");
-  }
-  SPADE_RETURN_NOT_OK(p->spade.RestoreFromParts(std::move(plan.base)));
-  return ReplayLocked(*p, plan.segments);
-}
-
-Status ShardWorker::ReplayPartitionSegment(
-    std::size_t pid, const DeltaSegment& segment,
-    std::chrono::milliseconds drain_timeout) {
-  if (!DrainFor(drain_timeout)) {
-    return Status::FailedPrecondition(
-        "ReplayPartitionSegment: shard queue did not drain within " +
-        std::to_string(drain_timeout.count()) + "ms");
-  }
-  std::lock_guard<std::mutex> lock(detector_mutex_);
-  Partition* p = FindPartitionLocked(pid);
-  if (p == nullptr) {
-    return Status::NotFound(
-        "ShardWorker::ReplayPartitionSegment: partition not owned by this "
-        "worker");
-  }
-  return ReplayLocked(*p, std::span<const DeltaSegment>(&segment, 1));
 }
 
 void ShardWorker::InspectDetector(

@@ -76,6 +76,7 @@
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <span>
 #include <string>
 #include <thread>
@@ -436,12 +437,13 @@ class ShardWorker {
     std::size_t records = 0;   // records of every kind written
   };
 
-  /// Everything needed to rebuild one partition to a checkpoint epoch: the
-  /// already-validated base snapshot plus the validated delta chain. The
-  /// caller (two-phase restore) parses and CRC-checks every file before
-  /// constructing a plan, so applying one cannot half-fail on bad input.
+  /// Everything needed to bring one partition to a checkpoint epoch: the
+  /// base snapshot a restore installs first (none when a standby extends
+  /// the current state), then the delta segments to replay. The caller
+  /// parses and CRC-checks every file before constructing a plan, so
+  /// applying one cannot half-fail on bad input.
   struct RestorePlan {
-    Spade::Parts base;
+    std::optional<Spade::Parts> base;
     std::vector<DeltaSegment> segments;  // ascending, contiguous epochs
   };
 
@@ -474,30 +476,15 @@ class ShardWorker {
                             std::uint64_t epoch,
                             DeltaSaveInfo* info = nullptr);
 
-  /// Drains, installs the plan's base state, and replays its delta chain
-  /// (possibly empty) through the normal ApplyEdge / Flush /
-  /// RetireOlderThan path — the
-  /// restored detector re-makes exactly the decisions the live one made
-  /// (DESIGN.md §5), so the result is bit-identical to the detector that
-  /// wrote the chain. The detector's installed semantics are reused; the
-  /// restored community is republished and becomes the alert baseline,
-  /// and delta tracking is armed for the next incremental checkpoint, as
-  /// after SavePartition. Safe to run concurrently with other workers'
-  /// restores (each call only touches its own worker's detector mutex),
-  /// which is how the sharded service parallelizes restore-side replay;
-  /// two partitions on the same worker serialize.
-  Status RestorePartitionChain(std::size_t pid, RestorePlan&& plan);
-
-  /// Replays one already-validated delta segment on top of the partition's
-  /// current state — the warm-standby increment: a follower that restored
-  /// epoch E applies the segment E -> E+1 without reloading the base.
-  /// Replays through the same path as RestorePartitionChain, so the result
-  /// stays bit-identical to the primary that wrote the segment. Fails with
-  /// kFailedPrecondition when the queue cannot be drained within
-  /// `drain_timeout` (a promoted follower must not replay into a detector
-  /// with edges still in flight).
-  Status ReplayPartitionSegment(std::size_t pid, const DeltaSegment& segment,
-                                std::chrono::milliseconds drain_timeout);
+  /// Installs the plan's base (when it has one) and replays its delta
+  /// segments through the normal ApplyEdge / Flush / RetireOlderThan path,
+  /// so the result is bit-identical to the detector that wrote the chain
+  /// (DESIGN.md §5). The replayed community is republished and becomes the
+  /// alert baseline, and delta tracking is armed for the next incremental
+  /// checkpoint, as after SavePartition. Does not drain: the caller
+  /// quiesces the fleet first. Replays of other partitions may run
+  /// concurrently (each takes only its worker's detector mutex).
+  Status ReplayPartition(std::size_t pid, RestorePlan plan);
 
   /// Runs `fn` on one owned partition's detector under the detector mutex.
   Status InspectPartition(std::size_t pid,
@@ -613,20 +600,6 @@ class ShardWorker {
   /// (detector mutex held). Drops the whole log and marks overflow at the
   /// cap.
   void AppendDeltaRecord(Partition& p, const DeltaRecord& record);
-
-  /// Replays delta segments through the live apply/flush/retire entry
-  /// points, then restarts the partition's delta log at the replayed
-  /// checkpoint, re-baselines and republishes (detector mutex held). A
-  /// retire pass that retires a different count than recorded fails,
-  /// naming the partition and epoch. The shared body of
-  /// RestorePartitionChain and ReplayPartitionSegment.
-  Status ReplayLocked(Partition& p, std::span<const DeltaSegment> segments);
-
-  /// Re-baselines a partition's alert filter on its current community and
-  /// stores it as the partition's cached snapshot (detector mutex held).
-  /// Reads without flushing: a replayed benign buffer must survive so the
-  /// restored detector keeps matching the live one.
-  void RebaselineLocked(Partition& p);
 
   /// Publishes the densest community across owned partitions (detector
   /// mutex held). An empty worker publishes an empty community.

@@ -294,13 +294,6 @@ void ShardedDetectionService::RecountBoundary(std::size_t pid,
   b.entries.store(b.weight.size(), std::memory_order_relaxed);
 }
 
-Status ShardedDetectionService::RecountOwnedBoundary(std::size_t pid) {
-  return workers_[map_.ShardOf(pid)]->InspectPartition(
-      pid, [this, pid](const Spade& detector) {
-        RecountBoundary(pid, detector);
-      });
-}
-
 std::unordered_map<VertexId, BoundaryWeight>
 ShardedDetectionService::BoundaryWeights() const {
   std::unordered_map<VertexId, BoundaryWeight> merged;
@@ -1170,6 +1163,42 @@ std::uint64_t NextEpochForDir(const std::string& dir) {
   return next;
 }
 
+/// Phase 1 of every chain replay, no side effects: parses and CRC-checks
+/// epochs [first, last] of `manifest` into the partitions' plans, up to the
+/// first epoch with a torn, corrupt or out-of-chain file, whose error it
+/// returns. The plans and `info` then describe the longest valid prefix.
+Status ReadChainRange(const std::string& dir, const ShardManifest& manifest,
+                      std::uint64_t first, std::uint64_t last,
+                      std::vector<ShardWorker::RestorePlan>* plans,
+                      ShardedDetectionService::RestoreInfo* info) {
+  const std::size_t num_partitions = plans->size();
+  info->manifest_epoch = manifest.epoch;
+  info->restored_epoch = first - 1;
+  std::vector<DeltaSegment> epoch_segments(num_partitions);
+  for (std::uint64_t e = first; e <= last; ++e) {
+    for (std::size_t pid = 0; pid < num_partitions; ++pid) {
+      const std::size_t row = (e - manifest.base_epoch - 1) * num_partitions;
+      const std::string path = JoinPath(dir, manifest.deltas[row + pid].file);
+      DeltaSegment& segment = epoch_segments[pid];
+      SPADE_RETURN_NOT_OK(ReadDeltaSegment(path, &segment));
+      if (segment.shard != pid || segment.epoch != e ||
+          segment.prev_epoch != e - 1) {
+        return Status::IOError("segment " + path +
+                               " does not advance partition " +
+                               std::to_string(pid) + " from epoch " +
+                               std::to_string(e - 1));
+      }
+    }
+    for (std::size_t pid = 0; pid < num_partitions; ++pid) {
+      info->delta_edges_replayed += epoch_segments[pid].NumEdges();
+      (*plans)[pid].segments.push_back(std::move(epoch_segments[pid]));
+    }
+    info->restored_epoch = e;
+    ++info->replayed_epochs;
+  }
+  return Status::OK();
+}
+
 }  // namespace
 
 Status ShardedDetectionService::SaveFull(const std::string& dir,
@@ -1363,19 +1392,65 @@ Status ShardedDetectionService::SaveState(const std::string& dir,
   return s;
 }
 
+Status ShardedDetectionService::ReplayPlans(
+    std::vector<ShardWorker::RestorePlan> plans, const Timer& stage,
+    RestoreInfo* info) {
+  const std::size_t num_partitions = plans.size();
+  std::vector<Status> statuses(num_partitions, Status::OK());
+  std::vector<double> recount_millis(num_partitions, 0.0);
+  std::atomic<std::size_t> next{0};
+  const auto work = [&] {
+    for (std::size_t pid; (pid = next.fetch_add(1)) < num_partitions;) {
+      ShardWorker& owner = *workers_[map_.ShardOf(pid)];
+      statuses[pid] = owner.ReplayPartition(pid, std::move(plans[pid]));
+      // Replay fires no boundary hook: recount the partition once, under
+      // its detector mutex so no apply interleaves with the count.
+      const Timer recount;
+      const Status counted =
+          owner.InspectPartition(pid, [this, pid](const Spade& detector) {
+            RecountBoundary(pid, detector);
+          });
+      recount_millis[pid] = recount.ElapsedMillis();
+      if (statuses[pid].ok()) statuses[pid] = counted;
+    }
+  };
+  // The calling thread is one of the pool's threads.
+  std::vector<std::thread> threads;
+  for (std::size_t t = 1; t < std::min(workers_.size(), num_partitions);
+       ++t) {
+    threads.emplace_back(work);
+  }
+  work();
+  for (std::thread& t : threads) t.join();
+  info->replay_millis = stage.ElapsedMillis();
+  for (const double ms : recount_millis) info->recount_millis += ms;
+  for (const Status& s : statuses) SPADE_RETURN_NOT_OK(s);
+  return Status::OK();
+}
+
+Status ShardedDetectionService::ReadManifest(const std::string& dir,
+                                             ShardManifest* manifest) const {
+  SPADE_RETURN_NOT_OK(ReadShardManifest(dir, manifest));
+  if (manifest->num_shards != map_.num_partitions()) {
+    return Status::FailedPrecondition(
+        "sharded snapshot has " + std::to_string(manifest->num_shards) +
+        " partitions but the service has " +
+        std::to_string(map_.num_partitions()));
+  }
+  return Status::OK();
+}
+
 Status ShardedDetectionService::RestoreState(const std::string& dir,
                                              RestoreInfo* info) {
+  const Timer total;
+  Timer stage;
   std::lock_guard<std::mutex> save_lock(save_mutex_);
-  const auto restore_start = std::chrono::steady_clock::now();
+  RestoreInfo local;
+  RestoreInfo& out = info != nullptr ? *info : local;
+  out = RestoreInfo{};
   const std::size_t num_partitions = map_.num_partitions();
   ShardManifest manifest;
-  SPADE_RETURN_NOT_OK(ReadShardManifest(dir, &manifest));
-  if (manifest.num_shards != num_partitions) {
-    return Status::FailedPrecondition(
-        "sharded snapshot has " + std::to_string(manifest.num_shards) +
-        " partitions but the service has " +
-        std::to_string(num_partitions));
-  }
+  SPADE_RETURN_NOT_OK(ReadManifest(dir, &manifest));
   // Resolve the checkpoint's placement: default home unless a sparse
   // placement row overrides it. A placement naming a worker this fleet
   // does not have is rejected up front (Phase 1 has no side effects yet).
@@ -1393,14 +1468,12 @@ Status ShardedDetectionService::RestoreState(const std::string& dir,
     target_shard[pid] = shard;
   }
 
-  const std::uint64_t manifest_epoch = manifest.epoch;
-
   // ---- Phase 1: parse + CRC-check every file, no side effects. ----------
   // Bases first: a torn base is unrecoverable (fail cleanly, leaving the
   // running fleet untouched).
   std::vector<ShardWorker::RestorePlan> plans(num_partitions);
   for (std::size_t pid = 0; pid < num_partitions; ++pid) {
-    Spade::Parts& base = plans[pid].base;
+    Spade::Parts& base = plans[pid].base.emplace();
     SPADE_RETURN_NOT_OK(LoadSnapshot(JoinPath(dir, manifest.files[pid]),
                                      &base.graph, &base.state,
                                      &base.state_present, &base.window));
@@ -1412,38 +1485,32 @@ Status ShardedDetectionService::RestoreState(const std::string& dir,
           " carries a window log but this service has window expiry off");
     }
   }
-  // Chain epochs, oldest first: stop at the first epoch with any torn or
+  // The chain, oldest first, up to the first epoch with any torn or
   // corrupt file. Everything before it is durable by construction (those
   // files were fully written before the later manifest was published), so
   // the longest valid prefix IS the last durable checkpoint.
-  std::uint64_t restored_epoch = manifest.base_epoch;
-  std::size_t delta_edges = 0;
-  for (std::uint64_t e = manifest.base_epoch + 1; e <= manifest.epoch; ++e) {
-    std::vector<DeltaSegment> epoch_segments(num_partitions);
-    bool epoch_ok = true;
-    for (std::size_t pid = 0; pid < num_partitions && epoch_ok; ++pid) {
-      const DeltaSegmentRef& ref =
-          manifest
-              .deltas[(e - manifest.base_epoch - 1) * num_partitions + pid];
-      DeltaSegment segment;
-      const Status s = ReadDeltaSegment(JoinPath(dir, ref.file), &segment);
-      epoch_ok = s.ok() && segment.shard == pid && segment.epoch == e &&
-                 segment.prev_epoch == e - 1;
-      if (epoch_ok) epoch_segments[pid] = std::move(segment);
-    }
-    if (!epoch_ok) {
-      SPADE_LOG_WARNING() << "RestoreState: chain torn at epoch " << e
-                          << "; recovering to durable epoch " << (e - 1);
-      break;
-    }
-    for (std::size_t pid = 0; pid < num_partitions; ++pid) {
-      delta_edges += epoch_segments[pid].NumEdges();
-      plans[pid].segments.push_back(std::move(epoch_segments[pid]));
-    }
-    restored_epoch = e;
+  const Status chain = ReadChainRange(dir, manifest, manifest.base_epoch + 1,
+                                      manifest.epoch, &plans, &out);
+  if (!chain.ok()) {
+    SPADE_LOG_WARNING() << "RestoreState: chain torn at epoch "
+                        << (out.restored_epoch + 1)
+                        << "; recovering to durable epoch "
+                        << out.restored_epoch << ": " << chain.ToString();
   }
+  // Byte accounting of the chain the restore resumes (CheckpointPolicy).
+  std::uint64_t base_bytes = 0;
+  for (const std::string& f : manifest.files) {
+    base_bytes += FileSizeOrZero(JoinPath(dir, f));
+  }
+  std::uint64_t delta_bytes = 0;
+  for (std::uint64_t i = 0; i < out.replayed_epochs * num_partitions; ++i) {
+    delta_bytes += FileSizeOrZero(JoinPath(dir, manifest.deltas[i].file));
+  }
+  out.validate_millis = stage.ElapsedMillis();
+  stage.Restart();
 
   // ---- Phase 2: install. Everything applied below passed validation. ----
+  Drain();
   // Drop the stitched snapshot BEFORE touching any detector: it described
   // the pre-restore fleet, and it must not survive the swap (a stale
   // stitched read over replaced detectors would be the one overclaim the
@@ -1457,14 +1524,6 @@ Status ShardedDetectionService::RestoreState(const std::string& dir,
     stitch_passes_.store(0, std::memory_order_relaxed);
     stitched_alerts_.store(0, std::memory_order_relaxed);
   }
-  // Chain replay is the dominant restore cost (it re-applies every delta
-  // edge through the full reorder path), and each partition's plan touches
-  // only its owner's detector — so replay partition chains in parallel,
-  // one thread per worker. Two partitions on the same worker serialize on
-  // its detector mutex; nothing else is shared between the replays, so
-  // the result does not depend on their interleaving. Replay fires no
-  // boundary hook, so each thread recounts its partition's boundary
-  // weights right after the replay.
   {
     // Placement install + replay run under one rebalance hold: a steal
     // landing between "move pid to its checkpoint shard" and "replay pid
@@ -1483,128 +1542,75 @@ Status ShardedDetectionService::RestoreState(const std::string& dir,
       workers_[target_shard[pid]]->AttachPartition(std::move(part));
       map_.Publish(pid, target_shard[pid]);
     }
-    const std::size_t pool = std::min(workers_.size(), num_partitions);
-    std::vector<Status> statuses(num_partitions, Status::OK());
-    std::atomic<std::size_t> next{0};
-    std::vector<std::thread> threads;
-    threads.reserve(pool);
-    for (std::size_t t = 0; t < pool; ++t) {
-      threads.emplace_back([this, num_partitions, &next, &plans, &statuses] {
-        for (;;) {
-          const std::size_t pid = next.fetch_add(1, std::memory_order_relaxed);
-          if (pid >= num_partitions) break;
-          statuses[pid] = workers_[map_.ShardOf(pid)]->RestorePartitionChain(
-              pid, std::move(plans[pid]));
-          const Status recount = RecountOwnedBoundary(pid);
-          if (statuses[pid].ok()) statuses[pid] = recount;
-        }
-      });
-    }
-    for (std::thread& t : threads) t.join();
-    for (const Status& s : statuses) SPADE_RETURN_NOT_OK(s);
+    SPADE_RETURN_NOT_OK(ReplayPlans(std::move(plans), stage, &out));
   }
 
   // Resume the chain in this directory: the next SaveState extends it.
   chain_dir_ = dir;
   chain_ = std::move(manifest);
-  if (restored_epoch < chain_.epoch) {
-    // Truncate the cached chain to the durable prefix; the dropped epochs'
-    // files are dead and will be overwritten or GC'd.
-    chain_.epoch = restored_epoch;
-    chain_.deltas.resize((restored_epoch - chain_.base_epoch) *
+  out.truncated_chain = !chain.ok();
+  if (out.truncated_chain) {
+    // Truncate the cached chain to the durable prefix, and collect the torn
+    // epochs' files now (best effort): leaving them would let a later save
+    // reuse their epoch numbers while the on-disk manifest still references
+    // the old bytes — a crash in that window would splice two timelines
+    // into one restorable (and wrong) chain.
+    chain_.epoch = out.restored_epoch;
+    chain_.deltas.resize((out.restored_epoch - chain_.base_epoch) *
                          num_partitions);
-  }
-  chain_base_bytes_ = 0;
-  for (const std::string& f : chain_.files) {
-    chain_base_bytes_ += FileSizeOrZero(JoinPath(dir, f));
-  }
-  chain_delta_bytes_ = 0;
-  for (const DeltaSegmentRef& ref : chain_.deltas) {
-    chain_delta_bytes_ += FileSizeOrZero(JoinPath(dir, ref.file));
-  }
-  if (restored_epoch < manifest_epoch) {
-    // Collect the torn epochs' files now (best effort): leaving them would
-    // let a later save reuse their epoch numbers while the on-disk
-    // manifest still references the old bytes — a crash in that window
-    // would splice two timelines into one restorable (and wrong) chain.
     RemoveStaleChainFiles(dir);
   }
-  if (info != nullptr) {
-    info->manifest_epoch = manifest_epoch;
-    info->restored_epoch = restored_epoch;
-    info->delta_edges_replayed = delta_edges;
-    info->truncated_chain = restored_epoch < manifest_epoch;
-    info->restore_millis = std::chrono::duration<double, std::milli>(
-                               std::chrono::steady_clock::now() -
-                               restore_start)
-                               .count();
-  }
+  chain_base_bytes_ = base_bytes;
+  chain_delta_bytes_ = delta_bytes;
+  out.restore_millis = total.ElapsedMillis();
   return Status::OK();
 }
 
-Status ShardedDetectionService::ApplyChainEpoch(
-    const std::string& dir, std::uint64_t target_epoch,
-    std::chrono::milliseconds drain_timeout,
-    std::uint64_t* edges_replayed) {
+Status ShardedDetectionService::ApplyChainRange(
+    const std::string& dir, std::uint64_t first_epoch,
+    std::uint64_t last_epoch, std::chrono::milliseconds drain_timeout,
+    RestoreInfo* info) {
+  const Timer total;
+  Timer stage;
   std::lock_guard<std::mutex> save_lock(save_mutex_);
-  const std::size_t num_partitions = map_.num_partitions();
+  RestoreInfo local;
+  RestoreInfo& out = info != nullptr ? *info : local;
+  out = RestoreInfo{};
   ShardManifest manifest;
-  SPADE_RETURN_NOT_OK(ReadShardManifest(dir, &manifest));
-  if (manifest.num_shards != num_partitions) {
-    return Status::FailedPrecondition(
-        "ApplyChainEpoch: snapshot has " +
-        std::to_string(manifest.num_shards) +
-        " partitions but the service has " +
-        std::to_string(num_partitions));
-  }
-  if (target_epoch <= manifest.base_epoch || target_epoch > manifest.epoch) {
+  SPADE_RETURN_NOT_OK(ReadManifest(dir, &manifest));
+  if (first_epoch <= manifest.base_epoch || last_epoch > manifest.epoch ||
+      first_epoch > last_epoch) {
     return Status::OutOfRange(
-        "ApplyChainEpoch: epoch " + std::to_string(target_epoch) +
-        " is not a delta epoch of " + dir + " (chain covers (" +
-        std::to_string(manifest.base_epoch) + ", " +
+        "ApplyChainRange: epochs [" + std::to_string(first_epoch) + ", " +
+        std::to_string(last_epoch) + "] are not delta epochs of " + dir +
+        " (chain covers (" + std::to_string(manifest.base_epoch) + ", " +
         std::to_string(manifest.epoch) + "])");
   }
 
-  // ---- Phase 1: parse + CRC-check the epoch's files, no side effects. ----
-  const std::size_t epoch_row =
-      static_cast<std::size_t>(target_epoch - manifest.base_epoch - 1);
-  std::vector<DeltaSegment> segments(num_partitions);
-  for (std::size_t pid = 0; pid < num_partitions; ++pid) {
-    const DeltaSegmentRef& ref =
-        manifest.deltas[epoch_row * num_partitions + pid];
-    DeltaSegment segment;
-    SPADE_RETURN_NOT_OK(ReadDeltaSegment(JoinPath(dir, ref.file), &segment));
-    if (segment.shard != pid || segment.epoch != target_epoch ||
-        segment.prev_epoch != target_epoch - 1) {
-      return Status::IOError(
-          "ApplyChainEpoch: segment " + ref.file +
-          " does not advance partition " + std::to_string(pid) +
-          " from epoch " + std::to_string(target_epoch - 1));
-    }
-    segments[pid] = std::move(segment);
-  }
+  // ---- Phase 1: parse + CRC-check the whole range, no side effects. ----
+  std::vector<ShardWorker::RestorePlan> plans(map_.num_partitions());
+  const Status chain =
+      ReadChainRange(dir, manifest, first_epoch, last_epoch, &plans, &out);
+  out.validate_millis = stage.ElapsedMillis();
+  stage.Restart();
+  SPADE_RETURN_NOT_OK(chain);  // a valid prefix is not the range asked for
 
   // ---- Phase 2: replay. Everything below passed validation. -------------
-  std::uint64_t replayed = 0;
-  {
-    // Placement freeze: the owner looked up for each segment must still
-    // own the partition when the replay runs on it.
-    std::lock_guard<std::mutex> rebalance_lock(rebalance_mutex_);
-    for (std::size_t pid = 0; pid < num_partitions; ++pid) {
-      replayed += segments[pid].NumEdges();
-      SPADE_RETURN_NOT_OK(
-          workers_[map_.ShardOf(pid)]->ReplayPartitionSegment(
-              pid, segments[pid], drain_timeout));
-      // Replay fires no boundary hook; recount what it changed.
-      SPADE_RETURN_NOT_OK(RecountOwnedBoundary(pid));
-    }
+  if (!DrainFor(drain_timeout)) {
+    return Status::FailedPrecondition(
+        "ApplyChainRange: the fleet did not drain within " +
+        std::to_string(drain_timeout.count()) + "ms");
   }
-  // The cached save chain no longer matches the workers' (now replayed-
-  // ahead) delta logs; drop it so the next SaveState writes a fresh full
-  // base instead of extending a chain that would silently skip the
-  // replayed epochs.
+  // The cached save chain no longer matches the replayed-ahead delta logs:
+  // the next SaveState must write a full base, not skip the replayed epochs.
   chain_dir_.clear();
-  if (edges_replayed != nullptr) *edges_replayed = replayed;
+  {
+    // Placement freeze: the owner looked up for each plan must still own
+    // the partition when the replay runs on it.
+    std::lock_guard<std::mutex> rebalance_lock(rebalance_mutex_);
+    SPADE_RETURN_NOT_OK(ReplayPlans(std::move(plans), stage, &out));
+  }
+  out.restore_millis = total.ElapsedMillis();
   return Status::OK();
 }
 

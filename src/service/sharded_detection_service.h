@@ -19,8 +19,8 @@
 // summed over the cross-home edges stored in that partition's detector
 // (graph plus benign buffer). The applying worker adds or subtracts each
 // cross-home edge at its applied weight from inside its apply critical
-// section, the constructor counts the initial graphs, and a restore or
-// chain replay recounts the replayed partitions from their detectors.
+// section, the constructor counts the initial graphs, and a chain replay
+// recounts each partition from its detector once, after the replay.
 //
 // Cross-shard reads: CurrentCommunity() is the densest community over all
 // shard snapshots (per-shard argmax). The stitch pass (StitchNow,
@@ -57,6 +57,7 @@
 
 #include "common/slab_pool.h"
 #include "common/status.h"
+#include "common/timer.h"
 #include "core/spade.h"
 #include "graph/types.h"
 #include "service/partition_map.h"
@@ -481,17 +482,22 @@ class ShardedDetectionService {
     std::size_t delta_edges = 0;      // NumEdges across all segments
   };
 
-  /// What one RestoreState actually recovered.
+  /// What one RestoreState or ApplyChainRange did. Two stages split
+  /// `restore_millis`: validate (every file read, parse + CRC) and replay
+  /// (quiescing plus the replay pool's wall time). `recount_millis` is the
+  /// part of the replay the pool's threads spent recounting boundary
+  /// weights, summed over partitions.
   struct RestoreInfo {
     std::uint64_t manifest_epoch = 0;  // epoch the manifest claims
     std::uint64_t restored_epoch = 0;  // epoch actually reconstructed
+    std::uint64_t replayed_epochs = 0;  // delta epochs replayed
     std::size_t delta_edges_replayed = 0;
-    /// True when a torn/corrupt chain tail forced recovery to an earlier
-    /// durable epoch (restored_epoch < manifest_epoch).
+    /// A torn/corrupt chain tail forced recovery to an earlier durable epoch.
     bool truncated_chain = false;
-    /// Wall-clock duration of the whole restore (validation + parallel
-    /// chain replay).
-    double restore_millis = 0.0;
+    double restore_millis = 0.0;  // the whole call
+    double validate_millis = 0.0;
+    double replay_millis = 0.0;
+    double recount_millis = 0.0;
   };
 
   /// Checkpoints all shards into `dir` (created if needed). The first save
@@ -516,39 +522,31 @@ class ShardedDetectionService {
   /// to the last epoch whose files are all intact; a torn base or manifest
   /// fails cleanly. Delta chains replay through the normal ApplyEdge path,
   /// so restored detectors are bit-identical to the ones that wrote the
-  /// chain. Delta chains replay in parallel on min(shards, partitions)
-  /// threads (each chain replays only into its own detector, so the result
-  /// does not depend on the interleaving). Detectors keep their installed
-  /// semantics, and the checkpoint's placement is restored. Each replayed
-  /// partition's boundary weights are recounted from its detector, and the
-  /// stitched snapshot *and* the stitch counters are reset — stats()
-  /// afterwards describes the restored run, not the one that wrote the
-  /// snapshot. The directory's chain is resumed: the next SaveState into
-  /// it appends a delta epoch. Only the one on-disk layout this build
-  /// writes is accepted (manifest version 5); any other version fails with
-  /// kIOError naming it.
+  /// chain, on the parallel replay ApplyChainRange shares (ReplayPlans).
+  /// Detectors keep their installed semantics; the checkpoint's placement
+  /// is restored; the stitched snapshot *and* the stitch counters are
+  /// reset, so stats() describes the restored run. The directory's chain
+  /// is resumed: the next SaveState into it appends a delta epoch. Only
+  /// manifest version 5 is accepted; any other fails with kIOError naming
+  /// it.
   Status RestoreState(const std::string& dir, RestoreInfo* info = nullptr);
 
-  /// Warm-standby increment: applies exactly checkpoint epoch
-  /// `target_epoch` from `dir` on top of the service's current state —
-  /// the follower that already restored (or replayed up to) epoch E calls
-  /// this with E+1 as each replicated epoch commits, instead of re-running
-  /// a full RestoreState over the whole chain. Two-phase like
-  /// RestoreState: every segment is parsed, CRC-checked and
-  /// chain-validated (shard index, prev_epoch contiguity against
-  /// `target_epoch - 1`) before any detector is touched, so a corrupt
-  /// replicated epoch fails cleanly with the fleet intact. Replays through
-  /// ShardWorker::ReplayPartitionSegment (bit-identity preserved), then
-  /// recounts each partition's boundary weights. Requires a quiesced
-  /// service (the follower takes no
-  /// writes); a shard that cannot drain within `drain_timeout` fails the
-  /// call. Invalidates the cached save chain: the next SaveState into any
-  /// directory writes a full base. `edges_replayed` (optional) reports the
-  /// replayed edge records — the tail-chain replay cost bench_replication
-  /// measures.
-  Status ApplyChainEpoch(const std::string& dir, std::uint64_t target_epoch,
+  /// Warm-standby increment: applies delta epochs [first_epoch, last_epoch]
+  /// of `dir` on top of the current state (a follower at epoch
+  /// first_epoch - 1 catching up), through RestoreState's parallel replay,
+  /// into each partition's current owner. kOutOfRange unless base <
+  /// first_epoch <= last_epoch <= the manifest's epoch. All-or-nothing:
+  /// every segment of the range is parsed, CRC-checked and chain-validated
+  /// before any detector is touched, so a corrupt one fails the call with
+  /// the IOError naming its file and the fleet intact. Requires a quiesced
+  /// service; a fleet that cannot drain within `drain_timeout` fails
+  /// before any replay. Invalidates the cached save chain (the next
+  /// SaveState writes a full base). `info` is filled as by RestoreState;
+  /// after a failure only its stage times are meaningful.
+  Status ApplyChainRange(const std::string& dir, std::uint64_t first_epoch,
+                         std::uint64_t last_epoch,
                          std::chrono::milliseconds drain_timeout,
-                         std::uint64_t* edges_replayed = nullptr);
+                         RestoreInfo* info = nullptr);
 
  private:
   /// Single-pass density argmax over the shard snapshots: (shard, snapshot).
@@ -577,11 +575,23 @@ class ShardedDetectionService {
   /// Replaces partition `pid`'s boundary weights with a from-scratch count
   /// of the cross-home edges in `detector`'s graph and benign buffer. The
   /// caller keeps the detector still meanwhile: before its worker exists,
-  /// or under its worker's detector mutex (RecountOwnedBoundary).
+  /// or under its worker's detector mutex (ReplayPlans).
   void RecountBoundary(std::size_t pid, const Spade& detector);
-  /// RecountBoundary through the owning worker's InspectPartition, so no
-  /// apply interleaves with the count. Caller holds rebalance_mutex_.
-  Status RecountOwnedBoundary(std::size_t pid);
+
+  /// ReadShardManifest, failing kFailedPrecondition unless the manifest's
+  /// partition count is this fleet's.
+  Status ReadManifest(const std::string& dir, ShardManifest* manifest) const;
+
+  /// Phase 2 of RestoreState and ApplyChainRange: one task per partition,
+  /// on min(workers, partitions) threads, replays the partition's plan into
+  /// its current owner and then recounts its boundary weights. Partitions
+  /// share only their worker's detector mutex, so the result does not
+  /// depend on the interleaving. Sets `info`'s replay_millis to `stage`'s
+  /// reading once the pool is done (`stage` started with the replay stage)
+  /// and its recount_millis to the recounts' summed time. Caller holds
+  /// save_mutex_ and rebalance_mutex_, with the fleet drained.
+  Status ReplayPlans(std::vector<ShardWorker::RestorePlan> plans,
+                     const Timer& stage, RestoreInfo* info);
 
   /// The stable partition id of an edge: spade::PartitionOf over this
   /// service's partitioner and partition count.

@@ -35,24 +35,27 @@ namespace fs = std::filesystem;
 constexpr std::size_t kShards = 2;
 constexpr std::size_t kVertices = 96;
 
-Partitioner ParityPartitioner() {
-  return [](VertexId v) -> std::size_t { return v % kShards; };
-}
-
+/// `partitions_per_shard` detector partitions on each of kShards workers,
+/// homed by v % partition count.
 std::unique_ptr<ShardedDetectionService> BuildService(
-    const std::vector<Edge>& initial) {
-  std::vector<std::vector<Edge>> parts(kShards);
-  for (const Edge& e : initial) parts[e.src % kShards].push_back(e);
+    const std::vector<Edge>& initial, std::size_t partitions_per_shard = 1,
+    std::size_t vertices = kVertices) {
+  const std::size_t partitions = kShards * partitions_per_shard;
+  std::vector<std::vector<Edge>> parts(partitions);
+  for (const Edge& e : initial) parts[e.src % partitions].push_back(e);
   std::vector<Spade> shards;
-  for (std::size_t s = 0; s < kShards; ++s) {
+  for (std::size_t p = 0; p < partitions; ++p) {
     Spade spade;
     spade.SetSemantics(MakeDW());
-    EXPECT_TRUE(spade.BuildGraph(kVertices, parts[s]).ok());
+    EXPECT_TRUE(spade.BuildGraph(vertices, parts[p]).ok());
     shards.push_back(std::move(spade));
   }
   ShardedDetectionServiceOptions options;
-  options.partitioner = ParityPartitioner();
+  options.partitioner = [partitions](VertexId v) -> std::size_t {
+    return v % partitions;
+  };
   options.shard.detect_every = 16;
+  options.rebalance.partitions_per_shard = partitions_per_shard;
   options.checkpoint.max_chain_length = 1000;
   options.checkpoint.max_delta_base_ratio = 1e9;
   auto service = std::make_unique<ShardedDetectionService>(
@@ -60,38 +63,94 @@ std::unique_ptr<ShardedDetectionService> BuildService(
   return service;
 }
 
-std::vector<testing::ShardCapture> CaptureShards(
+/// One capture per partition, wherever it lives, so fleets whose
+/// placements differ still compare partition by partition.
+std::vector<testing::ShardCapture> CapturePartitions(
     const ShardedDetectionService& service) {
-  std::vector<testing::ShardCapture> captures(service.num_shards());
-  for (std::size_t s = 0; s < service.num_shards(); ++s) {
-    service.InspectShard(s, [&](const Spade& spade) {
-      captures[s].state = spade.peel_state();
-      captures[s].num_edges = spade.graph().NumEdges();
-      captures[s].total_weight = spade.graph().TotalWeight();
-      captures[s].pending_benign = spade.PendingBenignEdges();
-    });
+  std::vector<testing::ShardCapture> captures(service.num_partitions());
+  for (std::size_t pid = 0; pid < service.num_partitions(); ++pid) {
+    EXPECT_TRUE(service
+                    .InspectPartition(pid,
+                                      [&](const Spade& spade) {
+                                        captures[pid].state =
+                                            spade.peel_state();
+                                        captures[pid].num_edges =
+                                            spade.graph().NumEdges();
+                                        captures[pid].total_weight =
+                                            spade.graph().TotalWeight();
+                                        captures[pid].pending_benign =
+                                            spade.PendingBenignEdges();
+                                      })
+                    .ok());
   }
   return captures;
 }
 
-void ExpectServicesEqual(const ShardedDetectionService& expected,
-                         const ShardedDetectionService& actual) {
-  const auto want = CaptureShards(expected);
-  const auto got = CaptureShards(actual);
+void ExpectSameCaptures(const std::vector<testing::ShardCapture>& want,
+                        const std::vector<testing::ShardCapture>& got) {
   ASSERT_EQ(want.size(), got.size());
-  for (std::size_t s = 0; s < want.size(); ++s) {
-    testing::ExpectShardEqualsCapture(want[s], got[s]);
+  for (std::size_t pid = 0; pid < want.size(); ++pid) {
+    testing::ExpectShardEqualsCapture(want[pid], got[pid]);
   }
 }
 
-std::vector<Edge> MakeEdges(std::size_t count, std::uint64_t seed) {
+void ExpectServicesEqual(const ShardedDetectionService& expected,
+                         const ShardedDetectionService& actual) {
+  ExpectSameCaptures(CapturePartitions(expected), CapturePartitions(actual));
+}
+
+std::vector<Edge> MakeEdges(std::size_t count, std::uint64_t seed,
+                            std::size_t vertices = kVertices) {
   Rng rng(seed);
   std::vector<Edge> edges;
   edges.reserve(count);
   for (std::size_t i = 0; i < count; ++i) {
-    edges.push_back(testing::RandomEdge(&rng, kVertices, 4));
+    edges.push_back(testing::RandomEdge(&rng, vertices, 4));
   }
   return edges;
+}
+
+/// Flips one byte in the middle of `path`, so its CRC trailer no longer
+/// matches.
+void CorruptMiddleByte(const std::string& path) {
+  std::fstream f(path, std::ios::in | std::ios::out | std::ios::binary);
+  ASSERT_TRUE(f.good()) << path;
+  f.seekg(0, std::ios::end);
+  const auto size = static_cast<std::streamoff>(f.tellg());
+  ASSERT_GT(size, 16) << path;
+  f.seekg(size / 2);
+  char c = 0;
+  f.read(&c, 1);
+  c = static_cast<char>(c ^ 0x5A);
+  f.seekp(size / 2);
+  f.write(&c, 1);
+}
+
+/// Saves epochs `first`..`last` of `primary` into `dir`: epoch 1 is the
+/// full base, every later epoch a delta holding `edges_per_epoch` fresh
+/// edges.
+void SaveChain(ShardedDetectionService* primary, const std::string& dir,
+               std::uint64_t first, std::uint64_t last,
+               std::size_t edges_per_epoch, std::uint64_t seed,
+               std::size_t vertices = kVertices) {
+  for (std::uint64_t e = first; e <= last; ++e) {
+    if (e > 1) {
+      ASSERT_TRUE(primary
+                      ->SubmitBatch(MakeEdges(edges_per_epoch, seed + e,
+                                              vertices))
+                      .ok());
+      primary->Drain();
+    }
+    ShardedDetectionService::SaveInfo info;
+    ASSERT_TRUE(primary
+                    ->SaveState(dir,
+                                e == 1
+                                    ? ShardedDetectionService::SaveMode::kFull
+                                    : ShardedDetectionService::SaveMode::kDelta,
+                                &info)
+                    .ok());
+    ASSERT_EQ(info.epoch, e);
+  }
 }
 
 std::string ResetWorkDir(const std::string& leaf) {
@@ -261,49 +320,116 @@ TEST(IngestSeal, SeqmapMatchesAppliedWatermark) {
 }
 
 // --------------------------------------------------------------------------
-// ApplyChainEpoch: warm-standby single-epoch increments are bit-identical
-// to the live primary.
+// ApplyChainRange: the warm-standby increment. One-epoch ranges (an eager
+// standby) and a whole staged tail in one call are both bit-identical to
+// the live primary; a bad range or a bad segment changes nothing.
 
-TEST(ApplyChainEpoch, IncrementalEpochsMatchPrimary) {
+constexpr auto kDrainTimeout = std::chrono::milliseconds(10'000);
+
+TEST(ApplyChainRange, IncrementalEpochsMatchPrimary) {
   const std::string dir = ResetWorkDir("apply_chain");
-  const std::vector<Edge> initial = MakeEdges(64, 9);
-  auto primary = BuildService(initial);
-
-  ShardedDetectionService::SaveInfo info;
-  ASSERT_TRUE(primary
-                  ->SaveState(dir, ShardedDetectionService::SaveMode::kFull,
-                              &info)
-                  .ok());
-  ASSERT_EQ(info.epoch, 1u);
-
+  auto primary = BuildService(MakeEdges(64, 9));
+  SaveChain(primary.get(), dir, 1, 1, 0, 0);
   auto standby = BuildService({});
   ASSERT_TRUE(standby->RestoreState(dir).ok());
   ExpectServicesEqual(*primary, *standby);
 
   for (std::uint64_t e = 2; e <= 4; ++e) {
-    ASSERT_TRUE(primary->SubmitBatch(MakeEdges(48, 10 + e)).ok());
-    primary->Drain();
-    ASSERT_TRUE(primary
-                    ->SaveState(dir, ShardedDetectionService::SaveMode::kDelta,
-                                &info)
-                    .ok());
-    ASSERT_EQ(info.epoch, e);
-    std::uint64_t replayed = 0;
-    ASSERT_TRUE(standby
-                    ->ApplyChainEpoch(dir, e, std::chrono::milliseconds(10'000),
-                                      &replayed)
-                    .ok());
-    EXPECT_GT(replayed, 0u);
+    SaveChain(primary.get(), dir, e, e, 48, 10);
+    ShardedDetectionService::RestoreInfo applied;
+    ASSERT_TRUE(
+        standby->ApplyChainRange(dir, e, e, kDrainTimeout, &applied).ok());
+    EXPECT_EQ(applied.replayed_epochs, 1u);
+    EXPECT_EQ(applied.restored_epoch, e);
+    EXPECT_GT(applied.delta_edges_replayed, 0u);
     ExpectServicesEqual(*primary, *standby);
   }
+}
 
-  // Guard rails: out-of-range targets are rejected crisply.
-  EXPECT_EQ(standby->ApplyChainEpoch(dir, 99, std::chrono::milliseconds(1000))
-                .code(),
-            StatusCode::kOutOfRange);
-  EXPECT_EQ(standby->ApplyChainEpoch(dir, 1, std::chrono::milliseconds(1000))
-                .code(),
-            StatusCode::kOutOfRange);
+TEST(ApplyChainRange, WholeRangeInOneCallMatchesPrimary) {
+  const std::string dir = ResetWorkDir("apply_range");
+  auto primary = BuildService(MakeEdges(64, 11));
+  SaveChain(primary.get(), dir, 1, 1, 0, 0);
+  auto standby = BuildService({});
+  ASSERT_TRUE(standby->RestoreState(dir).ok());
+  SaveChain(primary.get(), dir, 2, 4, 48, 20);
+
+  ShardedDetectionService::RestoreInfo applied;
+  ASSERT_TRUE(
+      standby->ApplyChainRange(dir, 2, 4, kDrainTimeout, &applied).ok());
+  EXPECT_EQ(applied.manifest_epoch, 4u);
+  EXPECT_EQ(applied.restored_epoch, 4u);
+  EXPECT_EQ(applied.replayed_epochs, 3u);
+  EXPECT_FALSE(applied.truncated_chain);
+  ExpectServicesEqual(*primary, *standby);
+
+  // The same range replayed by a full restore counts the same edges.
+  auto verifier = BuildService({});
+  ShardedDetectionService::RestoreInfo restored;
+  ASSERT_TRUE(verifier->RestoreState(dir, &restored).ok());
+  EXPECT_EQ(restored.replayed_epochs, 3u);
+  EXPECT_EQ(applied.delta_edges_replayed, restored.delta_edges_replayed);
+  ExpectServicesEqual(*verifier, *standby);
+}
+
+TEST(ApplyChainRange, RejectsRangesOutsideTheChain) {
+  const std::string dir = ResetWorkDir("apply_range_bounds");
+  auto primary = BuildService(MakeEdges(64, 12));
+  SaveChain(primary.get(), dir, 1, 4, 48, 30);
+  auto standby = BuildService({});
+  const auto before = CapturePartitions(*standby);
+  for (const auto& [first, last] :
+       std::vector<std::pair<std::uint64_t, std::uint64_t>>{
+           {1, 4}, {0, 2}, {2, 5}, {99, 99}, {4, 3}}) {
+    EXPECT_EQ(standby->ApplyChainRange(dir, first, last, kDrainTimeout).code(),
+              StatusCode::kOutOfRange)
+        << "[" << first << ", " << last << "]";
+  }
+  ExpectSameCaptures(before, CapturePartitions(*standby));
+}
+
+TEST(ApplyChainRange, CorruptSegmentInTheRangeChangesNothing) {
+  const std::string dir = ResetWorkDir("apply_range_corrupt");
+  auto primary = BuildService(MakeEdges(64, 13));
+  SaveChain(primary.get(), dir, 1, 1, 0, 0);
+  auto standby = BuildService({});
+  ASSERT_TRUE(standby->RestoreState(dir).ok());
+  SaveChain(primary.get(), dir, 2, 4, 48, 40);
+  const std::string bad = ShardDeltaFileName(1, 3);
+  CorruptMiddleByte((fs::path(dir) / bad).string());
+
+  // Epoch 2 is intact, but the call covers epoch 3 too: nothing is applied.
+  const auto before = CapturePartitions(*standby);
+  const Status s = standby->ApplyChainRange(dir, 2, 4, kDrainTimeout);
+  EXPECT_EQ(s.code(), StatusCode::kIOError);
+  EXPECT_NE(s.ToString().find(bad), std::string::npos) << s.ToString();
+  ExpectSameCaptures(before, CapturePartitions(*standby));
+
+  // The intact prefix still applies on its own.
+  ASSERT_TRUE(standby->ApplyChainRange(dir, 2, 2, kDrainTimeout).ok());
+}
+
+TEST(ApplyChainRange, SharedWorkersAndMovedPartitionsReplayInPlace) {
+  const std::string dir = ResetWorkDir("apply_range_moved");
+  constexpr std::size_t kPerShard = 2;
+  auto primary = BuildService(MakeEdges(96, 14), kPerShard);
+  SaveChain(primary.get(), dir, 1, 1, 0, 0);
+  auto standby = BuildService({}, kPerShard);
+  ASSERT_TRUE(standby->RestoreState(dir).ok());
+  // Partition 1 joins partitions 0 and 2 on worker 0 of the standby, and
+  // partition 2 moves on the primary mid-chain: the manifests' placement
+  // and the standby's differ, and three replays share one worker's mutex.
+  ASSERT_EQ(standby->PartitionShard(1), 1u);
+  ASSERT_TRUE(standby->RebalanceNow(1, 0).ok());
+  SaveChain(primary.get(), dir, 2, 2, 64, 50);
+  ASSERT_TRUE(primary->RebalanceNow(2, 1).ok());
+  SaveChain(primary.get(), dir, 3, 4, 64, 50);
+
+  ASSERT_TRUE(standby->ApplyChainRange(dir, 2, 4, kDrainTimeout).ok());
+  for (std::size_t pid = 0; pid < standby->num_partitions(); ++pid) {
+    EXPECT_EQ(standby->PartitionShard(pid), pid == 3 ? 1u : 0u) << pid;
+  }
+  ExpectServicesEqual(*primary, *standby);
 }
 
 // --------------------------------------------------------------------------
@@ -405,6 +531,151 @@ TEST(Replication, StagedTailPromoteMatchesLastSealedEpoch) {
   // restored from the follower's dir equals the promoted live state.
   auto verifier = BuildService({});
   ASSERT_TRUE(verifier->RestoreState(fdir).ok());
+  ExpectServicesEqual(*verifier, *follower);
+}
+
+/// Replicates a full epoch 1 and delta epochs 2..`last` of `primary`
+/// through `repl` into a standby with eager replay off, so every epoch past
+/// 1 stays staged on its disk.
+void StageTail(ShardedDetectionService* primary, Replicator* repl,
+               Standby* standby, std::uint64_t last,
+               std::size_t edges_per_epoch, std::uint64_t seed,
+               std::size_t vertices = kVertices) {
+  ASSERT_TRUE(PollFor(10'000, [&] { return repl->HasFollower(); }));
+  for (std::uint64_t e = 1; e <= last; ++e) {
+    if (e > 1) {
+      ASSERT_TRUE(primary
+                      ->SubmitBatch(MakeEdges(edges_per_epoch, seed + e,
+                                              vertices))
+                      .ok());
+      primary->Drain();
+    }
+    ASSERT_TRUE(repl->SealAndShip(e == 1
+                                      ? ShardedDetectionService::SaveMode::kFull
+                                      : ShardedDetectionService::SaveMode::kDelta)
+                    .ok());
+  }
+  ASSERT_TRUE(
+      PollFor(10'000, [&] { return standby->committed_epoch() == last; }));
+  EXPECT_EQ(standby->applied_epoch(), 1u);
+}
+
+StandbyOptions LazyStandbyOptions(int primary_port) {
+  StandbyOptions sopts;
+  sopts.primary_port = primary_port;
+  sopts.eager_replay = false;
+  sopts.lease_ms = 60'000;
+  return sopts;
+}
+
+// Stop() wakes the receiver wherever it waits: in the reconnect backoff
+// after the primary went away, or in a receive on a live but silent
+// connection. A promote then waits out neither poll_ms nor
+// connect_backoff_ms.
+TEST(Replication, PromoteDoesNotWaitOutPollOrBackoff) {
+  for (const bool primary_gone : {true, false}) {
+    SCOPED_TRACE(primary_gone ? "primary gone" : "primary silent");
+    const std::string pdir = ResetWorkDir("long_poll_primary");
+    const std::string fdir = ResetWorkDir("long_poll_follower");
+    auto primary = BuildService(MakeEdges(64, 70));
+    auto follower = BuildService({});
+    ReplicatorOptions ropts;
+    ropts.heartbeat_ms = 60'000;  // nothing arrives between seals
+    Replicator repl(primary.get(), nullptr, pdir, ropts);
+    ASSERT_TRUE(repl.Start().ok());
+    StandbyOptions sopts = LazyStandbyOptions(repl.port());
+    sopts.poll_ms = 10'000;
+    sopts.connect_backoff_ms = 10'000;
+    Standby standby(follower.get(), fdir, sopts);
+    ASSERT_TRUE(standby.Start().ok());
+    StageTail(primary.get(), &repl, &standby, 2, 48, 70);
+    if (primary_gone) repl.Stop();
+    // Let the receiver park in its 10 s wait.
+    std::this_thread::sleep_for(std::chrono::milliseconds(200));
+
+    const auto start = std::chrono::steady_clock::now();
+    PromoteInfo promote;
+    ASSERT_TRUE(standby.Promote(&promote).ok());
+    const double elapsed_ms = std::chrono::duration<double, std::milli>(
+                                  std::chrono::steady_clock::now() - start)
+                                  .count();
+    EXPECT_LT(elapsed_ms, 2000.0);
+    EXPECT_LT(promote.stop_millis, 2000.0);
+    EXPECT_EQ(promote.epoch, 2u);
+    ExpectServicesEqual(*primary, *follower);
+  }
+}
+
+// A corrupt staged segment fails the ranged apply before it touches the
+// follower; the full-restore fallback then recovers the durable prefix, and
+// Promote reports what that restore replayed, not the sum of both attempts.
+TEST(Replication, PromoteFallbackReportsTheRestoreItself) {
+  const std::string pdir = ResetWorkDir("fallback_primary");
+  const std::string fdir = ResetWorkDir("fallback_follower");
+  auto primary = BuildService(MakeEdges(64, 80));
+  auto follower = BuildService({});
+  Replicator repl(primary.get(), nullptr, pdir);
+  ASSERT_TRUE(repl.Start().ok());
+  Standby standby(follower.get(), fdir, LazyStandbyOptions(repl.port()));
+  ASSERT_TRUE(standby.Start().ok());
+  StageTail(primary.get(), &repl, &standby, 4, 48, 80);
+  repl.Stop();
+  CorruptMiddleByte((fs::path(fdir) / ShardDeltaFileName(0, 3)).string());
+
+  PromoteInfo promote;
+  ASSERT_TRUE(standby.Promote(&promote).ok());
+  EXPECT_TRUE(promote.full_restore);
+  EXPECT_EQ(promote.epoch, 2u);
+
+  auto verifier = BuildService({});
+  ShardedDetectionService::RestoreInfo restored;
+  ASSERT_TRUE(verifier->RestoreState(fdir, &restored).ok());
+  EXPECT_EQ(restored.restored_epoch, 2u);
+  EXPECT_EQ(promote.replayed_epochs, restored.replayed_epochs);
+  EXPECT_EQ(promote.replayed_epochs, 1u);
+  EXPECT_EQ(promote.replayed_edges, restored.delta_edges_replayed);
+  EXPECT_GT(promote.replayed_edges, 0u);
+  ExpectServicesEqual(*verifier, *follower);
+}
+
+// The stage times a promote and a restore report add up to their totals,
+// so a slow one can be attributed. The recounts run inside the replay, on
+// the pool's threads, so their summed time is at most threads x replay.
+TEST(Replication, PromoteAndRestoreStagesAddUpToTheirTotals) {
+  const std::string pdir = ResetWorkDir("stages_primary");
+  const std::string fdir = ResetWorkDir("stages_follower");
+  constexpr std::size_t kWide = 4096;
+  auto primary = BuildService(MakeEdges(2000, 90, kWide), 1, kWide);
+  auto follower = BuildService({}, 1, kWide);
+  Replicator repl(primary.get(), nullptr, pdir);
+  ASSERT_TRUE(repl.Start().ok());
+  Standby standby(follower.get(), fdir, LazyStandbyOptions(repl.port()));
+  ASSERT_TRUE(standby.Start().ok());
+  StageTail(primary.get(), &repl, &standby, 4, 1000, 90, kWide);
+  repl.Stop();
+
+  PromoteInfo promote;
+  ASSERT_TRUE(standby.Promote(&promote).ok());
+  EXPECT_FALSE(promote.full_restore);
+  EXPECT_EQ(promote.replayed_epochs, 3u);
+  EXPECT_GT(promote.replay_millis, 0.0);
+  const double promote_stages = promote.stop_millis +
+                                promote.validate_millis +
+                                promote.replay_millis;
+  EXPECT_NEAR(promote_stages, promote.promote_millis,
+              0.05 * promote.promote_millis);
+  EXPECT_GT(promote.recount_millis, 0.0);
+  EXPECT_LT(promote.recount_millis, kShards * promote.replay_millis);
+
+  auto verifier = BuildService({}, 1, kWide);
+  ShardedDetectionService::RestoreInfo restored;
+  ASSERT_TRUE(verifier->RestoreState(fdir, &restored).ok());
+  const double restore_stages =
+      restored.validate_millis + restored.replay_millis;
+  EXPECT_NEAR(restore_stages, restored.restore_millis,
+              0.05 * restored.restore_millis);
+  EXPECT_GT(restored.recount_millis, 0.0);
+  EXPECT_LT(restored.recount_millis, kShards * restored.replay_millis);
   ExpectServicesEqual(*verifier, *follower);
 }
 

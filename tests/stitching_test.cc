@@ -752,7 +752,7 @@ TEST(BoundaryWeightsTest, LateCrossHomeEdgeStaysUntilItsDetectorRetiresIt) {
 // Randomized invariant: after every Drain the merged boundary weights equal
 // a from-scratch count over the detectors — with ~10% late edges, random
 // retire horizons, partition moves, a save/restore into a fresh fleet and a
-// follower applying the chain epoch by epoch.
+// follower applying the chain in ranged calls of one and two epochs.
 TEST(BoundaryWeightsTest, MergedWeightsEqualAFromScratchCount) {
   struct Config {
     const char* name;
@@ -798,6 +798,8 @@ TEST(BoundaryWeightsTest, MergedWeightsEqualAFromScratchCount) {
     Rng rng(4242 + cfg.partitions * 2 + (cfg.tenant ? 1 : 0));
     Timestamp now = 0;
     std::uint64_t epoch = 0;
+    std::uint64_t applied = 0;  // the follower's epoch
+    std::uint64_t range = 1;    // epochs in its next ranged call: 1, 2, 1, ..
     for (std::size_t chunk = 0; chunk < kChunks; ++chunk) {
       std::vector<Edge> edges;
       for (std::size_t i = 0; i < kChunkEdges; ++i) {
@@ -828,7 +830,9 @@ TEST(BoundaryWeightsTest, MergedWeightsEqualAFromScratchCount) {
       ExpectBoundaryMatchesDetectors(*live, partitioner, "live " + where);
 
       // Checkpoint from the fourth chunk on: a full base, then one delta
-      // epoch per chunk that the follower applies as it commits.
+      // epoch per chunk. The follower alternates one-epoch ranged calls,
+      // as an eager standby makes on every commit, with two-epoch ones, as
+      // a standby catching up makes, and is checked after each call.
       if (chunk < 3) continue;
       ShardedDetectionService::SaveInfo info;
       ASSERT_TRUE(live->SaveState(dir, ShardedDetectionService::SaveMode::kAuto,
@@ -838,9 +842,15 @@ TEST(BoundaryWeightsTest, MergedWeightsEqualAFromScratchCount) {
       if (follower == nullptr) {
         follower = build();
         ASSERT_TRUE(follower->RestoreState(dir).ok());
+      } else if (epoch - applied == range || chunk + 1 == kChunks) {
+        ASSERT_TRUE(
+            follower->ApplyChainRange(dir, applied + 1, epoch, kDrainTimeout)
+                .ok());
+        range = 3 - range;
       } else {
-        ASSERT_TRUE(follower->ApplyChainEpoch(dir, epoch, kDrainTimeout).ok());
+        continue;
       }
+      applied = epoch;
       follower->Drain();
       ExpectBoundaryMatchesDetectors(*follower, partitioner,
                                      "follower " + where);

@@ -1,14 +1,15 @@
 // Shared provenance block for every emitted BENCH_*.json: how many cores
-// the process could actually use, when it ran, and the knobs that shaped
-// the numbers. Committed reference JSONs carry the same block, so a
-// regression investigation can always answer "what machine, when, which
-// config" without digging through CI logs.
+// the process could actually use, on which CPU model, when it ran, and the
+// knobs that shaped the numbers. Committed reference JSONs carry the same
+// block, so a regression investigation can always answer "what machine,
+// when, which config" without digging through CI logs.
 
 #pragma once
 
 #include <algorithm>
 #include <cstdio>
 #include <ctime>
+#include <fstream>
 #include <string>
 #include <thread>
 
@@ -57,15 +58,35 @@ inline const char* BuildType() {
 #endif
 }
 
+/// The host's CPU model ("model name" in /proc/cpuinfo), with any quote or
+/// backslash dropped so it embeds in JSON as is; "unknown" elsewhere.
+inline std::string CpuModel() {
+  std::ifstream in("/proc/cpuinfo");
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line.rfind("model name", 0) != 0) continue;
+    const auto colon = line.find(':');
+    if (colon == std::string::npos) break;
+    std::string model;
+    for (const char c : line.substr(colon + 1)) {
+      if (c != '"' && c != '\\') model += c;
+    }
+    model.erase(0, model.find_first_not_of(' '));
+    return model;
+  }
+  return "unknown";
+}
+
 /// Writes the meta member (plus trailing comma + newline) into an open
 /// JSON object. `config_json` must be a complete JSON value describing
 /// the bench's knobs, e.g. "{\"reps\": 5}".
 inline void WriteBenchMeta(std::FILE* f, const std::string& config_json) {
   std::fprintf(f,
-               "  \"meta\": {\"cores_available\": %u, \"timestamp\": "
-               "\"%s\", \"build\": \"%s\", \"config\": %s},\n",
-               CoresAvailable(), UtcTimestamp().c_str(), BuildType(),
-               config_json.c_str());
+               "  \"meta\": {\"cores_available\": %u, \"cpu_model\": "
+               "\"%s\", \"timestamp\": \"%s\", \"build\": \"%s\", "
+               "\"config\": %s},\n",
+               CoresAvailable(), CpuModel().c_str(), UtcTimestamp().c_str(),
+               BuildType(), config_json.c_str());
 }
 
 }  // namespace spade::bench

@@ -13,8 +13,9 @@
 //     the override seam. CI gates regressions on this entry.
 //  4. detect_after_heavy_edge — the same state and endpoints with edges of
 //     weight 20-60, which rewrite ~14k slots and dirty ~30 blocks per
-//     update; only the Detect after each insert is timed, and the entry
-//     reports hull rebuilds per Detect (host-independent: CI gates it).
+//     update; only the Detect after each insert is timed. The entry reports
+//     hull rebuilds per Detect and, beside the rewritten span, the slots the
+//     merge classified one at a time (host-independent: CI gates both).
 //
 // Emits BENCH_peel.json (path = argv[1], default ./): one entry per
 // experiment with {name, n, scalar_us, simd_us, speedup, target}, plus any
@@ -269,13 +270,15 @@ Entry BenchDetectAfterEdge(const ZipfBase& base,
 
 /// Heavy edges rewrite a long span of the sequence, so most blocks a Detect
 /// walks are dirty: this times the Detect after each insert alone, and
-/// counts the hull rebuilds the walk's bound could not prune.
+/// counts the hull rebuilds the walk's bound could not prune and the slots
+/// the merge's bulk scan could not skip.
 Entry BenchDetectAfterHeavyEdge(const ZipfBase& base,
                                 const simd::SimdTarget& scalar,
                                 const simd::SimdTarget& vec) {
   const std::vector<Edge> stream = ZipfStream(20.0, 40.0);
   std::uint64_t rebuilds = 0;
   std::size_t rewritten = 0;
+  std::size_t probed = 0;
   // Seconds spent in the Detects of one replay under `t`.
   const auto replay = [&](const simd::SimdTarget& t) {
     simd::SetSimdTargetForTesting(&t);
@@ -295,6 +298,7 @@ Entry BenchDetectAfterHeavyEdge(const ZipfBase& base,
     (void)guard;
     rebuilds = state.HullRebuilds() - rebuilds_before;
     rewritten = stats.rewritten_span;
+    probed = stats.probed_slots;
     simd::SetSimdTargetForTesting(nullptr);
     return detect_s;
   };
@@ -310,7 +314,9 @@ Entry BenchDetectAfterHeavyEdge(const ZipfBase& base,
   e.counts = {{"hull_rebuilds_per_detect",
                static_cast<double>(rebuilds) / kUpdates},
               {"rewritten_span_per_update",
-               static_cast<double>(rewritten) / kUpdates}};
+               static_cast<double>(rewritten) / kUpdates},
+              {"probed_slots_per_update",
+               static_cast<double>(probed) / kUpdates}};
   return e;
 }
 

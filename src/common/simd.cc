@@ -8,6 +8,10 @@
 // to the letter — including the `+ 0.0` lane adds the vector shuffles
 // introduce at the group tail, which the scalar fallback mirrors so even
 // signed zeros come out bit-identical across targets.
+//
+// FirstAtLeast needs no order: each vector loop only finds the first group
+// that holds a hit, and the narrower loops after it (ending in the scalar
+// one) find the lane, so every target returns the scalar index.
 
 #include "common/simd.h"
 
@@ -68,6 +72,13 @@ void IotaU32Scalar(std::uint32_t* out, std::size_t n, std::uint32_t start) {
   for (std::size_t i = 0; i < n; ++i) {
     out[i] = start + static_cast<std::uint32_t>(i);
   }
+}
+
+std::size_t FirstAtLeastScalar(const double* p, std::size_t n, double t) {
+  for (std::size_t i = 0; i < n; ++i) {
+    if (p[i] >= t) return i;
+  }
+  return n;
 }
 
 // --------------------------------------------------------------- sse2 ----
@@ -137,6 +148,28 @@ void IotaU32Sse2(std::uint32_t* out, std::size_t n, std::uint32_t start) {
   for (; i < n; ++i) out[i] = start + static_cast<std::uint32_t>(i);
 }
 
+std::size_t FirstAtLeastSse2(const double* p, std::size_t n, double t) {
+  const __m128d tv = _mm_set1_pd(t);
+  std::size_t i = 0;
+  // Eight doubles per step, their four compares folded into one mask test.
+  for (; i + 8 <= n; i += 8) {
+    const __m128d c0 = _mm_cmpge_pd(_mm_loadu_pd(p + i), tv);
+    const __m128d c1 = _mm_cmpge_pd(_mm_loadu_pd(p + i + 2), tv);
+    const __m128d c2 = _mm_cmpge_pd(_mm_loadu_pd(p + i + 4), tv);
+    const __m128d c3 = _mm_cmpge_pd(_mm_loadu_pd(p + i + 6), tv);
+    if (_mm_movemask_pd(_mm_or_pd(_mm_or_pd(c0, c1), _mm_or_pd(c2, c3)))) {
+      break;
+    }
+  }
+  for (; i + 2 <= n; i += 2) {
+    if (_mm_movemask_pd(_mm_cmpge_pd(_mm_loadu_pd(p + i), tv))) break;
+  }
+  for (; i < n; ++i) {
+    if (p[i] >= t) return i;
+  }
+  return n;
+}
+
 #endif  // SPADE_SIMD_BUILD_SSE2
 
 // --------------------------------------------------------------- neon ----
@@ -201,6 +234,23 @@ void IotaU32Neon(std::uint32_t* out, std::size_t n, std::uint32_t start) {
   for (; i < n; ++i) out[i] = start + static_cast<std::uint32_t>(i);
 }
 
+std::size_t FirstAtLeastNeon(const double* p, std::size_t n, double t) {
+  const float64x2_t tv = vdupq_n_f64(t);
+  std::size_t i = 0;
+  for (; i + 8 <= n; i += 8) {
+    const uint64x2_t c0 = vcgeq_f64(vld1q_f64(p + i), tv);
+    const uint64x2_t c1 = vcgeq_f64(vld1q_f64(p + i + 2), tv);
+    const uint64x2_t c2 = vcgeq_f64(vld1q_f64(p + i + 4), tv);
+    const uint64x2_t c3 = vcgeq_f64(vld1q_f64(p + i + 6), tv);
+    const uint64x2_t any = vorrq_u64(vorrq_u64(c0, c1), vorrq_u64(c2, c3));
+    if ((vgetq_lane_u64(any, 0) | vgetq_lane_u64(any, 1)) != 0) break;
+  }
+  for (; i < n; ++i) {
+    if (p[i] >= t) return i;
+  }
+  return n;
+}
+
 #endif  // SPADE_SIMD_BUILD_NEON
 
 // --------------------------------------------------------------- avx2 ----
@@ -209,6 +259,7 @@ void IotaU32Neon(std::uint32_t* out, std::size_t n, std::uint32_t start) {
 double FixedOrderSumAvx2(const double* p, std::size_t n);
 double SuffixScanBlockAvx2(const double* p, std::size_t n, double* out);
 void IotaU32Avx2(std::uint32_t* out, std::size_t n, std::uint32_t start);
+std::size_t FirstAtLeastAvx2(const double* p, std::size_t n, double t);
 #endif
 
 }  // namespace detail
@@ -217,18 +268,18 @@ namespace {
 
 constexpr SimdTarget kTargets[] = {
     {"scalar", &detail::FixedOrderSumScalar, &detail::SuffixScanBlockScalar,
-     &detail::IotaU32Scalar},
+     &detail::IotaU32Scalar, &detail::FirstAtLeastScalar},
 #if defined(SPADE_SIMD_BUILD_SSE2)
     {"sse2", &detail::FixedOrderSumSse2, &detail::SuffixScanBlockSse2,
-     &detail::IotaU32Sse2},
+     &detail::IotaU32Sse2, &detail::FirstAtLeastSse2},
 #endif
 #if defined(SPADE_SIMD_BUILD_NEON)
     {"neon", &detail::FixedOrderSumNeon, &detail::SuffixScanBlockNeon,
-     &detail::IotaU32Neon},
+     &detail::IotaU32Neon, &detail::FirstAtLeastNeon},
 #endif
 #if defined(SPADE_SIMD_HAVE_AVX2)
     {"avx2", &detail::FixedOrderSumAvx2, &detail::SuffixScanBlockAvx2,
-     &detail::IotaU32Avx2},
+     &detail::IotaU32Avx2, &detail::FirstAtLeastAvx2},
 #endif
 };
 
@@ -269,6 +320,12 @@ void IotaU32(std::uint32_t* out, std::size_t n, std::uint32_t start) {
   } else {
     kActive.iota_u32(out, n, start);
   }
+}
+
+std::size_t FirstAtLeast(const double* p, std::size_t n, double threshold) {
+  const SimdTarget* t = g_override;
+  return t != nullptr ? t->first_at_least(p, n, threshold)
+                      : kActive.first_at_least(p, n, threshold);
 }
 
 }  // namespace spade::simd

@@ -1,8 +1,8 @@
 // simd: the shared vector-kernel shim for the peel hot path.
 //
-// Three width-agnostic kernels back PeelState's blocked detection index and
-// the heap rebuild, each implemented once per dispatch target (scalar,
-// SSE2, NEON, AVX2) behind a compile-time switch:
+// Four width-agnostic kernels back PeelState's blocked detection index, the
+// heap rebuild and the merge's bulk scan, each implemented once per dispatch
+// target (scalar, SSE2, NEON, AVX2) behind a compile-time switch:
 //
 //  * FixedOrderSum    — reduction over a span of doubles in the CANONICAL
 //                       LANE-THEN-TREE ORDER (below), used for block-sum
@@ -12,6 +12,11 @@
 //                       hull rebuild's scalar monotone stack.
 //  * IotaU32          — ascending uint32 fill, the vectorized leaf pass of
 //                       the heap's Floyd heapify.
+//  * FirstAtLeast     — index of the first element >= a threshold, the
+//                       incremental merge's scan for the next slot whose
+//                       stored delta reaches the queue head's weight. A
+//                       compare never rounds, so every target returns the
+//                       scalar index.
 //
 // Bit-identity contract. Floating-point addition is not associative, so a
 // vectorized reduction only reproduces the scalar result if BOTH commit to
@@ -100,6 +105,9 @@ double SuffixScanBlock(const double* p, std::size_t n, double* out);
 /// out[i] = start + i for i in [0, n).
 void IotaU32(std::uint32_t* out, std::size_t n, std::uint32_t start);
 
+/// Smallest i in [0, n) with p[i] >= threshold, or n when there is none.
+std::size_t FirstAtLeast(const double* p, std::size_t n, double threshold);
+
 /// One dispatch target's kernel set, for tests and benches that sweep
 /// scalar vs vector explicitly.
 struct SimdTarget {
@@ -107,14 +115,15 @@ struct SimdTarget {
   double (*fixed_order_sum)(const double*, std::size_t);
   double (*suffix_scan_block)(const double*, std::size_t, double*);
   void (*iota_u32)(std::uint32_t*, std::size_t, std::uint32_t);
+  std::size_t (*first_at_least)(const double*, std::size_t, double);
 };
 
 /// Every target compiled into this binary, scalar first. The active
 /// dispatch target is always present.
 std::span<const SimdTarget> CompiledSimdTargets();
 
-/// Name of the target the plain FixedOrderSum/SuffixScanBlock/IotaU32
-/// entry points dispatch to (compile-time choice, or the testing override).
+/// Name of the target the plain kernel entry points dispatch to
+/// (compile-time choice, or the testing override).
 const char* ActiveSimdTarget();
 
 /// Test/bench seam: routes the dispatched entry points through `target`

@@ -71,4 +71,34 @@ void IotaU32Avx2(std::uint32_t* out, std::size_t n, std::uint32_t start) {
   for (; i < n; ++i) out[i] = start + static_cast<std::uint32_t>(i);
 }
 
+std::size_t FirstAtLeastAvx2(const double* p, std::size_t n, double t) {
+  const __m256d tv = _mm256_set1_pd(t);
+  std::size_t i = 0;
+  // Sixteen doubles per step, their four compares folded into one mask
+  // test; a hit drops to the 4-wide loop, which finds its group.
+  for (; i + 16 <= n; i += 16) {
+    const __m256d c0 = _mm256_cmp_pd(_mm256_loadu_pd(p + i), tv, _CMP_GE_OQ);
+    const __m256d c1 =
+        _mm256_cmp_pd(_mm256_loadu_pd(p + i + 4), tv, _CMP_GE_OQ);
+    const __m256d c2 =
+        _mm256_cmp_pd(_mm256_loadu_pd(p + i + 8), tv, _CMP_GE_OQ);
+    const __m256d c3 =
+        _mm256_cmp_pd(_mm256_loadu_pd(p + i + 12), tv, _CMP_GE_OQ);
+    if (_mm256_movemask_pd(
+            _mm256_or_pd(_mm256_or_pd(c0, c1), _mm256_or_pd(c2, c3)))) {
+      break;
+    }
+  }
+  for (; i + 4 <= n; i += 4) {
+    if (_mm256_movemask_pd(
+            _mm256_cmp_pd(_mm256_loadu_pd(p + i), tv, _CMP_GE_OQ))) {
+      break;
+    }
+  }
+  for (; i < n; ++i) {
+    if (p[i] >= t) return i;
+  }
+  return n;
+}
+
 }  // namespace spade::simd::detail

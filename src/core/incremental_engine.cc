@@ -97,29 +97,26 @@ Status IncrementalEngine::InsertBatch(DynamicGraph* g, PeelState* state,
   // term the stored weight would have carried had the edge existed at peel
   // time (the later-positioned endpoint's corrections accrue as the earlier
   // one transitions through T; DESIGN.md §3.1).
-  BumpEpoch();
+  BumpEpoch(state->size());
   pending_.EnsureCapacity(g->NumVertices());
   if (g->NumVertices() > 0) {
     EnsureScratch(static_cast<VertexId>(g->NumVertices() - 1));
   }
   black_positions_.clear();
-  for (VertexId v : new_vertices_) {
-    if (ColorOf(v) != Color::kBlack) {
-      SetColor(v, Color::kBlack);
-      black_positions_.push_back(state->PositionOf(v));
-    }
-  }
+  const auto mark_black = [&](VertexId v) {
+    if (ColorOf(v) == Color::kBlack) return;
+    const std::size_t pos = state->PositionOf(v);
+    Scratch(v, pos).color = static_cast<std::uint8_t>(Color::kBlack);
+    black_positions_.push_back(pos);
+  };
+  for (VertexId v : new_vertices_) mark_black(v);
   for (const Edge& e : edges) {
     SPADE_RETURN_NOT_OK(g->AddEdge(e.src, e.dst, e.weight));
-    for (VertexId v : {e.src, e.dst}) {
-      if (ColorOf(v) != Color::kBlack) {
-        SetColor(v, Color::kBlack);
-        black_positions_.push_back(state->PositionOf(v));
-      }
-    }
+    mark_black(e.src);
+    mark_black(e.dst);
     const bool src_earlier =
         state->PositionOf(e.src) < state->PositionOf(e.dst);
-    AddRecov(src_earlier ? e.src : e.dst, e.weight);
+    Stamped(src_earlier ? e.src : e.dst).recov += e.weight;
   }
   std::sort(black_positions_.begin(), black_positions_.end());
 
@@ -223,7 +220,7 @@ Status IncrementalEngine::DeleteBatch(DynamicGraph* g, PeelState* state,
       std::unique(batch_endpoints_.begin(), batch_endpoints_.end()),
       batch_endpoints_.end());
 
-  BumpEpoch();
+  BumpEpoch(state->size());
   pending_.EnsureCapacity(g->NumVertices());
   EnsureScratch(static_cast<VertexId>(g->NumVertices() - 1));
   ReorderStats local;
@@ -349,9 +346,9 @@ void IncrementalEngine::PushPending(const DynamicGraph& g, VertexId u,
   // affected slot, neither the credits nor their matching debits are ever
   // observable, and u's only incident pass is the relax pass at emit. The
   // degree budget funds white-slot adjacency probes in the meantime.
-  // Stamping u keeps IsUntouched's one-load answer sound: every pending
-  // vertex carries the current stamp.
-  Scratch(u).deferred = true;
+  // Stamping u at its slot keeps the touched-slot bitmap sound: every
+  // pending vertex carries the current stamp.
+  Scratch(u, old_pos).deferred = true;
   uncredited_.emplace_back(u, old_pos);
   ++deferred_count_;
   credit_budget_ += static_cast<std::ptrdiff_t>(g.Degree(u));
@@ -363,7 +360,7 @@ void IncrementalEngine::FlushCredits(const DynamicGraph& g,
   for (const auto& [u, old_pos] : uncredited_) {
     // Entries of members that already popped are stale — their pass was
     // cancelled, not deferred.
-    VertexScratch& su = Scratch(u);
+    VertexScratch& su = Stamped(u);
     if (!su.deferred) continue;
     su.deferred = false;
     // u moved from "unscanned" to "pending": a later-positioned unscanned
@@ -373,8 +370,9 @@ void IncrementalEngine::FlushCredits(const DynamicGraph& g,
     // Crediting a neighbor that is itself pending or already emitted is
     // harmless (its accumulator is never read again this epoch), so the
     // position test is the only guard — one packed-scratch line and one
-    // position read per edge, with a branchless accumulate. Both lines are
-    // prefetched a few neighbors ahead of the visit.
+    // position read per edge, with a branchless accumulate. The same
+    // position stamps a first-touched neighbor into the bitmap. Both lines
+    // are prefetched a few neighbors ahead of the visit.
     ForEachIncidentPrefetched(
         g, u,
         [&](VertexId pv) {
@@ -382,11 +380,12 @@ void IncrementalEngine::FlushCredits(const DynamicGraph& g,
           state.PrefetchPosition(pv);
         },
         [&](VertexId v, double c) {
-          VertexScratch& s = Scratch(v);
+          const std::size_t pos = state.PositionOf(v);
+          VertexScratch& s = Scratch(v, pos);
           if (s.color == static_cast<std::uint8_t>(Color::kWhite)) {
             s.color = static_cast<std::uint8_t>(Color::kGray);
           }
-          s.recov += state.PositionOf(v) > old_pos ? c : 0.0;
+          s.recov += pos > old_pos ? c : 0.0;
         });
     stats->touched_edges += g.Degree(u);
   }
@@ -405,12 +404,12 @@ void IncrementalEngine::EmitFromQueue(const DynamicGraph& g, PeelState* state,
   // preserve its pre-update entry first.
   if (w >= k) Preserve(*state, k, w + 1);
   state->Assign(w, umin, dmin);
-  MarkEmitted(umin);
+  VertexScratch& su = Stamped(umin);
+  su.emitted = true;
 
   // Was umin's gray+credit pass ever flushed? If not, cancel it O(1) via
   // the scratch flag (its list entry goes stale; the flush skips those):
   // no credits were written, so no cancelling debits are owed.
-  VertexScratch& su = Scratch(umin);
   const bool credited = !su.deferred;
   if (!credited) {
     su.deferred = false;
@@ -424,11 +423,12 @@ void IncrementalEngine::EmitFromQueue(const DynamicGraph& g, PeelState* state,
   // unscanned neighbor: whether the stored weight counted the edge
   // (old_pos after the neighbor) or the credit pass added it, an emitted
   // umin must no longer contribute. Debiting an already-emitted neighbor is
-  // harmless — its accumulator is never read again this epoch. No debits
-  // are owed otherwise: an uncredited umin wrote no credits, and an early
-  // emit (old_pos > k, deletion path) sweeps every readable unscanned
-  // neighbor into the queue at an exact from-graph weight below, making
-  // their accumulators unread.
+  // harmless — its accumulator is never read again this epoch — and the
+  // credit pass stamped every neighbor already. No debits are owed
+  // otherwise: an uncredited umin wrote no credits, and an early emit
+  // (old_pos > k, deletion path) sweeps every readable unscanned neighbor
+  // into the queue at an exact from-graph weight below, making their
+  // accumulators unread.
   if (credited && old_pos <= k) {
     ForEachIncidentPrefetched(
         g, umin,
@@ -440,7 +440,7 @@ void IncrementalEngine::EmitFromQueue(const DynamicGraph& g, PeelState* state,
           if (pending_.Contains(v)) {
             pending_.Decrease(v, -c);
           } else {
-            AddRecov(v, -c);
+            Stamped(v).recov -= c;
           }
         });
   } else {
@@ -529,6 +529,7 @@ void IncrementalEngine::MergeLoop(const DynamicGraph& g, PeelState* state,
     if (k - lookahead_base_ >= lookahead_count_) FillLookahead(*state, k, n);
     const VertexId u_k = lookahead_vertex_[k - lookahead_base_];
     const double d_k = lookahead_delta_[k - lookahead_base_];
+    ++stats->probed_slots;
 
     if (pending_.Contains(u_k) || IsEmitted(u_k)) {
       // The old slot of a vertex pulled into the queue out of schedule.
@@ -629,30 +630,47 @@ void IncrementalEngine::MergeLoop(const DynamicGraph& g, PeelState* state,
     ++w;
     ++k;
     ++stats->rewritten_span;
-    // Tight extension: with every deferred credit settled the next slot is
-    // classified by the case-1 comparison and IsUntouched alone, and while
-    // the write cursor trails the scan no slot at or beyond k has been
-    // overwritten, so the incumbents come straight from the live arrays.
-    // The first slot that fails either test goes back through the general
-    // path above, which classifies it exactly as before.
-    if (deferred_count_ == 0 && w < k) {
-      const bool has_top = !pending_.empty();
-      const double top_weight = has_top ? pending_.TopWeight() : 0.0;
-      const VertexId top_vertex = has_top ? pending_.TopVertex() : 0;
-      const auto seq = state->seq();
-      const auto delta = state->delta();
-      for (; k < n; ++k, ++w, ++run_len, ++stats->rewritten_span) {
-        if (k + kLookahead < n) {
-          SPADE_PREFETCH(scratch_vertex_.data() + seq[k + kLookahead]);
-        }
-        const VertexId u = seq[k];
-        if (has_top && HeapKeyLess(top_weight, top_vertex, delta[k], u)) {
-          break;
-        }
-        if (!IsUntouched(u)) break;
-      }
+    // Bulk extension: with every deferred credit settled and the write
+    // cursor trailing the scan, the slots up to the next touched one are
+    // case 2(b) until the queue head sorts before an incumbent. The slot
+    // that ends the stretch goes back through the general path above,
+    // which classifies it exactly as before.
+    if (deferred_count_ == 0 && w < k && k < n) {
+      const std::size_t stop = ScanUntouched(*state, k, n, stats);
+      run_len += stop - k;
+      w += stop - k;
+      stats->rewritten_span += stop - k;
+      k = stop;
     }
   }
+}
+
+std::size_t IncrementalEngine::ScanUntouched(const PeelState& state,
+                                             std::size_t k, std::size_t n,
+                                             ReorderStats* stats) const {
+  // While w < k every slot at or beyond k still holds its pre-merge
+  // incumbent, which is stamped this epoch only if its bit is set: a
+  // vertex is first stamped at the slot it holds then, and nothing moves
+  // an unscanned incumbent before its first stamp (DESIGN.md §3.4). So up
+  // to the next set bit every incumbent is white, not emitted and not
+  // pending, and only the case-1 comparison can stop the run. Its
+  // incumbent must reach the head's weight, which a vector compare finds;
+  // the exact key then decides each slot from there whose delta ties the
+  // head's weight, one at a time.
+  const std::size_t touched = NextTouched(k, n);
+  if (pending_.empty()) return touched;
+  const double top_weight = pending_.TopWeight();
+  const VertexId top_vertex = pending_.TopVertex();
+  const double* delta = state.delta().data();
+  const auto seq = state.seq();
+  while (k < touched) {
+    k += simd::FirstAtLeast(delta + k, touched - k, top_weight);
+    for (; k < touched && delta[k] >= top_weight; ++k) {
+      ++stats->probed_slots;
+      if (HeapKeyLess(top_weight, top_vertex, delta[k], seq[k])) return k;
+    }
+  }
+  return touched;
 }
 
 void IncrementalEngine::FillLookahead(const PeelState& state, std::size_t k,
@@ -705,8 +723,12 @@ void IncrementalEngine::MoveRun(PeelState* state, std::size_t src,
         dst, std::span<const VertexId>(scratch_seq_.data() + off, len),
         std::span<const double>(scratch_delta_.data() + off, len));
     // Their new positions may lie at or beyond the scan cursor, where only
-    // the emitted mark tells them apart from unscanned vertices.
-    for (std::size_t i = 0; i < len; ++i) MarkEmitted(scratch_seq_[off + i]);
+    // the emitted mark tells them apart from unscanned vertices. A vertex
+    // first stamped here marks its new slot, which is below the write
+    // cursor: the bulk scan never reads it (DESIGN.md §3.4).
+    for (std::size_t i = 0; i < len; ++i) {
+      Scratch(scratch_seq_[off + i], dst + i).emitted = true;
+    }
   }
   // dst == src: every entry already sits where it goes.
 }

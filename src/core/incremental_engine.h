@@ -34,12 +34,16 @@
 // Untouched slots move in displacement runs (DESIGN.md §3.4): consecutive
 // case-2(b) slots share one (source, destination, length) run that is
 // written with a single PeelState::AssignRange when the next non-2(b) event
-// ends it.
+// ends it. A touched-slot bitmap lets the merge extend a trailing run over
+// untouched slots in bulk: it reads a bitmap word per 64 slots and runs one
+// vector compare of the stored deltas against the queue head, instead of
+// classifying every slot.
 
 #pragma once
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -66,6 +70,9 @@ struct ReorderStats {
   /// Pending weights served O(1) from the stored-delta recovery accumulator
   /// (each one an incident-list rescan a from-graph recount would pay).
   std::size_t recovery_lookups = 0;
+  /// Incumbents the merge classified one at a time. The rest of the
+  /// rewritten span was proven untouched in bulk (DESIGN.md §3.4).
+  std::size_t probed_slots = 0;
 
   void Reset() { *this = ReorderStats(); }
   void Accumulate(const ReorderStats& other) {
@@ -73,6 +80,7 @@ struct ReorderStats {
     touched_edges += other.touched_edges;
     rewritten_span += other.rewritten_span;
     recovery_lookups += other.recovery_lookups;
+    probed_slots += other.probed_slots;
   }
 };
 
@@ -133,8 +141,9 @@ class IncrementalEngine {
   }
 
   /// Canonicalized scratch access: the first touch in an epoch resets every
-  /// field, so callers read and write fields directly afterwards.
-  VertexScratch& Scratch(VertexId v) {
+  /// field and marks `pos`, the slot v holds at that moment, in the
+  /// touched-slot bitmap. Callers read and write fields directly afterwards.
+  VertexScratch& Scratch(VertexId v, std::size_t pos) {
     VertexScratch& s = scratch_vertex_[v];
     if (s.stamp != epoch_) {
       s.stamp = epoch_;
@@ -142,8 +151,37 @@ class IncrementalEngine {
       s.emitted = false;
       s.deferred = false;
       s.recov = 0.0;
+      MarkTouched(pos);
     }
     return s;
+  }
+
+  /// Scratch of a vertex already stamped this epoch: a queue member, or a
+  /// neighbor of one whose credit pass ran.
+  VertexScratch& Stamped(VertexId v) {
+    VertexScratch& s = scratch_vertex_[v];
+    SPADE_DCHECK(s.stamp == epoch_);
+    return s;
+  }
+
+  /// Sets bit `pos` of the touched-slot bitmap and the summary bit of its
+  /// word, without a branch.
+  void MarkTouched(std::size_t pos) {
+    touched_[pos >> 6] |= std::uint64_t{1} << (pos & 63);
+    touched_summary_[pos >> 12] |= std::uint64_t{1} << ((pos >> 6) & 63);
+  }
+
+  /// First slot in [i, n) whose touched bit is set, or n; i < n, and no
+  /// bit at or beyond n is set (every stamped slot lies below n).
+  std::size_t NextTouched(std::size_t i, std::size_t n) const {
+    std::size_t word = i >> 6;
+    std::uint64_t bits = touched_[word] & (~std::uint64_t{0} << (i & 63));
+    const std::size_t words = (n + 63) >> 6;
+    while (bits == 0) {
+      if (++word == words) return n;
+      bits = touched_[word];
+    }
+    return (word << 6) + std::countr_zero(bits);
   }
 
   /// Read-only lookups: stale-stamped entries read as the epoch defaults
@@ -152,15 +190,14 @@ class IncrementalEngine {
     const VertexScratch& s = scratch_vertex_[v];
     return s.stamp == epoch_ ? static_cast<Color>(s.color) : Color::kWhite;
   }
-  void SetColor(VertexId v, Color c) {
-    Scratch(v).color = static_cast<std::uint8_t>(c);
-  }
 
-  /// Starts a fresh update: invalidates all colors, emitted flags and
-  /// recovery accumulators. When the 32-bit epoch wraps, stale stamps from
-  /// ~4 billion updates ago could alias the restarted counter, so every
-  /// stamp is cleared to the never-current value 0 first.
-  void BumpEpoch() {
+  /// Starts a fresh update over a state of `n` slots: invalidates all
+  /// colors, emitted flags and recovery accumulators, and clears the
+  /// touched-slot bitmap word by word through its summary. When the 32-bit
+  /// epoch wraps, stale stamps from ~4 billion updates ago could alias the
+  /// restarted counter, so every stamp is cleared to the never-current
+  /// value 0 first.
+  void BumpEpoch(std::size_t n) {
     uncredited_.clear();
     deferred_count_ = 0;
     credit_budget_ = 0;
@@ -168,6 +205,18 @@ class IncrementalEngine {
       std::fill(scratch_vertex_.begin(), scratch_vertex_.end(),
                 VertexScratch{});
       epoch_ = 1;
+    }
+    for (std::size_t s = 0; s < touched_summary_.size(); ++s) {
+      for (std::uint64_t bits = touched_summary_[s]; bits != 0;
+           bits &= bits - 1) {
+        touched_[(s << 6) + std::countr_zero(bits)] = 0;
+      }
+      touched_summary_[s] = 0;
+    }
+    const std::size_t words = (n + 63) >> 6;
+    if (words > touched_.size()) {
+      touched_.resize(words);
+      touched_summary_.resize((words + 63) >> 6);
     }
   }
 
@@ -177,18 +226,6 @@ class IncrementalEngine {
     const VertexScratch& s = scratch_vertex_[v];
     return s.stamp == epoch_ && s.emitted;
   }
-  void MarkEmitted(VertexId v) { Scratch(v).emitted = true; }
-
-  /// White, not emitted and not pending: with no deferred credits
-  /// outstanding, exactly the case-2(b) test. Coloring, emission and
-  /// pushing all stamp the vertex, so an unstamped one answers with a
-  /// single load.
-  bool IsUntouched(VertexId v) const {
-    const VertexScratch& s = scratch_vertex_[v];
-    if (s.stamp != epoch_) return true;
-    return s.color == static_cast<std::uint8_t>(Color::kWhite) &&
-           !s.emitted && !pending_.Contains(v);
-  }
 
   /// Stored-delta recovery accumulator (DESIGN.md §3.1): the running
   /// correction between an unscanned vertex's stored peeling weight and its
@@ -197,7 +234,6 @@ class IncrementalEngine {
     const VertexScratch& s = scratch_vertex_[v];
     return s.stamp == epoch_ ? s.recov : 0.0;
   }
-  void AddRecov(VertexId v, double amount) { Scratch(v).recov += amount; }
 
   /// Checks a DeleteBatch request against `g` without changing anything.
   Status CheckDeleteBatch(const DynamicGraph& g, std::span<const Edge> edges);
@@ -213,6 +249,13 @@ class IncrementalEngine {
   void MergeLoop(const DynamicGraph& g, PeelState* state,
                  const std::vector<std::size_t>& black_positions,
                  std::size_t start, ReorderStats* stats);
+
+  /// The first slot in [k, n) that a trailing run cannot absorb in bulk:
+  /// the next touched slot, or an earlier one where the queue head sorts
+  /// before the incumbent. Requires w < k and no deferred credits, so every
+  /// slot in between is case 2(b) (DESIGN.md §3.4).
+  std::size_t ScanUntouched(const PeelState& state, std::size_t k,
+                            std::size_t n, ReorderStats* stats) const;
 
   /// Pops the head of T into position `w` and relaxes its T-neighbors.
   /// Vertices peeling ahead of their old schedule sweep their unscanned
@@ -318,6 +361,12 @@ class IncrementalEngine {
   IndexedMinHeap pending_;  // the paper's T
   std::vector<VertexScratch> scratch_vertex_;
   std::uint32_t epoch_ = 0;
+
+  // Touched-slot bitmap: bit p is set when a vertex is first stamped this
+  // epoch while it holds slot p (Scratch). The summary holds one bit per
+  // 64-slot word, so clearing costs O(touched words), not O(n).
+  std::vector<std::uint64_t> touched_;
+  std::vector<std::uint64_t> touched_summary_;
 
   std::vector<std::size_t> black_positions_;
   std::vector<VertexId> new_vertices_;

@@ -137,7 +137,16 @@ class PeelState {
     const std::size_t hi = lo + v.size();
     std::memmove(seq_.data() + lo, v.data(), v.size() * sizeof(VertexId));
     std::memmove(delta_.data() + lo, d.data(), d.size() * sizeof(double));
-    for (std::size_t p = lo; p < hi; ++p) pos_[seq_[p]] = p;
+    // The position pass writes pos_ at effectively random vertex ids, one
+    // miss per slot: write-prefetch the entry kPosPrefetch slots ahead
+    // (DESIGN.md §8.4).
+    const std::size_t ahead = hi - std::min(hi - lo, kPosPrefetch);
+    std::size_t p = lo;
+    for (; p < ahead; ++p) {
+      SPADE_PREFETCH_WRITE(pos_.data() + seq_[p + kPosPrefetch]);
+      pos_[seq_[p]] = p;
+    }
+    for (; p < hi; ++p) pos_[seq_[p]] = p;
     EnsureBlock((hi - 1) / kBlock);
     for (std::size_t b = lo / kBlock; b <= (hi - 1) / kBlock; ++b) {
       blocks_[b].dirty = true;
@@ -249,6 +258,8 @@ class PeelState {
   // targets, balancing the O(B) dirty-block rebuild against the O(n/B)
   // tail-to-head walk.
   static constexpr std::size_t kBlock = 512;
+  // Write-prefetch distance of AssignRange's position pass, in slots.
+  static constexpr std::size_t kPosPrefetch = 16;
 
   // A hull point is (x, y, slot) with x = physical end - slot (invariant
   // under head insertion) and y = sum of delta over [slot, block end). The

@@ -10,6 +10,9 @@
 //    linear suffix scan, under Assign/BumpDelta churn and head insertions,
 //    and its bound-pruned walk on states of up to 80 blocks, planted
 //    corner cases and a DG replay,
+//  * the merge's bulk scan over untouched slots: a tie-exact insert-heavy
+//    differential on 20k vertices, a multi-word deletion stream between
+//    inserts and a merge right after an epoch wrap,
 //  * epoch wrap-around in the engine's stamp arrays.
 
 #include <gtest/gtest.h>
@@ -18,6 +21,8 @@
 #include <cstddef>
 #include <cstring>
 #include <ostream>
+#include <span>
+#include <utility>
 #include <vector>
 
 #include "common/rng.h"
@@ -580,6 +585,159 @@ TEST(BlockedDetectTest, PrunedWalkRebuildsOnlyHullsThatCanWin) {
     ASSERT_NO_FATAL_FAILURE(ExpectNaive(state));
     ASSERT_EQ(state.BestStart(), n - kBlock);
   });
+}
+
+// ------------------------------------------------------------------------
+// The merge's bulk scan over untouched slots (DESIGN.md §3.4).
+// ------------------------------------------------------------------------
+
+// Graphs of many 64-slot bitmap words whose first kHubs vertex ids are hubs:
+// an edge with a hub endpoint lifts its other endpoint across a long stretch
+// of the sequence. Integer weights keep every comparison exact, and with few
+// distinct delta values the sequence holds equal-delta runs hundreds of
+// slots long.
+class BulkScanTest : public ::testing::Test {
+ protected:
+  static constexpr std::size_t kHubs = 24;
+
+  static Edge HubEdge(Rng* rng, std::size_t n, int max_weight) {
+    auto hub = static_cast<VertexId>(rng->NextBounded(kHubs));
+    auto other = static_cast<VertexId>(kHubs + rng->NextBounded(n - kHubs));
+    if (rng->NextBool(0.5)) std::swap(hub, other);
+    return {hub, other, static_cast<double>(1 + rng->NextBounded(max_weight)),
+            0};
+  }
+
+  // Whether some run of equal stored deltas crosses a multiple of 64.
+  static bool EqualRunCrossesAWord(const PeelState& state) {
+    for (std::size_t p = 64; p < state.size(); p += 64) {
+      if (state.DeltaAt(p - 1) == state.DeltaAt(p)) return true;
+    }
+    return false;
+  }
+
+  static void ExpectStatic(const DynamicGraph& g, const PeelState& state) {
+    const PeelState expected = PeelStatic(g);
+    ExpectStateEquals(expected, state, 0.0);
+    EXPECT_EQ(expected.BestStart(), state.BestStart());
+  }
+};
+
+// Insert-heavy: single edges and batches with hub endpoints on 20k vertices.
+// Every shift crosses many bitmap words, and the queue head meets equal-delta
+// runs that straddle word boundaries, where the vector compare stops at each
+// tied slot and the exact (weight, id) key decides it.
+TEST_F(BulkScanTest, InsertHeavyHubStreamMatchesStaticTieExact) {
+  constexpr std::size_t kN = 20000;
+  Rng rng(4242);
+  DynamicGraph g = RandomGraph(&rng, kN, 2 * kN, 3);
+  PeelState state = PeelStatic(g);
+  ASSERT_TRUE(EqualRunCrossesAWord(state));
+  IncrementalEngine engine;
+  ReorderStats stats;
+  for (int step = 1; step <= 1200; ++step) {
+    if (step % 4 == 0) {
+      std::vector<Edge> batch;
+      const std::size_t size = 1 + rng.NextBounded(8);
+      for (std::size_t i = 0; i < size; ++i) {
+        batch.push_back(HubEdge(&rng, kN, 4));
+      }
+      ASSERT_TRUE(engine.InsertBatch(&g, &state, batch, nullptr, &stats).ok());
+    } else {
+      ASSERT_TRUE(engine
+                      .InsertEdge(&g, &state, HubEdge(&rng, kN, 4), nullptr,
+                                  &stats)
+                      .ok());
+    }
+    if (step % 150 == 0) {
+      SCOPED_TRACE(::testing::Message() << "step " << step);
+      ExpectStatic(g, state);
+      if (::testing::Test::HasFatalFailure()) return;
+    }
+  }
+  ExpectStatic(g, state);
+  EXPECT_TRUE(EqualRunCrossesAWord(state));
+  // The stream rewrote long spans, and the scan skipped slots in bulk
+  // between the tied ones it checked.
+  EXPECT_GT(stats.rewritten_span, 1000000u);
+  EXPECT_GT(stats.probed_slots, 0u);
+  EXPECT_LT(stats.probed_slots, stats.rewritten_span);
+}
+
+// Deletion merges move their slots in leading runs: a seed emits ahead of
+// its old slot, and the run's vertices are stamped at their new slots. A
+// deletion only lowers weights, and its merges form no trailing run, so the
+// bulk scan does not fire inside them (DESIGN.md §3.4). Trailing runs
+// follow in the insertion merges between the batches, on a bitmap the
+// leading runs just marked. Batches of hub-edge copies on 6k vertices make
+// both kinds of run span many bitmap words.
+TEST_F(BulkScanTest, DeleteStreamBetweenInsertsMatchesStatic) {
+  constexpr std::size_t kN = 6000;
+  Rng rng(4343);
+  DynamicGraph g = RandomGraph(&rng, kN, 2 * kN, 3);
+  std::vector<Edge> live;
+  for (std::size_t i = 0; i < 3 * kN; ++i) {
+    const Edge e = HubEdge(&rng, kN, 4);
+    ASSERT_TRUE(g.AddEdge(e.src, e.dst, e.weight).ok());
+    live.push_back(e);
+  }
+  PeelState state = PeelStatic(g);
+  IncrementalEngine engine;
+  ReorderStats deleted;
+  ReorderStats inserted;
+  for (int round = 0; round < 40; ++round) {
+    const std::size_t size = std::size_t{1} << (round % 8);
+    std::vector<Edge> batch;
+    while (batch.size() < size) {
+      const std::size_t pick = rng.NextBounded(live.size());
+      batch.push_back(live[pick]);
+      live[pick] = live.back();
+      live.pop_back();
+    }
+    SCOPED_TRACE(::testing::Message() << "round " << round << " batch "
+                                      << size);
+    ASSERT_TRUE(engine.DeleteBatch(&g, &state, batch, &deleted).ok());
+    ExpectStatic(g, state);
+    for (int i = 0; i < 3; ++i) {
+      const Edge e = HubEdge(&rng, kN, 4);
+      ASSERT_TRUE(engine.InsertEdge(&g, &state, e, nullptr, &inserted).ok());
+      live.push_back(e);
+      ExpectStatic(g, state);
+    }
+    if (::testing::Test::HasFatalFailure()) return;
+  }
+  EXPECT_GT(deleted.rewritten_span, 100000u);
+  EXPECT_GT(inserted.rewritten_span, 50000u);
+  EXPECT_LT(inserted.probed_slots, inserted.rewritten_span / 2);
+}
+
+// The touched-slot bitmap is cleared with the stamps on every epoch bump,
+// the wrap included: a merge right after the wrap, on a state of many
+// words, must still see every slot its stamps touch.
+TEST_F(BulkScanTest, MergeRightAfterEpochWrapMatchesStatic) {
+  constexpr std::size_t kN = 3000;
+  Rng rng(4444);
+  DynamicGraph g = RandomGraph(&rng, kN, 2 * kN, 3);
+  PeelState state = PeelStatic(g);
+  IncrementalEngine engine;
+  for (int wrap = 0; wrap < 3; ++wrap) {
+    for (int i = 0; i < 10; ++i) {
+      ASSERT_TRUE(engine
+                      .InsertEdge(&g, &state, HubEdge(&rng, kN, 4), nullptr,
+                                  nullptr)
+                      .ok());
+    }
+    engine.ForceEpochForTesting(0xFFFFFFFFu);
+    const Edge e = HubEdge(&rng, kN, 4);
+    ASSERT_TRUE(engine.InsertEdge(&g, &state, e, nullptr, nullptr).ok());
+    SCOPED_TRACE(::testing::Message() << "wrap " << wrap);
+    ExpectStatic(g, state);
+    ASSERT_TRUE(engine.DeleteBatch(&g, &state, std::span<const Edge>(&e, 1),
+                                   nullptr)
+                    .ok());
+    ExpectStatic(g, state);
+    if (::testing::Test::HasFatalFailure()) return;
+  }
 }
 
 // ------------------------------------------------------------------------

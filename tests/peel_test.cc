@@ -216,6 +216,51 @@ TEST(SimdKernelTest, CompiledTargetsBitIdenticalToScalar) {
   }
 }
 
+// FirstAtLeast is an exact compare, so every target must return the scalar
+// index: for every length 0..130 (each vector loop's full groups, its tail
+// and the narrower loops after it), from starts at every offset mod 4 (so
+// the loads run unaligned), with a threshold above every element (no hit),
+// equal to an element, and planted at each position in turn.
+TEST(SimdKernelTest, FirstAtLeastReturnsTheScalarIndexOnEveryTarget) {
+  Rng rng(79);
+  const auto targets = simd::CompiledSimdTargets();
+  constexpr std::size_t kMaxN = 130;
+  std::vector<double> buf(kMaxN + 4);
+  const auto reference = [](const double* p, std::size_t n, double t) {
+    for (std::size_t i = 0; i < n; ++i) {
+      if (p[i] >= t) return i;
+    }
+    return n;
+  };
+  const auto expect_all = [&](const double* p, std::size_t n, double t,
+                              const char* what) {
+    const std::size_t want = reference(p, n, t);
+    for (const auto& target : targets) {
+      ASSERT_EQ(target.first_at_least(p, n, t), want)
+          << target.name << " " << what << ", n=" << n << ", t=" << t;
+    }
+  };
+  for (std::size_t n = 0; n <= kMaxN; ++n) {
+    for (std::size_t offset = 0; offset < 4; ++offset) {
+      // Small integers, so equal elements are common.
+      for (auto& d : buf) d = static_cast<double>(rng.NextBounded(16));
+      const double* p = buf.data() + offset;
+      expect_all(p, n, 16.0, "no hit");
+      expect_all(p, n, 0.0, "every element hits");
+      if (n == 0) continue;
+      expect_all(p, n, p[rng.NextBounded(n)], "threshold equal to an element");
+      // One planted hit at each position, equal to the threshold, every
+      // other element below it.
+      for (std::size_t j = 0; j < n; ++j) {
+        std::fill(buf.begin(), buf.end(), 1.0);
+        buf[offset + j] = 2.0;
+        expect_all(p, n, 2.0, "planted hit");
+        if (::testing::Test::HasFatalFailure()) return;
+      }
+    }
+  }
+}
+
 TEST(SimdKernelTest, TestingOverrideRedirectsDispatch) {
   const auto targets = simd::CompiledSimdTargets();
   const char* compile_time = simd::ActiveSimdTarget();
@@ -224,6 +269,7 @@ TEST(SimdKernelTest, TestingOverrideRedirectsDispatch) {
     EXPECT_STREQ(simd::ActiveSimdTarget(), t.name);
     const double one = 1.0;
     EXPECT_DOUBLE_EQ(simd::FixedOrderSum(&one, 1), 1.0);
+    EXPECT_EQ(simd::FirstAtLeast(&one, 1, 1.0), 0u);
   }
   simd::SetSimdTargetForTesting(nullptr);
   EXPECT_STREQ(simd::ActiveSimdTarget(), compile_time);

@@ -500,6 +500,11 @@ TEST(MessageDrivenStitchingTest, SingleShardIntervalStitches) {
 // the cross-shard ring must become visible through
 // CurrentGlobalCommunity() without any timer to wait out — the workers'
 // weight deltas wake the stitcher the moment the seam accumulates enough.
+// A pass the ring triggered may have gathered before the ring's last edges
+// were applied, so the test waits for a pass that started after them: one
+// more ring edge, heavy enough to cross the trigger on its own, is applied
+// after the drain, and the read is taken once the newest pass has published
+// and has merged every boundary edge.
 TEST(MessageDrivenStitchingTest, TriggerWakesStitcherWithoutTimer) {
   constexpr std::size_t kShards = 2;
   const std::size_t n = kShards * kVerticesPerTenant;
@@ -519,10 +524,24 @@ TEST(MessageDrivenStitchingTest, TriggerWakesStitcherWithoutTimer) {
   SubmitAll(&service, stream);
   service.Drain();
 
+  const std::uint64_t passes_before = service.GetStats().stitch_passes;
+  const Edge last{ring[0], ring[1], options.stitch.trigger_weight, 0};
+  ASSERT_TRUE(service.Submit(last).ok());
+  stream.push_back(last);
+  service.Drain();
+
   GlobalCommunity g;
   for (int i = 0; i < 500; ++i) {
     g = service.CurrentGlobalCommunity();
-    if (g.stitched) break;
+    const ShardedServiceStats now = service.GetStats();
+    // Passes run one at a time, so when g comes from the newest pass and
+    // some pass merged every boundary edge, g's pass gathered after the
+    // last edge was applied.
+    if (g.stitched && g.stitch_pass > passes_before &&
+        g.stitch_pass == now.stitch_passes &&
+        now.boundary_unconsumed_edges == 0) {
+      break;
+    }
     std::this_thread::sleep_for(std::chrono::milliseconds(2));
   }
   const ShardedServiceStats stats = service.GetStats();

@@ -15,6 +15,10 @@ using Clock = std::chrono::steady_clock;
 
 constexpr std::uint64_t kSpillMagic = 0x4c50535f45444150ull;  // "PADE_SPL"
 
+/// Seed of the reconnect backoff's jitter: fixed, so a run's schedule
+/// repeats.
+constexpr std::uint64_t kJitterSeed = 0x5eed;
+
 int ElapsedMs(Clock::time_point since) {
   return static_cast<int>(std::chrono::duration_cast<std::chrono::milliseconds>(
                               Clock::now() - since)
@@ -24,7 +28,7 @@ int ElapsedMs(Clock::time_point since) {
 }  // namespace
 
 IngestClient::IngestClient(IngestClientOptions options)
-    : options_(std::move(options)), rng_(options_.jitter_seed) {
+    : options_(std::move(options)), rng_(kJitterSeed) {
   if (!options_.spill_dir.empty()) {
     std::error_code ec;
     std::filesystem::create_directories(options_.spill_dir, ec);

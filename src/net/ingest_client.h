@@ -73,7 +73,6 @@ struct IngestClientOptions {
   /// Exponential backoff between failed connect sweeps, with jitter.
   int backoff_initial_ms = 5;
   int backoff_max_ms = 320;
-  std::uint64_t jitter_seed = 0x5eed;
   /// Test seam: wraps every freshly connected transport (fault injection).
   std::function<std::unique_ptr<Connection>(std::unique_ptr<Connection>)>
       wrap_transport;

@@ -6,6 +6,14 @@
 
 namespace spade::net {
 
+namespace {
+
+/// Frames whose BATCH payload decodes to more edges than this are rejected
+/// (protocol hygiene; the frame layer already caps raw bytes).
+constexpr std::size_t kMaxBatchEdges = std::size_t{1} << 20;
+
+}  // namespace
+
 IngestServer::IngestServer(ShardedDetectionService* service,
                            IngestServerOptions options)
     : service_(service), options_(options) {}
@@ -105,13 +113,14 @@ void IngestServer::ServeConnection(Connection* conn) {
           if (stream == nullptr) break;  // batch before hello: ignore
           std::vector<Edge> edges;
           if (!DecodeBatchPayload(frame.payload, &edges) ||
-              edges.size() > options_.max_batch_edges) {
+              edges.size() > kMaxBatchEdges) {
             std::lock_guard<std::mutex> stats_lock(stats_mutex_);
             ++stats_.corrupt_frames;
             break;
           }
           AckPayload ack;
           bool applied_now = false;
+          bool refused = false;
           {
             // Shared with other batch handlers, exclusive against
             // SealEpoch: dedup decision, service submit and watermark
@@ -119,13 +128,12 @@ void IngestServer::ServeConnection(Connection* conn) {
             std::shared_lock<std::shared_mutex> apply_lock(apply_mutex_);
             std::lock_guard<std::mutex> sl(stream->mutex);
             if (frame.seq == stream->applied + 1) {
-              const Status s = service_->SubmitBatch(edges);
-              if (s.ok()) {
-                stream->applied = frame.seq;
-                applied_now = true;
-              }
-              // On failure the watermark stays put; the ack tells the
+              // All-or-nothing: on failure no edge of the batch was
+              // enqueued, the watermark stays put, and the ack tells the
               // client to retry this seq.
+              applied_now = service_->SubmitBatch(edges).ok();
+              refused = !applied_now;
+              if (applied_now) stream->applied = frame.seq;
             }
             ack.applied = stream->applied;
             ack.durable = stream->durable;
@@ -135,6 +143,8 @@ void IngestServer::ServeConnection(Connection* conn) {
             if (applied_now) {
               ++stats_.batches_applied;
               stats_.edges_applied += edges.size();
+            } else if (refused) {
+              ++stats_.refused_batches;
             } else if (frame.seq <= ack.applied) {
               ++stats_.duplicate_batches;
             } else {

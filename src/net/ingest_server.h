@@ -7,9 +7,11 @@
 // batch sequence starting at 1. The server keeps, per stream, an
 // `applied` watermark (highest batch submitted to the service) and a
 // `durable` watermark (highest batch included in a replicated sealed
-// epoch). A batch is applied only when its seq is exactly applied+1;
-// anything at or below the watermark is acked as a duplicate without
-// touching the service, anything beyond the successor is a gap (a
+// epoch). A batch is applied only when its seq is exactly applied+1, and
+// then whole or not at all (ShardedDetectionService::SubmitBatch without
+// `enqueued`): a refused one leaves the watermark, and the service, as
+// they were. Anything at or below the watermark is acked as a duplicate
+// without touching the service, anything beyond the successor is a gap (a
 // reordered or lost predecessor) and is acked-but-not-applied so the
 // client resends from the watermark. Both watermarks ride on every ACK,
 // so a client retrying through timeouts, duplicating networks and
@@ -52,9 +54,6 @@ struct IngestServerOptions {
   /// Poll granularity of the accept and per-connection receive loops; also
   /// bounds how long Stop() waits for a loop to notice.
   int poll_ms = 50;
-  /// Frames whose BATCH payload decodes to more edges than this are
-  /// rejected (protocol hygiene; the frame layer already caps raw bytes).
-  std::size_t max_batch_edges = 1u << 20;
 };
 
 struct IngestServerStats {
@@ -62,8 +61,16 @@ struct IngestServerStats {
   std::uint64_t frames = 0;
   std::uint64_t batches_applied = 0;
   std::uint64_t edges_applied = 0;
+  /// Batches at or below the stream's applied watermark (acked, not
+  /// applied again).
   std::uint64_t duplicate_batches = 0;
+  /// Batches past the watermark's successor: a predecessor was lost or
+  /// reordered on the way.
   std::uint64_t gap_batches = 0;
+  /// Batches at exactly the successor that the service refused (a full
+  /// queue, a stopping fleet, or a shard's part above max_queue); none of
+  /// their edges was applied and the client resends them.
+  std::uint64_t refused_batches = 0;
   std::uint64_t corrupt_frames = 0;
   std::uint64_t resync_bytes = 0;
 };

@@ -17,6 +17,11 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
+/// Bounded wait for the standby's shard queues before it applies epochs
+/// incrementally; a fleet that cannot drain by then falls back to a full
+/// restore.
+constexpr std::chrono::milliseconds kApplyDrainTimeout{10'000};
+
 std::int64_t NowMs() {
   return std::chrono::duration_cast<std::chrono::milliseconds>(
              Clock::now().time_since_epoch())
@@ -482,7 +487,7 @@ Status Standby::ApplyThroughLocked(std::uint64_t target, PromoteInfo* info) {
   if (extends) {
     const Status s = service_->ApplyChainRange(
         dir_, applied_epoch_ + 1, manifest.epoch,
-        std::chrono::milliseconds(options_.drain_timeout_ms), &rinfo);
+        kApplyDrainTimeout, &rinfo);
     add_stage_times();
     applied = s.ok();
     if (!applied) {

@@ -165,8 +165,6 @@ struct StandbyOptions {
   /// on disk and Promote() pays the whole tail — the configuration the
   /// failover bench uses to measure replay cost.
   bool eager_replay = true;
-  /// Bounded wait for shard queues when applying an epoch incrementally.
-  int drain_timeout_ms = 10'000;
 };
 
 struct PromoteInfo {

@@ -57,7 +57,7 @@ ShardWorker::ShardWorker(std::vector<PartitionSeed> seeds,
                          DetectionServiceOptions options,
                          RetireNotifyFn on_retire,
                          BoundaryUpdateFn on_boundary,
-                         std::shared_ptr<SlabPool> slab_pool)
+                         std::shared_ptr<SlabPool> slab_pool, int cpu)
     : options_(options),
       on_alert_(std::move(on_alert)),
       ring_(RingCellsFor(options.max_queue)),
@@ -70,6 +70,7 @@ ShardWorker::ShardWorker(std::vector<PartitionSeed> seeds,
       on_boundary_(std::move(on_boundary)),
       slab_pool_(std::move(slab_pool)) {
   SPADE_CHECK(partition_of_ != nullptr);
+  options_.max_queue = std::min<std::size_t>(options_.max_queue, kEdgeMask);
   for (std::size_t i = 0; i < ring_.size(); ++i) {
     ring_[i].seq.store(i, std::memory_order_relaxed);
   }
@@ -92,21 +93,20 @@ ShardWorker::ShardWorker(std::vector<PartitionSeed> seeds,
   PublishArgmaxLocked();  // pre-thread: no lock contention possible yet
   worker_ = std::thread([this] { WorkerLoop(); });
 #if defined(__linux__)
-  if (options_.cpu >= 0) {
+  if (cpu >= 0) {
     cpu_set_t set;
     CPU_ZERO(&set);
-    CPU_SET(static_cast<unsigned>(options_.cpu), &set);
+    CPU_SET(static_cast<unsigned>(cpu), &set);
     const int rc =
         pthread_setaffinity_np(worker_.native_handle(), sizeof(cpu_set_t),
                                &set);
     if (rc != 0) {
-      SPADE_LOG_WARNING() << "ShardWorker: cannot pin worker to CPU "
-                          << options_.cpu << " (error " << rc
-                          << "); running unpinned";
+      SPADE_LOG_WARNING() << "ShardWorker: cannot pin worker to CPU " << cpu
+                          << " (error " << rc << "); running unpinned";
     }
   }
 #else
-  if (options_.cpu >= 0) {
+  if (cpu >= 0) {
     SPADE_LOG_WARNING()
         << "ShardWorker: CPU pinning is unsupported on this platform; "
            "running unpinned";
@@ -119,18 +119,21 @@ ShardWorker::~ShardWorker() { Stop(); }
 // ---------------------------------------------------------------------------
 // Chunk-handoff ring primitives.
 
-std::size_t ShardWorker::ClaimBudget(std::size_t k, bool allow_partial) {
-  std::size_t cur = queued_edges_.load(std::memory_order_relaxed);
+std::optional<std::size_t> ShardWorker::TryClaim(std::size_t k,
+                                                 bool allow_partial) {
+  std::uint64_t cur = queued_.load(std::memory_order_relaxed);
   std::size_t take = 0;
   do {
+    if ((cur & kStopped) != 0) return std::nullopt;
+    const std::size_t edges = cur & kEdgeMask;
     const std::size_t free =
-        options_.max_queue - std::min(cur, options_.max_queue);
+        options_.max_queue - std::min(edges, options_.max_queue);
     take = allow_partial ? std::min(k, free) : (k <= free ? k : 0);
-    if (take == 0) return 0;
-  } while (!queued_edges_.compare_exchange_weak(
-      cur, cur + take, std::memory_order_seq_cst,
-      std::memory_order_relaxed));
-  const std::size_t depth = cur + take;
+    if (take == 0 || (cur >> kCellShift) >= ring_.size()) return 0;
+  } while (!queued_.compare_exchange_weak(cur, cur + take + kOneCell,
+                                          std::memory_order_seq_cst,
+                                          std::memory_order_relaxed));
+  const std::size_t depth = (cur & kEdgeMask) + take;
   std::size_t hwm = queue_hwm_recent_.load(std::memory_order_relaxed);
   while (depth > hwm &&
          !queue_hwm_recent_.compare_exchange_weak(
@@ -139,39 +142,36 @@ std::size_t ShardWorker::ClaimBudget(std::size_t k, bool allow_partial) {
   return take;
 }
 
-bool ShardWorker::TryClaimBudget(std::size_t k) {
-  return ClaimBudget(k, /*allow_partial=*/false) == k;
+void ShardWorker::Unclaim(std::size_t k) {
+  queued_.fetch_sub(k + kOneCell, std::memory_order_seq_cst);
 }
 
-std::size_t ShardWorker::TryClaimUpTo(std::size_t k) {
-  return ClaimBudget(k, /*allow_partial=*/true);
-}
-
-void ShardWorker::ReleaseBudget(std::size_t k) {
-  queued_edges_.fetch_sub(k, std::memory_order_seq_cst);
-}
-
-bool ShardWorker::TryPushChunk(Chunk&& chunk) {
-  std::uint64_t pos = enqueue_pos_.load(std::memory_order_relaxed);
-  for (;;) {
-    Cell& cell = ring_[pos & ring_mask_];
-    const std::uint64_t seq = cell.seq.load(std::memory_order_acquire);
-    const auto dif =
-        static_cast<std::int64_t>(seq) - static_cast<std::int64_t>(pos);
-    if (dif == 0) {
-      if (enqueue_pos_.compare_exchange_weak(pos, pos + 1,
-                                             std::memory_order_relaxed)) {
-        cell.chunk = std::move(chunk);
-        // seq_cst publish: pairs with the worker's park-protocol RingReady
-        // load (Dekker — see PublishAccepted).
-        cell.seq.store(pos + 1, std::memory_order_seq_cst);
-        return true;
-      }
-    } else if (dif < 0) {
-      return false;  // ring out of cells
-    } else {
-      pos = enqueue_pos_.load(std::memory_order_relaxed);
-    }
+void ShardWorker::Publish(Chunk&& chunk, bool queue_locked) {
+  const std::size_t k = chunk.size();
+  const std::uint64_t pos =
+      enqueue_pos_.fetch_add(1, std::memory_order_seq_cst);
+  Cell& cell = ring_[pos & ring_mask_];
+  // Claimed cells never outnumber the ring, so the worker released this
+  // cell (its pop of pos - ring size) before any claim let this position
+  // be taken; wait only for that release to become visible.
+  while (cell.seq.load(std::memory_order_acquire) != pos) {
+    std::this_thread::yield();
+  }
+  cell.chunk = std::move(chunk);
+  // seq_cst publish: pairs with the worker's park-protocol RingReady load.
+  cell.seq.store(pos + 1, std::memory_order_seq_cst);
+  submitted_.fetch_add(k, std::memory_order_seq_cst);
+  // Wakeup coalescing (Dekker): the cell was published (seq_cst) before
+  // this load; the worker sets parked_ (seq_cst) before its RingReady
+  // check. Whichever ran second sees the other's write, so either the
+  // worker finds the chunk on its own or we find parked_ set and wake it —
+  // never both asleep.
+  if (!parked_.load(std::memory_order_seq_cst)) return;
+  if (queue_locked) {
+    work_cv_.notify_one();
+  } else {
+    std::lock_guard<std::mutex> lock(queue_mutex_);
+    work_cv_.notify_one();
   }
 }
 
@@ -184,10 +184,10 @@ bool ShardWorker::TryPopChunk(Chunk* out) {
   cell.chunk = Chunk{};
   cell.seq.store(dequeue_pos_ + ring_.size(), std::memory_order_release);
   ++dequeue_pos_;
-  // The handoff is complete: these edges no longer count against the
-  // producer budget (matching the old swap semantics, where the whole
-  // buffer left the depth gauge before it was applied).
-  ReleaseBudget(out->size());
+  // The handoff is complete: these edges and their cell no longer count
+  // against the producers' claims (the whole chunk leaves the depth gauge
+  // before it is applied).
+  Unclaim(out->size());
   return true;
 }
 
@@ -196,23 +196,10 @@ bool ShardWorker::RingReady() const {
   return cell.seq.load(std::memory_order_seq_cst) == dequeue_pos_ + 1;
 }
 
-void ShardWorker::PublishAccepted(std::size_t k) {
-  submitted_.fetch_add(k, std::memory_order_seq_cst);
-  // Wakeup coalescing (Dekker): the producer published its cell seq
-  // (seq_cst) before this load; the worker sets parked_ (seq_cst) before
-  // its RingReady check. Whichever ran second sees the other's write, so
-  // either the worker finds the chunk on its own or we find parked_ set
-  // and wake it — never both asleep.
-  if (parked_.load(std::memory_order_seq_cst)) {
-    std::lock_guard<std::mutex> lock(queue_mutex_);
-    work_cv_.notify_one();
-  }
-}
-
 void ShardWorker::NotifySpaceFreed() {
-  // Same Dekker shape as PublishAccepted: producers register in
-  // space_waiters_ (seq_cst) before re-checking the budget; the worker
-  // released budget (seq_cst) before this load.
+  // Same Dekker shape as Publish: producers register in space_waiters_
+  // (seq_cst) before re-claiming; the worker released its claim (seq_cst)
+  // before this load.
   if (space_waiters_.load(std::memory_order_seq_cst) > 0) {
     std::lock_guard<std::mutex> lock(queue_mutex_);
     space_cv_.notify_all();
@@ -222,213 +209,139 @@ void ShardWorker::NotifySpaceFreed() {
 // ---------------------------------------------------------------------------
 // Producer paths.
 
+template <typename MakeChunk>
+Status ShardWorker::Admit(std::size_t n, bool allow_partial, bool block,
+                          const MakeChunk& make_chunk, std::size_t* accepted) {
+  if (accepted != nullptr) *accepted = 0;
+  if (!allow_partial && n > options_.max_queue) {
+    return Status::InvalidArgument("ShardWorker: chunk exceeds max_queue");
+  }
+  // Taken only on the blocking slow path, where the producer registers as
+  // a space waiter before claiming again (Dekker with NotifySpaceFreed) and
+  // waits for the worker to free space.
+  std::unique_lock<std::mutex> lock(queue_mutex_, std::defer_lock);
+  Status result = Status::OK();
+  std::size_t done = 0;
+  while (done < n) {
+    // The stop bit lives in the claimed word, so a claim either precedes
+    // Stop() — and the exiting worker, which waits for every claim to be
+    // popped, applies the chunk — or fails here. Nothing is accepted and
+    // then lost.
+    const std::optional<std::size_t> take =
+        TryClaim(n - done, allow_partial);
+    if (!take.has_value()) {
+      result = Status::FailedPrecondition("ShardWorker is stopped");
+      break;
+    }
+    if (*take > 0) {
+      Publish(make_chunk(done, *take), lock.owns_lock());
+      done += *take;
+      if (accepted != nullptr) *accepted = done;
+    } else if (!block) {
+      // Fail fast. With `accepted`, the prefix that fit stays enqueued and
+      // is reported exactly; without it, nothing was enqueued.
+      result = Status::OutOfRange("ShardWorker queue full");
+      break;
+    } else if (!lock.owns_lock()) {
+      lock.lock();
+      space_waiters_.fetch_add(1, std::memory_order_seq_cst);
+    } else {
+      space_cv_.wait(lock);
+    }
+  }
+  if (lock.owns_lock()) {
+    space_waiters_.fetch_sub(1, std::memory_order_relaxed);
+  }
+  return result;
+}
+
+Status ShardWorker::Enqueue(std::span<const Edge> edges,
+                            std::size_t* accepted, std::vector<Edge>* owned,
+                            bool block) {
+  return Admit(
+      edges.size(), accepted != nullptr, block,
+      [edges, owned](std::size_t offset, std::size_t count) {
+        // The whole chunk in one piece: the caller's vector becomes the
+        // ring slab.
+        if (owned != nullptr && count == edges.size() && count > 1) {
+          return Chunk(std::move(*owned));
+        }
+        return Chunk(edges.subspan(offset, count));
+      },
+      accepted);
+}
+
 Status ShardWorker::Submit(const Edge& raw_edge) {
-  return EnqueueImpl(std::span<const Edge>(&raw_edge, 1), nullptr);
+  return SubmitBatch(std::span<const Edge>(&raw_edge, 1));
 }
 
 Status ShardWorker::SubmitBatch(std::span<const Edge> raw_edges,
                                 std::size_t* accepted) {
-  return EnqueueImpl(raw_edges, accepted);
+  return Enqueue(raw_edges, accepted, nullptr, options_.block_when_full);
 }
 
 Status ShardWorker::SubmitBatch(std::vector<Edge>&& chunk,
                                 std::size_t* accepted) {
-  return EnqueueImpl(std::span<const Edge>(chunk.data(), chunk.size()),
-                     accepted, &chunk);
+  return Enqueue(chunk, accepted, &chunk, options_.block_when_full);
 }
 
 std::size_t ShardWorker::OfferBatch(std::span<const Edge> edges) {
-  if (edges.empty()) return 0;
-  if (stopping_flag_.load(std::memory_order_acquire)) return 0;
-  const std::size_t take = TryClaimUpTo(edges.size());
-  if (take == 0) return 0;
-  // Post-claim stop re-check, same as EnqueueImpl: an accepted-then-lost
-  // chunk is worse than a rejected one.
-  if (stopping_flag_.load(std::memory_order_seq_cst)) {
-    ReleaseBudget(take);
-    return 0;
-  }
-  Chunk chunk(edges.subspan(0, take));
-  if (!TryPushChunk(std::move(chunk))) {
-    ReleaseBudget(take);
-    return 0;
-  }
-  PublishAccepted(take);
-  return take;
+  std::size_t accepted = 0;
+  (void)Enqueue(edges, &accepted, nullptr, /*block=*/false);
+  return accepted;
 }
 
 Status ShardWorker::SubmitRetire(Timestamp horizon) {
-  if (stopping_flag_.load(std::memory_order_acquire)) {
-    return Status::FailedPrecondition("ShardWorker is stopped");
-  }
-  // Same lock-free fast path as EnqueueImpl, claiming one edge of budget
-  // for the marker (including the post-claim stop re-check — see
-  // EnqueueImpl for why it must follow the claim).
-  if (TryClaimBudget(1)) {
-    if (stopping_flag_.load(std::memory_order_seq_cst)) {
-      ReleaseBudget(1);
-      return Status::FailedPrecondition("ShardWorker is stopped");
-    }
-    Chunk chunk;
-    chunk.is_retire = true;
-    chunk.retire_horizon = horizon;
-    if (TryPushChunk(std::move(chunk))) {
-      PublishAccepted(1);
-      return Status::OK();
-    }
-    ReleaseBudget(1);
-  }
-  if (!options_.block_when_full) {
-    return Status::OutOfRange("ShardWorker queue full");
-  }
-  std::unique_lock<std::mutex> lock(queue_mutex_);
-  space_waiters_.fetch_add(1, std::memory_order_seq_cst);
-  Status result = Status::OK();
-  for (;;) {
-    if (stopping_) {
-      result = Status::FailedPrecondition("ShardWorker is stopped");
-      break;
-    }
-    if (TryClaimBudget(1)) {
-      Chunk chunk;
-      chunk.is_retire = true;
-      chunk.retire_horizon = horizon;
-      if (TryPushChunk(std::move(chunk))) {
-        submitted_.fetch_add(1, std::memory_order_seq_cst);
-        work_cv_.notify_one();
-        break;
-      }
-      ReleaseBudget(1);
-    }
-    space_cv_.wait(lock);
-  }
-  space_waiters_.fetch_sub(1, std::memory_order_relaxed);
-  return result;
+  return Admit(
+      1, /*allow_partial=*/false, options_.block_when_full,
+      [horizon](std::size_t, std::size_t) {
+        Chunk marker;
+        marker.is_retire = true;
+        marker.retire_horizon = horizon;
+        return marker;
+      },
+      nullptr);
 }
 
-Status ShardWorker::EnqueueImpl(std::span<const Edge> edges,
-                                std::size_t* accepted,
-                                std::vector<Edge>* owned) {
-  if (accepted != nullptr) *accepted = 0;
-  if (edges.empty()) return Status::OK();
-  if (stopping_flag_.load(std::memory_order_acquire)) {
+Status ShardWorker::ClaimBatch(std::size_t k) {
+  const std::optional<std::size_t> take = TryClaim(k, false);
+  if (!take.has_value()) {
     return Status::FailedPrecondition("ShardWorker is stopped");
   }
-  const bool allow_partial = accepted != nullptr;
-  if (!allow_partial && edges.size() > options_.max_queue) {
-    return Status::InvalidArgument(
-        "ShardWorker::SubmitBatch: chunk exceeds max_queue");
-  }
-
-  std::size_t done = 0;
-  // Lock-free fast path: claim budget, claim a cell, publish.
-  {
-    const std::size_t want = edges.size();
-    const std::size_t take =
-        allow_partial ? TryClaimUpTo(want)
-                      : (TryClaimBudget(want) ? want : 0);
-    if (take > 0) {
-      // Re-check the stop flag AFTER the claim (seq_cst on both sides):
-      // either this load sees the flag and we release + fail, or the
-      // claim precedes the flag store in the seq_cst order — and then the
-      // exiting worker's queued_edges_==0 check (which runs after the
-      // flag store) must observe the claim and keep draining. Without
-      // this, a producer that read the flag as false before Stop() could
-      // publish into a ring nobody will ever pop: accepted, then lost.
-      if (stopping_flag_.load(std::memory_order_seq_cst)) {
-        ReleaseBudget(take);
-        return Status::FailedPrecondition("ShardWorker is stopped");
-      }
-      const bool moved_owned =
-          owned != nullptr && take == edges.size() && take > 1;
-      Chunk chunk = moved_owned ? Chunk(std::move(*owned))
-                                : Chunk(edges.subspan(0, take));
-      if (TryPushChunk(std::move(chunk))) {
-        PublishAccepted(take);
-        done = take;
-        if (accepted != nullptr) *accepted = done;
-        if (done == edges.size()) return Status::OK();
-      } else {
-        ReleaseBudget(take);
-        if (moved_owned) {
-          // TryPushChunk does not consume on failure; hand the storage
-          // back so `edges` (a span over it) stays valid for the slow
-          // path and the caller keeps its intact chunk on error.
-          *owned = std::move(chunk.many);
-        }
-      }
-    }
-  }
-  if (!options_.block_when_full) {
-    // Fail fast. With `accepted`, the prefix that fit stays enqueued and
-    // is reported exactly; without it, nothing was enqueued.
-    return Status::OutOfRange("ShardWorker queue full");
-  }
-
-  // Blocking slow path: register as a space waiter and hand the remainder
-  // over (in one piece, or — with `accepted` — in pieces) as the worker
-  // frees space.
-  std::unique_lock<std::mutex> lock(queue_mutex_);
-  space_waiters_.fetch_add(1, std::memory_order_seq_cst);
-  bool stopped = false;
-  while (done < edges.size()) {
-    if (stopping_) {
-      stopped = true;
-      break;
-    }
-    const std::size_t want = edges.size() - done;
-    const std::size_t take =
-        allow_partial ? TryClaimUpTo(want)
-                      : (TryClaimBudget(want) ? want : 0);
-    if (take > 0) {
-      Chunk chunk(edges.subspan(done, take));
-      if (TryPushChunk(std::move(chunk))) {
-        // Already under queue_mutex_ — notify the worker directly instead
-        // of PublishAccepted's lock-taking coalesced wakeup.
-        submitted_.fetch_add(take, std::memory_order_seq_cst);
-        work_cv_.notify_one();
-        done += take;
-        if (accepted != nullptr) *accepted = done;
-        continue;
-      }
-      ReleaseBudget(take);
-    }
-    space_cv_.wait(lock);
-  }
-  space_waiters_.fetch_sub(1, std::memory_order_relaxed);
-  if (stopped) {
-    return Status::FailedPrecondition("ShardWorker is stopped");
-  }
+  if (*take == 0) return Status::OutOfRange("ShardWorker queue full");
   return Status::OK();
+}
+
+void ShardWorker::PublishClaimed(std::vector<Edge>&& chunk) {
+  Publish(Chunk(std::move(chunk)), /*queue_locked=*/false);
+}
+
+void ShardWorker::ReleaseClaim(std::size_t k) {
+  Unclaim(k);
+  NotifySpaceFreed();
 }
 
 // ---------------------------------------------------------------------------
 // Drain / Stop.
 
-void ShardWorker::Drain() {
+bool ShardWorker::DrainFor(std::optional<std::chrono::milliseconds> timeout) {
   std::unique_lock<std::mutex> lock(queue_mutex_);
   const std::uint64_t target = submitted_.load(std::memory_order_seq_cst);
-  if (exact_through_ >= target || worker_exited_) return;
+  const auto exact = [this, target] {
+    return exact_through_ >= target || worker_exited_;
+  };
+  if (exact()) return true;
   // The worker flushes the benign buffers and republishes only while a
   // drain waiter is registered (exactness on demand keeps edge-grouping
   // amortization intact between drains), so wake it up.
   ++drain_waiters_;
   work_cv_.notify_one();
-  drain_cv_.wait(lock, [this, target] {
-    return exact_through_ >= target || worker_exited_;
-  });
-  --drain_waiters_;
-}
-
-bool ShardWorker::DrainFor(std::chrono::milliseconds timeout) {
-  std::unique_lock<std::mutex> lock(queue_mutex_);
-  const std::uint64_t target = submitted_.load(std::memory_order_seq_cst);
-  if (exact_through_ >= target || worker_exited_) return true;
-  ++drain_waiters_;
-  work_cv_.notify_one();
-  const bool reached = drain_cv_.wait_for(lock, timeout, [this, target] {
-    return exact_through_ >= target || worker_exited_;
-  });
+  bool reached = true;
+  if (timeout.has_value()) {
+    reached = drain_cv_.wait_for(lock, *timeout, exact);
+  } else {
+    drain_cv_.wait(lock, exact);
+  }
   --drain_waiters_;
   return reached;
 }
@@ -438,9 +351,9 @@ void ShardWorker::Stop() {
     std::lock_guard<std::mutex> lock(queue_mutex_);
     if (stopping_ && !worker_.joinable()) return;
     stopping_ = true;
-    // seq_cst: pairs with the producers' post-claim re-check (EnqueueImpl)
-    // and the worker's exit-time queued_edges_ check.
-    stopping_flag_.store(true, std::memory_order_seq_cst);
+    // From here on every claim fails; the worker exits once the claims
+    // made before this point are popped.
+    queued_.fetch_or(kStopped, std::memory_order_seq_cst);
   }
   work_cv_.notify_all();
   space_cv_.notify_all();
@@ -448,12 +361,7 @@ void ShardWorker::Stop() {
 }
 
 std::shared_ptr<const Community> ShardWorker::CurrentSnapshot() const {
-#if defined(SPADE_SNAPSHOT_PTR_ATOMIC)
-  return snapshot_.load();
-#else
-  std::lock_guard<std::mutex> lock(snapshot_mutex_);
-  return snapshot_;
-#endif
+  return snapshot_.Load();
 }
 
 // ---------------------------------------------------------------------------
@@ -574,7 +482,7 @@ void ShardWorker::CollectInduced(std::span<const VertexId> vertices,
 // Persistence.
 
 Status ShardWorker::SavePartition(std::size_t pid, const std::string& path) {
-  Drain();
+  DrainFor();
   std::lock_guard<std::mutex> lock(detector_mutex_);
   Partition* p = FindPartitionLocked(pid);
   if (p == nullptr) {
@@ -598,7 +506,7 @@ Status ShardWorker::SavePartitionDelta(std::size_t pid,
                                        std::uint64_t prev_epoch,
                                        std::uint64_t epoch,
                                        DeltaSaveInfo* info) {
-  Drain();
+  DrainFor();
   std::lock_guard<std::mutex> lock(detector_mutex_);
   Partition* p = FindPartitionLocked(pid);
   if (p == nullptr) {
@@ -743,12 +651,7 @@ void ShardWorker::PublishArgmaxLocked() {
     }
   }
   if (!best) best = std::make_shared<const Community>();
-#if defined(SPADE_SNAPSHOT_PTR_ATOMIC)
-  snapshot_.store(std::move(best));
-#else
-  std::lock_guard<std::mutex> lock(snapshot_mutex_);
-  snapshot_ = std::move(best);
-#endif
+  snapshot_.Store(std::move(best));
 }
 
 void ShardWorker::DetectAndPublish(Partition& p) {
@@ -861,28 +764,34 @@ void ShardWorker::FlushForwardBacklog() {
   drain_cv_.notify_all();
 }
 
-void ShardWorker::MakeExact() {
+void ShardWorker::SettleExactness(bool detect) {
+  // A backlogged edge has not been applied anywhere yet: the snapshot
+  // cannot be exact until the owner accepts it (the timed park retries).
+  bool exact = forward_backlog_.empty();
   std::vector<std::shared_ptr<const Community>> alerts;
+  std::uint64_t consumed = 0;
   {
     std::lock_guard<std::mutex> apply_lock(detector_mutex_);
     for (auto& p : parts_) {
-      if (p->since_detect > 0 || p->spade.PendingBenignEdges() > 0) {
-        DetectAndPublish(*p);
+      if (p->since_detect == 0 && p->spade.PendingBenignEdges() == 0) {
+        continue;
       }
+      if (!detect) {
+        exact = false;
+        break;
+      }
+      DetectAndPublish(*p);
     }
     alerts = TakePendingAlertsLocked();
+    consumed = consumed_;
   }
   for (const auto& a : alerts) on_alert_(*a);
-  // A backlogged edge has not been applied anywhere yet: the snapshot
-  // cannot be exact until the owner accepts it (the timed park retries).
-  if (!forward_backlog_.empty()) return;
   {
     std::lock_guard<std::mutex> lock(queue_mutex_);
+    consumed_q_ = consumed;
     // Only an empty ring makes the snapshot exact; a racing Submit defers
     // exactness to the next round.
-    if (queued_edges_.load(std::memory_order_seq_cst) == 0) {
-      exact_through_ = consumed_q_;
-    }
+    if (exact && RingEmpty()) exact_through_ = consumed;
   }
   drain_cv_.notify_all();
 }
@@ -951,18 +860,19 @@ void ShardWorker::WorkerLoop() {
         if (RingReady()) continue;  // new work: loop around and pop it
         if (stopping_) {
           // Exit only when no producer holds a claimed-but-unpublished
-          // chunk (claims raise queued_edges_ before the cell publish):
-          // a Submit that raced Stop() and was accepted must still be
-          // applied, or "Stop drains queued edges first" silently drops
-          // it. The producer publishes or releases momentarily.
-          if (queued_edges_.load(std::memory_order_seq_cst) == 0) {
+          // chunk: a Submit whose claim preceded Stop() was accepted and
+          // must still be applied, or "Stop drains queued edges first"
+          // silently drops it. The stop bit fails every later claim, and
+          // the producer publishes (or releases) momentarily.
+          if (RingEmpty()) {
             exit_loop = true;
           } else {
             inflight_claim = true;
           }
         } else {
-          // A Drain() waiter needs the snapshot brought up to date (flush
-          // buffered benign edges, republish); no new edges to apply.
+          // A DrainFor() waiter needs the snapshot brought up to date
+          // (flush buffered benign edges, republish); no new edges to
+          // apply.
           make_exact = drain_waiters_ > 0 && exact_through_ < consumed_q_;
         }
       }
@@ -971,7 +881,7 @@ void ShardWorker::WorkerLoop() {
         std::this_thread::yield();
         continue;
       }
-      if (make_exact) MakeExact();
+      if (make_exact) SettleExactness(/*detect=*/true);
       continue;
     }
 
@@ -1051,31 +961,11 @@ void ShardWorker::WorkerLoop() {
                 .count()),
         std::memory_order_relaxed);
 
-    // Round-end exactness: every partition detected-and-flushed, and no
-    // backlogged edge awaiting its owner.
-    bool exact_after_batch = forward_backlog_.empty();
-    if (exact_after_batch) {
-      std::lock_guard<std::mutex> apply_lock(detector_mutex_);
-      for (const auto& p : parts_) {
-        if (p->since_detect != 0 || p->spade.PendingBenignEdges() != 0) {
-          exact_after_batch = false;
-          break;
-        }
-      }
-    }
-    {
-      std::lock_guard<std::mutex> lock(queue_mutex_);
-      consumed_q_ = consumed_;
-      // Cheap advance: if the batch happened to end on a fresh detection,
-      // the published snapshot is already exact and a later Drain() needs
-      // no worker round-trip. Otherwise exactness is produced on demand by
-      // the MakeExact branch above.
-      if (exact_after_batch &&
-          queued_edges_.load(std::memory_order_seq_cst) == 0) {
-        exact_through_ = consumed_q_;
-      }
-    }
-    drain_cv_.notify_all();
+    // Round end: publish the consumed count, and advance the drain cursor
+    // when the batch happened to end on a fresh detection everywhere, so a
+    // later DrainFor() needs no worker round-trip. Otherwise exactness is
+    // produced on demand by the idle branch above.
+    SettleExactness(/*detect=*/false);
   }
 
   // Shutdown: hand off (or, failing that, drop) any backlogged edges so
@@ -1094,24 +984,12 @@ void ShardWorker::WorkerLoop() {
     }
   }
 
-  // Final shutdown flush.
-  {
-    std::vector<std::shared_ptr<const Community>> alerts;
-    {
-      std::lock_guard<std::mutex> apply_lock(detector_mutex_);
-      for (auto& p : parts_) {
-        if (p->since_detect > 0 || p->spade.PendingBenignEdges() > 0) {
-          DetectAndPublish(*p);
-        }
-      }
-      alerts = TakePendingAlertsLocked();
-    }
-    for (const auto& a : alerts) on_alert_(*a);
-  }
+  // Final shutdown flush: the ring and the backlog are empty, so this
+  // makes the snapshot exact through every consumed edge.
+  SettleExactness(/*detect=*/true);
   {
     std::lock_guard<std::mutex> lock(queue_mutex_);
     worker_exited_ = true;
-    exact_through_ = consumed_;
   }
   drain_cv_.notify_all();
   space_cv_.notify_all();

@@ -16,17 +16,19 @@
 // The three client-visible paths are decoupled so none of them serializes
 // on an in-flight reorder:
 //
-//   * Submit / SubmitBatch: producers hand whole chunks of edges to the
-//     worker through a bounded MPSC ring of edge slabs (Vyukov-style
-//     sequence-stamped cells). The hot path is entirely lock-free: claim
-//     queue budget with one CAS, claim a ring cell with one CAS, publish
-//     the cell's sequence word. A mutex is touched only on the slow paths
-//     (full queue in blocking mode, parking, Drain) — never per edge, and
+//   * Submit / SubmitBatch / OfferBatch / SubmitRetire: producers hand
+//     whole chunks to the worker through a bounded MPSC ring of edge slabs
+//     (Vyukov-style sequence-stamped cells), all through one admission
+//     path: a claim, then a publish. One CAS claims the chunk's queue
+//     budget and one ring cell together, so the publish that follows
+//     cannot fail: it takes the next ring position and stamps the cell's
+//     sequence word. A mutex is touched only on the slow paths (full
+//     queue in blocking mode, parking, DrainFor) — never per edge, and
 //     never per chunk while the pipeline keeps up.
 //   * CurrentCommunity / CurrentSnapshot: the worker publishes the densest
-//     community across its partitions as an atomically-swapped shared_ptr
-//     snapshot. Readers load the pointer and never touch any mutex on the
-//     apply path.
+//     community across its partitions as an immutable snapshot behind a
+//     pointer-swap mutex (common/published_ptr.h) that the apply path
+//     never holds.
 //   * EdgesProcessed / AlertsDelivered / QueueDepth: relaxed atomics.
 //
 // Forwarding protocol: an edge popped off the ring whose partition this
@@ -35,9 +37,9 @@
 // re-submitted to the current owner via the service-provided ForwardFn —
 // applied exactly once, at the owner. Edges are counted as consumed at
 // their final disposal (local apply, or accepted forward), and the drain
-// cursor only advances while the backlog is empty, so Drain() still means
-// "everything this worker accepted has been applied somewhere or handed to
-// its owner".
+// cursor only advances while the backlog is empty, so DrainFor() still
+// means "everything this worker accepted has been applied somewhere or
+// handed to its owner".
 //
 // Wakeup coalescing: producers notify the worker only when it is actually
 // parked (`parked_` is set, seq_cst, before the worker re-checks the ring
@@ -57,15 +59,16 @@
 //
 // Snapshot-publication protocol (DESIGN.md §4.2): the worker republishes on
 // every detection (urgent flush or detect_every cadence). Exactness is
-// produced on demand: a Drain() waiter registers itself and wakes the
-// worker, which flushes any buffered benign edges, republishes, and
-// advances the drain cursor — so Drain() returning implies the published
-// snapshot reflects every edge submitted before the Drain() call, while an
-// undrained worker keeps its edge-grouping amortization instead of
-// flushing every time its queue momentarily empties. While the worker is
-// busy, the snapshot may trail the stream by at most the in-flight batch
-// plus `detect_every` edges (all of them benign-buffered, which by Lemma
-// 4.4 cannot have improved the community).
+// produced on demand: a DrainFor() waiter registers itself and wakes the
+// worker, which detects every dirty partition (flushing its buffered
+// benign edges), republishes, and advances the drain cursor — so DrainFor()
+// returning true implies the published snapshot reflects every edge
+// submitted before the call, while an undrained worker keeps its
+// edge-grouping amortization instead of flushing every time its queue
+// momentarily empties. While the worker is busy, the snapshot may trail
+// the stream by at most the in-flight batch plus `detect_every` edges (all
+// of them benign-buffered, which by Lemma 4.4 cannot have improved the
+// community).
 
 #pragma once
 
@@ -83,29 +86,12 @@
 #include <utility>
 #include <vector>
 
+#include "common/published_ptr.h"
 #include "common/slab_pool.h"
 #include "common/status.h"
 #include "core/spade.h"
 #include "graph/types.h"
 #include "storage/delta_segment.h"
-
-// Snapshot publication uses std::atomic<std::shared_ptr> when the standard
-// library provides it — except under ThreadSanitizer: libstdc++'s
-// _Sp_atomic hides a lock bit inside the pointer word that TSan cannot see
-// through, yielding false data-race reports. The fallback is a dedicated
-// pointer-swap mutex, which is still never the apply-path lock, so the
-// non-blocking read guarantee holds in both configurations.
-#if defined(__SANITIZE_THREAD__)
-#define SPADE_SNAPSHOT_PTR_MUTEX 1
-#elif defined(__has_feature)
-#if __has_feature(thread_sanitizer)
-#define SPADE_SNAPSHOT_PTR_MUTEX 1
-#endif
-#endif
-#if !defined(SPADE_SNAPSHOT_PTR_MUTEX) && \
-    defined(__cpp_lib_atomic_shared_ptr)
-#define SPADE_SNAPSHOT_PTR_ATOMIC 1
-#endif
 
 namespace spade {
 
@@ -152,20 +138,16 @@ struct DetectionServiceOptions {
   /// if no urgent edge forced a flush.
   std::size_t detect_every = 256;
   /// Bound on edges accepted but not yet taken off the handoff ring by the
-  /// worker. The ring also has a bounded number of slabs
-  /// (min(max_queue, 65536), rounded up to a power of two): a queue that is
-  /// out of slabs but not out of edge budget — only possible when tens of
-  /// thousands of single-edge Submits pile up against a stalled worker —
-  /// counts as full as well.
+  /// worker. Every accepted chunk also holds one ring cell until the
+  /// worker pops it, and the ring has min(max_queue, 65536) cells (rounded
+  /// up to a power of two): a chunk that finds the budget or the cells
+  /// used up finds the queue full. Only tens of thousands of small chunks
+  /// piled up against a stalled worker run out of cells first.
   std::size_t max_queue = 1 << 20;
   /// When the buffer is full: false = Submit fails fast with kOutOfRange;
   /// true = Submit blocks until the worker frees space (backpressure
   /// propagates to producers instead of dropping transactions).
   bool block_when_full = false;
-  /// CPU to pin the worker thread to (-1 = unpinned). Linux-only
-  /// (pthread_setaffinity_np); elsewhere, and for CPUs that do not exist,
-  /// the worker logs a warning and runs unpinned.
-  int cpu = -1;
 };
 
 /// One worker: a background thread draining a chunk-handoff ring through a
@@ -217,12 +199,15 @@ class ShardWorker {
   /// RetireNotifyFn); `on_boundary` (optional) fires per applied/retired
   /// edge inside the apply critical section (see BoundaryUpdateFn).
   /// `slab_pool` (optional) receives consumed batch slabs for recycling.
+  /// `cpu` >= 0 pins the worker thread to that CPU (Linux only; elsewhere,
+  /// and for a CPU that does not exist, the worker logs a warning and runs
+  /// unpinned).
   ShardWorker(std::vector<PartitionSeed> seeds, std::size_t total_partitions,
               PartitionOfFn partition_of, ForwardFn forward,
               FraudAlertFn on_alert, DetectionServiceOptions options = {},
               RetireNotifyFn on_retire = nullptr,
               BoundaryUpdateFn on_boundary = nullptr,
-              std::shared_ptr<SlabPool> slab_pool = nullptr);
+              std::shared_ptr<SlabPool> slab_pool = nullptr, int cpu = -1);
 
   /// Stops the worker, draining queued edges first.
   ~ShardWorker();
@@ -236,8 +221,9 @@ class ShardWorker {
   /// unless the queue is full.
   Status Submit(const Edge& raw_edge);
 
-  /// Bulk enqueue: one budget claim, one ring cell and (at most) one worker
-  /// wakeup for the whole chunk — the high-throughput producer path.
+  /// Bulk enqueue: one claim (budget and ring cell), one publish and (at
+  /// most) one worker wakeup for the whole chunk — the high-throughput
+  /// producer path.
   ///
   /// Without `accepted` the call is all-or-nothing: it fails with
   /// kOutOfRange (or blocks until the whole chunk fits) when the chunk does
@@ -256,10 +242,9 @@ class ShardWorker {
 
   /// Move-through variant: when the whole chunk is accepted in one piece
   /// (the common case), the vector becomes the ring slab directly — zero
-  /// edge copies on this call. Falls back to copying (leaving `chunk`
-  /// intact for the unaccepted suffix accounting) when backpressure splits
-  /// or truncates the handoff; same contract as the span overload
-  /// otherwise.
+  /// edge copies on this call. Copies instead (leaving `chunk` intact for
+  /// the unaccepted suffix accounting) when backpressure splits or
+  /// truncates the handoff; same contract as the span overload otherwise.
   Status SubmitBatch(std::vector<Edge>&& chunk,
                      std::size_t* accepted = nullptr);
 
@@ -275,23 +260,33 @@ class ShardWorker {
   /// partition runs Spade::RetireOlderThan(`horizon`), and one that retired
   /// anything logs a retire-pass record for the delta chain. The marker
   /// rides the same ring as edge chunks — one unit of queue budget, the
-  /// same drain/exactness protocol — so Drain() after a successful
+  /// same drain/exactness protocol — so DrainFor() after a successful
   /// SubmitRetire implies the pass has fully applied. Same full-queue
   /// behavior as Submit.
   Status SubmitRetire(Timestamp horizon);
 
-  /// Blocks until every edge submitted before this call has been applied
-  /// (or handed to its current owner, for partitions that moved away) AND
-  /// the published snapshot reflects the locally-applied ones. Returns
-  /// immediately once the worker has exited.
-  void Drain();
+  /// Two-phase admission for a caller that must land parts on several
+  /// workers all-or-nothing (ShardedDetectionService::SubmitBatch in
+  /// fail-fast mode). ClaimBatch never blocks: it claims queue budget and
+  /// one ring cell for `k` edges and returns OK, kOutOfRange when they do
+  /// not fit now, or kFailedPrecondition after Stop(). A successful claim
+  /// is then either published by PublishClaimed — with exactly `k` edges;
+  /// it cannot fail — or handed back by ReleaseClaim(k). Until then the
+  /// claim counts against the queue, and a stopping worker waits for it.
+  Status ClaimBatch(std::size_t k);
+  void PublishClaimed(std::vector<Edge>&& chunk);
+  void ReleaseClaim(std::size_t k);
 
-  /// Bounded-wait Drain: returns true when the snapshot became exact (or
-  /// the worker exited) within `timeout`, false when the deadline passed
-  /// first — the caller's edges may still be in flight. Replication and
-  /// promotion use this so a wedged shard surfaces as a status instead of
-  /// hanging the control plane (DESIGN.md §7).
-  bool DrainFor(std::chrono::milliseconds timeout);
+  /// Waits until every edge submitted before this call has been applied
+  /// (or handed to its current owner, for partitions that moved away) AND
+  /// the published snapshot reflects the locally-applied ones, and returns
+  /// true — at once when the worker has exited. Without a `timeout` it
+  /// waits as long as that takes; with one it returns false when the
+  /// deadline passes first (the caller's edges may still be in flight), so
+  /// replication and promotion surface a wedged shard as a status instead
+  /// of hanging the control plane (DESIGN.md §7).
+  bool DrainFor(std::optional<std::chrono::milliseconds> timeout =
+                    std::nullopt);
 
   /// Drains, stops the worker and joins it. Idempotent.
   void Stop();
@@ -354,15 +349,16 @@ class ShardWorker {
     return detections_.load(std::memory_order_relaxed);
   }
 
-  /// Edges accepted (published into the ring) so far — the Drain target.
+  /// Edges accepted (published into the ring) so far — the DrainFor target.
   std::uint64_t Submitted() const {
     return submitted_.load(std::memory_order_seq_cst);
   }
 
-  /// Edges accepted but not yet taken off the ring by the worker (relaxed
-  /// atomic; never takes a lock, may trail an in-flight handoff).
+  /// Edges accepted or claimed but not yet taken off the ring by the
+  /// worker (relaxed atomic; never takes a lock, may trail an in-flight
+  /// handoff).
   std::size_t QueueDepth() const {
-    return queued_edges_.load(std::memory_order_relaxed);
+    return queued_.load(std::memory_order_relaxed) & kEdgeMask;
   }
 
   /// Highest queue depth observed at a successful enqueue since the last
@@ -534,42 +530,67 @@ class ShardWorker {
 
   void WorkerLoop();
 
-  /// Shared enqueue path for Submit and SubmitBatch (see SubmitBatch for
-  /// the partial-accept contract). `accepted` null = all-or-nothing.
-  /// `owned` (optional) is the storage behind `edges`: when the whole
-  /// chunk is accepted as one piece it is moved into the ring instead of
-  /// copied.
-  Status EnqueueImpl(std::span<const Edge> edges, std::size_t* accepted,
-                     std::vector<Edge>* owned = nullptr);
+  /// `queued_` packs everything a claim reserves into one word, so one CAS
+  /// claims it all: the low kCellShift bits count claimed edges (the queue
+  /// budget), the bits above them claimed ring cells, and the top bit is
+  /// set by Stop() — after it no claim succeeds. max_queue is clamped to
+  /// kEdgeMask.
+  static constexpr int kCellShift = 40;
+  static constexpr std::uint64_t kEdgeMask =
+      (std::uint64_t{1} << kCellShift) - 1;
+  static constexpr std::uint64_t kOneCell = std::uint64_t{1} << kCellShift;
+  static constexpr std::uint64_t kStopped = std::uint64_t{1} << 63;
 
-  /// Shared CAS claim loop: claims up to `k` edges of budget (all-or-
-  /// nothing unless `allow_partial`), updates the high-water mark, returns
-  /// the claimed count (may be 0).
-  std::size_t ClaimBudget(std::size_t k, bool allow_partial);
-  /// Claims exactly `k` edges of queue budget; false when they do not fit.
-  bool TryClaimBudget(std::size_t k);
-  /// Claims up to `k` edges of budget; returns the claimed count (may be 0).
-  std::size_t TryClaimUpTo(std::size_t k);
-  /// Releases `k` edges of claimed budget (push failed or consumer done).
-  void ReleaseBudget(std::size_t k);
-  /// Vyukov multi-producer push; false when the ring is out of cells.
-  bool TryPushChunk(Chunk&& chunk);
-  /// Single-consumer pop (worker thread only); releases the popped edges'
-  /// budget and returns false when no published cell is ready.
+  /// The one admission path (Submit, SubmitBatch, OfferBatch,
+  /// SubmitRetire): claims, then publishes, `n` edges' worth of chunks —
+  /// all-or-nothing unless `allow_partial` (kInvalidArgument when n >
+  /// max_queue) — and, when `block` and the queue is full, waits for
+  /// space. `make_chunk(offset, count)` builds the chunk for edges
+  /// [offset, offset + count). `*accepted` (optional) is always the exact
+  /// number of edges published.
+  template <typename MakeChunk>
+  Status Admit(std::size_t n, bool allow_partial, bool block,
+               const MakeChunk& make_chunk, std::size_t* accepted);
+  /// Admit over a span of edges (SubmitBatch, OfferBatch): best-effort iff
+  /// `accepted`. `owned` (optional) is the storage behind `edges`; when the
+  /// whole span goes in one piece it is moved into the ring, not copied.
+  Status Enqueue(std::span<const Edge> edges, std::size_t* accepted,
+                 std::vector<Edge>* owned, bool block);
+
+  /// One CAS: claims up to `k` edges of budget plus one ring cell
+  /// (all-or-nothing unless `allow_partial`) and returns the claimed edge
+  /// count — 0 when nothing fits now, nullopt after Stop().
+  std::optional<std::size_t> TryClaim(std::size_t k, bool allow_partial);
+  /// Publishes a claimed chunk into the next ring position (its claimed
+  /// cell is free, so this cannot fail), counts it as accepted and wakes
+  /// the worker iff it is parked. `queue_locked`: the caller holds
+  /// queue_mutex_.
+  void Publish(Chunk&& chunk, bool queue_locked);
+  /// Releases the claim of `k` edges and their cell (popped, or never
+  /// published).
+  void Unclaim(std::size_t k);
+  /// Single-consumer pop (worker thread only); releases the popped chunk's
+  /// claim and returns false when no published cell is ready.
   bool TryPopChunk(Chunk* out);
   /// Worker thread only: is the next ring cell published? (Also evaluated
   /// inside the worker's own condvar predicate — never by other threads.)
   bool RingReady() const;
-  /// Counts the chunk as accepted and wakes the worker iff it is parked.
-  void PublishAccepted(std::size_t k);
+  /// No claim is outstanding: nothing in the ring, nothing being published.
+  bool RingEmpty() const {
+    return (queued_.load(std::memory_order_seq_cst) & ~kStopped) == 0;
+  }
   /// Wakes blocked producers iff any are registered.
   void NotifySpaceFreed();
 
-  /// The old make-exact protocol: flush + republish for a Drain waiter,
-  /// then advance the drain cursor if the ring stayed empty (and the
-  /// forward backlog is empty — a backlogged edge is not yet applied
-  /// anywhere).
-  void MakeExact();
+  /// The one exactness step, run at every round end (`detect` false), for
+  /// a DrainFor waiter with nothing left to apply, and at shutdown
+  /// (`detect` true). It finds every dirty partition — edges applied since
+  /// its last Detect, or benign-buffered. With `detect` it flushes and
+  /// detects each (delivering alerts); without it, one dirty partition
+  /// means the snapshot is not exact. When none is left dirty, the forward
+  /// backlog is empty and so is the ring, it advances the drain cursor to
+  /// the consumed count.
+  void SettleExactness(bool detect);
 
   /// Looks up the owned partition for an edge (detector mutex held):
   /// partition_of_ -> pid -> ownership table. Null when this worker does
@@ -623,14 +644,14 @@ class ShardWorker {
   std::uint64_t ring_mask_ = 0;
   std::atomic<std::uint64_t> enqueue_pos_{0};
   std::uint64_t dequeue_pos_ = 0;  // worker thread only
-  /// Edges resident in the ring (claimed budget). seq_cst where it pairs
-  /// with the park/space Dekker handshakes.
-  std::atomic<std::size_t> queued_edges_{0};
+  /// Claimed edges, claimed cells and the stop bit (see kCellShift).
+  /// seq_cst where it pairs with the park/space Dekker handshakes.
+  std::atomic<std::uint64_t> queued_{0};
   /// High-water mark, split into a resettable recent window and a long-run
-  /// fold (see TakeRecentHighWater): ClaimBudget CAS-maxes the recent one.
+  /// fold (see TakeRecentHighWater): TryClaim CAS-maxes the recent one.
   std::atomic<std::size_t> queue_hwm_recent_{0};
   std::atomic<std::size_t> queue_hwm_total_{0};
-  /// Edges accepted (published) by Submit/SubmitBatch — the Drain target.
+  /// Edges accepted (published) by Publish — the DrainFor target.
   std::atomic<std::uint64_t> submitted_{0};
   /// Worker is (about to be) asleep on work_cv_; producers notify only
   /// when set (wakeup coalescing).
@@ -638,17 +659,15 @@ class ShardWorker {
   /// Producers blocked on space_cv_; the worker locks + notifies only when
   /// nonzero.
   std::atomic<std::size_t> space_waiters_{0};
-  /// Lock-free mirror of stopping_ for the producer fast path.
-  std::atomic<bool> stopping_flag_{false};
 
   // --- slow-path coordination (guarded by queue_mutex_) ------------------
   mutable std::mutex queue_mutex_;
   std::condition_variable work_cv_;   // signals the (parked) worker
-  std::condition_variable drain_cv_;  // signals Drain() waiters
+  std::condition_variable drain_cv_;  // signals DrainFor() waiters
   std::condition_variable space_cv_;  // signals blocked producers
   bool stopping_ = false;
   bool worker_exited_ = false;
-  std::size_t drain_waiters_ = 0;    // threads parked in Drain()
+  std::size_t drain_waiters_ = 0;    // threads parked in DrainFor()
   std::uint64_t consumed_q_ = 0;     // mirror of consumed_ for predicates
   std::uint64_t exact_through_ = 0;  // edges reflected in an exact snapshot
 
@@ -672,16 +691,8 @@ class ShardWorker {
   /// worker no longer owns, awaiting forward to the current owner.
   std::vector<Edge> forward_backlog_;
 
-  // --- published state (lock-free readers) -------------------------------
-#if defined(SPADE_SNAPSHOT_PTR_ATOMIC)
-  std::atomic<std::shared_ptr<const Community>> snapshot_;
-#else
-  // Fallback (pre-C++20 library or TSan build): a dedicated pointer-swap
-  // mutex — still never the apply-path mutex, so readers cannot block
-  // behind a reorder.
-  mutable std::mutex snapshot_mutex_;
-  std::shared_ptr<const Community> snapshot_;
-#endif
+  // --- published state (readers never wait on the apply path) ----------
+  PublishedPtr<Community> snapshot_;
   std::atomic<std::uint64_t> processed_{0};
   std::atomic<std::uint64_t> alerts_{0};
   std::atomic<std::uint64_t> detections_{0};

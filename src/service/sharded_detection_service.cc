@@ -46,6 +46,10 @@ Partitioner TenantPartitioner(VertexId vertices_per_tenant) {
 
 namespace {
 
+/// Stop()'s bound on the drain that lets forwarded backlogs hand off
+/// before the workers stop accepting.
+constexpr std::chrono::milliseconds kStopSettle{400};
+
 /// One partition scratch per producer thread, shared across services: a
 /// chunk is partitioned and handed over within one SubmitBatch call, so
 /// nothing aliases, and the arenas amortize to zero allocations per batch.
@@ -136,11 +140,9 @@ ShardedDetectionService::ShardedDetectionService(
     if (on_alert_) {
       shard_alert = [this, i](const Community& c) { on_alert_(i, c); };
     }
-    DetectionServiceOptions worker_options = options_.shard;
-    if (!options_.shard_cpus.empty()) {
-      worker_options.cpu =
-          options_.shard_cpus[i % options_.shard_cpus.size()];
-    }
+    const int cpu = options_.shard_cpus.empty()
+                        ? -1
+                        : options_.shard_cpus[i % options_.shard_cpus.size()];
     RetireNotifyFn shard_retire;
     if (options_.window.span > 0) {
       shard_retire = [this, i](std::size_t) { OnShardRetire(i); };
@@ -160,8 +162,8 @@ ShardedDetectionService::ShardedDetectionService(
     }
     workers_.push_back(std::make_unique<ShardWorker>(
         std::move(seeds), num_partitions, partition_of, std::move(forward),
-        std::move(shard_alert), worker_options, std::move(shard_retire),
-        boundary_hook, slab_pool_));
+        std::move(shard_alert), options_.shard, std::move(shard_retire),
+        boundary_hook, slab_pool_, cpu));
   }
   // The interval path runs for a single shard too: a stitch pass there is
   // just "publish the one shard's snapshot with provenance", which is what
@@ -365,7 +367,7 @@ Status ShardedDetectionService::RetireOlderThan(Timestamp horizon) {
 }
 
 void ShardedDetectionService::OnShardRetire(std::size_t shard) {
-  const auto snap = LoadStitched();
+  const auto snap = stitched_.Load();
   if (!snap) return;
   // `shards` is sorted unique (StitchNow builds it that way). An empty
   // provenance list (empty community) is dropped too — conservative and
@@ -377,7 +379,7 @@ void ShardedDetectionService::OnShardRetire(std::size_t shard) {
   // stitched snapshot measured before this retire pass may now OVERSTATE.
   // Drop it; stitched reads fall back to the live argmax until the next
   // pass republishes an honest one.
-  if (contributes) StoreStitched(nullptr);
+  if (contributes) stitched_.Store(nullptr);
 }
 
 std::uint64_t ShardedDetectionService::EdgesRetired() const {
@@ -426,12 +428,45 @@ Status ShardedDetectionService::SubmitBatch(std::span<const Edge> raw_edges,
                     slab_pool_.get());
   // Boundary counting happens on the worker apply path (see Submit); the
   // batched router's only job is splitting the chunk into per-shard slabs.
+  // Move-through: each scratch-built slab becomes a ring slab, so the whole
+  // batched path copies each edge exactly once.
+  const std::size_t n = workers_.size();
+  if (enqueued == nullptr) {
+    // All-or-nothing across shards: refuse a part that can never fit
+    // before enqueuing anything. In fail-fast mode, claim every part before
+    // publishing any, and hand every claim back on a refusal; a blocking
+    // part waits for space, so there only a stopping fleet refuses one.
+    for (std::size_t s = 0; s < n; ++s) {
+      if (scratch.Part(s).size() > options_.shard.max_queue) {
+        return Status::InvalidArgument(
+            "SubmitBatch: a shard's part exceeds max_queue");
+      }
+    }
+    if (!options_.shard.block_when_full) {
+      for (std::size_t s = 0; s < n; ++s) {
+        if (scratch.Part(s).empty()) continue;
+        const Status claimed =
+            workers_[s]->ClaimBatch(scratch.Part(s).size());
+        if (claimed.ok()) continue;
+        for (std::size_t r = 0; r < s; ++r) {
+          if (!scratch.Part(r).empty()) {
+            workers_[r]->ReleaseClaim(scratch.Part(r).size());
+          }
+        }
+        return claimed;
+      }
+      for (std::size_t s = 0; s < n; ++s) {
+        if (!scratch.Part(s).empty()) {
+          workers_[s]->PublishClaimed(scratch.TakePart(s));
+        }
+      }
+      return Status::OK();
+    }
+  }
   Status first_error = Status::OK();
-  for (std::size_t s = 0; s < workers_.size(); ++s) {
+  for (std::size_t s = 0; s < n; ++s) {
     if (scratch.Part(s).empty()) continue;
     std::size_t accepted = 0;
-    // Move-through: the scratch-built slab becomes the ring slab, so the
-    // whole batched path copies each edge exactly once.
     const Status status = workers_[s]->SubmitBatch(
         scratch.TakePart(s), enqueued != nullptr ? &accepted : nullptr);
     if (enqueued != nullptr) *enqueued += accepted;
@@ -446,36 +481,33 @@ std::uint64_t ShardedDetectionService::TotalSubmitted() const {
   return total;
 }
 
-void ShardedDetectionService::Drain() {
+void ShardedDetectionService::Drain() { DrainFor(std::nullopt); }
+
+bool ShardedDetectionService::DrainFor(
+    std::optional<std::chrono::milliseconds> timeout) {
   // Forwarding means one pass is not enough: an edge that raced a
   // partition move re-enters the NEW owner's queue, possibly after that
-  // worker's Drain already returned. Iterate to a fixpoint — when a full
+  // worker's drain already returned. Iterate to a fixpoint — when a full
   // pass completes and the fleet-wide submitted count did not move, no
-  // forwarded edge is in flight anywhere.
-  for (;;) {
-    const std::uint64_t before = TotalSubmitted();
-    for (auto& w : workers_) w->Drain();
-    if (TotalSubmitted() == before) return;
-  }
-}
-
-bool ShardedDetectionService::DrainFor(std::chrono::milliseconds timeout) {
-  // One shared deadline: each shard gets whatever budget remains, so the
-  // total wait is bounded by `timeout` no matter how many shards lag.
-  // Same forwarded-edge fixpoint as Drain, deadline-bounded.
-  const auto deadline = std::chrono::steady_clock::now() + timeout;
+  // forwarded edge is in flight anywhere. A timeout is one shared
+  // deadline: each shard gets whatever budget remains, so the total wait
+  // is bounded no matter how many shards lag.
+  using Clock = std::chrono::steady_clock;
+  const Clock::time_point deadline =
+      Clock::now() + timeout.value_or(std::chrono::milliseconds(0));
+  const auto remaining = [&]() -> std::optional<std::chrono::milliseconds> {
+    if (!timeout.has_value()) return std::nullopt;
+    return std::max(std::chrono::milliseconds(0),
+                    std::chrono::duration_cast<std::chrono::milliseconds>(
+                        deadline - Clock::now()));
+  };
   for (;;) {
     const std::uint64_t before = TotalSubmitted();
     for (auto& w : workers_) {
-      const auto remaining =
-          std::chrono::duration_cast<std::chrono::milliseconds>(
-              deadline - std::chrono::steady_clock::now());
-      if (!w->DrainFor(std::max(remaining, std::chrono::milliseconds(0)))) {
-        return false;
-      }
+      if (!w->DrainFor(remaining())) return false;
     }
     if (TotalSubmitted() == before) return true;
-    if (std::chrono::steady_clock::now() >= deadline) return false;
+    if (timeout.has_value() && Clock::now() >= deadline) return false;
   }
 }
 
@@ -492,21 +524,11 @@ void ShardedDetectionService::Stop() {
   }
   stitcher_cv_.notify_all();
   if (stitcher_.joinable()) stitcher_.join();
-  // Bounded settle pass: give forwarded backlogs a chance to hand off
-  // before workers stop accepting (a stopped worker rejects OfferBatch,
-  // which would strand a victim's backlog in the final flush-or-drop).
-  for (int i = 0; i < 8; ++i) {
-    const std::uint64_t before = TotalSubmitted();
-    for (auto& w : workers_) w->DrainFor(std::chrono::milliseconds(50));
-    if (TotalSubmitted() == before) break;
-  }
+  // Bounded settle: give forwarded backlogs a chance to hand off before
+  // workers stop accepting (a stopped worker rejects OfferBatch, which
+  // would strand a victim's backlog in the final flush-or-drop).
+  DrainFor(kStopSettle);
   for (auto& w : workers_) w->Stop();
-}
-
-std::size_t ShardedDetectionService::MaxQueueDepth() const {
-  std::size_t depth = 0;
-  for (const auto& w : workers_) depth = std::max(depth, w->QueueDepth());
-  return depth;
 }
 
 void ShardedDetectionService::ResetQueueHighWater() {
@@ -546,11 +568,20 @@ Status ShardedDetectionService::MovePartition(std::size_t pid,
   // its apply loop under the new routing epoch.
   workers_[from]->DrainFor(
       std::chrono::milliseconds(options_.rebalance.quiesce_timeout_ms));
+  SPADE_RETURN_NOT_OK(PlacePartitionLocked(pid, to_shard));
+  partitions_moved_.fetch_add(1, std::memory_order_relaxed);
+  if (stolen) steals_.fetch_add(1, std::memory_order_relaxed);
+  return Status::OK();
+}
+
+Status ShardedDetectionService::PlacePartitionLocked(std::size_t pid,
+                                                     std::size_t to_shard) {
+  const std::size_t from = map_.ShardOf(pid);
+  if (from == to_shard) return Status::OK();
   std::unique_ptr<ShardWorker::Partition> part =
       workers_[from]->DetachPartition(pid);
   if (part == nullptr) {
-    return Status::Internal("MovePartition: partition " +
-                            std::to_string(pid) +
+    return Status::Internal("partition " + std::to_string(pid) +
                             " not owned by its mapped shard " +
                             std::to_string(from));
   }
@@ -560,9 +591,22 @@ Status ShardedDetectionService::MovePartition(std::size_t pid,
   // already own the partition by the time it reads the new entry.
   workers_[to_shard]->AttachPartition(std::move(part));
   map_.Publish(pid, to_shard);
-  partitions_moved_.fetch_add(1, std::memory_order_relaxed);
-  if (stolen) steals_.fetch_add(1, std::memory_order_relaxed);
   return Status::OK();
+}
+
+std::vector<std::pair<std::uint32_t, std::uint32_t>>
+ShardedDetectionService::PlacementRows() const {
+  // Sparse: only partitions living away from their default worker
+  // (pid % num_workers) are recorded.
+  std::vector<std::pair<std::uint32_t, std::uint32_t>> rows;
+  for (std::size_t pid = 0; pid < map_.num_partitions(); ++pid) {
+    const std::size_t shard = map_.ShardOf(pid);
+    if (shard != pid % workers_.size()) {
+      rows.emplace_back(static_cast<std::uint32_t>(pid),
+                        static_cast<std::uint32_t>(shard));
+    }
+  }
+  return rows;
 }
 
 Status ShardedDetectionService::RebalanceNow(std::size_t pid,
@@ -702,33 +746,13 @@ std::size_t ShardedDetectionService::TopShard() const {
   return ArgmaxSnapshot().first;
 }
 
-std::shared_ptr<const GlobalCommunity> ShardedDetectionService::LoadStitched()
-    const {
-#if defined(SPADE_SNAPSHOT_PTR_ATOMIC)
-  return stitched_.load();
-#else
-  std::lock_guard<std::mutex> lock(stitched_mutex_);
-  return stitched_;
-#endif
-}
-
-void ShardedDetectionService::StoreStitched(
-    std::shared_ptr<const GlobalCommunity> snap) {
-#if defined(SPADE_SNAPSHOT_PTR_ATOMIC)
-  stitched_.store(std::move(snap));
-#else
-  std::lock_guard<std::mutex> lock(stitched_mutex_);
-  stitched_ = std::move(snap);
-#endif
-}
-
 Community ShardedDetectionService::CurrentCommunity() const {
   const auto [shard, snap] = ArgmaxSnapshot();
   return snap ? *snap : Community{};
 }
 
 GlobalCommunity ShardedDetectionService::CurrentGlobalCommunity() const {
-  const auto stitched = LoadStitched();
+  const auto stitched = stitched_.Load();
   const auto [shard, snap] = ArgmaxSnapshot();
   const double argmax_density = snap ? snap->density : 0.0;
   // A PUBLISHED stale stitched snapshot never overclaims. Inserts only
@@ -965,14 +989,14 @@ GlobalCommunity ShardedDetectionService::StitchPass(bool unbounded_seam) {
           fire_alert = true;
         }
       }
-      StoreStitched(std::make_shared<const GlobalCommunity>(result));
+      stitched_.Store(std::make_shared<const GlobalCommunity>(result));
       // Recheck AFTER the store: a retire pass whose count bumped between
       // the pre-store check and the store may have nulled the OLD snapshot
       // before our store resurrected a stale one. Any pass whose bump
       // lands after this recheck fires OnShardRetire after our store and
       // drops the new snapshot itself — so between the two checks and the
       // callback, no overstating snapshot stays published.
-      if (retire_raced()) StoreStitched(nullptr);
+      if (retire_raced()) stitched_.Store(nullptr);
     }
   }
   // Deliver outside the stitch lock, so a slow moderator (or one that calls
@@ -1244,15 +1268,7 @@ Status ShardedDetectionService::SaveFull(const std::string& dir,
     bytes += FileSizeOrZero(path);
     manifest.files.push_back(name);
   }
-  // Sparse placement rows: only partitions living away from their default
-  // worker (pid % num_workers) are recorded.
-  for (std::size_t pid = 0; pid < num_partitions; ++pid) {
-    const std::size_t shard = map_.ShardOf(pid);
-    if (shard != pid % workers_.size()) {
-      manifest.placement.push_back({static_cast<std::uint32_t>(pid),
-                                    static_cast<std::uint32_t>(shard)});
-    }
-  }
+  manifest.placement = PlacementRows();
   // Manifest last and atomically: a crash anywhere above leaves either no
   // manifest (kNotFound) or the previous epoch's manifest (clean restore
   // to the previous checkpoint) — never a torn directory in charge.
@@ -1298,14 +1314,7 @@ Status ShardedDetectionService::SaveDeltaEpoch(const std::string& dir,
   }
   // Refresh the placement rows: the manifest must describe the fleet at
   // ITS epoch, and partitions may have moved since the base was written.
-  manifest.placement.clear();
-  for (std::size_t pid = 0; pid < num_partitions; ++pid) {
-    const std::size_t shard = map_.ShardOf(pid);
-    if (shard != pid % workers_.size()) {
-      manifest.placement.push_back({static_cast<std::uint32_t>(pid),
-                                    static_cast<std::uint32_t>(shard)});
-    }
-  }
+  manifest.placement = PlacementRows();
   manifest.epoch = epoch;
   SPADE_RETURN_NOT_OK(WriteShardManifest(dir, manifest));
   bytes += FileSizeOrZero(ShardManifestPath(dir));
@@ -1520,7 +1529,7 @@ Status ShardedDetectionService::RestoreState(const std::string& dir,
     std::lock_guard<std::mutex> stitch_lock(stitch_mutex_);
     last_stitched_members_.clear();
     last_stitched_density_ = -1.0;
-    StoreStitched(nullptr);
+    stitched_.Store(nullptr);
     stitch_passes_.store(0, std::memory_order_relaxed);
     stitched_alerts_.store(0, std::memory_order_relaxed);
   }
@@ -1530,17 +1539,7 @@ Status ShardedDetectionService::RestoreState(const std::string& dir,
     // there" would replay into the wrong worker (kNotFound).
     std::lock_guard<std::mutex> rebalance_lock(rebalance_mutex_);
     for (std::size_t pid = 0; pid < num_partitions; ++pid) {
-      const std::size_t from = map_.ShardOf(pid);
-      if (from == target_shard[pid]) continue;
-      std::unique_ptr<ShardWorker::Partition> part =
-          workers_[from]->DetachPartition(pid);
-      if (part == nullptr) {
-        return Status::Internal(
-            "RestoreState: partition " + std::to_string(pid) +
-            " not owned by its mapped shard " + std::to_string(from));
-      }
-      workers_[target_shard[pid]]->AttachPartition(std::move(part));
-      map_.Publish(pid, target_shard[pid]);
+      SPADE_RETURN_NOT_OK(PlacePartitionLocked(pid, target_shard[pid]));
     }
     SPADE_RETURN_NOT_OK(ReplayPlans(std::move(plans), stage, &out));
   }

@@ -32,8 +32,8 @@
 // every shard's snapshot members, gathers that vertex set's induced edges
 // from the shard detectors (each edge lives in exactly one shard, so the
 // union is the exact global induced subgraph), peels it with the static
-// peeler, and publishes the result as an atomically-swapped GlobalCommunity
-// snapshot — same non-blocking read protocol as the shard snapshots. The
+// peeler, and publishes the result as a GlobalCommunity snapshot behind the
+// same pointer-swap publication as the shard snapshots. The
 // stitched read, CurrentGlobalCommunity(), returns the denser of the
 // stitched snapshot and the live argmax. Resident boundary memory is
 // O(boundary vertices). DESIGN.md §4.4 has the exactness, freshness and
@@ -48,6 +48,7 @@
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <span>
 #include <string>
 #include <thread>
@@ -55,6 +56,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/published_ptr.h"
 #include "common/slab_pool.h"
 #include "common/status.h"
 #include "common/timer.h"
@@ -213,9 +215,9 @@ struct ShardedDetectionServiceOptions {
   /// log, no watermark tracking).
   WindowOptions window;
   /// CPU pinning for the shard workers: shard i pins to
-  /// shard_cpus[i % shard_cpus.size()] (empty = every worker inherits
-  /// shard.cpu, default unpinned). Linux-only; nonexistent CPUs degrade to
-  /// a logged warning, never an error — see DetectionServiceOptions::cpu.
+  /// shard_cpus[i % shard_cpus.size()] (empty = unpinned). Linux-only;
+  /// elsewhere, and for CPUs that do not exist, the worker logs a warning
+  /// and runs unpinned — never an error.
   std::vector<int> shard_cpus;
   /// Work-stealing rebalance (partition granularity, steal policy).
   RebalanceOptions rebalance;
@@ -328,12 +330,21 @@ class ShardedDetectionService {
   /// reusable arenas, no per-call vector-of-vectors) and each shard
   /// receives its contiguous part through the lock-free chunk handoff.
   /// Boundary counting happens worker-side, exactly as in Submit. Order
-  /// within the chunk is preserved per shard. Best-effort across shards:
-  /// every shard's part is attempted and the first failure is returned.
-  /// With `enqueued` non-null, `*enqueued` is the exact number of edges
-  /// accepted — including prefixes a shard partially accepted under
-  /// backpressure (see ShardWorker::SubmitBatch); with it null, each
-  /// shard's part is all-or-nothing.
+  /// within the chunk is preserved per shard.
+  ///
+  /// Without `enqueued` the batch is all-or-nothing across shards: on
+  /// failure no edge of it was enqueued, so a caller may resend it whole
+  /// (the wire ingest tier's exactly-once contract). kInvalidArgument when
+  /// a shard's part exceeds max_queue; in fail-fast mode, every part is
+  /// claimed before any is published and a full shard returns kOutOfRange
+  /// after the claims are handed back; in blocking mode every part waits
+  /// for space, so only a stopping fleet (kFailedPrecondition) can refuse
+  /// one, and parts already handed over stay.
+  ///
+  /// With `enqueued` the call is best-effort: every shard's part is
+  /// attempted, the first failure is returned, and `*enqueued` is the
+  /// exact number of edges accepted — including prefixes a shard partially
+  /// accepted under backpressure (see ShardWorker::SubmitBatch).
   Status SubmitBatch(std::span<const Edge> raw_edges,
                      std::size_t* enqueued = nullptr);
 
@@ -350,15 +361,17 @@ class ShardedDetectionService {
   void SeedBoundaryIndex(std::span<const Edge> raw_edges);
 
   /// Blocks until every shard has applied and republished everything
-  /// submitted before this call.
+  /// submitted before this call: DrainFor without a timeout.
   void Drain();
 
-  /// Bounded-wait Drain: true when every shard became exact within
-  /// `timeout` (one shared deadline, not per shard), false when the
-  /// deadline passed with at least one shard still behind. Replication
-  /// seals and follower promotion use this so a wedged shard degrades to a
-  /// reported failure instead of hanging the control plane.
-  bool DrainFor(std::chrono::milliseconds timeout);
+  /// Drains every shard to a fixpoint (a forwarded edge re-enters a queue
+  /// after its victim drained, so passes repeat until the fleet-wide
+  /// accepted count holds still) and returns true. With a `timeout` — one
+  /// shared deadline, not per shard — it returns false when the deadline
+  /// passed with at least one shard still behind. Replication seals and
+  /// follower promotion use that so a wedged shard degrades to a reported
+  /// failure instead of hanging the control plane.
+  bool DrainFor(std::optional<std::chrono::milliseconds> timeout);
 
   /// Drains and stops all shard workers (and the background stitcher).
   /// Idempotent.
@@ -370,8 +383,8 @@ class ShardedDetectionService {
   Community CurrentCommunity() const;
 
   /// Stitched read with provenance: the denser of the latest stitched
-  /// snapshot and the live argmax, tagged with contributing shards — still
-  /// lock-free, but only as fresh as the last stitch pass. While no retire
+  /// snapshot and the live argmax, tagged with contributing shards — never
+  /// waits on a pass, but only as fresh as the last one. While no retire
   /// pass has touched a contributing shard, a stitched snapshot's density
   /// is a valid lower bound of its member set's current density (inserts
   /// only grow a fixed set's induced density). Window expiry breaks that
@@ -450,10 +463,6 @@ class ShardedDetectionService {
   ShardedServiceStats GetStats() const;
   std::uint64_t EdgesProcessed() const;
   std::uint64_t AlertsDelivered() const;
-
-  /// Deepest current queue across the shards (relaxed reads). Adaptive
-  /// producers use it to size their next chunk.
-  std::size_t MaxQueueDepth() const;
 
   /// Zeroes every shard's queue high-water mark. Phase-structured
   /// measurements (admission vs drain) reset between phases so the second
@@ -553,8 +562,6 @@ class ShardedDetectionService {
   std::pair<std::size_t, std::shared_ptr<const Community>> ArgmaxSnapshot()
       const;
 
-  std::shared_ptr<const GlobalCommunity> LoadStitched() const;
-  void StoreStitched(std::shared_ptr<const GlobalCommunity> snap);
   void StitcherLoop();
 
   /// The stitch pass body (StitchNow with the default budget; the
@@ -604,14 +611,26 @@ class ShardedDetectionService {
   std::size_t RouteForward(std::size_t from, std::span<const Edge> edges);
 
   /// Shared body of RebalanceNow and the rebalancer's steals (takes
-  /// rebalance_mutex_). `stolen` tags the steals counter.
+  /// rebalance_mutex_, quiesces the current owner, then places the
+  /// partition). `stolen` tags the steals counter.
   Status MovePartition(std::size_t pid, std::size_t to_shard, bool stolen);
+
+  /// The one placement step, for moves and for RestoreState's checkpointed
+  /// placement: detaches `pid` from its owner, attaches it to `to_shard`,
+  /// then publishes the routing entry (a no-op when it already lives
+  /// there). Caller holds rebalance_mutex_.
+  Status PlacePartitionLocked(std::size_t pid, std::size_t to_shard);
+
+  /// The manifest's sparse placement rows, (pid, owner) for every
+  /// partition living away from its default worker (pid % num_workers),
+  /// written by both kinds of save. Caller holds rebalance_mutex_.
+  std::vector<std::pair<std::uint32_t, std::uint32_t>> PlacementRows() const;
 
   /// Background steal loop (started when rebalance.interval_ms > 0).
   void RebalancerLoop();
 
   /// Sum of every worker's accepted-edge counter; stable across two reads
-  /// with no concurrent producers, which is what Drain's fixpoint loop
+  /// with no concurrent producers, which is what DrainFor's fixpoint loop
   /// needs (a forwarded edge re-enters a queue AFTER the victim's Drain
   /// returned, so one pass over the workers is not enough).
   std::uint64_t TotalSubmitted() const;
@@ -706,14 +725,9 @@ class ShardedDetectionService {
   std::vector<VertexId> last_stitched_members_;  // sorted
   double last_stitched_density_ = -1.0;
 
-  // --- published stitched snapshot (lock-free readers; same TSan-aware
-  // protocol as ShardWorker's shard snapshot) ----------------------------
-#if defined(SPADE_SNAPSHOT_PTR_ATOMIC)
-  std::atomic<std::shared_ptr<const GlobalCommunity>> stitched_;
-#else
-  mutable std::mutex stitched_mutex_;
-  std::shared_ptr<const GlobalCommunity> stitched_;
-#endif
+  // --- published stitched snapshot (readers never wait on a pass; same
+  // publication as ShardWorker's shard snapshot) ------------------------
+  PublishedPtr<GlobalCommunity> stitched_;
   std::atomic<std::uint64_t> stitch_passes_{0};
   std::atomic<std::uint64_t> stitched_alerts_{0};
   std::atomic<std::uint64_t> seam_truncated_{0};

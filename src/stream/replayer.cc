@@ -271,30 +271,14 @@ ServiceReplayReport ReplayThroughService(std::vector<Spade> shards,
   // each shard) an artificially coherent sub-stream.
   const std::size_t producer_batch =
       std::max<std::size_t>(1, options.producer_batch);
-  const bool adaptive =
-      options.adaptive_chunk && !options.per_edge_submit;
-  const std::size_t max_queue =
-      std::max<std::size_t>(1, options.service.shard.max_queue);
   std::atomic<std::size_t> cursor{0};
   for (std::size_t p = 0; p < num_producers; ++p) {
     producers.emplace_back([&] {
-      // Per-producer chunk size (no sharing, no atomics): each producer
-      // tracks queue pressure independently, which is exactly the signal
-      // it acts on — how long ITS blocking handoffs are about to be.
-      std::size_t chunk_size = producer_batch;
       while (true) {
         const std::size_t start =
-            cursor.fetch_add(chunk_size, std::memory_order_relaxed);
+            cursor.fetch_add(producer_batch, std::memory_order_relaxed);
         if (start >= n) break;
-        const std::size_t end = std::min(start + chunk_size, n);
-        if (adaptive) {
-          const std::size_t depth = service.MaxQueueDepth();
-          if (depth > max_queue / 2) {
-            chunk_size = std::max<std::size_t>(16, chunk_size / 2);
-          } else if (depth < max_queue / 8) {
-            chunk_size = std::min<std::size_t>(8192, chunk_size * 2);
-          }
-        }
+        const std::size_t end = std::min(start + producer_batch, n);
         for (std::size_t i = start; i < end; ++i) {
           const std::int32_t gid = stream.group[i];
           if (gid != kNormalEdge &&
@@ -302,14 +286,6 @@ ServiceReplayReport ReplayThroughService(std::vector<Spade> shards,
             double expected = -1.0;
             first_submit[gid].compare_exchange_strong(expected, now_micros());
           }
-        }
-        if (options.per_edge_submit) {
-          for (std::size_t i = start; i < end; ++i) {
-            if (!service.Submit(stream.edges[i]).ok()) {
-              failures.fetch_add(1, std::memory_order_relaxed);
-            }
-          }
-          continue;
         }
         const std::span<const Edge> chunk(stream.edges.data() + start,
                                           end - start);

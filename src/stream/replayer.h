@@ -79,31 +79,19 @@ ReplayReport Replay(Spade* spade, const LabeledStream& stream,
 // measures wall-clock ingest throughput plus the submit→alert latency of
 // each fraud group.
 
-/// Options for ReplayThroughService.
+/// Options for ReplayThroughService. Producers hand the stream to the
+/// service only through best-effort SubmitBatch calls of `producer_batch`
+/// edges: edges a call could not enqueue count as submit failures.
 struct ServiceReplayOptions {
   /// Concurrent submit threads. Producers claim contiguous chunks of the
   /// stream off a shared cursor, so each forwards the globally-interleaved
   /// arrival order (cross-chunk per-shard order is then
   /// scheduling-dependent, as with any concurrent ingest tier).
   std::size_t num_producers = 4;
-  /// Edges buffered per producer before a SubmitBatch flush. Chunking
-  /// amortizes the routing pass, the queue-budget claim and the worker
-  /// wakeup; per-edge submission pays all three per edge.
+  /// Edges per producer SubmitBatch call (the slice each producer claims
+  /// off the shared cursor). Chunking amortizes the routing pass, the
+  /// queue claim and the worker wakeup over the slice.
   std::size_t producer_batch = 64;
-  /// Submit each edge individually through Service::Submit instead of
-  /// SubmitBatch (the pre-batching ingest baseline the ingest bench
-  /// compares against). Producers still claim `producer_batch`-sized
-  /// slices off the shared cursor so the interleaving matches the batched
-  /// run; only the handoff differs.
-  bool per_edge_submit = false;
-  /// Adapt each producer's chunk size to queue pressure: after every chunk
-  /// the producer reads the fleet's current max queue depth and halves its
-  /// chunk (floor 16) when depth exceeds half the configured queue budget,
-  /// or doubles it (cap 8192) when depth is below an eighth of it. Large
-  /// chunks amortize routing when workers keep up; small chunks keep the
-  /// blocking handoff slices short when they do not — fewer edges parked
-  /// per wakeup, steadier admission. Ignored with per_edge_submit.
-  bool adaptive_chunk = false;
   /// Run one cross-shard stitch pass after the drain and report its result
   /// (final_stitched / final_argmax / stitch_millis). Groups only reachable
   /// through stitching are credited as detected from the stitched snapshot.

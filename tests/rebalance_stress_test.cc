@@ -63,18 +63,20 @@ TEST(RebalanceStressTest, MovesRaceIngestRetireCheckpointAndStitch) {
   std::atomic<bool> producers_done{false};
   std::atomic<Timestamp> clock{1};
   std::atomic<std::size_t> accepted_total{0};
+  std::atomic<std::size_t> saves_begun{0};
   std::atomic<std::size_t> saves_done{0};
 
   // Producers: mixed per-edge / batched submission with a steady
   // cross-tenant fraction, advancing event time so the window expires
   // behind them. Iteration-bounded (see stitch_stress_test for why), which
   // lets a fast host finish the stream before the mover or the
-  // checkpointer first run: halfway through, each producer waits until at
-  // least one save has completed and one partition has moved, so both
-  // still race the second half and the checks below always have a move
-  // and a checkpoint to look at. (The wait gives up after a minute, so a
-  // mover or checkpointer that died on a failed assertion fails the test
-  // below instead of hanging it.)
+  // checkpointer first run: halfway through, each producer waits until a
+  // save that BEGAN after it got there has completed, and until one
+  // partition has moved, so both still race the second half and the checks
+  // below always have a move and a checkpoint holding edges to look at. (A
+  // save that began earlier may have run before any edge was applied.
+  // The wait gives up after a minute, so a mover or checkpointer that died
+  // on a failed assertion fails the test below instead of hanging it.)
   constexpr int kBatchesPerProducer = 800;
   const auto gate_deadline =
       std::chrono::steady_clock::now() + std::chrono::minutes(1);
@@ -84,8 +86,12 @@ TEST(RebalanceStressTest, MovesRaceIngestRetireCheckpointAndStitch) {
       Rng rng(4000 + t);
       std::vector<Edge> batch;
       for (int iter = 0; iter < kBatchesPerProducer; ++iter) {
+        // Saves run one at a time, so save number begun + 1 is the first
+        // to begin after this load.
+        const std::size_t begun =
+            iter == kBatchesPerProducer / 2 ? saves_begun.load() : 0;
         while (iter == kBatchesPerProducer / 2 &&
-               (saves_done.load(std::memory_order_acquire) == 0 ||
+               (saves_done.load(std::memory_order_acquire) <= begun ||
                 service.GetStats().partitions_moved == 0) &&
                std::chrono::steady_clock::now() < gate_deadline) {
           std::this_thread::sleep_for(std::chrono::milliseconds(1));
@@ -154,6 +160,7 @@ TEST(RebalanceStressTest, MovesRaceIngestRetireCheckpointAndStitch) {
   // records the placement it found.
   std::thread checkpointer([&] {
     while (!producers_done.load(std::memory_order_acquire)) {
+      saves_begun.fetch_add(1);
       ASSERT_TRUE(service
                       .SaveState(dir,
                                  ShardedDetectionService::SaveMode::kAuto,

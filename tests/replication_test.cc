@@ -8,10 +8,12 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <condition_variable>
 #include <filesystem>
 #include <fstream>
 #include <functional>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -317,6 +319,88 @@ TEST(IngestSeal, SeqmapMatchesAppliedWatermark) {
   EXPECT_EQ(client.GetStats().durable_seq, sealed_seq);
 
   server.Stop();
+}
+
+// --------------------------------------------------------------------------
+// A batch the service refuses is applied whole, once, on a later resend:
+// the refusal enqueues no edge on any shard, and it is counted as refused,
+// not as a gap.
+
+TEST(IngestServer, RefusedBatchLandsExactlyOnceOnResend) {
+  std::vector<Spade> shards;
+  for (int p = 0; p < 2; ++p) {
+    Spade spade;
+    spade.SetSemantics(MakeDW());
+    ASSERT_TRUE(spade.BuildGraph(kVertices, {}).ok());
+    shards.push_back(std::move(spade));
+  }
+  // Worker 1's first alert holds its thread until released, so the edges
+  // submitted behind it fill its queue.
+  std::mutex hold_mutex;
+  std::condition_variable hold_cv;
+  bool held = false;
+  bool released = false;
+  const ShardAlertFn hold = [&](std::size_t shard, const Community&) {
+    std::unique_lock<std::mutex> lock(hold_mutex);
+    if (shard != 1 || held) return;
+    held = true;
+    hold_cv.notify_all();
+    hold_cv.wait(lock, [&] { return released; });
+  };
+  ShardedDetectionServiceOptions options;
+  options.partitioner = [](VertexId v) -> std::size_t { return v % 2; };
+  options.shard.max_queue = 4;  // fail fast
+  ShardedDetectionService service(std::move(shards), hold, options);
+  IngestServer server(&service);
+  ASSERT_TRUE(server.Start().ok());
+
+  ASSERT_TRUE(service.Submit(Edge{1, 3, 1e6, 0}).ok());  // partition 1
+  {
+    std::unique_lock<std::mutex> lock(hold_mutex);
+    hold_cv.wait(lock, [&] { return held; });
+  }
+  std::uint64_t filler = 0;  // odd sources: partition 1
+  while (service
+             .Submit(Edge{static_cast<VertexId>((2 * filler + 5) % kVertices),
+                          static_cast<VertexId>((2 * filler + 6) % kVertices),
+                          1.0, 0})
+             .ok()) {
+    ++filler;
+  }
+
+  IngestClientOptions copts;
+  copts.ports = {server.port()};
+  copts.stream_id = 3;
+  copts.batch_edges = 4;
+  copts.ack_timeout_ms = 50;
+  IngestClient client(copts);
+  // One batch: two edges for partition 0, two for the full partition 1.
+  for (const Edge& e : std::vector<Edge>{{10, 12, 1.0, 0},
+                                         {12, 14, 1.0, 0},
+                                         {11, 13, 1.0, 0},
+                                         {13, 15, 1.0, 0}}) {
+    EXPECT_TRUE(client.Submit(e).ok());  // buffers; never fails
+  }
+  EXPECT_FALSE(client.WaitAcked(300).ok());  // refused on every attempt
+  EXPECT_GE(server.GetStats().refused_batches, 1u);
+
+  {
+    std::lock_guard<std::mutex> lock(hold_mutex);
+    released = true;
+  }
+  hold_cv.notify_all();
+  ASSERT_TRUE(client.WaitAcked(10'000).ok());
+  server.Stop();
+  service.Drain();
+
+  const IngestServerStats stats = server.GetStats();
+  EXPECT_EQ(stats.batches_applied, 1u);
+  EXPECT_EQ(stats.edges_applied, 4u);
+  EXPECT_GE(stats.refused_batches, 1u);
+  EXPECT_EQ(stats.gap_batches, 0u);
+  const ShardedServiceStats applied = service.GetStats();
+  EXPECT_EQ(applied.shard_edges[0], 2u);
+  EXPECT_EQ(applied.shard_edges[1], 1 + filler + 2);
 }
 
 // --------------------------------------------------------------------------

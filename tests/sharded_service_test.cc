@@ -418,6 +418,57 @@ TEST(ShardedDetectionServiceTest, EnqueuedExactUnderPartialShardAccept) {
   }
 }
 
+// Without `enqueued` a batch is all-or-nothing across shards: when one
+// shard is full in fail-fast mode, the parts that would fit elsewhere are
+// not enqueued either, so a caller resending the whole batch (the wire
+// ingest tier) applies each edge exactly once.
+TEST(ShardedDetectionServiceTest, SubmitBatchIsAllOrNothingAcrossShards) {
+  ShardStall stall(/*shard=*/1);
+  ShardedDetectionServiceOptions options = TenantOptions();
+  options.shard.max_queue = 2;
+  options.shard.block_when_full = false;
+  ShardedDetectionService service(BuildShards(2, 2, {}), stall.Callback(),
+                                  options);
+
+  // Park shard 1 behind a community-changing burst, then take one of its
+  // two units of queue budget.
+  const auto base1 = static_cast<VertexId>(1 * kVerticesPerTenant);
+  ASSERT_TRUE(
+      service.Submit({base1, static_cast<VertexId>(base1 + 1), 1e6, 0}).ok());
+  stall.AwaitStalled();
+  Rng rng(49);
+  ASSERT_TRUE(service.Submit(TenantEdge(&rng, 1)).ok());
+
+  // 2 edges for (running) shard 0, which fit, and 2 for shard 1, which do
+  // not: the whole batch is refused and nothing of it is enqueued.
+  std::vector<Edge> chunk;
+  for (int i = 0; i < 2; ++i) chunk.push_back(TenantEdge(&rng, 0));
+  for (int i = 0; i < 2; ++i) chunk.push_back(TenantEdge(&rng, 1));
+  EXPECT_EQ(service.SubmitBatch(chunk).code(), StatusCode::kOutOfRange);
+  ShardedServiceStats stats = service.GetStats();
+  EXPECT_EQ(stats.shard_queue_depth[0], 0u);  // shard 0's claim handed back
+  EXPECT_EQ(stats.shard_queue_depth[1], 1u);
+
+  // A part that can never fit is refused up front, before any claim.
+  const std::vector<Edge> too_big = {TenantEdge(&rng, 0), TenantEdge(&rng, 1),
+                                     TenantEdge(&rng, 1), TenantEdge(&rng, 1)};
+  EXPECT_EQ(service.SubmitBatch(too_big).code(),
+            StatusCode::kInvalidArgument);
+
+  stall.Release();
+  service.Drain();
+  stats = service.GetStats();
+  EXPECT_EQ(stats.shard_edges[0], 0u);
+  EXPECT_EQ(stats.shard_edges[1], 2u);  // the burst + the budget filler
+
+  // The resend lands whole, once.
+  ASSERT_TRUE(service.SubmitBatch(chunk).ok());
+  service.Drain();
+  stats = service.GetStats();
+  EXPECT_EQ(stats.shard_edges[0], 2u);
+  EXPECT_EQ(stats.shard_edges[1], 4u);
+}
+
 // ResetQueueHighWater gives the high-water gauge phase semantics: after a
 // reset the mark reflects only post-reset traffic, so a measurement
 // harness (ReplayThroughService reports admission and drain phases

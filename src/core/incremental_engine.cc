@@ -29,7 +29,9 @@ Status IncrementalEngine::InsertBatch(DynamicGraph* g, PeelState* state,
                                       std::span<const Edge> edges,
                                       const VertexSuspFn& vsusp,
                                       ReorderStats* stats) {
-  if (edges.empty()) return Status::OK();
+  if (edges.empty() && state->size() == g->NumVertices()) {
+    return Status::OK();
+  }
   for (const Edge& e : edges) {
     if (!(e.weight > 0.0)) {
       return Status::InvalidArgument("InsertBatch: edge weight must be > 0");
@@ -58,27 +60,30 @@ Status IncrementalEngine::InsertBatch(DynamicGraph* g, PeelState* state,
                               batch_endpoints_.end(), nv);
   };
   // Register every id the graph ends up covering but the state does not —
-  // gap ids implied by a sparse id space, or endpoints a caller already
-  // created in the graph (Spade grows the graph before weighting) — as
-  // isolated prior-0 vertices, so the state always covers the graph. Batch
-  // endpoints are excluded from gap filling: each takes the prior-carrying
-  // branch of its own iteration, regardless of the order endpoints are
-  // reached. The gap cursor only moves forward, so across the whole batch
-  // every id is inspected once (state coverage is dense below it apart
-  // from skipped endpoints, which their own iterations fill before the
-  // merge).
+  // gap ids implied by a sparse id space, or ids a caller already created
+  // in the graph (Spade grows the graph, and sets new endpoints' priors,
+  // before weighting) — as isolated vertices at their stored weight, so the
+  // state always covers the graph. Batch endpoints are excluded from gap
+  // filling: each takes the prior-carrying branch of its own iteration,
+  // regardless of the order endpoints are reached. The gap cursor only
+  // moves forward, so across the whole batch every id is inspected once
+  // (state coverage is dense below it apart from skipped endpoints, which
+  // their own iterations fill before the merge).
   auto gap_cursor = static_cast<VertexId>(state->size());
+  const auto fill_gaps = [&] {
+    for (; gap_cursor < g->NumVertices(); ++gap_cursor) {
+      if (!is_batch_endpoint(gap_cursor) &&
+          !state->ContainsVertex(gap_cursor)) {
+        state->InsertVertexAtHead(gap_cursor, g->VertexWeight(gap_cursor));
+        new_vertices_.push_back(gap_cursor);
+      }
+    }
+  };
   for (const Edge& e : edges) {
     for (VertexId v : {e.src, e.dst}) {
       if (v >= g->NumVertices() || !state->ContainsVertex(v)) {
         g->EnsureVertices(v + 1);
-        for (; gap_cursor < g->NumVertices(); ++gap_cursor) {
-          if (!is_batch_endpoint(gap_cursor) &&
-              !state->ContainsVertex(gap_cursor)) {
-            state->InsertVertexAtHead(gap_cursor, 0.0);
-            new_vertices_.push_back(gap_cursor);
-          }
-        }
+        fill_gaps();
         const double prior = vsusp ? vsusp(v, *g) : 0.0;
         g->SetVertexWeight(v, prior);
         state->InsertVertexAtHead(v, prior);
@@ -86,6 +91,7 @@ Status IncrementalEngine::InsertBatch(DynamicGraph* g, PeelState* state,
       }
     }
   }
+  fill_gaps();  // ids past every endpoint that the graph already covers
 
   // Apply the edges, then mark every created vertex and every endpoint
   // black: their stored peeling weights understate the new edges (or their
@@ -121,6 +127,7 @@ Status IncrementalEngine::InsertBatch(DynamicGraph* g, PeelState* state,
   std::sort(black_positions_.begin(), black_positions_.end());
 
   ReorderStats local;
+  local.merges = 1;
   // Pre-seed every created vertex into the queue at its exact initial
   // weight (prior plus all incident edges — which are all new, hence all
   // pending). Head placement is by fiat, not by peel order, so a stored
@@ -224,6 +231,7 @@ Status IncrementalEngine::DeleteBatch(DynamicGraph* g, PeelState* state,
   pending_.EnsureCapacity(g->NumVertices());
   EnsureScratch(static_cast<VertexId>(g->NumVertices() - 1));
   ReorderStats local;
+  local.merges = 1;
 
   // Every endpoint may deserve an earlier slot (DESIGN.md §2.6): seed them
   // all into T at their exact weights from the earliest splice point and

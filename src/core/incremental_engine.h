@@ -73,6 +73,9 @@ struct ReorderStats {
   /// Incumbents the merge classified one at a time. The rest of the
   /// rewritten span was proven untouched in bulk (DESIGN.md §3.4).
   std::size_t probed_slots = 0;
+  /// Merge passes run: one per InsertBatch or DeleteBatch that changed the
+  /// graph. Chain replay reads it to prove a range cost at most two.
+  std::size_t merges = 0;
 
   void Reset() { *this = ReorderStats(); }
   void Accumulate(const ReorderStats& other) {
@@ -81,6 +84,7 @@ struct ReorderStats {
     rewritten_span += other.rewritten_span;
     recovery_lookups += other.recovery_lookups;
     probed_slots += other.probed_slots;
+    merges += other.merges;
   }
 };
 
@@ -90,7 +94,10 @@ class IncrementalEngine {
   /// Inserts a batch of weighted edges (weight = final suspiciousness c_ij)
   /// into `g` and reorders `state` so it equals a from-scratch peel of the
   /// updated graph. Unknown endpoints are created as new vertices whose
-  /// prior comes from `vsusp` (may be null => prior 0).
+  /// prior comes from `vsusp` (may be null => prior 0); every other id the
+  /// graph covers but the state does not joins with its stored vertex
+  /// weight, so an empty batch over a grown graph registers its new
+  /// vertices in one merge.
   ///
   /// Preconditions: `state` is a valid peeling of `g`; every edge weight is
   /// positive.

@@ -2,17 +2,41 @@
 
 #include <algorithm>
 #include <cmath>
+#include <sstream>
 
 #include "graph/graph_io.h"
+#include "graph/weight_grid.h"
 #include "peel/static_peeler.h"
 #include "storage/snapshot.h"
 
 namespace spade {
 namespace {
 
-/// Admission test on a post-ESusp weight: finite and positive.
+/// Admission test on an applied (grid-rounded) weight: finite and positive.
 bool IsAdmissibleWeight(double weight) {
   return std::isfinite(weight) && weight > 0.0;
+}
+
+/// The engine's prior for a vertex it registers: the weight admission
+/// already stored on the graph (0 for an id skipped over).
+double StoredPrior(VertexId v, const DynamicGraph& g) {
+  return g.VertexWeight(v);
+}
+
+/// The window log's expired prefix ends at the first entry at or past the
+/// horizon: a late arrival shields the entries behind it. The one prefix
+/// pop of RetireOlderThan and ReplayDelta.
+template <typename It>
+It ExpiredEnd(It first, It last, Timestamp horizon) {
+  return std::find_if(first, last,
+                      [horizon](const Edge& e) { return e.ts >= horizon; });
+}
+
+std::string MassRefusal(const char* caller, double mass) {
+  std::ostringstream os;
+  os << caller << ": mass " << mass << " would exceed the bound "
+     << kMaxPartitionMass;
+  return os.str();
 }
 
 }  // namespace
@@ -23,10 +47,14 @@ Spade::Spade(SpadeOptions options) : options_(options) {
   esusp_ = dg.esusp;
 }
 
-Edge Spade::Weight(const Edge& raw) const {
+Edge Spade::Weight(const Edge& raw, const DynamicGraph& g) const {
   Edge weighted = raw;
-  weighted.weight = esusp_ ? esusp_(raw, graph_) : raw.weight;
+  weighted.weight = QuantizeWeight(esusp_ ? esusp_(raw, g) : raw.weight);
   return weighted;
+}
+
+double Spade::Prior(VertexId v) const {
+  return QuantizeWeight(vsusp_ ? vsusp_(v, graph_) : 0.0);
 }
 
 void Spade::EnsureEndpoints(const Edge& raw) {
@@ -35,6 +63,41 @@ void Spade::EnsureEndpoints(const Edge& raw) {
       graph_.EnsureVertices(v + 1);
     }
   }
+}
+
+Status Spade::AdmitWeighted(std::span<const Edge> weighted,
+                            std::size_t num_vertices, const char* caller) {
+  double mass = Mass();
+  for (const Edge& e : weighted) {
+    if (!IsAdmissibleWeight(e.weight)) {
+      graph_.TruncateVertices(num_vertices);
+      return Status::InvalidArgument(
+          std::string(caller) +
+          ": weight must be finite and > 0 on the 2^-20 grid");
+    }
+    mass += e.weight;
+  }
+  // Priors in the order the endpoints first appear, each read against the
+  // graph with the earlier ones set — as the engine used to read them.
+  std::vector<VertexId> fresh;
+  for (const Edge& e : weighted) {
+    for (VertexId v : {e.src, e.dst}) {
+      if (v < num_vertices ||
+          std::find(fresh.begin(), fresh.end(), v) != fresh.end()) {
+        continue;
+      }
+      const double prior = Prior(v);
+      graph_.SetVertexWeight(v, prior);
+      fresh.push_back(v);
+      mass += prior;
+    }
+  }
+  if (!(mass <= kMaxPartitionMass)) {
+    for (VertexId v : fresh) graph_.SetVertexWeight(v, 0.0);
+    graph_.TruncateVertices(num_vertices);
+    return Status::InvalidArgument(MassRefusal(caller, mass));
+  }
+  return Status::OK();
 }
 
 Status Spade::LoadGraph(const std::string& path) {
@@ -50,28 +113,38 @@ Status Spade::LoadGraph(const std::string& path) {
 
 Status Spade::BuildGraph(std::size_t num_vertices,
                          std::span<const Edge> raw_edges) {
-  graph_ = DynamicGraph(num_vertices);
-  benign_buffer_.clear();
-  pending_wdeg_.clear();
-  window_.clear();
-  stats_.Reset();
-
+  // Built aside: a refused edge leaves the detector as it was.
+  DynamicGraph graph(num_vertices);
   // Vertex priors first (FD reads them back through VSusp side info), then
   // edges in stream order so degree-dependent ESusp instances see the graph
   // grow exactly as the replayed history did.
   if (vsusp_) {
     for (std::size_t v = 0; v < num_vertices; ++v) {
-      graph_.SetVertexWeight(static_cast<VertexId>(v),
-                             vsusp_(static_cast<VertexId>(v), graph_));
+      const auto id = static_cast<VertexId>(v);
+      graph.SetVertexWeight(id, QuantizeWeight(vsusp_(id, graph)));
     }
   }
   for (const Edge& raw : raw_edges) {
     if (raw.src >= num_vertices || raw.dst >= num_vertices) {
       return Status::InvalidArgument("BuildGraph: endpoint out of range");
     }
-    SPADE_RETURN_NOT_OK(
-        graph_.AddEdge(raw.src, raw.dst, Weight(raw).weight));
+    const double weight = Weight(raw, graph).weight;
+    if (!IsAdmissibleWeight(weight)) {
+      return Status::InvalidArgument(
+          "BuildGraph: weight must be finite and > 0 on the 2^-20 grid");
+    }
+    SPADE_RETURN_NOT_OK(graph.AddEdge(raw.src, raw.dst, weight));
   }
+  if (!(graph.TotalWeight() <= kMaxPartitionMass)) {
+    return Status::InvalidArgument(
+        MassRefusal("BuildGraph", graph.TotalWeight()));
+  }
+  graph_ = std::move(graph);
+  benign_buffer_.clear();
+  pending_wdeg_.clear();
+  buffered_mass_ = 0.0;
+  window_.clear();
+  stats_.Reset();
   state_ = PeelStatic(graph_);
   return Status::OK();
 }
@@ -102,34 +175,38 @@ bool Spade::IsBenign(const Edge& weighted_edge) const {
   return true;
 }
 
-Status Spade::Flush() {
-  if (benign_buffer_.empty()) return Status::OK();
+std::vector<Edge> Spade::TakeBuffer() {
   std::vector<Edge> batch;
   batch.swap(benign_buffer_);
   pending_wdeg_.clear();
-  return InsertWeightedBatch(batch);
+  buffered_mass_ = 0.0;
+  return batch;
+}
+
+Status Spade::Flush() {
+  if (benign_buffer_.empty()) return Status::OK();
+  return InsertWeightedBatch(TakeBuffer());
 }
 
 Status Spade::InsertWeightedBatch(std::span<const Edge> weighted) {
-  return engine_.InsertBatch(&graph_, &state_, weighted, vsusp_, &stats_);
+  return engine_.InsertBatch(&graph_, &state_, weighted, StoredPrior,
+                             &stats_);
 }
 
 Status Spade::ApplyEdge(const Edge& raw_edge, double* applied_weight) {
   // A failed insert must not leave vertices the peel state does not cover:
-  // a self-loop fails before the graph grows, a bad weight shrinks it back.
+  // a self-loop fails before the graph grows, a refused one shrinks it
+  // back.
   if (raw_edge.src == raw_edge.dst) {
     return Status::InvalidArgument("ApplyEdge: self-loops not supported");
   }
   const std::size_t num_vertices = graph_.NumVertices();
   EnsureEndpoints(raw_edge);
-  const Edge weighted = Weight(raw_edge);
+  const Edge weighted = Weight(raw_edge, graph_);
   // Reject before buffering: a buffered bad edge would fail the whole batch
   // at the next flush, taking the valid edges grouped with it down too.
-  if (!IsAdmissibleWeight(weighted.weight)) {
-    graph_.TruncateVertices(num_vertices);
-    return Status::InvalidArgument(
-        "ApplyEdge: weight must be finite and > 0");
-  }
+  SPADE_RETURN_NOT_OK(AdmitWeighted(std::span<const Edge>(&weighted, 1),
+                                    num_vertices, "ApplyEdge"));
   // The weight is fixed here, at admission — a benign-buffered edge still
   // enters the graph with this value when the buffer flushes, so it is the
   // weight the window log records and a later deletion must subtract.
@@ -146,13 +223,12 @@ Status Spade::Admit(const Edge& weighted) {
       benign_buffer_.push_back(weighted);
       pending_wdeg_[weighted.src] += weighted.weight;
       pending_wdeg_[weighted.dst] += weighted.weight;
+      buffered_mass_ += weighted.weight;
       return Status::OK();
     }
     // Urgent edge: reorder the whole buffer together with it (Algorithm 3).
-    benign_buffer_.push_back(weighted);
-    std::vector<Edge> batch;
-    batch.swap(benign_buffer_);
-    pending_wdeg_.clear();
+    std::vector<Edge> batch = TakeBuffer();
+    batch.push_back(weighted);
     return InsertWeightedBatch(batch);
   }
   return InsertWeightedBatch(std::span<const Edge>(&weighted, 1));
@@ -162,8 +238,8 @@ Status Spade::ApplyBatchEdges(std::span<const Edge> raw_edges) {
   SPADE_RETURN_NOT_OK(Flush());
   for (const Edge& raw : raw_edges) {
     // A failed insert must not leave vertices the peel state does not
-    // cover: self-loops fail before the graph grows, a bad weight shrinks
-    // it back (no edge of the batch has entered it yet).
+    // cover: self-loops fail before the graph grows, a refused batch
+    // shrinks it back (no edge of the batch has entered it yet).
     if (raw.src == raw.dst) {
       return Status::InvalidArgument(
           "ApplyBatchEdges: self-loops not supported");
@@ -174,13 +250,10 @@ Status Spade::ApplyBatchEdges(std::span<const Edge> raw_edges) {
   weighted.reserve(raw_edges.size());
   for (const Edge& raw : raw_edges) {
     EnsureEndpoints(raw);
-    weighted.push_back(Weight(raw));
-    if (!IsAdmissibleWeight(weighted.back().weight)) {
-      graph_.TruncateVertices(num_vertices);
-      return Status::InvalidArgument(
-          "ApplyBatchEdges: weight must be finite and > 0");
-    }
+    weighted.push_back(Weight(raw, graph_));
   }
+  SPADE_RETURN_NOT_OK(
+      AdmitWeighted(weighted, num_vertices, "ApplyBatchEdges"));
   SPADE_RETURN_NOT_OK(InsertWeightedBatch(weighted));
   if (window_on_) {
     window_.insert(window_.end(), weighted.begin(), weighted.end());
@@ -216,13 +289,12 @@ Status Spade::RetireEdges(std::span<const Edge> edges) {
 
 Result<std::vector<Edge>> Spade::RetireOlderThan(Timestamp horizon) {
   std::vector<Edge> retired;
-  if (window_.empty() || window_.front().ts >= horizon) return retired;
-  // Only a pass that retires anything flushes, so a replayed pass record
-  // flushes the same buffered prefix and needs no flush marker before it.
+  const auto expired = ExpiredEnd(window_.begin(), window_.end(), horizon);
+  if (expired == window_.begin()) return retired;
+  // Only a pass that retires anything flushes, so the benign buffer is
+  // always a suffix of the log past its last retire pass (ReplayDelta
+  // relies on it).
   SPADE_RETURN_NOT_OK(Flush());
-  const auto expired = std::find_if(
-      window_.begin(), window_.end(),
-      [&](const Edge& e) { return e.ts >= horizon; });
   // One batch at the logged weights (FD's degree term has moved on since
   // admission); the log keeps its prefix unless the whole batch applies.
   retired.assign(window_.begin(), expired);
@@ -230,6 +302,114 @@ Result<std::vector<Edge>> Spade::RetireOlderThan(Timestamp horizon) {
       engine_.DeleteBatch(&graph_, &state_, retired, &stats_));
   window_.erase(window_.begin(), expired);
   return retired;
+}
+
+Result<std::size_t> Spade::ReplayDelta(
+    std::span<const DeltaSegment> segments) {
+  if (segments.empty()) return std::size_t{0};
+  // The arrival-ordered list: the buffered edges, then the range's inserts.
+  std::vector<Edge> arrivals(benign_buffer_.begin(), benign_buffer_.end());
+  const std::size_t buffered = arrivals.size();
+  // With the log on, the buffer is the log's tail, so the log followed by
+  // the range's inserts is the window the live detector popped from. Its
+  // first `resident` entries are in the graph.
+  const std::size_t logged = window_on_ ? window_.size() : 0;
+  if (window_on_ &&
+      (logged < buffered ||
+       !std::equal(benign_buffer_.begin(), benign_buffer_.end(),
+                   window_.end() - static_cast<std::ptrdiff_t>(buffered)))) {
+    return Status::FailedPrecondition(
+        "ReplayDelta: the benign buffer is not the window log's tail");
+  }
+  const std::size_t resident = logged - (window_on_ ? buffered : 0);
+
+  // Pass 1, nothing changes: rebuild the window's pops. `front` counts the
+  // popped entries of the log followed by the range's inserts.
+  std::size_t front = 0;
+  const auto pop = [&](Timestamp horizon) {
+    const std::size_t start = front;
+    if (front < logged) {
+      front = static_cast<std::size_t>(
+          ExpiredEnd(window_.begin() + static_cast<std::ptrdiff_t>(front),
+                     window_.end(), horizon) -
+          window_.begin());
+      if (front < logged) return front - start;
+    }
+    const auto inserts = arrivals.begin() + static_cast<std::ptrdiff_t>(buffered);
+    front = logged + static_cast<std::size_t>(
+                         ExpiredEnd(inserts + static_cast<std::ptrdiff_t>(
+                                                  front - logged),
+                                    arrivals.end(), horizon) -
+                         inserts);
+    return front - start;
+  };
+  for (const DeltaSegment& segment : segments) {
+    for (const DeltaRecord& record : segment.records) {
+      if (!record.retire) {
+        arrivals.push_back(record.edge);
+        continue;
+      }
+      const std::size_t popped = window_on_ ? pop(record.horizon) : 0;
+      if (popped != record.retired) {
+        return Status::Internal(
+            "epoch " + std::to_string(segment.epoch) +
+            ": retire pass retired " + std::to_string(popped) +
+            " edges, recorded " + std::to_string(record.retired));
+      }
+    }
+  }
+  const std::size_t retired = std::min(front, resident);
+  const std::size_t first_survivor = front - retired;
+  const std::size_t tail = segments.back().buffered_tail;
+  if (tail > arrivals.size() - first_survivor) {
+    return Status::Internal(
+        "epoch " + std::to_string(segments.back().epoch) + ": " +
+        std::to_string(tail) + " buffered edges recorded, " +
+        std::to_string(arrivals.size() - first_survivor) + " survive");
+  }
+
+  // Pass 2: the logged edges the range retired leave in one batch (atomic:
+  // on failure nothing has changed).
+  const std::size_t merges = stats_.merges;
+  if (retired > 0) {
+    const std::vector<Edge> batch(
+        window_.begin(), window_.begin() + static_cast<std::ptrdiff_t>(retired));
+    SPADE_RETURN_NOT_OK(engine_.DeleteBatch(&graph_, &state_, batch, &stats_));
+  }
+  // Every vertex an insert record names, as live admission created it: an
+  // endpoint past the graph takes its prior, an id skipped over weighs 0.
+  for (auto e = arrivals.begin() + static_cast<std::ptrdiff_t>(buffered);
+       e != arrivals.end(); ++e) {
+    const std::size_t num_vertices = graph_.NumVertices();
+    EnsureEndpoints(*e);
+    for (VertexId v : {e->src, e->dst}) {
+      if (v >= num_vertices) graph_.SetVertexWeight(v, Prior(v));
+    }
+  }
+  // The survivors enter in one batch, but for the tail the seal found
+  // still buffered.
+  const auto survivors =
+      std::span<const Edge>(arrivals).subspan(first_survivor);
+  TakeBuffer();
+  SPADE_RETURN_NOT_OK(
+      InsertWeightedBatch(survivors.first(survivors.size() - tail)));
+  for (const Edge& e : survivors.last(tail)) {
+    benign_buffer_.push_back(e);
+    pending_wdeg_[e.src] += e.weight;
+    pending_wdeg_[e.dst] += e.weight;
+    buffered_mass_ += e.weight;
+  }
+  if (window_on_) {
+    const std::size_t dropped = std::min(front, logged);
+    window_.erase(window_.begin(),
+                  window_.begin() + static_cast<std::ptrdiff_t>(dropped));
+    window_.insert(
+        window_.end(),
+        arrivals.begin() +
+            static_cast<std::ptrdiff_t>(buffered + (front - dropped)),
+        arrivals.end());
+  }
+  return stats_.merges - merges;
 }
 
 Status Spade::SaveState(const std::string& path) {
@@ -253,8 +433,7 @@ Status Spade::RestoreFromParts(Parts parts) {
   graph_ = std::move(parts.graph);
   state_ = parts.state_present ? std::move(parts.state) : PeelStatic(graph_);
   window_.assign(parts.window.begin(), parts.window.end());
-  benign_buffer_.clear();
-  pending_wdeg_.clear();
+  TakeBuffer();
   stats_.Reset();
   return Status::OK();
 }

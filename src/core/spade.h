@@ -14,6 +14,15 @@
 // the old prefix — the one expiry mechanism of the codebase. Deletion is
 // batched the way edge grouping batches insertion: every delete, from one
 // DeleteEdge to a whole retire pass, is one IncrementalEngine::DeleteBatch.
+//
+// Exact weights (DESIGN.md §2.2): every post-ESusp edge weight and every
+// VSusp prior is rounded onto the 2^-20 grid at admission
+// (graph/weight_grid.h), and an edge that would lift the detector's mass —
+// graph plus benign buffer — past 2^32 is refused, as is one whose weight
+// rounds to 0. Every sum the peeling code takes is then exact, so the peel
+// state is a function of the weighted graph alone: ReplayDelta applies a
+// checkpoint range as one DeleteBatch and one InsertBatch and still equals
+// the detector that lived through it, bit for bit.
 
 #pragma once
 
@@ -30,6 +39,7 @@
 #include "graph/types.h"
 #include "metrics/semantics.h"
 #include "peel/peel_state.h"
+#include "storage/delta_segment.h"
 
 namespace spade {
 
@@ -85,7 +95,10 @@ class Spade {
   Status LoadGraph(const std::string& path);
 
   /// Builds the initial graph from `num_vertices` and raw edges, applying
-  /// the installed semantics, then runs the static peeling once.
+  /// the installed semantics (weights and priors rounded onto the grid),
+  /// then runs the static peeling once. Fails with kInvalidArgument, the
+  /// detector untouched, on an endpoint out of range, a weight that is not
+  /// finite and positive, or a mass past kMaxPartitionMass.
   Status BuildGraph(std::size_t num_vertices, std::span<const Edge> raw_edges);
 
   /// Current fraudulent community S_P. Flushes any buffered benign edges
@@ -104,11 +117,14 @@ class Spade {
   /// Apply-only variants: identical reordering without materializing the
   /// community (Detect() stays O(sequence) and is paid per call, so
   /// high-throughput ingestion applies edges and detects per flush).
-  /// `applied_weight` (optional) receives the post-ESusp weight the edge
-  /// entered (or will enter, if benign-buffered) the graph with — the
-  /// weight a later RetireEdges must subtract. An edge whose post-ESusp
-  /// weight is not finite and positive fails with kInvalidArgument before
-  /// anything is buffered (ApplyBatchEdges then applies none of the batch).
+  /// `applied_weight` (optional) receives the post-ESusp weight, rounded
+  /// onto the grid, that the edge entered (or will enter, if
+  /// benign-buffered) the graph with — the weight a later RetireEdges must
+  /// subtract. A new endpoint's VSusp prior is rounded the same way. An
+  /// edge whose applied weight is not finite and positive (it rounds to 0,
+  /// say), or that would lift the mass past kMaxPartitionMass, fails with
+  /// kInvalidArgument before the graph grows and before anything is
+  /// buffered or logged (ApplyBatchEdges then applies none of the batch).
   /// With the window log on, each admitted edge is logged at that weight.
   Status ApplyEdge(const Edge& raw_edge, double* applied_weight = nullptr);
   Status ApplyBatchEdges(std::span<const Edge> raw_edges);
@@ -133,6 +149,21 @@ class Spade {
   /// its prefix when the batch fails.
   Result<std::vector<Edge>> RetireOlderThan(Timestamp horizon);
 
+  /// Chain replay (DESIGN.md §5.3): advances a detector holding the state
+  /// sealed just before `segments[0]` to the state sealed at the end of the
+  /// last segment. Insert records carry applied weights, so ESusp never
+  /// runs again. The window log is rebuilt from the records: each retire
+  /// record pops its horizon with RetireOlderThan's prefix pop, and a pass
+  /// that pops a different count than recorded fails with kInternal naming
+  /// its epoch, before anything changes. The benign buffer followed by the
+  /// range's inserts is one arrival-ordered list. Its last `buffered_tail`
+  /// entries (the last segment's) go back into the buffer; the logged edges
+  /// the range retired leave the graph in one DeleteBatch; the rest enter
+  /// it in one InsertBatch, together with every vertex an insert record
+  /// names, each new one at the prior VSusp gives it here. Returns the
+  /// merges run: at most 2.
+  Result<std::size_t> ReplayDelta(std::span<const DeltaSegment> segments);
+
   /// Definition 4.1 on an already-weighted edge: true iff neither endpoint
   /// can reach the current community density even with this edge added.
   /// Edges introducing unseen vertices are treated as urgent.
@@ -148,7 +179,8 @@ class Spade {
 
   /// Restores a detector persisted by SaveState. Semantics and the window
   /// log switch are NOT serialized — install the same VSusp/ESusp (and
-  /// TurnOnWindowLog, for a windowed detector) before restoring.
+  /// TurnOnWindowLog, for a windowed detector) before restoring. A snapshot
+  /// holding an off-grid weight or a mass past the bound fails to load.
   Status RestoreState(const std::string& path);
 
   /// A parsed snapshot: what SaveState writes and RestoreFromParts adopts.
@@ -183,11 +215,31 @@ class Spade {
   void ResetStats() { stats_.Reset(); }
 
  private:
-  /// Applies ESusp to a raw edge against the current graph.
-  Edge Weight(const Edge& raw) const;
+  /// Applies ESusp to a raw edge against `g` and rounds the result onto
+  /// the grid.
+  Edge Weight(const Edge& raw, const DynamicGraph& g) const;
 
-  /// Registers unseen endpoints (prior from VSusp) before weighting.
+  /// VSusp's prior for `v` against the current graph, on the grid.
+  double Prior(VertexId v) const;
+
+  /// Grows the graph to cover both endpoints (new ids weigh 0 until
+  /// AdmitWeighted gives the endpoints their priors).
   void EnsureEndpoints(const Edge& raw);
+
+  /// Admission of `weighted`, whose endpoints EnsureEndpoints grew the
+  /// graph for from id `num_vertices` on: each weight must be finite and
+  /// positive, and the mass after the batch, new endpoints' priors
+  /// included, within kMaxPartitionMass. On success every new endpoint
+  /// carries its prior, read in arrival order; on failure the graph shrinks
+  /// back to `num_vertices` and the call returns kInvalidArgument.
+  Status AdmitWeighted(std::span<const Edge> weighted,
+                       std::size_t num_vertices, const char* caller);
+
+  /// Graph mass plus the benign buffer's: what kMaxPartitionMass bounds.
+  double Mass() const { return graph_.TotalWeight() + buffered_mass_; }
+
+  /// Empties the benign buffer into a batch for the engine.
+  std::vector<Edge> TakeBuffer();
 
   Status InsertWeightedBatch(std::span<const Edge> weighted);
 
@@ -206,9 +258,10 @@ class Spade {
 
   // Edge-grouping state: buffered weighted edges plus the suspiciousness
   // mass each vertex has pending in the buffer (so IsBenign accounts for
-  // not-yet-applied edges).
+  // not-yet-applied edges), and the buffer's total.
   std::vector<Edge> benign_buffer_;
   std::unordered_map<VertexId, double> pending_wdeg_;
+  double buffered_mass_ = 0.0;
 
   // Window log (TurnOnWindowLog): see window().
   bool window_on_ = false;

@@ -505,6 +505,7 @@ Status Standby::ApplyThroughLocked(std::uint64_t target, PromoteInfo* info) {
   }
   info->replayed_epochs = rinfo.replayed_epochs;
   info->replayed_edges = rinfo.delta_edges_replayed;
+  info->replay_merges = rinfo.replay_merges;
   applied_epoch_ = rinfo.restored_epoch;
   needs_full_restore_ = false;
   applied_base_epoch_ = manifest.base_epoch;

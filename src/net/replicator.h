@@ -175,6 +175,9 @@ struct PromoteInfo {
   /// state (after a fallback, by the full RestoreState itself).
   std::uint64_t replayed_epochs = 0;
   std::uint64_t replayed_edges = 0;
+  /// Merges that call's replay ran (RestoreInfo::replay_merges): at most 2
+  /// per partition.
+  std::uint64_t replay_merges = 0;
   /// True when Promote had to fall back to a full RestoreState.
   bool full_restore = false;
   double promote_millis = 0.0;

@@ -491,8 +491,7 @@ Status ShardWorker::SavePartition(std::size_t pid, const std::string& path) {
   }
   // A full save is a checkpoint: whatever history the log held is now
   // covered by the base snapshot, window log included. (SaveState flushes
-  // first; a later chain replays from that flushed state, so no marker
-  // needs to survive the reset.)
+  // first, so a later chain replays from an empty benign buffer.)
   SPADE_RETURN_NOT_OK(p->spade.SaveState(path));
   p->delta_log.clear();
   p->delta_overflow = false;
@@ -528,6 +527,10 @@ Status ShardWorker::SavePartitionDelta(std::size_t pid,
   segment.shard = shard;
   segment.prev_epoch = prev_epoch;
   segment.epoch = epoch;
+  // Usually 0 (DrainFor detected, and so flushed, every partition), but
+  // ingest racing between the drain and the lock above can leave edges
+  // buffered; replay puts them back.
+  segment.buffered_tail = p->spade.PendingBenignEdges();
   segment.records = std::move(p->delta_log);
   p->delta_log.clear();
   std::uint64_t bytes = 0;
@@ -560,7 +563,8 @@ void ShardWorker::AppendDeltaRecord(Partition& p, const DeltaRecord& record) {
   p.delta_log.push_back(record);
 }
 
-Status ShardWorker::ReplayPartition(std::size_t pid, RestorePlan plan) {
+Status ShardWorker::ReplayPartition(std::size_t pid, RestorePlan plan,
+                                    std::size_t* merges) {
   std::lock_guard<std::mutex> lock(detector_mutex_);
   Partition* p = FindPartitionLocked(pid);
   if (p == nullptr) {
@@ -570,26 +574,20 @@ Status ShardWorker::ReplayPartition(std::size_t pid, RestorePlan plan) {
   if (plan.base.has_value()) {
     SPADE_RETURN_NOT_OK(p->spade.RestoreFromParts(std::move(*plan.base)));
   }
-  // Replay the applied history through the live worker's entry points.
-  // Every record passed CRC validation, so a failure here means the chain
-  // does not match the detector, and it surfaces as a Status.
+  // The whole range in at most two merges (DESIGN.md §5.3). Every record
+  // passed CRC validation, so a failure here means the chain does not match
+  // the detector, and it surfaces as a Status.
+  const auto ran = p->spade.ReplayDelta(plan.segments);
+  if (!ran.ok()) {
+    return Status(ran.status().code(), "replay of partition " +
+                                           std::to_string(pid) + " " +
+                                           ran.status().message());
+  }
+  if (merges != nullptr) *merges = ran.value();
   for (const DeltaSegment& segment : plan.segments) {
     for (const DeltaRecord& record : segment.records) {
-      if (record.flush) {
-        SPADE_RETURN_NOT_OK(p->spade.Flush());
-      } else if (record.retire) {
-        const auto retired = p->spade.RetireOlderThan(record.horizon);
-        if (!retired.ok()) return retired.status();
-        if (retired.value().size() != record.retired) {
-          return Status::Internal(
-              "replay of partition " + std::to_string(pid) + " epoch " +
-              std::to_string(segment.epoch) + ": retire pass retired " +
-              std::to_string(retired.value().size()) + " edges, recorded " +
-              std::to_string(record.retired));
-        }
+      if (record.retire) {
         retired_.fetch_add(record.retired, std::memory_order_relaxed);
-      } else {
-        SPADE_RETURN_NOT_OK(p->spade.ApplyEdge(record.edge));
       }
     }
   }
@@ -656,13 +654,6 @@ void ShardWorker::PublishArgmaxLocked() {
 
 void ShardWorker::DetectAndPublish(Partition& p) {
   // Caller holds detector_mutex_.
-  if (p.spade.PendingBenignEdges() > 0) {
-    // Detect() is about to fold the benign buffer in; the replayed history
-    // must flush at exactly this point to stay bit-identical (the flush
-    // changes the graph, and state-dependent semantics weigh later edges
-    // against it).
-    AppendDeltaRecord(p, DeltaRecord::Flush());
-  }
   Community community = p.spade.Detect();
   p.since_detect = 0;
   detections_.fetch_add(1, std::memory_order_relaxed);
@@ -696,7 +687,10 @@ bool ShardWorker::ApplyOne(const Edge& edge) {
     double applied = 0;
     const Status s = p->spade.ApplyEdge(edge, &applied);
     if (s.ok()) {
-      AppendDeltaRecord(*p, DeltaRecord::Insert(edge));
+      // Logged at the applied weight, like the window log: replay never
+      // re-runs ESusp.
+      AppendDeltaRecord(*p, DeltaRecord::Insert(
+                                Edge{edge.src, edge.dst, applied, edge.ts}));
       // Under the detector mutex, like the apply itself: the boundary
       // weights change together with the detector.
       if (on_boundary_) on_boundary_(edge, applied, /*retired=*/false);

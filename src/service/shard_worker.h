@@ -55,7 +55,7 @@
 // Window expiry (DESIGN.md §9.2): a retire marker rides the ring like a
 // chunk; its pass runs Spade::RetireOlderThan on every owned partition and
 // logs one retire-pass record per partition that retired anything, and
-// chain replay runs the same call on that record.
+// chain replay pops the same horizon off the window log it rebuilds.
 //
 // Snapshot-publication protocol (DESIGN.md §4.2): the worker republishes on
 // every detection (urgent flush or detect_every cadence). Exactness is
@@ -460,9 +460,11 @@ class ShardWorker {
   Status SavePartition(std::size_t pid, const std::string& path);
 
   /// Incremental checkpoint: drains, then writes only the partition's
-  /// applied history since the last checkpoint as a delta segment
-  /// advancing `prev_epoch` -> `epoch` (`shard` is the segment tag — the
-  /// sharded service passes the pid), and clears the log. Cost is O(edges
+  /// applied history since the last checkpoint (inserts at their applied
+  /// weights, retire passes) as a delta segment advancing `prev_epoch` ->
+  /// `epoch` (`shard` is the segment tag — the sharded service passes the
+  /// pid), with the benign buffer's depth as its buffered tail, and clears
+  /// the log. Cost is O(edges
   /// since last checkpoint) — the detector state is not touched (no flush,
   /// no reorder). Fails with kFailedPrecondition when no checkpoint
   /// baseline exists (tracking never started) or the log overflowed
@@ -473,14 +475,17 @@ class ShardWorker {
                             DeltaSaveInfo* info = nullptr);
 
   /// Installs the plan's base (when it has one) and replays its delta
-  /// segments through the normal ApplyEdge / Flush / RetireOlderThan path,
-  /// so the result is bit-identical to the detector that wrote the chain
-  /// (DESIGN.md §5). The replayed community is republished and becomes the
-  /// alert baseline, and delta tracking is armed for the next incremental
-  /// checkpoint, as after SavePartition. Does not drain: the caller
-  /// quiesces the fleet first. Replays of other partitions may run
-  /// concurrently (each takes only its worker's detector mutex).
-  Status ReplayPartition(std::size_t pid, RestorePlan plan);
+  /// segments with one Spade::ReplayDelta — at most one DeleteBatch and one
+  /// InsertBatch, whatever the range's length — so the result is
+  /// bit-identical to the detector that wrote the chain (DESIGN.md §5.3).
+  /// `merges` (optional) receives the merges the replay ran. The replayed
+  /// community is republished and becomes the alert baseline, and delta
+  /// tracking is armed for the next incremental checkpoint, as after
+  /// SavePartition. Does not drain: the caller quiesces the fleet first.
+  /// Replays of other partitions may run concurrently (each takes only its
+  /// worker's detector mutex).
+  Status ReplayPartition(std::size_t pid, RestorePlan plan,
+                         std::size_t* merges = nullptr);
 
   /// Runs `fn` on one owned partition's detector under the detector mutex.
   Status InspectPartition(std::size_t pid,

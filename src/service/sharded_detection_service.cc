@@ -1407,11 +1407,13 @@ Status ShardedDetectionService::ReplayPlans(
   const std::size_t num_partitions = plans.size();
   std::vector<Status> statuses(num_partitions, Status::OK());
   std::vector<double> recount_millis(num_partitions, 0.0);
+  std::vector<std::size_t> merges(num_partitions, 0);
   std::atomic<std::size_t> next{0};
   const auto work = [&] {
     for (std::size_t pid; (pid = next.fetch_add(1)) < num_partitions;) {
       ShardWorker& owner = *workers_[map_.ShardOf(pid)];
-      statuses[pid] = owner.ReplayPartition(pid, std::move(plans[pid]));
+      statuses[pid] =
+          owner.ReplayPartition(pid, std::move(plans[pid]), &merges[pid]);
       // Replay fires no boundary hook: recount the partition once, under
       // its detector mutex so no apply interleaves with the count.
       const Timer recount;
@@ -1433,6 +1435,7 @@ Status ShardedDetectionService::ReplayPlans(
   for (std::thread& t : threads) t.join();
   info->replay_millis = stage.ElapsedMillis();
   for (const double ms : recount_millis) info->recount_millis += ms;
+  for (const std::size_t m : merges) info->replay_merges += m;
   for (const Status& s : statuses) SPADE_RETURN_NOT_OK(s);
   return Status::OK();
 }

@@ -501,6 +501,9 @@ class ShardedDetectionService {
     std::uint64_t restored_epoch = 0;  // epoch actually reconstructed
     std::uint64_t replayed_epochs = 0;  // delta epochs replayed
     std::size_t delta_edges_replayed = 0;
+    /// Merges (DeleteBatch or InsertBatch calls) the replay ran, summed
+    /// over partitions: at most 2 per partition, whatever the range holds.
+    std::size_t replay_merges = 0;
     /// A torn/corrupt chain tail forced recovery to an earlier durable epoch.
     bool truncated_chain = false;
     double restore_millis = 0.0;  // the whole call
@@ -529,9 +532,10 @@ class ShardedDetectionService {
   /// only then installed, so a failed restore never leaves a partial
   /// graph. A torn chain tail (crash during the last delta save) recovers
   /// to the last epoch whose files are all intact; a torn base or manifest
-  /// fails cleanly. Delta chains replay through the normal ApplyEdge path,
-  /// so restored detectors are bit-identical to the ones that wrote the
-  /// chain, on the parallel replay ApplyChainRange shares (ReplayPlans).
+  /// fails cleanly. Each partition's chain replays as one range, in at most
+  /// one DeleteBatch and one InsertBatch (Spade::ReplayDelta), and restored
+  /// detectors are bit-identical to the ones that wrote the chain, on the
+  /// parallel replay ApplyChainRange shares (ReplayPlans).
   /// Detectors keep their installed semantics; the checkpoint's placement
   /// is restored; the stitched snapshot *and* the stitch counters are
   /// reset, so stats() describes the restored run. The directory's chain

@@ -1,5 +1,6 @@
 #include "storage/delta_segment.h"
 
+#include "graph/weight_grid.h"
 #include "storage/checked_io.h"
 
 namespace spade {
@@ -7,9 +8,9 @@ namespace spade {
 namespace {
 
 constexpr std::uint64_t kDeltaMagic = 0x53504144455F4453ULL;  // "SPADE_DS"
-constexpr std::uint32_t kDeltaVersion = 3;
+constexpr std::uint32_t kDeltaVersion = 4;
 constexpr std::uint8_t kTagEdge = 0;
-constexpr std::uint8_t kTagFlush = 1;
+// Tag 1 was version 3's flush record; it is not reused.
 constexpr std::uint8_t kTagRetire = 2;
 
 }  // namespace
@@ -22,12 +23,9 @@ Status WriteDeltaSegment(const std::string& path, const DeltaSegment& segment,
   writer.Write(segment.shard);
   writer.Write(segment.prev_epoch);
   writer.Write(segment.epoch);
+  writer.Write(segment.buffered_tail);
   writer.Write(static_cast<std::uint64_t>(segment.records.size()));
   for (const DeltaRecord& r : segment.records) {
-    if (r.flush) {
-      writer.Write(kTagFlush);
-      continue;
-    }
     if (r.retire) {
       writer.Write(kTagRetire);
       writer.Write(r.horizon);
@@ -55,7 +53,8 @@ Status ReadDeltaSegment(const std::string& path, DeltaSegment* segment) {
   DeltaSegment parsed;
   std::uint64_t num_records = 0;
   if (!reader.Read(&parsed.shard) || !reader.Read(&parsed.prev_epoch) ||
-      !reader.Read(&parsed.epoch) || !reader.Read(&num_records)) {
+      !reader.Read(&parsed.epoch) || !reader.Read(&parsed.buffered_tail) ||
+      !reader.Read(&num_records)) {
     return Status::IOError(path + ": truncated delta segment header");
   }
   if (parsed.epoch != parsed.prev_epoch + 1) {
@@ -71,10 +70,6 @@ Status ReadDeltaSegment(const std::string& path, DeltaSegment* segment) {
     std::uint8_t tag = 0;
     if (!reader.Read(&tag)) {
       return Status::IOError(path + ": truncated delta segment records");
-    }
-    if (tag == kTagFlush) {
-      parsed.records.push_back(DeltaRecord::Flush());
-      continue;
     }
     if (tag == kTagRetire) {
       DeltaRecord pass = DeltaRecord::RetirePass(0, 0);
@@ -97,6 +92,10 @@ Status ReadDeltaSegment(const std::string& path, DeltaSegment* segment) {
     e.dst = dst;
     if (e.src == e.dst) {
       return Status::IOError(path + ": delta record is a self-loop");
+    }
+    if (!(e.weight > 0.0) || !IsOnWeightGrid(e.weight)) {
+      return Status::IOError(path + ": delta record weight is not a "
+                             "positive multiple of 2^-20");
     }
     parsed.records.push_back(DeltaRecord::Insert(e));
   }

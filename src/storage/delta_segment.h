@@ -7,17 +7,17 @@
 // (DESIGN.md §5).
 //
 // A segment records the shard's *applied history* since the previous
-// checkpoint epoch: the raw edges in application order, interleaved with
-// flush markers at every point where the live detector flushed its benign
-// buffer and retire records at every window-expiry pass. Restoring replays
-// that history through the normal Spade::ApplyEdge / Flush /
-// RetireOlderThan path, so the restored detector makes byte-for-
-// byte the same decisions (benign classification, batch boundaries,
-// state-dependent edge weights) the live one made — replay(base + chain)
-// is bit-identical to the detector that never restarted. Markers are what
-// buy exactness for state-dependent semantics (FD weighs an edge against
-// the graph *at application time*, which depends on how much of the benign
-// buffer had been folded in).
+// checkpoint epoch: the inserted edges in application order, each at the
+// weight it was admitted with (ESusp already applied, on the 2^-20 grid),
+// interleaved with retire records at every window-expiry pass, plus the
+// number of the chain's last inserts that were still in the benign buffer
+// at the seal. Because admission puts every weight on the grid and bounds
+// the mass, the peel state is a function of the weighted graph alone
+// (DESIGN.md §2.2), so restore does not re-run the history record by
+// record: Spade::ReplayDelta applies a whole range as one DeleteBatch and
+// one InsertBatch per shard and is still bit-identical to the detector that
+// never restarted. Replay never runs ESusp, so state-dependent weights (FD
+// weighs an edge against the degree at admission) need no flush markers.
 //
 // Chain integrity: each segment names the epoch it advances FROM
 // (`prev_epoch`) and TO (`epoch`); restore refuses a segment that does not
@@ -25,21 +25,21 @@
 // CRC-64 trailer discipline (storage/checked_io.h): any torn or mutated
 // segment is detected before a single record is replayed.
 //
-// Format (little-endian, version 3):
+// Format (little-endian, version 4):
 //   [magic u64 "SPADE_DS"][version u32]
-//   [shard u32][prev_epoch u64][epoch u64]
+//   [shard u32][prev_epoch u64][epoch u64][buffered_tail u64]
 //   [num_records u64]
-//   records: [tag u8 = 0][src u32][dst u32][weight f64][ts i64]  (edge)
-//          | [tag u8 = 1]                                        (flush)
+//   records: [tag u8 = 0][src u32][dst u32][weight f64][ts i64]  (insert)
 //          | [tag u8 = 2][horizon i64][retired u64]              (retire)
 //   [crc64 trailer]
 //
 // A retire record (tag 2) marks one window-expiry pass: the detector ran
 // Spade::RetireOlderThan(horizon) here and it retired `retired` edges.
-// Replay re-runs that call on the window log the replay itself rebuilt,
-// and fails if it retires a different count. Every segment is version 3;
-// the reader accepts version 3 only and names any other version it finds
-// (version 2 used tag 2 for a per-edge layout).
+// Replay pops the same horizon off the window log it rebuilds from the
+// records, and fails if it pops a different count. An insert's weight must
+// be positive and on the grid. Every segment is version 4; the reader
+// accepts version 4 only and names any other version it finds (version 3
+// logged raw weights and a flush record, tag 1, at every buffer flush).
 
 #pragma once
 
@@ -52,16 +52,14 @@
 
 namespace spade {
 
-/// One entry of a shard's applied history: an edge insertion, a benign-
-/// buffer flush boundary, or a window-expiry pass.
+/// One entry of a shard's applied history: an edge insertion at its
+/// applied weight, or a window-expiry pass.
 struct DeltaRecord {
   Edge edge;                  // valid for an insertion
-  bool flush = false;         // true: the detector flushed here
   bool retire = false;        // true: the detector ran a retire pass here
   Timestamp horizon = 0;      // retire: the pass's expiry horizon
   std::uint64_t retired = 0;  // retire: edges the pass removed
 
-  static DeltaRecord Flush() { return {.edge = {}, .flush = true}; }
   static DeltaRecord Insert(const Edge& e) { return {.edge = e}; }
   static DeltaRecord RetirePass(Timestamp horizon, std::uint64_t retired) {
     return {.edge = {}, .retire = true, .horizon = horizon, .retired = retired};
@@ -73,14 +71,15 @@ struct DeltaSegment {
   std::uint32_t shard = 0;
   std::uint64_t prev_epoch = 0;  // checkpoint epoch this segment extends
   std::uint64_t epoch = 0;       // checkpoint epoch it advances to
+  /// How many of the chain's last insert records were still in the benign
+  /// buffer at the seal (usually 0: the seal drains first).
+  std::uint64_t buffered_tail = 0;
   std::vector<DeltaRecord> records;
 
-  /// Edges the segment inserts or retires (flush markers count 0).
+  /// Edges the segment inserts or retires.
   std::size_t NumEdges() const {
     std::size_t n = 0;
-    for (const DeltaRecord& r : records) {
-      n += r.retire ? r.retired : (r.flush ? 0 : 1);
-    }
+    for (const DeltaRecord& r : records) n += r.retire ? r.retired : 1;
     return n;
   }
 };

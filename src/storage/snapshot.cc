@@ -3,6 +3,7 @@
 #include <cmath>
 #include <cstdint>
 
+#include "graph/weight_grid.h"
 #include "storage/checked_io.h"
 
 namespace spade {
@@ -74,7 +75,11 @@ Status LoadSnapshot(const std::string& path, DynamicGraph* g,
     return Status::IOError(path + ": header counts exceed the file size");
   }
 
+  // Every weight a detector admits is on the 2^-20 grid, with the mass
+  // bounded (graph/weight_grid.h): a snapshot breaking either would restore
+  // a detector whose sums are inexact.
   DynamicGraph graph(num_vertices);
+  double mass = 0.0;
   for (std::uint64_t v = 0; v < num_vertices; ++v) {
     double w = 0;
     if (!reader.Read(&w)) return Status::IOError(path + ": truncated weights");
@@ -82,7 +87,12 @@ Status LoadSnapshot(const std::string& path, DynamicGraph* g,
       return Status::IOError(path + ": non-finite weight of vertex " +
                              std::to_string(v));
     }
+    if (!IsOnWeightGrid(w)) {
+      return Status::IOError(path + ": off-grid weight of vertex " +
+                             std::to_string(v));
+    }
     graph.SetVertexWeight(static_cast<VertexId>(v), w);
+    mass += std::abs(w);
   }
   for (std::uint64_t i = 0; i < num_edges; ++i) {
     std::uint32_t src = 0, dst = 0;
@@ -90,7 +100,15 @@ Status LoadSnapshot(const std::string& path, DynamicGraph* g,
     if (!reader.Read(&src) || !reader.Read(&dst) || !reader.Read(&w)) {
       return Status::IOError(path + ": truncated edges");
     }
+    if (!IsOnWeightGrid(w)) {
+      return Status::IOError(path + ": off-grid or non-finite weight of edge " +
+                             std::to_string(i));
+    }
     SPADE_RETURN_NOT_OK(graph.AddEdge(src, dst, w));
+    mass += w;
+  }
+  if (!(mass <= kMaxPartitionMass)) {
+    return Status::IOError(path + ": mass exceeds the bound 2^32");
   }
 
   std::uint8_t has_state = 0;
@@ -114,9 +132,9 @@ Status LoadSnapshot(const std::string& path, DynamicGraph* g,
         return Status::IOError(path + ": peel state repeats vertex " +
                                std::to_string(v));
       }
-      if (!std::isfinite(delta)) {
-        return Status::IOError(path + ": non-finite peel state delta of "
-                               "vertex " + std::to_string(v));
+      if (!IsOnWeightGrid(delta)) {
+        return Status::IOError(path + ": non-finite or off-grid peel state "
+                               "delta of vertex " + std::to_string(v));
       }
       loaded_state.Append(static_cast<VertexId>(v), delta);
     }
@@ -141,6 +159,9 @@ Status LoadSnapshot(const std::string& path, DynamicGraph* g,
     }
     if (src >= num_vertices || dst >= num_vertices) {
       return Status::IOError(path + ": window edge endpoint out of range");
+    }
+    if (!IsOnWeightGrid(w)) {
+      return Status::IOError(path + ": off-grid window edge weight");
     }
     loaded_window.push_back(Edge{static_cast<VertexId>(src),
                                  static_cast<VertexId>(dst), w,

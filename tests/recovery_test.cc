@@ -226,8 +226,8 @@ TEST_F(RecoveryTest, TruncationSweepRestoresToDurableEpoch) {
   LiveRun run = RunAndCheckpoint(dir_, kEpochs, /*seed=*/303);
 
   // Collect cut points per target file. For delta segments the format is
-  // known: 40-byte header, then 1-byte (flush) or 25-byte (edge) records —
-  // cut at every record boundary and inside every edge record.
+  // known: 48-byte header, then 25-byte (insert) or 17-byte (retire)
+  // records — cut at every record boundary and inside every insert record.
   struct Target {
     std::string file;
     std::vector<std::uint64_t> cuts;
@@ -242,13 +242,13 @@ TEST_F(RecoveryTest, TruncationSweepRestoresToDurableEpoch) {
                          &segment)
             .ok());
     std::uint64_t offset = 0;
-    for (const std::uint64_t header_cut : {0, 8, 12, 16, 24, 32, 40}) {
+    for (const std::uint64_t header_cut : {0, 8, 12, 16, 24, 32, 40, 48}) {
       t.cuts.push_back(header_cut);
       offset = header_cut;
     }
     for (const DeltaRecord& r : segment.records) {
-      const std::uint64_t size = r.flush ? 1 : 25;
-      if (!r.flush) t.cuts.push_back(offset + 13);  // mid-record
+      const std::uint64_t size = r.retire ? 17 : 25;
+      if (!r.retire) t.cuts.push_back(offset + 13);  // mid-record
       offset += size;
       t.cuts.push_back(offset);  // framing boundary after the record
     }

@@ -12,6 +12,7 @@
 
 #include "common/rng.h"
 #include "graph/graph_io.h"
+#include "graph/weight_grid.h"
 #include "metrics/density.h"
 #include "peel/static_peeler.h"
 #include "tests/test_util.h"
@@ -54,12 +55,13 @@ TEST(SpadeTest, FDWeightsByObjectDegree) {
   ASSERT_TRUE(spade.BuildGraph(7, DenseRingLog()).ok());
   const auto& g = spade.graph();
   // Every inserted edge weight must equal 1/log(deg(dst) + 5) evaluated at
-  // insertion time; all degrees here are small, so weights are in
-  // (1/log(11), 1/log(5)].
+  // insertion time and rounded onto the grid; all degrees here are small,
+  // so weights are in [Q(1/log(11)), Q(1/log(5))], each on the grid.
   for (std::size_t v = 0; v < g.NumVertices(); ++v) {
     for (const auto& e : g.OutNeighbors(static_cast<VertexId>(v))) {
-      EXPECT_GT(e.weight, 1.0 / std::log(11.0));
-      EXPECT_LE(e.weight, 1.0 / std::log(5.0));
+      EXPECT_GE(e.weight, QuantizeWeight(1.0 / std::log(11.0)));
+      EXPECT_LE(e.weight, QuantizeWeight(1.0 / std::log(5.0)));
+      EXPECT_TRUE(IsOnWeightGrid(e.weight)) << e.weight;
     }
   }
   EXPECT_FALSE(spade.Detect().members.empty());

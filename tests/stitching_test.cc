@@ -37,6 +37,7 @@
 
 #include "common/rng.h"
 #include "graph/dynamic_graph.h"
+#include "graph/weight_grid.h"
 #include "metrics/density.h"
 #include "metrics/semantics.h"
 #include "service/sharded_detection_service.h"
@@ -156,7 +157,8 @@ TEST_P(StitchDifferentialTest, StitchedDensityMatchesMergedDetector) {
     merged_service.Drain();
     const Community merged = merged_service.CurrentCommunity();
 
-    EXPECT_NEAR(stitched.density, merged.density, 1e-9)
+    // Weights on the grid make every sum exact: equal sets, equal bits.
+    EXPECT_EQ(stitched.density, merged.density)
         << "shards=" << num_shards << " trial=" << trial;
     EXPECT_EQ(Sorted(stitched.members), Sorted(merged.members))
         << "shards=" << num_shards << " trial=" << trial;
@@ -167,19 +169,20 @@ TEST_P(StitchDifferentialTest, StitchedDensityMatchesMergedDetector) {
     }
 
     // The stitched read serves the same answer, lock-free.
-    EXPECT_NEAR(service.CurrentGlobalCommunity().density, merged.density,
-                1e-9);
+    EXPECT_EQ(service.CurrentGlobalCommunity().density, merged.density);
 
     // Exactness from definition: the stitched density equals g(S) of the
     // stitched member set on a merged graph of the whole stream (DW edge
-    // suspiciousness is the raw weight, so AddEdge reproduces it).
+    // suspiciousness is the raw weight rounded onto the grid, so AddEdge of
+    // the rounded weight reproduces it).
     DynamicGraph merged_graph(n);
     for (const Edge& e : stream) {
       merged_graph.EnsureVertices(std::max(e.src, e.dst) + 1);
-      ASSERT_TRUE(merged_graph.AddEdge(e.src, e.dst, e.weight).ok());
+      ASSERT_TRUE(
+          merged_graph.AddEdge(e.src, e.dst, QuantizeWeight(e.weight)).ok());
     }
-    EXPECT_NEAR(SubgraphDensity(merged_graph, stitched.members),
-                stitched.density, 1e-9);
+    EXPECT_EQ(SubgraphDensity(merged_graph, stitched.members),
+              stitched.density);
   }
 }
 

@@ -524,12 +524,12 @@ DeltaSegment MakeSegment() {
   segment.shard = 2;
   segment.prev_epoch = 4;
   segment.epoch = 5;
+  segment.buffered_tail = 1;
   segment.records.push_back(DeltaRecord::Insert({1, 2, 3.5, 10}));
   segment.records.push_back(DeltaRecord::Insert({7, 1, 0.25, 11}));
-  segment.records.push_back(DeltaRecord::Flush());
-  segment.records.push_back(DeltaRecord::Insert({2, 9, 1.0, 12}));
   // A pass at horizon 12 expires the two edges stamped before it.
   segment.records.push_back(DeltaRecord::RetirePass(12, 2));
+  segment.records.push_back(DeltaRecord::Insert({2, 9, 1.0, 12}));
   return segment;
 }
 
@@ -544,15 +544,14 @@ TEST_F(DeltaSegmentTest, RoundTrip) {
   EXPECT_EQ(read.shard, 2u);
   EXPECT_EQ(read.prev_epoch, 4u);
   EXPECT_EQ(read.epoch, 5u);
-  ASSERT_EQ(read.records.size(), 5u);
-  EXPECT_FALSE(read.records[0].flush);
+  EXPECT_EQ(read.buffered_tail, 1u);
+  ASSERT_EQ(read.records.size(), 4u);
   EXPECT_FALSE(read.records[0].retire);
   EXPECT_EQ(read.records[0].edge, (Edge{1, 2, 3.5, 10}));
-  EXPECT_TRUE(read.records[2].flush);
-  EXPECT_TRUE(read.records[4].retire);
-  EXPECT_FALSE(read.records[4].flush);
-  EXPECT_EQ(read.records[4].horizon, 12);
-  EXPECT_EQ(read.records[4].retired, 2u);
+  EXPECT_TRUE(read.records[2].retire);
+  EXPECT_EQ(read.records[2].horizon, 12);
+  EXPECT_EQ(read.records[2].retired, 2u);
+  EXPECT_EQ(read.records[3].edge, (Edge{2, 9, 1.0, 12}));
   // Three inserted edges plus the two the pass retired.
   EXPECT_EQ(read.NumEdges(), 5u);
 }

@@ -69,10 +69,7 @@ std::vector<testing::ShardCapture> CaptureShards(
   std::vector<testing::ShardCapture> captures(service.num_shards());
   for (std::size_t s = 0; s < service.num_shards(); ++s) {
     service.InspectShard(s, [&](const Spade& spade) {
-      captures[s].state = spade.peel_state();
-      captures[s].num_edges = spade.graph().NumEdges();
-      captures[s].total_weight = spade.graph().TotalWeight();
-      captures[s].pending_benign = spade.PendingBenignEdges();
+      captures[s] = testing::Capture(spade);
     });
   }
   return captures;

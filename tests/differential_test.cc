@@ -2,8 +2,9 @@
 //
 //  * mixed InsertEdge / InsertBatchEdges / DeleteEdge streams (with
 //    new-vertex edges and parallel edges) driven through the Spade facade
-//    under all three built-in semantics, on small graphs and on graphs
-//    spanning several 512-slot blocks, asserting the reordered PeelState
+//    under all three built-in semantics, integer and continuous weights,
+//    on small graphs and on graphs spanning several 512-slot blocks, on
+//    every compiled dispatch target, asserting the reordered PeelState
 //    equals a from-scratch PeelStatic of the final weighted graph exactly,
 //  * the O(1) stored-delta gray recovery serving insertion merges,
 //  * PeelState's blocked suffix-sum / hull detection against the naive
@@ -45,10 +46,13 @@ using testing::ValidateCanonicalSequence;
 // Mixed update streams through the Spade facade, all three semantics.
 // ------------------------------------------------------------------------
 
-// One input class: a semantics, the initial vertex-count range
-// [min_n, min_n + n_span), the trial count and a seed offset.
+// One input class: a semantics, whether raw weights are continuous (1 + 9u,
+// the amount shape of bench_checkpoint) or small integers, the initial
+// vertex-count range [min_n, min_n + n_span), the trial count and a seed
+// offset. FD weights are continuous either way (1/log terms).
 struct MixedStreamCase {
   const char* algo;
+  bool continuous;
   std::size_t min_n;
   std::size_t n_span;
   int trials;
@@ -56,120 +60,130 @@ struct MixedStreamCase {
 };
 
 void PrintTo(const MixedStreamCase& c, std::ostream* os) {
-  *os << c.algo << " n=[" << c.min_n << ", " << c.min_n + c.n_span << ")";
+  *os << c.algo << (c.continuous ? " continuous" : "") << " n=[" << c.min_n
+      << ", " << c.min_n + c.n_span << ")";
 }
 
 class MixedStreamTest : public ::testing::TestWithParam<MixedStreamCase> {};
 
+// Admission rounds every weight onto the 2^-20 grid, so every sum the
+// incremental and static paths take is exact: the maintained state equals
+// a from-scratch peel of the final weighted graph bit for bit, ties
+// included, under every semantics and on every compiled dispatch target.
 TEST_P(MixedStreamTest, IncrementalMatchesStaticAfterEveryUpdate) {
   const MixedStreamCase param = GetParam();
   const std::string algo = param.algo;
-  // Seed off the name's content, not its length, so each semantics replays
-  // a distinct stream shape.
-  Rng rng(990 + static_cast<std::uint64_t>(algo[0]) * 31 +
-          static_cast<std::uint64_t>(algo[1]) + param.seed_offset);
-  for (int trial = 0; trial < param.trials; ++trial) {
-    std::size_t n = param.min_n + rng.NextBounded(param.n_span);
-    Spade spade;
-    spade.SetSemantics(MakeSemanticsByName(algo));
+  for (const auto& target : simd::CompiledSimdTargets()) {
+    SCOPED_TRACE(target.name);
+    simd::SetSimdTargetForTesting(&target);
+    // Seed off the name's content, not its length, so each semantics
+    // replays a distinct stream shape.
+    Rng rng(990 + static_cast<std::uint64_t>(algo[0]) * 31 +
+            static_cast<std::uint64_t>(algo[1]) + param.seed_offset);
+    const auto raw_weight = [&] {
+      return param.continuous
+                 ? 1.0 + 9.0 * rng.NextDouble()
+                 : static_cast<double>(1 + rng.NextBounded(5));
+    };
+    for (int trial = 0; trial < param.trials; ++trial) {
+      std::size_t n = param.min_n + rng.NextBounded(param.n_span);
+      // The O(n * (n + E)) definitional check runs after every update on
+      // small graphs, once per trial on multi-block ones.
+      const bool validate_every_step = n < 100;
+      Spade spade;
+      spade.SetSemantics(MakeSemanticsByName(algo));
 
-    std::vector<Edge> initial;
-    for (std::size_t i = 0; i < 2 * n; ++i) {
-      auto s = static_cast<VertexId>(rng.NextBounded(n));
-      auto d = static_cast<VertexId>(rng.NextBounded(n));
-      while (d == s) d = static_cast<VertexId>(rng.NextBounded(n));
-      initial.push_back(
-          {s, d, static_cast<double>(1 + rng.NextBounded(5)), 0});
-    }
-    ASSERT_TRUE(spade.BuildGraph(n, initial).ok());
-    std::vector<Edge> live = initial;
+      std::vector<Edge> initial;
+      for (std::size_t i = 0; i < 2 * n; ++i) {
+        auto s = static_cast<VertexId>(rng.NextBounded(n));
+        auto d = static_cast<VertexId>(rng.NextBounded(n));
+        while (d == s) d = static_cast<VertexId>(rng.NextBounded(n));
+        initial.push_back({s, d, raw_weight(), 0});
+      }
+      ASSERT_TRUE(spade.BuildGraph(n, initial).ok());
+      std::vector<Edge> live = initial;
 
-    for (int step = 0; step < 40; ++step) {
-      const std::uint64_t dice = rng.NextBounded(10);
-      if (dice < 4) {
-        // Single insertion; 1-in-4 of these targets a brand-new vertex id
-        // (exercising head insertion), and duplicates of live edges create
-        // parallel copies.
-        Edge e;
-        if (rng.NextBool(0.25)) {
-          e.src = static_cast<VertexId>(n + rng.NextBounded(3));
-          e.dst = static_cast<VertexId>(rng.NextBounded(n));
-          n = std::max<std::size_t>(n, e.src + 1);
-        } else if (!live.empty() && rng.NextBool(0.3)) {
-          e = live[rng.NextBounded(live.size())];  // parallel edge
-        } else {
-          e.src = static_cast<VertexId>(rng.NextBounded(n));
-          e.dst = static_cast<VertexId>(rng.NextBounded(n));
-        }
-        while (e.dst == e.src) {
-          e.dst = static_cast<VertexId>(rng.NextBounded(n));
-        }
-        e.weight = static_cast<double>(1 + rng.NextBounded(5));
-        ASSERT_TRUE(spade.InsertEdge(e).ok());
-        live.push_back(e);
-      } else if (dice < 7) {
-        // Batch insertion.
-        std::vector<Edge> batch;
-        const std::size_t batch_size = 1 + rng.NextBounded(8);
-        for (std::size_t i = 0; i < batch_size; ++i) {
-          auto s = static_cast<VertexId>(rng.NextBounded(n));
-          auto d = static_cast<VertexId>(rng.NextBounded(n));
-          while (d == s) d = static_cast<VertexId>(rng.NextBounded(n));
-          batch.push_back(
-              {s, d, static_cast<double>(1 + rng.NextBounded(5)), 0});
-        }
-        ASSERT_TRUE(spade.InsertBatchEdges(batch).ok());
-        live.insert(live.end(), batch.begin(), batch.end());
-      } else if (!live.empty()) {
-        // Deletion of a random live edge (Spade removes the most recently
-        // inserted parallel copy, so drop the last matching entry).
-        const std::size_t pick = rng.NextBounded(live.size());
-        const Edge victim = live[pick];
-        ASSERT_TRUE(spade.DeleteEdge(victim.src, victim.dst).ok());
-        for (std::size_t i = live.size(); i-- > 0;) {
-          if (live[i].src == victim.src && live[i].dst == victim.dst) {
-            live.erase(live.begin() + static_cast<std::ptrdiff_t>(i));
-            break;
+      for (int step = 0; step < 40; ++step) {
+        const std::uint64_t dice = rng.NextBounded(10);
+        if (dice < 4) {
+          // Single insertion; 1-in-4 of these targets a brand-new vertex
+          // id (exercising head insertion), and duplicates of live edges
+          // create parallel copies.
+          Edge e;
+          if (rng.NextBool(0.25)) {
+            e.src = static_cast<VertexId>(n + rng.NextBounded(3));
+            e.dst = static_cast<VertexId>(rng.NextBounded(n));
+            n = std::max<std::size_t>(n, e.src + 1);
+          } else if (!live.empty() && rng.NextBool(0.3)) {
+            e = live[rng.NextBounded(live.size())];  // parallel edge
+          } else {
+            e.src = static_cast<VertexId>(rng.NextBounded(n));
+            e.dst = static_cast<VertexId>(rng.NextBounded(n));
+          }
+          while (e.dst == e.src) {
+            e.dst = static_cast<VertexId>(rng.NextBounded(n));
+          }
+          e.weight = raw_weight();
+          ASSERT_TRUE(spade.InsertEdge(e).ok());
+          live.push_back(e);
+        } else if (dice < 7) {
+          // Batch insertion.
+          std::vector<Edge> batch;
+          const std::size_t batch_size = 1 + rng.NextBounded(8);
+          for (std::size_t i = 0; i < batch_size; ++i) {
+            auto s = static_cast<VertexId>(rng.NextBounded(n));
+            auto d = static_cast<VertexId>(rng.NextBounded(n));
+            while (d == s) d = static_cast<VertexId>(rng.NextBounded(n));
+            batch.push_back({s, d, raw_weight(), 0});
+          }
+          ASSERT_TRUE(spade.InsertBatchEdges(batch).ok());
+          live.insert(live.end(), batch.begin(), batch.end());
+        } else if (!live.empty()) {
+          // Deletion of a random live edge (Spade removes the most
+          // recently inserted parallel copy, so drop the last matching
+          // entry).
+          const std::size_t pick = rng.NextBounded(live.size());
+          const Edge victim = live[pick];
+          ASSERT_TRUE(spade.DeleteEdge(victim.src, victim.dst).ok());
+          for (std::size_t i = live.size(); i-- > 0;) {
+            if (live[i].src == victim.src && live[i].dst == victim.dst) {
+              live.erase(live.begin() + static_cast<std::ptrdiff_t>(i));
+              break;
+            }
           }
         }
-      }
-      // The maintained state must equal a from-scratch peel of the final
-      // weighted graph. DG/DW weights are integers here, so the comparison
-      // is exact, ties included. FD weights are continuous (1/log terms):
-      // the incremental and static paths sum them in different orders, so
-      // structurally tied vertices can legitimately swap within an ulp —
-      // validate canonicality without the tie-break check instead.
-      if (algo == "FD") {
-        testing::ValidateCanonicalSequence(spade.graph(), spade.peel_state(),
-                                           1e-9, /*check_tie_break=*/false);
-        const PeelState reference = PeelStatic(spade.graph());
-        EXPECT_NEAR(reference.BestDensity(),
-                    spade.peel_state().BestDensity(), 1e-9);
-      } else {
         const PeelState reference = PeelStatic(spade.graph());
         ExpectStateEquals(reference, spade.peel_state());
         EXPECT_EQ(reference.BestStart(), spade.peel_state().BestStart());
-        EXPECT_NEAR(reference.BestDensity(),
-                    spade.peel_state().BestDensity(), 1e-9);
+        EXPECT_EQ(reference.BestDensity(), spade.peel_state().BestDensity());
+        if (validate_every_step) {
+          ValidateCanonicalSequence(spade.graph(), spade.peel_state());
+        }
+        if (::testing::Test::HasFatalFailure()) break;
       }
+      ValidateCanonicalSequence(spade.graph(), spade.peel_state());
+      if (::testing::Test::HasFatalFailure()) break;
     }
+    simd::SetSimdTargetForTesting(nullptr);
+    if (::testing::Test::HasFatalFailure()) return;
   }
 }
 
 INSTANTIATE_TEST_SUITE_P(
     AllSemantics, MixedStreamTest,
-    ::testing::Values(MixedStreamCase{"DG", 4, 16, 8, 0},
-                      MixedStreamCase{"DW", 4, 16, 8, 0},
-                      MixedStreamCase{"FD", 4, 16, 8, 0}));
+    ::testing::Values(MixedStreamCase{"DG", false, 4, 16, 8, 0},
+                      MixedStreamCase{"DW", false, 4, 16, 8, 0},
+                      MixedStreamCase{"DW", true, 4, 16, 8, 2},
+                      MixedStreamCase{"FD", false, 4, 16, 8, 0}));
 
 // 1,536-3,000 vertices: the sequence spans three to six 512-slot blocks, so
-// merges, displacement runs and Detect's hulls cross block boundaries. FD
-// runs one trial: its O(n^2) canonical validation per step dominates.
+// merges, displacement runs and Detect's hulls cross block boundaries.
 INSTANTIATE_TEST_SUITE_P(
     MultiBlock, MixedStreamTest,
-    ::testing::Values(MixedStreamCase{"DG", 1536, 1465, 2, 1},
-                      MixedStreamCase{"DW", 1536, 1465, 2, 1},
-                      MixedStreamCase{"FD", 1536, 1465, 1, 1}));
+    ::testing::Values(MixedStreamCase{"DG", false, 1536, 1465, 2, 1},
+                      MixedStreamCase{"DW", false, 1536, 1465, 2, 1},
+                      MixedStreamCase{"DW", true, 1536, 1465, 2, 3},
+                      MixedStreamCase{"FD", false, 1536, 1465, 1, 1}));
 
 // ------------------------------------------------------------------------
 // Stored-delta recovery.

@@ -31,9 +31,9 @@ std::vector<Edge> RandomLog(Rng* rng, std::size_t n, std::size_t m) {
   return edges;
 }
 
-// The incremental facade tracks the static peeler for every semantics.
-// (FD has degree-dependent edge weights with irrational values; deltas are
-// compared within 1e-9 and the sequence must match exactly.)
+// The incremental facade tracks the static peeler for every semantics, bit
+// for bit: FD's irrational weights are rounded onto the grid at admission,
+// so every sum is exact and ties split the same way on both paths.
 TEST_P(SemanticsTest, IncrementalTracksStatic) {
   Rng rng(1000 + GetParam().size());
   for (int trial = 0; trial < 6; ++trial) {
@@ -43,16 +43,9 @@ TEST_P(SemanticsTest, IncrementalTracksStatic) {
     ASSERT_TRUE(spade.BuildGraph(n, RandomLog(&rng, n, 3 * n)).ok());
     for (int i = 0; i < 15; ++i) {
       ASSERT_TRUE(spade.InsertEdge(testing::RandomEdge(&rng, n)).ok());
-      if (GetParam() == "FD") {
-        // FD's logarithmic weights are irrational: summation-order ulp
-        // noise can legitimately flip exact ties, so validate canonical
-        // greedy structure instead of bitwise sequence equality.
-        testing::ValidateCanonicalSequence(spade.graph(), spade.peel_state(),
-                                           1e-9, /*check_tie_break=*/false);
-      } else {
-        testing::ExpectStateEquals(PeelStatic(spade.graph()),
-                                   spade.peel_state(), 1e-9);
-      }
+      testing::ValidateCanonicalSequence(spade.graph(), spade.peel_state());
+      testing::ExpectStateEquals(PeelStatic(spade.graph()),
+                                 spade.peel_state());
     }
   }
 }

@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "graph/weight_grid.h"
 #include "metrics/semantics.h"
 #include "peel/static_peeler.h"
 #include "tests/test_util.h"
@@ -388,8 +389,8 @@ TEST_F(BatchDeleteTest, MatchesStaticPeelTieExact) {
 }
 
 // FD weights are continuous (1/log terms of the destination's degree at
-// insertion), so structurally tied vertices may swap within an ulp: the
-// state is checked canonical without the tie-break.
+// insertion). Rounded onto the grid, as Spade admits them, every sum is
+// exact: the state stays canonical tie for tie and equals a static peel.
 TEST_F(BatchDeleteTest, FdWeightedStaysCanonical) {
   const FraudSemantics fd = MakeFD();
   Rng rng(2027);
@@ -397,7 +398,7 @@ TEST_F(BatchDeleteTest, FdWeightedStaysCanonical) {
   DynamicGraph g(n);
   for (std::size_t i = 0; i < 2 * n; ++i) {
     Edge e = RandomEdge(&rng, n);
-    e.weight = fd.esusp(e, g);
+    e.weight = QuantizeWeight(fd.esusp(e, g));
     ASSERT_TRUE(g.AddEdge(e.src, e.dst, e.weight).ok());
   }
   std::vector<Edge> live = StoredCopies(g);
@@ -408,18 +409,20 @@ TEST_F(BatchDeleteTest, FdWeightedStaysCanonical) {
     SCOPED_TRACE(::testing::Message() << "batch " << size);
     const std::vector<Edge> batch = DrawBatch(&rng, &live, size);
     ASSERT_TRUE(engine.DeleteBatch(&g, &state, batch, nullptr).ok());
-    ValidateCanonicalSequence(g, state, 1e-9, /*check_tie_break=*/false);
+    ValidateCanonicalSequence(g, state);
+    ExpectStateEquals(PeelStatic(g), state);
     if (::testing::Test::HasFatalFailure()) return;
 
     std::vector<Edge> inserted;
     for (std::size_t i = 0; i < 1 + size / 4; ++i) {
       inserted.push_back(RandomEdge(&rng, n));
-      inserted.back().weight = fd.esusp(inserted.back(), g);
+      inserted.back().weight = QuantizeWeight(fd.esusp(inserted.back(), g));
     }
     ASSERT_TRUE(
         engine.InsertBatch(&g, &state, inserted, nullptr, nullptr).ok());
     live.insert(live.end(), inserted.begin(), inserted.end());
-    ValidateCanonicalSequence(g, state, 1e-9, /*check_tie_break=*/false);
+    ValidateCanonicalSequence(g, state);
+    ExpectStateEquals(PeelStatic(g), state);
     if (::testing::Test::HasFatalFailure()) return;
   }
 }

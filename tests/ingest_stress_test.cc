@@ -212,10 +212,7 @@ TEST(IngestStressTest, NoLostOrDuplicatedEdgesUnderFullConcurrency) {
   std::vector<testing::ShardCapture> live(kShards);
   for (std::size_t s = 0; s < kShards; ++s) {
     service.InspectShard(s, [&](const Spade& spade) {
-      live[s].state = spade.peel_state();
-      live[s].num_edges = spade.graph().NumEdges();
-      live[s].total_weight = spade.graph().TotalWeight();
-      live[s].pending_benign = spade.PendingBenignEdges();
+      live[s] = testing::Capture(spade);
     });
   }
   ShardedDetectionServiceOptions restore_options = options;
@@ -227,10 +224,7 @@ TEST(IngestStressTest, NoLostOrDuplicatedEdgesUnderFullConcurrency) {
   for (std::size_t s = 0; s < kShards; ++s) {
     testing::ShardCapture got;
     restored.InspectShard(s, [&](const Spade& spade) {
-      got.state = spade.peel_state();
-      got.num_edges = spade.graph().NumEdges();
-      got.total_weight = spade.graph().TotalWeight();
-      got.pending_benign = spade.PendingBenignEdges();
+      got = testing::Capture(spade);
     });
     testing::ExpectShardEqualsCapture(live[s], got);
   }

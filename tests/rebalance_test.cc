@@ -387,13 +387,7 @@ TEST(RebalanceTest, MidRebalanceCheckpointRestoresBitIdentical) {
     ASSERT_TRUE(live
                     .InspectPartition(pid,
                                       [&](const Spade& s) {
-                                        want[pid].state = s.peel_state();
-                                        want[pid].num_edges =
-                                            s.graph().NumEdges();
-                                        want[pid].total_weight =
-                                            s.graph().TotalWeight();
-                                        want[pid].pending_benign =
-                                            s.PendingBenignEdges();
+                                        want[pid] = testing::Capture(s);
                                       })
                     .ok());
   }
@@ -411,12 +405,7 @@ TEST(RebalanceTest, MidRebalanceCheckpointRestoresBitIdentical) {
     ASSERT_TRUE(restored
                     .InspectPartition(pid,
                                       [&](const Spade& s) {
-                                        got.state = s.peel_state();
-                                        got.num_edges = s.graph().NumEdges();
-                                        got.total_weight =
-                                            s.graph().TotalWeight();
-                                        got.pending_benign =
-                                            s.PendingBenignEdges();
+                                        got = testing::Capture(s);
                                       })
                     .ok());
     testing::ExpectShardEqualsCapture(want[pid], got);
@@ -437,12 +426,7 @@ TEST(RebalanceTest, MidRebalanceCheckpointRestoresBitIdentical) {
     ASSERT_TRUE(fixed
                     .InspectPartition(pid,
                                       [&](const Spade& s) {
-                                        got.state = s.peel_state();
-                                        got.num_edges = s.graph().NumEdges();
-                                        got.total_weight =
-                                            s.graph().TotalWeight();
-                                        got.pending_benign =
-                                            s.PendingBenignEdges();
+                                        got = testing::Capture(s);
                                       })
                     .ok());
     testing::ExpectShardEqualsCapture(want[pid], got);

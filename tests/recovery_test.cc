@@ -65,7 +65,7 @@ std::unique_ptr<ShardedDetectionService> BuildService(
   }
   ShardedDetectionServiceOptions options;
   options.partitioner = ParityPartitioner();
-  // Small cadence so delta logs carry flush markers between checkpoints.
+  // Small cadence so many flushes fall between checkpoints.
   options.shard.detect_every = 16;
   // The harness controls full-vs-delta explicitly; keep the policy out of
   // the way.
@@ -82,10 +82,7 @@ std::vector<testing::ShardCapture> CaptureShards(
   std::vector<testing::ShardCapture> captures(service.num_shards());
   for (std::size_t s = 0; s < service.num_shards(); ++s) {
     service.InspectShard(s, [&](const Spade& spade) {
-      captures[s].state = spade.peel_state();
-      captures[s].num_edges = spade.graph().NumEdges();
-      captures[s].total_weight = spade.graph().TotalWeight();
-      captures[s].pending_benign = spade.PendingBenignEdges();
+      captures[s] = testing::Capture(spade);
     });
   }
   return captures;
@@ -172,6 +169,10 @@ TEST_F(RecoveryTest, ParallelRestoreBitIdenticalToLive) {
   EXPECT_EQ(info.restored_epoch, kEpochs);
   EXPECT_GT(info.delta_edges_replayed, 0u);
   EXPECT_GT(info.restore_millis, 0.0);
+  // Three epochs of flushes per partition, replayed as one range: at most
+  // one DeleteBatch and one InsertBatch each (no retires here, so one).
+  EXPECT_GE(info.replay_merges, 1u);
+  EXPECT_LE(info.replay_merges, 2 * kShards);
 
   const auto captures = CaptureShards(*restored);
   for (std::size_t s = 0; s < kShards; ++s) {
@@ -433,11 +434,11 @@ void ExpectWindowsEqual(const std::vector<Edge>& expected,
 // Retire records in the delta chain: a windowed fleet that expired edges
 // between checkpoints must restore bit-identically — graph, peel state AND
 // window log — and must keep converging with the live fleet under further
-// traffic and expiry. This pins the replay argument end to end: a retire
-// record re-runs the pass's RetireOlderThan on the replayed window log,
-// which deletes at the logged applied weights, and the pass's flush is
-// deterministic, so no flush marker precedes a retire record yet the
-// replayed flush points match the live ones.
+// traffic and expiry. This pins the replay argument end to end: replay
+// rebuilds the window log from the insert records, pops each retire
+// record's horizon off it (checking the count), deletes the popped logged
+// edges in one batch at their applied weights and inserts the survivors in
+// another; exact weights make the order irrelevant.
 TEST_F(RecoveryTest, WindowedChainWithRetiresRestoresBitIdentical) {
   constexpr Timestamp kSpan = 2000;
   constexpr std::uint64_t kEpochs = 4;
@@ -569,46 +570,56 @@ TEST_F(RecoveryTest, MismatchedRetirePassFailsRestore) {
 
 // Retire passes that land mid-stream — behind benign-buffered edges, and in
 // a partition with nothing old enough to expire — must replay bit for bit
-// under FD, whose edge weights depend on the graph at application time and
-// so on exactly where each flush fell. Only a pass that retires something
-// flushes, and its record replays the same call, so no flush marker is
-// needed; a pass that flushed without retiring would diverge here. The
-// base is the empty graph: no weighted-degree residue to re-sum
-// (DESIGN.md §5.3), so the comparison can be exact.
+// under FD, whose edge weights depend on the graph at application time.
+// Replay never re-runs ESusp (records carry applied weights), and the base
+// is a live fleet that already admitted and expired edges: its weighted
+// degrees went through add-then-subtract, and with weights on the grid
+// that leaves no residue for the restored sums to disagree with.
 TEST_F(RecoveryTest, MidStreamRetirePassesReplayBitIdenticalUnderFd) {
   constexpr Timestamp kSpan = 400;
   Rng rng(939);
-  auto service = BuildService({}, kSpan, MakeFD());
-  ASSERT_TRUE(service->SaveState(dir_).ok());  // epoch 1: the empty base
-
+  auto service = BuildService(RandomChunk(&rng, kInitialEdges), kSpan,
+                              MakeFD());
   Timestamp now = 0;
-  for (int round = 0; round < 12; ++round) {
-    std::vector<Edge> chunk;
-    while (chunk.size() < 40) {
-      // Half the edges inside an 8-vertex core, half in the sparse rest:
-      // the core sets a high density, so periphery edges group as benign.
-      const bool core = chunk.size() % 2 == 0;
-      Edge edge = testing::RandomEdge(&rng, core ? 8 : kVertices - 8);
-      if (!core) {
-        edge.src += 8;
-        edge.dst += 8;
+  const auto feed = [&](int rounds) {
+    for (int round = 0; round < rounds; ++round) {
+      std::vector<Edge> chunk;
+      while (chunk.size() < 40) {
+        // Half the edges inside an 8-vertex core, half in the sparse rest:
+        // the core sets a high density, so periphery edges group as
+        // benign.
+        const bool core = chunk.size() % 2 == 0;
+        Edge edge = testing::RandomEdge(&rng, core ? 8 : kVertices - 8);
+        if (!core) {
+          edge.src += 8;
+          edge.dst += 8;
+        }
+        // The first rounds feed partition 0 only, so partition 1 later
+        // holds young edges (and a benign buffer) while partition 0
+        // expires.
+        if (round < 3 && edge.src % kShards != 0) continue;
+        now += 10;
+        edge.ts = now;
+        chunk.push_back(edge);
       }
-      // The first rounds feed partition 0 only, so partition 1 later holds
-      // young edges (and a benign buffer) while partition 0 expires.
-      if (round < 3 && edge.src % kShards != 0) continue;
-      now += 10;
-      edge.ts = now;
-      chunk.push_back(edge);
+      // No drain in between: the stride trigger and the explicit horizon
+      // both queue retire markers behind whatever the worker has buffered.
+      ASSERT_TRUE(service->SubmitBatch(chunk).ok());
+      if (now > kSpan) {
+        ASSERT_TRUE(service->RetireOlderThan(now - kSpan).ok());
+      }
     }
-    // No drain in between: the stride trigger and the explicit horizon
-    // both queue retire markers behind whatever the worker has buffered.
-    ASSERT_TRUE(service->SubmitBatch(chunk).ok());
-    if (now > kSpan) {
-      ASSERT_TRUE(service->RetireOlderThan(now - kSpan).ok());
-    }
-  }
+  };
+  // The base: a fleet that has admitted and expired edges already.
+  feed(6);
   service->Drain();
   ASSERT_GT(service->EdgesRetired(), 0u);
+  ASSERT_TRUE(service->SaveState(dir_).ok());  // epoch 1: the base
+  const std::uint64_t retired_in_base = service->EdgesRetired();
+
+  feed(12);
+  service->Drain();
+  ASSERT_GT(service->EdgesRetired(), retired_in_base);
   ShardedDetectionService::SaveInfo info;
   ASSERT_TRUE(service
                   ->SaveState(dir_, ShardedDetectionService::SaveMode::kAuto,
@@ -618,11 +629,55 @@ TEST_F(RecoveryTest, MidStreamRetirePassesReplayBitIdenticalUnderFd) {
   const auto live = CaptureShards(*service);
 
   auto victim = BuildService({}, kSpan, MakeFD());
-  ASSERT_TRUE(victim->RestoreState(dir_).ok());
+  ShardedDetectionService::RestoreInfo rinfo;
+  ASSERT_TRUE(victim->RestoreState(dir_, &rinfo).ok());
+  EXPECT_LE(rinfo.replay_merges, 2 * kShards);
   const auto restored = CaptureShards(*victim);
   for (std::size_t s = 0; s < kShards; ++s) {
     testing::ExpectShardEqualsCapture(live[s], restored[s]);
-    ExpectWindowsEqual(service->ShardWindow(s), victim->ShardWindow(s));
+  }
+}
+
+// An edge naming a brand-new vertex, inserted and expired inside one
+// range: the replay's insert batch never sees it, yet live kept the vertex
+// (isolated, at its prior), so replay must create it too.
+TEST_F(RecoveryTest, NewVertexInsertedAndRetiredInsideOneRange) {
+  constexpr Timestamp kSpan = 100;
+  Rng rng(949);
+  const std::vector<Edge> initial = RandomChunk(&rng, kInitialEdges);
+  auto service = BuildService(initial, kSpan);
+  ASSERT_TRUE(service->SaveState(dir_).ok());  // epoch 1: the base
+
+  // Vertex kVertices + 7 is new to partition 0 (and skips six ids); the
+  // edge naming it expires in the same epoch, behind later traffic.
+  const auto fresh = static_cast<VertexId>(kVertices + 7);
+  std::vector<Edge> chunk = {Edge{0, fresh, 3.0, 10}};
+  for (Edge edge : RandomChunk(&rng, kChunkEdges)) {
+    edge.ts = 1000;
+    chunk.push_back(edge);
+  }
+  ASSERT_TRUE(service->SubmitBatch(chunk).ok());
+  ASSERT_TRUE(service->RetireOlderThan(500).ok());
+  service->Drain();
+  ASSERT_EQ(service->EdgesRetired(), 1u);
+  ShardedDetectionService::SaveInfo info;
+  ASSERT_TRUE(service
+                  ->SaveState(dir_, ShardedDetectionService::SaveMode::kAuto,
+                              &info)
+                  .ok());
+  ASSERT_TRUE(info.delta);
+  const auto live = CaptureShards(*service);
+  ASSERT_EQ(live[0].vertex_weights.size(), kVertices + 8);
+
+  auto victim = BuildService(initial, kSpan);
+  ShardedDetectionService::RestoreInfo rinfo;
+  ASSERT_TRUE(victim->RestoreState(dir_, &rinfo).ok());
+  // Partition 0 deletes nothing resident and inserts the survivors; 1
+  // only inserts.
+  EXPECT_LE(rinfo.replay_merges, 2 * kShards);
+  const auto restored = CaptureShards(*victim);
+  for (std::size_t s = 0; s < kShards; ++s) {
+    testing::ExpectShardEqualsCapture(live[s], restored[s]);
   }
 }
 

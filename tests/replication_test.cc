@@ -41,7 +41,7 @@ constexpr std::size_t kVertices = 96;
 /// homed by v % partition count.
 std::unique_ptr<ShardedDetectionService> BuildService(
     const std::vector<Edge>& initial, std::size_t partitions_per_shard = 1,
-    std::size_t vertices = kVertices) {
+    std::size_t vertices = kVertices, Timestamp window_span = 0) {
   const std::size_t partitions = kShards * partitions_per_shard;
   std::vector<std::vector<Edge>> parts(partitions);
   for (const Edge& e : initial) parts[e.src % partitions].push_back(e);
@@ -60,6 +60,7 @@ std::unique_ptr<ShardedDetectionService> BuildService(
   options.rebalance.partitions_per_shard = partitions_per_shard;
   options.checkpoint.max_chain_length = 1000;
   options.checkpoint.max_delta_base_ratio = 1e9;
+  options.window.span = window_span;
   auto service = std::make_unique<ShardedDetectionService>(
       std::move(shards), nullptr, std::move(options));
   return service;
@@ -74,14 +75,7 @@ std::vector<testing::ShardCapture> CapturePartitions(
     EXPECT_TRUE(service
                     .InspectPartition(pid,
                                       [&](const Spade& spade) {
-                                        captures[pid].state =
-                                            spade.peel_state();
-                                        captures[pid].num_edges =
-                                            spade.graph().NumEdges();
-                                        captures[pid].total_weight =
-                                            spade.graph().TotalWeight();
-                                        captures[pid].pending_benign =
-                                            spade.PendingBenignEdges();
+                                        captures[pid] = testing::Capture(spade);
                                       })
                     .ok());
   }
@@ -456,6 +450,66 @@ TEST(ApplyChainRange, WholeRangeInOneCallMatchesPrimary) {
   ExpectServicesEqual(*verifier, *standby);
 }
 
+// The three ways a chain reaches a fleet — an eager standby applying each
+// epoch as it commits, a lazy one promoting the whole staged tail in one
+// call, a full restore — agree with the live primary bit for bit, on a
+// windowed chain with late arrivals, retire passes and edges naming
+// vertices the base never saw. Each call replays its range in at most one
+// DeleteBatch and one InsertBatch per partition.
+TEST(ApplyChainRange, EagerLazyAndRestoreEqualLive) {
+  constexpr Timestamp kSpan = 300;
+  constexpr std::uint64_t kEpochs = 5;
+  const std::string dir = ResetWorkDir("apply_three_ways");
+  const std::vector<Edge> initial = MakeEdges(64, 13);
+  auto primary = BuildService(initial, 2, kVertices, kSpan);
+  ASSERT_TRUE(primary->SaveState(dir).ok());  // epoch 1: the base
+  auto eager = BuildService({}, 2, kVertices, kSpan);
+  auto lazy = BuildService({}, 2, kVertices, kSpan);
+  ASSERT_TRUE(eager->RestoreState(dir).ok());
+  ASSERT_TRUE(lazy->RestoreState(dir).ok());
+  const std::size_t limit = 2 * primary->num_partitions();
+
+  Rng rng(14);
+  Timestamp now = 0;
+  for (std::uint64_t e = 2; e <= kEpochs; ++e) {
+    // Ids past kVertices are new to every partition.
+    std::vector<Edge> chunk = MakeEdges(60, 14 + e, kVertices + 24);
+    for (Edge& edge : chunk) {
+      now += 5;
+      edge.ts = rng.NextBounded(6) == 0 ? now - 2 * kSpan : now;
+      edge.weight = 1.0 + 9.0 * rng.NextDouble();
+    }
+    ASSERT_TRUE(primary->SubmitBatch(chunk).ok());
+    ASSERT_TRUE(primary->RetireOlderThan(now - kSpan).ok());
+    primary->Drain();
+    ShardedDetectionService::SaveInfo info;
+    ASSERT_TRUE(primary
+                    ->SaveState(dir, ShardedDetectionService::SaveMode::kDelta,
+                                &info)
+                    .ok());
+    ASSERT_EQ(info.epoch, e);
+    ShardedDetectionService::RestoreInfo applied;
+    ASSERT_TRUE(
+        eager->ApplyChainRange(dir, e, e, kDrainTimeout, &applied).ok());
+    EXPECT_LE(applied.replay_merges, limit);
+    ExpectServicesEqual(*primary, *eager);
+  }
+  ASSERT_GT(primary->EdgesRetired(), 0u);
+
+  ShardedDetectionService::RestoreInfo promoted;
+  ASSERT_TRUE(
+      lazy->ApplyChainRange(dir, 2, kEpochs, kDrainTimeout, &promoted).ok());
+  EXPECT_EQ(promoted.replayed_epochs, kEpochs - 1);
+  EXPECT_LE(promoted.replay_merges, limit);
+  ExpectServicesEqual(*primary, *lazy);
+
+  auto restored = BuildService({}, 2, kVertices, kSpan);
+  ShardedDetectionService::RestoreInfo full;
+  ASSERT_TRUE(restored->RestoreState(dir, &full).ok());
+  EXPECT_LE(full.replay_merges, limit);
+  ExpectServicesEqual(*primary, *restored);
+}
+
 TEST(ApplyChainRange, RejectsRangesOutsideTheChain) {
   const std::string dir = ResetWorkDir("apply_range_bounds");
   auto primary = BuildService(MakeEdges(64, 12));
@@ -608,6 +662,9 @@ TEST(Replication, StagedTailPromoteMatchesLastSealedEpoch) {
   EXPECT_EQ(promote.replayed_epochs, 3u);
   EXPECT_FALSE(promote.full_restore);
   EXPECT_GT(promote.replayed_edges, 0u);
+  // Three epochs of flushes, one merge per partition (no retires here).
+  EXPECT_GE(promote.replay_merges, 1u);
+  EXPECT_LE(promote.replay_merges, 2 * follower->num_partitions());
 
   ExpectServicesEqual(*primary, *follower);
 

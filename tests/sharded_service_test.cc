@@ -256,10 +256,7 @@ TEST(ShardedDetectionServiceTest, RejectedEdgeKeepsCheckpointsWorking) {
     std::vector<testing::ShardCapture> captures(fleet.num_shards());
     for (std::size_t s = 0; s < fleet.num_shards(); ++s) {
       fleet.InspectShard(s, [&](const Spade& spade) {
-        captures[s].state = spade.peel_state();
-        captures[s].num_edges = spade.graph().NumEdges();
-        captures[s].total_weight = spade.graph().TotalWeight();
-        captures[s].pending_benign = spade.PendingBenignEdges();
+        captures[s] = testing::Capture(spade);
       });
     }
     return captures;

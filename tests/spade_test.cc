@@ -9,12 +9,16 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <filesystem>
 
 #include "common/rng.h"
 #include "graph/graph_io.h"
 #include "graph/weight_grid.h"
 #include "metrics/density.h"
 #include "peel/static_peeler.h"
+#include "service/sharded_detection_service.h"
+#include "storage/delta_segment.h"
+#include "storage/sharded_snapshot.h"
 #include "tests/test_util.h"
 
 namespace spade {
@@ -296,6 +300,110 @@ TEST(EdgeGroupingTest, NonFiniteWeightsAreRejected) {
   EXPECT_EQ(spade.graph().NumEdges(), 6u);
   testing::ExpectStateEquals(PeelStatic(spade.graph()), spade.peel_state(),
                              0.0);
+}
+
+// Exact weights (DESIGN.md §2.2): an applied weight that rounds to 0 on
+// the 2^-20 grid is refused like a non-positive one — before the graph
+// grows, before anything is buffered or logged.
+TEST(EdgeGroupingTest, WeightThatRoundsToZeroIsRefused) {
+  Spade spade;
+  spade.SetSemantics(MakeDW());
+  spade.TurnOnEdgeGrouping();
+  spade.TurnOnWindowLog();
+  ASSERT_TRUE(spade.BuildGraph(7, DenseRingLog()).ok());
+  ASSERT_TRUE(spade.ApplyEdge({4, 6, 0.5, 21}).ok());  // benign: buffered
+  ASSERT_EQ(spade.PendingBenignEdges(), 1u);
+  const testing::ShardCapture before = testing::Capture(spade);
+
+  // Below half a grid step: rounds to 0. The second names a new vertex.
+  for (const Edge& e : {Edge{3, 6, 0x1p-22, 22}, Edge{3, 9, 1e-9, 23}}) {
+    EXPECT_EQ(spade.ApplyEdge(e).code(), StatusCode::kInvalidArgument);
+    const std::vector<Edge> batch = {{4, 5, 0.5, 24}, e};
+    EXPECT_EQ(spade.ApplyBatchEdges(batch).code(),
+              StatusCode::kInvalidArgument);
+    // ApplyBatchEdges flushes first; nothing else changed.
+    testing::ShardCapture flushed = before;
+    flushed.edges.emplace_back(4, 6, 0.5);
+    std::sort(flushed.edges.begin(), flushed.edges.end());
+    flushed.buffer.clear();
+    const testing::ShardCapture after = testing::Capture(spade);
+    EXPECT_EQ(after.vertex_weights.size(), 7u);
+    EXPECT_EQ(after.edges, flushed.edges);
+    EXPECT_TRUE(after.buffer.empty());
+    EXPECT_EQ(after.window, before.window);
+  }
+  // Half a step and more rounds up onto the grid and is admitted.
+  double applied = 0.0;
+  ASSERT_TRUE(spade.ApplyEdge({3, 6, 0x1p-21, 25}, &applied).ok());
+  EXPECT_EQ(applied, kWeightQuantum);
+}
+
+// A detector's mass — graph plus benign buffer — stays at or below 2^32,
+// so every partial sum fits a double's 53 bits exactly. An edge that would
+// lift it past the bound is refused with a Status, leaving the graph,
+// the buffer and the window log as they were.
+TEST(EdgeGroupingTest, MassPastTheBoundIsRefused) {
+  Spade spade;
+  spade.SetSemantics(MakeDW());
+  spade.TurnOnEdgeGrouping();
+  spade.TurnOnWindowLog();
+  // One heavy edge: the graph alone holds the bound minus 16.
+  const std::vector<Edge> heavy = {Edge{0, 1, kMaxPartitionMass - 16.0, 0}};
+  ASSERT_TRUE(spade.BuildGraph(8, heavy).ok());
+  ASSERT_TRUE(spade.ApplyEdge({2, 3, 10.0, 1}).ok());  // benign: buffered
+  ASSERT_EQ(spade.PendingBenignEdges(), 1u);
+  const testing::ShardCapture before = testing::Capture(spade);
+
+  // 10 more fits the graph alone but not graph plus buffer.
+  const Status over = spade.ApplyEdge({4, 5, 10.0, 2});
+  EXPECT_EQ(over.code(), StatusCode::kInvalidArgument) << over.ToString();
+  EXPECT_NE(over.message().find("mass"), std::string::npos);
+  // A new endpoint: the graph must not keep the vertex it grew for.
+  EXPECT_EQ(spade.ApplyEdge({4, 12, 1e12, 3}).code(),
+            StatusCode::kInvalidArgument);
+  testing::ExpectShardEqualsCapture(before, testing::Capture(spade));
+
+  // Up to the bound exactly is admitted.
+  ASSERT_TRUE(spade.ApplyEdge({4, 5, 6.0, 4}).ok());
+  double mass = spade.graph().TotalWeight();
+  for (const Edge& e : spade.benign_buffer()) mass += e.weight;
+  EXPECT_EQ(mass, kMaxPartitionMass);
+
+  // BuildGraph refuses too, leaving the detector as it was.
+  const testing::ShardCapture built = testing::Capture(spade);
+  const std::vector<Edge> over_bound = {Edge{0, 1, kMaxPartitionMass, 0},
+                                        Edge{1, 2, 1.0, 0}};
+  EXPECT_EQ(spade.BuildGraph(4, over_bound).code(),
+            StatusCode::kInvalidArgument);
+  testing::ExpectShardEqualsCapture(built, testing::Capture(spade));
+}
+
+// A refused edge reaches no log: a service's delta segment holds only the
+// edges its detector admitted, so a chain never replays a refused one.
+TEST(EdgeGroupingTest, RefusedEdgesLeaveNoDeltaRecord) {
+  const std::string dir = ::testing::TempDir() + "/spade_refused_delta";
+  std::filesystem::remove_all(dir);
+  std::vector<Spade> shards(1);
+  shards[0].SetSemantics(MakeDW());
+  ASSERT_TRUE(shards[0].BuildGraph(7, DenseRingLog()).ok());
+  ShardedDetectionService service(std::move(shards), nullptr);
+  ASSERT_TRUE(service.SaveState(dir).ok());  // epoch 1: the base
+  ASSERT_TRUE(service.Submit({3, 6, 1e-9, 20}).ok());  // rounds to 0
+  ASSERT_TRUE(service.Submit({3, 6, 2 * kMaxPartitionMass, 21}).ok());
+  ASSERT_TRUE(service.Submit({4, 6, 0.75, 22}).ok());
+  service.Drain();
+  EXPECT_EQ(service.GetStats().rejected_edges, 2u);
+  ShardedDetectionService::SaveInfo info;
+  ASSERT_TRUE(service
+                  .SaveState(dir, ShardedDetectionService::SaveMode::kDelta,
+                             &info)
+                  .ok());
+  DeltaSegment segment;
+  ASSERT_TRUE(
+      ReadDeltaSegment(dir + "/" + ShardDeltaFileName(0, 2), &segment).ok());
+  ASSERT_EQ(segment.records.size(), 1u);
+  EXPECT_EQ(segment.records[0].edge, (Edge{4, 6, 0.75, 22}));
+  std::filesystem::remove_all(dir);
 }
 
 TEST(EdgeGroupingTest, IsBenignMatchesDefinition41) {

@@ -18,6 +18,7 @@
 
 #include "common/rng.h"
 #include "core/spade.h"
+#include "metrics/semantics.h"
 #include "peel/static_peeler.h"
 #include "tests/test_util.h"
 
@@ -178,6 +179,59 @@ TEST_F(SnapshotTest, RejectsStateThatIsNotAPermutation) {
   EXPECT_EQ(s.code(), StatusCode::kIOError);
   EXPECT_NE(s.message().find("weight of vertex 2"), std::string::npos)
       << s.ToString();
+}
+
+// Every weight a detector admits is on the 2^-20 grid and its mass is at
+// most 2^32; a CRC-valid snapshot breaking either is refused with a
+// Status, as a non-finite weight is, rather than restored into a detector
+// whose sums are inexact.
+TEST_F(SnapshotTest, RejectsOffGridWeightsAndMassPastTheBound) {
+  const auto load = [&] {
+    DynamicGraph g;
+    PeelState state;
+    bool present = false;
+    std::vector<Edge> window;
+    return LoadSnapshot(path_, &g, &state, &present, &window);
+  };
+  const auto expect_refused = [&](const std::string& what) {
+    const Status s = load();
+    EXPECT_EQ(s.code(), StatusCode::kIOError) << s.ToString();
+    EXPECT_NE(s.message().find(what), std::string::npos) << s.ToString();
+  };
+
+  // On the grid, within the bound: loads.
+  DynamicGraph g(3);
+  g.SetVertexWeight(2, 0.5);
+  ASSERT_TRUE(g.AddEdge(0, 1, 1.25).ok());
+  ASSERT_TRUE(SaveSnapshot(path_, g, nullptr, {}).ok());
+  ASSERT_TRUE(load().ok());
+
+  // An edge weight off the grid.
+  DynamicGraph off_edge(3);
+  ASSERT_TRUE(off_edge.AddEdge(0, 1, 0.1).ok());
+  ASSERT_TRUE(SaveSnapshot(path_, off_edge, nullptr, {}).ok());
+  expect_refused("weight of edge 0");
+
+  // A vertex prior off the grid.
+  DynamicGraph off_prior(3);
+  off_prior.SetVertexWeight(1, 1.0 / 3.0);
+  ASSERT_TRUE(SaveSnapshot(path_, off_prior, nullptr, {}).ok());
+  expect_refused("off-grid weight of vertex 1");
+
+  // A window entry off the grid.
+  const Edge off_window{0, 1, 0.1, 5};
+  ASSERT_TRUE(
+      SaveSnapshot(path_, g, nullptr, std::span<const Edge>(&off_window, 1))
+          .ok());
+  expect_refused("off-grid window edge weight");
+
+  // Every weight on the grid, but the mass past 2^32.
+  DynamicGraph heavy(3);
+  heavy.SetVertexWeight(2, 0x1p31);
+  ASSERT_TRUE(heavy.AddEdge(0, 1, 0x1p31).ok());
+  ASSERT_TRUE(heavy.AddEdge(1, 0, 1.0).ok());
+  ASSERT_TRUE(SaveSnapshot(path_, heavy, nullptr, {}).ok());
+  expect_refused("mass exceeds the bound");
 }
 
 TEST(Crc64Test, KnownProperties) {
@@ -468,6 +522,26 @@ TEST_F(ShardManifestTest, EveryReaderRejectsOlderVersions) {
     ASSERT_TRUE(w.Finish().ok());
   }
   expect_version_error(ReadDeltaSegment(bin, &segment), 2);
+  // Delta segment 3 logged raw weights with a flush record (tag 1) at
+  // every buffer flush; replaying it as one merge per range would be
+  // wrong, so it too fails by name.
+  {
+    storage::ChecksummedFileWriter w(bin);
+    w.Write(std::uint64_t{0x53504144455F4453ULL});  // "SPADE_DS"
+    w.Write(std::uint32_t{3});
+    w.Write(std::uint32_t{0});  // shard
+    w.Write(std::uint64_t{0});  // prev_epoch
+    w.Write(std::uint64_t{1});  // epoch
+    w.Write(std::uint64_t{2});  // records
+    w.Write(std::uint8_t{0});   // edge
+    w.Write(std::uint32_t{7});  // src
+    w.Write(std::uint32_t{1});  // dst
+    w.Write(0.3);               // raw weight
+    w.Write(std::int64_t{11});  // ts
+    w.Write(std::uint8_t{1});   // flush
+    ASSERT_TRUE(w.Finish().ok());
+  }
+  expect_version_error(ReadDeltaSegment(bin, &segment), 3);
 }
 
 TEST_F(ShardManifestTest, MissingDirectoryIsNotFound) {
@@ -610,6 +684,17 @@ TEST_F(DeltaSegmentTest, RejectsTrailingBytes) {
   EXPECT_EQ(s.code(), StatusCode::kIOError);
 }
 
+// An insert record's weight is an applied weight: positive and on the
+// grid. A CRC-valid segment holding any other fails to read.
+TEST_F(DeltaSegmentTest, RejectsOffGridInsertWeight) {
+  DeltaSegment segment = MakeSegment();
+  segment.records[1].edge.weight = 0.1;
+  ASSERT_TRUE(WriteDeltaSegment(path_, segment, nullptr).ok());
+  DeltaSegment read;
+  const Status s = ReadDeltaSegment(path_, &read);
+  EXPECT_EQ(s.code(), StatusCode::kIOError) << s.ToString();
+}
+
 TEST_F(DeltaSegmentTest, RejectsEpochDiscontinuity) {
   DeltaSegment segment = MakeSegment();
   segment.epoch = segment.prev_epoch + 2;
@@ -618,6 +703,172 @@ TEST_F(DeltaSegmentTest, RejectsEpochDiscontinuity) {
   const Status s = ReadDeltaSegment(path_, &read);
   ASSERT_FALSE(s.ok());
   EXPECT_EQ(s.code(), StatusCode::kIOError);
+}
+
+// --- Spade::ReplayDelta against a live detector ---------------------------
+
+/// A live windowed detector with the worker's logging discipline: every
+/// admitted edge logged at its applied weight, every retire pass that
+/// removed anything logged with its count, and each seal recording the
+/// benign buffer's depth.
+class ReplayDeltaTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    base_ = ::testing::TempDir() + "/spade_replay_delta_base.bin";
+  }
+  void TearDown() override { std::remove(base_.c_str()); }
+
+  static Spade MakeDetector(const std::string& algo) {
+    Spade spade;
+    spade.SetSemantics(MakeSemanticsByName(algo));
+    spade.TurnOnEdgeGrouping();
+    spade.TurnOnWindowLog();
+    return spade;
+  }
+
+  /// One admitted edge, logged as ShardWorker::ApplyOne logs it.
+  void Apply(Spade* live, const Edge& raw) {
+    double applied = 0.0;
+    ASSERT_TRUE(live->ApplyEdge(raw, &applied).ok());
+    log_.push_back(DeltaRecord::Insert(Edge{raw.src, raw.dst, applied,
+                                            raw.ts}));
+  }
+
+  /// One retire pass, logged when it removed anything.
+  void Retire(Spade* live, Timestamp horizon) {
+    const auto retired = live->RetireOlderThan(horizon);
+    ASSERT_TRUE(retired.ok());
+    if (!retired.value().empty()) {
+      log_.push_back(DeltaRecord::RetirePass(horizon, retired.value().size()));
+    }
+  }
+
+  /// Seals the log into the next segment of the chain.
+  void Seal(const Spade& live) {
+    DeltaSegment segment;
+    segment.prev_epoch = chain_.size() + 1;
+    segment.epoch = segment.prev_epoch + 1;
+    segment.buffered_tail = live.PendingBenignEdges();
+    segment.records = std::move(log_);
+    log_.clear();
+    chain_.push_back(std::move(segment));
+  }
+
+  std::string base_;
+  std::vector<DeltaRecord> log_;
+  std::vector<DeltaSegment> chain_;
+};
+
+// A chain sealed with edges still in the benign buffer, under every
+// semantics: the restore puts exactly those edges back, the rest of the
+// history lands in at most two merges, and the result equals the live
+// detector — state, graph, buffer and window log, bit for bit — whether
+// the range replays at once (lazy promote, restore) or one epoch at a time
+// (eager apply). Fed the same later stream, both then detect the same
+// communities after every edge.
+TEST_F(ReplayDeltaTest, BufferedSealReplaysBitIdentical) {
+  for (const char* algo : {"DG", "DW", "FD"}) {
+    SCOPED_TRACE(algo);
+    chain_.clear();
+    Rng rng(4711);
+    Spade live = MakeDetector(algo);
+    std::vector<Edge> initial;
+    // A dense core sets the density, so sparse traffic groups as benign.
+    for (VertexId a = 0; a < 6; ++a) {
+      for (VertexId b = 0; b < 6; ++b) {
+        if (a != b) initial.push_back(Edge{a, b, 9.0, 0});
+      }
+    }
+    ASSERT_TRUE(live.BuildGraph(64, initial).ok());
+    ASSERT_TRUE(live.SaveState(base_).ok());
+
+    Timestamp now = 0;
+    const auto traffic = [&](int edges) {
+      for (int i = 0; i < edges; ++i) {
+        Edge e = testing::RandomEdge(&rng, 80);  // ids past 63 are new
+        e.weight = 1.0 + 9.0 * rng.NextDouble();
+        now += 3;
+        e.ts = rng.NextBounded(8) == 0 ? now - 40 : now;  // late arrivals
+        Apply(&live, e);
+        if (i % 37 == 36) live.Detect();  // a detect_every cadence
+      }
+    };
+    traffic(150);
+    Retire(&live, now - 200);
+    traffic(60);
+    Seal(live);
+    traffic(90);
+    Retire(&live, now - 150);
+    // Sparse edges between known vertices: benign, so they stay buffered.
+    for (VertexId v = 20; v < 26; ++v) {
+      Apply(&live, Edge{v, static_cast<VertexId>(v + 10), 0.5, now});
+    }
+    Seal(live);
+    ASSERT_GT(chain_.back().buffered_tail, 0u);
+    ASSERT_GT(live.cumulative_stats().merges, 20u);
+
+    Spade lazy = MakeDetector(algo);
+    ASSERT_TRUE(lazy.RestoreState(base_).ok());
+    const auto merges = lazy.ReplayDelta(chain_);
+    ASSERT_TRUE(merges.ok()) << merges.status().ToString();
+    EXPECT_LE(merges.value(), 2u);
+    EXPECT_EQ(lazy.cumulative_stats().merges, merges.value());
+
+    Spade eager = MakeDetector(algo);
+    ASSERT_TRUE(eager.RestoreState(base_).ok());
+    for (const DeltaSegment& segment : chain_) {
+      const auto one = eager.ReplayDelta(std::span(&segment, 1));
+      ASSERT_TRUE(one.ok()) << one.status().ToString();
+      EXPECT_LE(one.value(), 2u);
+    }
+
+    const testing::ShardCapture want = testing::Capture(live);
+    EXPECT_EQ(want.buffer.size(), chain_.back().buffered_tail);
+    testing::ExpectShardEqualsCapture(want, testing::Capture(lazy));
+    testing::ExpectShardEqualsCapture(want, testing::Capture(eager));
+    if (::testing::Test::HasFailure()) return;
+
+    for (int i = 0; i < 120; ++i) {
+      Edge e = testing::RandomEdge(&rng, 90);
+      e.weight = 1.0 + 9.0 * rng.NextDouble();
+      now += 3;
+      e.ts = now;
+      for (Spade* spade : {&live, &lazy}) {
+        ASSERT_TRUE(spade->ApplyEdge(e).ok());
+      }
+      EXPECT_EQ(live.PendingBenignEdges(), lazy.PendingBenignEdges());
+      const Community a = live.peel_state().DetectCommunity();
+      const Community b = lazy.peel_state().DetectCommunity();
+      EXPECT_EQ(a.members, b.members) << "edge " << i;
+      EXPECT_EQ(a.density, b.density) << "edge " << i;
+    }
+    testing::ExpectShardEqualsCapture(testing::Capture(live),
+                                      testing::Capture(lazy));
+  }
+}
+
+// A retire record that pops a different count than it recorded fails,
+// naming its epoch, and leaves the detector untouched.
+TEST_F(ReplayDeltaTest, MismatchedRetireCountChangesNothing) {
+  Spade live = MakeDetector("DW");
+  ASSERT_TRUE(live.BuildGraph(8, {}).ok());
+  ASSERT_TRUE(live.SaveState(base_).ok());
+  for (Timestamp t = 1; t <= 6; ++t) {
+    Apply(&live, Edge{static_cast<VertexId>(t), 0, 2.0, t});
+  }
+  Retire(&live, 4);
+  Seal(live);
+  ++chain_.back().records.back().retired;
+
+  Spade victim = MakeDetector("DW");
+  ASSERT_TRUE(victim.RestoreState(base_).ok());
+  const testing::ShardCapture before = testing::Capture(victim);
+  const auto merges = victim.ReplayDelta(chain_);
+  ASSERT_FALSE(merges.ok());
+  EXPECT_EQ(merges.status().code(), StatusCode::kInternal);
+  EXPECT_NE(merges.status().message().find("epoch 2"), std::string::npos)
+      << merges.status().ToString();
+  testing::ExpectShardEqualsCapture(before, testing::Capture(victim));
 }
 
 }  // namespace

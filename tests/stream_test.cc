@@ -53,10 +53,9 @@ TEST(ReplayerTest, BatchingReducesFlushes) {
 }
 
 TEST(ReplayerTest, FinalStateIsValidCanonicalPeeling) {
-  // DW amounts are continuous doubles: different summation orders perturb
-  // exact ties by ulps, so the final state is checked for canonical
-  // validity (each step peels a minimal vertex) rather than bitwise
-  // equality with a from-scratch run.
+  // DW amounts are continuous doubles, rounded onto the grid at
+  // admission: every sum is exact, so the final state is canonical tie for
+  // tie and equals a from-scratch peel bit for bit.
   Workload w = SmallFraudWorkload(33);
   for (std::size_t batch : {1u, 7u, 100u}) {
     Spade spade;
@@ -65,8 +64,8 @@ TEST(ReplayerTest, FinalStateIsValidCanonicalPeeling) {
     ReplayOptions options;
     options.batch_size = batch;
     Replay(&spade, w.stream, options);
-    testing::ValidateCanonicalSequence(spade.graph(), spade.peel_state(),
-                                       1e-6, /*check_tie_break=*/false);
+    testing::ValidateCanonicalSequence(spade.graph(), spade.peel_state());
+    testing::ExpectStateEquals(PeelStatic(spade.graph()), spade.peel_state());
   }
 }
 
@@ -119,8 +118,7 @@ TEST(ReplayerTest, EdgeGroupingModeFlushesOnUrgent) {
   // Grouping coalesces benign traffic: far fewer flushes than edges.
   EXPECT_LT(report.flushes, w.stream.size());
   EXPECT_EQ(spade.PendingBenignEdges(), 0u);  // drained at the end
-  testing::ValidateCanonicalSequence(spade.graph(), spade.peel_state(),
-                                     1e-6, /*check_tie_break=*/false);
+  testing::ValidateCanonicalSequence(spade.graph(), spade.peel_state());
 }
 
 // Periodic-checkpoint option: the service replay checkpoints while

@@ -6,12 +6,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <span>
+#include <tuple>
 #include <unordered_set>
 #include <vector>
 
 #include "common/rng.h"
+#include "core/spade.h"
 #include "graph/dynamic_graph.h"
 #include "graph/types.h"
 #include "peel/indexed_heap.h"
@@ -52,9 +55,10 @@ inline Edge RandomEdge(Rng* rng, std::size_t n, int max_weight = 8) {
   return {src, dst, static_cast<double>(1 + rng->NextBounded(max_weight)), 0};
 }
 
-/// Asserts two peel states are identical (same sequence, deltas within eps).
+/// Asserts two peel states are identical (same sequence, deltas within eps;
+/// exact by default, as every weight on the 2^-20 grid makes them).
 inline void ExpectStateEquals(const PeelState& expected,
-                              const PeelState& actual, double eps = 1e-9) {
+                              const PeelState& actual, double eps = 0.0) {
   ASSERT_EQ(expected.size(), actual.size());
   for (std::size_t i = 0; i < expected.size(); ++i) {
     ASSERT_EQ(expected.VertexAt(i), actual.VertexAt(i))
@@ -67,12 +71,12 @@ inline void ExpectStateEquals(const PeelState& expected,
 /// Reference validator: replays the sequence against the graph from
 /// definition, checking that (a) each step removes a minimal-weight pending
 /// vertex within `eps` (with the canonical smaller-id tie-break when
-/// `check_tie_break` is set — disable it for continuous weights, where ulp
-/// noise legitimately reorders exact ties), and (b) the stored delta
-/// matches the recomputed peeling weight. O(n * (n + E)).
+/// `check_tie_break` is set — disable it only for weights off the 2^-20
+/// grid, where ulp noise legitimately reorders exact ties), and (b) the
+/// stored delta matches the recomputed peeling weight. O(n * (n + E)).
 inline void ValidateCanonicalSequence(const DynamicGraph& g,
                                       const PeelState& state,
-                                      double eps = 1e-9,
+                                      double eps = 0.0,
                                       bool check_tie_break = true) {
   const std::size_t n = g.NumVertices();
   ASSERT_EQ(state.size(), n);
@@ -120,24 +124,54 @@ inline double InducedDensity(std::span<const Edge> edges,
   return weight / static_cast<double>(in.size());
 }
 
-/// Bit-level capture of one shard detector, taken through InspectShard.
-/// The recovery and corruption suites compare restored fleets against
-/// captures of the live fleet at each checkpoint epoch.
+/// (src, dst, weight) triples, sorted: a graph's multiset of weighted edges
+/// (adjacency order is not part of a detector's state).
+inline std::vector<std::tuple<VertexId, VertexId, double>> EdgeBag(
+    const DynamicGraph& g) {
+  std::vector<std::tuple<VertexId, VertexId, double>> bag;
+  for (std::size_t v = 0; v < g.NumVertices(); ++v) {
+    for (const NeighborEntry& e : g.OutNeighbors(static_cast<VertexId>(v))) {
+      bag.emplace_back(static_cast<VertexId>(v), e.vertex, e.weight);
+    }
+  }
+  std::sort(bag.begin(), bag.end());
+  return bag;
+}
+
+/// Bit-level capture of one detector: peel state, graph (vertex weights
+/// and edge multiset), benign buffer and window log. The recovery,
+/// corruption and failover suites compare restored fleets against captures
+/// of the live fleet at each checkpoint epoch.
 struct ShardCapture {
   PeelState state;
-  std::size_t num_edges = 0;
-  double total_weight = 0.0;
-  std::size_t pending_benign = 0;
+  std::vector<double> vertex_weights;
+  std::vector<std::tuple<VertexId, VertexId, double>> edges;
+  std::vector<Edge> buffer;
+  std::vector<Edge> window;
 };
 
-/// Asserts a restored shard equals a capture exactly (same peeling
-/// sequence and deltas, same graph totals, same benign-buffer depth).
+inline ShardCapture Capture(const Spade& spade) {
+  ShardCapture c;
+  c.state = spade.peel_state();
+  for (std::size_t v = 0; v < spade.graph().NumVertices(); ++v) {
+    c.vertex_weights.push_back(
+        spade.graph().VertexWeight(static_cast<VertexId>(v)));
+  }
+  c.edges = EdgeBag(spade.graph());
+  c.buffer.assign(spade.benign_buffer().begin(), spade.benign_buffer().end());
+  c.window.assign(spade.window().begin(), spade.window().end());
+  return c;
+}
+
+/// Asserts a restored detector equals a capture exactly: same peeling
+/// sequence and deltas, same graph, same benign buffer, same window log.
 inline void ExpectShardEqualsCapture(const ShardCapture& expected,
                                      const ShardCapture& actual) {
-  ExpectStateEquals(expected.state, actual.state, 0.0);
-  EXPECT_EQ(expected.num_edges, actual.num_edges);
-  EXPECT_DOUBLE_EQ(expected.total_weight, actual.total_weight);
-  EXPECT_EQ(expected.pending_benign, actual.pending_benign);
+  ExpectStateEquals(expected.state, actual.state);
+  EXPECT_EQ(expected.vertex_weights, actual.vertex_weights);
+  EXPECT_EQ(expected.edges, actual.edges);
+  EXPECT_EQ(expected.buffer, actual.buffer);
+  EXPECT_EQ(expected.window, actual.window);
 }
 
 }  // namespace spade::testing

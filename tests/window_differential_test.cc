@@ -14,12 +14,14 @@
 #include <algorithm>
 #include <cstdio>
 #include <deque>
+#include <ostream>
 #include <span>
 #include <string>
 #include <tuple>
 #include <vector>
 
 #include "common/rng.h"
+#include "common/simd.h"
 #include "core/period_detector.h"
 #include "core/spade.h"
 #include "core/time_window.h"
@@ -187,7 +189,7 @@ Spade MakeWindowedSpade(const std::string& algo, std::size_t n) {
 /// flushes the whole buffer, so buffered edges are always the newest log
 /// entries), at the logged applied weights; and the peel state equals a
 /// static peel of the graph.
-void ExpectWindowInvariants(const std::string& algo, const Spade& spade,
+void ExpectWindowInvariants(const Spade& spade,
                             const std::deque<Edge>& reference) {
   const std::deque<Edge>& window = spade.window();
   ASSERT_EQ(window.size(), reference.size());
@@ -205,20 +207,12 @@ void ExpectWindowInvariants(const std::string& algo, const Spade& spade,
   std::sort(logged.begin(), logged.end());
   ASSERT_EQ(GraphBag(spade.graph()), logged);
 
-  // DG/DW weights are integers, so the static peel matches tie for tie.
-  // FD weights are continuous: validate canonicality without the
-  // tie-break, as MixedStreamTest does. FD's edges into one destination
-  // share a weight, so its ties are structural; once incremental and
-  // static sums split such a tie by an ulp the two greedy orders may keep
-  // different densest prefixes, so FD densities are not compared.
-  if (algo == "FD") {
-    testing::ValidateCanonicalSequence(spade.graph(), spade.peel_state(),
-                                       1e-9, /*check_tie_break=*/false);
-  } else {
-    const PeelState reference_state = PeelStatic(spade.graph());
-    testing::ExpectStateEquals(reference_state, spade.peel_state());
-    EXPECT_EQ(reference_state.BestStart(), spade.peel_state().BestStart());
-  }
+  // Every applied weight is on the grid, continuous ones included, so the
+  // static peel matches tie for tie and bit for bit.
+  const PeelState reference_state = PeelStatic(spade.graph());
+  testing::ExpectStateEquals(reference_state, spade.peel_state());
+  EXPECT_EQ(reference_state.BestStart(), spade.peel_state().BestStart());
+  EXPECT_EQ(reference_state.BestDensity(), spade.peel_state().BestDensity());
 }
 
 /// Bit-level equality of two detectors that were fed the same history.
@@ -232,104 +226,124 @@ void ExpectSameDetector(const Spade& expected, const Spade& actual) {
   }
 }
 
+// A semantics, and whether raw weights are continuous (1 + 9u) rather
+// than small integers. FD weights are continuous either way.
+struct WindowedCase {
+  const char* algo;
+  bool continuous;
+};
+
+void PrintTo(const WindowedCase& c, std::ostream* os) {
+  *os << c.algo << (c.continuous ? " continuous" : "");
+}
+
 class WindowedSpadeDifferentialTest
-    : public ::testing::TestWithParam<const char*> {};
+    : public ::testing::TestWithParam<WindowedCase> {};
 
 // One Spade with the window log and edge grouping on — how the service
 // runs every windowed partition — fed a random stream with ~10% late
 // arrivals, single and batched admissions, and random RetireOlderThan
 // horizons (monotone or not). Halfway, a SaveState/RestoreState copy joins
-// and is fed the same history. It starts bit-identical with the live
-// detector under every semantics, and under DG/DW stays so to the end.
-// Under FD it only keeps every invariant on its own: the live graph's
-// weighted degrees carry add-then-subtract residue (an emptied vertex can
-// hold 1e-16) that the snapshot does not store, so the restored sums can
-// split one of FD's structural ties the other way.
+// and is fed the same history. Admission puts every weight on the grid,
+// so every sum is exact: the copy stays bit-identical with the live
+// detector to the end under every semantics, and both equal a static peel
+// after every step, on every compiled dispatch target.
 TEST_P(WindowedSpadeDifferentialTest, LogGraphAndPeelAgreeAfterEveryStep) {
-  const std::string algo = GetParam();
+  const std::string algo = GetParam().algo;
+  const bool continuous = GetParam().continuous;
   constexpr std::size_t kMaxVertices = 64;
   constexpr Timestamp kSpan = 150;
   constexpr int kSteps = 400;
   const std::string path = ::testing::TempDir() +
                            "/spade_window_differential_" + algo + ".bin";
-  for (int trial = 0; trial < 6; ++trial) {
-    Rng rng(4242 + static_cast<std::uint64_t>(algo[0]) * 7 +
-            static_cast<std::uint64_t>(algo[1]) + 1000 * trial);
-    std::vector<Spade> detectors;
-    detectors.push_back(MakeWindowedSpade(algo, 8));
-    std::deque<Edge> reference;  // arrival order; weights unused
-    Timestamp now = 0;
-    const auto next_edge = [&] {
-      Edge e = testing::RandomEdge(&rng, kMaxVertices);
-      now += static_cast<Timestamp>(rng.NextBounded(12));
-      e.ts = now;
-      if (rng.NextBounded(10) == 0) {
-        e.ts -= static_cast<Timestamp>(1 + rng.NextBounded(2 * kSpan));
-      }
-      return e;
-    };
-    for (int step = 0; step < kSteps; ++step) {
-      if (step == kSteps / 2) {
-        ASSERT_TRUE(detectors[0].SaveState(path).ok());
-        Spade copy = MakeWindowedSpade(algo, 0);
-        ASSERT_TRUE(copy.RestoreState(path).ok());
-        std::remove(path.c_str());
-        detectors.push_back(std::move(copy));
-        ExpectSameDetector(detectors[0], detectors[1]);
-      }
-      const std::uint64_t dice = rng.NextBounded(10);
-      if (dice < 5) {
-        const std::size_t count = 1 + rng.NextBounded(4);
-        for (std::size_t i = 0; i < count; ++i) {
-          const Edge e = next_edge();
+  for (const auto& target : simd::CompiledSimdTargets()) {
+    SCOPED_TRACE(target.name);
+    simd::SetSimdTargetForTesting(&target);
+    for (int trial = 0; trial < 6; ++trial) {
+      Rng rng(4242 + static_cast<std::uint64_t>(algo[0]) * 7 +
+              static_cast<std::uint64_t>(algo[1]) + 1000 * trial +
+              (continuous ? 500 : 0));
+      std::vector<Spade> detectors;
+      detectors.push_back(MakeWindowedSpade(algo, 8));
+      std::deque<Edge> reference;  // arrival order; weights unused
+      Timestamp now = 0;
+      const auto next_edge = [&] {
+        Edge e = testing::RandomEdge(&rng, kMaxVertices);
+        if (continuous) e.weight = 1.0 + 9.0 * rng.NextDouble();
+        now += static_cast<Timestamp>(rng.NextBounded(12));
+        e.ts = now;
+        if (rng.NextBounded(10) == 0) {
+          e.ts -= static_cast<Timestamp>(1 + rng.NextBounded(2 * kSpan));
+        }
+        return e;
+      };
+      for (int step = 0; step < kSteps; ++step) {
+        if (step == kSteps / 2) {
+          ASSERT_TRUE(detectors[0].SaveState(path).ok());
+          Spade copy = MakeWindowedSpade(algo, 0);
+          ASSERT_TRUE(copy.RestoreState(path).ok());
+          std::remove(path.c_str());
+          detectors.push_back(std::move(copy));
+          ExpectSameDetector(detectors[0], detectors[1]);
+        }
+        const std::uint64_t dice = rng.NextBounded(10);
+        if (dice < 5) {
+          const std::size_t count = 1 + rng.NextBounded(4);
+          for (std::size_t i = 0; i < count; ++i) {
+            const Edge e = next_edge();
+            for (Spade& spade : detectors) {
+              ASSERT_TRUE(spade.ApplyEdge(e).ok());
+            }
+            reference.push_back(e);
+          }
+        } else if (dice < 7) {
+          std::vector<Edge> batch(1 + rng.NextBounded(6));
+          for (Edge& e : batch) e = next_edge();
           for (Spade& spade : detectors) {
-            ASSERT_TRUE(spade.ApplyEdge(e).ok());
+            ASSERT_TRUE(spade.ApplyBatchEdges(batch).ok());
           }
-          reference.push_back(e);
-        }
-      } else if (dice < 7) {
-        std::vector<Edge> batch(1 + rng.NextBounded(6));
-        for (Edge& e : batch) e = next_edge();
-        for (Spade& spade : detectors) {
-          ASSERT_TRUE(spade.ApplyBatchEdges(batch).ok());
-        }
-        reference.insert(reference.end(), batch.begin(), batch.end());
-      } else {
-        const Timestamp horizon =
-            now - static_cast<Timestamp>(rng.NextBounded(2 * kSpan));
-        std::size_t expected = 0;
-        while (expected < reference.size() &&
-               reference[expected].ts < horizon) {
-          ++expected;
-        }
-        for (Spade& spade : detectors) {
-          const auto retired = spade.RetireOlderThan(horizon);
-          ASSERT_TRUE(retired.ok()) << retired.status().ToString();
-          ASSERT_EQ(retired.value().size(), expected);
-          for (std::size_t i = 0; i < expected; ++i) {
-            EXPECT_EQ(retired.value()[i].src, reference[i].src);
-            EXPECT_EQ(retired.value()[i].dst, reference[i].dst);
-            EXPECT_EQ(retired.value()[i].ts, reference[i].ts);
+          reference.insert(reference.end(), batch.begin(), batch.end());
+        } else {
+          const Timestamp horizon =
+              now - static_cast<Timestamp>(rng.NextBounded(2 * kSpan));
+          std::size_t expected = 0;
+          while (expected < reference.size() &&
+                 reference[expected].ts < horizon) {
+            ++expected;
           }
+          for (Spade& spade : detectors) {
+            const auto retired = spade.RetireOlderThan(horizon);
+            ASSERT_TRUE(retired.ok()) << retired.status().ToString();
+            ASSERT_EQ(retired.value().size(), expected);
+            for (std::size_t i = 0; i < expected; ++i) {
+              EXPECT_EQ(retired.value()[i].src, reference[i].src);
+              EXPECT_EQ(retired.value()[i].dst, reference[i].dst);
+              EXPECT_EQ(retired.value()[i].ts, reference[i].ts);
+            }
+          }
+          reference.erase(reference.begin(),
+                          reference.begin() +
+                              static_cast<std::ptrdiff_t>(expected));
         }
-        reference.erase(reference.begin(),
-                        reference.begin() +
-                            static_cast<std::ptrdiff_t>(expected));
-      }
-      for (const Spade& spade : detectors) {
-        ExpectWindowInvariants(algo, spade, reference);
-        if (::testing::Test::HasFatalFailure()) return;
-      }
-      if (detectors.size() == 2 && algo != "FD") {
-        ExpectSameDetector(detectors[0], detectors[1]);
-        if (::testing::Test::HasFailure()) return;
+        for (const Spade& spade : detectors) {
+          ExpectWindowInvariants(spade, reference);
+          if (::testing::Test::HasFatalFailure()) return;
+        }
+        if (detectors.size() == 2) {
+          ExpectSameDetector(detectors[0], detectors[1]);
+          if (::testing::Test::HasFailure()) return;
+        }
       }
     }
+    simd::SetSimdTargetForTesting(nullptr);
   }
 }
 
 INSTANTIATE_TEST_SUITE_P(AllSemantics, WindowedSpadeDifferentialTest,
-                         ::testing::Values("DG", "DW", "FD"));
+                         ::testing::Values(WindowedCase{"DG", false},
+                                           WindowedCase{"DW", false},
+                                           WindowedCase{"DW", true},
+                                           WindowedCase{"FD", false}));
 
 // While the window log is on, expiry is the only way a logged edge leaves:
 // the two unlogged delete paths refuse and change nothing.

@@ -314,18 +314,10 @@ TEST(WireFormat, ServerResyncsAndAppliesExactlyOnce) {
   for (std::size_t s = 0; s < kShards; ++s) {
     testing::ShardCapture want;
     reference.InspectShard(s, [&](const Spade& spade) {
-      want.state = spade.peel_state();
-      want.num_edges = spade.graph().NumEdges();
-      want.total_weight = spade.graph().TotalWeight();
-      want.pending_benign = spade.PendingBenignEdges();
+      want = testing::Capture(spade);
     });
     service.InspectShard(s, [&](const Spade& spade) {
-      testing::ShardCapture got;
-      got.state = spade.peel_state();
-      got.num_edges = spade.graph().NumEdges();
-      got.total_weight = spade.graph().TotalWeight();
-      got.pending_benign = spade.PendingBenignEdges();
-      testing::ExpectShardEqualsCapture(want, got);
+      testing::ExpectShardEqualsCapture(want, testing::Capture(spade));
     });
   }
 }

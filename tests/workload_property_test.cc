@@ -50,10 +50,9 @@ TEST_P(WorkloadSweepTest, ReplayLeavesValidState) {
   EXPECT_GE(report.total_process_micros, 0.0);
   EXPECT_EQ(spade.graph().NumEdges(), w.initial.size() + w.stream.size());
 
-  // Structural validity of the final peeling (tie order unchecked:
-  // semantics weights are continuous).
-  testing::ValidateCanonicalSequence(spade.graph(), spade.peel_state(), 1e-6,
-                                     /*check_tie_break=*/false);
+  // The final peeling is canonical, tie order included: admission put
+  // every semantics weight on the grid, so every sum is exact.
+  testing::ValidateCanonicalSequence(spade.graph(), spade.peel_state());
 
   // The detected community's density matches the definitional recompute.
   const Community c = spade.Detect();

@@ -14,7 +14,8 @@
 // A second section pins the chain behavior at fixed graph size: per-epoch
 // delta cost is flat across a 8-epoch chain, and the chain restores to the
 // final epoch (sanity-checking that the cheap saves are actually
-// restorable, not just small).
+// restorable, not just small) with at most one DeleteBatch and one
+// InsertBatch per partition (`replay_merges`, gated in CI).
 //
 // Emits BENCH_checkpoint.json (path = argv[1], default ./). The repo
 // commits a reference copy; CI uploads a fresh one per run.
@@ -153,6 +154,7 @@ struct ChainReport {
   double restore_ms = 0.0;
   std::uint64_t restored_epoch = 0;
   std::size_t replayed_edges = 0;
+  std::size_t replay_merges = 0;
   bool restore_ok = false;
 };
 
@@ -201,6 +203,7 @@ ChainReport RunChain(std::size_t num_vertices, std::uint64_t seed,
   report.restore_ok = st.ok();
   report.restored_epoch = rinfo.restored_epoch;
   report.replayed_edges = rinfo.delta_edges_replayed;
+  report.replay_merges = rinfo.replay_merges;
   return report;
 }
 
@@ -271,14 +274,16 @@ int main(int argc, char** argv) {
       "\"delta_save_ms_min\": %.2f, \"delta_save_ms_max\": %.2f, "
       "\"delta_save_bytes_min\": %llu, \"delta_save_bytes_max\": %llu, "
       "\"restore_ok\": %s, \"restored_epoch\": %llu, "
-      "\"replayed_edges\": %zu, \"restore_ms\": %.1f}\n",
+      "\"replayed_edges\": %zu, \"restore_ms\": %.1f, "
+      "\"partitions\": %zu, \"replay_merges\": %zu}\n",
       spade::bench::kChainVertices, chain.epochs, chain.delta_ms_min,
       chain.delta_ms_max,
       static_cast<unsigned long long>(chain.delta_bytes_min),
       static_cast<unsigned long long>(chain.delta_bytes_max),
       chain.restore_ok ? "true" : "false",
       static_cast<unsigned long long>(chain.restored_epoch),
-      chain.replayed_edges, chain.restore_ms);
+      chain.replayed_edges, chain.restore_ms, spade::bench::kShards,
+      chain.replay_merges);
   std::fprintf(f, "}\n");
   std::fclose(f);
   std::printf("wrote %s\n", path.c_str());

@@ -17,9 +17,11 @@
 //     splits promote time into its stages: stopping the receiver,
 //     validating the staged segments and the parallel replay, of which
 //     the boundary recounts take "recount" (thread time, summed over
-//     partitions). An eager control run (same tail,
-//     eager_replay=true) shows the warm standby promoting in ~constant
-//     time with nothing left to replay.
+//     partitions). `replay_merges` counts the merges the promote's replay
+//     ran: at most one DeleteBatch and one InsertBatch per partition,
+//     whatever the tail's length (gated in CI). An eager control run (same
+//     tail, eager_replay=true) shows the warm standby promoting in
+//     ~constant time with nothing left to replay.
 //
 // Emits BENCH_replication.json (path = argv[1], default "."). The repo
 // commits a reference copy; CI re-runs the bench and fails when the
@@ -196,6 +198,7 @@ struct FailoverEntry {
   double validate_ms = 0.0;
   double replay_ms = 0.0;
   double recount_ms = 0.0;
+  std::uint64_t replay_merges = 0;
 };
 
 FailoverEntry RunFailover(std::size_t staged_epochs, bool eager) {
@@ -265,6 +268,7 @@ FailoverEntry RunFailover(std::size_t staged_epochs, bool eager) {
   entry.validate_ms = promote.validate_millis;
   entry.replay_ms = promote.replay_millis;
   entry.recount_ms = promote.recount_millis;
+  entry.replay_merges = promote.replay_merges;
   entry.ms_per_kedge =
       promote.replayed_edges > 0
           ? promote.promote_millis * 1000.0 /
@@ -291,9 +295,9 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(wire.batches),
               static_cast<unsigned long long>(wire.resent));
 
-  std::printf("%8s %6s %9s %10s %12s %12s %8s %9s %9s %9s\n", "staged",
+  std::printf("%8s %6s %9s %10s %12s %12s %8s %9s %9s %9s %7s\n", "staged",
               "eager", "replayed", "edges", "promote-ms", "ms/1k-edge",
-              "stop", "validate", "replay", "(recount)");
+              "stop", "validate", "replay", "(recount)", "merges");
   (void)RunFailover(1, false);  // warm-up (allocator, page cache)
 
   std::vector<FailoverEntry> entries;
@@ -303,12 +307,13 @@ int main(int argc, char** argv) {
   entries.push_back(RunFailover(8, /*eager=*/true));  // warm-standby control
   for (const FailoverEntry& e : entries) {
     std::printf("%8zu %6s %9llu %10llu %12.2f %12.3f %8.2f %9.2f %9.2f "
-                "%9.2f\n",
+                "%9.2f %7llu\n",
                 e.staged_epochs, e.eager ? "yes" : "no",
                 static_cast<unsigned long long>(e.replayed_epochs),
                 static_cast<unsigned long long>(e.replayed_edges),
                 e.promote_ms, e.ms_per_kedge, e.stop_ms, e.validate_ms,
-                e.replay_ms, e.recount_ms);
+                e.replay_ms, e.recount_ms,
+                static_cast<unsigned long long>(e.replay_merges));
   }
 
   const std::string path = out_dir + "/BENCH_replication.json";
@@ -344,13 +349,16 @@ int main(int argc, char** argv) {
                  "\"full_restore\": %s, \"promote_ms\": %.2f, "
                  "\"ms_per_1k_edges\": %.3f, \"stages_ms\": {\"stop\": "
                  "%.2f, \"validate\": %.2f, \"replay\": %.2f}, "
-                 "\"recount_in_replay_ms\": %.2f}%s\n",
+                 "\"recount_in_replay_ms\": %.2f, \"partitions\": %zu, "
+                 "\"replay_merges\": %llu}%s\n",
                  e.staged_epochs, e.eager ? "true" : "false",
                  static_cast<unsigned long long>(e.replayed_epochs),
                  static_cast<unsigned long long>(e.replayed_edges),
                  e.full_restore ? "true" : "false", e.promote_ms,
                  e.ms_per_kedge, e.stop_ms, e.validate_ms, e.replay_ms,
-                 e.recount_ms, i + 1 == entries.size() ? "" : ",");
+                 e.recount_ms, kShards,
+                 static_cast<unsigned long long>(e.replay_merges),
+                 i + 1 == entries.size() ? "" : ",");
   }
   std::fprintf(f, "  ]\n}\n");
   std::fclose(f);

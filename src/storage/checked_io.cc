@@ -31,9 +31,10 @@ const std::array<std::uint64_t, 256>& CrcTable() {
 
 std::uint64_t Crc64(const void* data, std::size_t size, std::uint64_t seed) {
   const auto* bytes = static_cast<const unsigned char*>(data);
+  const std::array<std::uint64_t, 256>& table = CrcTable();
   std::uint64_t crc = ~seed;
   for (std::size_t i = 0; i < size; ++i) {
-    crc = CrcTable()[(crc ^ bytes[i]) & 0xFF] ^ (crc >> 8);
+    crc = table[(crc ^ bytes[i]) & 0xFF] ^ (crc >> 8);
   }
   return ~crc;
 }

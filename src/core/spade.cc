@@ -175,6 +175,13 @@ bool Spade::IsBenign(const Edge& weighted_edge) const {
   return true;
 }
 
+void Spade::Buffer(const Edge& weighted) {
+  benign_buffer_.push_back(weighted);
+  pending_wdeg_[weighted.src] += weighted.weight;
+  pending_wdeg_[weighted.dst] += weighted.weight;
+  buffered_mass_ += weighted.weight;
+}
+
 std::vector<Edge> Spade::TakeBuffer() {
   std::vector<Edge> batch;
   batch.swap(benign_buffer_);
@@ -220,10 +227,7 @@ Status Spade::Admit(const Edge& weighted) {
   if (options_.enable_edge_grouping) {
     if (IsBenign(weighted) &&
         benign_buffer_.size() < options_.max_benign_buffer) {
-      benign_buffer_.push_back(weighted);
-      pending_wdeg_[weighted.src] += weighted.weight;
-      pending_wdeg_[weighted.dst] += weighted.weight;
-      buffered_mass_ += weighted.weight;
+      Buffer(weighted);
       return Status::OK();
     }
     // Urgent edge: reorder the whole buffer together with it (Algorithm 3).
@@ -393,12 +397,7 @@ Result<std::size_t> Spade::ReplayDelta(
   TakeBuffer();
   SPADE_RETURN_NOT_OK(
       InsertWeightedBatch(survivors.first(survivors.size() - tail)));
-  for (const Edge& e : survivors.last(tail)) {
-    benign_buffer_.push_back(e);
-    pending_wdeg_[e.src] += e.weight;
-    pending_wdeg_[e.dst] += e.weight;
-    buffered_mass_ += e.weight;
-  }
+  for (const Edge& e : survivors.last(tail)) Buffer(e);
   if (window_on_) {
     const std::size_t dropped = std::min(front, logged);
     window_.erase(window_.begin(),

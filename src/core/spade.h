@@ -238,6 +238,9 @@ class Spade {
   /// Graph mass plus the benign buffer's: what kMaxPartitionMass bounds.
   double Mass() const { return graph_.TotalWeight() + buffered_mass_; }
 
+  /// Appends a weighted edge to the benign buffer and its pending sums.
+  void Buffer(const Edge& weighted);
+
   /// Empties the benign buffer into a batch for the engine.
   std::vector<Edge> TakeBuffer();
 

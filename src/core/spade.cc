@@ -312,7 +312,15 @@ Result<std::size_t> Spade::ReplayDelta(
     std::span<const DeltaSegment> segments) {
   if (segments.empty()) return std::size_t{0};
   // The arrival-ordered list: the buffered edges, then the range's inserts.
-  std::vector<Edge> arrivals(benign_buffer_.begin(), benign_buffer_.end());
+  std::size_t inserts = 0;
+  for (const DeltaSegment& segment : segments) {
+    for (const DeltaRecord& record : segment.records) {
+      inserts += record.retire ? 0 : 1;
+    }
+  }
+  std::vector<Edge> arrivals;
+  arrivals.reserve(benign_buffer_.size() + inserts);
+  arrivals.assign(benign_buffer_.begin(), benign_buffer_.end());
   const std::size_t buffered = arrivals.size();
   // With the log on, the buffer is the log's tail, so the log followed by
   // the range's inserts is the window the live detector popped from. Its
@@ -339,12 +347,13 @@ Result<std::size_t> Spade::ReplayDelta(
           window_.begin());
       if (front < logged) return front - start;
     }
-    const auto inserts = arrivals.begin() + static_cast<std::ptrdiff_t>(buffered);
+    const auto logged_end =
+        arrivals.begin() + static_cast<std::ptrdiff_t>(buffered);
     front = logged + static_cast<std::size_t>(
-                         ExpiredEnd(inserts + static_cast<std::ptrdiff_t>(
-                                                  front - logged),
+                         ExpiredEnd(logged_end + static_cast<std::ptrdiff_t>(
+                                                     front - logged),
                                     arrivals.end(), horizon) -
-                         inserts);
+                         logged_end);
     return front - start;
   };
   for (const DeltaSegment& segment : segments) {

@@ -360,8 +360,9 @@ TEST(WindowedSpadeTest, UnloggedDeletesRefuseWhileTheLogIsOn) {
   EXPECT_EQ(spade.window().size(), 1u);
 }
 
-// Only a pass that retires something flushes the benign buffer: an
-// unrecorded flush would move the flush points a replayed chain reproduces.
+// Only a pass that retires something flushes the benign buffer: a pass
+// that finds nothing old enough keeps grouping's amortization, and the
+// buffer stays the window log's tail (which chain replay relies on).
 TEST(WindowedSpadeTest, OnlyAPassThatRetiresFlushes) {
   Spade spade = MakeWindowedSpade("DW", 6);
   // A heavy triangle sets the density at 100, so a light edge is benign.

@@ -138,7 +138,7 @@ Entry BenchAgainstStatic(std::string name, std::string note,
   e.after_us = MeasureUpdateBatchMicros(
       g0, PeelStatic(g0), stream,
       [&](DynamicGraph* g, PeelState* state, const Edge& ed) {
-        (void)engine.InsertEdge(g, state, ed, nullptr, nullptr);
+        (void)engine.InsertEdge(g, state, ed, nullptr);
         return state->BestDensity();
       },
       5, &e.after_pct);

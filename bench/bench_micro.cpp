@@ -71,7 +71,7 @@ void BM_IncrementalInsert(benchmark::State& state) {
   Rng rng(13);
   for (auto _ : state) {
     const Edge e = RandomZipfEdge(&rng, n);
-    const Status s = engine.InsertEdge(&g, &peel, e, nullptr, nullptr);
+    const Status s = engine.InsertEdge(&g, &peel, e, nullptr);
     benchmark::DoNotOptimize(s.ok());
   }
 }
@@ -91,7 +91,7 @@ void BM_IncrementalInsertUniformWorstCase(benchmark::State& state) {
       e.dst = static_cast<VertexId>(rng.NextBounded(n));
     }
     e.weight = 1.0 + rng.NextDouble() * 9.0;
-    const Status s = engine.InsertEdge(&g, &peel, e, nullptr, nullptr);
+    const Status s = engine.InsertEdge(&g, &peel, e, nullptr);
     benchmark::DoNotOptimize(s.ok());
   }
 }
@@ -107,7 +107,7 @@ void BM_BatchInsert(benchmark::State& state) {
   for (auto _ : state) {
     std::vector<Edge> edges(batch);
     for (Edge& e : edges) e = RandomZipfEdge(&rng, n);
-    const Status s = engine.InsertBatch(&g, &peel, edges, nullptr, nullptr);
+    const Status s = engine.InsertBatch(&g, &peel, edges, nullptr);
     benchmark::DoNotOptimize(s.ok());
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
@@ -124,7 +124,7 @@ void BM_DeleteEdge(benchmark::State& state) {
   for (auto _ : state) {
     // Insert-then-delete keeps the graph size stable across iterations.
     const Edge e = RandomZipfEdge(&rng, n);
-    (void)engine.InsertEdge(&g, &peel, e, nullptr, nullptr);
+    (void)engine.InsertEdge(&g, &peel, e, nullptr);
     const Status s =
         engine.DeleteEdge(&g, &peel, e.src, e.dst, nullptr, &e.weight);
     benchmark::DoNotOptimize(s.ok());

@@ -249,7 +249,7 @@ Entry BenchDetectAfterEdge(const ZipfBase& base,
     volatile double guard = 0.0;
     Timer timer;
     for (const Edge& e : stream) {
-      (void)engine.InsertEdge(&g, &state, e, nullptr, nullptr);
+      (void)engine.InsertEdge(&g, &state, e, nullptr);
       guard = state.BestDensity();
     }
     const double elapsed = timer.ElapsedSeconds();
@@ -290,7 +290,7 @@ Entry BenchDetectAfterHeavyEdge(const ZipfBase& base,
     const std::uint64_t rebuilds_before = state.HullRebuilds();
     double detect_s = 0.0;
     for (const Edge& e : stream) {
-      (void)engine.InsertEdge(&g, &state, e, nullptr, &stats);
+      (void)engine.InsertEdge(&g, &state, e, &stats);
       Timer timer;
       guard = state.BestDensity();
       detect_s += timer.ElapsedSeconds();

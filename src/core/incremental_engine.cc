@@ -19,15 +19,12 @@ std::string DescribeEdge(const Edge& e) {
 }  // namespace
 
 Status IncrementalEngine::InsertEdge(DynamicGraph* g, PeelState* state,
-                                     const Edge& edge,
-                                     const VertexSuspFn& vsusp,
-                                     ReorderStats* stats) {
-  return InsertBatch(g, state, std::span<const Edge>(&edge, 1), vsusp, stats);
+                                     const Edge& edge, ReorderStats* stats) {
+  return InsertBatch(g, state, std::span<const Edge>(&edge, 1), stats);
 }
 
 Status IncrementalEngine::InsertBatch(DynamicGraph* g, PeelState* state,
                                       std::span<const Edge> edges,
-                                      const VertexSuspFn& vsusp,
                                       ReorderStats* stats) {
   if (edges.empty() && state->size() == g->NumVertices()) {
     return Status::OK();
@@ -41,57 +38,25 @@ Status IncrementalEngine::InsertBatch(DynamicGraph* g, PeelState* state,
     }
   }
 
-  // Vertex insertion (§4.1): unseen endpoints join the head of the peeling
-  // sequence carrying their prior suspiciousness as the initial peeling
-  // weight (Δ0 = 0 when the semantics assigns no prior). Gap ids implied by
-  // a sparse id space are registered as isolated prior-0 vertices so the
-  // state always covers the graph. All created vertices are marked black
-  // below: the merge then places them canonically relative to existing
-  // equal-weight vertices.
+  // Vertex insertion (§4.1): every id the graph covers once it spans the
+  // batch's endpoints, but the state does not — unseen endpoints, gap ids
+  // implied by a sparse id space, ids the caller already grew the graph to
+  // — joins the head of the peeling sequence carrying its stored vertex
+  // weight (the prior the caller set; 0 for an id it never weighed) as its
+  // initial peeling weight, so the state always covers the graph. All
+  // created vertices are marked black below: the merge then places them
+  // canonically relative to existing equal-weight vertices, whatever order
+  // they joined the head in.
   new_vertices_.clear();
-  batch_endpoints_.clear();
   for (const Edge& e : edges) {
-    batch_endpoints_.push_back(e.src);
-    batch_endpoints_.push_back(e.dst);
+    g->EnsureVertices(static_cast<std::size_t>(std::max(e.src, e.dst)) + 1);
   }
-  std::sort(batch_endpoints_.begin(), batch_endpoints_.end());
-  const auto is_batch_endpoint = [&](VertexId nv) {
-    return std::binary_search(batch_endpoints_.begin(),
-                              batch_endpoints_.end(), nv);
-  };
-  // Register every id the graph ends up covering but the state does not —
-  // gap ids implied by a sparse id space, or ids a caller already created
-  // in the graph (Spade grows the graph, and sets new endpoints' priors,
-  // before weighting) — as isolated vertices at their stored weight, so the
-  // state always covers the graph. Batch endpoints are excluded from gap
-  // filling: each takes the prior-carrying branch of its own iteration,
-  // regardless of the order endpoints are reached. The gap cursor only
-  // moves forward, so across the whole batch every id is inspected once
-  // (state coverage is dense below it apart from skipped endpoints, which
-  // their own iterations fill before the merge).
-  auto gap_cursor = static_cast<VertexId>(state->size());
-  const auto fill_gaps = [&] {
-    for (; gap_cursor < g->NumVertices(); ++gap_cursor) {
-      if (!is_batch_endpoint(gap_cursor) &&
-          !state->ContainsVertex(gap_cursor)) {
-        state->InsertVertexAtHead(gap_cursor, g->VertexWeight(gap_cursor));
-        new_vertices_.push_back(gap_cursor);
-      }
-    }
-  };
-  for (const Edge& e : edges) {
-    for (VertexId v : {e.src, e.dst}) {
-      if (v >= g->NumVertices() || !state->ContainsVertex(v)) {
-        g->EnsureVertices(v + 1);
-        fill_gaps();
-        const double prior = vsusp ? vsusp(v, *g) : 0.0;
-        g->SetVertexWeight(v, prior);
-        state->InsertVertexAtHead(v, prior);
-        new_vertices_.push_back(v);
-      }
-    }
+  const auto covered = static_cast<VertexId>(state->size());
+  for (VertexId v = covered; v < g->NumVertices(); ++v) {
+    if (state->ContainsVertex(v)) continue;
+    state->InsertVertexAtHead(v, g->VertexWeight(v));
+    new_vertices_.push_back(v);
   }
-  fill_gaps();  // ids past every endpoint that the graph already covers
 
   // Apply the edges, then mark every created vertex and every endpoint
   // black: their stored peeling weights understate the new edges (or their

@@ -93,21 +93,21 @@ class IncrementalEngine {
  public:
   /// Inserts a batch of weighted edges (weight = final suspiciousness c_ij)
   /// into `g` and reorders `state` so it equals a from-scratch peel of the
-  /// updated graph. Unknown endpoints are created as new vertices whose
-  /// prior comes from `vsusp` (may be null => prior 0); every other id the
-  /// graph covers but the state does not joins with its stored vertex
-  /// weight, so an empty batch over a grown graph registers its new
-  /// vertices in one merge.
+  /// updated graph. The graph grows to cover every endpoint, and every id
+  /// it covers but the state does not joins at its stored vertex weight:
+  /// a caller gives a new vertex its prior by growing the graph and
+  /// setting that weight first (an id it never weighed joins at 0). An
+  /// empty batch over a grown graph registers its new vertices in one
+  /// merge.
   ///
-  /// Preconditions: `state` is a valid peeling of `g`; every edge weight is
-  /// positive.
+  /// Preconditions: `state` is a valid peeling of `g` but for ids past its
+  /// coverage; every edge weight is positive.
   Status InsertBatch(DynamicGraph* g, PeelState* state,
-                     std::span<const Edge> edges, const VertexSuspFn& vsusp,
-                     ReorderStats* stats);
+                     std::span<const Edge> edges, ReorderStats* stats);
 
   /// Single-edge convenience wrapper (|ΔE| = 1).
   Status InsertEdge(DynamicGraph* g, PeelState* state, const Edge& edge,
-                    const VertexSuspFn& vsusp, ReorderStats* stats);
+                    ReorderStats* stats);
 
   /// Removes a batch of edges from `g` and restores `state` to the
   /// canonical peeling of the shrunken graph (Appendix C.1 extension). Each
@@ -377,7 +377,7 @@ class IncrementalEngine {
 
   std::vector<std::size_t> black_positions_;
   std::vector<VertexId> new_vertices_;
-  std::vector<VertexId> batch_endpoints_;  // sorted (deduplicated on delete)
+  std::vector<VertexId> batch_endpoints_;  // DeleteBatch's, sorted, unique
   std::vector<Edge> delete_keys_;          // CheckDeleteBatch scratch
 
   // A splice-walk event: at slot `pos` the endpoint loses `weight`.

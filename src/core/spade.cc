@@ -17,12 +17,6 @@ bool IsAdmissibleWeight(double weight) {
   return std::isfinite(weight) && weight > 0.0;
 }
 
-/// The engine's prior for a vertex it registers: the weight admission
-/// already stored on the graph (0 for an id skipped over).
-double StoredPrior(VertexId v, const DynamicGraph& g) {
-  return g.VertexWeight(v);
-}
-
 /// The window log's expired prefix ends at the first entry at or past the
 /// horizon: a late arrival shields the entries behind it. The one prefix
 /// pop of RetireOlderThan and ReplayDelta.
@@ -78,22 +72,23 @@ Status Spade::AdmitWeighted(std::span<const Edge> weighted,
     mass += e.weight;
   }
   // Priors in the order the endpoints first appear, each read against the
-  // graph with the earlier ones set — as the engine used to read them.
-  std::vector<VertexId> fresh;
+  // graph with the earlier ones set. The new ids are exactly
+  // [num_vertices, NumVertices()).
+  std::vector<char> fresh(graph_.NumVertices() - num_vertices, 0);
   for (const Edge& e : weighted) {
     for (VertexId v : {e.src, e.dst}) {
-      if (v < num_vertices ||
-          std::find(fresh.begin(), fresh.end(), v) != fresh.end()) {
-        continue;
-      }
+      if (v < num_vertices || fresh[v - num_vertices]) continue;
+      fresh[v - num_vertices] = 1;
       const double prior = Prior(v);
       graph_.SetVertexWeight(v, prior);
-      fresh.push_back(v);
       mass += prior;
     }
   }
   if (!(mass <= kMaxPartitionMass)) {
-    for (VertexId v : fresh) graph_.SetVertexWeight(v, 0.0);
+    for (std::size_t i = 0; i < fresh.size(); ++i) {
+      const auto v = static_cast<VertexId>(num_vertices + i);
+      graph_.SetVertexWeight(v, 0.0);
+    }
     graph_.TruncateVertices(num_vertices);
     return Status::InvalidArgument(MassRefusal(caller, mass));
   }
@@ -196,8 +191,7 @@ Status Spade::Flush() {
 }
 
 Status Spade::InsertWeightedBatch(std::span<const Edge> weighted) {
-  return engine_.InsertBatch(&graph_, &state_, weighted, StoredPrior,
-                             &stats_);
+  return engine_.InsertBatch(&graph_, &state_, weighted, &stats_);
 }
 
 Status Spade::ApplyEdge(const Edge& raw_edge, double* applied_weight) {
@@ -295,9 +289,8 @@ Result<std::vector<Edge>> Spade::RetireOlderThan(Timestamp horizon) {
   std::vector<Edge> retired;
   const auto expired = ExpiredEnd(window_.begin(), window_.end(), horizon);
   if (expired == window_.begin()) return retired;
-  // Only a pass that retires anything flushes, so the benign buffer is
-  // always a suffix of the log past its last retire pass (ReplayDelta
-  // relies on it).
+  // An expired entry may still sit in the benign buffer, not yet in the
+  // graph the batch deletes from.
   SPADE_RETURN_NOT_OK(Flush());
   // One batch at the logged weights (FD's degree term has moved on since
   // admission); the log keeps its prefix unless the whole batch applies.
@@ -311,32 +304,25 @@ Result<std::vector<Edge>> Spade::RetireOlderThan(Timestamp horizon) {
 Result<std::size_t> Spade::ReplayDelta(
     std::span<const DeltaSegment> segments) {
   if (segments.empty()) return std::size_t{0};
-  // The arrival-ordered list: the buffered edges, then the range's inserts.
+  // A base or a sealed epoch holds no buffered edge: saves and seals flush.
+  if (!benign_buffer_.empty()) {
+    return Status::FailedPrecondition(
+        "ReplayDelta: the benign buffer is not empty");
+  }
   std::size_t inserts = 0;
   for (const DeltaSegment& segment : segments) {
     for (const DeltaRecord& record : segment.records) {
       inserts += record.retire ? 0 : 1;
     }
   }
-  std::vector<Edge> arrivals;
-  arrivals.reserve(benign_buffer_.size() + inserts);
-  arrivals.assign(benign_buffer_.begin(), benign_buffer_.end());
-  const std::size_t buffered = arrivals.size();
-  // With the log on, the buffer is the log's tail, so the log followed by
-  // the range's inserts is the window the live detector popped from. Its
-  // first `resident` entries are in the graph.
-  const std::size_t logged = window_on_ ? window_.size() : 0;
-  if (window_on_ &&
-      (logged < buffered ||
-       !std::equal(benign_buffer_.begin(), benign_buffer_.end(),
-                   window_.end() - static_cast<std::ptrdiff_t>(buffered)))) {
-    return Status::FailedPrecondition(
-        "ReplayDelta: the benign buffer is not the window log's tail");
-  }
-  const std::size_t resident = logged - (window_on_ ? buffered : 0);
+  std::vector<Edge> arrivals;  // the range's inserts, in arrival order
+  arrivals.reserve(inserts);
+  // The log followed by `arrivals` is the window the live detector popped
+  // from (with the log off, no pass retires anything).
+  const std::size_t logged = window_.size();
 
   // Pass 1, nothing changes: rebuild the window's pops. `front` counts the
-  // popped entries of the log followed by the range's inserts.
+  // popped entries of the log followed by the arrivals so far.
   std::size_t front = 0;
   const auto pop = [&](Timestamp horizon) {
     const std::size_t start = front;
@@ -347,13 +333,12 @@ Result<std::size_t> Spade::ReplayDelta(
           window_.begin());
       if (front < logged) return front - start;
     }
-    const auto logged_end =
-        arrivals.begin() + static_cast<std::ptrdiff_t>(buffered);
     front = logged + static_cast<std::size_t>(
-                         ExpiredEnd(logged_end + static_cast<std::ptrdiff_t>(
-                                                     front - logged),
+                         ExpiredEnd(arrivals.begin() +
+                                        static_cast<std::ptrdiff_t>(
+                                            front - logged),
                                     arrivals.end(), horizon) -
-                         logged_end);
+                         arrivals.begin());
     return front - start;
   };
   for (const DeltaSegment& segment : segments) {
@@ -371,15 +356,7 @@ Result<std::size_t> Spade::ReplayDelta(
       }
     }
   }
-  const std::size_t retired = std::min(front, resident);
-  const std::size_t first_survivor = front - retired;
-  const std::size_t tail = segments.back().buffered_tail;
-  if (tail > arrivals.size() - first_survivor) {
-    return Status::Internal(
-        "epoch " + std::to_string(segments.back().epoch) + ": " +
-        std::to_string(tail) + " buffered edges recorded, " +
-        std::to_string(arrivals.size() - first_survivor) + " survive");
-  }
+  const std::size_t retired = std::min(front, logged);
 
   // Pass 2: the logged edges the range retired leave in one batch (atomic:
   // on failure nothing has changed).
@@ -391,31 +368,21 @@ Result<std::size_t> Spade::ReplayDelta(
   }
   // Every vertex an insert record names, as live admission created it: an
   // endpoint past the graph takes its prior, an id skipped over weighs 0.
-  for (auto e = arrivals.begin() + static_cast<std::ptrdiff_t>(buffered);
-       e != arrivals.end(); ++e) {
+  for (const Edge& e : arrivals) {
     const std::size_t num_vertices = graph_.NumVertices();
-    EnsureEndpoints(*e);
-    for (VertexId v : {e->src, e->dst}) {
+    EnsureEndpoints(e);
+    for (VertexId v : {e.src, e.dst}) {
       if (v >= num_vertices) graph_.SetVertexWeight(v, Prior(v));
     }
   }
-  // The survivors enter in one batch, but for the tail the seal found
-  // still buffered.
+  // The arrivals no pass popped enter in one batch.
   const auto survivors =
-      std::span<const Edge>(arrivals).subspan(first_survivor);
-  TakeBuffer();
-  SPADE_RETURN_NOT_OK(
-      InsertWeightedBatch(survivors.first(survivors.size() - tail)));
-  for (const Edge& e : survivors.last(tail)) Buffer(e);
+      std::span<const Edge>(arrivals).subspan(front - retired);
+  SPADE_RETURN_NOT_OK(InsertWeightedBatch(survivors));
   if (window_on_) {
-    const std::size_t dropped = std::min(front, logged);
     window_.erase(window_.begin(),
-                  window_.begin() + static_cast<std::ptrdiff_t>(dropped));
-    window_.insert(
-        window_.end(),
-        arrivals.begin() +
-            static_cast<std::ptrdiff_t>(buffered + (front - dropped)),
-        arrivals.end());
+                  window_.begin() + static_cast<std::ptrdiff_t>(retired));
+    window_.insert(window_.end(), survivors.begin(), survivors.end());
   }
   return stats_.merges - merges;
 }

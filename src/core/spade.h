@@ -155,13 +155,12 @@ class Spade {
   /// runs again. The window log is rebuilt from the records: each retire
   /// record pops its horizon with RetireOlderThan's prefix pop, and a pass
   /// that pops a different count than recorded fails with kInternal naming
-  /// its epoch, before anything changes. The benign buffer followed by the
-  /// range's inserts is one arrival-ordered list. Its last `buffered_tail`
-  /// entries (the last segment's) go back into the buffer; the logged edges
-  /// the range retired leave the graph in one DeleteBatch; the rest enter
-  /// it in one InsertBatch, together with every vertex an insert record
-  /// names, each new one at the prior VSusp gives it here. Returns the
-  /// merges run: at most 2.
+  /// its epoch, before anything changes. The logged edges the range
+  /// retired leave the graph in one DeleteBatch; the inserts no pass popped
+  /// enter it in one InsertBatch, together with every vertex an insert
+  /// record names, each new one at the prior VSusp gives it here. The
+  /// benign buffer must be empty, as every save and seal leaves it (else
+  /// kFailedPrecondition). Returns the merges run: at most 2.
   Result<std::size_t> ReplayDelta(std::span<const DeltaSegment> segments);
 
   /// Definition 4.1 on an already-weighted edge: true iff neither endpoint

@@ -523,14 +523,16 @@ Status ShardWorker::SavePartitionDelta(std::size_t pid,
         "ShardWorker::SavePartitionDelta: delta log overflowed; a full "
         "SavePartition is required");
   }
+  // DrainFor detected, and so flushed, every partition, but ingest racing
+  // between the drain and the lock above can leave edges buffered. The
+  // seal flushes them, as a full save does, so every logged insert is in
+  // the graph the segment describes and replay starts from an empty
+  // buffer. The partition stays dirty: the next settle detects it.
+  SPADE_RETURN_NOT_OK(p->spade.Flush());
   DeltaSegment segment;
   segment.shard = shard;
   segment.prev_epoch = prev_epoch;
   segment.epoch = epoch;
-  // Usually 0 (DrainFor detected, and so flushed, every partition), but
-  // ingest racing between the drain and the lock above can leave edges
-  // buffered; replay puts them back.
-  segment.buffered_tail = p->spade.PendingBenignEdges();
   segment.records = std::move(p->delta_log);
   p->delta_log.clear();
   std::uint64_t bytes = 0;

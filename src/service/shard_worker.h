@@ -463,12 +463,12 @@ class ShardWorker {
   /// applied history since the last checkpoint (inserts at their applied
   /// weights, retire passes) as a delta segment advancing `prev_epoch` ->
   /// `epoch` (`shard` is the segment tag — the sharded service passes the
-  /// pid), with the benign buffer's depth as its buffered tail, and clears
-  /// the log. Cost is O(edges
-  /// since last checkpoint) — the detector state is not touched (no flush,
-  /// no reorder). Fails with kFailedPrecondition when no checkpoint
-  /// baseline exists (tracking never started) or the log overflowed
-  /// kMaxDeltaLog; the caller falls back to a full SavePartition.
+  /// pid), and clears the log. Cost is O(edges since last checkpoint): the
+  /// drain already flushed, so the detector state is not touched, but for
+  /// one flush of edges buffered by ingest that raced the drain. Fails
+  /// with kFailedPrecondition when no checkpoint baseline exists (tracking
+  /// never started) or the log overflowed kMaxDeltaLog; the caller falls
+  /// back to a full SavePartition.
   Status SavePartitionDelta(std::size_t pid, const std::string& path,
                             std::uint32_t shard, std::uint64_t prev_epoch,
                             std::uint64_t epoch,

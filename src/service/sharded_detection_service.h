@@ -540,8 +540,8 @@ class ShardedDetectionService {
   /// is restored; the stitched snapshot *and* the stitch counters are
   /// reset, so stats() describes the restored run. The directory's chain
   /// is resumed: the next SaveState into it appends a delta epoch. Only
-  /// manifest version 5 is accepted; any other fails with kIOError naming
-  /// it.
+  /// manifest version 6 is accepted; any other fails with kIOError naming
+  /// it, before any file of the directory is touched.
   Status RestoreState(const std::string& dir, RestoreInfo* info = nullptr);
 
   /// Warm-standby increment: applies delta epochs [first_epoch, last_epoch]

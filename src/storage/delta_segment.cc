@@ -23,7 +23,6 @@ Status WriteDeltaSegment(const std::string& path, const DeltaSegment& segment,
   writer.Write(segment.shard);
   writer.Write(segment.prev_epoch);
   writer.Write(segment.epoch);
-  writer.Write(segment.buffered_tail);
   writer.Write(static_cast<std::uint64_t>(segment.records.size()));
   for (const DeltaRecord& r : segment.records) {
     if (r.retire) {
@@ -53,8 +52,7 @@ Status ReadDeltaSegment(const std::string& path, DeltaSegment* segment) {
   DeltaSegment parsed;
   std::uint64_t num_records = 0;
   if (!reader.Read(&parsed.shard) || !reader.Read(&parsed.prev_epoch) ||
-      !reader.Read(&parsed.epoch) || !reader.Read(&parsed.buffered_tail) ||
-      !reader.Read(&num_records)) {
+      !reader.Read(&parsed.epoch) || !reader.Read(&num_records)) {
     return Status::IOError(path + ": truncated delta segment header");
   }
   if (parsed.epoch != parsed.prev_epoch + 1) {

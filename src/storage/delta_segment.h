@@ -9,9 +9,9 @@
 // A segment records the shard's *applied history* since the previous
 // checkpoint epoch: the inserted edges in application order, each at the
 // weight it was admitted with (ESusp already applied, on the 2^-20 grid),
-// interleaved with retire records at every window-expiry pass, plus the
-// number of the chain's last inserts that were still in the benign buffer
-// at the seal. Because admission puts every weight on the grid and bounds
+// interleaved with retire records at every window-expiry pass. The seal
+// flushes the benign buffer, so every logged insert is in the graph it
+// describes. Because admission puts every weight on the grid and bounds
 // the mass, the peel state is a function of the weighted graph alone
 // (DESIGN.md §2.2), so restore does not re-run the history record by
 // record: Spade::ReplayDelta applies a whole range as one DeleteBatch and
@@ -27,7 +27,7 @@
 //
 // Format (little-endian, version 4):
 //   [magic u64 "SPADE_DS"][version u32]
-//   [shard u32][prev_epoch u64][epoch u64][buffered_tail u64]
+//   [shard u32][prev_epoch u64][epoch u64]
 //   [num_records u64]
 //   records: [tag u8 = 0][src u32][dst u32][weight f64][ts i64]  (insert)
 //          | [tag u8 = 2][horizon i64][retired u64]              (retire)
@@ -71,9 +71,6 @@ struct DeltaSegment {
   std::uint32_t shard = 0;
   std::uint64_t prev_epoch = 0;  // checkpoint epoch this segment extends
   std::uint64_t epoch = 0;       // checkpoint epoch it advances to
-  /// How many of the chain's last insert records were still in the benign
-  /// buffer at the seal (usually 0: the seal drains first).
-  std::uint64_t buffered_tail = 0;
   std::vector<DeltaRecord> records;
 
   /// Edges the segment inserts or retires.

@@ -15,7 +15,7 @@ namespace spade {
 namespace {
 
 constexpr char kMagic[] = "spade-shard-manifest";
-constexpr int kVersion = 5;
+constexpr int kVersion = 6;
 constexpr char kManifestName[] = "manifest.spade";
 
 Status Malformed(const std::string& path, const std::string& what) {

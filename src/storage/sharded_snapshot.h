@@ -11,8 +11,8 @@
 // matches the restoring service before touching any shard, so a 4-shard
 // snapshot cannot be half-loaded into an 8-shard service.
 //
-// Format (manifest.spade, version 5 — lines in exactly this order):
-//   spade-shard-manifest 5
+// Format (manifest.spade, version 6 — lines in exactly this order):
+//   spade-shard-manifest 6
 //   shards <N>
 //   semantics <name>
 //   epoch <E>                                   (checkpoint epoch restored to)
@@ -25,10 +25,13 @@
 //   crc <16 hex digits>                         (CRC-64 of all bytes above)
 //
 // Every artifact the manifest references has exactly one on-disk version
-// too (base snapshot 2, delta segment 3), so the manifest needs no
-// per-file format line. The reader accepts version 5 only and names any
-// other version it finds: a directory written by an older build fails
-// here, at its manifest, not deep inside one of its binary files.
+// too (base snapshot 2, delta segment 4), so the manifest needs no
+// per-file format line, and a change to any of those layouts bumps the
+// manifest version with it. The reader accepts version 6 only and names
+// any other version it finds: a directory written by an older build fails
+// here, at its manifest, not deep inside one of its binary files (where a
+// segment that fails to read would look like a torn chain tail). Version
+// 6 has version 5's lines; it marks delta segment 4.
 //
 // `placement` rows record where each partition lived when the checkpoint
 // was taken, for fleets whose work-stealing rebalancer moved partitions

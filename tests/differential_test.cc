@@ -196,10 +196,9 @@ TEST(RecoveryModeTest, InsertionsUseO1RecoveryNotRescans) {
   IncrementalEngine engine;
   ReorderStats stats;
   for (int i = 0; i < 50; ++i) {
-    ASSERT_TRUE(engine
-                    .InsertEdge(&g, &state, testing::RandomEdge(&rng, 100),
-                                nullptr, &stats)
-                    .ok());
+    ASSERT_TRUE(
+        engine.InsertEdge(&g, &state, testing::RandomEdge(&rng, 100), &stats)
+            .ok());
   }
   // Every affected vertex beyond the two endpoints enters the queue through
   // the O(1) recovery, not an incident-list rescan.
@@ -656,12 +655,10 @@ TEST_F(BulkScanTest, InsertHeavyHubStreamMatchesStaticTieExact) {
       for (std::size_t i = 0; i < size; ++i) {
         batch.push_back(HubEdge(&rng, kN, 4));
       }
-      ASSERT_TRUE(engine.InsertBatch(&g, &state, batch, nullptr, &stats).ok());
+      ASSERT_TRUE(engine.InsertBatch(&g, &state, batch, &stats).ok());
     } else {
-      ASSERT_TRUE(engine
-                      .InsertEdge(&g, &state, HubEdge(&rng, kN, 4), nullptr,
-                                  &stats)
-                      .ok());
+      ASSERT_TRUE(
+          engine.InsertEdge(&g, &state, HubEdge(&rng, kN, 4), &stats).ok());
     }
     if (step % 150 == 0) {
       SCOPED_TRACE(::testing::Message() << "step " << step);
@@ -714,7 +711,7 @@ TEST_F(BulkScanTest, DeleteStreamBetweenInsertsMatchesStatic) {
     ExpectStatic(g, state);
     for (int i = 0; i < 3; ++i) {
       const Edge e = HubEdge(&rng, kN, 4);
-      ASSERT_TRUE(engine.InsertEdge(&g, &state, e, nullptr, &inserted).ok());
+      ASSERT_TRUE(engine.InsertEdge(&g, &state, e, &inserted).ok());
       live.push_back(e);
       ExpectStatic(g, state);
     }
@@ -736,14 +733,12 @@ TEST_F(BulkScanTest, MergeRightAfterEpochWrapMatchesStatic) {
   IncrementalEngine engine;
   for (int wrap = 0; wrap < 3; ++wrap) {
     for (int i = 0; i < 10; ++i) {
-      ASSERT_TRUE(engine
-                      .InsertEdge(&g, &state, HubEdge(&rng, kN, 4), nullptr,
-                                  nullptr)
-                      .ok());
+      ASSERT_TRUE(
+          engine.InsertEdge(&g, &state, HubEdge(&rng, kN, 4), nullptr).ok());
     }
     engine.ForceEpochForTesting(0xFFFFFFFFu);
     const Edge e = HubEdge(&rng, kN, 4);
-    ASSERT_TRUE(engine.InsertEdge(&g, &state, e, nullptr, nullptr).ok());
+    ASSERT_TRUE(engine.InsertEdge(&g, &state, e, nullptr).ok());
     SCOPED_TRACE(::testing::Message() << "wrap " << wrap);
     ExpectStatic(g, state);
     ASSERT_TRUE(engine.DeleteBatch(&g, &state, std::span<const Edge>(&e, 1),
@@ -767,16 +762,14 @@ TEST(EpochWrapTest, StaleStampsDoNotAliasAcrossWrap) {
   // with 1. Jumping to the max epoch makes the next bump wrap back to 1 —
   // without the wrap fix those ancient stamps read as current and corrupt
   // the merge.
-  ASSERT_TRUE(engine
-                  .InsertEdge(&g, &state, testing::RandomEdge(&rng, 20),
-                              nullptr, nullptr)
-                  .ok());
+  ASSERT_TRUE(
+      engine.InsertEdge(&g, &state, testing::RandomEdge(&rng, 20), nullptr)
+          .ok());
   engine.ForceEpochForTesting(0xFFFFFFFFu);
   for (int i = 0; i < 10; ++i) {
-    ASSERT_TRUE(engine
-                    .InsertEdge(&g, &state, testing::RandomEdge(&rng, 20),
-                                nullptr, nullptr)
-                    .ok());
+    ASSERT_TRUE(
+        engine.InsertEdge(&g, &state, testing::RandomEdge(&rng, 20), nullptr)
+            .ok());
     ExpectStateEquals(PeelStatic(g), state);
   }
 }

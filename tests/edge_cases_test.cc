@@ -24,7 +24,7 @@ TEST(EngineEdgeCaseTest, TwoVertexGraph) {
   IncrementalEngine engine;
   for (int i = 0; i < 4; ++i) {
     ASSERT_TRUE(
-        engine.InsertEdge(&g, &state, {0, 1, 1.0, 0}, nullptr, nullptr).ok());
+        engine.InsertEdge(&g, &state, {0, 1, 1.0, 0}, nullptr).ok());
     ExpectStateEquals(PeelStatic(g), state);
   }
   ASSERT_TRUE(engine.DeleteEdge(&g, &state, 0, 1, nullptr, nullptr).ok());
@@ -42,8 +42,7 @@ TEST(EngineEdgeCaseTest, EdgeBetweenLastTwoInSequence) {
   const VertexId second_last = state.VertexAt(3);
   IncrementalEngine engine;
   ASSERT_TRUE(engine
-                  .InsertEdge(&g, &state, {second_last, last, 7.0, 0},
-                              nullptr, nullptr)
+                  .InsertEdge(&g, &state, {second_last, last, 7.0, 0}, nullptr)
                   .ok());
   ExpectStateEquals(PeelStatic(g), state);
 }
@@ -56,7 +55,7 @@ TEST(EngineEdgeCaseTest, EdgeTouchingSequenceHead) {
   const VertexId other = head == 0 ? 1 : 0;
   IncrementalEngine engine;
   ASSERT_TRUE(
-      engine.InsertEdge(&g, &state, {head, other, 2.0, 0}, nullptr, nullptr)
+      engine.InsertEdge(&g, &state, {head, other, 2.0, 0}, nullptr)
           .ok());
   ExpectStateEquals(PeelStatic(g), state);
 }
@@ -71,7 +70,7 @@ TEST(EngineEdgeCaseTest, HugeWeightDisplacesAcrossWholeSequence) {
   Edge e = RandomEdge(&rng, 40);
   e.weight = 1e6;
   ReorderStats stats;
-  ASSERT_TRUE(engine.InsertEdge(&g, &state, e, nullptr, &stats).ok());
+  ASSERT_TRUE(engine.InsertEdge(&g, &state, e, &stats).ok());
   ExpectStateEquals(PeelStatic(g), state);
   EXPECT_EQ(state.VertexAt(39) == e.src || state.VertexAt(39) == e.dst, true);
   EXPECT_EQ(state.VertexAt(38) == e.src || state.VertexAt(38) == e.dst, true);
@@ -96,8 +95,8 @@ TEST(EngineEdgeCaseTest, TinyWeightBarelyMoves) {
   Edge heavy = tiny;
   heavy.weight = 1e6;
   ReorderStats tiny_stats, heavy_stats;
-  ASSERT_TRUE(e1.InsertEdge(&g1, &s1, tiny, nullptr, &tiny_stats).ok());
-  ASSERT_TRUE(e2.InsertEdge(&g2, &s2, heavy, nullptr, &heavy_stats).ok());
+  ASSERT_TRUE(e1.InsertEdge(&g1, &s1, tiny, &tiny_stats).ok());
+  ASSERT_TRUE(e2.InsertEdge(&g2, &s2, heavy, &heavy_stats).ok());
   ExpectStateEquals(PeelStatic(g1), s1);
   // A near-zero bump displaces its endpoints (and thus rewrites) no more
   // than a graph-dominating one.
@@ -111,7 +110,7 @@ TEST(EngineEdgeCaseTest, BatchOfIdenticalEdges) {
   PeelState state = PeelStatic(g);
   IncrementalEngine engine;
   std::vector<Edge> batch(10, Edge{0, 1, 2.0, 0});
-  ASSERT_TRUE(engine.InsertBatch(&g, &state, batch, nullptr, nullptr).ok());
+  ASSERT_TRUE(engine.InsertBatch(&g, &state, batch, nullptr).ok());
   EXPECT_EQ(g.NumEdges(), 11u);
   ExpectStateEquals(PeelStatic(g), state);
 }
@@ -123,7 +122,7 @@ TEST(EngineEdgeCaseTest, BatchMixingNewAndExistingVertices) {
   IncrementalEngine engine;
   std::vector<Edge> batch = {
       {0, 2, 1.0, 0}, {7, 0, 2.0, 0}, {7, 8, 3.0, 0}, {2, 1, 4.0, 0}};
-  ASSERT_TRUE(engine.InsertBatch(&g, &state, batch, nullptr, nullptr).ok());
+  ASSERT_TRUE(engine.InsertBatch(&g, &state, batch, nullptr).ok());
   EXPECT_EQ(g.NumVertices(), 9u);
   EXPECT_EQ(state.size(), 9u);
   ExpectStateEquals(PeelStatic(g), state);
@@ -144,7 +143,7 @@ TEST(EngineEdgeCaseTest, CliqueStaysCanonicalUnderChurn) {
   }
   IncrementalEngine engine;
   ASSERT_TRUE(
-      engine.InsertEdge(&g, &state, {3, 9, 2.0, 0}, nullptr, nullptr).ok());
+      engine.InsertEdge(&g, &state, {3, 9, 2.0, 0}, nullptr).ok());
   ExpectStateEquals(PeelStatic(g), state);
   ASSERT_TRUE(engine.DeleteEdge(&g, &state, 3, 9, nullptr, nullptr).ok());
   ExpectStateEquals(PeelStatic(g), state);
@@ -165,7 +164,7 @@ TEST(EngineEdgeCaseTest, StarGraphHubUpdates) {
   EXPECT_EQ(state.VertexAt(n - 1), n - 1);
   IncrementalEngine engine;
   ASSERT_TRUE(
-      engine.InsertEdge(&g, &state, {0, 5, 1.0, 0}, nullptr, nullptr).ok());
+      engine.InsertEdge(&g, &state, {0, 5, 1.0, 0}, nullptr).ok());
   ExpectStateEquals(PeelStatic(g), state);
   for (VertexId leaf = 1; leaf < 20; ++leaf) {
     ASSERT_TRUE(engine.DeleteEdge(&g, &state, 0, leaf, nullptr, nullptr).ok());
@@ -197,13 +196,17 @@ TEST(EngineEdgeCaseTest, VertexPriorsInteractWithReorder) {
     DynamicGraph g = RandomGraph(&rng, 20, 40, 4, 6);  // priors up to 6
     PeelState state = PeelStatic(g);
     IncrementalEngine engine;
-    VertexSuspFn prior = [](VertexId v, const DynamicGraph&) {
-      return static_cast<double>(v % 4);
-    };
     for (int i = 0; i < 10; ++i) {
-      // Mix known and new endpoints.
+      // Mix known and new endpoints; a new endpoint joins at the prior its
+      // caller set on the graph.
       Edge e = RandomEdge(&rng, 24);
-      ASSERT_TRUE(engine.InsertEdge(&g, &state, e, prior, nullptr).ok());
+      const std::size_t known = g.NumVertices();
+      for (VertexId v : {e.src, e.dst}) {
+        if (v < known) continue;
+        g.EnsureVertices(v + 1);
+        g.SetVertexWeight(v, static_cast<double>(v % 4));
+      }
+      ASSERT_TRUE(engine.InsertEdge(&g, &state, e, nullptr).ok());
       ExpectStateEquals(PeelStatic(g), state);
     }
   }
@@ -218,7 +221,7 @@ TEST(EngineEdgeCaseTest, StatsAccumulateMonotonically) {
   std::size_t prev_edges = 0;
   for (int i = 0; i < 10; ++i) {
     ASSERT_TRUE(
-        engine.InsertEdge(&g, &state, RandomEdge(&rng, 30), nullptr, &stats)
+        engine.InsertEdge(&g, &state, RandomEdge(&rng, 30), &stats)
             .ok());
     EXPECT_GE(stats.touched_edges, prev_edges);
     prev_edges = stats.touched_edges;

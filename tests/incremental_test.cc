@@ -34,7 +34,7 @@ TEST(IncrementalInsertTest, SingleEdgeOnTinyGraph) {
   IncrementalEngine engine;
   ReorderStats stats;
   const Edge e{0, 3, 5.0, 0};
-  ASSERT_TRUE(engine.InsertEdge(&g, &state, e, nullptr, &stats).ok());
+  ASSERT_TRUE(engine.InsertEdge(&g, &state, e, &stats).ok());
 
   ExpectStateEquals(PeelStatic(g), state);
   EXPECT_GT(stats.affected_vertices, 0u);
@@ -52,7 +52,7 @@ TEST(IncrementalInsertTest, PrefixBeforeFirstEndpointIsUntouched) {
   const Edge e = RandomEdge(&rng, 30);
   const std::size_t cut =
       std::min(state.PositionOf(e.src), state.PositionOf(e.dst));
-  ASSERT_TRUE(engine.InsertEdge(&g, &state, e, nullptr, nullptr).ok());
+  ASSERT_TRUE(engine.InsertEdge(&g, &state, e, nullptr).ok());
 
   for (std::size_t i = 0; i < cut; ++i) {
     EXPECT_EQ(before[i], state.VertexAt(i)) << "prefix changed at " << i;
@@ -67,7 +67,7 @@ TEST(IncrementalInsertTest, ParallelEdgesAccumulate) {
   IncrementalEngine engine;
   for (int i = 0; i < 5; ++i) {
     ASSERT_TRUE(
-        engine.InsertEdge(&g, &state, {0, 1, 2.0, 0}, nullptr, nullptr).ok());
+        engine.InsertEdge(&g, &state, {0, 1, 2.0, 0}, nullptr).ok());
     ExpectStateEquals(PeelStatic(g), state);
   }
   EXPECT_EQ(g.NumEdges(), 6u);
@@ -82,7 +82,7 @@ TEST(IncrementalInsertTest, NewVertexJoinsAtHead) {
   IncrementalEngine engine;
   // Vertex 5 (and implicitly 3, 4 stay absent) arrives with an edge.
   const Edge e{5, 0, 1.0, 0};
-  ASSERT_TRUE(engine.InsertEdge(&g, &state, e, nullptr, nullptr).ok());
+  ASSERT_TRUE(engine.InsertEdge(&g, &state, e, nullptr).ok());
   ASSERT_EQ(g.NumVertices(), 6u);
   // Gap ids 3 and 4 join as isolated vertices so state covers the graph.
   ASSERT_EQ(state.size(), 6u);
@@ -97,23 +97,28 @@ TEST(IncrementalInsertTest, NewVertexWithPrior) {
   PeelState state = PeelStatic(g);
 
   IncrementalEngine engine;
-  VertexSuspFn prior = [](VertexId, const DynamicGraph&) { return 3.5; };
-  ASSERT_TRUE(
-      engine.InsertEdge(&g, &state, {2, 0, 1.0, 0}, prior, nullptr).ok());
+  // The caller grows the graph and sets the prior; the engine registers
+  // the new vertex at that stored weight.
+  g.EnsureVertices(3);
+  g.SetVertexWeight(2, 3.5);
+  ASSERT_TRUE(engine.InsertEdge(&g, &state, {2, 0, 1.0, 0}, nullptr).ok());
   EXPECT_DOUBLE_EQ(g.VertexWeight(2), 3.5);
   ValidateCanonicalSequence(g, state);
+  ExpectStateEquals(PeelStatic(g), state);
 }
 
 TEST(IncrementalInsertTest, NewVertexPriorIsOrderIndependent) {
   // Regression: when one update introduces several unseen endpoints, every
-  // endpoint must take the prior-carrying registration, regardless of
-  // whether a higher-id endpoint (whose gap fill spans the lower id) is
-  // reached first — within one edge and across a batch.
-  VertexSuspFn prior = [](VertexId, const DynamicGraph&) { return 1.5; };
+  // endpoint must join at its stored prior, regardless of whether a
+  // higher-id endpoint (whose registration spans the lower id) is reached
+  // first — within one edge and across a batch.
   for (int variant = 0; variant < 3; ++variant) {
     DynamicGraph g(2);
     ASSERT_TRUE(g.AddEdge(0, 1, 2.0).ok());
     PeelState state = PeelStatic(g);
+    g.EnsureVertices(8);
+    g.SetVertexWeight(3, 1.5);
+    g.SetVertexWeight(7, 1.5);
     IncrementalEngine engine;
     std::vector<Edge> batch;
     if (variant == 0) {
@@ -123,11 +128,12 @@ TEST(IncrementalInsertTest, NewVertexPriorIsOrderIndependent) {
     } else {
       batch = {{7, 0, 1.0, 0}, {3, 1, 1.0, 0}};  // across batch edges
     }
-    ASSERT_TRUE(engine.InsertBatch(&g, &state, batch, prior, nullptr).ok());
+    ASSERT_TRUE(engine.InsertBatch(&g, &state, batch, nullptr).ok());
     EXPECT_DOUBLE_EQ(g.VertexWeight(3), 1.5) << "variant " << variant;
     EXPECT_DOUBLE_EQ(g.VertexWeight(7), 1.5) << "variant " << variant;
-    // Pure gap ids (never an endpoint) keep the documented prior of 0.
+    // Pure gap ids (never weighed) join at 0.
     EXPECT_DOUBLE_EQ(g.VertexWeight(4), 0.0) << "variant " << variant;
+    EXPECT_TRUE(state.ContainsVertex(4)) << "variant " << variant;
     ValidateCanonicalSequence(g, state);
     ExpectStateEquals(PeelStatic(g), state);
   }
@@ -139,9 +145,9 @@ TEST(IncrementalInsertTest, RejectsNonPositiveWeight) {
   PeelState state = PeelStatic(g);
   IncrementalEngine engine;
   EXPECT_FALSE(
-      engine.InsertEdge(&g, &state, {0, 1, 0.0, 0}, nullptr, nullptr).ok());
+      engine.InsertEdge(&g, &state, {0, 1, 0.0, 0}, nullptr).ok());
   EXPECT_FALSE(
-      engine.InsertEdge(&g, &state, {0, 1, -1.0, 0}, nullptr, nullptr).ok());
+      engine.InsertEdge(&g, &state, {0, 1, -1.0, 0}, nullptr).ok());
 }
 
 TEST(IncrementalInsertTest, EmptyBatchIsNoOp) {
@@ -150,7 +156,7 @@ TEST(IncrementalInsertTest, EmptyBatchIsNoOp) {
   PeelState state = PeelStatic(g);
   IncrementalEngine engine;
   ASSERT_TRUE(
-      engine.InsertBatch(&g, &state, {}, nullptr, nullptr).ok());
+      engine.InsertBatch(&g, &state, {}, nullptr).ok());
   ExpectStateEquals(PeelStatic(g), state);
 }
 
@@ -167,7 +173,7 @@ TEST(IncrementalInsertTest, RandomizedSingleEdgeEquivalence) {
     IncrementalEngine engine;
     for (int step = 0; step < 25; ++step) {
       const Edge e = RandomEdge(&rng, n);
-      ASSERT_TRUE(engine.InsertEdge(&g, &state, e, nullptr, nullptr).ok());
+      ASSERT_TRUE(engine.InsertEdge(&g, &state, e, nullptr).ok());
       ExpectStateEquals(PeelStatic(g), state);
     }
   }
@@ -191,7 +197,7 @@ TEST_P(BatchEquivalenceTest, BatchEqualsStatic) {
         batch.push_back(RandomEdge(&rng, n));
       }
       ASSERT_TRUE(
-          engine.InsertBatch(&g, &state, batch, nullptr, nullptr).ok());
+          engine.InsertBatch(&g, &state, batch, nullptr).ok());
       ExpectStateEquals(PeelStatic(g), state);
     }
   }
@@ -221,12 +227,12 @@ TEST(IncrementalInsertTest, BatchSplitConsistency) {
     for (int i = 0; i < 20; ++i) all.push_back(RandomEdge(&rng, n));
 
     IncrementalEngine e1, e2;
-    ASSERT_TRUE(e1.InsertBatch(&g1, &s1, all, nullptr, nullptr).ok());
+    ASSERT_TRUE(e1.InsertBatch(&g1, &s1, all, nullptr).ok());
     std::span<const Edge> span(all);
     ASSERT_TRUE(
-        e2.InsertBatch(&g2, &s2, span.subspan(0, 10), nullptr, nullptr).ok());
+        e2.InsertBatch(&g2, &s2, span.subspan(0, 10), nullptr).ok());
     ASSERT_TRUE(
-        e2.InsertBatch(&g2, &s2, span.subspan(10), nullptr, nullptr).ok());
+        e2.InsertBatch(&g2, &s2, span.subspan(10), nullptr).ok());
     ExpectStateEquals(s1, s2);
   }
 }
@@ -240,7 +246,7 @@ TEST(IncrementalDeleteTest, DeleteRestoresPreInsertState) {
     IncrementalEngine engine;
 
     const Edge e = RandomEdge(&rng, n);
-    ASSERT_TRUE(engine.InsertEdge(&g, &state, e, nullptr, nullptr).ok());
+    ASSERT_TRUE(engine.InsertEdge(&g, &state, e, nullptr).ok());
     ASSERT_TRUE(
         engine.DeleteEdge(&g, &state, e.src, e.dst, nullptr, &e.weight).ok());
     ExpectStateEquals(PeelStatic(g), state);
@@ -307,7 +313,7 @@ TEST(IncrementalDeleteTest, MixedInsertDeleteEquivalence) {
       } else {
         const Edge e = RandomEdge(&rng, n);
         live.push_back(e);
-        ASSERT_TRUE(engine.InsertEdge(&g, &state, e, nullptr, nullptr).ok());
+        ASSERT_TRUE(engine.InsertEdge(&g, &state, e, nullptr).ok());
       }
       ExpectStateEquals(PeelStatic(g), state);
     }
@@ -380,7 +386,7 @@ TEST_F(BatchDeleteTest, MatchesStaticPeelTieExact) {
         inserted.push_back(RandomEdge(&rng, n, 6));
       }
       ASSERT_TRUE(
-          engine.InsertBatch(&g, &state, inserted, nullptr, nullptr).ok());
+          engine.InsertBatch(&g, &state, inserted, nullptr).ok());
       live.insert(live.end(), inserted.begin(), inserted.end());
       expect_static("insert", size);
       if (::testing::Test::HasFatalFailure()) return;
@@ -419,7 +425,7 @@ TEST_F(BatchDeleteTest, FdWeightedStaysCanonical) {
       inserted.back().weight = QuantizeWeight(fd.esusp(inserted.back(), g));
     }
     ASSERT_TRUE(
-        engine.InsertBatch(&g, &state, inserted, nullptr, nullptr).ok());
+        engine.InsertBatch(&g, &state, inserted, nullptr).ok());
     live.insert(live.end(), inserted.begin(), inserted.end());
     ValidateCanonicalSequence(g, state);
     ExpectStateEquals(PeelStatic(g), state);
@@ -502,7 +508,7 @@ class DisplacementRunTest : public ::testing::Test {
 
   std::size_t Insert(const Edge& e) {
     ReorderStats stats;
-    EXPECT_TRUE(engine_.InsertEdge(&g_, &state_, e, nullptr, &stats).ok());
+    EXPECT_TRUE(engine_.InsertEdge(&g_, &state_, e, &stats).ok());
     ExpectStateEquals(PeelStatic(g_), state_, 0.0);
     return stats.rewritten_span;
   }
@@ -584,7 +590,7 @@ TEST(ReorderStatsTest, AffectedAreaIsBounded) {
   IncrementalEngine engine;
   ReorderStats stats;
   ASSERT_TRUE(
-      engine.InsertEdge(&g, &state, RandomEdge(&rng, 200), nullptr, &stats)
+      engine.InsertEdge(&g, &state, RandomEdge(&rng, 200), &stats)
           .ok());
   EXPECT_LE(stats.affected_vertices, 200u);
   EXPECT_GT(stats.affected_vertices, 0u);

@@ -15,8 +15,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cinttypes>
 #include <cstdint>
+#include <cstdio>
 #include <filesystem>
+#include <fstream>
+#include <map>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -227,7 +232,7 @@ TEST_F(RecoveryTest, TruncationSweepRestoresToDurableEpoch) {
   LiveRun run = RunAndCheckpoint(dir_, kEpochs, /*seed=*/303);
 
   // Collect cut points per target file. For delta segments the format is
-  // known: 48-byte header, then 25-byte (insert) or 17-byte (retire)
+  // known: 40-byte header, then 25-byte (insert) or 17-byte (retire)
   // records — cut at every record boundary and inside every insert record.
   struct Target {
     std::string file;
@@ -243,7 +248,7 @@ TEST_F(RecoveryTest, TruncationSweepRestoresToDurableEpoch) {
                          &segment)
             .ok());
     std::uint64_t offset = 0;
-    for (const std::uint64_t header_cut : {0, 8, 12, 16, 24, 32, 40, 48}) {
+    for (const std::uint64_t header_cut : {0, 8, 12, 16, 24, 32, 40}) {
       t.cuts.push_back(header_cut);
       offset = header_cut;
     }
@@ -332,6 +337,91 @@ TEST_F(RecoveryTest, TornManifestOrBaseFailsCleanlyWithoutSideEffects) {
   Rng rng(505);
   ASSERT_TRUE(victim->SubmitBatch(RandomChunk(&rng, 50)).ok());
   victim->Drain();
+}
+
+// A directory an older build wrote: manifest 5 over delta segment 3 files
+// (raw weights, flush records), with a base snapshot whose weights all
+// happen to lie on the grid, so it loads. Restore must fail at the
+// manifest, naming its version, and touch no file: a segment that fails
+// to read is otherwise taken for a torn chain tail, and its epochs are
+// collected as stale.
+TEST_F(RecoveryTest, OlderBuildDirectoryFailsAtItsManifestAndKeepsEveryFile) {
+  LiveRun run = RunAndCheckpoint(dir_, 3, /*seed=*/606);
+  CopyDir(dir_, work_);
+
+  // Manifest 5: the same lines, the version line and CRC rewritten.
+  const std::string manifest_path = ShardManifestPath(work_);
+  std::string lines;
+  {
+    std::ifstream in(manifest_path, std::ios::binary);
+    std::string line;
+    while (std::getline(in, line)) {
+      if (line.rfind("crc ", 0) == 0) continue;
+      if (line.rfind("spade-shard-manifest ", 0) == 0) {
+        line = "spade-shard-manifest 5";
+      }
+      lines += line + "\n";
+    }
+  }
+  char crc_line[32];
+  std::snprintf(crc_line, sizeof(crc_line), "crc %016" PRIx64 "\n",
+                Crc64(lines.data(), lines.size()));
+  {
+    std::ofstream out(manifest_path, std::ios::binary | std::ios::trunc);
+    out << lines << crc_line;
+  }
+  // Every segment rewritten in the version-3 layout: no tail field, each
+  // insert followed by a flush record (tag 1).
+  for (std::uint64_t e = 2; e <= 3; ++e) {
+    for (std::size_t s = 0; s < kShards; ++s) {
+      const std::string path =
+          (std::filesystem::path(work_) / ShardDeltaFileName(s, e)).string();
+      DeltaSegment segment;
+      ASSERT_TRUE(ReadDeltaSegment(path, &segment).ok());
+      storage::ChecksummedFileWriter w(path);
+      w.Write(std::uint64_t{0x53504144455F4453ULL});  // "SPADE_DS"
+      w.Write(std::uint32_t{3});
+      w.Write(segment.shard);
+      w.Write(segment.prev_epoch);
+      w.Write(segment.epoch);
+      w.Write(static_cast<std::uint64_t>(2 * segment.records.size()));
+      for (const DeltaRecord& r : segment.records) {
+        ASSERT_FALSE(r.retire);
+        w.Write(std::uint8_t{0});
+        w.Write(r.edge.src);
+        w.Write(r.edge.dst);
+        w.Write(r.edge.weight);
+        w.Write(r.edge.ts);
+        w.Write(std::uint8_t{1});
+      }
+      ASSERT_TRUE(w.Finish().ok());
+    }
+  }
+  const auto read_all = [&] {
+    std::map<std::string, std::string> files;
+    for (const auto& entry : std::filesystem::directory_iterator(work_)) {
+      std::ifstream in(entry.path(), std::ios::binary);
+      std::ostringstream bytes;
+      bytes << in.rdbuf();
+      files[entry.path().filename().string()] = bytes.str();
+    }
+    return files;
+  };
+  const auto files_before = read_all();
+  ASSERT_EQ(files_before.size(), 1 + 3 * kShards);
+
+  auto victim = BuildService(run.initial);
+  const auto reference = CaptureShards(*victim);
+  const Status s = victim->RestoreState(work_);
+  ASSERT_FALSE(s.ok()) << "a manifest-5 directory was restored";
+  EXPECT_EQ(s.code(), StatusCode::kIOError);
+  EXPECT_NE(s.message().find("version 5"), std::string::npos)
+      << s.ToString();
+  EXPECT_EQ(read_all(), files_before);
+  const auto after = CaptureShards(*victim);
+  for (std::size_t sh = 0; sh < kShards; ++sh) {
+    testing::ExpectShardEqualsCapture(reference[sh], after[sh]);
+  }
 }
 
 // Regression (code review): a compaction (full save over an existing

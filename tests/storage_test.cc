@@ -476,6 +476,16 @@ TEST_F(ShardManifestTest, EveryReaderRejectsOlderVersions) {
                 Crc64(v4.data(), v4.size()));
   write_manifest(v4 + crc_line);
   expect_version_error(ReadShardManifest(dir_, &read), 4);
+  // Manifest 5: version 6's lines, over delta segment 3 files.
+  std::string v5 =
+      "spade-shard-manifest 5\nshards 2\nsemantics DW\nepoch 2\n"
+      "base-epoch 1\nfile 0 shard-0.snapshot-1\n"
+      "file 1 shard-1.snapshot-1\ndelta 2 0 shard-0.delta-2\n"
+      "delta 2 1 shard-1.delta-2\n";
+  std::snprintf(crc_line, sizeof(crc_line), "crc %016" PRIx64 "\n",
+                Crc64(v5.data(), v5.size()));
+  write_manifest(v5 + crc_line);
+  expect_version_error(ReadShardManifest(dir_, &read), 5);
 
   // Version-1 binary files, CRC-framed as the writers framed them: an
   // empty snapshot without the window section and an empty delta segment.
@@ -598,7 +608,6 @@ DeltaSegment MakeSegment() {
   segment.shard = 2;
   segment.prev_epoch = 4;
   segment.epoch = 5;
-  segment.buffered_tail = 1;
   segment.records.push_back(DeltaRecord::Insert({1, 2, 3.5, 10}));
   segment.records.push_back(DeltaRecord::Insert({7, 1, 0.25, 11}));
   // A pass at horizon 12 expires the two edges stamped before it.
@@ -618,7 +627,6 @@ TEST_F(DeltaSegmentTest, RoundTrip) {
   EXPECT_EQ(read.shard, 2u);
   EXPECT_EQ(read.prev_epoch, 4u);
   EXPECT_EQ(read.epoch, 5u);
-  EXPECT_EQ(read.buffered_tail, 1u);
   ASSERT_EQ(read.records.size(), 4u);
   EXPECT_FALSE(read.records[0].retire);
   EXPECT_EQ(read.records[0].edge, (Edge{1, 2, 3.5, 10}));
@@ -709,8 +717,8 @@ TEST_F(DeltaSegmentTest, RejectsEpochDiscontinuity) {
 
 /// A live windowed detector with the worker's logging discipline: every
 /// admitted edge logged at its applied weight, every retire pass that
-/// removed anything logged with its count, and each seal recording the
-/// benign buffer's depth.
+/// removed anything logged with its count, and each seal flushing the
+/// benign buffer (ShardWorker::SavePartitionDelta).
 class ReplayDeltaTest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -743,15 +751,18 @@ class ReplayDeltaTest : public ::testing::Test {
     }
   }
 
-  /// Seals the log into the next segment of the chain.
-  void Seal(const Spade& live) {
+  /// Seals the log into the next segment of the chain; returns how many
+  /// buffered edges the seal flushed.
+  std::size_t Seal(Spade* live) {
+    const std::size_t buffered = live->PendingBenignEdges();
+    EXPECT_TRUE(live->Flush().ok());
     DeltaSegment segment;
     segment.prev_epoch = chain_.size() + 1;
     segment.epoch = segment.prev_epoch + 1;
-    segment.buffered_tail = live.PendingBenignEdges();
     segment.records = std::move(log_);
     log_.clear();
     chain_.push_back(std::move(segment));
+    return buffered;
   }
 
   std::string base_;
@@ -759,13 +770,12 @@ class ReplayDeltaTest : public ::testing::Test {
   std::vector<DeltaSegment> chain_;
 };
 
-// A chain sealed with edges still in the benign buffer, under every
-// semantics: the restore puts exactly those edges back, the rest of the
-// history lands in at most two merges, and the result equals the live
-// detector — state, graph, buffer and window log, bit for bit — whether
-// the range replays at once (lazy promote, restore) or one epoch at a time
-// (eager apply). Fed the same later stream, both then detect the same
-// communities after every edge.
+// A seal that finds edges in the benign buffer, under every semantics: the
+// seal flushes them, the history lands in at most two merges, and the
+// result equals the live detector — state, graph, buffer (empty on both)
+// and window log, bit for bit — whether the range replays at once (lazy
+// promote, restore) or one epoch at a time (eager apply). Fed the same
+// later stream, both then buffer and detect alike after every edge.
 TEST_F(ReplayDeltaTest, BufferedSealReplaysBitIdentical) {
   for (const char* algo : {"DG", "DW", "FD"}) {
     SCOPED_TRACE(algo);
@@ -796,15 +806,14 @@ TEST_F(ReplayDeltaTest, BufferedSealReplaysBitIdentical) {
     traffic(150);
     Retire(&live, now - 200);
     traffic(60);
-    Seal(live);
+    Seal(&live);
     traffic(90);
     Retire(&live, now - 150);
     // Sparse edges between known vertices: benign, so they stay buffered.
     for (VertexId v = 20; v < 26; ++v) {
       Apply(&live, Edge{v, static_cast<VertexId>(v + 10), 0.5, now});
     }
-    Seal(live);
-    ASSERT_GT(chain_.back().buffered_tail, 0u);
+    ASSERT_GT(Seal(&live), 0u);
     ASSERT_GT(live.cumulative_stats().merges, 20u);
 
     Spade lazy = MakeDetector(algo);
@@ -823,7 +832,7 @@ TEST_F(ReplayDeltaTest, BufferedSealReplaysBitIdentical) {
     }
 
     const testing::ShardCapture want = testing::Capture(live);
-    EXPECT_EQ(want.buffer.size(), chain_.back().buffered_tail);
+    EXPECT_TRUE(want.buffer.empty());
     testing::ExpectShardEqualsCapture(want, testing::Capture(lazy));
     testing::ExpectShardEqualsCapture(want, testing::Capture(eager));
     if (::testing::Test::HasFailure()) return;
@@ -847,6 +856,29 @@ TEST_F(ReplayDeltaTest, BufferedSealReplaysBitIdentical) {
   }
 }
 
+// Every save and seal flushes, so a detector holding buffered edges is not
+// at any sealed state: replay refuses it and changes nothing.
+TEST_F(ReplayDeltaTest, NonEmptyBufferIsRefused) {
+  Spade live = MakeDetector("DW");
+  std::vector<Edge> core;
+  for (VertexId a = 0; a < 4; ++a) {
+    for (VertexId b = 0; b < 4; ++b) {
+      if (a != b) core.push_back(Edge{a, b, 9.0, 0});
+    }
+  }
+  ASSERT_TRUE(live.BuildGraph(16, core).ok());
+  Apply(&live, Edge{8, 9, 0.5, 1});
+  ASSERT_EQ(live.PendingBenignEdges(), 1u);
+  chain_.push_back(DeltaSegment{.prev_epoch = 1, .epoch = 2, .records = {}});
+  chain_.back().records.push_back(DeltaRecord::Insert(Edge{10, 11, 0.5, 2}));
+
+  const testing::ShardCapture before = testing::Capture(live);
+  const auto merges = live.ReplayDelta(chain_);
+  ASSERT_FALSE(merges.ok());
+  EXPECT_EQ(merges.status().code(), StatusCode::kFailedPrecondition);
+  testing::ExpectShardEqualsCapture(before, testing::Capture(live));
+}
+
 // A retire record that pops a different count than it recorded fails,
 // naming its epoch, and leaves the detector untouched.
 TEST_F(ReplayDeltaTest, MismatchedRetireCountChangesNothing) {
@@ -857,7 +889,7 @@ TEST_F(ReplayDeltaTest, MismatchedRetireCountChangesNothing) {
     Apply(&live, Edge{static_cast<VertexId>(t), 0, 2.0, t});
   }
   Retire(&live, 4);
-  Seal(live);
+  Seal(&live);
   ++chain_.back().records.back().retired;
 
   Spade victim = MakeDetector("DW");

@@ -16,6 +16,14 @@
 //     update; only the Detect after each insert is timed. The entry reports
 //     hull rebuilds per Detect and, beside the rewritten span, the slots the
 //     merge classified one at a time (host-independent: CI gates both).
+//  5. retire_batch — a windowed 16Ki-vertex state retires its oldest 64
+//     edges per DeleteBatch, as a retire pass does, and admits 64 new ones.
+//     Only the DeleteBatch is timed. Its runs lead, and the entry reports
+//     rewritten and probed slots per retire (CI gates probed <= span / 8).
+//  6. insert_into_isolated_head — single edges between vertices of a 16Ki
+//     isolated head on a 64Ki-vertex state, each merge reading the isolated
+//     slots behind a push whose credit pass is deferred. The entry reports
+//     rewritten and probed slots per insert (CI gates probed <= span / 8).
 //
 // Emits BENCH_peel.json (path = argv[1], default ./): one entry per
 // experiment with {name, n, scalar_us, simd_us, speedup, target}, plus any
@@ -24,6 +32,7 @@
 // target (equal when the build is scalar-only).
 
 #include <cstdio>
+#include <deque>
 #include <string>
 #include <utility>
 #include <vector>
@@ -320,6 +329,143 @@ Entry BenchDetectAfterHeavyEdge(const ZipfBase& base,
   return e;
 }
 
+constexpr std::size_t kWindowN = std::size_t{1} << 14;
+constexpr std::size_t kWindowEdges = 4096;
+constexpr std::size_t kRetireBatch = 64;
+constexpr std::size_t kRetires = 64;
+
+/// A sliding window of uniform random edges (weights 1-4) over 16Ki
+/// vertices: about 60% of the vertices sit isolated at the head of the
+/// sequence. Each step retires the window's oldest kRetireBatch edges in one
+/// DeleteBatch, as a retire pass does, then admits as many new ones in one
+/// InsertBatch; only the DeleteBatch is timed and counted.
+Entry BenchRetireBatch(const simd::SimdTarget& scalar,
+                       const simd::SimdTarget& vec) {
+  Rng rng(23);
+  const auto random_edge = [&] {
+    Edge e;
+    e.src = static_cast<VertexId>(rng.NextBounded(kWindowN));
+    e.dst = static_cast<VertexId>(rng.NextBounded(kWindowN));
+    while (e.dst == e.src) {
+      e.dst = static_cast<VertexId>(rng.NextBounded(kWindowN));
+    }
+    e.weight = static_cast<double>(1 + rng.NextBounded(4));
+    return e;
+  };
+  std::vector<Edge> initial(kWindowEdges);
+  for (Edge& e : initial) e = random_edge();
+  std::vector<Edge> admitted(kRetires * kRetireBatch);
+  for (Edge& e : admitted) e = random_edge();
+  DynamicGraph g0(kWindowN);
+  for (const Edge& e : initial) (void)g0.AddEdge(e.src, e.dst, e.weight);
+  const PeelState s0 = PeelStatic(g0);
+  std::size_t rewritten = 0;
+  std::size_t probed = 0;
+  // Seconds spent in the DeleteBatch calls of one replay under `t`.
+  const auto replay = [&](const simd::SimdTarget& t) {
+    simd::SetSimdTargetForTesting(&t);
+    DynamicGraph g = g0;
+    PeelState state = s0;
+    IncrementalEngine engine;
+    ReorderStats stats;
+    std::deque<Edge> window(initial.begin(), initial.end());
+    std::vector<Edge> batch;
+    double retire_s = 0.0;
+    for (std::size_t r = 0; r < kRetires; ++r) {
+      batch.assign(window.begin(), window.begin() + kRetireBatch);
+      window.erase(window.begin(), window.begin() + kRetireBatch);
+      Timer timer;
+      (void)engine.DeleteBatch(&g, &state, batch, &stats);
+      retire_s += timer.ElapsedSeconds();
+      const auto next = admitted.begin() +
+                        static_cast<std::ptrdiff_t>(r * kRetireBatch);
+      batch.assign(next, next + kRetireBatch);
+      (void)engine.InsertBatch(&g, &state, batch, nullptr);
+      window.insert(window.end(), batch.begin(), batch.end());
+    }
+    rewritten = stats.rewritten_span;
+    probed = stats.probed_slots;
+    simd::SetSimdTargetForTesting(nullptr);
+    return retire_s;
+  };
+  const auto [scalar_s, vec_s] = BestOfInterleaved(replay, scalar, vec);
+  Entry e;
+  e.name = "retire_batch";
+  e.n = kWindowN;
+  e.note = "DeleteBatch of a window's oldest 64 edges, us per retire";
+  e.scalar_us = scalar_s / static_cast<double>(kRetires) * 1e6;
+  e.simd_us = vec_s / static_cast<double>(kRetires) * 1e6;
+  e.target = vec.name;
+  e.counts = {{"rewritten_span_per_update",
+               static_cast<double>(rewritten) / kRetires},
+              {"probed_slots_per_update",
+               static_cast<double>(probed) / kRetires}};
+  return e;
+}
+
+constexpr std::size_t kIsolatedHead = std::size_t{1} << 14;
+
+/// The Zipf edges of BuildZipfBase moved onto ids past a 16Ki isolated head
+/// (48Ki vertices carry them), then single edges of weight 1-4 between head
+/// vertices: the first endpoint's push defers its credit pass while the
+/// merge reads the isolated slots after it.
+Entry BenchInsertIntoIsolatedHead(const simd::SimdTarget& scalar,
+                                  const simd::SimdTarget& vec) {
+  constexpr std::size_t kRest = kDetectN - kIsolatedHead;
+  Rng rng(29);
+  DynamicGraph g0(kDetectN);
+  for (std::size_t i = 0; i < 4 * kRest; ++i) {
+    auto s = static_cast<VertexId>(kIsolatedHead + rng.NextZipf(kRest, 0.9));
+    auto d = static_cast<VertexId>(kIsolatedHead + rng.NextZipf(kRest, 0.9));
+    while (d == s) {
+      d = static_cast<VertexId>(kIsolatedHead + rng.NextZipf(kRest, 0.9));
+    }
+    (void)g0.AddEdge(s, d, 1.0 + 9.0 * rng.NextDouble());
+  }
+  const PeelState s0 = PeelStatic(g0);
+  std::vector<Edge> stream(kUpdates);
+  for (Edge& e : stream) {
+    e.src = static_cast<VertexId>(rng.NextBounded(kIsolatedHead));
+    e.dst = static_cast<VertexId>(rng.NextBounded(kIsolatedHead));
+    while (e.dst == e.src) {
+      e.dst = static_cast<VertexId>(rng.NextBounded(kIsolatedHead));
+    }
+    e.weight = static_cast<double>(1 + rng.NextBounded(4));
+  }
+  std::size_t rewritten = 0;
+  std::size_t probed = 0;
+  // Seconds spent in the inserts of one replay under `t`.
+  const auto replay = [&](const simd::SimdTarget& t) {
+    simd::SetSimdTargetForTesting(&t);
+    DynamicGraph g = g0;
+    PeelState state = s0;
+    IncrementalEngine engine;
+    ReorderStats stats;
+    Timer timer;
+    for (const Edge& e : stream) {
+      (void)engine.InsertEdge(&g, &state, e, &stats);
+    }
+    const double elapsed = timer.ElapsedSeconds();
+    rewritten = stats.rewritten_span;
+    probed = stats.probed_slots;
+    simd::SetSimdTargetForTesting(nullptr);
+    return elapsed;
+  };
+  const auto [scalar_s, vec_s] = BestOfInterleaved(replay, scalar, vec);
+  Entry e;
+  e.name = "insert_into_isolated_head";
+  e.n = kDetectN;
+  e.note = "single-edge insert between isolated head vertices, us per insert";
+  e.scalar_us = scalar_s / static_cast<double>(kUpdates) * 1e6;
+  e.simd_us = vec_s / static_cast<double>(kUpdates) * 1e6;
+  e.target = vec.name;
+  e.counts = {{"rewritten_span_per_update",
+               static_cast<double>(rewritten) / kUpdates},
+              {"probed_slots_per_update",
+               static_cast<double>(probed) / kUpdates}};
+  return e;
+}
+
 }  // namespace
 }  // namespace spade::bench
 
@@ -344,6 +490,8 @@ int main(int argc, char** argv) {
   const ZipfBase base = BuildZipfBase();
   entries.push_back(BenchDetectAfterEdge(base, scalar, vec));
   entries.push_back(BenchDetectAfterHeavyEdge(base, scalar, vec));
+  entries.push_back(BenchRetireBatch(scalar, vec));
+  entries.push_back(BenchInsertIntoIsolatedHead(scalar, vec));
 
   for (const Entry& e : entries) {
     std::printf("%-22s %10zu %12.4f %12.4f %8.2fx  %s\n", e.name.c_str(),

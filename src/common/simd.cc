@@ -9,11 +9,14 @@
 // introduce at the group tail, which the scalar fallback mirrors so even
 // signed zeros come out bit-identical across targets.
 //
-// FirstAtLeast needs no order: each vector loop only finds the first group
-// that holds a hit, and the narrower loops after it (ending in the scalar
-// one) find the lane, so every target returns the scalar index.
+// FirstKeyAbove needs no order: each vector step only skips a group that no
+// slot of it can stop, and decides a group that can slot by slot in lane
+// order, so every target returns the scalar index.
 
 #include "common/simd.h"
+
+#include <bit>
+#include <climits>
 
 #if !defined(SPADE_SIMD_FORCE_SCALAR)
 #if defined(__SSE2__) || (defined(_M_X64) && !defined(_M_ARM64EC))
@@ -74,9 +77,10 @@ void IotaU32Scalar(std::uint32_t* out, std::size_t n, std::uint32_t start) {
   }
 }
 
-std::size_t FirstAtLeastScalar(const double* p, std::size_t n, double t) {
+std::size_t FirstKeyAboveScalar(const double* delta, const std::uint32_t* seq,
+                                std::size_t n, double w, std::uint32_t v) {
   for (std::size_t i = 0; i < n; ++i) {
-    if (p[i] >= t) return i;
+    if (KeyAbove(delta[i], seq[i], w, v)) return i;
   }
   return n;
 }
@@ -148,25 +152,43 @@ void IotaU32Sse2(std::uint32_t* out, std::size_t n, std::uint32_t start) {
   for (; i < n; ++i) out[i] = start + static_cast<std::uint32_t>(i);
 }
 
-std::size_t FirstAtLeastSse2(const double* p, std::size_t n, double t) {
-  const __m128d tv = _mm_set1_pd(t);
+std::size_t FirstKeyAboveSse2(const double* delta, const std::uint32_t* seq,
+                              std::size_t n, double w, std::uint32_t v) {
+  const __m128d wv = _mm_set1_pd(w);
+  // SSE2 compares ids signed: flipping both sign bits orders them unsigned.
+  const __m128i flip = _mm_set1_epi32(INT_MIN);
+  const __m128i vv = _mm_xor_si128(_mm_set1_epi32(static_cast<int>(v)), flip);
+  // Hit bits of the two slots at i: a delta above w, or one tied with it
+  // beside a larger id.
+  const auto key_mask = [&](std::size_t i) {
+    const __m128d d = _mm_loadu_pd(delta + i);
+    const int above = _mm_movemask_pd(_mm_cmpgt_pd(d, wv));
+    const int tied = _mm_movemask_pd(_mm_cmpeq_pd(d, wv));
+    const __m128i ids = _mm_xor_si128(
+        _mm_loadl_epi64(reinterpret_cast<const __m128i*>(seq + i)), flip);
+    const int larger =
+        _mm_movemask_ps(_mm_castsi128_ps(_mm_cmpgt_epi32(ids, vv))) & 3;
+    return static_cast<unsigned>(above | (tied & larger));
+  };
   std::size_t i = 0;
-  // Eight doubles per step, their four compares folded into one mask test.
+  // Eight slots per step: one folded >= test skips a group whose deltas all
+  // stay below w; a group that reaches it is decided two slots at a time.
   for (; i + 8 <= n; i += 8) {
-    const __m128d c0 = _mm_cmpge_pd(_mm_loadu_pd(p + i), tv);
-    const __m128d c1 = _mm_cmpge_pd(_mm_loadu_pd(p + i + 2), tv);
-    const __m128d c2 = _mm_cmpge_pd(_mm_loadu_pd(p + i + 4), tv);
-    const __m128d c3 = _mm_cmpge_pd(_mm_loadu_pd(p + i + 6), tv);
-    if (_mm_movemask_pd(_mm_or_pd(_mm_or_pd(c0, c1), _mm_or_pd(c2, c3)))) {
-      break;
+    const __m128d c0 = _mm_cmpge_pd(_mm_loadu_pd(delta + i), wv);
+    const __m128d c1 = _mm_cmpge_pd(_mm_loadu_pd(delta + i + 2), wv);
+    const __m128d c2 = _mm_cmpge_pd(_mm_loadu_pd(delta + i + 4), wv);
+    const __m128d c3 = _mm_cmpge_pd(_mm_loadu_pd(delta + i + 6), wv);
+    if (!_mm_movemask_pd(_mm_or_pd(_mm_or_pd(c0, c1), _mm_or_pd(c2, c3)))) {
+      continue;
+    }
+    for (std::size_t j = i; j < i + 8; j += 2) {
+      if (const unsigned m = key_mask(j)) return j + std::countr_zero(m);
     }
   }
   for (; i + 2 <= n; i += 2) {
-    if (_mm_movemask_pd(_mm_cmpge_pd(_mm_loadu_pd(p + i), tv))) break;
+    if (const unsigned m = key_mask(i)) return i + std::countr_zero(m);
   }
-  for (; i < n; ++i) {
-    if (p[i] >= t) return i;
-  }
+  if (i < n && KeyAbove(delta[i], seq[i], w, v)) return i;
   return n;
 }
 
@@ -234,19 +256,34 @@ void IotaU32Neon(std::uint32_t* out, std::size_t n, std::uint32_t start) {
   for (; i < n; ++i) out[i] = start + static_cast<std::uint32_t>(i);
 }
 
-std::size_t FirstAtLeastNeon(const double* p, std::size_t n, double t) {
-  const float64x2_t tv = vdupq_n_f64(t);
+std::size_t FirstKeyAboveNeon(const double* delta, const std::uint32_t* seq,
+                              std::size_t n, double w, std::uint32_t v) {
+  const float64x2_t wv = vdupq_n_f64(w);
+  const uint32x2_t vv = vdup_n_u32(v);
+  // Lane masks of the two slots at i: a delta above w, or one tied with it
+  // beside a larger id (the id compare widened to 64-bit lanes).
+  const auto key_mask = [&](std::size_t i) {
+    const float64x2_t d = vld1q_f64(delta + i);
+    const uint64x2_t larger = vreinterpretq_u64_s64(
+        vmovl_s32(vreinterpret_s32_u32(vcgt_u32(vld1_u32(seq + i), vv))));
+    return vorrq_u64(vcgtq_f64(d, wv), vandq_u64(vceqq_f64(d, wv), larger));
+  };
   std::size_t i = 0;
   for (; i + 8 <= n; i += 8) {
-    const uint64x2_t c0 = vcgeq_f64(vld1q_f64(p + i), tv);
-    const uint64x2_t c1 = vcgeq_f64(vld1q_f64(p + i + 2), tv);
-    const uint64x2_t c2 = vcgeq_f64(vld1q_f64(p + i + 4), tv);
-    const uint64x2_t c3 = vcgeq_f64(vld1q_f64(p + i + 6), tv);
+    const uint64x2_t c0 = vcgeq_f64(vld1q_f64(delta + i), wv);
+    const uint64x2_t c1 = vcgeq_f64(vld1q_f64(delta + i + 2), wv);
+    const uint64x2_t c2 = vcgeq_f64(vld1q_f64(delta + i + 4), wv);
+    const uint64x2_t c3 = vcgeq_f64(vld1q_f64(delta + i + 6), wv);
     const uint64x2_t any = vorrq_u64(vorrq_u64(c0, c1), vorrq_u64(c2, c3));
-    if ((vgetq_lane_u64(any, 0) | vgetq_lane_u64(any, 1)) != 0) break;
+    if ((vgetq_lane_u64(any, 0) | vgetq_lane_u64(any, 1)) == 0) continue;
+    for (std::size_t j = i; j < i + 8; j += 2) {
+      const uint64x2_t m = key_mask(j);
+      if (vgetq_lane_u64(m, 0) != 0) return j;
+      if (vgetq_lane_u64(m, 1) != 0) return j + 1;
+    }
   }
   for (; i < n; ++i) {
-    if (p[i] >= t) return i;
+    if (KeyAbove(delta[i], seq[i], w, v)) return i;
   }
   return n;
 }
@@ -259,7 +296,8 @@ std::size_t FirstAtLeastNeon(const double* p, std::size_t n, double t) {
 double FixedOrderSumAvx2(const double* p, std::size_t n);
 double SuffixScanBlockAvx2(const double* p, std::size_t n, double* out);
 void IotaU32Avx2(std::uint32_t* out, std::size_t n, std::uint32_t start);
-std::size_t FirstAtLeastAvx2(const double* p, std::size_t n, double t);
+std::size_t FirstKeyAboveAvx2(const double* delta, const std::uint32_t* seq,
+                              std::size_t n, double w, std::uint32_t v);
 #endif
 
 }  // namespace detail
@@ -268,18 +306,18 @@ namespace {
 
 constexpr SimdTarget kTargets[] = {
     {"scalar", &detail::FixedOrderSumScalar, &detail::SuffixScanBlockScalar,
-     &detail::IotaU32Scalar, &detail::FirstAtLeastScalar},
+     &detail::IotaU32Scalar, &detail::FirstKeyAboveScalar},
 #if defined(SPADE_SIMD_BUILD_SSE2)
     {"sse2", &detail::FixedOrderSumSse2, &detail::SuffixScanBlockSse2,
-     &detail::IotaU32Sse2, &detail::FirstAtLeastSse2},
+     &detail::IotaU32Sse2, &detail::FirstKeyAboveSse2},
 #endif
 #if defined(SPADE_SIMD_BUILD_NEON)
     {"neon", &detail::FixedOrderSumNeon, &detail::SuffixScanBlockNeon,
-     &detail::IotaU32Neon, &detail::FirstAtLeastNeon},
+     &detail::IotaU32Neon, &detail::FirstKeyAboveNeon},
 #endif
 #if defined(SPADE_SIMD_HAVE_AVX2)
     {"avx2", &detail::FixedOrderSumAvx2, &detail::SuffixScanBlockAvx2,
-     &detail::IotaU32Avx2, &detail::FirstAtLeastAvx2},
+     &detail::IotaU32Avx2, &detail::FirstKeyAboveAvx2},
 #endif
 };
 
@@ -322,10 +360,11 @@ void IotaU32(std::uint32_t* out, std::size_t n, std::uint32_t start) {
   }
 }
 
-std::size_t FirstAtLeast(const double* p, std::size_t n, double threshold) {
+std::size_t FirstKeyAbove(const double* delta, const std::uint32_t* seq,
+                          std::size_t n, double w, std::uint32_t v) {
   const SimdTarget* t = g_override;
-  return t != nullptr ? t->first_at_least(p, n, threshold)
-                      : kActive.first_at_least(p, n, threshold);
+  return t != nullptr ? t->first_key_above(delta, seq, n, w, v)
+                      : kActive.first_key_above(delta, seq, n, w, v);
 }
 
 }  // namespace spade::simd

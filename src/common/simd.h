@@ -12,11 +12,12 @@
 //                       hull rebuild's scalar monotone stack.
 //  * IotaU32          — ascending uint32 fill, the vectorized leaf pass of
 //                       the heap's Floyd heapify.
-//  * FirstAtLeast     — index of the first element >= a threshold, the
-//                       incremental merge's scan for the next slot whose
-//                       stored delta reaches the queue head's weight. A
-//                       compare never rounds, so every target returns the
-//                       scalar index.
+//  * FirstKeyAbove    — index of the first (delta, id) pair that sorts
+//                       after a key, the incremental merge's scan for the
+//                       next slot whose incumbent the queue head peels
+//                       before, and the deletion splice walk's. A compare
+//                       never rounds, so every target returns the scalar
+//                       index.
 //
 // Bit-identity contract. Floating-point addition is not associative, so a
 // vectorized reduction only reproduces the scalar result if BOTH commit to
@@ -79,6 +80,14 @@ inline double FixedOrderTree(const double acc[kSumLanes]) {
          (((acc[8] + acc[9]) + (acc[10] + acc[11])) +
           ((acc[12] + acc[13]) + (acc[14] + acc[15])));
 }
+
+/// FirstKeyAbove's slot test, shared by every target's scalar tail: the
+/// heap's key order (peel/indexed_heap.h's HeapKeyLess) with (w, v) on the
+/// left.
+inline bool KeyAbove(double delta, std::uint32_t id, double w,
+                     std::uint32_t v) {
+  return delta > w || (delta == w && id > v);
+}
 }  // namespace detail
 
 /// Best-effort cache-line prefetch for read (locality hint 3). A no-op on
@@ -105,8 +114,11 @@ double SuffixScanBlock(const double* p, std::size_t n, double* out);
 /// out[i] = start + i for i in [0, n).
 void IotaU32(std::uint32_t* out, std::size_t n, std::uint32_t start);
 
-/// Smallest i in [0, n) with p[i] >= threshold, or n when there is none.
-std::size_t FirstAtLeast(const double* p, std::size_t n, double threshold);
+/// Smallest i in [0, n) whose (delta[i], seq[i]) sorts after (w, v) in the
+/// heap's key order — delta[i] > w, or delta[i] == w and seq[i] > v — or n
+/// when there is none. Equal deltas compare by ==, so +0.0 ties -0.0.
+std::size_t FirstKeyAbove(const double* delta, const std::uint32_t* seq,
+                          std::size_t n, double w, std::uint32_t v);
 
 /// One dispatch target's kernel set, for tests and benches that sweep
 /// scalar vs vector explicitly.
@@ -115,7 +127,8 @@ struct SimdTarget {
   double (*fixed_order_sum)(const double*, std::size_t);
   double (*suffix_scan_block)(const double*, std::size_t, double*);
   void (*iota_u32)(std::uint32_t*, std::size_t, std::uint32_t);
-  std::size_t (*first_at_least)(const double*, std::size_t, double);
+  std::size_t (*first_key_above)(const double*, const std::uint32_t*,
+                                 std::size_t, double, std::uint32_t);
 };
 
 /// Every target compiled into this binary, scalar first. The active

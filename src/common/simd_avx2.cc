@@ -7,6 +7,8 @@
 
 #include <immintrin.h>
 
+#include <bit>
+#include <climits>
 #include <cstddef>
 #include <cstdint>
 
@@ -71,32 +73,49 @@ void IotaU32Avx2(std::uint32_t* out, std::size_t n, std::uint32_t start) {
   for (; i < n; ++i) out[i] = start + static_cast<std::uint32_t>(i);
 }
 
-std::size_t FirstAtLeastAvx2(const double* p, std::size_t n, double t) {
-  const __m256d tv = _mm256_set1_pd(t);
+std::size_t FirstKeyAboveAvx2(const double* delta, const std::uint32_t* seq,
+                              std::size_t n, double w, std::uint32_t v) {
+  const __m256d wv = _mm256_set1_pd(w);
+  // AVX2 compares ids signed: flipping both sign bits orders them unsigned.
+  const __m128i flip = _mm_set1_epi32(INT_MIN);
+  const __m128i vv = _mm_xor_si128(_mm_set1_epi32(static_cast<int>(v)), flip);
+  // Hit bits of the four slots at i: a delta above w, or one tied with it
+  // beside a larger id.
+  const auto key_mask = [&](std::size_t i) {
+    const __m256d d = _mm256_loadu_pd(delta + i);
+    const int above = _mm256_movemask_pd(_mm256_cmp_pd(d, wv, _CMP_GT_OQ));
+    const int tied = _mm256_movemask_pd(_mm256_cmp_pd(d, wv, _CMP_EQ_OQ));
+    const __m128i ids = _mm_xor_si128(
+        _mm_loadu_si128(reinterpret_cast<const __m128i*>(seq + i)), flip);
+    const int larger =
+        _mm_movemask_ps(_mm_castsi128_ps(_mm_cmpgt_epi32(ids, vv)));
+    return static_cast<unsigned>(above | (tied & larger));
+  };
   std::size_t i = 0;
-  // Sixteen doubles per step, their four compares folded into one mask
-  // test; a hit drops to the 4-wide loop, which finds its group.
+  // Sixteen slots per step: one folded >= test skips a group whose deltas
+  // all stay below w; a group that reaches it is decided four at a time.
   for (; i + 16 <= n; i += 16) {
-    const __m256d c0 = _mm256_cmp_pd(_mm256_loadu_pd(p + i), tv, _CMP_GE_OQ);
+    const __m256d c0 =
+        _mm256_cmp_pd(_mm256_loadu_pd(delta + i), wv, _CMP_GE_OQ);
     const __m256d c1 =
-        _mm256_cmp_pd(_mm256_loadu_pd(p + i + 4), tv, _CMP_GE_OQ);
+        _mm256_cmp_pd(_mm256_loadu_pd(delta + i + 4), wv, _CMP_GE_OQ);
     const __m256d c2 =
-        _mm256_cmp_pd(_mm256_loadu_pd(p + i + 8), tv, _CMP_GE_OQ);
+        _mm256_cmp_pd(_mm256_loadu_pd(delta + i + 8), wv, _CMP_GE_OQ);
     const __m256d c3 =
-        _mm256_cmp_pd(_mm256_loadu_pd(p + i + 12), tv, _CMP_GE_OQ);
-    if (_mm256_movemask_pd(
+        _mm256_cmp_pd(_mm256_loadu_pd(delta + i + 12), wv, _CMP_GE_OQ);
+    if (!_mm256_movemask_pd(
             _mm256_or_pd(_mm256_or_pd(c0, c1), _mm256_or_pd(c2, c3)))) {
-      break;
+      continue;
+    }
+    for (std::size_t j = i; j < i + 16; j += 4) {
+      if (const unsigned m = key_mask(j)) return j + std::countr_zero(m);
     }
   }
   for (; i + 4 <= n; i += 4) {
-    if (_mm256_movemask_pd(
-            _mm256_cmp_pd(_mm256_loadu_pd(p + i), tv, _CMP_GE_OQ))) {
-      break;
-    }
+    if (const unsigned m = key_mask(i)) return i + std::countr_zero(m);
   }
   for (; i < n; ++i) {
-    if (p[i] >= t) return i;
+    if (KeyAbove(delta[i], seq[i], w, v)) return i;
   }
   return n;
 }

@@ -249,21 +249,17 @@ std::size_t IncrementalEngine::FindSplice(const DynamicGraph& g,
             });
 
   // Slot k is checked before its events apply. Between two event slots the
-  // lightest key is fixed, so the incumbents in between are scanned with
-  // one comparison each.
-  const auto seq = state.seq();
-  const auto delta = state.delta();
+  // lightest key is fixed, so one vector key compare scans the incumbents
+  // in between.
+  const VertexId* seq = state.seq().data();
+  const double* delta = state.delta().data();
   const SpliceEvent* ev = splice_events_.data();
   const SpliceEvent* const end = ev + splice_events_.size();
   std::size_t k = 0;
   while (true) {
     const std::size_t last = ev == end ? first : ev->pos + 1;
-    const double top_weight = pending_.TopWeight();
-    const VertexId top_vertex = pending_.TopVertex();
-    while (k < last &&
-           !HeapKeyLess(top_weight, top_vertex, delta[k], seq[k])) {
-      ++k;
-    }
+    k += simd::FirstKeyAbove(delta + k, seq + k, last - k,
+                             pending_.TopWeight(), pending_.TopVertex());
     if (k < last || k == first) break;
     for (const std::size_t pos = ev->pos; ev != end && ev->pos == pos; ++ev) {
       pending_.Decrease(ev->endpoint, -ev->weight);
@@ -525,11 +521,14 @@ void IncrementalEngine::MergeLoop(const DynamicGraph& g, PeelState* state,
     // incumbent is genuinely untouched iff it is also not adjacent to any
     // queue member (white implies zero accumulator and no new edges, and
     // relaxation is only owed to queue neighbors). Probing the incumbent's
-    // own incident list costs O(deg(u_k)) against the O(deg(T)) of a flush;
-    // the degree budget accumulated at push time keeps the probes bounded
-    // by one deferred pass overall, so the worst case stays one incident
-    // pass per affected vertex while a queue that drains before the next
-    // affected read never pays its credit pass at all.
+    // own incident list costs O(deg(u_k) + 1), the slot included, against
+    // the O(deg(T)) of a flush; the degree budget accumulated at push time
+    // keeps the probes bounded by one deferred pass overall, so the worst
+    // case stays one incident pass per affected vertex while a queue that
+    // drains before the next affected read never pays its credit pass at
+    // all. An edgeless probe still spends its slot: otherwise a stretch of
+    // isolated incumbents would be probed one at a time for free, and the
+    // flush that lets the bulk scan take over would never come.
     bool affected = ColorOf(u_k) != Color::kWhite;
     bool have_probe_weight = false;
     double probe_weight = 0.0;
@@ -539,8 +538,8 @@ void IncrementalEngine::MergeLoop(const DynamicGraph& g, PeelState* state,
         // is behind by exactly those credits — settle them.
         FlushCredits(g, *state, stats);
       } else {
-        const auto deg = static_cast<std::ptrdiff_t>(g.Degree(u_k));
-        if (credit_budget_ < deg) {
+        const auto cost = static_cast<std::ptrdiff_t>(g.Degree(u_k)) + 1;
+        if (credit_budget_ < cost) {
           FlushCredits(g, *state, stats);
           affected = ColorOf(u_k) != Color::kWhite;
         } else {
@@ -551,7 +550,7 @@ void IncrementalEngine::MergeLoop(const DynamicGraph& g, PeelState* state,
           // the same probe: the stored delta plus its edges to earlier-
           // positioned queue members (later-positioned ones the stored
           // delta already counts). The deferred passes never run for this.
-          credit_budget_ -= deg;
+          credit_budget_ -= cost;
           stats->touched_edges += g.Degree(u_k);
           double add = 0.0;
           bool adjacent = false;
@@ -603,13 +602,13 @@ void IncrementalEngine::MergeLoop(const DynamicGraph& g, PeelState* state,
     ++w;
     ++k;
     ++stats->rewritten_span;
-    // Bulk extension: with every deferred credit settled and the write
-    // cursor trailing the scan, the slots up to the next touched one are
-    // case 2(b) until the queue head sorts before an incumbent. The slot
-    // that ends the stretch goes back through the general path above,
-    // which classifies it exactly as before.
-    if (deferred_count_ == 0 && w < k && k < n) {
-      const std::size_t stop = ScanUntouched(*state, k, n, stats);
+    // Bulk extension: with every deferred credit settled, the slots up to
+    // the next touched one are case 2(b) until the queue head sorts before
+    // an incumbent, whichever way the run goes. The slot that ends the
+    // stretch goes back through the general path above, which classifies
+    // it exactly as before.
+    if (deferred_count_ == 0 && k < n) {
+      const std::size_t stop = ScanUntouched(*state, k, n);
       run_len += stop - k;
       w += stop - k;
       stats->rewritten_span += stop - k;
@@ -619,31 +618,33 @@ void IncrementalEngine::MergeLoop(const DynamicGraph& g, PeelState* state,
 }
 
 std::size_t IncrementalEngine::ScanUntouched(const PeelState& state,
-                                             std::size_t k, std::size_t n,
-                                             ReorderStats* stats) const {
-  // While w < k every slot at or beyond k still holds its pre-merge
-  // incumbent, which is stamped this epoch only if its bit is set: a
-  // vertex is first stamped at the slot it holds then, and nothing moves
-  // an unscanned incumbent before its first stamp (DESIGN.md §3.4). So up
-  // to the next set bit every incumbent is white, not emitted and not
-  // pending, and only the case-1 comparison can stop the run. Its
-  // incumbent must reach the head's weight, which a vector compare finds;
-  // the exact key then decides each slot from there whose delta ties the
-  // head's weight, one at a time.
+                                             std::size_t k,
+                                             std::size_t n) const {
+  // The pre-merge incumbent of a slot s >= k carries a stamp this epoch
+  // only if bit s is set: a vertex is first stamped at the slot it holds
+  // then, nothing moves an unscanned incumbent before its first stamp, and
+  // a leading run stamps its vertices at their old slots, below k
+  // (DESIGN.md §3.4). So up to the next set bit every incumbent is white,
+  // not emitted and not pending, and only the case-1 comparison can stop
+  // the run: at the first incumbent whose (delta, id) sorts after the
+  // queue head's key, which one vector key compare finds. The pre-merge
+  // entries sit in the preservation window below ScratchEnd() and live
+  // beyond it, as FillLookahead reads them.
   const std::size_t touched = NextTouched(k, n);
   if (pending_.empty()) return touched;
   const double top_weight = pending_.TopWeight();
   const VertexId top_vertex = pending_.TopVertex();
-  const double* delta = state.delta().data();
-  const auto seq = state.seq();
-  while (k < touched) {
-    k += simd::FirstAtLeast(delta + k, touched - k, top_weight);
-    for (; k < touched && delta[k] >= top_weight; ++k) {
-      ++stats->probed_slots;
-      if (HeapKeyLess(top_weight, top_vertex, delta[k], seq[k])) return k;
-    }
+  const std::size_t split = std::clamp(ScratchEnd(), k, touched);
+  if (k < split) {
+    const std::size_t off = k - scratch_base_;
+    const std::size_t hit = simd::FirstKeyAbove(
+        scratch_delta_.data() + off, scratch_seq_.data() + off, split - k,
+        top_weight, top_vertex);
+    if (hit < split - k) return k + hit;
   }
-  return touched;
+  return split + simd::FirstKeyAbove(state.delta().data() + split,
+                                     state.seq().data() + split,
+                                     touched - split, top_weight, top_vertex);
 }
 
 void IncrementalEngine::FillLookahead(const PeelState& state, std::size_t k,
@@ -697,10 +698,11 @@ void IncrementalEngine::MoveRun(PeelState* state, std::size_t src,
         std::span<const double>(scratch_delta_.data() + off, len));
     // Their new positions may lie at or beyond the scan cursor, where only
     // the emitted mark tells them apart from unscanned vertices. A vertex
-    // first stamped here marks its new slot, which is below the write
-    // cursor: the bulk scan never reads it (DESIGN.md §3.4).
+    // first stamped here marks its old slot, which the scan has passed, so
+    // the bitmap ahead of the scan still names only pre-merge incumbents
+    // (DESIGN.md §3.4).
     for (std::size_t i = 0; i < len; ++i) {
-      Scratch(scratch_seq_[off + i], dst + i).emitted = true;
+      Scratch(scratch_seq_[off + i], src + i).emitted = true;
     }
   }
   // dst == src: every entry already sits where it goes.

@@ -34,10 +34,10 @@
 // Untouched slots move in displacement runs (DESIGN.md §3.4): consecutive
 // case-2(b) slots share one (source, destination, length) run that is
 // written with a single PeelState::AssignRange when the next non-2(b) event
-// ends it. A touched-slot bitmap lets the merge extend a trailing run over
-// untouched slots in bulk: it reads a bitmap word per 64 slots and runs one
-// vector compare of the stored deltas against the queue head, instead of
-// classifying every slot.
+// ends it. A touched-slot bitmap lets the merge extend a run of either
+// direction over untouched slots in bulk: it reads a bitmap word per 64
+// slots and runs one vector compare of the stored (delta, id) keys against
+// the queue head's, instead of classifying every slot.
 
 #pragma once
 
@@ -257,12 +257,12 @@ class IncrementalEngine {
                  const std::vector<std::size_t>& black_positions,
                  std::size_t start, ReorderStats* stats);
 
-  /// The first slot in [k, n) that a trailing run cannot absorb in bulk:
-  /// the next touched slot, or an earlier one where the queue head sorts
-  /// before the incumbent. Requires w < k and no deferred credits, so every
-  /// slot in between is case 2(b) (DESIGN.md §3.4).
+  /// The first slot in [k, n) that the open run cannot absorb in bulk: the
+  /// next touched slot, or an earlier one where the queue head sorts before
+  /// the incumbent. Requires no deferred credits, so every slot in between
+  /// is case 2(b) (DESIGN.md §3.4).
   std::size_t ScanUntouched(const PeelState& state, std::size_t k,
-                            std::size_t n, ReorderStats* stats) const;
+                            std::size_t n) const;
 
   /// Pops the head of T into position `w` and relaxes its T-neighbors.
   /// Vertices peeling ahead of their old schedule sweep their unscanned
@@ -341,8 +341,8 @@ class IncrementalEngine {
   /// trailing run (dst < src, every insertion merge) shifts the live
   /// arrays down in place; a leading run (dst > src, deletion merges)
   /// first preserves its destination into the window, copies from there
-  /// and marks its vertices emitted. An in-place run (dst == src) rewrites
-  /// nothing.
+  /// and marks its vertices emitted, stamped at their old slots. An
+  /// in-place run (dst == src) rewrites nothing.
   void MoveRun(PeelState* state, std::size_t src, std::size_t dst,
                std::size_t len);
 
@@ -393,8 +393,8 @@ class IncrementalEngine {
   // O(1) when the member pops unread (the scratch `deferred` flag is the
   // source of truth; popped members leave stale list entries that the
   // flush skips). The budget is the summed degree of the deferred members,
-  // spent on white-slot adjacency probes so probing never exceeds the cost
-  // of the deferred passes themselves.
+  // spent on white-slot adjacency probes at degree + 1 each, so probing
+  // never exceeds the cost of the deferred passes themselves.
   std::vector<std::pair<VertexId, std::size_t>> uncredited_;
   std::size_t deferred_count_ = 0;
   std::ptrdiff_t credit_budget_ = 0;

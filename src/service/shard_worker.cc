@@ -785,9 +785,10 @@ void ShardWorker::SettleExactness(bool detect) {
   {
     std::lock_guard<std::mutex> lock(queue_mutex_);
     consumed_q_ = consumed;
-    // Only an empty ring makes the snapshot exact; a racing Submit defers
-    // exactness to the next round.
-    if (exact && RingEmpty()) exact_through_ = consumed;
+    // A detect pass leaves the snapshot exact through every consumed edge,
+    // whatever still waits in the ring. Without one, only an empty ring
+    // advances the cursor; a racing Submit defers it to the next round.
+    if (exact && (detect || RingEmpty())) exact_through_ = consumed;
   }
   drain_cv_.notify_all();
 }
@@ -957,11 +958,18 @@ void ShardWorker::WorkerLoop() {
                 .count()),
         std::memory_order_relaxed);
 
-    // Round end: publish the consumed count, and advance the drain cursor
-    // when the batch happened to end on a fresh detection everywhere, so a
-    // later DrainFor() needs no worker round-trip. Otherwise exactness is
+    // Round end: publish the consumed count and advance the drain cursor.
+    // While a DrainFor() waiter is registered, detect the dirty partitions
+    // here, so a save under sustained ingest returns without waiting for an
+    // idle round. Otherwise the cursor advances only when the batch
+    // happened to end on a fresh detection everywhere, and exactness is
     // produced on demand by the idle branch above.
-    SettleExactness(/*detect=*/false);
+    bool drain_waiting = false;
+    {
+      std::lock_guard<std::mutex> lock(queue_mutex_);
+      drain_waiting = drain_waiters_ > 0;
+    }
+    SettleExactness(/*detect=*/drain_waiting);
   }
 
   // Shutdown: hand off (or, failing that, drop) any backlogged edges so

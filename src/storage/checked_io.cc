@@ -1,8 +1,11 @@
 #include "storage/checked_io.h"
 
+#include <algorithm>
 #include <array>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
+#include <fstream>
 #include <system_error>
 #include <utility>
 
@@ -10,31 +13,51 @@ namespace spade {
 
 namespace {
 
-/// CRC-64/XZ table, generated once.
-const std::array<std::uint64_t, 256>& CrcTable() {
-  static const std::array<std::uint64_t, 256> table = [] {
-    std::array<std::uint64_t, 256> t{};
+/// CRC-64/XZ slice-by-8 tables, generated once: table[0] is the bytewise
+/// table, and table[j][b] advances table[j - 1][b] by one zero byte, so one
+/// step folds eight input bytes through eight lookups.
+using CrcTables = std::array<std::array<std::uint64_t, 256>, 8>;
+
+const CrcTables& CrcTable() {
+  static const CrcTables tables = [] {
+    CrcTables t{};
     constexpr std::uint64_t kPoly = 0xC96C5795D7870F42ULL;
     for (std::uint32_t i = 0; i < 256; ++i) {
       std::uint64_t crc = i;
       for (int bit = 0; bit < 8; ++bit) {
         crc = (crc >> 1) ^ ((crc & 1) ? kPoly : 0);
       }
-      t[i] = crc;
+      t[0][i] = crc;
+    }
+    for (std::size_t j = 1; j < t.size(); ++j) {
+      for (std::size_t i = 0; i < 256; ++i) {
+        t[j][i] = (t[j - 1][i] >> 8) ^ t[0][t[j - 1][i] & 0xFF];
+      }
     }
     return t;
   }();
-  return table;
+  return tables;
 }
 
 }  // namespace
 
 std::uint64_t Crc64(const void* data, std::size_t size, std::uint64_t seed) {
   const auto* bytes = static_cast<const unsigned char*>(data);
-  const std::array<std::uint64_t, 256>& table = CrcTable();
+  const CrcTables& t = CrcTable();
   std::uint64_t crc = ~seed;
-  for (std::size_t i = 0; i < size; ++i) {
-    crc = table[(crc ^ bytes[i]) & 0xFF] ^ (crc >> 8);
+  for (; size >= 8; size -= 8, bytes += 8) {
+    // The CRC is reflected, so the eight bytes fold in little-endian order
+    // whatever the host's.
+    std::uint64_t word = 0;
+    for (int b = 7; b >= 0; --b) word = (word << 8) | bytes[b];
+    crc ^= word;
+    crc = t[7][crc & 0xFF] ^ t[6][(crc >> 8) & 0xFF] ^
+          t[5][(crc >> 16) & 0xFF] ^ t[4][(crc >> 24) & 0xFF] ^
+          t[3][(crc >> 32) & 0xFF] ^ t[2][(crc >> 40) & 0xFF] ^
+          t[1][(crc >> 48) & 0xFF] ^ t[0][crc >> 56];
+  }
+  for (; size > 0; --size, ++bytes) {
+    crc = t[0][(crc ^ *bytes) & 0xFF] ^ (crc >> 8);
   }
   return ~crc;
 }
@@ -42,6 +65,9 @@ std::uint64_t Crc64(const void* data, std::size_t size, std::uint64_t seed) {
 namespace storage {
 
 namespace {
+
+/// Bytes the checksummed reader and writer buffer between file calls.
+constexpr std::size_t kChecksummedIoBuffer = std::size_t{64} << 10;
 
 TruncationFn& TruncationHook() {
   static TruncationFn hook;
@@ -74,30 +100,54 @@ void SetTruncationHookForTesting(TruncationFn hook) {
 ChecksummedFileWriter::ChecksummedFileWriter(const std::string& path)
     : path_(path),
       tmp_(path + ".tmp"),
-      out_(tmp_, std::ios::binary | std::ios::trunc) {}
+      out_(std::fopen(tmp_.c_str(), "wb")),
+      buffer_(new unsigned char[kChecksummedIoBuffer]) {
+  // The buffer above replaces stdio's: each spill is one write call.
+  if (out_ != nullptr) std::setvbuf(out_.get(), nullptr, _IONBF, 0);
+}
 
 ChecksummedFileWriter::~ChecksummedFileWriter() {
   if (!finished_) {
-    out_.close();
+    out_.reset();
     std::remove(tmp_.c_str());
   }
 }
 
+void ChecksummedFileWriter::Spill() {
+  crc_ = Crc64(buffer_.get(), used_, crc_);
+  if (out_ != nullptr && !failed_ &&
+      std::fwrite(buffer_.get(), 1, used_, out_.get()) != used_) {
+    failed_ = true;
+  }
+  used_ = 0;
+}
+
 void ChecksummedFileWriter::WriteBytes(const void* data, std::size_t size) {
-  out_.write(static_cast<const char*>(data),
-             static_cast<std::streamsize>(size));
-  crc_ = Crc64(data, size, crc_);
+  const auto* bytes = static_cast<const unsigned char*>(data);
   bytes_ += size;
+  while (size > 0) {
+    if (used_ == kChecksummedIoBuffer) Spill();
+    const std::size_t n = std::min(size, kChecksummedIoBuffer - used_);
+    std::memcpy(buffer_.get() + used_, bytes, n);
+    used_ += n;
+    bytes += n;
+    size -= n;
+  }
 }
 
 Status ChecksummedFileWriter::Finish() {
-  if (!out_) {
+  if (out_ == nullptr) {
     return Status::IOError("cannot write " + tmp_);
   }
-  out_.write(reinterpret_cast<const char*>(&crc_), sizeof(crc_));
-  out_.flush();
-  if (!out_) return Status::IOError("write failure on " + tmp_);
-  out_.close();
+  Spill();
+  if (!failed_ && std::fwrite(&crc_, sizeof(crc_), 1, out_.get()) != 1) {
+    failed_ = true;
+  }
+  if (std::fclose(out_.release()) != 0) failed_ = true;
+  if (failed_) {
+    std::remove(tmp_.c_str());
+    return Status::IOError("write failure on " + tmp_);
+  }
   if (!ApplyTruncationHook(path_, tmp_)) {
     std::remove(tmp_.c_str());
     return Status::IOError("truncation hook failed on " + tmp_);
@@ -111,16 +161,34 @@ Status ChecksummedFileWriter::Finish() {
 }
 
 ChecksummedFileReader::ChecksummedFileReader(const std::string& path)
-    : path_(path), in_(path, std::ios::binary) {
+    : path_(path),
+      in_(std::fopen(path.c_str(), "rb")),
+      buffer_(new unsigned char[kChecksummedIoBuffer]) {
+  // The buffer above replaces stdio's: each refill is one read call.
+  if (in_ != nullptr) std::setvbuf(in_.get(), nullptr, _IONBF, 0);
   std::error_code ec;
   const auto size = std::filesystem::file_size(path, ec);
   size_ = ec ? 0 : static_cast<std::uint64_t>(size);
 }
 
+bool ChecksummedFileReader::Refill() {
+  crc_ = Crc64(buffer_.get() + hashed_, pos_ - hashed_, crc_);
+  pos_ = end_ = hashed_ = 0;
+  if (in_ == nullptr) return false;
+  end_ = std::fread(buffer_.get(), 1, kChecksummedIoBuffer, in_.get());
+  return end_ > 0;
+}
+
 bool ChecksummedFileReader::ReadBytes(void* data, std::size_t size) {
-  in_.read(static_cast<char*>(data), static_cast<std::streamsize>(size));
-  if (!in_) return false;
-  crc_ = Crc64(data, size, crc_);
+  auto* out = static_cast<unsigned char*>(data);
+  while (size > 0) {
+    if (pos_ == end_ && !Refill()) return false;
+    const std::size_t n = std::min(size, end_ - pos_);
+    std::memcpy(out, buffer_.get() + pos_, n);
+    pos_ += n;
+    out += n;
+    size -= n;
+  }
   return true;
 }
 
@@ -145,16 +213,19 @@ Status ChecksummedFileReader::ReadHeader(std::uint64_t magic,
 }
 
 Status ChecksummedFileReader::VerifyTrailer() {
+  // Every payload byte is consumed here: fold the unhashed rest in, then
+  // read the trailer past it unhashed.
+  crc_ = Crc64(buffer_.get() + hashed_, pos_ - hashed_, crc_);
+  hashed_ = pos_;
   const std::uint64_t computed = crc_;
   std::uint64_t stored = 0;
-  in_.read(reinterpret_cast<char*>(&stored), sizeof(stored));
-  if (!in_ || stored != computed) {
+  if (!ReadBytes(&stored, sizeof(stored)) || stored != computed) {
     return Status::IOError(path_ + ": checksum mismatch (corrupt or torn)");
   }
   // The trailer must be the end of the file: appended bytes are a
   // mutation the CRC (which only covers the payload before the trailer)
   // would otherwise never see.
-  if (in_.peek() != std::ifstream::traits_type::eof()) {
+  if (pos_ != end_ || Refill()) {
     return Status::IOError(path_ + ": trailing bytes after the trailer");
   }
   return Status::OK();

@@ -5,7 +5,10 @@
 // little-endian fixed-width fields, a CRC-64/XZ accumulated over every
 // payload byte, the CRC appended as an 8-byte trailer, and an atomic
 // temp-file + rename publish. ChecksummedFileWriter/Reader implement that
-// discipline once so a format author cannot forget a piece of it.
+// discipline once so a format author cannot forget a piece of it. Both move
+// the file through a fixed 64 KiB buffer, one read or write call per refill
+// or spill, and hash each buffered span once (Crc64 takes eight bytes per
+// step), so a field costs a copy rather than a stream call and a CRC call.
 //
 // Crash-consistency model: rename is atomic, but nothing here fsyncs — a
 // host crash can therefore leave a file at its *final* path whose tail data
@@ -23,8 +26,9 @@
 #pragma once
 
 #include <cstdint>
-#include <fstream>
+#include <cstdio>
 #include <functional>
+#include <memory>
 #include <string>
 #include <string_view>
 #include <type_traits>
@@ -37,6 +41,12 @@ namespace spade {
 std::uint64_t Crc64(const void* data, std::size_t size, std::uint64_t seed = 0);
 
 namespace storage {
+
+/// Closes a stdio stream (the buffered reader's and writer's file).
+struct FileCloser {
+  void operator()(std::FILE* f) const { std::fclose(f); }
+};
+using FilePtr = std::unique_ptr<std::FILE, FileCloser>;
 
 /// Fault-injection seam (the "TruncatingWriter"): given the final path of a
 /// file about to be published, returns the maximum number of bytes that
@@ -72,8 +82,9 @@ class ChecksummedFileWriter {
   ChecksummedFileWriter(const ChecksummedFileWriter&) = delete;
   ChecksummedFileWriter& operator=(const ChecksummedFileWriter&) = delete;
 
-  /// False when the temp file could not be opened (Finish() reports it).
-  bool ok() const { return static_cast<bool>(out_); }
+  /// False when the temp file could not be opened or a spill failed
+  /// (Finish() reports it).
+  bool ok() const { return out_ != nullptr && !failed_; }
 
   void WriteBytes(const void* data, std::size_t size);
 
@@ -91,11 +102,17 @@ class ChecksummedFileWriter {
   Status Finish();
 
  private:
+  /// Hashes the buffered bytes and writes them out in one call.
+  void Spill();
+
   std::string path_;
   std::string tmp_;
-  std::ofstream out_;
+  FilePtr out_;
+  std::unique_ptr<unsigned char[]> buffer_;
+  std::size_t used_ = 0;  // buffered bytes not yet written
   std::uint64_t crc_ = 0;
   std::uint64_t bytes_ = 0;
+  bool failed_ = false;
   bool finished_ = false;
 };
 
@@ -107,7 +124,7 @@ class ChecksummedFileReader {
   explicit ChecksummedFileReader(const std::string& path);
 
   /// False when the file could not be opened.
-  bool ok() const { return static_cast<bool>(in_); }
+  bool ok() const { return in_ != nullptr; }
 
   bool ReadBytes(void* data, std::size_t size);
 
@@ -146,8 +163,16 @@ class ChecksummedFileReader {
   const std::string& path() const { return path_; }
 
  private:
+  /// Hashes the consumed bytes of the buffer, then refills it with one
+  /// read. False at the end of the file or on a read error.
+  bool Refill();
+
   std::string path_;
-  std::ifstream in_;
+  FilePtr in_;
+  std::unique_ptr<unsigned char[]> buffer_;
+  std::size_t pos_ = 0;     // next unconsumed buffered byte
+  std::size_t end_ = 0;     // buffered bytes
+  std::size_t hashed_ = 0;  // consumed bytes already in crc_
   std::uint64_t crc_ = 0;
   std::uint64_t size_ = 0;
 };

@@ -13,6 +13,7 @@
 #include "common/rng.h"
 #include "common/simd.h"
 #include "metrics/density.h"
+#include "peel/indexed_heap.h"
 #include "peel/peel_state.h"
 #include "tests/test_util.h"
 
@@ -216,45 +217,75 @@ TEST(SimdKernelTest, CompiledTargetsBitIdenticalToScalar) {
   }
 }
 
-// FirstAtLeast is an exact compare, so every target must return the scalar
-// index: for every length 0..130 (each vector loop's full groups, its tail
-// and the narrower loops after it), from starts at every offset mod 4 (so
-// the loads run unaligned), with a threshold above every element (no hit),
-// equal to an element, and planted at each position in turn.
-TEST(SimdKernelTest, FirstAtLeastReturnsTheScalarIndexOnEveryTarget) {
+// FirstKeyAbove is an exact compare, so every target must return the index
+// of the first slot the heap's own key order (HeapKeyLess) puts after the
+// key. Lengths 0..67 cover each vector loop's full groups, its tail and the
+// narrower loops after it; starts at every offset mod 4 run the loads
+// unaligned. Ids come from both sides of 2^31, where a signed lane compare
+// would misorder them. Each length checks a key above every slot, below
+// every slot and equal to one, then plants one hit at each position in turn
+// behind slots that tie the key's weight with ids at or below its id: a
+// heavier slot, a tie with a larger id, and zero ties of either sign
+// against a zero key of the other.
+TEST(SimdKernelTest, FirstKeyAboveReturnsTheScalarIndexOnEveryTarget) {
   Rng rng(79);
   const auto targets = simd::CompiledSimdTargets();
-  constexpr std::size_t kMaxN = 130;
-  std::vector<double> buf(kMaxN + 4);
-  const auto reference = [](const double* p, std::size_t n, double t) {
-    for (std::size_t i = 0; i < n; ++i) {
-      if (p[i] >= t) return i;
+  constexpr std::size_t kMaxN = 67;
+  constexpr std::uint32_t kIds[] = {0u,          1u,          0x7FFFFFFEu,
+                                    0x7FFFFFFFu, 0x80000000u, 0x80000001u,
+                                    0xFFFFFFFEu, 0xFFFFFFFFu};
+  std::vector<double> delta(kMaxN + 4);
+  std::vector<std::uint32_t> seq(kMaxN + 4);
+  const auto expect_all = [&](std::size_t offset, std::size_t n, double w,
+                              std::uint32_t v, const char* what) {
+    const double* d = delta.data() + offset;
+    const std::uint32_t* s = seq.data() + offset;
+    std::size_t want = n;
+    for (std::size_t i = 0; i < n && want == n; ++i) {
+      if (HeapKeyLess(w, v, d[i], s[i])) want = i;
     }
-    return n;
-  };
-  const auto expect_all = [&](const double* p, std::size_t n, double t,
-                              const char* what) {
-    const std::size_t want = reference(p, n, t);
     for (const auto& target : targets) {
-      ASSERT_EQ(target.first_at_least(p, n, t), want)
-          << target.name << " " << what << ", n=" << n << ", t=" << t;
+      ASSERT_EQ(target.first_key_above(d, s, n, w, v), want)
+          << target.name << " " << what << ", n=" << n
+          << ", offset=" << offset << ", key=(" << w << ", " << v << ")";
     }
+  };
+  // Every slot ties weight w with an id at or below v, except a planted
+  // (hit_delta, hit_id) at position j.
+  const auto plant = [&](std::size_t offset, std::size_t j, double w,
+                         std::uint32_t v, double hit_delta,
+                         std::uint32_t hit_id) {
+    for (std::size_t i = 0; i < delta.size(); ++i) {
+      delta[i] = w;
+      seq[i] = v - static_cast<std::uint32_t>(rng.NextBounded(3));
+    }
+    delta[offset + j] = hit_delta;
+    seq[offset + j] = hit_id;
   };
   for (std::size_t n = 0; n <= kMaxN; ++n) {
     for (std::size_t offset = 0; offset < 4; ++offset) {
-      // Small integers, so equal elements are common.
-      for (auto& d : buf) d = static_cast<double>(rng.NextBounded(16));
-      const double* p = buf.data() + offset;
-      expect_all(p, n, 16.0, "no hit");
-      expect_all(p, n, 0.0, "every element hits");
+      // Small integer weights, so ties are common.
+      for (std::size_t i = 0; i < delta.size(); ++i) {
+        delta[i] = static_cast<double>(rng.NextBounded(4));
+        seq[i] = kIds[rng.NextBounded(std::size(kIds))];
+      }
+      expect_all(offset, n, 4.0, 0, "key above every slot");
+      expect_all(offset, n, -1.0, 0xFFFFFFFFu, "key below every slot");
+      for (const std::uint32_t v : kIds) {
+        expect_all(offset, n, 2.0, v, "ties on both sides of the id");
+      }
       if (n == 0) continue;
-      expect_all(p, n, p[rng.NextBounded(n)], "threshold equal to an element");
-      // One planted hit at each position, equal to the threshold, every
-      // other element below it.
+      const std::size_t at = offset + rng.NextBounded(n);
+      expect_all(offset, n, delta[at], seq[at], "key equal to a slot");
       for (std::size_t j = 0; j < n; ++j) {
-        std::fill(buf.begin(), buf.end(), 1.0);
-        buf[offset + j] = 2.0;
-        expect_all(p, n, 2.0, "planted hit");
+        plant(offset, j, 2.0, 0x80000000u, 3.0, 0);
+        expect_all(offset, n, 2.0, 0x80000000u, "heavier slot");
+        plant(offset, j, 2.0, 0x7FFFFFFFu, 2.0, 0x80000000u);
+        expect_all(offset, n, 2.0, 0x7FFFFFFFu, "tie with a larger id");
+        plant(offset, j, 0.0, 5, 0.0, 6);
+        expect_all(offset, n, -0.0, 5, "+0.0 tie against a -0.0 key");
+        plant(offset, j, -0.0, 5, -0.0, 6);
+        expect_all(offset, n, 0.0, 5, "-0.0 tie against a +0.0 key");
         if (::testing::Test::HasFatalFailure()) return;
       }
     }
@@ -269,7 +300,8 @@ TEST(SimdKernelTest, TestingOverrideRedirectsDispatch) {
     EXPECT_STREQ(simd::ActiveSimdTarget(), t.name);
     const double one = 1.0;
     EXPECT_DOUBLE_EQ(simd::FixedOrderSum(&one, 1), 1.0);
-    EXPECT_EQ(simd::FirstAtLeast(&one, 1, 1.0), 0u);
+    const std::uint32_t id = 7;
+    EXPECT_EQ(simd::FirstKeyAbove(&one, &id, 1, 1.0, 6), 0u);
   }
   simd::SetSimdTargetForTesting(nullptr);
   EXPECT_STREQ(simd::ActiveSimdTarget(), compile_time);

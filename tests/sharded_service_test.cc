@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <filesystem>
 #include <limits>
 #include <mutex>
@@ -813,6 +814,73 @@ TEST(ShardedDetectionServiceTest, RestoreMissingManifestIsNotFound) {
       service.RestoreState(::testing::TempDir() + "/no_such_snapshot_dir");
   ASSERT_FALSE(s.ok());
   EXPECT_EQ(s.code(), StatusCode::kNotFound);
+}
+
+// A save completes under sustained ingest: while a drain waits, each worker
+// round detects its dirty partitions and advances the drain cursor, whether
+// or not more edges wait in the ring. One producer submits 8-edge bursts
+// with 5 us sleeps into a one-shard fleet while the test times 20 saves. A
+// watchdog stops the producer once a save has waited 10 s, so a worker that
+// waits for an idle round fails on the measured save time instead of
+// hanging.
+TEST(ShardedDetectionServiceTest, SaveCompletesUnderSustainedIngest) {
+  const std::string dir = ::testing::TempDir() + "/sharded_sustained_save";
+  std::filesystem::remove_all(dir);
+  constexpr std::size_t kTenants = 64;
+  ShardedDetectionServiceOptions options = TenantOptions();
+  // A bounded ring blocks the producer, so the backlog left when the
+  // watchdog fires drains in well under a second.
+  options.shard.block_when_full = true;
+  options.shard.max_queue = 512;
+  ShardedDetectionService service(BuildShards(1, kTenants, {}), nullptr,
+                                  std::move(options));
+  ASSERT_TRUE(service.SaveState(dir).ok());
+  using Clock = std::chrono::steady_clock;
+  std::atomic<bool> stop{false};
+  std::atomic<bool> saves_done{false};
+  // When the save in flight began, in Clock ticks.
+  std::atomic<Clock::rep> save_began{Clock::now().time_since_epoch().count()};
+  std::atomic<std::uint64_t> submitted{0};
+  std::thread producer([&] {
+    Rng rng(61);
+    std::vector<Edge> burst(8);
+    while (!stop.load(std::memory_order_relaxed)) {
+      for (Edge& e : burst) e = TenantEdge(&rng, rng.NextBounded(kTenants));
+      if (service.SubmitBatch(burst).ok()) submitted += burst.size();
+      std::this_thread::sleep_for(std::chrono::microseconds(5));
+    }
+  });
+  std::thread watchdog([&] {
+    while (!saves_done.load()) {
+      const Clock::time_point began{Clock::duration(save_began.load())};
+      if (Clock::now() - began > std::chrono::seconds(10)) stop = true;
+      std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    }
+  });
+  double worst_ms = 0.0;
+  int saved = 0;
+  for (int i = 0; i < 20; ++i) {
+    const Clock::time_point t0 = Clock::now();
+    save_began = t0.time_since_epoch().count();
+    const Status s =
+        service.SaveState(dir, ShardedDetectionService::SaveMode::kAuto);
+    worst_ms = std::max(
+        worst_ms,
+        std::chrono::duration<double, std::milli>(Clock::now() - t0).count());
+    if (!s.ok()) {
+      ADD_FAILURE() << "save " << i << ": " << s.ToString();
+      break;
+    }
+    ++saved;
+  }
+  saves_done = true;
+  watchdog.join();
+  stop = true;
+  producer.join();
+  EXPECT_EQ(saved, 20);
+  EXPECT_LT(worst_ms, 5000.0);
+  EXPECT_GT(submitted.load(), 0u);
+  std::filesystem::remove_all(dir);
 }
 
 // Multi-producer + concurrent-reader stress across shards (run under TSan

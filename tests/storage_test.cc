@@ -13,6 +13,7 @@
 #include <sstream>
 #include <string>
 
+#include "storage/checked_io.h"
 #include "storage/delta_segment.h"
 #include "storage/sharded_snapshot.h"
 
@@ -245,6 +246,98 @@ TEST(Crc64Test, KnownProperties) {
   // Streaming in two chunks matches one shot.
   const std::uint64_t part = Crc64(data, 4);
   EXPECT_EQ(Crc64(data + 4, 5, part), crc);
+  // The catalogued CRC-64/XZ check value.
+  EXPECT_EQ(crc, 0x995DC9BBDF1939FAULL);
+}
+
+// The eight-bytes-a-step path equals the bytewise definition for every
+// length and split point around a step, from every alignment.
+TEST(Crc64Test, SliceByEightMatchesBytewise) {
+  const auto bytewise = [](const unsigned char* p, std::size_t n,
+                           std::uint64_t seed) {
+    std::uint64_t crc = ~seed;
+    for (std::size_t i = 0; i < n; ++i) {
+      crc ^= p[i];
+      for (int bit = 0; bit < 8; ++bit) {
+        crc = (crc >> 1) ^ ((crc & 1) ? 0xC96C5795D7870F42ULL : 0);
+      }
+    }
+    return ~crc;
+  };
+  Rng rng(31);
+  std::vector<unsigned char> buf(96);
+  for (auto& b : buf) b = static_cast<unsigned char>(rng.NextBounded(256));
+  for (std::size_t offset = 0; offset < 8; ++offset) {
+    const unsigned char* p = buf.data() + offset;
+    for (std::size_t n = 0; n <= 80; ++n) {
+      const std::uint64_t want = bytewise(p, n, 0);
+      ASSERT_EQ(Crc64(p, n), want) << "offset " << offset << " n " << n;
+      const std::size_t split = n / 3;
+      ASSERT_EQ(Crc64(p + split, n - split, Crc64(p, split)), want)
+          << "offset " << offset << " n " << n << " split " << split;
+    }
+  }
+}
+
+// Fields of every width round-trip through the 64 KiB buffers, straddling
+// refills, and the trailer still catches a flip past the first refill, a
+// torn tail and an appended byte.
+TEST(ChecksummedIoTest, FieldsStraddleTheBufferAndTheTrailerHolds) {
+  const std::string path = ::testing::TempDir() + "/spade_checked_io.bin";
+  constexpr std::uint32_t kFields = 50000;
+  {
+    storage::ChecksummedFileWriter w(path);
+    ASSERT_TRUE(w.ok());
+    for (std::uint32_t i = 0; i < kFields; ++i) {
+      w.Write(i);
+      w.Write(static_cast<std::uint8_t>(i));
+      w.Write(static_cast<double>(i) * 0.5);
+    }
+    EXPECT_EQ(w.bytes_written(), kFields * 13ull);
+    ASSERT_TRUE(w.Finish().ok());
+  }
+  // Reads every field back; `mismatches` counts fields that differ from
+  // what was written.
+  std::size_t mismatches = 0;
+  const auto read_all = [&]() -> Status {
+    storage::ChecksummedFileReader r(path);
+    if (!r.ok()) return Status::IOError("cannot open");
+    for (std::uint32_t i = 0; i < kFields; ++i) {
+      std::uint32_t a = 0;
+      std::uint8_t b = 0;
+      double c = 0.0;
+      if (!r.Read(&a) || !r.Read(&b) || !r.Read(&c)) {
+        return Status::IOError("truncated");
+      }
+      mismatches += a != i || b != static_cast<std::uint8_t>(i) ||
+                    c != static_cast<double>(i) * 0.5;
+    }
+    return r.VerifyTrailer();
+  };
+  ASSERT_TRUE(read_all().ok());
+  ASSERT_EQ(mismatches, 0u);
+  const auto size = std::filesystem::file_size(path);
+  ASSERT_EQ(size, kFields * 13ull + 8);
+  std::string bytes;
+  {
+    std::ifstream in(path, std::ios::binary);
+    bytes.assign(std::istreambuf_iterator<char>(in), {});
+  }
+  const auto write_bytes = [&](const std::string& content) {
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out.write(content.data(), static_cast<std::streamsize>(content.size()));
+  };
+  std::string flipped = bytes;
+  flipped[100000] = static_cast<char>(flipped[100000] ^ 0x10);
+  write_bytes(flipped);
+  EXPECT_FALSE(read_all().ok());
+  write_bytes(bytes.substr(0, bytes.size() - 3));
+  EXPECT_FALSE(read_all().ok());
+  write_bytes(bytes + '\0');
+  const Status appended = read_all();
+  ASSERT_FALSE(appended.ok());
+  EXPECT_NE(appended.message().find("trailing bytes"), std::string::npos);
+  std::filesystem::remove(path);
 }
 
 TEST_F(SnapshotTest, SpadeSaveRestoreResumesIncrementally) {

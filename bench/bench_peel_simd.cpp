@@ -1,26 +1,21 @@
-// Scalar-vs-SIMD sweep over the peel hot-path kernels (DESIGN.md §8):
+// Scalar-vs-dispatched sweep over the peel hot path (DESIGN.md §8). The
+// merge's bulk scan calls simd::FirstKeyAbove; each entry replays one
+// workload under the scalar target and under the target detected from the
+// CPU, through the override seam:
 //
-//  1. fixed_order_sum_512 / suffix_scan_512 / iota_8192 — the raw simd.h
-//     kernels on cache-resident data, per dispatch target. The sum is
-//     16 independent lanes (throughput-bound: the vector win is the point
-//     of the exercise); the scan carries the suffix dependence through
-//     every group (latency-bound: reported honestly, near-1x is expected).
-//  2. block_sum_refresh — in-situ block-sum path: every block of a 64Ki
-//     PeelState dirtied, then one SuffixWeight(0) refreshing all 128 cached
-//     sums through FixedOrderSum.
-//  3. detect_after_edge — end to end: single-edge insert through the
-//     incremental engine plus one blocked Detect, per dispatch target via
-//     the override seam. CI gates regressions on this entry.
-//  4. detect_after_heavy_edge — the same state and endpoints with edges of
+//  1. detect_after_edge — end to end: single-edge insert through the
+//     incremental engine plus one blocked Detect. CI gates regressions on
+//     this entry.
+//  2. detect_after_heavy_edge — the same state and endpoints with edges of
 //     weight 20-60, which rewrite ~14k slots and dirty ~30 blocks per
 //     update; only the Detect after each insert is timed. The entry reports
 //     hull rebuilds per Detect and, beside the rewritten span, the slots the
 //     merge classified one at a time (host-independent: CI gates both).
-//  5. retire_batch — a windowed 16Ki-vertex state retires its oldest 64
+//  3. retire_batch — a windowed 16Ki-vertex state retires its oldest 64
 //     edges per DeleteBatch, as a retire pass does, and admits 64 new ones.
 //     Only the DeleteBatch is timed. Its runs lead, and the entry reports
 //     rewritten and probed slots per retire (CI gates probed <= span / 8).
-//  6. insert_into_isolated_head — single edges between vertices of a 16Ki
+//  4. insert_into_isolated_head — single edges between vertices of a 16Ki
 //     isolated head on a 64Ki-vertex state, each merge reading the isolated
 //     slots behind a push whose credit pass is deferred. The entry reports
 //     rewritten and probed slots per insert (CI gates probed <= span / 8).
@@ -28,8 +23,8 @@
 // Emits BENCH_peel.json (path = argv[1], default ./): one entry per
 // experiment with {name, n, scalar_us, simd_us, speedup, target}, plus any
 // counts the experiment reports. scalar_us always comes from the
-// always-built scalar reference; simd_us from the compile-time dispatch
-// target (equal when the build is scalar-only).
+// always-built scalar reference; simd_us from the detected target (equal
+// when the CPU runs no vector target).
 
 #include <cstdio>
 #include <deque>
@@ -59,126 +54,6 @@ struct Entry {
   std::vector<std::pair<std::string, double>> counts;
   double speedup() const { return scalar_us / simd_us; }
 };
-
-constexpr std::size_t kBlockLen = 512;  // PeelState::kBlock
-constexpr std::size_t kBlocks = 4;      // 16 KiB of doubles: L1-resident
-
-/// Per-call microseconds of `op` (which must consume its own results).
-template <typename Op>
-double MicrosPerCall(Op&& op, std::size_t calls_per_iteration) {
-  return BenchmarkSecondsPerIteration(op) /
-         static_cast<double>(calls_per_iteration) * 1e6;
-}
-
-Entry BenchFixedOrderSum(const simd::SimdTarget& scalar,
-                         const simd::SimdTarget& vec) {
-  Rng rng(101);
-  std::vector<double> data(kBlocks * kBlockLen);
-  for (auto& d : data) d = rng.NextDouble() * 4.0;
-  const auto measure = [&](const simd::SimdTarget& t) {
-    return MicrosPerCall(
-        [&] {
-          volatile double guard = 0.0;
-          for (std::size_t b = 0; b < kBlocks; ++b) {
-            guard = t.fixed_order_sum(data.data() + b * kBlockLen, kBlockLen);
-          }
-          (void)guard;
-        },
-        kBlocks);
-  };
-  Entry e;
-  e.name = "fixed_order_sum_512";
-  e.n = kBlockLen;
-  e.note = "block-sum/detect-tail microkernel, us per 512-wide reduction";
-  e.scalar_us = measure(scalar);
-  e.simd_us = measure(vec);
-  e.target = vec.name;
-  return e;
-}
-
-Entry BenchSuffixScan(const simd::SimdTarget& scalar,
-                      const simd::SimdTarget& vec) {
-  Rng rng(102);
-  std::vector<double> data(kBlocks * kBlockLen);
-  std::vector<double> out(kBlockLen);
-  for (auto& d : data) d = rng.NextDouble() * 4.0;
-  const auto measure = [&](const simd::SimdTarget& t) {
-    return MicrosPerCall(
-        [&] {
-          volatile double guard = 0.0;
-          for (std::size_t b = 0; b < kBlocks; ++b) {
-            guard = t.suffix_scan_block(data.data() + b * kBlockLen,
-                                        kBlockLen, out.data());
-          }
-          (void)guard;
-        },
-        kBlocks);
-  };
-  Entry e;
-  e.name = "suffix_scan_512";
-  e.n = kBlockLen;
-  e.note = "hull pre-pass, carry-chain latency-bound (near-1x expected)";
-  e.scalar_us = measure(scalar);
-  e.simd_us = measure(vec);
-  e.target = vec.name;
-  return e;
-}
-
-Entry BenchIota(const simd::SimdTarget& scalar, const simd::SimdTarget& vec) {
-  constexpr std::size_t kN = 8192;
-  std::vector<std::uint32_t> out(kN);
-  const auto measure = [&](const simd::SimdTarget& t) {
-    return MicrosPerCall(
-        [&] {
-          t.iota_u32(out.data(), kN, 0);
-          volatile std::uint32_t guard = out[kN - 1];
-          (void)guard;
-        },
-        1);
-  };
-  Entry e;
-  e.name = "iota_8192";
-  e.n = kN;
-  e.note = "heap AssignAll leaf fill, us per 8192-wide iota";
-  e.scalar_us = measure(scalar);
-  e.simd_us = measure(vec);
-  e.target = vec.name;
-  return e;
-}
-
-/// Every cached block sum dirtied, one SuffixWeight(0) refreshing all of
-/// them: the block-sum path exactly as Detect's tail walk consumes it.
-Entry BenchBlockSumRefresh(const simd::SimdTarget& scalar,
-                           const simd::SimdTarget& vec) {
-  constexpr std::size_t kN = std::size_t{1} << 16;
-  Rng rng(103);
-  PeelState state(kN);
-  for (std::size_t v = 0; v < kN; ++v) {
-    state.Append(static_cast<VertexId>(v), rng.NextDouble() * 4.0);
-  }
-  const auto measure = [&](const simd::SimdTarget& t) {
-    simd::SetSimdTargetForTesting(&t);
-    const double us = MicrosPerCall(
-        [&] {
-          for (std::size_t i = 0; i < kN; i += kBlockLen) {
-            state.BumpDelta(i, 0.0);  // dirties the block, keeps the bits
-          }
-          volatile double guard = state.SuffixWeight(0);
-          (void)guard;
-        },
-        1);
-    simd::SetSimdTargetForTesting(nullptr);
-    return us;
-  };
-  Entry e;
-  e.name = "block_sum_refresh";
-  e.n = kN;
-  e.note = "all 128 block sums refreshed, 512KB stream: L2-bandwidth-bound";
-  e.scalar_us = measure(scalar);
-  e.simd_us = measure(vec);
-  e.target = vec.name;
-  return e;
-}
 
 constexpr std::size_t kDetectN = std::size_t{1} << 16;
 constexpr std::size_t kUpdates = 256;
@@ -473,6 +348,7 @@ int main(int argc, char** argv) {
   using namespace spade::bench;
   const std::string out_dir = argc > 1 ? argv[1] : ".";
 
+  // Scalar first, the target detected from this CPU last.
   const auto targets = spade::simd::CompiledSimdTargets();
   const spade::simd::SimdTarget& scalar = targets.front();
   const spade::simd::SimdTarget& vec = targets.back();
@@ -483,10 +359,6 @@ int main(int argc, char** argv) {
               "scalar(us)", "simd(us)", "speedup", "note");
 
   std::vector<Entry> entries;
-  entries.push_back(BenchFixedOrderSum(scalar, vec));
-  entries.push_back(BenchSuffixScan(scalar, vec));
-  entries.push_back(BenchIota(scalar, vec));
-  entries.push_back(BenchBlockSumRefresh(scalar, vec));
   const ZipfBase base = BuildZipfBase();
   entries.push_back(BenchDetectAfterEdge(base, scalar, vec));
   entries.push_back(BenchDetectAfterHeavyEdge(base, scalar, vec));

@@ -17,6 +17,13 @@ bool IsAdmissibleWeight(double weight) {
   return std::isfinite(weight) && weight > 0.0;
 }
 
+/// Admission test on a rounded prior a_u: finite and >= 0. A negative
+/// prior would let a partial sum exceed the mass the bound counts
+/// (DESIGN.md §2.2).
+bool IsAdmissiblePrior(double prior) {
+  return std::isfinite(prior) && prior >= 0.0;
+}
+
 /// The window log's expired prefix ends at the first entry at or past the
 /// horizon: a late arrival shields the entries behind it. The one prefix
 /// pop of RetireOlderThan and ReplayDelta.
@@ -30,6 +37,13 @@ std::string MassRefusal(const char* caller, double mass) {
   std::ostringstream os;
   os << caller << ": mass " << mass << " would exceed the bound "
      << kMaxPartitionMass;
+  return os.str();
+}
+
+std::string PriorRefusal(const char* caller, VertexId v, double prior) {
+  std::ostringstream os;
+  os << caller << ": prior " << prior << " of vertex " << v
+     << " must be finite and >= 0";
   return os.str();
 }
 
@@ -73,26 +87,36 @@ Status Spade::AdmitWeighted(std::span<const Edge> weighted,
   }
   // Priors in the order the endpoints first appear, each read against the
   // graph with the earlier ones set. The new ids are exactly
-  // [num_vertices, NumVertices()).
+  // [num_vertices, NumVertices()). A refused prior is never set, so the
+  // rollback below subtracts only finite weights.
   std::vector<char> fresh(graph_.NumVertices() - num_vertices, 0);
-  for (const Edge& e : weighted) {
-    for (VertexId v : {e.src, e.dst}) {
-      if (v < num_vertices || fresh[v - num_vertices]) continue;
-      fresh[v - num_vertices] = 1;
-      const double prior = Prior(v);
-      graph_.SetVertexWeight(v, prior);
-      mass += prior;
+  const auto set_priors = [&]() -> Status {
+    for (const Edge& e : weighted) {
+      for (VertexId v : {e.src, e.dst}) {
+        if (v < num_vertices || fresh[v - num_vertices]) continue;
+        fresh[v - num_vertices] = 1;
+        const double prior = Prior(v);
+        if (!IsAdmissiblePrior(prior)) {
+          return Status::InvalidArgument(PriorRefusal(caller, v, prior));
+        }
+        graph_.SetVertexWeight(v, prior);
+        mass += prior;
+      }
     }
-  }
-  if (!(mass <= kMaxPartitionMass)) {
+    if (!(mass <= kMaxPartitionMass)) {
+      return Status::InvalidArgument(MassRefusal(caller, mass));
+    }
+    return Status::OK();
+  };
+  const Status status = set_priors();
+  if (!status.ok()) {
     for (std::size_t i = 0; i < fresh.size(); ++i) {
       const auto v = static_cast<VertexId>(num_vertices + i);
       graph_.SetVertexWeight(v, 0.0);
     }
     graph_.TruncateVertices(num_vertices);
-    return Status::InvalidArgument(MassRefusal(caller, mass));
   }
-  return Status::OK();
+  return status;
 }
 
 Status Spade::LoadGraph(const std::string& path) {
@@ -116,7 +140,11 @@ Status Spade::BuildGraph(std::size_t num_vertices,
   if (vsusp_) {
     for (std::size_t v = 0; v < num_vertices; ++v) {
       const auto id = static_cast<VertexId>(v);
-      graph.SetVertexWeight(id, QuantizeWeight(vsusp_(id, graph)));
+      const double prior = QuantizeWeight(vsusp_(id, graph));
+      if (!IsAdmissiblePrior(prior)) {
+        return Status::InvalidArgument(PriorRefusal("BuildGraph", id, prior));
+      }
+      graph.SetVertexWeight(id, prior);
     }
   }
   for (const Edge& raw : raw_edges) {

@@ -98,7 +98,8 @@ class Spade {
   /// the installed semantics (weights and priors rounded onto the grid),
   /// then runs the static peeling once. Fails with kInvalidArgument, the
   /// detector untouched, on an endpoint out of range, a weight that is not
-  /// finite and positive, or a mass past kMaxPartitionMass.
+  /// finite and positive, a prior that is not finite and >= 0, or a mass
+  /// past kMaxPartitionMass.
   Status BuildGraph(std::size_t num_vertices, std::span<const Edge> raw_edges);
 
   /// Current fraudulent community S_P. Flushes any buffered benign edges
@@ -122,7 +123,8 @@ class Spade {
   /// benign-buffered) the graph with — the weight a later RetireEdges must
   /// subtract. A new endpoint's VSusp prior is rounded the same way. An
   /// edge whose applied weight is not finite and positive (it rounds to 0,
-  /// say), or that would lift the mass past kMaxPartitionMass, fails with
+  /// say), whose new endpoint's prior is not finite and >= 0, or that
+  /// would lift the mass past kMaxPartitionMass, fails with
   /// kInvalidArgument before the graph grows and before anything is
   /// buffered or logged (ApplyBatchEdges then applies none of the batch).
   /// With the window log on, each admitted edge is logged at that weight.

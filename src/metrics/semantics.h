@@ -6,6 +6,8 @@
 // arithmetic density g(S) = f(S)/|S| is peeled:
 //   * vsusp(u, g)  -> prior suspiciousness a_u of a vertex (>= 0),
 //   * esusp(e, g)  -> suspiciousness c_ij of a transaction edge (> 0).
+// Spade's admission refuses, with kInvalidArgument, a value outside its
+// range or not finite (after rounding onto the weight grid).
 //
 // Edge suspiciousness is evaluated once, when the edge is inserted, against
 // the graph state at that moment (degrees already include the new edge's

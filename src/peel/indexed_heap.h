@@ -12,15 +12,15 @@
 // The sift comparisons read weights almost exclusively (vertex ids only
 // break exact ties), so splitting the streams packs twice as many keys per
 // cache line on the comparison path, and AssignAll's O(n) rebuild becomes a
-// bulk weight copy plus a vectorized ascending fill of vertex_
-// (simd::IotaU32) ahead of the Floyd sift-downs.
+// bulk weight copy plus an ascending fill of vertex_ (std::iota) ahead of
+// the Floyd sift-downs.
 
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
+#include <numeric>
 #include <span>
-#include <type_traits>
 #include <vector>
 
 #include "common/logging.h"
@@ -118,16 +118,14 @@ class IndexedMinHeap {
   /// `weights`, via bottom-up heapify: O(n) instead of the O(n log n) of n
   /// pushes. The pop order is unchanged — the comparator's total order pins
   /// the canonical sequence regardless of internal array layout. The leaf
-  /// pass is pure bulk initialization: one weight memcpy and one vectorized
-  /// iota, no per-element work.
+  /// pass is pure bulk initialization: one weight memcpy and one iota, no
+  /// per-element work.
   void AssignAll(std::span<const double> weights) {
-    static_assert(std::is_same_v<VertexId, std::uint32_t>,
-                  "vertex_ fill uses the u32 iota kernel");
     const std::size_t n = weights.size();
     slot_.assign(std::max(slot_.size(), n), kNoSlot);
     weight_.assign(weights.begin(), weights.end());
     vertex_.resize(n);
-    simd::IotaU32(vertex_.data(), n, 0);
+    std::iota(vertex_.begin(), vertex_.end(), VertexId{0});
     for (std::size_t i = n / 2; i-- > 0;) SiftDown(i);
     for (std::size_t i = 0; i < n; ++i) slot_[vertex_[i]] = i;
   }

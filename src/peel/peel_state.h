@@ -30,17 +30,15 @@
 //    reaches the incumbent. Assign/BumpDelta dirty only the block they
 //    touch, AssignRange only the blocks its run covers.
 //
-// SIMD & layout (DESIGN.md §8): the per-slot storage is fully SoA —
-// seq_/delta_/pos_ are parallel arrays, and the hull arena is split into
-// hull_y_/hull_x_/hull_slot_ so the hull binary search streams only the
-// 12 bytes per point it compares (y, x) and touches the slot array once,
-// at the winner. Block-sum refresh and SuffixWeight tails go through
-// simd::FixedOrderSum and the hull rebuild through a simd::SuffixScanBlock
-// pre-pass feeding the scalar monotone stack; both kernels evaluate one
-// fixed association order on every dispatch target (scalar/SSE2/NEON/
-// AVX2), so Detect is bit-identical across builds. At B = 512 a block is a
-// natural vector tile: 4 KB of deltas, refreshed without touching seq_ or
-// pos_ at all.
+// Layout (DESIGN.md §8): the per-slot storage is fully SoA — seq_/delta_/
+// pos_ are parallel arrays, and the hull arena is split into hull_y_/
+// hull_x_/hull_slot_ so the hull binary search streams only the 12 bytes
+// per point it compares (y, x) and touches the slot array once, at the
+// winner. A block refresh is one scalar suffix scan over its 4 KB of
+// deltas, without touching seq_ or pos_: the scan's head is the block sum,
+// its max the bound, and its values the hull's y. Admission puts every
+// delta on the weight grid (DESIGN.md §2.2), so every sum is exact and the
+// scan's association order cannot change a Detect answer.
 
 #pragma once
 
@@ -139,7 +137,7 @@ class PeelState {
     std::memmove(delta_.data() + lo, d.data(), d.size() * sizeof(double));
     // The position pass writes pos_ at effectively random vertex ids, one
     // miss per slot: write-prefetch the entry kPosPrefetch slots ahead
-    // (DESIGN.md §8.4).
+    // (DESIGN.md §8.3).
     const std::size_t ahead = hi - std::min(hi - lo, kPosPrefetch);
     std::size_t p = lo;
     for (; p < ahead; ++p) {
@@ -207,25 +205,6 @@ class PeelState {
     return c;
   }
 
-  /// f(S_k): suffix sum of delta from position k (0 => whole graph weight).
-  /// Costs O(B + n/B) via the cached block sums; the partial-block tail is
-  /// one vector kernel call.
-  double SuffixWeight(std::size_t k) const {
-    const std::size_t end = seq_.size();
-    std::size_t p = base_ + k;
-    if (p >= end) return 0.0;
-    // Tail of the block containing p, via the fixed-order kernel.
-    const std::size_t block_end = std::min(end, (p / kBlock + 1) * kBlock);
-    double sum = simd::FixedOrderSum(delta_.data() + p, block_end - p);
-    p = block_end;
-    // Whole blocks after it, via cached sums (hulls are left alone).
-    for (std::size_t b = p / kBlock; p < end; ++b, p += kBlock) {
-      RefreshBlockSum(b);
-      sum += blocks_[b].sum;
-    }
-    return sum;
-  }
-
   /// Hull rebuilds Detect has made on this state so far: what the bound
   /// prunes shows up here (bench_peel_simd reports it per Detect).
   std::uint64_t HullRebuilds() const { return hull_rebuilds_; }
@@ -269,21 +248,20 @@ class PeelState {
   // is read exactly once per block — at the returned optimum.
 
   struct Block {
+    // The head of the block's suffix scan.
     double sum = 0.0;
-    // Largest within-block suffix sum, read from the same SuffixScanBlock
-    // output the hull's y values come from, so no hull point exceeds it.
+    // Largest within-block suffix sum, read from the same scan the hull's
+    // y values come from, so no hull point exceeds it.
     double max_suffix = 0.0;
     std::uint32_t hull_size = 0;
     // Freshness is tiered: `dirty` marks content changes inside the
     // block; the built counters are compared against the global versions,
-    // which bump when a structural change invalidates every block's sums
-    // and bounds (physical shift) or hulls (x = end - slot shift). The
-    // bound depends on content only, so it is fresh while !dirty and
-    // bound_built == sum_version_; every path that clears `dirty` without
-    // scanning leaves bound_built stale. A hull is fresh while its bound is
-    // and hull_built == hull_version_. Zero never matches a version, so
-    // fresh blocks start fully stale.
-    std::uint64_t sum_built = 0;
+    // which bump when a structural change invalidates every block's sum
+    // and bound (physical shift) or hulls (x = end - slot shift). The sum
+    // and bound depend on content only, so they are fresh while !dirty and
+    // bound_built == sum_version_. A hull is fresh while its bound is and
+    // hull_built == hull_version_. Zero never matches a version, so fresh
+    // blocks start fully stale.
     std::uint64_t bound_built = 0;
     std::uint64_t hull_built = 0;
     bool dirty = true;
@@ -335,40 +313,15 @@ class PeelState {
     ++hull_version_;
   }
 
-  /// Recomputes a block's sum only (no bound, no hull) if the sum is stale
-  /// — the cheap path SuffixWeight needs. Leaves the bound, and with it
-  /// the hull, stale.
-  void RefreshBlockSum(std::size_t b) const {
-    EnsureBlock(b);
-    Block& blk = blocks_[b];
-    if (!blk.dirty && blk.sum_built == sum_version_) return;
-    const std::size_t end = seq_.size();
-    const std::size_t lo = std::max(b * kBlock, base_);
-    const std::size_t hi = std::min((b + 1) * kBlock, end);
-    // Same fixed-order kernel as the walk's refresh, so the cached sum is
-    // bit-identical regardless of which refresh path ran last — and
-    // identical across every SIMD dispatch target.
-    blk.sum = lo < hi ? simd::FixedOrderSum(delta_.data() + lo, hi - lo) : 0.0;
-    blk.sum_built = sum_version_;
-    blk.dirty = false;
-    blk.bound_built = 0;  // no scan ran: the content may have changed
-  }
-
   /// Readies block b for the Detect walk, given the suffix sum `tail`
   /// beyond it and the incumbent best_num / best_den, and returns whether
-  /// its hull must be queried. A stale bound costs one SuffixScanBlock
-  /// pre-pass (plus the FixedOrderSum for blk.sum); the hull is rebuilt
-  /// from that same scan only when the bound says some suffix starting in
-  /// b can reach the incumbent (DESIGN.md §3.2). The monotone stack runs
-  /// scalar over the precomputed (x, y) pairs — its pops are branchy, but
-  /// it carries no accumulation chain — and lands hull points in the SoA
-  /// arenas at stride kBlock: no per-block allocations on the walk.
-  ///
-  /// Note blk.sum is refreshed with FixedOrderSum, NOT with the scan total:
-  /// the two kernels associate differently (ulp-level), and the sum cache
-  /// must stay bit-identical with RefreshBlockSum's. The hull y values and
-  /// the bound are internally consistent with each other, which is all the
-  /// monotone stack, the skip test and the density query need.
+  /// its hull must be queried. A stale bound costs one suffix scan, whose
+  /// head is blk.sum; the hull is rebuilt from that same scan only when
+  /// the bound says some suffix starting in b can reach the incumbent
+  /// (DESIGN.md §3.2). The monotone stack runs over the precomputed (x, y)
+  /// pairs — its pops are branchy, but it carries no accumulation chain —
+  /// and lands hull points in the SoA arenas at stride kBlock: no
+  /// per-block allocations on the walk.
   bool RefreshBlock(std::size_t b, double tail, double best_num,
                     double best_den) const {
     EnsureBlock(b);
@@ -382,11 +335,9 @@ class PeelState {
     double* suf = scan_scratch_.data();
     const bool scanned = blk.dirty || blk.bound_built != sum_version_;
     if (scanned) {
-      blk.sum = simd::FixedOrderSum(delta_.data() + lo, hi - lo);
-      simd::SuffixScanBlock(delta_.data() + lo, hi - lo, suf);
+      blk.sum = SuffixScan(delta_.data() + lo, hi - lo, suf);
       blk.max_suffix = MaxOf(suf, hi - lo);
       blk.dirty = false;
-      blk.sum_built = sum_version_;
       blk.bound_built = sum_version_;
       blk.hull_built = 0;
     }
@@ -396,7 +347,7 @@ class PeelState {
     const auto x_min = static_cast<double>(end - (hi - 1));
     if ((blk.max_suffix + tail) * best_den < best_num * x_min) return false;
     if (blk.hull_built == hull_version_) return true;
-    if (!scanned) simd::SuffixScanBlock(delta_.data() + lo, hi - lo, suf);
+    if (!scanned) SuffixScan(delta_.data() + lo, hi - lo, suf);
     double* hy = hull_y_.data() + b * kBlock;
     std::uint32_t* hx = hull_x_.data() + b * kBlock;
     std::uint32_t* hs = hull_slot_.data() + b * kBlock;
@@ -429,6 +380,32 @@ class PeelState {
     blk.hull_built = hull_version_;
     ++hull_rebuilds_;
     return true;
+  }
+
+  /// Tail-to-head inclusive suffix scan of p[0, n), n > 0, into out
+  /// (out[i] = p[i] + out[i + 1]); returns out[0], the span's sum. Groups of
+  /// four are anchored at the tail: two Hillis-Steele steps sum a group
+  /// within itself, so the carry beyond it costs one add per group on the
+  /// dependency chain. The head remainder (n % 4 slots) runs sequentially.
+  static double SuffixScan(const double* p, std::size_t n, double* out) {
+    const std::size_t head = n % 4;
+    double carry = 0.0;
+    std::size_t i = n;
+    while (i > head) {
+      i -= 4;
+      const double d0 = p[i + 0], d1 = p[i + 1], d2 = p[i + 2], d3 = p[i + 3];
+      const double a0 = d0 + d1, a1 = d1 + d2, a2 = d2 + d3;
+      out[i + 0] = (a0 + a2) + carry;
+      out[i + 1] = (a1 + d3) + carry;
+      out[i + 2] = a2 + carry;
+      out[i + 3] = d3 + carry;
+      carry = out[i + 0];
+    }
+    while (i-- > 0) {
+      carry = p[i] + carry;
+      out[i] = carry;
+    }
+    return out[0];
   }
 
   /// Largest of v[0, n), n > 0, as independent compare-select chains, one

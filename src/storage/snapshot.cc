@@ -75,9 +75,9 @@ Status LoadSnapshot(const std::string& path, DynamicGraph* g,
     return Status::IOError(path + ": header counts exceed the file size");
   }
 
-  // Every weight a detector admits is on the 2^-20 grid, with the mass
-  // bounded (graph/weight_grid.h): a snapshot breaking either would restore
-  // a detector whose sums are inexact.
+  // Every weight a detector admits is on the 2^-20 grid and not negative,
+  // with the mass bounded (graph/weight_grid.h): a snapshot breaking any of
+  // these would restore a detector whose sums are inexact.
   DynamicGraph graph(num_vertices);
   double mass = 0.0;
   for (std::uint64_t v = 0; v < num_vertices; ++v) {
@@ -91,8 +91,12 @@ Status LoadSnapshot(const std::string& path, DynamicGraph* g,
       return Status::IOError(path + ": off-grid weight of vertex " +
                              std::to_string(v));
     }
+    if (w < 0.0) {
+      return Status::IOError(path + ": negative weight of vertex " +
+                             std::to_string(v));
+    }
     graph.SetVertexWeight(static_cast<VertexId>(v), w);
-    mass += std::abs(w);
+    mass += w;
   }
   for (std::uint64_t i = 0; i < num_edges; ++i) {
     std::uint32_t src = 0, dst = 0;

@@ -4,7 +4,7 @@
 //    new-vertex edges and parallel edges) driven through the Spade facade
 //    under all three built-in semantics, integer and continuous weights,
 //    on small graphs and on graphs spanning several 512-slot blocks, on
-//    every compiled dispatch target, asserting the reordered PeelState
+//    every dispatch target the CPU runs, asserting the reordered PeelState
 //    equals a from-scratch PeelStatic of the final weighted graph exactly,
 //  * the O(1) stored-delta gray recovery serving insertion merges,
 //  * PeelState's blocked suffix-sum / hull detection against the naive
@@ -23,7 +23,6 @@
 
 #include <algorithm>
 #include <cstddef>
-#include <cstring>
 #include <deque>
 #include <ostream>
 #include <span>
@@ -73,7 +72,7 @@ class MixedStreamTest : public ::testing::TestWithParam<MixedStreamCase> {};
 // Admission rounds every weight onto the 2^-20 grid, so every sum the
 // incremental and static paths take is exact: the maintained state equals
 // a from-scratch peel of the final weighted graph bit for bit, ties
-// included, under every semantics and on every compiled dispatch target.
+// included, under every semantics and on every dispatch target the CPU runs.
 TEST_P(MixedStreamTest, IncrementalMatchesStaticAfterEveryUpdate) {
   const MixedStreamCase param = GetParam();
   const std::string algo = param.algo;
@@ -250,12 +249,6 @@ TEST(BlockedDetectTest, MatchesNaiveScanUnderChurn) {
       const NaiveBest expect = NaiveScan(state);
       EXPECT_EQ(expect.start, state.BestStart());
       EXPECT_DOUBLE_EQ(expect.density, state.BestDensity());
-      const std::size_t k = rng.NextBounded(state.size() + 1);
-      double suffix = 0.0;
-      for (std::size_t i = k; i < state.size(); ++i) {
-        suffix += state.DeltaAt(i);
-      }
-      EXPECT_NEAR(suffix, state.SuffixWeight(k), 1e-9);
       // Churn: rewrite a span (Assign keeps the vertex/position bijection by
       // swapping two entries), bump a delta, occasionally insert at head.
       const std::size_t i = rng.NextBounded(state.size());
@@ -301,92 +294,44 @@ TEST(BlockedDetectTest, HeadInsertionStressMatchesNaive) {
   }
 }
 
-// Blocked+SIMD detection vs the naive linear scan, exercised on EVERY
-// dispatch target compiled into this binary (the sanitizer legs build
-// scalar-only; the AVX2 CI leg sweeps scalar/sse2/avx2 here). Integer
-// deltas make every density tie exact, so start positions must match the
-// reference scan tie-for-tie, while base_ is steered through mid-block
-// values by head insertions and across GrowFront arena relocations.
-TEST(BlockedDetectTest, DispatchTargetsTieExactAcrossHeadSlackAndGrowth) {
-  for (const auto& target : simd::CompiledSimdTargets()) {
-    SCOPED_TRACE(target.name);
-    simd::SetSimdTargetForTesting(&target);
-    Rng rng(808);
-    for (int trial = 0; trial < 6; ++trial) {
-      const std::size_t n0 = 1 + rng.NextBounded(600);
-      PeelState state(n0);
-      for (std::size_t v = 0; v < n0; ++v) {
-        state.Append(static_cast<VertexId>(v),
-                     static_cast<double>(rng.NextBounded(4)));
-      }
-      VertexId next = static_cast<VertexId>(n0);
-      for (int round = 0; round < 120; ++round) {
-        // A fresh head insertion every round decrements base_ through every
-        // offset within its block and forces several GrowFront relocations
-        // per trial (the arena copy must land blocks/hulls on the new
-        // stride without disturbing tie resolution).
-        state.InsertVertexAtHead(next++,
-                                 static_cast<double>(rng.NextBounded(3)));
-        state.BumpDelta(rng.NextBounded(state.size()),
-                        static_cast<double>(rng.NextBounded(3)));
-        if (round % 7 == 0) {
-          const NaiveBest expect = NaiveScan(state);
-          ASSERT_EQ(expect.start, state.BestStart());
-          ASSERT_DOUBLE_EQ(expect.density, state.BestDensity());
-          double suffix = 0.0;
-          const std::size_t k = rng.NextBounded(state.size() + 1);
-          for (std::size_t i = k; i < state.size(); ++i) {
-            suffix += state.DeltaAt(i);
-          }
-          EXPECT_DOUBLE_EQ(suffix, state.SuffixWeight(k));
-        }
+// Blocked detection vs the naive linear scan while base_ is steered
+// through mid-block values by head insertions and across GrowFront arena
+// relocations. Integer deltas make every density tie exact, so start
+// positions must match the reference scan tie-for-tie.
+TEST(BlockedDetectTest, TieExactAcrossHeadSlackAndGrowth) {
+  Rng rng(808);
+  for (int trial = 0; trial < 6; ++trial) {
+    const std::size_t n0 = 1 + rng.NextBounded(600);
+    PeelState state(n0);
+    for (std::size_t v = 0; v < n0; ++v) {
+      state.Append(static_cast<VertexId>(v),
+                   static_cast<double>(rng.NextBounded(4)));
+    }
+    VertexId next = static_cast<VertexId>(n0);
+    for (int round = 0; round < 120; ++round) {
+      // A fresh head insertion every round decrements base_ through every
+      // offset within its block and forces several GrowFront relocations
+      // per trial (the arena copy must land blocks/hulls on the new stride
+      // without disturbing tie resolution).
+      state.InsertVertexAtHead(next++,
+                               static_cast<double>(rng.NextBounded(3)));
+      state.BumpDelta(rng.NextBounded(state.size()),
+                      static_cast<double>(rng.NextBounded(3)));
+      if (round % 7 == 0) {
+        const NaiveBest expect = NaiveScan(state);
+        ASSERT_EQ(expect.start, state.BestStart());
+        ASSERT_DOUBLE_EQ(expect.density, state.BestDensity());
       }
     }
   }
-  simd::SetSimdTargetForTesting(nullptr);
-}
-
-// The bit-identity contract end to end: with continuous (non-integer)
-// deltas, Detect must return the same density BITS on every compiled
-// dispatch target — the whole point of the canonical association orders.
-TEST(BlockedDetectTest, DetectBitIdenticalAcrossDispatchTargets) {
-  const auto targets = simd::CompiledSimdTargets();
-  Rng rng(6060);
-  for (int trial = 0; trial < 8; ++trial) {
-    const std::size_t n = 1 + rng.NextBounded(1400);
-    std::vector<double> deltas(n);
-    for (auto& d : deltas) {
-      d = static_cast<double>(rng.NextBounded(1 << 20)) / 1048576.0 * 3.7;
-    }
-    double ref_density = 0.0;
-    std::size_t ref_start = 0;
-    for (std::size_t ti = 0; ti < targets.size(); ++ti) {
-      simd::SetSimdTargetForTesting(&targets[ti]);
-      PeelState state(n);
-      for (std::size_t v = 0; v < n; ++v) {
-        state.Append(static_cast<VertexId>(v), deltas[v]);
-      }
-      const double density = state.BestDensity();
-      const std::size_t start = state.BestStart();
-      if (ti == 0) {
-        ref_density = density;
-        ref_start = start;
-      } else {
-        EXPECT_EQ(std::memcmp(&density, &ref_density, sizeof density), 0)
-            << targets[ti].name << " vs " << targets[0].name
-            << " trial " << trial;
-        EXPECT_EQ(start, ref_start) << targets[ti].name;
-      }
-    }
-  }
-  simd::SetSimdTargetForTesting(nullptr);
 }
 
 // ------------------------------------------------------------------------
 // Bound-pruned Detect. The walk skips a block whose largest within-block
 // suffix sum cannot reach the incumbent, keeping its stale hull; the answer
 // must still equal the linear scan's bit for bit. Integer deltas make every
-// tie exact, and every case runs on each compiled dispatch target.
+// tie exact. The case that drives the engine runs on each dispatch target,
+// since the merge calls simd::FirstKeyAbove.
 // ------------------------------------------------------------------------
 
 constexpr std::size_t kBlock = 512;  // PeelState's block width
@@ -407,7 +352,7 @@ void ExpectNaive(const PeelState& state) {
   ASSERT_EQ(expect.density, state.BestDensity());
 }
 
-/// Runs `body` once under each compiled dispatch target.
+/// Runs `body` once under each dispatch target the CPU runs.
 template <typename Body>
 void ForEachTarget(Body&& body) {
   for (const auto& target : simd::CompiledSimdTargets()) {
@@ -434,132 +379,118 @@ std::vector<double> Planted(std::size_t n, std::size_t start,
 // 24-80 blocks of a dense core over a sparse background, so the winner
 // starts anywhere from the head block to the tail block, under the churn
 // the engine produces: swaps, displacement runs over several blocks,
-// bumps of either sign, head insertions and SuffixWeight reads between a
-// content change and the next Detect.
+// bumps of either sign and head insertions.
 TEST(BlockedDetectTest, PrunedWalkMatchesNaiveOnLargeStatesUnderChurn) {
-  ForEachTarget([] {
-    Rng rng(4242);
-    for (int trial = 0; trial < 4; ++trial) {
-      const std::size_t n = 12000 + rng.NextBounded(28001);
-      const std::size_t len = n / 8 + rng.NextBounded(3 * n / 8);
-      const std::size_t core = rng.NextBounded(n - len + 1);
-      std::vector<double> deltas(n);
-      for (std::size_t i = 0; i < n; ++i) {
-        const bool in_core = i >= core && i < core + len;
-        deltas[i] = static_cast<double>(in_core ? 3 + rng.NextBounded(3)
-                                                : rng.NextBounded(3));
-      }
-      PeelState state = StateOf(deltas);
-      auto next = static_cast<VertexId>(n);
-      std::vector<VertexId> run_v;
-      std::vector<double> run_d;
-      for (int step = 0; step < 40; ++step) {
-        ASSERT_NO_FATAL_FAILURE(ExpectNaive(state));
-        const std::size_t size = state.size();
-        const std::size_t i = rng.NextBounded(size);
-        switch (rng.NextBounded(5)) {
-          case 0: {  // swap two slots
-            const std::size_t j = rng.NextBounded(size);
-            const VertexId vi = state.VertexAt(i), vj = state.VertexAt(j);
-            const double di = state.DeltaAt(i), dj = state.DeltaAt(j);
-            state.Assign(i, vj, dj);
-            state.Assign(j, vi, di);
-            break;
-          }
-          case 1: {  // a displacement run: rotate [i, i + m) right by one
-            const std::size_t m =
-                1 + rng.NextBounded(std::min(size - i, 4 * kBlock));
-            const auto seq = state.seq().subspan(i, m);
-            const auto del = state.delta().subspan(i, m);
-            run_v.assign(seq.begin(), seq.end());
-            run_d.assign(del.begin(), del.end());
-            std::rotate(run_v.begin(), run_v.end() - 1, run_v.end());
-            std::rotate(run_d.begin(), run_d.end() - 1, run_d.end());
-            state.AssignRange(i, run_v, run_d);
-            break;
-          }
-          case 2:
-            state.BumpDelta(i, static_cast<double>(rng.NextBounded(6)) - 2.0);
-            break;
-          case 3:
-            state.InsertVertexAtHead(next++,
-                                     static_cast<double>(rng.NextBounded(6)));
-            break;
-          default: {
-            state.BumpDelta(i, static_cast<double>(rng.NextBounded(40)));
-            const std::size_t k = rng.NextBounded(size + 1);
-            double suffix = 0.0;
-            for (std::size_t p = k; p < size; ++p) suffix += state.DeltaAt(p);
-            ASSERT_EQ(suffix, state.SuffixWeight(k));
-            break;
-          }
+  Rng rng(4242);
+  for (int trial = 0; trial < 4; ++trial) {
+    const std::size_t n = 12000 + rng.NextBounded(28001);
+    const std::size_t len = n / 8 + rng.NextBounded(3 * n / 8);
+    const std::size_t core = rng.NextBounded(n - len + 1);
+    std::vector<double> deltas(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      const bool in_core = i >= core && i < core + len;
+      deltas[i] = static_cast<double>(in_core ? 3 + rng.NextBounded(3)
+                                              : rng.NextBounded(3));
+    }
+    PeelState state = StateOf(deltas);
+    auto next = static_cast<VertexId>(n);
+    std::vector<VertexId> run_v;
+    std::vector<double> run_d;
+    for (int step = 0; step < 40; ++step) {
+      ASSERT_NO_FATAL_FAILURE(ExpectNaive(state));
+      const std::size_t size = state.size();
+      const std::size_t i = rng.NextBounded(size);
+      switch (rng.NextBounded(5)) {
+        case 0: {  // swap two slots
+          const std::size_t j = rng.NextBounded(size);
+          const VertexId vi = state.VertexAt(i), vj = state.VertexAt(j);
+          const double di = state.DeltaAt(i), dj = state.DeltaAt(j);
+          state.Assign(i, vj, dj);
+          state.Assign(j, vi, di);
+          break;
         }
+        case 1: {  // a displacement run: rotate [i, i + m) right by one
+          const std::size_t m =
+              1 + rng.NextBounded(std::min(size - i, 4 * kBlock));
+          const auto seq = state.seq().subspan(i, m);
+          const auto del = state.delta().subspan(i, m);
+          run_v.assign(seq.begin(), seq.end());
+          run_d.assign(del.begin(), del.end());
+          std::rotate(run_v.begin(), run_v.end() - 1, run_v.end());
+          std::rotate(run_d.begin(), run_d.end() - 1, run_d.end());
+          state.AssignRange(i, run_v, run_d);
+          break;
+        }
+        case 2:
+          state.BumpDelta(i, static_cast<double>(rng.NextBounded(6)) - 2.0);
+          break;
+        case 3:
+          state.InsertVertexAtHead(next++,
+                                   static_cast<double>(rng.NextBounded(6)));
+          break;
+        default:
+          state.BumpDelta(i, static_cast<double>(rng.NextBounded(40)));
+          break;
       }
     }
-  });
+  }
 }
 
 // Each planted case defeats one way of getting the skip test wrong.
 TEST(BlockedDetectTest, PrunedWalkKeepsPlantedWinners) {
-  ForEachTarget([] {
-    // The only winning suffix starts at slot 1020, four slots before the
-    // end of block 1. The bound must pair the block's largest suffix with
-    // the x of its LAST slot: measured from its first slot, the bound
-    // falls below the incumbent and the block is skipped.
-    {
-      const std::size_t n = 32 * kBlock;
-      const PeelState state = StateOf(Planted(n, 1020, {26, 26, 26, 26}, 1));
+  // The only winning suffix starts at slot 1020, four slots before the
+  // end of block 1. The bound must pair the block's largest suffix with
+  // the x of its LAST slot: measured from its first slot, the bound
+  // falls below the incumbent and the block is skipped.
+  {
+    const std::size_t n = 32 * kBlock;
+    const PeelState state = StateOf(Planted(n, 1020, {26, 26, 26, 26}, 1));
+    ASSERT_NO_FATAL_FAILURE(ExpectNaive(state));
+    ASSERT_EQ(state.BestStart(), 1020u);
+  }
+  // Block 1 is zeros but for a 2 in its last slot, before an all-2s
+  // tail: its bound equals the incumbent exactly, and the tying longer
+  // suffix from slot 1023 must win, so the skip test must be strict.
+  {
+    const std::size_t n = 24 * kBlock;
+    const PeelState state = StateOf(Planted(n, 1023, {2}, 2));
+    ASSERT_NO_FATAL_FAILURE(ExpectNaive(state));
+    ASSERT_EQ(state.BestStart(), 1023u);
+  }
+  // A negative delta heads block 1, so the block's largest suffix (from
+  // slot 513) exceeds its sum: a bound built from the sum skips the
+  // winner.
+  {
+    const std::size_t n = 24 * kBlock;
+    std::vector<double> peak(kBlock, 2.0);
+    peak[0] = -2000.0;
+    const PeelState state = StateOf(Planted(n, kBlock, peak, 1));
+    ASSERT_NO_FATAL_FAILURE(ExpectNaive(state));
+    ASSERT_EQ(state.BestStart(), kBlock + 1);
+  }
+  // base_ mid-block: the first head insertion regrows the front and
+  // leaves base_ at 9,999, inside block 19. The winner sits at the end
+  // of that block, and head insertions walk base_ down into block 18.
+  {
+    PeelState state = StateOf(Planted(10000, 236, {26, 26, 26, 26}, 1));
+    for (int k = 1; k <= 300; ++k) {
+      state.InsertVertexAtHead(static_cast<VertexId>(10000 + k), 0.0);
       ASSERT_NO_FATAL_FAILURE(ExpectNaive(state));
-      ASSERT_EQ(state.BestStart(), 1020u);
+      ASSERT_EQ(state.BestStart(), 236u + static_cast<unsigned>(k));
     }
-    // Block 1 is zeros but for a 2 in its last slot, before an all-2s
-    // tail: its bound equals the incumbent exactly, and the tying longer
-    // suffix from slot 1023 must win, so the skip test must be strict.
-    {
-      const std::size_t n = 24 * kBlock;
-      const PeelState state = StateOf(Planted(n, 1023, {2}, 2));
-      ASSERT_NO_FATAL_FAILURE(ExpectNaive(state));
-      ASSERT_EQ(state.BestStart(), 1023u);
-    }
-    // A negative delta heads block 1, so the block's largest suffix (from
-    // slot 513) exceeds its sum: a bound built from the sum skips the
-    // winner.
-    {
-      const std::size_t n = 24 * kBlock;
-      std::vector<double> peak(kBlock, 2.0);
-      peak[0] = -2000.0;
-      const PeelState state = StateOf(Planted(n, kBlock, peak, 1));
-      ASSERT_NO_FATAL_FAILURE(ExpectNaive(state));
-      ASSERT_EQ(state.BestStart(), kBlock + 1);
-    }
-    // base_ mid-block: the first head insertion regrows the front and
-    // leaves base_ at 9,999, inside block 19. The winner sits at the end
-    // of that block, and head insertions walk base_ down into block 18.
-    {
-      PeelState state = StateOf(Planted(10000, 236, {26, 26, 26, 26}, 1));
-      for (int k = 1; k <= 300; ++k) {
-        state.InsertVertexAtHead(static_cast<VertexId>(10000 + k), 0.0);
-        ASSERT_NO_FATAL_FAILURE(ExpectNaive(state));
-        ASSERT_EQ(state.BestStart(), 236u + static_cast<unsigned>(k));
-      }
-    }
-    // A SuffixWeight read between a content change and the next Detect
-    // refreshes the changed block's sum and clears its dirty flag; the
-    // bound it leaves must still count as stale. Block 1 is all zeros, so
-    // its bound first skips it; then a bump makes it hold the winner.
-    {
-      const std::size_t n = 24 * kBlock;
-      std::vector<double> deltas(n, 1.0);
-      std::fill(deltas.begin() + kBlock, deltas.begin() + 2 * kBlock, 0.0);
-      PeelState state = StateOf(deltas);
-      ASSERT_NO_FATAL_FAILURE(ExpectNaive(state));
-      state.BumpDelta(2 * kBlock - 1, 600.0);
-      ASSERT_EQ(state.SuffixWeight(0),
-                static_cast<double>(n - kBlock + 600));
-      ASSERT_NO_FATAL_FAILURE(ExpectNaive(state));
-      ASSERT_EQ(state.BestStart(), 2 * kBlock - 1);
-    }
-  });
+  }
+  // Block 1 is all zeros, so its bound first skips it; then a bump makes
+  // it hold the winner, and its dirty bit must make the bound stale.
+  {
+    const std::size_t n = 24 * kBlock;
+    std::vector<double> deltas(n, 1.0);
+    std::fill(deltas.begin() + kBlock, deltas.begin() + 2 * kBlock, 0.0);
+    PeelState state = StateOf(deltas);
+    ASSERT_NO_FATAL_FAILURE(ExpectNaive(state));
+    state.BumpDelta(2 * kBlock - 1, 600.0);
+    ASSERT_NO_FATAL_FAILURE(ExpectNaive(state));
+    ASSERT_EQ(state.BestStart(), 2 * kBlock - 1);
+  }
 }
 
 // The paper's loop on a 20k-vertex DG graph (about 39 blocks) with edge
@@ -589,19 +520,17 @@ TEST(BlockedDetectTest, PrunedWalkMatchesNaiveOnGroupedDgReplay) {
 // (the tail block's and its neighbour's, whose bound pairs a whole-block
 // suffix with its last slot's x) instead of all 64.
 TEST(BlockedDetectTest, PrunedWalkRebuildsOnlyHullsThatCanWin) {
-  ForEachTarget([] {
-    const std::size_t n = 64 * kBlock;
-    std::vector<double> deltas(n, 1.0);
-    std::fill(deltas.end() - kBlock, deltas.end(), 4.0);
-    PeelState state = StateOf(deltas);
-    ASSERT_NO_FATAL_FAILURE(ExpectNaive(state));
-    for (std::size_t p = 0; p < n; p += kBlock) state.BumpDelta(p, 0.0);
-    const std::uint64_t before = state.HullRebuilds();
-    EXPECT_EQ(state.BestDensity(), 4.0);
-    EXPECT_LE(state.HullRebuilds() - before, 2u);
-    ASSERT_NO_FATAL_FAILURE(ExpectNaive(state));
-    ASSERT_EQ(state.BestStart(), n - kBlock);
-  });
+  const std::size_t n = 64 * kBlock;
+  std::vector<double> deltas(n, 1.0);
+  std::fill(deltas.end() - kBlock, deltas.end(), 4.0);
+  PeelState state = StateOf(deltas);
+  ASSERT_NO_FATAL_FAILURE(ExpectNaive(state));
+  for (std::size_t p = 0; p < n; p += kBlock) state.BumpDelta(p, 0.0);
+  const std::uint64_t before = state.HullRebuilds();
+  EXPECT_EQ(state.BestDensity(), 4.0);
+  EXPECT_LE(state.HullRebuilds() - before, 2u);
+  ASSERT_NO_FATAL_FAILURE(ExpectNaive(state));
+  ASSERT_EQ(state.BestStart(), n - kBlock);
 }
 
 // ------------------------------------------------------------------------

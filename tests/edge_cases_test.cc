@@ -4,10 +4,14 @@
 
 #include <gtest/gtest.h>
 
+#include <span>
 #include <vector>
 
 #include "common/rng.h"
 #include "core/incremental_engine.h"
+#include "core/spade.h"
+#include "metrics/density.h"
+#include "metrics/semantics.h"
 #include "peel/static_peeler.h"
 #include "tests/test_util.h"
 
@@ -235,18 +239,43 @@ TEST(EngineEdgeCaseTest, StatsAccumulateMonotonically) {
   EXPECT_EQ(stats.affected_vertices, 0u);
 }
 
-TEST(PeelStateEdgeCaseTest, SuffixWeightTelescopes) {
+// §2.1's identity on a maintained state: f(S_k) = sum of delta over
+// positions k and later, for every k, with S_k the vertices from position
+// k on. Continuous DW amounts (1 + 9u) land on the weight grid, so every
+// sum is exact and the two sides must agree bit for bit after every insert
+// and retire.
+TEST(PeelStateEdgeCaseTest, SuffixDeltasTelescopeToSubgraphWeight) {
+  constexpr std::size_t kN = 24;
   Rng rng(15);
-  DynamicGraph g = RandomGraph(&rng, 15, 40, 4, 2);
-  PeelState state = PeelStatic(g);
-  for (std::size_t k = 0; k < state.size(); ++k) {
-    double expect = 0;
-    for (std::size_t i = k; i < state.size(); ++i) {
-      expect += state.DeltaAt(i);
+  Spade spade;
+  spade.SetSemantics(MakeDW());
+  ASSERT_TRUE(spade.BuildGraph(kN, {}).ok());
+  std::vector<Edge> live;
+  for (int step = 0; step < 200; ++step) {
+    if (live.empty() || rng.NextBounded(3) != 0) {
+      Edge e = RandomEdge(&rng, kN);
+      e.weight = 1.0 + 9.0 * rng.NextDouble();
+      ASSERT_TRUE(spade.ApplyEdge(e, &e.weight).ok());
+      live.push_back(e);
+    } else {
+      const std::size_t pick = rng.NextBounded(live.size());
+      ASSERT_TRUE(
+          spade.RetireEdges(std::span<const Edge>(&live[pick], 1)).ok());
+      live[pick] = live.back();
+      live.pop_back();
     }
-    EXPECT_NEAR(state.SuffixWeight(k), expect, 1e-9);
+    const PeelState& state = spade.peel_state();
+    const auto seq = state.seq();
+    double suffix = 0.0;
+    for (std::size_t k = state.size() + 1; k-- > 0;) {
+      if (k < state.size()) suffix += state.DeltaAt(k);
+      const std::vector<VertexId> members(
+          seq.begin() + static_cast<std::ptrdiff_t>(k), seq.end());
+      EXPECT_EQ(SubgraphWeight(spade.graph(), members), suffix)
+          << "step " << step << ", k " << k;
+    }
+    if (::testing::Test::HasFailure()) return;
   }
-  EXPECT_DOUBLE_EQ(state.SuffixWeight(state.size()), 0.0);
 }
 
 TEST(PeelStateEdgeCaseTest, BumpDeltaInvalidatesCache) {

@@ -378,6 +378,51 @@ TEST(EdgeGroupingTest, MassPastTheBoundIsRefused) {
   testing::ExpectShardEqualsCapture(built, testing::Capture(spade));
 }
 
+// A prior a_u is finite and >= 0 (metrics/semantics.h). A negative one lets
+// a partial sum exceed the mass the bound counts, and a non-finite one would
+// be saved into a checkpoint LoadSnapshot refuses. Admission refuses either
+// before the graph grows or anything is buffered or logged, on every path
+// that reads a prior.
+TEST(EdgeGroupingTest, NegativeOrNonFinitePriorIsRefused) {
+  for (const double bad : {-1.0, -HUGE_VAL, std::nan("")}) {
+    SCOPED_TRACE(::testing::Message() << "prior " << bad);
+    Spade spade;
+    spade.SetSemantics(MakeDW());
+    spade.TurnOnEdgeGrouping();
+    spade.TurnOnWindowLog();
+    ASSERT_TRUE(spade.BuildGraph(7, DenseRingLog()).ok());
+    // Every id from 7 on, none of them in the graph yet, reads `bad`.
+    spade.VSusp([bad](VertexId v, const DynamicGraph&) {
+      return v >= 7 ? bad : 0.0;
+    });
+    const Community community = spade.Detect();
+    const testing::ShardCapture before = testing::Capture(spade);
+    const double total = spade.graph().TotalWeight();
+    const auto expect_unchanged = [&] {
+      EXPECT_EQ(spade.graph().NumVertices(), 7u);
+      EXPECT_EQ(spade.graph().TotalWeight(), total);
+      const Community now = spade.Detect();
+      EXPECT_EQ(now.members, community.members);
+      EXPECT_EQ(now.density, community.density);
+      testing::ExpectShardEqualsCapture(before, testing::Capture(spade));
+    };
+
+    const Status edge = spade.ApplyEdge({3, 9, 1.0, 20});
+    EXPECT_EQ(edge.code(), StatusCode::kInvalidArgument) << edge.ToString();
+    EXPECT_NE(edge.message().find("prior"), std::string::npos);
+    expect_unchanged();
+
+    const std::vector<Edge> batch = {{3, 4, 1.0, 21}, {5, 8, 1.0, 22}};
+    EXPECT_EQ(spade.ApplyBatchEdges(batch).code(),
+              StatusCode::kInvalidArgument);
+    expect_unchanged();
+
+    EXPECT_EQ(spade.BuildGraph(9, DenseRingLog()).code(),
+              StatusCode::kInvalidArgument);
+    expect_unchanged();
+  }
+}
+
 // A refused edge reaches no log: a service's delta segment holds only the
 // edges its detector admitted, so a chain never replays a refused one.
 TEST(EdgeGroupingTest, RefusedEdgesLeaveNoDeltaRecord) {

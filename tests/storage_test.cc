@@ -235,6 +235,23 @@ TEST_F(SnapshotTest, RejectsOffGridWeightsAndMassPastTheBound) {
   expect_refused("mass exceeds the bound");
 }
 
+// Admission refuses a negative prior (a_u >= 0), so a CRC-valid snapshot
+// holding one was not written by a detector; restoring it would let a
+// partial sum exceed the mass the bound counts.
+TEST_F(SnapshotTest, RejectsNegativeVertexWeight) {
+  DynamicGraph g(3);
+  g.SetVertexWeight(1, -1.0);
+  ASSERT_TRUE(g.AddEdge(0, 2, 1.0).ok());
+  ASSERT_TRUE(SaveSnapshot(path_, g, nullptr, {}).ok());
+  DynamicGraph restored;
+  bool present = false;
+  const Status s = LoadSnapshot(path_, &restored, nullptr, &present, nullptr);
+  EXPECT_EQ(s.code(), StatusCode::kIOError) << s.ToString();
+  EXPECT_NE(s.message().find("negative weight of vertex 1"),
+            std::string::npos)
+      << s.ToString();
+}
+
 TEST(Crc64Test, KnownProperties) {
   const char data[] = "123456789";
   const std::uint64_t crc = Crc64(data, 9);

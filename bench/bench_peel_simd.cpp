@@ -1,7 +1,7 @@
 // Scalar-vs-dispatched sweep over the peel hot path (DESIGN.md §8). The
 // merge's bulk scan calls simd::FirstKeyAbove; each entry replays one
-// workload under the scalar target and under the target detected from the
-// CPU, through the override seam:
+// workload under the scalar target and under the dispatched one (SSE2 on
+// x86-64), through the override seam:
 //
 //  1. detect_after_edge — end to end: single-edge insert through the
 //     incremental engine plus one blocked Detect. CI gates regressions on
@@ -23,8 +23,8 @@
 // Emits BENCH_peel.json (path = argv[1], default ./): one entry per
 // experiment with {name, n, scalar_us, simd_us, speedup, target}, plus any
 // counts the experiment reports. scalar_us always comes from the
-// always-built scalar reference; simd_us from the detected target (equal
-// when the CPU runs no vector target).
+// always-built scalar reference; simd_us from the dispatched target (equal
+// where the build compiles no vector target).
 
 #include <cstdio>
 #include <deque>
@@ -348,7 +348,7 @@ int main(int argc, char** argv) {
   using namespace spade::bench;
   const std::string out_dir = argc > 1 ? argv[1] : ".";
 
-  // Scalar first, the target detected from this CPU last.
+  // Scalar first, the dispatched target last.
   const auto targets = spade::simd::CompiledSimdTargets();
   const spade::simd::SimdTarget& scalar = targets.front();
   const spade::simd::SimdTarget& vec = targets.back();

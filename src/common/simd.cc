@@ -1,9 +1,6 @@
-// Portable kernel implementations and the runtime dispatch for the simd
-// shim. This TU is built with the project's ordinary flags: SSE2 is
-// baseline ISA on x86-64 and NEON on AArch64, so their kernels live here;
-// AVX2 needs -mavx2 and lives in its own TU (simd_avx2.cc), which the build
-// compiles whenever the compiler accepts the flag and this file calls only
-// on a CPU that reports AVX2.
+// Kernel bodies and dispatch for the simd shim. SSE2 is baseline ISA on
+// x86-64, so its kernel needs no flag of its own and the build picks it at
+// compile time; every other architecture runs the scalar body.
 //
 // FirstKeyAbove needs no association order: each vector step only skips a
 // group that no slot of it can stop, and decides a group that can slot by
@@ -18,10 +15,6 @@
 #if defined(__SSE2__) || (defined(_M_X64) && !defined(_M_ARM64EC))
 #define SPADE_BUILD_SSE2 1
 #include <emmintrin.h>
-#endif
-#if defined(__aarch64__) || defined(_M_ARM64)
-#define SPADE_BUILD_NEON 1
-#include <arm_neon.h>
 #endif
 
 namespace spade::simd {
@@ -84,99 +77,30 @@ std::size_t FirstKeyAboveSse2(const double* delta, const std::uint32_t* seq,
 
 #endif  // SPADE_BUILD_SSE2
 
-// --------------------------------------------------------------- neon ----
-#if defined(SPADE_BUILD_NEON)
-
-std::size_t FirstKeyAboveNeon(const double* delta, const std::uint32_t* seq,
-                              std::size_t n, double w, std::uint32_t v) {
-  const float64x2_t wv = vdupq_n_f64(w);
-  const uint32x2_t vv = vdup_n_u32(v);
-  // Lane masks of the two slots at i: a delta above w, or one tied with it
-  // beside a larger id (the id compare widened to 64-bit lanes).
-  const auto key_mask = [&](std::size_t i) {
-    const float64x2_t d = vld1q_f64(delta + i);
-    const uint64x2_t larger = vreinterpretq_u64_s64(
-        vmovl_s32(vreinterpret_s32_u32(vcgt_u32(vld1_u32(seq + i), vv))));
-    return vorrq_u64(vcgtq_f64(d, wv), vandq_u64(vceqq_f64(d, wv), larger));
-  };
-  std::size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const uint64x2_t c0 = vcgeq_f64(vld1q_f64(delta + i), wv);
-    const uint64x2_t c1 = vcgeq_f64(vld1q_f64(delta + i + 2), wv);
-    const uint64x2_t c2 = vcgeq_f64(vld1q_f64(delta + i + 4), wv);
-    const uint64x2_t c3 = vcgeq_f64(vld1q_f64(delta + i + 6), wv);
-    const uint64x2_t any = vorrq_u64(vorrq_u64(c0, c1), vorrq_u64(c2, c3));
-    if ((vgetq_lane_u64(any, 0) | vgetq_lane_u64(any, 1)) == 0) continue;
-    for (std::size_t j = i; j < i + 8; j += 2) {
-      const uint64x2_t m = key_mask(j);
-      if (vgetq_lane_u64(m, 0) != 0) return j;
-      if (vgetq_lane_u64(m, 1) != 0) return j + 1;
-    }
-  }
-  for (; i < n; ++i) {
-    if (KeyAbove(delta[i], seq[i], w, v)) return i;
-  }
-  return n;
-}
-
-#endif  // SPADE_BUILD_NEON
-
-// --------------------------------------------------------------- avx2 ----
-#if defined(SPADE_HAVE_AVX2)
-// Defined in simd_avx2.cc, the only TU built with -mavx2.
-std::size_t FirstKeyAboveAvx2(const double* delta, const std::uint32_t* seq,
-                              std::size_t n, double w, std::uint32_t v);
-#endif
-
 }  // namespace detail
 
 namespace {
 
-// Every compiled target, narrowest first. AVX2, the only one a CPU of its
-// architecture may lack, comes last.
+// Every compiled target, scalar first and the dispatched one last.
 constexpr SimdTarget kTargets[] = {
     {"scalar", &detail::FirstKeyAboveScalar},
 #if defined(SPADE_BUILD_SSE2)
     {"sse2", &detail::FirstKeyAboveSse2},
 #endif
-#if defined(SPADE_BUILD_NEON)
-    {"neon", &detail::FirstKeyAboveNeon},
-#endif
-#if defined(SPADE_HAVE_AVX2)
-    {"avx2", &detail::FirstKeyAboveAvx2},
-#endif
 };
 
-/// How many of kTargets, from the front, this CPU runs.
-std::size_t CountRunnable() {
-#if defined(SPADE_HAVE_AVX2)
-  __builtin_cpu_init();
-  if (!__builtin_cpu_supports("avx2")) return std::size(kTargets) - 1;
-#endif
-  return std::size(kTargets);
-}
+constexpr const SimdTarget* kDispatched = std::end(kTargets) - 1;
 
-// Scalar until the initializer below runs, so a kernel called during
-// another translation unit's static initialization still has a target.
-constinit const SimdTarget* g_active = &kTargets[0];
-
-// Selects the detected target once, at startup.
-[[maybe_unused]] const bool g_detected = [] {
-  g_active = &CompiledSimdTargets().back();
-  return true;
-}();
+constinit const SimdTarget* g_active = kDispatched;
 
 }  // namespace
 
-std::span<const SimdTarget> CompiledSimdTargets() {
-  static const std::size_t count = CountRunnable();
-  return {kTargets, count};
-}
+std::span<const SimdTarget> CompiledSimdTargets() { return kTargets; }
 
 const char* ActiveSimdTarget() { return g_active->name; }
 
 void SetSimdTargetForTesting(const SimdTarget* target) {
-  g_active = target != nullptr ? target : &CompiledSimdTargets().back();
+  g_active = target != nullptr ? target : kDispatched;
 }
 
 std::size_t FirstKeyAbove(const double* delta, const std::uint32_t* seq,

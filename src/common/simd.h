@@ -1,7 +1,6 @@
 // simd: the vector-kernel shim for the merge's bulk scan.
 //
-// One kernel, implemented once per dispatch target (scalar, SSE2, NEON,
-// AVX2):
+// One kernel, with a scalar body and an SSE2 body:
 //
 //  * FirstKeyAbove — index of the first (delta, id) pair that sorts after a
 //                    key, the incremental merge's scan for the next slot
@@ -9,14 +8,12 @@
 //                    deletion splice walk's. A compare never rounds, so
 //                    every target returns the scalar index.
 //
-// Dispatch policy (DESIGN.md §8.2). The target is chosen once, at startup,
-// from the CPU that runs the binary: AVX2 when the CPU reports it and the
-// compiler built its kernel, otherwise the baseline ISA (SSE2 on x86-64,
-// NEON on AArch64, scalar elsewhere). The AVX2 kernel lives in its own
-// translation unit (src/common/simd_avx2.cc), the ONLY TU built with
-// -mavx2, so the rest of the binary runs on any x86-64. Tests and benches
-// can pin a target through the kernel table (CompiledSimdTargets) or the
-// override seam (SetSimdTargetForTesting).
+// Target policy (DESIGN.md §8.2). The target is fixed at compile time: SSE2
+// where the compiler targets it (baseline on x86-64), scalar elsewhere. No
+// translation unit needs an architecture flag, so the binary runs on any
+// CPU of its architecture. Tests and benches can pin a target through the
+// kernel table (CompiledSimdTargets) or the override seam
+// (SetSimdTargetForTesting).
 
 #pragma once
 
@@ -55,21 +52,20 @@ std::size_t FirstKeyAbove(const double* delta, const std::uint32_t* seq,
 /// One dispatch target's kernel, for tests and benches that sweep scalar
 /// vs vector explicitly.
 struct SimdTarget {
-  const char* name;  // "scalar", "sse2", "neon", "avx2"
+  const char* name;  // "scalar", "sse2"
   std::size_t (*first_key_above)(const double*, const std::uint32_t*,
                                  std::size_t, double, std::uint32_t);
 };
 
-/// Every compiled target this CPU runs, scalar first and the detected
-/// (dispatched) target last.
+/// Every compiled target, scalar first and the dispatched target last.
 std::span<const SimdTarget> CompiledSimdTargets();
 
-/// Name of the target FirstKeyAbove dispatches to (the detected one, or
-/// the testing override).
+/// Name of the target FirstKeyAbove dispatches to (the last compiled one,
+/// or the testing override).
 const char* ActiveSimdTarget();
 
 /// Test/bench seam: routes FirstKeyAbove through `target` (one of
-/// CompiledSimdTargets(), or nullptr to restore the detected target). Not
+/// CompiledSimdTargets(), or nullptr to restore the last one). Not
 /// thread-safe; only for single-threaded harness setup.
 void SetSimdTargetForTesting(const SimdTarget* target);
 

@@ -386,21 +386,42 @@ Result<std::size_t> Spade::ReplayDelta(
   }
   const std::size_t retired = std::min(front, logged);
 
+  // Every vertex an insert record names, as live admission created it: an
+  // endpoint past the graph takes its prior, an id skipped over weighs 0.
+  // Read before anything leaves the graph, so a refused prior shrinks the
+  // graph back, as admission does, and nothing else has changed.
+  const std::size_t num_vertices = graph_.NumVertices();
+  const auto shrink = [&] {
+    for (std::size_t v = num_vertices; v < graph_.NumVertices(); ++v) {
+      graph_.SetVertexWeight(static_cast<VertexId>(v), 0.0);
+    }
+    graph_.TruncateVertices(num_vertices);
+  };
+  for (const Edge& e : arrivals) {
+    const std::size_t grown = graph_.NumVertices();
+    EnsureEndpoints(e);
+    for (VertexId v : {e.src, e.dst}) {
+      if (v < grown) continue;
+      const double prior = Prior(v);
+      if (!IsAdmissiblePrior(prior)) {
+        shrink();
+        return Status::InvalidArgument(PriorRefusal("ReplayDelta", v, prior));
+      }
+      graph_.SetVertexWeight(v, prior);
+    }
+  }
+
   // Pass 2: the logged edges the range retired leave in one batch (atomic:
-  // on failure nothing has changed).
+  // on failure only the vertices above were added, and they go again).
   const std::size_t merges = stats_.merges;
   if (retired > 0) {
     const std::vector<Edge> batch(
         window_.begin(), window_.begin() + static_cast<std::ptrdiff_t>(retired));
-    SPADE_RETURN_NOT_OK(engine_.DeleteBatch(&graph_, &state_, batch, &stats_));
-  }
-  // Every vertex an insert record names, as live admission created it: an
-  // endpoint past the graph takes its prior, an id skipped over weighs 0.
-  for (const Edge& e : arrivals) {
-    const std::size_t num_vertices = graph_.NumVertices();
-    EnsureEndpoints(e);
-    for (VertexId v : {e.src, e.dst}) {
-      if (v >= num_vertices) graph_.SetVertexWeight(v, Prior(v));
+    const Status deleted =
+        engine_.DeleteBatch(&graph_, &state_, batch, &stats_);
+    if (!deleted.ok()) {
+      shrink();
+      return deleted;
     }
   }
   // The arrivals no pass popped enter in one batch.

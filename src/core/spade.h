@@ -157,12 +157,14 @@ class Spade {
   /// runs again. The window log is rebuilt from the records: each retire
   /// record pops its horizon with RetireOlderThan's prefix pop, and a pass
   /// that pops a different count than recorded fails with kInternal naming
-  /// its epoch, before anything changes. The logged edges the range
-  /// retired leave the graph in one DeleteBatch; the inserts no pass popped
-  /// enter it in one InsertBatch, together with every vertex an insert
-  /// record names, each new one at the prior VSusp gives it here. The
-  /// benign buffer must be empty, as every save and seal leaves it (else
-  /// kFailedPrecondition). Returns the merges run: at most 2.
+  /// its epoch, before anything changes. Every vertex an insert record
+  /// names joins the graph first, each new one at the prior VSusp gives it
+  /// here; a prior that is not finite and >= 0 fails with kInvalidArgument,
+  /// the detector untouched. The logged edges the range retired then leave
+  /// the graph in one DeleteBatch, and the inserts no pass popped enter it
+  /// in one InsertBatch. The benign buffer must be empty, as every save and
+  /// seal leaves it (else kFailedPrecondition). Returns the merges run: at
+  /// most 2.
   Result<std::size_t> ReplayDelta(std::span<const DeltaSegment> segments);
 
   /// Definition 4.1 on an already-weighted edge: true iff neither endpoint

@@ -4,7 +4,7 @@
 //    new-vertex edges and parallel edges) driven through the Spade facade
 //    under all three built-in semantics, integer and continuous weights,
 //    on small graphs and on graphs spanning several 512-slot blocks, on
-//    every dispatch target the CPU runs, asserting the reordered PeelState
+//    every compiled dispatch target, asserting the reordered PeelState
 //    equals a from-scratch PeelStatic of the final weighted graph exactly,
 //  * the O(1) stored-delta gray recovery serving insertion merges,
 //  * PeelState's blocked suffix-sum / hull detection against the naive
@@ -72,7 +72,7 @@ class MixedStreamTest : public ::testing::TestWithParam<MixedStreamCase> {};
 // Admission rounds every weight onto the 2^-20 grid, so every sum the
 // incremental and static paths take is exact: the maintained state equals
 // a from-scratch peel of the final weighted graph bit for bit, ties
-// included, under every semantics and on every dispatch target the CPU runs.
+// included, under every semantics and on every compiled dispatch target.
 TEST_P(MixedStreamTest, IncrementalMatchesStaticAfterEveryUpdate) {
   const MixedStreamCase param = GetParam();
   const std::string algo = param.algo;
@@ -352,7 +352,7 @@ void ExpectNaive(const PeelState& state) {
   ASSERT_EQ(expect.density, state.BestDensity());
 }
 
-/// Runs `body` once under each dispatch target the CPU runs.
+/// Runs `body` once under each compiled dispatch target.
 template <typename Body>
 void ForEachTarget(Body&& body) {
   for (const auto& target : simd::CompiledSimdTargets()) {

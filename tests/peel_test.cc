@@ -164,7 +164,7 @@ TEST(PeelStateTest, ClearResets) {
 }
 
 // ------------------------------------------------------------------------
-// SIMD kernel dispatch: every target this CPU runs must return the index the
+// SIMD kernel dispatch: every compiled target must return the index the
 // scalar reference returns, and the override seam must route the dispatched
 // entry point.
 // ------------------------------------------------------------------------
@@ -244,19 +244,16 @@ TEST(SimdKernelTest, FirstKeyAboveReturnsTheScalarIndexOnEveryTarget) {
   }
 }
 
-// The dispatch target comes from the CPU at startup: the last listed target
-// is the detected one, and nullptr restores it after an override.
+// The dispatch target is fixed at compile time: the last listed target is
+// the dispatched one (SSE2 wherever the compiler targets it), and nullptr
+// restores it after an override.
 TEST(SimdKernelTest, TestingOverrideRedirectsDispatch) {
   const auto targets = simd::CompiledSimdTargets();
   ASSERT_FALSE(targets.empty());
   EXPECT_STREQ(targets.front().name, "scalar");
   EXPECT_STREQ(simd::ActiveSimdTarget(), targets.back().name);
-#if defined(__x86_64__) || defined(__i386__)
-  // Every x86 compiler the build supports accepts -mavx2, so the AVX2
-  // kernel is compiled in and only the CPU decides.
-  if (__builtin_cpu_supports("avx2")) {
-    EXPECT_STREQ(targets.back().name, "avx2");
-  }
+#if defined(__SSE2__)
+  EXPECT_STREQ(targets.back().name, "sse2");
 #endif
   const double one = 1.0;
   const std::uint32_t id = 7;

@@ -391,6 +391,10 @@ TEST(EdgeGroupingTest, NegativeOrNonFinitePriorIsRefused) {
     spade.TurnOnEdgeGrouping();
     spade.TurnOnWindowLog();
     ASSERT_TRUE(spade.BuildGraph(7, DenseRingLog()).ok());
+    // Two logged edges for the replay below to retire.
+    ASSERT_TRUE(spade.ApplyEdge({3, 5, 1.0, 10}).ok());
+    ASSERT_TRUE(spade.ApplyEdge({4, 6, 1.0, 11}).ok());
+    ASSERT_TRUE(spade.Flush().ok());
     // Every id from 7 on, none of them in the graph yet, reads `bad`.
     spade.VSusp([bad](VertexId v, const DynamicGraph&) {
       return v >= 7 ? bad : 0.0;
@@ -419,6 +423,17 @@ TEST(EdgeGroupingTest, NegativeOrNonFinitePriorIsRefused) {
 
     EXPECT_EQ(spade.BuildGraph(9, DenseRingLog()).code(),
               StatusCode::kInvalidArgument);
+    expect_unchanged();
+
+    // A replayed range that retires a logged edge and names vertex 8: the
+    // prior is refused before the retired edge leaves the graph.
+    DeltaSegment segment{.prev_epoch = 1, .epoch = 2, .records = {}};
+    segment.records.push_back(DeltaRecord::RetirePass(11, 1));
+    segment.records.push_back(DeltaRecord::Insert({2, 8, 1.0, 23}));
+    const auto replayed = spade.ReplayDelta(std::span(&segment, 1));
+    ASSERT_FALSE(replayed.ok());
+    EXPECT_EQ(replayed.status().code(), StatusCode::kInvalidArgument)
+        << replayed.status().ToString();
     expect_unchanged();
   }
 }

@@ -247,7 +247,7 @@ class WindowedSpadeDifferentialTest
 // and is fed the same history. Admission puts every weight on the grid,
 // so every sum is exact: the copy stays bit-identical with the live
 // detector to the end under every semantics, and both equal a static peel
-// after every step, on every dispatch target the CPU runs.
+// after every step, on every compiled dispatch target.
 TEST_P(WindowedSpadeDifferentialTest, LogGraphAndPeelAgreeAfterEveryStep) {
   const std::string algo = GetParam().algo;
   const bool continuous = GetParam().continuous;

@@ -5,6 +5,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include <span>
 #include <vector>
 
 #include "common/rng.h"
@@ -126,7 +127,7 @@ void BM_DeleteEdge(benchmark::State& state) {
     const Edge e = RandomZipfEdge(&rng, n);
     (void)engine.InsertEdge(&g, &peel, e, nullptr);
     const Status s =
-        engine.DeleteEdge(&g, &peel, e.src, e.dst, nullptr, &e.weight);
+        engine.DeleteBatch(&g, &peel, std::span<const Edge>(&e, 1), nullptr);
     benchmark::DoNotOptimize(s.ok());
   }
 }

@@ -113,12 +113,9 @@ Status IncrementalEngine::InsertBatch(DynamicGraph* g, PeelState* state,
 
 Status IncrementalEngine::DeleteEdge(DynamicGraph* g, PeelState* state,
                                      VertexId src, VertexId dst,
-                                     ReorderStats* stats,
-                                     const double* weight_filter) {
+                                     ReorderStats* stats) {
   Edge edge{src, dst, 0.0, 0};
-  if (weight_filter != nullptr) {
-    edge.weight = *weight_filter;
-  } else if (src < g->NumVertices() && dst < g->NumVertices()) {
+  if (src < g->NumVertices() && dst < g->NumVertices()) {
     // The most recent copy: the last (src, dst) entry of src's out-list.
     const auto& out = g->OutNeighbors(src);
     const auto it =

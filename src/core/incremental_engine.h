@@ -119,11 +119,10 @@ class IncrementalEngine {
   Status DeleteBatch(DynamicGraph* g, PeelState* state,
                      std::span<const Edge> edges, ReorderStats* stats);
 
-  /// Single-edge DeleteBatch. `weight_filter`, when non-null, selects which
-  /// parallel copy to remove; otherwise the most recently inserted one goes.
+  /// Single-edge DeleteBatch of the most recently inserted (src, dst) copy.
+  /// To remove a copy by its weight, pass that edge to DeleteBatch.
   Status DeleteEdge(DynamicGraph* g, PeelState* state, VertexId src,
-                    VertexId dst, ReorderStats* stats,
-                    const double* weight_filter = nullptr);
+                    VertexId dst, ReorderStats* stats);
 
   /// Test-only: jumps the epoch counter (exercises wrap-around handling).
   void ForceEpochForTesting(std::uint32_t epoch) { epoch_ = epoch; }

@@ -55,7 +55,6 @@ ShardWorker::ShardWorker(std::vector<PartitionSeed> seeds,
                          PartitionOfFn partition_of, ForwardFn forward,
                          FraudAlertFn on_alert,
                          DetectionServiceOptions options,
-                         RetireNotifyFn on_retire,
                          BoundaryUpdateFn on_boundary,
                          std::shared_ptr<SlabPool> slab_pool, int cpu)
     : options_(options),
@@ -66,7 +65,6 @@ ShardWorker::ShardWorker(std::vector<PartitionSeed> seeds,
       partition_of_(std::move(partition_of)),
       forward_(std::move(forward)),
       start_(std::chrono::steady_clock::now()),
-      on_retire_(std::move(on_retire)),
       on_boundary_(std::move(on_boundary)),
       slab_pool_(std::move(slab_pool)) {
   SPADE_CHECK(partition_of_ != nullptr);
@@ -573,6 +571,9 @@ Status ShardWorker::ReplayPartition(std::size_t pid, RestorePlan plan,
     return Status::NotFound(
         "ShardWorker::ReplayPartition: partition not owned by this worker");
   }
+  // A base install or a replayed retire can shrink the graph, so the bump
+  // comes before either (see DeletionGeneration).
+  deletion_generation_.fetch_add(1, std::memory_order_seq_cst);
   if (plan.base.has_value()) {
     SPADE_RETURN_NOT_OK(p->spade.RestoreFromParts(std::move(*plan.base)));
   }
@@ -893,33 +894,22 @@ void ShardWorker::WorkerLoop() {
     if (!forward_backlog_.empty()) FlushForwardBacklog();
 
     if (have_retire) {
-      // Pre-deletion announcement: deletions shrink the graph the moment
-      // they apply, but consumers (the sharded service's stitched
-      // snapshot) are only told via on_retire_ — a callback fired after
-      // the pass used to leave a window where a reader could combine the
-      // shrunken live argmax with a stale pre-deletion snapshot. Bump the
-      // begin counter and fire on_retire_(0) BEFORE the first deletion so
-      // stale state is dropped while the graph still matches it. Only
-      // this thread (and Detach, which can only remove work) mutates the
-      // window logs, so the peek stays conservative.
-      bool will_retire = false;
-      {
-        std::lock_guard<std::mutex> peek_lock(detector_mutex_);
-        will_retire = std::any_of(
-            parts_.begin(), parts_.end(), [retire_horizon](const auto& p) {
-              const auto& window = p->spade.window();
-              return !window.empty() && window.front().ts < retire_horizon;
-            });
-      }
-      if (will_retire) {
-        retire_begins_.fetch_add(1, std::memory_order_seq_cst);
-        if (on_retire_) on_retire_(0);
-      }
       std::vector<std::shared_ptr<const Community>> alerts;
       std::size_t retired_now = 0;
       {
         std::lock_guard<std::mutex> apply_lock(detector_mutex_);
         ++consumed_;  // the marker's one unit of queue budget
+        // A partition retires iff its window front is older than the
+        // horizon. When one does, the generation moves before its first
+        // edge leaves the detector (see DeletionGeneration).
+        if (std::any_of(parts_.begin(), parts_.end(),
+                        [retire_horizon](const auto& p) {
+                          const auto& window = p->spade.window();
+                          return !window.empty() &&
+                                 window.front().ts < retire_horizon;
+                        })) {
+          deletion_generation_.fetch_add(1, std::memory_order_seq_cst);
+        }
         for (auto& p : parts_) {
           // Admission keeps every logged edge in the graph at its logged
           // weight, so a failed retire is a bug.
@@ -948,7 +938,6 @@ void ShardWorker::WorkerLoop() {
         alerts = TakePendingAlertsLocked();
       }
       for (const auto& a : alerts) on_alert_(*a);
-      if (retired_now > 0 && on_retire_) on_retire_(retired_now);
     }
 
     busy_ns_.fetch_add(

@@ -57,6 +57,14 @@
 // logs one retire-pass record per partition that retired anything, and
 // chain replay pops the same horizon off the window log it rebuilds.
 //
+// Deletion generation (DESIGN.md §4.4): a lock-free counter that every
+// retire pass that deletes bumps inside its detector critical section,
+// before the first edge leaves a detector, and that every ReplayPartition
+// bumps before it touches one. It is the one thing a reader of state
+// measured across workers (the stitched read) needs to know about
+// deletions: while the counter holds the value read before the
+// measurement, this worker's graphs have only grown since.
+//
 // Snapshot-publication protocol (DESIGN.md §4.2): the worker republishes on
 // every detection (urgent flush or detect_every cadence). Exactness is
 // produced on demand: a DrainFor() waiter registers itself and wakes the
@@ -98,14 +106,6 @@ namespace spade {
 /// Invoked from the worker thread after a detection whose community differs
 /// from the previously reported one. No service lock is held.
 using FraudAlertFn = std::function<void(const Community&)>;
-
-/// Invoked from the worker thread around a retire pass. Fires TWICE per
-/// pass that deletes anything: once with count 0 BEFORE the first deletion
-/// (so a consumer can drop state the deletions are about to invalidate —
-/// e.g. a stale stitched snapshot — before any reader can observe the
-/// shrunken graph), and once after the pass with the number of edges
-/// retired. No service lock is held.
-using RetireNotifyFn = std::function<void(std::size_t)>;
 
 /// Invoked from the worker thread, inside the apply critical section, for
 /// every applied edge (`retired` false, `applied` the semantic weight
@@ -194,10 +194,9 @@ class ShardWorker {
   /// the pid lookup table (a detached partition's slot goes null;
   /// AttachPartition refills it). `partition_of` (required) maps an edge
   /// to its pid; `forward` re-submits edges for partitions this worker
-  /// does not own (see ForwardFn). `on_retire` (optional) fires around
-  /// every retire pass that removes at least one edge (see
-  /// RetireNotifyFn); `on_boundary` (optional) fires per applied/retired
-  /// edge inside the apply critical section (see BoundaryUpdateFn).
+  /// does not own (see ForwardFn). `on_boundary` (optional) fires per
+  /// applied/retired edge inside the apply critical section (see
+  /// BoundaryUpdateFn).
   /// `slab_pool` (optional) receives consumed batch slabs for recycling.
   /// `cpu` >= 0 pins the worker thread to that CPU (Linux only; elsewhere,
   /// and for a CPU that does not exist, the worker logs a warning and runs
@@ -205,7 +204,6 @@ class ShardWorker {
   ShardWorker(std::vector<PartitionSeed> seeds, std::size_t total_partitions,
               PartitionOfFn partition_of, ForwardFn forward,
               FraudAlertFn on_alert, DetectionServiceOptions options = {},
-              RetireNotifyFn on_retire = nullptr,
               BoundaryUpdateFn on_boundary = nullptr,
               std::shared_ptr<SlabPool> slab_pool = nullptr, int cpu = -1);
 
@@ -324,19 +322,18 @@ class ShardWorker {
     return dropped_.load(std::memory_order_relaxed);
   }
 
-  /// Edges retired by window expiry so far (relaxed; never takes a lock).
-  /// Incremented AFTER a pass's deletions — pair with RetireBegins() when
-  /// checking whether deletions may have raced a measurement.
+  /// Edges retired by window expiry so far, live or replayed (relaxed;
+  /// never takes a lock). A stats counter; DeletionGeneration() is the
+  /// one that orders deletions against readers.
   std::uint64_t EdgesRetired() const {
     return retired_.load(std::memory_order_relaxed);
   }
 
-  /// Retire passes that have ANNOUNCED deletions (bumped, with the
-  /// pre-deletion on_retire callback, before the first edge is deleted).
-  /// A measurement bracketed by equal (RetireBegins, EdgesRetired) pairs
-  /// saw no deletion start or finish while it ran.
-  std::uint64_t RetireBegins() const {
-    return retire_begins_.load(std::memory_order_seq_cst);
+  /// The deletion generation (see the class comment): bumped, seq_cst,
+  /// before a retire pass deletes its first edge and at the start of every
+  /// ReplayPartition. Never takes a lock.
+  std::uint64_t DeletionGeneration() const {
+    return deletion_generation_.load(std::memory_order_seq_cst);
   }
 
   /// Copy of the owned detectors' window logs, partitions in ascending-pid
@@ -474,10 +471,11 @@ class ShardWorker {
                             std::uint64_t epoch,
                             DeltaSaveInfo* info = nullptr);
 
-  /// Installs the plan's base (when it has one) and replays its delta
-  /// segments with one Spade::ReplayDelta — at most one DeleteBatch and one
-  /// InsertBatch, whatever the range's length — so the result is
-  /// bit-identical to the detector that wrote the chain (DESIGN.md §5.3).
+  /// Bumps the deletion generation, then installs the plan's base (when it
+  /// has one) and replays its delta segments with one Spade::ReplayDelta —
+  /// at most one DeleteBatch and one InsertBatch, whatever the range's
+  /// length — so the result is bit-identical to the detector that wrote
+  /// the chain (DESIGN.md §5.3).
   /// `merges` (optional) receives the merges the replay ran. The replayed
   /// community is republished and becomes the alert baseline, and delta
   /// tracking is armed for the next incremental checkpoint, as after
@@ -702,7 +700,7 @@ class ShardWorker {
   std::atomic<std::uint64_t> alerts_{0};
   std::atomic<std::uint64_t> detections_{0};
   std::atomic<std::uint64_t> retired_{0};
-  std::atomic<std::uint64_t> retire_begins_{0};
+  std::atomic<std::uint64_t> deletion_generation_{0};
   std::atomic<std::uint64_t> rejected_{0};
   std::atomic<std::uint64_t> dropped_{0};
   /// Mirror of parts_.size(), kept by the constructor, AttachPartition and
@@ -712,7 +710,6 @@ class ShardWorker {
   /// or gathering); BusyFraction divides by wall time since start_.
   std::atomic<std::uint64_t> busy_ns_{0};
   std::chrono::steady_clock::time_point start_;
-  RetireNotifyFn on_retire_;
   BoundaryUpdateFn on_boundary_;
   std::shared_ptr<SlabPool> slab_pool_;
 

@@ -15,6 +15,7 @@
 #include "graph/dynamic_graph.h"
 #include "peel/static_peeler.h"
 #include "service/router_scratch.h"
+#include "storage/checked_io.h"
 #include "storage/delta_segment.h"
 #include "storage/sharded_snapshot.h"
 #include "storage/snapshot.h"
@@ -143,10 +144,6 @@ ShardedDetectionService::ShardedDetectionService(
     const int cpu = options_.shard_cpus.empty()
                         ? -1
                         : options_.shard_cpus[i % options_.shard_cpus.size()];
-    RetireNotifyFn shard_retire;
-    if (options_.window.span > 0) {
-      shard_retire = [this, i](std::size_t) { OnShardRetire(i); };
-    }
     ForwardFn forward = [this, i](std::span<const Edge> edges) {
       return RouteForward(i, edges);
     };
@@ -162,8 +159,8 @@ ShardedDetectionService::ShardedDetectionService(
     }
     workers_.push_back(std::make_unique<ShardWorker>(
         std::move(seeds), num_partitions, partition_of, std::move(forward),
-        std::move(shard_alert), options_.shard, std::move(shard_retire),
-        boundary_hook, slab_pool_, cpu));
+        std::move(shard_alert), options_.shard, boundary_hook, slab_pool_,
+        cpu));
   }
   // The interval path runs for a single shard too: a stitch pass there is
   // just "publish the one shard's snapshot with provenance", which is what
@@ -366,20 +363,12 @@ Status ShardedDetectionService::RetireOlderThan(Timestamp horizon) {
   return first_error;
 }
 
-void ShardedDetectionService::OnShardRetire(std::size_t shard) {
-  const auto snap = stitched_.Load();
-  if (!snap) return;
-  // `shards` is sorted unique (StitchNow builds it that way). An empty
-  // provenance list (empty community) is dropped too — conservative and
-  // harmless.
-  const bool contributes =
-      snap->shards.empty() ||
-      std::binary_search(snap->shards.begin(), snap->shards.end(), shard);
-  // Expiry can only shrink a fixed member set's induced density, so a
-  // stitched snapshot measured before this retire pass may now OVERSTATE.
-  // Drop it; stitched reads fall back to the live argmax until the next
-  // pass republishes an honest one.
-  if (contributes) stitched_.Store(nullptr);
+bool ShardedDetectionService::NoDeletionSince(
+    const std::vector<std::uint64_t>& generations) const {
+  for (std::size_t i = 0; i < workers_.size(); ++i) {
+    if (workers_[i]->DeletionGeneration() != generations[i]) return false;
+  }
+  return true;
 }
 
 std::uint64_t ShardedDetectionService::EdgesRetired() const {
@@ -752,19 +741,18 @@ Community ShardedDetectionService::CurrentCommunity() const {
 }
 
 GlobalCommunity ShardedDetectionService::CurrentGlobalCommunity() const {
+  // Snapshots first, generations second (DESIGN.md §4.4). A worker bumps
+  // its generation before a deletion and republishes after it, so a read
+  // that loaded a post-deletion snapshot below also loads the bump.
   const auto stitched = stitched_.Load();
   const auto [shard, snap] = ArgmaxSnapshot();
   const double argmax_density = snap ? snap->density : 0.0;
-  // A PUBLISHED stale stitched snapshot never overclaims. Inserts only
-  // grow a fixed member set's induced density, and the one thing that can
-  // shrink it — a window-expiry retire pass on a contributing shard — is
-  // fenced on both sides: the worker announces the pass (on_retire_(0),
-  // which drops the snapshot via OnShardRetire) BEFORE its first deletion,
-  // and StitchPass rechecks both the retire-begins and edges-retired
-  // counters around its own publish. So by the time any deletion can make
-  // this snapshot overstate, it is already unpublished. Reads between a
-  // retire pass and the next stitch fall back to the live argmax below.
-  if (stitched && stitched->density >= argmax_density) return *stitched;
+  // An unchanged generation on every worker means the pass measured a
+  // graph that has only grown since, so its density cannot overstate.
+  if (stitched && stitched->community.density >= argmax_density &&
+      NoDeletionSince(stitched->generations)) {
+    return stitched->community;
+  }
   GlobalCommunity g;
   if (snap) {
     g.members = snap->members;
@@ -789,6 +777,13 @@ GlobalCommunity ShardedDetectionService::StitchPass(bool unbounded_seam) {
         stitch_passes_.fetch_add(1, std::memory_order_relaxed) + 1;
     result.stitch_pass = pass;
 
+    // Every worker's deletion generation, before anything the pass
+    // measures: readers serve the result only while all of them hold.
+    std::vector<std::uint64_t> generations(workers_.size());
+    for (std::size_t i = 0; i < workers_.size(); ++i) {
+      generations[i] = workers_[i]->DeletionGeneration();
+    }
+
     // Zero the trigger accumulators FIRST: weight applied between this
     // point and the merge below is counted twice (merged by this pass and
     // still credited toward the next trigger), which costs at worst one
@@ -801,27 +796,6 @@ GlobalCommunity ShardedDetectionService::StitchPass(bool unbounded_seam) {
         pair_weight_[i].exchange(0.0, std::memory_order_relaxed);
       }
     }
-
-    // Retire passes that complete after this point can invalidate what
-    // this pass is about to measure; capture the per-shard retire counts
-    // so publication can detect the race. Both counters matter: retired
-    // edges (bumped after a pass deletes) catch completed passes, and
-    // retire-begins (bumped BEFORE the first deletion) catches a pass
-    // that is mid-deletion while we gather — EdgesRetired alone would
-    // miss it until after we publish.
-    std::vector<std::uint64_t> retired_before(workers_.size(), 0);
-    std::vector<std::uint64_t> begins_before(workers_.size(), 0);
-    for (std::size_t i = 0; i < workers_.size(); ++i) {
-      retired_before[i] = workers_[i]->EdgesRetired();
-      begins_before[i] = workers_[i]->RetireBegins();
-    }
-    const auto retire_raced = [this, &retired_before, &begins_before] {
-      for (std::size_t i = 0; i < workers_.size(); ++i) {
-        if (workers_[i]->EdgesRetired() != retired_before[i]) return true;
-        if (workers_[i]->RetireBegins() != begins_before[i]) return true;
-      }
-      return false;
-    };
 
     // One snapshot load per shard, reused for both the seam candidates and
     // the argmax fallback so the pass compares against a consistent view.
@@ -971,32 +945,22 @@ GlobalCommunity ShardedDetectionService::StitchPass(bool unbounded_seam) {
         member_shards.end());
     result.shards = std::move(member_shards);
 
-    // Publication race guard: a retire pass that completed while this pass
-    // gathered may have shrunk a shard we measured, so the result could
-    // already overstate. Skip publish/alert/baseline and leave whatever
-    // OnShardRetire did (usually a dropped snapshot) in place — the next
-    // pass measures the post-expiry fleet. The caller still gets the
-    // computed result for inspection.
-    if (!retire_raced()) {
-      if (result.stitched) {
-        std::vector<VertexId> sorted = result.members;
-        std::sort(sorted.begin(), sorted.end());
-        if (sorted != last_stitched_members_ ||
-            result.density != last_stitched_density_) {
-          last_stitched_members_ = std::move(sorted);
-          last_stitched_density_ = result.density;
-          stitched_alerts_.fetch_add(1, std::memory_order_relaxed);
-          fire_alert = true;
-        }
+    const auto published = std::make_shared<const StitchedSnapshot>(
+        StitchedSnapshot{result, std::move(generations)});
+    stitched_.Store(published);
+    // Alert only on a result readers can still be served: one that raced a
+    // deletion is published but hidden, and neither alerts nor becomes the
+    // alert baseline.
+    if (result.stitched && NoDeletionSince(published->generations)) {
+      std::vector<VertexId> sorted = result.members;
+      std::sort(sorted.begin(), sorted.end());
+      if (sorted != last_stitched_members_ ||
+          result.density != last_stitched_density_) {
+        last_stitched_members_ = std::move(sorted);
+        last_stitched_density_ = result.density;
+        stitched_alerts_.fetch_add(1, std::memory_order_relaxed);
+        fire_alert = true;
       }
-      stitched_.Store(std::make_shared<const GlobalCommunity>(result));
-      // Recheck AFTER the store: a retire pass whose count bumped between
-      // the pre-store check and the store may have nulled the OLD snapshot
-      // before our store resurrected a stale one. Any pass whose bump
-      // lands after this recheck fires OnShardRetire after our store and
-      // drops the new snapshot itself — so between the two checks and the
-      // callback, no overstating snapshot stays published.
-      if (retire_raced()) stitched_.Store(nullptr);
     }
   }
   // Deliver outside the stitch lock, so a slow moderator (or one that calls
@@ -1189,12 +1153,17 @@ std::uint64_t NextEpochForDir(const std::string& dir) {
 
 /// Phase 1 of every chain replay, no side effects: parses and CRC-checks
 /// epochs [first, last] of `manifest` into the partitions' plans, up to the
-/// first epoch with a torn, corrupt or out-of-chain file, whose error it
-/// returns. The plans and `info` then describe the longest valid prefix.
+/// first epoch with a torn segment, whose error it stores in `*torn`; the
+/// plans and `info` then describe the longest valid prefix. Torn is what a
+/// crash or bit rot leaves: a short file, or one whose CRC trailer does not
+/// match it. A segment that is intact and still unreadable (another
+/// version's or another format's), or that does not extend its
+/// partition's chain, no crash explains, so it fails the call instead.
 Status ReadChainRange(const std::string& dir, const ShardManifest& manifest,
                       std::uint64_t first, std::uint64_t last,
                       std::vector<ShardWorker::RestorePlan>* plans,
-                      ShardedDetectionService::RestoreInfo* info) {
+                      ShardedDetectionService::RestoreInfo* info,
+                      Status* torn) {
   const std::size_t num_partitions = plans->size();
   info->manifest_epoch = manifest.epoch;
   info->restored_epoch = first - 1;
@@ -1204,7 +1173,12 @@ Status ReadChainRange(const std::string& dir, const ShardManifest& manifest,
       const std::size_t row = (e - manifest.base_epoch - 1) * num_partitions;
       const std::string path = JoinPath(dir, manifest.deltas[row + pid].file);
       DeltaSegment& segment = epoch_segments[pid];
-      SPADE_RETURN_NOT_OK(ReadDeltaSegment(path, &segment));
+      const Status read = ReadDeltaSegment(path, &segment);
+      if (!read.ok()) {
+        if (storage::HasIntactTrailer(path)) return read;
+        *torn = read;
+        return Status::OK();
+      }
       if (segment.shard != pid || segment.epoch != e ||
           segment.prev_epoch != e - 1) {
         return Status::IOError("segment " + path +
@@ -1497,17 +1471,18 @@ Status ShardedDetectionService::RestoreState(const std::string& dir,
           " carries a window log but this service has window expiry off");
     }
   }
-  // The chain, oldest first, up to the first epoch with any torn or
-  // corrupt file. Everything before it is durable by construction (those
-  // files were fully written before the later manifest was published), so
-  // the longest valid prefix IS the last durable checkpoint.
-  const Status chain = ReadChainRange(dir, manifest, manifest.base_epoch + 1,
-                                      manifest.epoch, &plans, &out);
-  if (!chain.ok()) {
+  // The chain, oldest first, up to the first epoch with a torn file.
+  // Everything before it is durable by construction (those files were
+  // fully written before the later manifest was published), so the
+  // longest valid prefix IS the last durable checkpoint.
+  Status torn;
+  SPADE_RETURN_NOT_OK(ReadChainRange(dir, manifest, manifest.base_epoch + 1,
+                                     manifest.epoch, &plans, &out, &torn));
+  if (!torn.ok()) {
     SPADE_LOG_WARNING() << "RestoreState: chain torn at epoch "
                         << (out.restored_epoch + 1)
                         << "; recovering to durable epoch "
-                        << out.restored_epoch << ": " << chain.ToString();
+                        << out.restored_epoch << ": " << torn.ToString();
   }
   // Byte accounting of the chain the restore resumes (CheckpointPolicy).
   std::uint64_t base_bytes = 0;
@@ -1523,16 +1498,13 @@ Status ShardedDetectionService::RestoreState(const std::string& dir,
 
   // ---- Phase 2: install. Everything applied below passed validation. ----
   Drain();
-  // Drop the stitched snapshot BEFORE touching any detector: it described
-  // the pre-restore fleet, and it must not survive the swap (a stale
-  // stitched read over replaced detectors would be the one overclaim the
-  // insert-only staleness argument cannot excuse). The stitch counters
-  // reset with it — stats() must describe the restored run.
+  // stats() must describe the restored run. The pre-restore stitched
+  // snapshot needs no reset: every replay bumps its worker's deletion
+  // generation, so readers stop serving it.
   {
     std::lock_guard<std::mutex> stitch_lock(stitch_mutex_);
     last_stitched_members_.clear();
     last_stitched_density_ = -1.0;
-    stitched_.Store(nullptr);
     stitch_passes_.store(0, std::memory_order_relaxed);
     stitched_alerts_.store(0, std::memory_order_relaxed);
   }
@@ -1550,7 +1522,7 @@ Status ShardedDetectionService::RestoreState(const std::string& dir,
   // Resume the chain in this directory: the next SaveState extends it.
   chain_dir_ = dir;
   chain_ = std::move(manifest);
-  out.truncated_chain = !chain.ok();
+  out.truncated_chain = !torn.ok();
   if (out.truncated_chain) {
     // Truncate the cached chain to the durable prefix, and collect the torn
     // epochs' files now (best effort): leaving them would let a later save
@@ -1591,11 +1563,13 @@ Status ShardedDetectionService::ApplyChainRange(
 
   // ---- Phase 1: parse + CRC-check the whole range, no side effects. ----
   std::vector<ShardWorker::RestorePlan> plans(map_.num_partitions());
-  const Status chain =
-      ReadChainRange(dir, manifest, first_epoch, last_epoch, &plans, &out);
+  Status torn;
+  const Status chain = ReadChainRange(dir, manifest, first_epoch, last_epoch,
+                                      &plans, &out, &torn);
   out.validate_millis = stage.ElapsedMillis();
   stage.Restart();
-  SPADE_RETURN_NOT_OK(chain);  // a valid prefix is not the range asked for
+  SPADE_RETURN_NOT_OK(chain);
+  SPADE_RETURN_NOT_OK(torn);  // a valid prefix is not the range asked for
 
   // ---- Phase 2: replay. Everything below passed validation. -------------
   if (!DrainFor(drain_timeout)) {

@@ -33,11 +33,13 @@
 // from the shard detectors (each edge lives in exactly one shard, so the
 // union is the exact global induced subgraph), peels it with the static
 // peeler, and publishes the result as a GlobalCommunity snapshot behind the
-// same pointer-swap publication as the shard snapshots. The
-// stitched read, CurrentGlobalCommunity(), returns the denser of the
-// stitched snapshot and the live argmax. Resident boundary memory is
-// O(boundary vertices). DESIGN.md §4.4 has the exactness, freshness and
-// staleness statements.
+// same pointer-swap publication as the shard snapshots, together with
+// every worker's deletion generation as the pass read it before measuring
+// anything. The stitched read, CurrentGlobalCommunity(), returns the denser
+// of the stitched snapshot and the live argmax while every worker still
+// reports the generation its pass recorded, and the live argmax otherwise.
+// Resident boundary memory is O(boundary vertices). DESIGN.md §4.4 has the
+// exactness, freshness and staleness statements.
 
 #pragma once
 
@@ -384,14 +386,15 @@ class ShardedDetectionService {
 
   /// Stitched read with provenance: the denser of the latest stitched
   /// snapshot and the live argmax, tagged with contributing shards — never
-  /// waits on a pass, but only as fresh as the last one. While no retire
-  /// pass has touched a contributing shard, a stitched snapshot's density
-  /// is a valid lower bound of its member set's current density (inserts
-  /// only grow a fixed set's induced density). Window expiry breaks that
-  /// bound — deletions can make a stale stitched density OVERSTATE the
-  /// live one — so every retire pass that removes edges from a
-  /// contributing shard drops the published stitched snapshot, and
-  /// stitched reads fall back to the live argmax until the next pass.
+  /// waits on a pass, but only as fresh as the last one. Inserts only grow
+  /// a fixed member set's induced density, so a snapshot measured on a
+  /// graph that has only grown since never overstates. A deletion (a
+  /// retire pass, a restore or a chain replay) can make it overstate, so
+  /// the read compares every worker's deletion generation with the one
+  /// the pass recorded, after loading the snapshots, and on any mismatch
+  /// returns the live argmax until the next pass. Every worker, not just
+  /// the snapshot's `shards`: a move can carry a contributing partition to
+  /// another worker.
   GlobalCommunity CurrentGlobalCommunity() const;
 
   /// Runs a stitch pass now: (drain,) merge the boundary weights, gather
@@ -530,15 +533,19 @@ class ShardedDetectionService {
   /// must match this service's — validated (like everything else) before
   /// any side effect: the whole chain is parsed and CRC-checked first, and
   /// only then installed, so a failed restore never leaves a partial
-  /// graph. A torn chain tail (crash during the last delta save) recovers
-  /// to the last epoch whose files are all intact; a torn base or manifest
-  /// fails cleanly. Each partition's chain replays as one range, in at most
+  /// graph. A torn chain tail (crash during the last delta save: a short
+  /// segment, or one whose CRC trailer does not match) recovers to the last
+  /// epoch whose files are all intact; a torn base or manifest, and an
+  /// intact segment this build cannot read (another version's), fail
+  /// cleanly with every file kept. Each partition's chain replays as one range, in at most
   /// one DeleteBatch and one InsertBatch (Spade::ReplayDelta), and restored
   /// detectors are bit-identical to the ones that wrote the chain, on the
   /// parallel replay ApplyChainRange shares (ReplayPlans).
   /// Detectors keep their installed semantics; the checkpoint's placement
-  /// is restored; the stitched snapshot *and* the stitch counters are
-  /// reset, so stats() describes the restored run. The directory's chain
+  /// is restored; the stitch counters and the stitched alert baseline are
+  /// reset, so stats() describes the restored run, and the replay's
+  /// deletion-generation bump keeps the pre-restore stitched snapshot from
+  /// being served (see CurrentGlobalCommunity). The directory's chain
   /// is resumed: the next SaveState into it appends a delta epoch. Only
   /// manifest version 6 is accepted; any other fails with kIOError naming
   /// it, before any file of the directory is touched.
@@ -645,10 +652,10 @@ class ShardedDetectionService {
   void ObserveTimestamp(Timestamp ts);
   /// Highest event timestamp in `raw_edges` (one scan per batch chunk).
   void ObserveBatchTimestamps(std::span<const Edge> raw_edges);
-  /// Fired from a shard worker's retire pass: drop the published stitched
-  /// snapshot when the shrinking shard contributed to it (a stale stitched
-  /// density can overstate under expiry — see CurrentCommunity).
-  void OnShardRetire(std::size_t shard);
+
+  /// True while every worker still reports the deletion generation
+  /// `generations` recorded for it.
+  bool NoDeletionSince(const std::vector<std::uint64_t>& generations) const;
 
   /// Full checkpoint: base snapshots + chainless manifest at `epoch`.
   /// Caller holds save_mutex_.
@@ -731,7 +738,13 @@ class ShardedDetectionService {
 
   // --- published stitched snapshot (readers never wait on a pass; same
   // publication as ShardWorker's shard snapshot) ------------------------
-  PublishedPtr<GlobalCommunity> stitched_;
+  /// One pass's result and every worker's deletion generation, read before
+  /// the pass measured anything.
+  struct StitchedSnapshot {
+    GlobalCommunity community;
+    std::vector<std::uint64_t> generations;
+  };
+  PublishedPtr<StitchedSnapshot> stitched_;
   std::atomic<std::uint64_t> stitch_passes_{0};
   std::atomic<std::uint64_t> stitched_alerts_{0};
   std::atomic<std::uint64_t> seam_truncated_{0};

@@ -231,6 +231,20 @@ Status ChecksummedFileReader::VerifyTrailer() {
   return Status::OK();
 }
 
+bool HasIntactTrailer(const std::string& path) {
+  ChecksummedFileReader reader(path);
+  constexpr std::uint64_t kTrailer = sizeof(std::uint64_t);
+  if (!reader.ok() || reader.file_size() < kTrailer) return false;
+  unsigned char chunk[4096];
+  for (std::uint64_t left = reader.file_size() - kTrailer; left > 0;) {
+    const auto n =
+        static_cast<std::size_t>(std::min<std::uint64_t>(left, sizeof(chunk)));
+    if (!reader.ReadBytes(chunk, n)) return false;
+    left -= n;
+  }
+  return reader.VerifyTrailer().ok();
+}
+
 Status WriteFileAtomic(const std::string& path, std::string_view content) {
   const std::string tmp = path + ".tmp";
   {

@@ -177,6 +177,12 @@ class ChecksummedFileReader {
   std::uint64_t size_ = 0;
 };
 
+/// True when `path` ends in an 8-byte trailer equal to the CRC of every
+/// byte before it, as Finish() publishes a file. A crash leaves a short
+/// file and bit rot a mismatch, so neither passes; a file written whole
+/// by another version of a format does. Reads the whole file.
+bool HasIntactTrailer(const std::string& path);
+
 /// Writes `content` to `path` atomically (temp + rename), applying the
 /// truncation hook. Used by the text manifest, which carries its own
 /// in-band CRC line instead of a binary trailer.

@@ -209,56 +209,6 @@ ServiceReplayReport ReplayThroughService(std::vector<Spade> shards,
       },
       std::move(service_options));
 
-  // Checkpointer: a polling background thread taking an auto-mode save
-  // whenever the fleet has applied another `checkpoint_every_edges` edges.
-  // Polling (rather than producer-triggered saves) keeps the submit path
-  // free of any checkpoint coupling; SaveState itself drains, so each save
-  // is a consistent per-shard prefix of the stream. A save that is due
-  // when ingest ends is still taken before the thread exits, so the count
-  // of periodic saves does not depend on where the last poll fell.
-  std::thread checkpointer;
-  std::atomic<bool> checkpointing_done{false};
-  std::mutex checkpoint_mutex;  // guards the report fields below
-  auto take_checkpoint = [&] {
-    ShardedDetectionService::SaveInfo save_info;
-    const auto start = std::chrono::steady_clock::now();
-    const Status s = service.SaveState(options.checkpoint_dir,
-                                       ShardedDetectionService::SaveMode::kAuto,
-                                       &save_info);
-    const double millis = std::chrono::duration<double, std::milli>(
-                              std::chrono::steady_clock::now() - start)
-                              .count();
-    if (!s.ok()) {
-      SPADE_LOG_WARNING() << "replay checkpoint failed: " << s.ToString();
-      return;
-    }
-    std::lock_guard<std::mutex> lock(checkpoint_mutex);
-    ++report.checkpoints;
-    if (save_info.delta) ++report.delta_checkpoints;
-    report.checkpoint_bytes += save_info.bytes_written;
-    report.checkpoint_millis += millis;
-    report.final_epoch = save_info.epoch;
-  };
-  if (options.checkpoint_every_edges > 0) {
-    checkpointer = std::thread([&] {
-      std::uint64_t next_target = options.checkpoint_every_edges;
-      for (;;) {
-        // Flag before count: once the flag reads true the fleet has
-        // drained, so the count below is final and a due save is taken.
-        const bool done = checkpointing_done.load(std::memory_order_acquire);
-        if (service.EdgesProcessed() >= next_target) {
-          take_checkpoint();
-          next_target =
-              service.EdgesProcessed() + options.checkpoint_every_edges;
-        } else if (done) {
-          break;
-        } else {
-          std::this_thread::sleep_for(std::chrono::milliseconds(2));
-        }
-      }
-    });
-  }
-
   const std::size_t num_producers = std::max<std::size_t>(
       1, std::min(options.num_producers, std::max<std::size_t>(1, n)));
   std::atomic<std::size_t> failures{0};
@@ -318,13 +268,6 @@ ServiceReplayReport ReplayThroughService(std::vector<Spade> shards,
   }
   service.Drain();
   report.wall_seconds = now_micros() * 1e-6;
-
-  if (options.checkpoint_every_edges > 0) {
-    checkpointing_done.store(true, std::memory_order_release);
-    if (checkpointer.joinable()) checkpointer.join();
-    // Final checkpoint so the directory covers the whole stream.
-    take_checkpoint();
-  }
 
   // Catch-up pass: a group whose community never *changed* after its edges
   // arrived (e.g. it was dense from the start) produced no alert; credit it

@@ -98,16 +98,6 @@ struct ServiceReplayOptions {
   /// The stitch cost is excluded from wall_seconds (it is an amortized
   /// periodic pass, not per-edge work) and reported separately.
   bool final_stitch = false;
-  /// When > 0, a checkpointer thread runs ShardedDetectionService::
-  /// SaveState (auto mode: full base first, delta epochs after) into
-  /// `checkpoint_dir` every time roughly this many more edges have been
-  /// applied, plus once after the final drain — the deployment loop's
-  /// durability tier running against live traffic. Checkpoint time is
-  /// reported separately, but the per-checkpoint drains do overlap the
-  /// ingest window, so enable this for durability studies, not for
-  /// throughput comparisons.
-  std::size_t checkpoint_every_edges = 0;
-  std::string checkpoint_dir;
   /// Service construction knobs (shard worker options + partitioner).
   ShardedDetectionServiceOptions service;
 };
@@ -165,13 +155,6 @@ struct ServiceReplayReport {
   /// describes its own phase — previously the admission peak bled into
   /// every later reading.
   std::size_t queue_hwm_drain = 0;
-
-  /// Filled when ServiceReplayOptions::checkpoint_every_edges > 0.
-  std::size_t checkpoints = 0;        // saves taken (incl. the final one)
-  std::size_t delta_checkpoints = 0;  // of which were delta epochs
-  std::uint64_t checkpoint_bytes = 0;
-  double checkpoint_millis = 0.0;
-  std::uint64_t final_epoch = 0;      // checkpoint epoch after the last save
 };
 
 /// Builds a ShardedDetectionService over `shards` (moved in), replays

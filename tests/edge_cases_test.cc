@@ -31,7 +31,7 @@ TEST(EngineEdgeCaseTest, TwoVertexGraph) {
         engine.InsertEdge(&g, &state, {0, 1, 1.0, 0}, nullptr).ok());
     ExpectStateEquals(PeelStatic(g), state);
   }
-  ASSERT_TRUE(engine.DeleteEdge(&g, &state, 0, 1, nullptr, nullptr).ok());
+  ASSERT_TRUE(engine.DeleteEdge(&g, &state, 0, 1, nullptr).ok());
   ExpectStateEquals(PeelStatic(g), state);
 }
 
@@ -149,7 +149,7 @@ TEST(EngineEdgeCaseTest, CliqueStaysCanonicalUnderChurn) {
   ASSERT_TRUE(
       engine.InsertEdge(&g, &state, {3, 9, 2.0, 0}, nullptr).ok());
   ExpectStateEquals(PeelStatic(g), state);
-  ASSERT_TRUE(engine.DeleteEdge(&g, &state, 3, 9, nullptr, nullptr).ok());
+  ASSERT_TRUE(engine.DeleteEdge(&g, &state, 3, 9, nullptr).ok());
   ExpectStateEquals(PeelStatic(g), state);
 }
 
@@ -171,7 +171,7 @@ TEST(EngineEdgeCaseTest, StarGraphHubUpdates) {
       engine.InsertEdge(&g, &state, {0, 5, 1.0, 0}, nullptr).ok());
   ExpectStateEquals(PeelStatic(g), state);
   for (VertexId leaf = 1; leaf < 20; ++leaf) {
-    ASSERT_TRUE(engine.DeleteEdge(&g, &state, 0, leaf, nullptr, nullptr).ok());
+    ASSERT_TRUE(engine.DeleteEdge(&g, &state, 0, leaf, nullptr).ok());
     ExpectStateEquals(PeelStatic(g), state);
   }
 }
@@ -187,7 +187,8 @@ TEST(EngineEdgeCaseTest, DeleteDownToEmptyGraph) {
   IncrementalEngine engine;
   for (const Edge& e : edges) {
     ASSERT_TRUE(
-        engine.DeleteEdge(&g, &state, e.src, e.dst, nullptr, &e.weight).ok());
+        engine.DeleteBatch(&g, &state, std::span<const Edge>(&e, 1), nullptr)
+            .ok());
     ExpectStateEquals(PeelStatic(g), state);
   }
   EXPECT_EQ(g.NumEdges(), 0u);

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <span>
 #include <string>
 #include <vector>
 
@@ -248,7 +249,8 @@ TEST(IncrementalDeleteTest, DeleteRestoresPreInsertState) {
     const Edge e = RandomEdge(&rng, n);
     ASSERT_TRUE(engine.InsertEdge(&g, &state, e, nullptr).ok());
     ASSERT_TRUE(
-        engine.DeleteEdge(&g, &state, e.src, e.dst, nullptr, &e.weight).ok());
+        engine.DeleteBatch(&g, &state, std::span<const Edge>(&e, 1), nullptr)
+            .ok());
     ExpectStateEquals(PeelStatic(g), state);
   }
 }
@@ -271,7 +273,7 @@ TEST(IncrementalDeleteTest, RandomizedDeleteEquivalence) {
       const auto& pick =
           g.OutNeighbors(u)[rng.NextBounded(g.OutDegree(u))];
       ASSERT_TRUE(
-          engine.DeleteEdge(&g, &state, u, pick.vertex, nullptr, nullptr)
+          engine.DeleteEdge(&g, &state, u, pick.vertex, nullptr)
               .ok());
       ExpectStateEquals(PeelStatic(g), state);
     }
@@ -283,9 +285,9 @@ TEST(IncrementalDeleteTest, DeleteMissingEdgeFails) {
   ASSERT_TRUE(g.AddEdge(0, 1, 1.0).ok());
   PeelState state = PeelStatic(g);
   IncrementalEngine engine;
-  EXPECT_FALSE(engine.DeleteEdge(&g, &state, 1, 2, nullptr, nullptr).ok());
+  EXPECT_FALSE(engine.DeleteEdge(&g, &state, 1, 2, nullptr).ok());
   // Direction matters: (1, 0) was never inserted.
-  EXPECT_FALSE(engine.DeleteEdge(&g, &state, 1, 0, nullptr, nullptr).ok());
+  EXPECT_FALSE(engine.DeleteEdge(&g, &state, 1, 0, nullptr).ok());
 }
 
 TEST(IncrementalDeleteTest, MixedInsertDeleteEquivalence) {
@@ -307,8 +309,9 @@ TEST(IncrementalDeleteTest, MixedInsertDeleteEquivalence) {
         const Edge victim = live[pick];
         live.erase(live.begin() + static_cast<std::ptrdiff_t>(pick));
         ASSERT_TRUE(engine
-                        .DeleteEdge(&g, &state, victim.src, victim.dst,
-                                    nullptr, &victim.weight)
+                        .DeleteBatch(&g, &state,
+                                     std::span<const Edge>(&victim, 1),
+                                     nullptr)
                         .ok());
       } else {
         const Edge e = RandomEdge(&rng, n);
@@ -516,7 +519,7 @@ class DisplacementRunTest : public ::testing::Test {
   std::size_t Delete(const Edge& e) {
     ReorderStats stats;
     EXPECT_TRUE(
-        engine_.DeleteEdge(&g_, &state_, e.src, e.dst, &stats, &e.weight)
+        engine_.DeleteBatch(&g_, &state_, std::span<const Edge>(&e, 1), &stats)
             .ok());
     ExpectStateEquals(PeelStatic(g_), state_, 0.0);
     return stats.rewritten_span;

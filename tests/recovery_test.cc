@@ -18,6 +18,7 @@
 #include <cinttypes>
 #include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <map>
@@ -142,6 +143,18 @@ void CopyDir(const std::string& from, const std::string& to) {
   std::filesystem::remove_all(to);
   std::filesystem::copy(from, to,
                         std::filesystem::copy_options::recursive);
+}
+
+/// Every file of `dir`, name -> bytes.
+std::map<std::string, std::string> ReadAllFiles(const std::string& dir) {
+  std::map<std::string, std::string> files;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    std::ifstream in(entry.path(), std::ios::binary);
+    std::ostringstream bytes;
+    bytes << in.rdbuf();
+    files[entry.path().filename().string()] = bytes.str();
+  }
+  return files;
 }
 
 class RecoveryTest : public ::testing::Test {
@@ -342,9 +355,7 @@ TEST_F(RecoveryTest, TornManifestOrBaseFailsCleanlyWithoutSideEffects) {
 // A directory an older build wrote: manifest 5 over delta segment 3 files
 // (raw weights, flush records), with a base snapshot whose weights all
 // happen to lie on the grid, so it loads. Restore must fail at the
-// manifest, naming its version, and touch no file: a segment that fails
-// to read is otherwise taken for a torn chain tail, and its epochs are
-// collected as stale.
+// manifest, naming its version, and touch no file.
 TEST_F(RecoveryTest, OlderBuildDirectoryFailsAtItsManifestAndKeepsEveryFile) {
   LiveRun run = RunAndCheckpoint(dir_, 3, /*seed=*/606);
   CopyDir(dir_, work_);
@@ -397,17 +408,7 @@ TEST_F(RecoveryTest, OlderBuildDirectoryFailsAtItsManifestAndKeepsEveryFile) {
       ASSERT_TRUE(w.Finish().ok());
     }
   }
-  const auto read_all = [&] {
-    std::map<std::string, std::string> files;
-    for (const auto& entry : std::filesystem::directory_iterator(work_)) {
-      std::ifstream in(entry.path(), std::ios::binary);
-      std::ostringstream bytes;
-      bytes << in.rdbuf();
-      files[entry.path().filename().string()] = bytes.str();
-    }
-    return files;
-  };
-  const auto files_before = read_all();
+  const auto files_before = ReadAllFiles(work_);
   ASSERT_EQ(files_before.size(), 1 + 3 * kShards);
 
   auto victim = BuildService(run.initial);
@@ -417,7 +418,47 @@ TEST_F(RecoveryTest, OlderBuildDirectoryFailsAtItsManifestAndKeepsEveryFile) {
   EXPECT_EQ(s.code(), StatusCode::kIOError);
   EXPECT_NE(s.message().find("version 5"), std::string::npos)
       << s.ToString();
-  EXPECT_EQ(read_all(), files_before);
+  EXPECT_EQ(ReadAllFiles(work_), files_before);
+  const auto after = CaptureShards(*victim);
+  for (std::size_t sh = 0; sh < kShards; ++sh) {
+    testing::ExpectShardEqualsCapture(reference[sh], after[sh]);
+  }
+}
+
+// Only a torn segment truncates the chain. Epoch 3's partition-0 segment
+// is rewritten with version 3 in its header and a trailer that matches it,
+// as a whole file another build wrote would read. No crash leaves that (a
+// crash leaves a short file, bit rot a CRC mismatch), so the restore must
+// fail with an IOError naming the file and the version it found, before
+// any side effect, and delete no file.
+TEST_F(RecoveryTest, IntactSegmentOfAnotherVersionFailsAndKeepsEveryFile) {
+  LiveRun run = RunAndCheckpoint(dir_, 3, /*seed=*/707);
+  CopyDir(dir_, work_);
+  const std::string file = ShardDeltaFileName(0, 3);
+  const std::string path = (std::filesystem::path(work_) / file).string();
+  std::string bytes = ReadAllFiles(work_).at(file);
+  // [magic u64][version u32] ... [crc64 trailer]
+  const std::uint32_t version = 3;
+  std::memcpy(bytes.data() + sizeof(std::uint64_t), &version, sizeof(version));
+  const std::uint64_t crc =
+      Crc64(bytes.data(), bytes.size() - sizeof(std::uint64_t));
+  std::memcpy(bytes.data() + bytes.size() - sizeof(crc), &crc, sizeof(crc));
+  {
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out << bytes;
+  }
+  ASSERT_TRUE(storage::HasIntactTrailer(path));
+  const auto files_before = ReadAllFiles(work_);
+
+  auto victim = BuildService(run.initial);
+  const auto reference = CaptureShards(*victim);
+  ShardedDetectionService::RestoreInfo info;
+  const Status s = victim->RestoreState(work_, &info);
+  EXPECT_EQ(s.code(), StatusCode::kIOError) << s.ToString();
+  EXPECT_NE(s.message().find(file), std::string::npos) << s.ToString();
+  EXPECT_NE(s.message().find("version 3"), std::string::npos)
+      << s.ToString();
+  EXPECT_EQ(ReadAllFiles(work_), files_before);
   const auto after = CaptureShards(*victim);
   for (std::size_t sh = 0; sh < kShards; ++sh) {
     testing::ExpectShardEqualsCapture(reference[sh], after[sh]);

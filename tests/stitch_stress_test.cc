@@ -1,13 +1,15 @@
 // Concurrency stress for message-driven stitching: producers hammer the
-// router while window expiry and stitch passes run against the same
-// boundary weights (worker-side add and retire under the detector mutex,
-// stitcher-side merge, retire-delta triggers).
+// router while window expiry, partition moves and stitch passes run
+// against the same boundary weights (worker-side add and retire under the
+// detector mutex, stitcher-side merge, retire-delta triggers).
 //
 // The invariant under test is the publication contract: a stitched read
 // never OVERSTATES — the density it serves is at most the induced density
-// of its members in the merged graph of the final window. Raciness is the
+// of its members in the merged graph of the final window. Moves carry
+// partitions to workers outside a snapshot's provenance, so a retire that
+// invalidates a snapshot can run anywhere in the fleet. Raciness is the
 // point; the test runs in the `stress` ctest label and in the TSan CI leg,
-// where the queue hand-offs and the retire-vs-stitch fences are checked
+// where the queue hand-offs and the deletion-generation check are checked
 // for data races.
 
 #include <gtest/gtest.h>
@@ -104,6 +106,17 @@ TEST(StitchStressTest, ConcurrentIngestRetireAndStitchNeverOverstate) {
     }
   });
 
+  // Mover: partitions hop between random workers while passes gather
+  // and retires run.
+  std::thread mover([&] {
+    Rng rng(9100);
+    while (!producers_done.load(std::memory_order_acquire)) {
+      const std::size_t pid = rng.NextBounded(kShards);
+      EXPECT_TRUE(service.RebalanceNow(pid, rng.NextBounded(kShards)).ok());
+      std::this_thread::sleep_for(std::chrono::milliseconds(3));
+    }
+  });
+
   // Explicit StitchNow callers race the trigger-driven background
   // stitcher (trigger_weight > 0 armed it) on the same stitch mutex and
   // boundary weights, while reads check the published snapshot stays
@@ -121,22 +134,25 @@ TEST(StitchStressTest, ConcurrentIngestRetireAndStitchNeverOverstate) {
   for (auto& p : producers) p.join();
   producers_done.store(true, std::memory_order_release);
   expirer.join();
+  mover.join();
   stitcher.join();
 
-  // Quiesce: drain everything, then run one final pass with no concurrent
-  // mutation. Neither it nor the published read may be denser than the
-  // induced density of its own members in the merged graph of the shards'
-  // final windows (the ground truth for "no overstatement"; the greedy
-  // peel of that graph is no bound, as peeling is not monotone under
-  // adding edges).
+  // Quiesce: drain everything. Neither the read the racing passes left
+  // behind, nor one final pass with no concurrent mutation, nor the read
+  // after it may be denser than the induced density of its own members in
+  // the merged graph of the shards' final windows (the ground truth for
+  // "no overstatement"; the greedy peel of that graph is no bound, as
+  // peeling is not monotone under adding edges).
   service.Drain();
-  const GlobalCommunity final_pass = service.StitchNow();
-
   std::vector<Edge> window;
   for (std::size_t s = 0; s < kShards; ++s) {
     const std::vector<Edge> shard_window = service.ShardWindow(s);
     window.insert(window.end(), shard_window.begin(), shard_window.end());
   }
+  const GlobalCommunity left = service.CurrentGlobalCommunity();
+  EXPECT_LE(left.density, testing::InducedDensity(window, left.members) + 1e-9);
+
+  const GlobalCommunity final_pass = service.StitchNow();
   EXPECT_LE(final_pass.density,
             testing::InducedDensity(window, final_pass.members) + 1e-9);
   const GlobalCommunity read = service.CurrentGlobalCommunity();
@@ -150,6 +166,7 @@ TEST(StitchStressTest, ConcurrentIngestRetireAndStitchNeverOverstate) {
   // many boundary weights the final horizon retired.
   EXPECT_GE(stats.stitch_triggers, 1u);
   EXPECT_GE(stats.stitch_passes, 1u);
+  EXPECT_GE(stats.partitions_moved, 1u);
   service.Stop();
 }
 

@@ -657,9 +657,9 @@ TEST(MessageDrivenStitchingTest, RetiredSeamIsNotServedStale) {
   ASSERT_TRUE(before.stitched);
   ASSERT_GT(before.density, 0.0);
 
-  // Expire the ring. The retire pass announces itself before deleting
-  // (and again after), so by the time the deletions land the stitched
-  // snapshot is already dropped.
+  // Expire the ring. Each worker's retire pass bumps its deletion
+  // generation before it deletes, so the snapshot measured before the
+  // pass is no longer served.
   ASSERT_TRUE(service.RetireOlderThan(200).ok());
   service.Drain();
 
@@ -669,6 +669,117 @@ TEST(MessageDrivenStitchingTest, RetiredSeamIsNotServedStale) {
   EXPECT_NEAR(after.density, argmax.density, 1e-12);
   EXPECT_FALSE(after.stitched);
   EXPECT_GE(service.GetStats().retired_edges, 60u);
+}
+
+/// Every partition's window log, wherever the partition lives: the merged
+/// graph the stitched read must not overstate.
+std::vector<Edge> MergedWindow(const ShardedDetectionService& service) {
+  std::vector<Edge> window;
+  for (std::size_t s = 0; s < service.num_shards(); ++s) {
+    const std::vector<Edge> part = service.ShardWindow(s);
+    window.insert(window.end(), part.begin(), part.end());
+  }
+  return window;
+}
+
+/// A ring alternating tenant 0 and tenant 1 vertices, each of its edges
+/// cross-tenant. The edges tenant 0 sources (stored in partition 0) are at
+/// ts 100, the ones tenant 1 sources at ts 500, so a retire at 200 deletes
+/// only partition 0's half of the ring.
+std::vector<Edge> HalfExpiringRing(Rng* rng) {
+  std::vector<Edge> stream;
+  const std::vector<VertexId> ring = {
+      8, static_cast<VertexId>(kVerticesPerTenant + 8),
+      9, static_cast<VertexId>(kVerticesPerTenant + 9)};
+  InjectRing(&stream, 0, ring, 60, 30.0, rng);
+  for (Edge& e : stream) e.ts = e.src < kVerticesPerTenant ? 100 : 500;
+  return stream;
+}
+
+// A move can carry a contributing partition to a worker outside the
+// snapshot's `shards`. Partition 0 moves to worker 2 after the pass, and
+// worker 2's retire pass then deletes partition 0's half of the ring: the
+// read must not serve the density measured before that deletion.
+TEST(MessageDrivenStitchingTest, RetireAfterAMoveIsNotServedStale) {
+  constexpr std::size_t kShards = 3;
+  const std::size_t n = kShards * kVerticesPerTenant;
+  Rng rng(505);
+  ShardedDetectionServiceOptions options;
+  options.partitioner = TenantPartitioner(kVerticesPerTenant);
+  options.window.span = 10'000;
+  ShardedDetectionService service(BuildEmptyShards(kShards, n), nullptr,
+                                  options);
+  SubmitAll(&service, HalfExpiringRing(&rng));
+  service.Drain();
+
+  const GlobalCommunity before = service.StitchNow();
+  ASSERT_TRUE(before.stitched);
+  ASSERT_EQ(before.shards, (std::vector<std::size_t>{0, 1}));
+
+  // A move changes no edge, so the snapshot stays served.
+  ASSERT_TRUE(service.RebalanceNow(0, 2).ok());
+  ASSERT_EQ(service.PartitionShard(0), 2u);
+  EXPECT_EQ(service.CurrentGlobalCommunity().density, before.density);
+
+  ASSERT_TRUE(service.RetireOlderThan(200).ok());
+  service.Drain();
+  ASSERT_EQ(service.GetStats().shard_retired[2], 30u);
+
+  const GlobalCommunity after = service.CurrentGlobalCommunity();
+  EXPECT_LE(after.density,
+            testing::InducedDensity(MergedWindow(service), after.members) +
+                1e-9)
+      << "served " << after.density << ", measured before the retire at "
+      << before.density;
+  EXPECT_NEAR(after.density, service.CurrentCommunity().density, 1e-12);
+}
+
+// A chain replay deletes edges with no retire marker. A follower stitches,
+// then applies an epoch in which the primary retired the ring: the read
+// must not serve the density its pass measured before the replay.
+TEST(MessageDrivenStitchingTest, ReplayedRetireIsNotServedStale) {
+  constexpr std::size_t kShards = 2;
+  const std::size_t n = kShards * kVerticesPerTenant;
+  const std::string dir = ::testing::TempDir() + "/stitching_replayed_retire";
+  std::filesystem::remove_all(dir);
+  Rng rng(506);
+  ShardedDetectionServiceOptions options;
+  options.partitioner = TenantPartitioner(kVerticesPerTenant);
+  options.window.span = 10'000;
+  ShardedDetectionService primary(BuildEmptyShards(kShards, n), nullptr,
+                                  options);
+  std::vector<Edge> stream = HalfExpiringRing(&rng);
+  for (Edge& e : stream) e.ts = 100;  // the whole ring expires
+  SubmitAll(&primary, stream);
+  primary.Drain();
+  ASSERT_TRUE(primary.SaveState(dir).ok());
+
+  ShardedDetectionService follower(BuildEmptyShards(kShards, n), nullptr,
+                                   options);
+  ASSERT_TRUE(follower.RestoreState(dir).ok());
+  const GlobalCommunity before = follower.StitchNow();
+  ASSERT_TRUE(before.stitched);
+
+  ASSERT_TRUE(primary.RetireOlderThan(200).ok());
+  primary.Drain();
+  ShardedDetectionService::SaveInfo info;
+  ASSERT_TRUE(
+      primary.SaveState(dir, ShardedDetectionService::SaveMode::kDelta, &info)
+          .ok());
+  ASSERT_TRUE(follower
+                  .ApplyChainRange(dir, info.epoch, info.epoch,
+                                   std::chrono::milliseconds(10'000))
+                  .ok());
+  ASSERT_EQ(follower.GetStats().retired_edges, 60u);
+
+  const GlobalCommunity after = follower.CurrentGlobalCommunity();
+  EXPECT_LE(after.density,
+            testing::InducedDensity(MergedWindow(follower), after.members) +
+                1e-9)
+      << "served " << after.density << ", measured before the replay at "
+      << before.density;
+  EXPECT_NEAR(after.density, follower.CurrentCommunity().density, 1e-12);
+  std::filesystem::remove_all(dir);
 }
 
 // ------------------------------------------------------------------------

@@ -4,7 +4,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <filesystem>
 
 #include "analysis/graph_stats.h"
 #include "common/rng.h"
@@ -121,57 +120,6 @@ TEST(ReplayerTest, EdgeGroupingModeFlushesOnUrgent) {
   testing::ValidateCanonicalSequence(spade.graph(), spade.peel_state());
 }
 
-// Periodic-checkpoint option: the service replay checkpoints while
-// producers are live, the directory ends at the final epoch, and a fresh
-// fleet restores from it.
-TEST(ReplayerTest, ServiceReplayPeriodicCheckpointing) {
-  const std::string dir = ::testing::TempDir() + "/replay_checkpoints";
-  std::filesystem::remove_all(dir);
-  Workload w = SmallFraudWorkload(53);
-
-  auto build_shards = [&] {
-    std::vector<Spade> shards;
-    for (int s = 0; s < 2; ++s) {
-      Spade spade;
-      spade.SetSemantics(MakeDW());
-      EXPECT_TRUE(spade.BuildGraph(w.num_vertices, {}).ok());
-      shards.push_back(std::move(spade));
-    }
-    return shards;
-  };
-  std::vector<Spade> shards = build_shards();
-  ServiceReplayOptions options;
-  options.num_producers = 2;
-  options.producer_batch = 32;
-  options.checkpoint_every_edges = w.stream.size() / 4;
-  options.checkpoint_dir = dir;
-  const ServiceReplayReport report =
-      ReplayThroughService(std::move(shards), w.stream, options);
-
-  EXPECT_EQ(report.edges_submitted, w.stream.size());
-  EXPECT_GE(report.checkpoints, 2u);  // at least one periodic + the final
-  EXPECT_GT(report.checkpoint_bytes, 0u);
-  EXPECT_GE(report.final_epoch, 1u);
-  // After the first (full) save, later checkpoints ride the delta path
-  // unless the compaction policy folds the chain.
-  EXPECT_GE(report.delta_checkpoints, 1u);
-
-  ShardedDetectionService restored(build_shards(), nullptr, {});
-  ShardedDetectionService::RestoreInfo info;
-  ASSERT_TRUE(restored.RestoreState(dir, &info).ok());
-  EXPECT_EQ(info.restored_epoch, report.final_epoch);
-  EXPECT_FALSE(info.truncated_chain);
-  // The final checkpoint ran after the drain, so the restored fleet holds
-  // the whole stream.
-  std::uint64_t restored_edges = 0;
-  for (std::size_t s = 0; s < restored.num_shards(); ++s) {
-    restored.InspectShard(s, [&](const Spade& spade) {
-      restored_edges += spade.graph().NumEdges();
-    });
-  }
-  EXPECT_EQ(restored_edges, report.edges_processed);
-  std::filesystem::remove_all(dir);
-}
 
 TEST(ReplayerTest, EmptyStream) {
   Spade spade;

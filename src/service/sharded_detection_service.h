@@ -536,9 +536,10 @@ class ShardedDetectionService {
   /// graph. A torn chain tail (crash during the last delta save: a short
   /// segment, or one whose CRC trailer does not match) recovers to the last
   /// epoch whose files are all intact; a torn base or manifest, and an
-  /// intact segment this build cannot read (another version's), fail
-  /// cleanly with every file kept. Each partition's chain replays as one range, in at most
-  /// one DeleteBatch and one InsertBatch (Spade::ReplayDelta), and restored
+  /// intact segment that is another version's or does not extend its
+  /// partition's chain, fail cleanly with every file kept. Each
+  /// partition's chain replays as one range, in at most one DeleteBatch
+  /// and one InsertBatch (Spade::ReplayDelta), and restored
   /// detectors are bit-identical to the ones that wrote the chain, on the
   /// parallel replay ApplyChainRange shares (ReplayPlans).
   /// Detectors keep their installed semantics; the checkpoint's placement

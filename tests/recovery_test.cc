@@ -157,6 +157,27 @@ std::map<std::string, std::string> ReadAllFiles(const std::string& dir) {
   return files;
 }
 
+/// Restores `dir` into a fresh fleet over `initial` and expects an IOError
+/// whose message holds each of `needles`, with every file of `dir` and
+/// every detector left as they were.
+void ExpectRestoreFailsTouchingNothing(
+    const std::string& dir, const std::vector<Edge>& initial,
+    const std::vector<std::string>& needles) {
+  const auto files_before = ReadAllFiles(dir);
+  auto victim = BuildService(initial);
+  const auto reference = CaptureShards(*victim);
+  const Status s = victim->RestoreState(dir);
+  EXPECT_EQ(s.code(), StatusCode::kIOError) << s.ToString();
+  for (const std::string& needle : needles) {
+    EXPECT_NE(s.message().find(needle), std::string::npos) << s.ToString();
+  }
+  EXPECT_EQ(ReadAllFiles(dir), files_before);
+  const auto after = CaptureShards(*victim);
+  for (std::size_t sh = 0; sh < kShards; ++sh) {
+    testing::ExpectShardEqualsCapture(reference[sh], after[sh]);
+  }
+}
+
 class RecoveryTest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -408,21 +429,8 @@ TEST_F(RecoveryTest, OlderBuildDirectoryFailsAtItsManifestAndKeepsEveryFile) {
       ASSERT_TRUE(w.Finish().ok());
     }
   }
-  const auto files_before = ReadAllFiles(work_);
-  ASSERT_EQ(files_before.size(), 1 + 3 * kShards);
-
-  auto victim = BuildService(run.initial);
-  const auto reference = CaptureShards(*victim);
-  const Status s = victim->RestoreState(work_);
-  ASSERT_FALSE(s.ok()) << "a manifest-5 directory was restored";
-  EXPECT_EQ(s.code(), StatusCode::kIOError);
-  EXPECT_NE(s.message().find("version 5"), std::string::npos)
-      << s.ToString();
-  EXPECT_EQ(ReadAllFiles(work_), files_before);
-  const auto after = CaptureShards(*victim);
-  for (std::size_t sh = 0; sh < kShards; ++sh) {
-    testing::ExpectShardEqualsCapture(reference[sh], after[sh]);
-  }
+  ASSERT_EQ(ReadAllFiles(work_).size(), 1 + 3 * kShards);
+  ExpectRestoreFailsTouchingNothing(work_, run.initial, {"version 5"});
 }
 
 // Only a torn segment truncates the chain. Epoch 3's partition-0 segment
@@ -448,21 +456,22 @@ TEST_F(RecoveryTest, IntactSegmentOfAnotherVersionFailsAndKeepsEveryFile) {
     out << bytes;
   }
   ASSERT_TRUE(storage::HasIntactTrailer(path));
-  const auto files_before = ReadAllFiles(work_);
+  ExpectRestoreFailsTouchingNothing(work_, run.initial, {file, "version 3"});
+}
 
-  auto victim = BuildService(run.initial);
-  const auto reference = CaptureShards(*victim);
-  ShardedDetectionService::RestoreInfo info;
-  const Status s = victim->RestoreState(work_, &info);
-  EXPECT_EQ(s.code(), StatusCode::kIOError) << s.ToString();
-  EXPECT_NE(s.message().find(file), std::string::npos) << s.ToString();
-  EXPECT_NE(s.message().find("version 3"), std::string::npos)
-      << s.ToString();
-  EXPECT_EQ(ReadAllFiles(work_), files_before);
-  const auto after = CaptureShards(*victim);
-  for (std::size_t sh = 0; sh < kShards; ++sh) {
-    testing::ExpectShardEqualsCapture(reference[sh], after[sh]);
-  }
+// Nor is an intact segment that does not extend its partition's chain:
+// epoch 2's partition-0 segment copied over epoch 3's parses and passes
+// its CRC, so the restore fails naming the file.
+TEST_F(RecoveryTest, IntactSegmentOutOfChainFailsAndKeepsEveryFile) {
+  LiveRun run = RunAndCheckpoint(dir_, 3, /*seed=*/708);
+  CopyDir(dir_, work_);
+  const std::string file = ShardDeltaFileName(0, 3);
+  std::filesystem::copy_file(
+      std::filesystem::path(work_) / ShardDeltaFileName(0, 2),
+      std::filesystem::path(work_) / file,
+      std::filesystem::copy_options::overwrite_existing);
+  ExpectRestoreFailsTouchingNothing(work_, run.initial,
+                                    {file, "does not advance partition 0"});
 }
 
 // Regression (code review): a compaction (full save over an existing

@@ -107,14 +107,18 @@ TEST(StitchStressTest, ConcurrentIngestRetireAndStitchNeverOverstate) {
   });
 
   // Mover: partitions hop between random workers while passes gather
-  // and retires run.
+  // and retires run. It is the only mover, so each hop leaves the owner it
+  // reads, and the first one runs however soon the producers finish.
   std::thread mover([&] {
     Rng rng(9100);
-    while (!producers_done.load(std::memory_order_acquire)) {
+    do {
       const std::size_t pid = rng.NextBounded(kShards);
-      EXPECT_TRUE(service.RebalanceNow(pid, rng.NextBounded(kShards)).ok());
+      const std::size_t to =
+          (service.PartitionShard(pid) + 1 + rng.NextBounded(kShards - 1)) %
+          kShards;
+      EXPECT_TRUE(service.RebalanceNow(pid, to).ok());
       std::this_thread::sleep_for(std::chrono::milliseconds(3));
-    }
+    } while (!producers_done.load(std::memory_order_acquire));
   });
 
   // Explicit StitchNow callers race the trigger-driven background

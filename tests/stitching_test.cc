@@ -734,9 +734,11 @@ TEST(MessageDrivenStitchingTest, RetireAfterAMoveIsNotServedStale) {
   EXPECT_NEAR(after.density, service.CurrentCommunity().density, 1e-12);
 }
 
-// A chain replay deletes edges with no retire marker. A follower stitches,
-// then applies an epoch in which the primary retired the ring: the read
-// must not serve the density its pass measured before the replay.
+// A restore and a chain replay delete edges with no retire marker. A
+// follower holding the ring twice over stitches, restores the primary's
+// ring-once checkpoint, stitches again, then applies an epoch in which the
+// primary retired the ring: neither read may serve the density its pass
+// measured before the restore or the replay.
 TEST(MessageDrivenStitchingTest, ReplayedRetireIsNotServedStale) {
   constexpr std::size_t kShards = 2;
   const std::size_t n = kShards * kVerticesPerTenant;
@@ -756,7 +758,19 @@ TEST(MessageDrivenStitchingTest, ReplayedRetireIsNotServedStale) {
 
   ShardedDetectionService follower(BuildEmptyShards(kShards, n), nullptr,
                                    options);
+  SubmitAll(&follower, stream);
+  SubmitAll(&follower, stream);
+  follower.Drain();
+  const GlobalCommunity doubled = follower.StitchNow();
+  ASSERT_TRUE(doubled.stitched);
   ASSERT_TRUE(follower.RestoreState(dir).ok());
+  const GlobalCommunity restored = follower.CurrentGlobalCommunity();
+  EXPECT_LE(restored.density,
+            testing::InducedDensity(MergedWindow(follower), restored.members) +
+                1e-9)
+      << "served " << restored.density << ", measured before the restore at "
+      << doubled.density;
+
   const GlobalCommunity before = follower.StitchNow();
   ASSERT_TRUE(before.stitched);
 

@@ -120,7 +120,6 @@ TEST(ReplayerTest, EdgeGroupingModeFlushesOnUrgent) {
   testing::ValidateCanonicalSequence(spade.graph(), spade.peel_state());
 }
 
-
 TEST(ReplayerTest, EmptyStream) {
   Spade spade;
   spade.SetSemantics(MakeDG());
